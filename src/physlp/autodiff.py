@@ -1,11 +1,21 @@
 """Reverse-mode differentiation through the unrolled dynamics.
 
-solve_with_tape records every intermediate of the forward loop;
-backward then walks the tape once, applying the adjoint of each
-operation (clamp, convex update, weighted projection, SPD solve,
-Laplacian assembly, weighting) and finally maps the accumulated
-gradients through the zero-cost perturbation and the negative-cost
-flip back to the original (c, A, b).
+solve_with_tape records the forward loop on a lean tape; backward then
+walks the tape once, applying the adjoint of each operation (clamp,
+convex update, weighted projection, SPD solve, Laplacian assembly,
+weighting) and finally maps the accumulated gradients through the
+zero-cost perturbation and the negative-cost flip back to the original
+(c, A, b).
+
+Per step the tape holds the Cholesky factor of S = A diag(w) A^T + reg*I
+that the forward solve computed, plus x_prev, p, u, x_new and the clamp
+mask; w = x_prev / c_hat is recomputed.  The solve adjoint
+gL = -outer(z, p) has rank one, so backward never forms an m-by-m or
+m-by-n array per step: each step costs a few O(mn) products with A and
+two triangular solves against the stored factor (PCG with the operator
+v -> A(w * A^T v) + reg*v when the step had no factor), and gA comes
+from one GEMM over the 2K stacked per-step vectors at the end.  jvp
+forms dL p the same way.  Both accept their solves on backward error.
 
 The clamp back-propagates as a subgradient: pass-through where the
 pre-clamp value stayed strictly above the floor, zero where the clamp
@@ -21,14 +31,18 @@ import numpy as np
 
 from .core import SolverConfig, validate
 from .errors import DimensionMismatch
-from .linalg import spd_solve, spd_solve_adjoint
+# spd_solve and spd_solve_adjoint, the dense-matrix solve and its
+# adjoint, stay importable from this module for callers that look them
+# up here; backward and jvp solve with the recorded factors instead.
+from .linalg import spd_solve, spd_solve_adjoint, weighted_solve  # noqa: F401
 from .solver import _solve_loop, step_detail
 
 
 @dataclass
 class UnrolledTape:
     """Recorded forward pass: the prepared LP, the initial iterate in
-    working coordinates, and one StepDetail per iteration."""
+    working coordinates, and one StepDetail per iteration (an m-by-m
+    Cholesky factor and five O(n) or O(m) vectors each)."""
 
     prep: object
     cfg: SolverConfig
@@ -114,7 +128,8 @@ def backward(tape, grad_x):
 
     grad_x is taken with respect to the decoded final iterate.  The
     initial iterate is treated as constant, so a zero-length tape
-    yields zero gradients.
+    yields zero gradients.  Breakdown is raised when an adjoint solve
+    misses its backward-error target even after PCG refinement.
     """
     prep = tape.prep
     A = prep.lp.A
@@ -130,30 +145,31 @@ def backward(tape, grad_x):
     # decoded x = M - y on flipped coordinates
     g = np.where(prep.flip_mask, -grad_x, grad_x)
     gc_hat = np.zeros(n)
-    gA = np.zeros((m, n))
     gb = np.zeros(m)
+    # each step adds outer(p, gu - v*w) - outer(z, u*w) to gA; the 2K
+    # vector pairs are stacked and contracted by one GEMM at the end
+    K = len(tape.steps)
+    left = np.empty((2 * K, m))
+    right = np.empty((2 * K, n))
 
-    for det in reversed(tape.steps):
+    for k, det in enumerate(reversed(tape.steps)):
+        w = det.x_prev / c_hat
         g = np.where(det.clamp_mask, g, 0.0)
         gq = h * g
-        gx = (1.0 - h) * g
-        # q = w * u
-        gw = det.u * gq
-        gu = det.w * gq
-        # u = A^T p
-        gp = A @ gu
-        gA += np.outer(det.p, gu)
-        # p = (L + reg*I)^{-1} b
-        gL, gb_step = spd_solve_adjoint(det.L, det.p, gp,
-                                        tol=tape.cfg.linsolve_tol, reg=det.reg_used)
-        gb += gb_step
-        # L = A diag(w) A^T
-        gw += np.einsum("rj,rj->j", A, gL @ A)
-        gA += ((gL + gL.T) @ A) * det.w[np.newaxis, :]
+        # q = w * u, u = A^T p
+        gu = w * gq
+        # p = S^{-1} b with S = A diag(w) A^T + reg*I: z = S^{-1} (A gu),
+        # and the rank-1 gL = -outer(z, p) gives gw = -(A^T z) * u
+        z = weighted_solve(A, w, det.reg_used, A @ gu, det.factor, tape.cfg.linsolve_tol)
+        gb += z
+        v = A.T @ z
+        gw = det.u * (gq - v)
+        left[k], right[k] = det.p, gu - v * w
+        left[K + k], right[K + k] = z, -(det.u * w)
         # w = x / c_hat
-        gx += gw / c_hat
-        gc_hat += -gw * det.x_prev / c_hat ** 2
-        g = gx
+        gc_hat -= gw * det.x_prev / c_hat ** 2
+        g = (1.0 - h) * g + gw / c_hat
+    gA = left.T @ right
 
     # map working-coordinate gradients back to the original data
     gc = np.where(prep.zero_mask, 0.0, gc_hat)
@@ -194,14 +210,16 @@ def jvp(tape, dc=None, dA=None, db=None):
 
     dx = np.zeros(prep.lp.n)
     for det in tape.steps:
-        x, w, p, u = det.x_prev, det.w, det.p, det.u
+        x, p, u = det.x_prev, det.p, det.u
+        w = x / c_hat
         dw = dx / c_hat - x * dc_w / c_hat ** 2
-        dL = (dA_w * w) @ A.T + (A * dw) @ A.T + (A * w) @ dA_w.T
-        rhs = db_w - dL @ p
-        dp = spd_solve(det.L, rhs, tol=tape.cfg.linsolve_tol, reg=det.reg_used).p
-        du = dA_w.T @ p + A.T @ dp
-        dq = dw * u + w * du
-        dx = (1.0 - h) * dx + h * dq
+        # dL p with dL = dA W A^T + A dW A^T + A W dA^T, never formed
+        dAt_p = dA_w.T @ p
+        dL_p = dA_w @ (w * u) + A @ (dw * u + w * dAt_p)
+        dp = weighted_solve(A, w, det.reg_used, db_w - dL_p, det.factor,
+                            tape.cfg.linsolve_tol)
+        du = dAt_p + A.T @ dp
+        dx = (1.0 - h) * dx + h * (dw * u + w * du)
         dx = np.where(det.clamp_mask, dx, 0.0)
     return np.where(prep.flip_mask, -dx, dx)
 

@@ -46,13 +46,6 @@ def _dump_json(obj, path=None):
             fh.write(text)
 
 
-def _load_graph(path):
-    with open(path) as fh:
-        data = json.load(fh)
-    return Graph(int(data["nodes"]),
-                 [(int(t), int(h), float(w)) for t, h, w in data["arcs"]])
-
-
 def _fail(message, code):
     print(f"error: {message}", file=sys.stderr)
     return code
@@ -251,7 +244,8 @@ def cmd_learn_cost(args):
 
 def cmd_shortest_path(args):
     try:
-        graph = _load_graph(args.graph)
+        with open(args.graph) as fh:
+            graph = Graph.from_dict(json.load(fh))
     except (OSError, ValueError, KeyError, TypeError, PhyslpError) as exc:
         return _fail(exc, EXIT_IO)
     try:

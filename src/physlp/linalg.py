@@ -27,12 +27,16 @@ class SpdSolveReport:
 
     iterations is 0 when the direct path succeeded, otherwise the number
     of CG steps taken.  final_residual is ||(L + reg*I) p - b||_2.
+    factor is the Cholesky factor of L + reg*I in scipy's cho_factor
+    form when one was computed, None when CG alone solved the system;
+    weighted_solve reuses it for further right-hand sides.
     """
 
     p: np.ndarray
     iterations: int
     final_residual: float
     regularization_used: float
+    factor: tuple | None = None
 
 
 def default_regularization(L):
@@ -113,38 +117,79 @@ def spd_solve(L, b, tol=1e-10, reg=None):
     def residual_of(p):
         return float(np.linalg.norm(S @ p - b))
 
-    p_direct = None
     if m <= DIRECT_MAX_DIM:
-        try:
-            cf = scipy.linalg.cho_factor(S, lower=True, check_finite=False)
-            p_direct = scipy.linalg.cho_solve(cf, b, check_finite=False)
-        except scipy.linalg.LinAlgError:
-            p_direct = None
-        if p_direct is not None and np.all(np.isfinite(p_direct)):
+        cf, p_direct = _cholesky(S, b)
+        if cf is not None:
             res = residual_of(p_direct)
             if res <= target:
-                return SpdSolveReport(p_direct, 0, res, reg)
+                return SpdSolveReport(p_direct, 0, res, reg, cf)
         # direct path missed the tolerance; let CG refine it
-        x0 = p_direct if p_direct is not None and np.all(np.isfinite(p_direct)) else np.zeros(m)
+        x0 = p_direct if cf is not None else np.zeros(m)
         p, iters, res = _pcg(matvec, b, np.diag(S), x0, target, 10 * m)
         if res <= target:
-            return SpdSolveReport(p, iters, res, reg)
+            return SpdSolveReport(p, iters, res, reg, cf)
         raise Breakdown(f"residual {res:.3e} above target {target:.3e} after direct and CG attempts")
 
     # large system: CG first, direct factorization as a last resort
     p, iters, res = _pcg(matvec, b, np.diag(S), np.zeros(m), target, 10 * m)
     if res <= target:
         return SpdSolveReport(p, iters, res, reg)
-    try:
-        cf = scipy.linalg.cho_factor(S, lower=True, check_finite=False)
-        p_direct = scipy.linalg.cho_solve(cf, b, check_finite=False)
-    except scipy.linalg.LinAlgError:
-        p_direct = None
-    if p_direct is not None and np.all(np.isfinite(p_direct)):
+    cf, p_direct = _cholesky(S, b)
+    if cf is not None:
         res_direct = residual_of(p_direct)
         if res_direct <= target:
-            return SpdSolveReport(p_direct, iters, res_direct, reg)
+            return SpdSolveReport(p_direct, iters, res_direct, reg, cf)
     raise Breakdown(f"residual {res:.3e} above target {target:.3e} after CG and direct attempts")
+
+
+def _cholesky(S, b):
+    """(factor, S^{-1} b) by Cholesky, or (None, None) when the
+    factorization fails or gives a non-finite solution."""
+    try:
+        cf = scipy.linalg.cho_factor(S, lower=True, check_finite=False)
+        p = scipy.linalg.cho_solve(cf, b, check_finite=False)
+    except scipy.linalg.LinAlgError:
+        return None, None
+    return (cf, p) if np.all(np.isfinite(p)) else (None, None)
+
+
+def weighted_solve(A, w, reg, rhs, factor=None, tol=1e-10):
+    """Solve (A diag(w) A^T + reg*I) z = rhs without forming the matrix.
+
+    factor is a Cholesky factor of that matrix (SpdSolveReport.factor of
+    the solve that built it).  Products with the matrix are formed as
+    A (w * (A^T v)) + reg*v.  z is accepted on backward error,
+
+        ||S z - rhs|| <= tol * (||S|| ||z|| + ||rhs||),
+
+    with ||S|| estimated by the largest diagonal entry, so that a
+    right-hand side far smaller than S z's rounding error does not
+    fail.  A factored solution that misses that target, and the solve
+    without a factor, run Jacobi-PCG towards tol * ||rhs|| as spd_solve
+    does; Breakdown is raised when its result misses the target too.
+    """
+    m = rhs.shape[0]
+
+    def matvec(v):
+        return A @ (w * (A.T @ v)) + reg * v
+
+    z = np.zeros(m)
+    if factor is not None:
+        z = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+        if not np.all(np.isfinite(z)):
+            z = np.zeros(m)
+    target = tol * float(np.linalg.norm(rhs))
+    res = float(np.linalg.norm(matvec(z) - rhs))
+    if res <= target:
+        return z
+    diag = np.einsum("ij,ij,j->i", A, A, w) + reg
+    z_weight = tol * float(diag.max())
+    if factor is None or res > target + z_weight * float(np.linalg.norm(z)):
+        z, _, res = _pcg(matvec, rhs, diag, z, target, 10 * m)
+    bound = target + z_weight * float(np.linalg.norm(z))
+    if res > bound:
+        raise Breakdown(f"residual {res:.3e} above the backward-error target {bound:.3e} after PCG")
+    return z
 
 
 def spd_solve_adjoint(L, p, grad_p, tol=1e-10, reg=None):

@@ -149,18 +149,22 @@ class PhysarumState:
 
 @dataclass
 class StepDetail:
-    """All intermediates of one update, enough to replay or to run the
-    reverse sweep: x_new = max((1-h) x_prev + h * q, eps) with
-    q = w * (A^T p), p = (L + reg*I)^{-1} b, L = A diag(w) A^T and
-    w = x_prev / c_hat.  clamp_mask is True where the pre-clamp value
-    stayed strictly above eps."""
+    """What one update leaves on the tape: enough to replay it or to run
+    the reverse sweep without re-forming or re-factoring A diag(w) A^T.
+
+    The update is x_new = max((1-h) x_prev + h * w * u, eps) with
+    u = A^T p, p = (A diag(w) A^T + reg*I)^{-1} b and w = x_prev / c_hat.
+    factor is the Cholesky factor of that matrix in cho_factor form,
+    which backward and jvp reuse for their own solves (None when the
+    step was solved by CG alone).  clamp_mask is True where the
+    pre-clamp value stayed strictly above eps.  Per step this is one
+    m-by-m factor plus four n-vectors and one m-vector.
+    """
 
     x_prev: np.ndarray
-    w: np.ndarray
-    L: np.ndarray
+    factor: tuple | None
     p: np.ndarray
     u: np.ndarray
-    q: np.ndarray
     x_new: np.ndarray
     clamp_mask: np.ndarray
     reg_used: float
@@ -195,11 +199,10 @@ def step_detail(prep, x, cfg, reg_override=None):
                 raise LinSolveFailure(f"inner solve failed after a 100x regularization retry: {exc}") from exc
     p = report.p
     u = A.T @ p
-    q = w * u
-    pre = (1.0 - h) * x + h * q
+    pre = (1.0 - h) * x + h * (w * u)
     clamp_mask = pre > eps
     x_new = np.maximum(pre, eps)
-    return StepDetail(x, w, L, p, u, q, x_new, clamp_mask,
+    return StepDetail(x, report.factor, p, u, x_new, clamp_mask,
                       report.regularization_used, report.iterations)
 
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from physlp import (SolverConfig, StandardFormLP, backward, finite_diff_grad,
-                    jvp, objective_gradients, solve, solve_with_tape)
+                    jvp, linalg, objective_gradients, solve, solve_with_tape,
+                    spd_solve_adjoint)
 from physlp.errors import DimensionMismatch
 from physlp.problems import (MatchingInstance, build_matching_lp,
                              random_bounded_lp)
@@ -18,6 +19,37 @@ def toy_lp(c=(1.0, 2.0)):
 def rel_err(a, b):
     scale = max(np.abs(a).max(), np.abs(b).max(), 1e-10)
     return np.abs(a - b).max() / scale
+
+
+def matching_lp(rng, n, m):
+    return build_matching_lp(MatchingInstance(rng.uniform(size=(n, m))))
+
+
+def dense_backward(tape, grad_x):
+    """Reference reverse sweep that forms the solve adjoint explicitly:
+    L = A diag(w) A^T, gL = -outer(z, p), and the contractions gL @ A.
+    Returns working-coordinate (grad_c, grad_A, grad_b) for a tape
+    without flipped coordinates."""
+    prep = tape.prep
+    A, c_hat, h = prep.lp.A, prep.lp.c, tape.cfg.step_size
+    g = np.asarray(grad_x, dtype=np.float64)
+    gc, gA, gb = np.zeros(prep.lp.n), np.zeros(A.shape), np.zeros(prep.lp.m)
+    for det in reversed(tape.steps):
+        w = det.x_prev / c_hat
+        L = (A * w) @ A.T
+        g = np.where(det.clamp_mask, g, 0.0)
+        gq = h * g
+        gw = det.u * gq
+        gu = w * gq
+        gA += np.outer(det.p, gu)
+        gL, gb_step = spd_solve_adjoint(L, det.p, A @ gu,
+                                        tol=tape.cfg.linsolve_tol, reg=det.reg_used)
+        gb += gb_step
+        gw += np.einsum("rj,rj->j", A, gL @ A)
+        gA += ((gL + gL.T) @ A) * w
+        gc -= gw * det.x_prev / c_hat ** 2
+        g = (1.0 - h) * g + gw / c_hat
+    return np.where(prep.zero_mask, 0.0, gc), gA, gb
 
 
 # ----------------------------------------------------------- recording
@@ -54,11 +86,11 @@ def test_tape_stores_consistent_solves():
     lp = build_matching_lp(MatchingInstance(
         np.array([[0.2, 0.8, 0.5], [0.8, 0.2, 0.4]])))
     _, tape = solve_with_tape(lp, SolverConfig(max_iters=10))
+    A, b, c_hat = tape.prep.lp.A, tape.prep.lp.b, tape.prep.lp.c
     for det in tape.steps:
-        reg = det.reg_used
-        lhs = (det.L + reg * np.eye(det.L.shape[0])) @ det.p
-        assert np.linalg.norm(lhs - tape.prep.lp.b) <= 1e-7 * (
-            1.0 + np.linalg.norm(tape.prep.lp.b))
+        L = (A * (det.x_prev / c_hat)) @ A.T
+        lhs = (L + det.reg_used * np.eye(L.shape[0])) @ det.p
+        assert np.linalg.norm(lhs - b) <= 1e-7 * (1.0 + np.linalg.norm(b))
 
 
 def test_zero_length_tape_gradients():
@@ -175,6 +207,56 @@ def test_randomized_gradcheck_and_transpose():
                     + grads.grad_b @ db)
         assert abs(lhs - rhs) <= 1e-8 * max(abs(lhs), abs(rhs), 1.0)
         checked += 1
+
+
+@pytest.mark.parametrize("shape", [(30, 30), (10, 40)])
+def test_backward_matches_dense_adjoint(shape):
+    rng = np.random.default_rng(7)
+    lp = matching_lp(rng, *shape)
+    _, tape = solve_with_tape(lp, SolverConfig(max_iters=50))
+    g = rng.normal(size=lp.n)
+    grads = backward(tape, g)
+    for got, want in zip((grads.grad_c, grads.grad_A, grads.grad_b),
+                         dense_backward(tape, g)):
+        assert rel_err(got, want) <= 1e-8
+
+
+def test_backward_accepts_tiny_adjoint_rhs():
+    # backward(ones) on an assignment LP: sum(x) is fixed, so the
+    # adjoint right-hand sides nearly vanish and a residual relative to
+    # them alone sat below rounding (1.6e-13 against 8.2e-17)
+    rng = np.random.default_rng(0)
+    rng.uniform(size=(5, 50))
+    rng.uniform(size=(30, 30))
+    lp = matching_lp(rng, 50, 100)
+    _, tape = solve_with_tape(lp, SolverConfig(max_iters=50))
+    grads = backward(tape, np.ones(lp.n))
+    assert all(np.all(np.isfinite(a)) for a in (grads.grad_c, grads.grad_A, grads.grad_b))
+
+
+def test_backward_ones_never_breaks_down():
+    for s in np.random.SeedSequence(3).spawn(16):
+        rng = np.random.default_rng(s)
+        lp = matching_lp(rng, 30, 30)
+        cfg = SolverConfig(max_iters=50, seed=int(rng.integers(2 ** 63)))
+        _, tape = solve_with_tape(lp, cfg)
+        backward(tape, np.ones(lp.n))
+
+
+def test_dot_product_on_cg_steps(monkeypatch):
+    # below the direct cutoff every forward step is solved by CG and
+    # records no factor, so backward and jvp run PCG as well
+    monkeypatch.setattr(linalg, "DIRECT_MAX_DIM", 2)
+    rng = np.random.default_rng(8)
+    lp = matching_lp(rng, 3, 5)
+    _, tape = solve_with_tape(lp, SolverConfig(max_iters=20))
+    assert all(det.factor is None and det.linsolve_iterations > 0 for det in tape.steps)
+    g = rng.normal(size=lp.n)
+    dc, dA, db = rng.normal(size=lp.n), rng.normal(size=(lp.m, lp.n)), rng.normal(size=lp.m)
+    grads = backward(tape, g)
+    lhs = float(g @ jvp(tape, dc=dc, dA=dA, db=db))
+    rhs = float(grads.grad_c @ dc + (grads.grad_A * dA).sum() + grads.grad_b @ db)
+    assert abs(lhs - rhs) <= 1e-8 * max(abs(lhs), abs(rhs))
 
 
 def test_jvp_matches_directional_fd():

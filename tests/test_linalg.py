@@ -5,6 +5,7 @@ import pytest
 
 from physlp import default_regularization, spd_solve, spd_solve_adjoint
 from physlp.errors import Breakdown, NotSymmetric
+from physlp.linalg import weighted_solve
 
 
 def test_identity_system():
@@ -12,6 +13,7 @@ def test_identity_system():
     assert np.allclose(rep.p, [3.0, 4.0], atol=1e-12)
     assert rep.iterations == 0  # direct path for small systems
     assert rep.final_residual <= 1e-10
+    assert rep.factor is not None
 
 
 def test_diagonal_system():
@@ -74,7 +76,22 @@ def test_iterative_path_used_above_direct_cutoff():
     b = rng.normal(size=m)
     rep = spd_solve(L, b, tol=1e-10)
     assert rep.iterations > 0  # conjugate gradient, not factorization
+    assert rep.factor is None
     assert np.linalg.norm(L @ rep.p - b) <= 1e-8 * np.linalg.norm(b)
+
+
+def test_weighted_solve_with_and_without_factor():
+    rng = np.random.default_rng(7)
+    A = rng.uniform(size=(6, 15))
+    w = rng.uniform(0.1, 1.0, size=15)
+    S = (A * w) @ A.T + 1e-9 * np.eye(6)
+    factor = spd_solve((A * w) @ A.T, rng.normal(size=6), reg=1e-9).factor
+    rhs = rng.normal(size=6)
+    want = np.linalg.solve(S, rhs)
+    for f in (factor, None):
+        z = weighted_solve(A, w, 1e-9, rhs, f)
+        assert np.linalg.norm(z - want) <= 1e-8 * np.linalg.norm(want)
+    assert not weighted_solve(A, w, 1e-9, np.zeros(6), factor).any()
 
 
 def test_adjoint_matches_dense_formula():
