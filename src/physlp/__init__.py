@@ -13,9 +13,8 @@ from .core import (SolveResult, SolveStatus, SolverConfig, StandardFormLP,
                    lp_to_dict, objective, save_lp, validate)
 from .linalg import (SpdSolveReport, default_regularization, spd_solve,
                      spd_solve_adjoint)
-from .solver import (PhysarumState, PreparedLP, StepDetail, default_gamma,
-                     flip_negative_costs, initial_state, perturb_cost,
-                     physarum_step, prepare_lp, solve, step_detail)
+from .solver import (PreparedLP, StepDetail, default_gamma, flip_negative_costs,
+                     initial_state, perturb_cost, prepare_lp, solve, step_detail)
 from . import errors, oracles, problems
 
 __version__ = "0.1.0"
@@ -25,9 +24,8 @@ __all__ = [
     "validate", "objective", "feasibility_residual",
     "lp_to_dict", "lp_from_dict", "save_lp", "load_lp",
     "SpdSolveReport", "spd_solve", "spd_solve_adjoint", "default_regularization",
-    "PreparedLP", "PhysarumState", "StepDetail", "perturb_cost",
-    "flip_negative_costs", "prepare_lp", "initial_state", "physarum_step",
-    "step_detail", "solve", "default_gamma",
+    "PreparedLP", "StepDetail", "perturb_cost", "flip_negative_costs",
+    "prepare_lp", "initial_state", "step_detail", "solve", "default_gamma",
     "UnrolledTape", "LpGradients", "solve_with_tape", "backward", "jvp",
     "objective_gradients", "finite_diff_grad",
     "errors", "oracles", "problems",

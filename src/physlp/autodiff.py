@@ -11,11 +11,13 @@ Per step the tape holds the Cholesky factor of S = A diag(w) A^T + reg*I
 that the forward solve computed, plus x_prev, p, u, x_new and the clamp
 mask; w = x_prev / c_hat is recomputed.  The solve adjoint
 gL = -outer(z, p) has rank one, so backward never forms an m-by-m or
-m-by-n array per step: each step costs a few O(mn) products with A and
-two triangular solves against the stored factor (PCG with the operator
-v -> A(w * A^T v) + reg*v when the step had no factor), and gA comes
-from one GEMM over the 2K stacked per-step vectors at the end.  jvp
-forms dL p the same way.  Both accept their solves on backward error.
+m-by-n array per step: each step costs a few products with A through
+the prepared WeightedOperator (CSR or dense, as in the forward pass)
+and two triangular solves against the stored factor (PCG with the
+operator v -> A(w * A^T v) + reg*v when the step had no factor), and gA
+comes from one GEMM over the 2K stacked per-step vectors at the end.
+jvp forms dL p the same way.  Both accept their solves on backward
+error.
 
 The clamp back-propagates as a subgradient: pass-through where the
 pre-clamp value stayed strictly above the floor, zero where the clamp
@@ -40,9 +42,12 @@ from .solver import _solve_loop, step_detail
 
 @dataclass
 class UnrolledTape:
-    """Recorded forward pass: the prepared LP, the initial iterate in
-    working coordinates, and one StepDetail per iteration (an m-by-m
-    Cholesky factor and five O(n) or O(m) vectors each)."""
+    """Recorded forward pass: the prepared LP (with its weighted
+    operator, a CSR copy of A on large sparse instances), the initial
+    iterate in working coordinates, and one StepDetail per iteration:
+    five O(n) or O(m) vectors each, plus an m-by-m Cholesky factor on
+    steps solved directly.  Steps above linalg.DIRECT_MAX_DIM rows were
+    solved matrix-free by CG and store no factor."""
 
     prep: object
     cfg: SolverConfig
@@ -65,8 +70,10 @@ class UnrolledTape:
     def replay(self):
         """Recompute the forward pass from the stored initial point.
 
-        Uses the recorded per-iteration regularization, so the replay
-        is bit-identical to the recorded trajectory on one platform.
+        Uses the recorded per-iteration regularization and the same
+        operator, so each step takes the recorded path (dense or CSR,
+        factored or matrix-free) and the replay is bit-identical to the
+        recorded trajectory on one platform.
         Returns the list of post-clamp iterates.
         """
         x = self.x0.copy()
@@ -132,7 +139,7 @@ def backward(tape, grad_x):
     misses its backward-error target even after PCG refinement.
     """
     prep = tape.prep
-    A = prep.lp.A
+    op = prep.op
     c_hat = prep.lp.c
     h = tape.cfg.step_size
     n = prep.lp.n
@@ -160,9 +167,9 @@ def backward(tape, grad_x):
         gu = w * gq
         # p = S^{-1} b with S = A diag(w) A^T + reg*I: z = S^{-1} (A gu),
         # and the rank-1 gL = -outer(z, p) gives gw = -(A^T z) * u
-        z = weighted_solve(A, w, det.reg_used, A @ gu, det.factor, tape.cfg.linsolve_tol)
+        z = weighted_solve(op, w, det.reg_used, op.A @ gu, det.factor, tape.cfg.linsolve_tol)
         gb += z
-        v = A.T @ z
+        v = op.AT @ z
         gw = det.u * (gq - v)
         left[k], right[k] = det.p, gu - v * w
         left[K + k], right[K + k] = z, -(det.u * w)
@@ -203,7 +210,7 @@ def jvp(tape, dc=None, dA=None, db=None):
     dot products.
     """
     prep = tape.prep
-    A = prep.lp.A
+    op = prep.op
     c_hat = prep.lp.c
     h = tape.cfg.step_size
     dc_w, dA_w, db_w = _seed_to_working(tape, dc, dA, db)
@@ -215,10 +222,10 @@ def jvp(tape, dc=None, dA=None, db=None):
         dw = dx / c_hat - x * dc_w / c_hat ** 2
         # dL p with dL = dA W A^T + A dW A^T + A W dA^T, never formed
         dAt_p = dA_w.T @ p
-        dL_p = dA_w @ (w * u) + A @ (dw * u + w * dAt_p)
-        dp = weighted_solve(A, w, det.reg_used, db_w - dL_p, det.factor,
+        dL_p = dA_w @ (w * u) + op.A @ (dw * u + w * dAt_p)
+        dp = weighted_solve(op, w, det.reg_used, db_w - dL_p, det.factor,
                             tape.cfg.linsolve_tol)
-        du = dAt_p + A.T @ dp
+        du = dAt_p + op.AT @ dp
         dx = (1.0 - h) * dx + h * (dw * u + w * du)
         dx = np.where(det.clamp_mask, dx, 0.0)
     return np.where(prep.flip_mask, -dx, dx)

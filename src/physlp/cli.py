@@ -29,7 +29,7 @@ from .problems import (GaussianKernel, Graph, LinearKernel, MatchingInstance,
                        build_matching_lp, build_shortest_path_lp,
                        decode_matching, decode_svm, matching_cost_gradient,
                        split_matching_vars, two_gaussian_blobs)
-from .solver import initial_state, physarum_step, prepare_lp, solve
+from .solver import initial_state, prepare_lp, solve, step_detail
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -92,13 +92,13 @@ def _match_trial(payload):
 
     cfg = SolverConfig(max_iters=max(budgets), step_size=step, seed=solver_seed)
     prep = prepare_lp(lp, cfg.gamma)
-    state = initial_state(prep, cfg)
+    y = initial_state(prep, cfg)
     records = []
     start = time.perf_counter()
     for k in range(1, max(budgets) + 1):
-        state = physarum_step(prep, state, cfg)
+        y = step_detail(prep, y, cfg).x_new
         if k in budgets:
-            x = prep.decode(state.x)
+            x = prep.decode(y)
             if error_block == "x-only":
                 x = x[:n * m]
             err = float(np.linalg.norm(x - x_star)) / norm_star

@@ -4,7 +4,9 @@ A standard-form program is
 
     min c.x   subject to   A x = b,  x >= 0,
 
-with A stored densely as an (m, n) array.  Instances are plain
+with A stored densely as an (m, n) array; the public API takes and
+returns A in that form.  The solver keeps its own CSR copy of A for
+large sparse instances (linalg.WeightedOperator).  Instances are plain
 dataclasses; treat them as immutable after construction.
 """
 

@@ -16,15 +16,17 @@ reported in the original coordinates against the original cost vector.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from . import linalg
 from .core import (SolveResult, SolveStatus, SolverConfig, StandardFormLP,
                    TraceRecord, validate)
 from .errors import (Breakdown, DimensionMismatch, LinSolveFailure,
                      MissingBound, NonPositiveInit, ZeroCostNeedsGamma)
-from .linalg import default_regularization, spd_solve
+from .linalg import WeightedOperator, default_regularization, matrix_free_solve, spd_solve
 
 # Width of the early-stop window: the objective must be stalled across
 # this many consecutive iterations (plus a satisfied residual) to stop.
@@ -58,7 +60,8 @@ class PreparedLP:
     zero_mask marks columns whose (post-flip) cost was exactly zero
     before perturbation.  gamma is the perturbation actually applied
     (0.0 when none was needed) and bound is the box bound M used by the
-    flip (None when nothing was flipped).
+    flip (None when nothing was flipped).  op is the WeightedOperator of
+    lp.A that the steps compute with, set by prepare_lp.
     """
 
     lp: StandardFormLP
@@ -67,6 +70,7 @@ class PreparedLP:
     original_c: np.ndarray
     gamma: float = 0.0
     bound: float | None = None
+    op: WeightedOperator | None = None
 
     def decode(self, y):
         """Map an iterate back to the original coordinates."""
@@ -122,10 +126,12 @@ def flip_negative_costs(lp):
 
 
 def prepare_lp(lp, gamma=None):
-    """Flip negative costs, then perturb zero costs.
+    """Flip negative costs, perturb zero costs, and build the operator.
 
     gamma=None picks default_gamma(m, n) when zero costs are present
-    and 0.0 otherwise; an explicit gamma is applied as given.
+    and 0.0 otherwise; an explicit gamma is applied as given.  The
+    operator stores a CSR copy of A when the instance is large and
+    sparse enough (see linalg.WeightedOperator).
     """
     prep = flip_negative_costs(lp)
     has_zero = bool(np.any(prep.zero_mask))
@@ -135,16 +141,8 @@ def prepare_lp(lp, gamma=None):
     c_hat = perturb_cost(prep.lp.c, gamma)
     prep.lp = StandardFormLP(prep.lp.A, prep.lp.b, c_hat)
     prep.gamma = gamma if has_zero else 0.0
+    prep.op = WeightedOperator(prep.lp.A)
     return prep
-
-
-@dataclass
-class PhysarumState:
-    """Iterate in the working (flipped, perturbed) coordinates."""
-
-    x: np.ndarray
-    iteration: int = 0
-    linsolve_iterations: int = 0
 
 
 @dataclass
@@ -155,10 +153,12 @@ class StepDetail:
     The update is x_new = max((1-h) x_prev + h * w * u, eps) with
     u = A^T p, p = (A diag(w) A^T + reg*I)^{-1} b and w = x_prev / c_hat.
     factor is the Cholesky factor of that matrix in cho_factor form,
-    which backward and jvp reuse for their own solves (None when the
-    step was solved by CG alone).  clamp_mask is True where the
-    pre-clamp value stayed strictly above eps.  Per step this is one
-    m-by-m factor plus four n-vectors and one m-vector.
+    which backward and jvp reuse for their own solves.  Steps with more
+    than linalg.DIRECT_MAX_DIM rows are solved matrix-free by CG, never
+    form the matrix and store no factor (None), unless CG failed and
+    the Cholesky last resort ran.  clamp_mask is True where the
+    pre-clamp value stayed strictly above eps.  Per step this is at
+    most one m-by-m factor plus four n-vectors and one m-vector.
     """
 
     x_prev: np.ndarray
@@ -172,33 +172,43 @@ class StepDetail:
 
 
 def step_detail(prep, x, cfg, reg_override=None):
-    """One dynamics update with full intermediates.
+    """One dynamics update from the iterate x, with full intermediates;
+    the next iterate is its x_new.
 
-    reg_override pins the Tikhonov term to an exact value (used when
-    replaying a recorded trajectory); otherwise cfg.linsolve_reg is
-    used, with one 100x retry after a linear-solve breakdown.
+    Up to linalg.DIRECT_MAX_DIM rows L = A diag(w) A^T is assembled
+    through prep.op and solved by spd_solve; above it the solve is
+    matrix-free (linalg.matrix_free_solve).  reg_override pins the
+    Tikhonov term to an exact value (used when replaying a recorded
+    trajectory, which then takes the same path); otherwise
+    cfg.linsolve_reg is used, with one 100x retry after a linear-solve
+    breakdown.
     """
-    A = prep.lp.A
+    op = prep.op
     b = prep.lp.b
-    c_hat = prep.lp.c
     h = cfg.step_size
     eps = cfg.clamp_floor
 
-    w = x / c_hat
-    L = (A * w) @ A.T
+    w = x / prep.lp.c
+    if prep.lp.m > linalg.DIRECT_MAX_DIM:
+        solve_with = partial(matrix_free_solve, op, w, b, cfg.linsolve_tol)
+        default_reg = partial(op.default_regularization, w)
+    else:
+        L = op.gram(w)
+        solve_with = partial(spd_solve, L, b, cfg.linsolve_tol)
+        default_reg = partial(default_regularization, L)
     if reg_override is not None:
-        report = spd_solve(L, b, tol=cfg.linsolve_tol, reg=reg_override)
+        report = solve_with(reg_override)
     else:
         try:
-            report = spd_solve(L, b, tol=cfg.linsolve_tol, reg=cfg.linsolve_reg)
+            report = solve_with(cfg.linsolve_reg)
         except Breakdown:
-            base = cfg.linsolve_reg if cfg.linsolve_reg else default_regularization(L)
+            base = cfg.linsolve_reg if cfg.linsolve_reg else default_reg()
             try:
-                report = spd_solve(L, b, tol=cfg.linsolve_tol, reg=100.0 * base)
+                report = solve_with(100.0 * base)
             except Breakdown as exc:
                 raise LinSolveFailure(f"inner solve failed after a 100x regularization retry: {exc}") from exc
     p = report.p
-    u = A.T @ p
+    u = op.AT @ p
     pre = (1.0 - h) * x + h * (w * u)
     clamp_mask = pre > eps
     x_new = np.maximum(pre, eps)
@@ -206,14 +216,8 @@ def step_detail(prep, x, cfg, reg_override=None):
                       report.regularization_used, report.iterations)
 
 
-def physarum_step(prep, state, cfg):
-    """Advance the dynamics by one update."""
-    det = step_detail(prep, state.x, cfg)
-    return PhysarumState(det.x_new, state.iteration + 1, det.linsolve_iterations)
-
-
 def initial_state(prep, cfg, x0=None):
-    """Build the starting iterate in working coordinates.
+    """The starting iterate in working coordinates.
 
     x0, when given, is interpreted in the original coordinates and must
     be strictly positive (it does not have to be feasible).  Without
@@ -231,8 +235,7 @@ def initial_state(prep, cfg, x0=None):
         if not np.all(x0 > 0.0):
             raise NonPositiveInit("x0 must be strictly positive componentwise")
         y0 = prep.encode(x0)
-    y0 = np.maximum(y0, cfg.clamp_floor)
-    return PhysarumState(y0, 0)
+    return np.maximum(y0, cfg.clamp_floor)
 
 
 def _stalled(objectives, tol):
@@ -245,37 +248,42 @@ def _stalled(objectives, tol):
                for j in range(1, STALL_WINDOW + 1))
 
 
+def _evaluate(prep, b, y):
+    """Decoded iterate, its objective and its residual ||A x - b|| against
+    the original data.  The residual goes through prep.op, whose matrix
+    differs from A only by the sign of the flipped columns."""
+    x = prep.decode(y)
+    signed = np.where(prep.flip_mask, -x, x)
+    return x, float(prep.original_c @ x), float(np.linalg.norm(prep.op.A @ signed - b))
+
+
 def _solve_loop(lp, cfg, x0, early_stop, record_steps):
     """Shared forward loop; returns (result, prepared lp, y0, steps)."""
     lp = validate(lp)
     prep = prepare_lp(lp, cfg.gamma)
-    state = initial_state(prep, cfg, x0)
-    y0 = state.x.copy()
+    y0 = initial_state(prep, cfg, x0)
+    y = y0
 
     steps = [] if record_steps else None
     trace = []
     objectives = []
     status = SolveStatus.MAX_ITERS
-    for _ in range(cfg.max_iters):
+    for k in range(1, cfg.max_iters + 1):
         try:
-            det = step_detail(prep, state.x, cfg)
+            det = step_detail(prep, y, cfg)
         except LinSolveFailure:
             status = SolveStatus.LINSOLVE_FAILURE
             break
         if record_steps:
             steps.append(det)
-        state = PhysarumState(det.x_new, state.iteration + 1, det.linsolve_iterations)
-        x_dec = prep.decode(state.x)
-        obj = float(prep.original_c @ x_dec)
-        res = float(np.linalg.norm(lp.A @ x_dec - lp.b))
-        trace.append(TraceRecord(state.iteration, obj, res, det.linsolve_iterations))
+        y = det.x_new
+        _, obj, res = _evaluate(prep, lp.b, y)
+        trace.append(TraceRecord(k, obj, res, det.linsolve_iterations))
         objectives.append(obj)
         if early_stop and res <= cfg.residual_tol and _stalled(objectives, cfg.residual_tol):
             break
 
-    x_dec = prep.decode(state.x)
-    obj = float(prep.original_c @ x_dec)
-    res = float(np.linalg.norm(lp.A @ x_dec - lp.b))
+    x_dec, obj, res = _evaluate(prep, lp.b, y)
     if status is not SolveStatus.LINSOLVE_FAILURE:
         status = SolveStatus.CONVERGED if res <= cfg.residual_tol else SolveStatus.MAX_ITERS
     result = SolveResult(x_dec, obj, res, trace, status)

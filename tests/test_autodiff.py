@@ -82,6 +82,18 @@ def test_tape_replay_bit_identical():
         assert np.array_equal(det.x_new, x)
 
 
+@pytest.mark.parametrize("name, factored", [("matching_50x100", True), ("dag_600", False)])
+def test_tape_replay_bit_identical_on_csr_operators(name, factored, request):
+    # replay takes the recorded path: CSR assembly and Cholesky on the
+    # matching, matrix-free CG on the DAG
+    lp = request.getfixturevalue(name)
+    _, tape = solve_with_tape(lp, SolverConfig(max_iters=8, seed=2))
+    assert tape.prep.op.sparse
+    assert all((det.factor is not None) == factored for det in tape.steps)
+    for det, x in zip(tape.steps, tape.replay()):
+        assert np.array_equal(det.x_new, x)
+
+
 def test_tape_stores_consistent_solves():
     lp = build_matching_lp(MatchingInstance(
         np.array([[0.2, 0.8, 0.5], [0.8, 0.2, 0.4]])))

@@ -5,7 +5,7 @@ import pytest
 
 from physlp import default_regularization, spd_solve, spd_solve_adjoint
 from physlp.errors import Breakdown, NotSymmetric
-from physlp.linalg import weighted_solve
+from physlp.linalg import WeightedOperator, weighted_solve
 
 
 def test_identity_system():
@@ -89,9 +89,9 @@ def test_weighted_solve_with_and_without_factor():
     rhs = rng.normal(size=6)
     want = np.linalg.solve(S, rhs)
     for f in (factor, None):
-        z = weighted_solve(A, w, 1e-9, rhs, f)
+        z = weighted_solve(WeightedOperator(A), w, 1e-9, rhs, f)
         assert np.linalg.norm(z - want) <= 1e-8 * np.linalg.norm(want)
-    assert not weighted_solve(A, w, 1e-9, np.zeros(6), factor).any()
+    assert not weighted_solve(WeightedOperator(A), w, 1e-9, np.zeros(6), factor).any()
 
 
 def test_adjoint_matches_dense_formula():

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from physlp import (SolveStatus, SolverConfig, StandardFormLP, default_gamma,
-                    feasibility_residual, flip_negative_costs, initial_state,
-                    perturb_cost, physarum_step, prepare_lp, solve)
+                    default_regularization, feasibility_residual,
+                    flip_negative_costs, initial_state, linalg, perturb_cost,
+                    prepare_lp, solve, step_detail)
 from physlp.errors import (DimensionMismatch, MissingBound, NonPositiveInit,
                            ZeroCostNeedsGamma)
-from physlp.problems import random_bounded_lp
+from physlp.problems import (MatchingInstance, SvmInstance, build_l1svm_lp,
+                             build_matching_lp, random_bounded_lp,
+                             two_gaussian_blobs)
 
 
 def toy_lp(c=(1.0, 2.0)):
@@ -105,28 +108,27 @@ def test_prepared_cost_strictly_positive():
 def test_step_symmetric_fixed_point():
     prep = prepare_lp(toy_lp(c=(1.0, 1.0)))
     cfg = SolverConfig()
-    state = initial_state(prep, cfg, x0=np.array([0.5, 0.5]))
-    out = physarum_step(prep, state, cfg)
-    assert np.allclose(out.x, [0.5, 0.5], atol=1e-12)
-    assert out.iteration == 1
+    x = initial_state(prep, cfg, x0=np.array([0.5, 0.5]))
+    out = step_detail(prep, x, cfg)
+    assert np.allclose(out.x_new, [0.5, 0.5], atol=1e-12)
 
 
 def test_step_hand_checked_values():
     # W = diag(.5, .25), L = [0.75], p = [4/3], q = [2/3, 1/3]
     prep = prepare_lp(toy_lp())
     cfg = SolverConfig()
-    state = initial_state(prep, cfg, x0=np.array([0.5, 0.5]))
-    out = physarum_step(prep, state, cfg)
-    assert np.allclose(out.x, [2.0 / 3.0, 1.0 / 3.0], atol=1e-12)
+    x = initial_state(prep, cfg, x0=np.array([0.5, 0.5]))
+    out = step_detail(prep, x, cfg)
+    assert np.allclose(out.x_new, [2.0 / 3.0, 1.0 / 3.0], atol=1e-12)
 
 
 def test_step_damped_is_convex_combination():
     prep = prepare_lp(toy_lp())
     x0 = np.array([0.5, 0.5])
-    full = physarum_step(prep, initial_state(prep, SolverConfig(), x0=x0),
-                         SolverConfig(step_size=1.0)).x
-    half = physarum_step(prep, initial_state(prep, SolverConfig(), x0=x0),
-                         SolverConfig(step_size=0.5)).x
+    full = step_detail(prep, initial_state(prep, SolverConfig(), x0=x0),
+                       SolverConfig(step_size=1.0)).x_new
+    half = step_detail(prep, initial_state(prep, SolverConfig(), x0=x0),
+                       SolverConfig(step_size=0.5)).x_new
     assert np.allclose(half, 0.5 * x0 + 0.5 * full, atol=1e-12)
 
 
@@ -141,7 +143,7 @@ def test_step_scale_equivariant_in_cost():
     for alpha in (1.0, 7.0):
         lp = StandardFormLP(A, b, alpha * rng2_cost())
         prep = prepare_lp(lp)
-        outs.append(physarum_step(prep, initial_state(prep, cfg, x0=x0), cfg).x)
+        outs.append(step_detail(prep, initial_state(prep, cfg, x0=x0), cfg).x_new)
     assert np.allclose(outs[0], outs[1], rtol=1e-13, atol=1e-15)
 
 
@@ -158,10 +160,108 @@ def test_one_step_reaches_feasibility_with_full_step():
         lp, _ = random_bounded_lp(rng, 1, 6)
         prep = prepare_lp(lp)
         cfg = SolverConfig()
-        state = initial_state(prep, cfg, x0=rng.uniform(0.5, 2.0, size=6))
-        out = physarum_step(prep, state, cfg)
-        assert feasibility_residual(prep.lp, out.x) <= 1e-8 * (
+        x = initial_state(prep, cfg, x0=rng.uniform(0.5, 2.0, size=6))
+        out = step_detail(prep, x, cfg)
+        assert feasibility_residual(prep.lp, out.x_new) <= 1e-8 * (
             1.0 + np.linalg.norm(lp.b))
+
+
+# ---------------------------------------------------- weighted operator
+
+def test_operator_format_on_each_side_of_the_cutover(matching_50x100, dag_600):
+    rng = np.random.default_rng(0)
+    # the SVM's kernel block is dense (18% nonzeros at 80x182)
+    svm = build_l1svm_lp(SvmInstance(*two_gaussian_blobs(10, 4, 2.0, rng)))
+    tiny = build_matching_lp(MatchingInstance(rng.uniform(size=(2, 6))))
+    for lp in (svm, tiny):
+        op = prepare_lp(lp).op
+        assert not op.sparse and isinstance(op.A, np.ndarray)
+    small = build_matching_lp(MatchingInstance(rng.uniform(size=(5, 50))))
+    for lp in (small, matching_50x100, dag_600):
+        assert prepare_lp(lp).op.sparse
+
+
+@pytest.mark.parametrize("name", ["matching_50x100", "dag_600", "signed_sparse_40x400"])
+def test_sparse_and_dense_steps_agree(name, request, prepare_as):
+    lp = request.getfixturevalue(name)
+    dense, sparse = prepare_as(lp, False), prepare_as(lp, True)
+    cfg = SolverConfig(seed=3)
+    x = initial_state(dense, cfg)
+    want, got = step_detail(dense, x, cfg), step_detail(sparse, x, cfg)
+    for a, b in ((want.p, got.p), (want.x_new, got.x_new)):
+        assert np.abs(a - b).max() <= 1e-10 * np.abs(a).max()
+    assert (want.factor is None) == (got.factor is None) == (lp.m > linalg.DIRECT_MAX_DIM)
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_matrix_free_default_reg_is_the_assembled_one(dag_600, prepare_as, sparse):
+    prep = prepare_as(dag_600, sparse)
+    w = initial_state(prep, SolverConfig(seed=4)) / prep.lp.c
+    want = default_regularization(prep.op.gram(w))
+    assert abs(prep.op.default_regularization(w) - want) <= 1e-12 * want
+    report = linalg.matrix_free_solve(prep.op, w, prep.lp.b)
+    assert report.regularization_used == prep.op.default_regularization(w)
+
+
+def test_residual_through_the_flipped_operator(signed_sparse_40x400):
+    lp = signed_sparse_40x400
+    prep = prepare_lp(lp)
+    assert prep.op.sparse and prep.flip_mask.any()
+    res = solve(lp, SolverConfig(max_iters=5))
+    assert res.residual == pytest.approx(feasibility_residual(lp, res.x), rel=1e-12)
+
+
+def forbid_assembly(monkeypatch):
+    def gram(self, w):
+        raise AssertionError("L was assembled")
+    monkeypatch.setattr(linalg.WeightedOperator, "gram", gram)
+
+
+def test_matrix_free_steps_never_form_L(dag_600, monkeypatch):
+    forbid_assembly(monkeypatch)
+    res = solve(dag_600, SolverConfig(max_iters=5))
+    assert res.status is not SolveStatus.LINSOLVE_FAILURE
+    assert all(r.linsolve_iterations > 0 for r in res.trace)
+
+
+def test_matrix_free_step_reads_the_cutoff_when_called(monkeypatch):
+    prep = prepare_lp(toy_lp())
+    x = np.array([0.5, 0.5])
+    assert step_detail(prep, x, SolverConfig()).factor is not None
+    monkeypatch.setattr(linalg, "DIRECT_MAX_DIM", 0)
+    forbid_assembly(monkeypatch)
+    det = step_detail(prep, x, SolverConfig())
+    assert det.factor is None and det.linsolve_iterations > 0
+    assert np.allclose(det.x_new, [2.0 / 3.0, 1.0 / 3.0], atol=1e-12)
+
+
+def capped_pcg(monkeypatch):
+    # PCG that gives up after one iteration, so it misses every target
+    pcg = linalg._pcg
+    monkeypatch.setattr(linalg, "_pcg",
+                        lambda mv, b, d, x0, target, _: pcg(mv, b, d, x0, target, 1))
+
+
+def test_matrix_free_step_falls_back_to_cholesky(dag_600, monkeypatch):
+    capped_pcg(monkeypatch)
+    prep = prepare_lp(dag_600)
+    cfg = SolverConfig(max_iters=3, seed=6)
+    det = step_detail(prep, initial_state(prep, cfg), cfg)
+    assert det.factor is not None
+    S = prep.op.gram(det.x_prev / prep.lp.c) + det.reg_used * np.eye(prep.lp.m)
+    assert np.linalg.norm(S @ det.p - prep.lp.b) <= 1e-10 * np.linalg.norm(prep.lp.b)
+    res = solve(dag_600, cfg)
+    assert res.status is not SolveStatus.LINSOLVE_FAILURE
+    assert len(res.trace) == 3
+
+
+def test_matrix_free_failure_is_reported_not_raised(dag_600, monkeypatch):
+    capped_pcg(monkeypatch)
+    monkeypatch.setattr(linalg, "_cholesky", lambda S, b: (None, None))
+    res = solve(dag_600, SolverConfig(max_iters=3))
+    assert res.status is SolveStatus.LINSOLVE_FAILURE
+    assert res.trace == []
+    assert np.all(np.isfinite(res.x))
 
 
 # -------------------------------------------------------------- solve
@@ -256,10 +356,10 @@ def test_feasibility_attraction_property():
 def test_iterates_stay_above_floor():
     prep = prepare_lp(toy_lp())
     cfg = SolverConfig()
-    state = initial_state(prep, cfg)
+    x = initial_state(prep, cfg)
     for _ in range(50):
-        state = physarum_step(prep, state, cfg)
-        assert state.x.min() >= cfg.clamp_floor
+        x = step_detail(prep, x, cfg).x_new
+        assert x.min() >= cfg.clamp_floor
 
 
 def test_gamma_flows_from_config():
