@@ -12,7 +12,7 @@ that the forward solve computed, plus x_prev, p, u, x_new and the clamp
 mask; w = x_prev / c_hat is recomputed.  The solve adjoint
 gL = -outer(z, p) has rank one, so backward never forms an m-by-m or
 m-by-n array per step: each step costs a few products with A through
-the prepared WeightedOperator (CSR or dense, as in the forward pass)
+the LP's WeightedOperator, the CSR copy the forward pass used,
 and two triangular solves against the stored factor (PCG with the
 operator v -> A(w * A^T v) + reg*v when the step had no factor), and gA
 comes from one GEMM over the 2K stacked per-step vectors at the end.
@@ -42,8 +42,8 @@ from .solver import _solve_loop, step_detail
 
 @dataclass
 class UnrolledTape:
-    """Recorded forward pass: the prepared LP (with its weighted
-    operator, a CSR copy of A on large sparse instances), the initial
+    """Recorded forward pass: the prepared LP (whose lp.operator holds
+    the CSR copy of A the steps computed with), the initial
     iterate in working coordinates, and one StepDetail per iteration:
     five O(n) or O(m) vectors each, plus an m-by-m Cholesky factor on
     steps solved directly.  Steps above linalg.DIRECT_MAX_DIM rows were
@@ -71,8 +71,8 @@ class UnrolledTape:
         """Recompute the forward pass from the stored initial point.
 
         Uses the recorded per-iteration regularization and the same
-        operator, so each step takes the recorded path (dense or CSR,
-        factored or matrix-free) and the replay is bit-identical to the
+        operator, so each step takes the recorded path (factored or
+        matrix-free) and the replay is bit-identical to the
         recorded trajectory on one platform.
         Returns the list of post-clamp iterates.
         """
@@ -139,7 +139,7 @@ def backward(tape, grad_x):
     misses its backward-error target even after PCG refinement.
     """
     prep = tape.prep
-    op = prep.op
+    op = prep.lp.operator
     c_hat = prep.lp.c
     h = tape.cfg.step_size
     n = prep.lp.n
@@ -210,7 +210,7 @@ def jvp(tape, dc=None, dA=None, db=None):
     dot products.
     """
     prep = tape.prep
-    op = prep.op
+    op = prep.lp.operator
     c_hat = prep.lp.c
     h = tape.cfg.step_size
     dc_w, dA_w, db_w = _seed_to_working(tape, dc, dA, db)

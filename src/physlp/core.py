@@ -5,18 +5,20 @@ A standard-form program is
     min c.x   subject to   A x = b,  x >= 0,
 
 with A stored densely as an (m, n) array; the public API takes and
-returns A in that form.  The solver keeps its own CSR copy of A for
-large sparse instances (linalg.WeightedOperator).  Instances are plain
+returns A in that form.  The solver computes with a CSR copy of A,
+StandardFormLP.operator, built on first use.  Instances are plain
 dataclasses; treat them as immutable after construction.
 """
 
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteEntry
+from .linalg import WeightedOperator
 
 
 def _as_matrix(A):
@@ -63,6 +65,11 @@ class StandardFormLP:
     def n(self):
         """Number of variables."""
         return self.A.shape[1]
+
+    @cached_property
+    def operator(self):
+        """The linalg.WeightedOperator of A (a CSR copy), built on first use."""
+        return WeightedOperator(self.A)
 
 
 def validate(lp):

@@ -1,12 +1,10 @@
 """Regularized SPD solves, their adjoints, and the weighted operator.
 
 Every dynamics step solves (L + reg*I) p = b with L = A W A^T symmetric
-positive semidefinite.  WeightedOperator holds A in the format its
-products are cheapest in: a CSR copy when the instance is sparse
-enough for the cost model of SPARSE_OVERHEAD and SPARSE_COST, the
-dense array otherwise.  Up to DIRECT_MAX_DIM rows the step assembles L
-through it and spd_solve factors L by Cholesky, with conjugate
-gradients as the fallback.  Above that the step calls
+positive semidefinite.  WeightedOperator holds a CSR copy of A and
+computes every product with A diag(w) A^T through it.  Up to
+DIRECT_MAX_DIM rows the step assembles L through it and spd_solve
+factors L by Cholesky, with conjugate gradients as the fallback.  Above that the step calls
 matrix_free_solve, which never forms L: Jacobi-preconditioned CG
 applies v -> A (w * A^T v) + reg*v, and L is assembled and factored
 only as a last resort, so such steps store no factor.  weighted_solve,
@@ -14,6 +12,7 @@ used by backward and jvp, applies the same operator.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -27,14 +26,6 @@ DIRECT_MAX_DIM = 512
 SYMMETRY_TOL = 1e-10
 # Scale factor for the automatic Tikhonov term.
 AUTO_REG_SCALE = 1e-10
-# Cost model for storing A as CSR, in dense multiply-adds: a step's
-# CSR products cost SPARSE_OVERHEAD in call overhead plus SPARSE_COST
-# per multiply-add of the sparse Gram product; the dense Gram product
-# costs m*m*n.  Fitted to step times, dense against CSR (1 BLAS thread):
-# 0.29 / 0.21 ms at 55x300, 0.13 / 0.14 ms at 32x90, and 0.20 / 0.21 ms
-# at 50x150 with 10% nonzeros, where 30% nonzeros make dense 2x faster.
-SPARSE_OVERHEAD = 1e5
-SPARSE_COST = 50.0
 
 
 @dataclass
@@ -62,14 +53,14 @@ def default_regularization(L):
 
 
 class WeightedOperator:
-    """A constraint matrix A and its products with A diag(w) A^T.
+    """A constraint matrix A, held as CSR, and its products with
+    A diag(w) A^T.
 
-    A is held as CSR when m*m*n >= SPARSE_OVERHEAD + SPARSE_COST *
-    sum_j nnz(a_j)^2, and as the given dense array otherwise (sparse
-    reports which).  A and AT are the stored matrix and its transpose;
-    both formats support A @ v and AT @ v.  In CSR, gram scatters one
-    sparse product P @ w into the pattern of A diag(w) A^T, with P
-    built once (_gram_pattern).
+    A is the CSR matrix and AT its transpose (a CSC view of the same
+    arrays).  gram is one sparse product P @ w, with P built on the
+    first gram call (_gram_pattern), so operators whose steps run
+    matrix-free do not pay for it.  P has sum_j nnz(a_j)^2 entries: two
+    per column on matching and path LPs, but n*m*m for a dense A.
     """
 
     def __init__(self, A):
@@ -77,33 +68,24 @@ class WeightedOperator:
         # row-major positions of the nonzeros; CSR is built from them
         # directly, at a sixth of the cost of csr_array(A)
         flat = np.flatnonzero(A != 0)
-        cols = flat % n
-        col_nnz = np.bincount(cols, minlength=n)
-        self.sparse = m * m * n >= SPARSE_OVERHEAD + SPARSE_COST * float(col_nnz @ col_nnz)
-        if self.sparse:
-            indptr = np.searchsorted(flat, n * np.arange(m + 1))
-            self.A = scipy.sparse.csr_array((A.ravel()[flat], cols, indptr), shape=(m, n))
-            self.AT = self.A.T.tocsr()
-            self._A_sq = self.A.multiply(self.A)
-            self._gram_index, self._gram_map = _gram_pattern(self.AT, m)
-        else:
-            self.A = A
-            self.AT = A.T
+        indptr = np.searchsorted(flat, n * np.arange(m + 1))
+        data, indices = A.ravel()[flat], flat % n
+        self.A = scipy.sparse.csr_array((data, indices, indptr), shape=(m, n))
+        self.AT = self.A.T
+        self._A_sq = scipy.sparse.csr_array((data * data, indices, indptr), shape=(m, n))
+
+    @cached_property
+    def _gram(self):
+        return _gram_pattern(self.A.tocsc())
 
     def gram(self, w):
         """A diag(w) A^T as a dense array."""
-        if not self.sparse:
-            return (self.A * w) @ self.AT
         m = self.A.shape[0]
-        L = np.zeros(m * m)
-        L[self._gram_index] = self._gram_map @ w
-        return L.reshape(m, m)
+        return (self._gram @ w).reshape(m, m)
 
     def diag(self, w):
         """The diagonal of A diag(w) A^T, (A * A) w."""
-        if self.sparse:
-            return self._A_sq @ w
-        return np.einsum("ij,ij,j->i", self.A, self.A, w)
+        return self._A_sq @ w
 
     def matvec(self, w, reg):
         """v -> A (w * (A^T v)) + reg*v, the product with A diag(w) A^T + reg*I."""
@@ -115,25 +97,23 @@ class WeightedOperator:
         return AUTO_REG_SCALE * float(self.diag(w).sum()) / self.A.shape[0]
 
 
-def _gram_pattern(AT, m):
-    """The nonzero entries of A diag(w) A^T as a linear map of w.
+def _gram_pattern(C):
+    """A diag(w) A^T, flattened row-major, as a linear map P of w.
 
-    AT is A^T in CSR, so its row j lists the nonzeros of column j of A.
-    Column j adds w_j a_ij a_kj to entry (i, k) for each pair of its
-    nonzeros.  Returns the sorted flat indices i*m + k of the distinct
-    entries and the CSR matrix P whose product P @ w gives their values.
+    C is A in CSC.  Column j adds w_j a_ij a_kj to entry (i, k) for each
+    ordered pair of its nonzeros, so column j of P holds a_ij a_kj at
+    row i*m + k.  P is CSC, built from the pairs without sorting.
     """
-    n = AT.shape[0]
-    count = np.diff(AT.indptr)
-    col = np.repeat(np.arange(n), count)  # column of A of each nonzero
+    m, n = C.shape
+    count = np.diff(C.indptr)
+    col = np.repeat(np.arange(n), count)  # column of each nonzero
     pairs = count[col]
-    left = np.repeat(np.arange(AT.nnz), pairs)  # each nonzero, once per partner
+    left = np.repeat(np.arange(C.nnz), pairs)  # each nonzero, once per partner
     offset = np.arange(left.size) - np.repeat(np.cumsum(pairs) - pairs, pairs)
-    right = AT.indptr[col[left]] + offset  # the partners, same column
-    index, row = np.unique(AT.indices[left] * m + AT.indices[right], return_inverse=True)
-    P = scipy.sparse.csr_array((AT.data[left] * AT.data[right], (row, col[left])),
-                               shape=(index.size, n))
-    return index, P
+    right = C.indptr[col[left]] + offset  # the partners, same column
+    rows = C.indices[left].astype(np.int64) * m + C.indices[right]
+    indptr = np.concatenate(([0], np.cumsum(count * count)))
+    return scipy.sparse.csc_array((C.data[left] * C.data[right], rows, indptr), shape=(m * m, n))
 
 
 def _check_spd_inputs(L, b):

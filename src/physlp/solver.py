@@ -26,7 +26,7 @@ from .core import (SolveResult, SolveStatus, SolverConfig, StandardFormLP,
                    TraceRecord, validate)
 from .errors import (Breakdown, DimensionMismatch, LinSolveFailure,
                      MissingBound, NonPositiveInit, ZeroCostNeedsGamma)
-from .linalg import WeightedOperator, default_regularization, matrix_free_solve, spd_solve
+from .linalg import default_regularization, matrix_free_solve, spd_solve
 
 # Width of the early-stop window: the objective must be stalled across
 # this many consecutive iterations (plus a satisfied residual) to stop.
@@ -60,8 +60,7 @@ class PreparedLP:
     zero_mask marks columns whose (post-flip) cost was exactly zero
     before perturbation.  gamma is the perturbation actually applied
     (0.0 when none was needed) and bound is the box bound M used by the
-    flip (None when nothing was flipped).  op is the WeightedOperator of
-    lp.A that the steps compute with, set by prepare_lp.
+    flip (None when nothing was flipped).
     """
 
     lp: StandardFormLP
@@ -70,7 +69,6 @@ class PreparedLP:
     original_c: np.ndarray
     gamma: float = 0.0
     bound: float | None = None
-    op: WeightedOperator | None = None
 
     def decode(self, y):
         """Map an iterate back to the original coordinates."""
@@ -126,12 +124,10 @@ def flip_negative_costs(lp):
 
 
 def prepare_lp(lp, gamma=None):
-    """Flip negative costs, perturb zero costs, and build the operator.
+    """Flip negative costs, then perturb zero costs.
 
     gamma=None picks default_gamma(m, n) when zero costs are present
-    and 0.0 otherwise; an explicit gamma is applied as given.  The
-    operator stores a CSR copy of A when the instance is large and
-    sparse enough (see linalg.WeightedOperator).
+    and 0.0 otherwise; an explicit gamma is applied as given.
     """
     prep = flip_negative_costs(lp)
     has_zero = bool(np.any(prep.zero_mask))
@@ -141,7 +137,6 @@ def prepare_lp(lp, gamma=None):
     c_hat = perturb_cost(prep.lp.c, gamma)
     prep.lp = StandardFormLP(prep.lp.A, prep.lp.b, c_hat)
     prep.gamma = gamma if has_zero else 0.0
-    prep.op = WeightedOperator(prep.lp.A)
     return prep
 
 
@@ -176,14 +171,14 @@ def step_detail(prep, x, cfg, reg_override=None):
     the next iterate is its x_new.
 
     Up to linalg.DIRECT_MAX_DIM rows L = A diag(w) A^T is assembled
-    through prep.op and solved by spd_solve; above it the solve is
+    through prep.lp.operator and solved by spd_solve; above it the solve is
     matrix-free (linalg.matrix_free_solve).  reg_override pins the
     Tikhonov term to an exact value (used when replaying a recorded
     trajectory, which then takes the same path); otherwise
     cfg.linsolve_reg is used, with one 100x retry after a linear-solve
     breakdown.
     """
-    op = prep.op
+    op = prep.lp.operator
     b = prep.lp.b
     h = cfg.step_size
     eps = cfg.clamp_floor
@@ -250,11 +245,11 @@ def _stalled(objectives, tol):
 
 def _evaluate(prep, b, y):
     """Decoded iterate, its objective and its residual ||A x - b|| against
-    the original data.  The residual goes through prep.op, whose matrix
-    differs from A only by the sign of the flipped columns."""
+    the original data.  The residual goes through prep.lp.operator,
+    whose matrix differs from A only by the sign of the flipped columns."""
     x = prep.decode(y)
     signed = np.where(prep.flip_mask, -x, x)
-    return x, float(prep.original_c @ x), float(np.linalg.norm(prep.op.A @ signed - b))
+    return x, float(prep.original_c @ x), float(np.linalg.norm(prep.lp.operator.A @ signed - b))
 
 
 def _solve_loop(lp, cfg, x0, early_stop, record_steps):

@@ -1,24 +1,25 @@
-"""Shared instances: one on each path of the weighted operator."""
+"""Shared instances: sparse LPs on the direct and the matrix-free path,
+and one with flipped columns."""
 
 import numpy as np
 import pytest
 
-from physlp import StandardFormLP, linalg, prepare_lp
+from physlp import StandardFormLP
 from physlp.problems import (Graph, MatchingInstance, build_matching_lp,
                              build_shortest_path_lp)
 
 
 @pytest.fixture(scope="session")
 def matching_50x100():
-    """50x100 assignment LP (150x5100): CSR operator, direct solves."""
+    """50x100 assignment LP (150x5100): direct solves."""
     C = np.random.default_rng(0).uniform(size=(50, 100))
     return build_matching_lp(MatchingInstance(C))
 
 
 @pytest.fixture(scope="session")
 def dag_600():
-    """Unit-flow LP on a 600-node DAG of out-degree 3 (599x1794): CSR
-    operator, and more rows than linalg.DIRECT_MAX_DIM, so matrix-free CG."""
+    """Unit-flow LP on a 600-node DAG of out-degree 3 (599x1794): more
+    rows than linalg.DIRECT_MAX_DIM, so matrix-free CG."""
     rng = np.random.default_rng(1)
     nodes = 600
     arcs = []
@@ -32,22 +33,9 @@ def dag_600():
 @pytest.fixture(scope="session")
 def signed_sparse_40x400():
     """40x400 LP with 5% nonzeros of both signs and a fifth of the costs
-    negative, so prepare_lp flips columns (CSR operator, direct solves)."""
+    negative, so prepare_lp flips columns (direct solves)."""
     rng = np.random.default_rng(2)
     A = rng.uniform(-1.0, 1.0, size=(40, 400)) * (rng.uniform(size=(40, 400)) < 0.05)
     A[np.arange(40), rng.choice(400, size=40, replace=False)] = 1.0
     c = rng.uniform(0.1, 1.0, size=400) * np.where(rng.uniform(size=400) < 0.2, -1.0, 1.0)
     return StandardFormLP(A, A @ rng.uniform(0.1, 1.0, size=400), c, box_bound=2.0)
-
-
-@pytest.fixture
-def prepare_as(monkeypatch):
-    """prepare_lp with the operator format forced: sparse=True stores A
-    as CSR, sparse=False keeps it dense, whatever the cutover says."""
-    def prepare(lp, sparse):
-        with monkeypatch.context() as patch:
-            patch.setattr(linalg, "SPARSE_OVERHEAD", -np.inf if sparse else np.inf)
-            prep = prepare_lp(lp)
-        assert prep.op.sparse == sparse
-        return prep
-    return prepare

@@ -88,7 +88,6 @@ def test_tape_replay_bit_identical_on_csr_operators(name, factored, request):
     # matching, matrix-free CG on the DAG
     lp = request.getfixturevalue(name)
     _, tape = solve_with_tape(lp, SolverConfig(max_iters=8, seed=2))
-    assert tape.prep.op.sparse
     assert all((det.factor is not None) == factored for det in tape.steps)
     for det, x in zip(tape.steps, tape.replay()):
         assert np.array_equal(det.x_new, x)

@@ -9,9 +9,7 @@ from physlp import (SolveStatus, SolverConfig, StandardFormLP, default_gamma,
                     prepare_lp, solve, step_detail)
 from physlp.errors import (DimensionMismatch, MissingBound, NonPositiveInit,
                            ZeroCostNeedsGamma)
-from physlp.problems import (MatchingInstance, SvmInstance, build_l1svm_lp,
-                             build_matching_lp, random_bounded_lp,
-                             two_gaussian_blobs)
+from physlp.problems import random_bounded_lp
 
 
 def toy_lp(c=(1.0, 2.0)):
@@ -168,45 +166,65 @@ def test_one_step_reaches_feasibility_with_full_step():
 
 # ---------------------------------------------------- weighted operator
 
-def test_operator_format_on_each_side_of_the_cutover(matching_50x100, dag_600):
-    rng = np.random.default_rng(0)
-    # the SVM's kernel block is dense (18% nonzeros at 80x182)
-    svm = build_l1svm_lp(SvmInstance(*two_gaussian_blobs(10, 4, 2.0, rng)))
-    tiny = build_matching_lp(MatchingInstance(rng.uniform(size=(2, 6))))
-    for lp in (svm, tiny):
-        op = prepare_lp(lp).op
-        assert not op.sparse and isinstance(op.A, np.ndarray)
-    small = build_matching_lp(MatchingInstance(rng.uniform(size=(5, 50))))
-    for lp in (small, matching_50x100, dag_600):
-        assert prepare_lp(lp).op.sparse
+def test_operator_follows_the_lp_it_belongs_to(signed_sparse_40x400):
+    # flip_negative_costs builds a new LP, and its operator is that of
+    # the flipped A, so step_detail runs on its output as on prepare_lp's
+    prep = flip_negative_costs(signed_sparse_40x400)
+    A = prep.lp.A
+    assert np.array_equal(prep.lp.operator.A.toarray(), A)
+    assert prep.lp.operator is prep.lp.operator
+    w = np.random.default_rng(5).uniform(0.1, 2.0, size=prep.lp.n)
+    want = (A * w) @ A.T
+    assert np.abs(prep.lp.operator.gram(w) - want).max() <= 1e-14 * np.abs(want).max()
+    cfg = SolverConfig(seed=5)
+    det = step_detail(prep, initial_state(prep, cfg), cfg)
+    assert np.all(det.x_new >= cfg.clamp_floor)
+
+
+def dense_step(prep, x, cfg):
+    """One step with L assembled densely, the form before the CSR
+    operator: (p, x_new)."""
+    A, b = prep.lp.A, prep.lp.b
+    w = x / prep.lp.c
+    report = linalg.spd_solve((A * w) @ A.T, b, tol=cfg.linsolve_tol, reg=cfg.linsolve_reg)
+    pre = (1.0 - cfg.step_size) * x + cfg.step_size * (w * (A.T @ report.p))
+    return report.p, np.maximum(pre, cfg.clamp_floor)
 
 
 @pytest.mark.parametrize("name", ["matching_50x100", "dag_600", "signed_sparse_40x400"])
-def test_sparse_and_dense_steps_agree(name, request, prepare_as):
+def test_csr_step_matches_a_dense_step(name, request):
     lp = request.getfixturevalue(name)
-    dense, sparse = prepare_as(lp, False), prepare_as(lp, True)
+    prep = prepare_lp(lp)
     cfg = SolverConfig(seed=3)
-    x = initial_state(dense, cfg)
-    want, got = step_detail(dense, x, cfg), step_detail(sparse, x, cfg)
-    for a, b in ((want.p, got.p), (want.x_new, got.x_new)):
-        assert np.abs(a - b).max() <= 1e-10 * np.abs(a).max()
-    assert (want.factor is None) == (got.factor is None) == (lp.m > linalg.DIRECT_MAX_DIM)
+    x = initial_state(prep, cfg)
+    det = step_detail(prep, x, cfg)
+    for want, got in zip(dense_step(prep, x, cfg), (det.p, det.x_new)):
+        assert np.abs(want - got).max() <= 1e-10 * np.abs(want).max()
+    assert (det.factor is None) == (lp.m > linalg.DIRECT_MAX_DIM)
 
 
-@pytest.mark.parametrize("sparse", [False, True])
-def test_matrix_free_default_reg_is_the_assembled_one(dag_600, prepare_as, sparse):
-    prep = prepare_as(dag_600, sparse)
+def test_matrix_free_default_reg_is_the_assembled_one(dag_600):
+    prep = prepare_lp(dag_600)
+    op, A = prep.lp.operator, prep.lp.A
     w = initial_state(prep, SolverConfig(seed=4)) / prep.lp.c
-    want = default_regularization(prep.op.gram(w))
-    assert abs(prep.op.default_regularization(w) - want) <= 1e-12 * want
-    report = linalg.matrix_free_solve(prep.op, w, prep.lp.b)
-    assert report.regularization_used == prep.op.default_regularization(w)
+    for L in (op.gram(w), (A * w) @ A.T):
+        want = default_regularization(L)
+        assert abs(op.default_regularization(w) - want) <= 1e-12 * want
+    report = linalg.matrix_free_solve(op, w, prep.lp.b)
+    assert report.regularization_used == op.default_regularization(w)
+
+
+def test_matrix_free_steps_skip_the_gram_pattern(dag_600):
+    prep = prepare_lp(dag_600)
+    cfg = SolverConfig(seed=4)
+    det = step_detail(prep, initial_state(prep, cfg), cfg)
+    assert det.factor is None
+    assert "_gram" not in vars(prep.lp.operator)
 
 
 def test_residual_through_the_flipped_operator(signed_sparse_40x400):
     lp = signed_sparse_40x400
-    prep = prepare_lp(lp)
-    assert prep.op.sparse and prep.flip_mask.any()
+    assert prepare_lp(lp).flip_mask.any()
     res = solve(lp, SolverConfig(max_iters=5))
     assert res.residual == pytest.approx(feasibility_residual(lp, res.x), rel=1e-12)
 
@@ -248,7 +266,7 @@ def test_matrix_free_step_falls_back_to_cholesky(dag_600, monkeypatch):
     cfg = SolverConfig(max_iters=3, seed=6)
     det = step_detail(prep, initial_state(prep, cfg), cfg)
     assert det.factor is not None
-    S = prep.op.gram(det.x_prev / prep.lp.c) + det.reg_used * np.eye(prep.lp.m)
+    S = prep.lp.operator.gram(det.x_prev / prep.lp.c) + det.reg_used * np.eye(prep.lp.m)
     assert np.linalg.norm(S @ det.p - prep.lp.b) <= 1e-10 * np.linalg.norm(prep.lp.b)
     res = solve(dag_600, cfg)
     assert res.status is not SolveStatus.LINSOLVE_FAILURE
