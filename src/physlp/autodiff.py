@@ -33,9 +33,9 @@ import numpy as np
 
 from .core import SolverConfig, validate
 from .errors import DimensionMismatch
-# spd_solve and spd_solve_adjoint, the dense-matrix solve and its
-# adjoint, stay importable from this module for callers that look them
-# up here; backward and jvp solve with the recorded factors instead.
+# spd_solve and spd_solve_adjoint, the SPD solve and its adjoint, stay
+# importable from this module for callers that look them up here;
+# backward and jvp solve with the recorded factors instead.
 from .linalg import spd_solve, spd_solve_adjoint, weighted_solve  # noqa: F401
 from .solver import _solve_loop, step_detail
 
@@ -45,9 +45,9 @@ class UnrolledTape:
     """Recorded forward pass: the prepared LP (whose lp.operator holds
     the CSR copy of A the steps computed with), the initial
     iterate in working coordinates, and one StepDetail per iteration:
-    five O(n) or O(m) vectors each, plus an m-by-m Cholesky factor on
-    steps solved directly.  Steps above linalg.DIRECT_MAX_DIM rows were
-    solved matrix-free by CG and store no factor."""
+    five O(n) or O(m) vectors each, plus spd_solve's m-by-m Cholesky
+    factor, which steps above linalg.DIRECT_MAX_DIM rows (matrix-free
+    CG) only hold when its last resort ran."""
 
     prep: object
     cfg: SolverConfig

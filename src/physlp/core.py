@@ -197,8 +197,8 @@ def lp_from_dict(d):
             raise KeyError(f"LP dict is missing required key {key!r}")
     names = d.get("names")
     bound = d.get("box_bound")
-    return validate(StandardFormLP(d["A"], d["b"], d["c"], names=names,
-                                   box_bound=None if bound is None else float(bound)))
+    return StandardFormLP(d["A"], d["b"], d["c"], names=names,
+                          box_bound=None if bound is None else float(bound))
 
 
 def save_lp(lp, path):

@@ -2,17 +2,16 @@
 
 Every dynamics step solves (L + reg*I) p = b with L = A W A^T symmetric
 positive semidefinite.  WeightedOperator holds a CSR copy of A and
-computes every product with A diag(w) A^T through it.  Up to
-DIRECT_MAX_DIM rows the step assembles L through it and spd_solve
-factors L by Cholesky, with conjugate gradients as the fallback.  Above that the step calls
-matrix_free_solve, which never forms L: Jacobi-preconditioned CG
-applies v -> A (w * A^T v) + reg*v, and L is assembled and factored
-only as a last resort, so such steps store no factor.  weighted_solve,
-used by backward and jvp, applies the same operator.
+computes every product with A diag(w) A^T through it.  spd_solve, the
+one entry point at every size, factors L by Cholesky up to
+DIRECT_MAX_DIM rows; above, it runs Jacobi-preconditioned CG on
+v -> A (w * A^T v) + reg*v and factors L only as a last resort.
+weighted_solve, used by backward and jvp, reuses a stored factor; both
+run _solve, the one factor, refine and fall-back routine.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.linalg
@@ -32,10 +31,11 @@ AUTO_REG_SCALE = 1e-10
 class SpdSolveReport:
     """Solution of (L + reg*I) p = b plus solve diagnostics.
 
-    iterations is 0 when the direct path succeeded, otherwise the number
-    of CG steps taken.  final_residual is ||(L + reg*I) p - b||_2.
-    factor is the Cholesky factor of L + reg*I in scipy's cho_factor
-    form when one was computed, None when CG alone solved the system;
+    iterations is 0 when the Cholesky factor alone solved the system,
+    otherwise the number of CG steps taken.  final_residual is
+    ||(L + reg*I) p - b||_2.  factor is the Cholesky factor of L + reg*I
+    in scipy's cho_factor form, None when CG alone solved the system
+    (above DIRECT_MAX_DIM rows, unless the last resort ran);
     weighted_solve reuses it for further right-hand sides.
     """
 
@@ -92,9 +92,38 @@ class WeightedOperator:
         A, AT = self.A, self.AT
         return lambda v: A @ (w * (AT @ v)) + reg * v
 
-    def default_regularization(self, w):
-        """default_regularization of A diag(w) A^T without forming it."""
-        return AUTO_REG_SCALE * float(self.diag(w).sum()) / self.A.shape[0]
+    def at(self, w):
+        """A diag(w) A^T as a WeightedGram, for spd_solve; w must be positive."""
+        return WeightedGram(self, w)
+
+
+@dataclass
+class WeightedGram:
+    """A diag(w) A^T as spd_solve takes it from the solver: built from a
+    validated A and w > 0, so not checked.  The matrix (dense) and its
+    diagonal (diag) are computed on first use."""
+
+    op: WeightedOperator
+    w: np.ndarray
+
+    @cached_property
+    def dense(self):
+        return self.op.gram(self.w)
+
+    @cached_property
+    def diag(self):
+        return self.op.diag(self.w)
+
+    def cholesky(self, reg, b):
+        """_cholesky of A diag(w) A^T + reg*I and b."""
+        return _cholesky(self.dense + reg * np.eye(b.shape[0]), b)
+
+    def default_regularization(self):
+        """default_regularization of the matrix, with the trace spd_solve
+        reads at this size: of dense up to DIRECT_MAX_DIM rows, else diag."""
+        m = self.op.A.shape[0]
+        trace = np.trace(self.dense) if m <= DIRECT_MAX_DIM else self.diag.sum()
+        return AUTO_REG_SCALE * float(trace) / m
 
 
 def _gram_pattern(C):
@@ -165,93 +194,30 @@ def _pcg(S_matvec, b, diag, x0, target, max_iters):
 def spd_solve(L, b, tol=1e-10, reg=None):
     """Solve (L + reg*I) p = b for symmetric positive (semi)definite L.
 
-    reg=None applies the trace-scaled default.  The achieved residual
-    satisfies ||(L + reg*I) p - b|| <= tol * ||b|| or Breakdown is
-    raised after both the direct and iterative paths have failed.
+    L is a dense array, checked for shape, finiteness and symmetry, or
+    the unchecked WeightedGram op.at(w) of the solver, applied
+    matrix-free above DIRECT_MAX_DIM rows.  reg=None applies the
+    trace-scaled default.  The achieved residual satisfies
+    ||(L + reg*I) p - b|| <= tol * ||b|| or Breakdown is raised after
+    both Cholesky and Jacobi-PCG have failed (see _solve).
     """
-    L, b = _check_spd_inputs(L, b)
-    m = L.shape[0]
-    if reg is None:
-        reg = default_regularization(L)
-    reg = float(reg)
-
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return SpdSolveReport(np.zeros(m), 0, 0.0, reg)
-    target = tol * bnorm
-
-    S = L + reg * np.eye(m)
-
-    def matvec(v):
-        return S @ v
-
-    def residual_of(p):
-        return float(np.linalg.norm(S @ p - b))
-
-    if m <= DIRECT_MAX_DIM:
-        cf, p_direct = _cholesky(S, b)
-        if cf is not None:
-            res = residual_of(p_direct)
-            if res <= target:
-                return SpdSolveReport(p_direct, 0, res, reg, cf)
-        # direct path missed the tolerance; let CG refine it
-        x0 = p_direct if cf is not None else np.zeros(m)
-        p, iters, res = _pcg(matvec, b, np.diag(S), x0, target, 10 * m)
-        if res <= target:
-            return SpdSolveReport(p, iters, res, reg, cf)
-        raise Breakdown(f"residual {res:.3e} above target {target:.3e} after direct and CG attempts")
-
-    p, iters, res, cf = _cg_then_cholesky(matvec, np.diag(S), b, target, lambda: S)
-    return SpdSolveReport(p, iters, res, reg, cf)
-
-
-def matrix_free_solve(op, w, b, tol=1e-10, reg=None):
-    """spd_solve for L = A diag(w) A^T without forming L.
-
-    op is the WeightedOperator of A.  Jacobi-PCG runs on op.matvec with
-    the diagonal op.diag(w) + reg; L is assembled through op and
-    factored only when PCG misses tol * ||b||, and only then does the
-    report carry a factor.  reg=None applies the trace-scaled default.
-    The acceptance rule and Breakdown are those of spd_solve.
-    """
+    weighted = isinstance(L, WeightedGram)
+    if not weighted:
+        L, b = _check_spd_inputs(L, b)
     m = b.shape[0]
     if reg is None:
-        reg = op.default_regularization(w)
+        reg = L.default_regularization() if weighted else default_regularization(L)
     reg = float(reg)
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return SpdSolveReport(np.zeros(m), 0, 0.0, reg)
-    p, iters, res, cf = _cg_then_cholesky(op.matvec(w, reg), op.diag(w) + reg, b, tol * bnorm,
-                                          lambda: op.gram(w) + reg * np.eye(m))
+
+    if weighted and m > DIRECT_MAX_DIM:
+        matvec, diag = L.op.matvec(L.w, reg), lambda: L.diag + reg
+        direct = partial(L.cholesky, reg, b)
+    else:
+        S = (L.dense if weighted else L) + reg * np.eye(m)
+        matvec, diag = partial(np.matmul, S), partial(np.diag, S)
+        direct = partial(_cholesky, S, b)
+    p, iters, res, cf = _solve(b, tol, matvec, diag, direct, m <= DIRECT_MAX_DIM)
     return SpdSolveReport(p, iters, res, reg, cf)
-
-
-def _cg_then_cholesky(matvec, diag, b, target, assemble):
-    """Large-system path: PCG from zero, then a Cholesky factorization of
-    the explicit matrix assemble() as a last resort.  Returns
-    (p, CG iterations, residual, factor or None)."""
-    m = b.shape[0]
-    p, iters, res = _pcg(matvec, b, diag, np.zeros(m), target, 10 * m)
-    if res <= target:
-        return p, iters, res, None
-    S = assemble()
-    cf, p_direct = _cholesky(S, b)
-    if cf is not None:
-        res_direct = float(np.linalg.norm(S @ p_direct - b))
-        if res_direct <= target:
-            return p_direct, iters, res_direct, cf
-    raise Breakdown(f"residual {res:.3e} above target {target:.3e} after CG and direct attempts")
-
-
-def _cholesky(S, b):
-    """(factor, S^{-1} b) by Cholesky, or (None, None) when the
-    factorization fails or gives a non-finite solution."""
-    try:
-        cf = scipy.linalg.cho_factor(S, lower=True, check_finite=False)
-        p = scipy.linalg.cho_solve(cf, b, check_finite=False)
-    except scipy.linalg.LinAlgError:
-        return None, None
-    return (cf, p) if np.all(np.isfinite(p)) else (None, None)
 
 
 def weighted_solve(op, w, reg, rhs, factor=None, tol=1e-10):
@@ -265,29 +231,69 @@ def weighted_solve(op, w, reg, rhs, factor=None, tol=1e-10):
 
     with ||S|| estimated by the largest diagonal entry, so that a
     right-hand side far smaller than S z's rounding error does not
-    fail.  A factored solution that misses that target, and the solve
-    without a factor, run Jacobi-PCG towards tol * ||rhs|| as spd_solve
-    does; Breakdown is raised when its result misses the target too.
+    fail.  PCG refines a factored solution that misses the target;
+    without a factor PCG runs first and the Cholesky factor of the
+    assembled matrix is the last resort (see _solve).
     """
-    m = rhs.shape[0]
-    matvec = op.matvec(w, reg)
-    z = np.zeros(m)
-    if factor is not None:
-        z = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
-        if not np.all(np.isfinite(z)):
-            z = np.zeros(m)
-    target = tol * float(np.linalg.norm(rhs))
-    res = float(np.linalg.norm(matvec(z) - rhs))
+    gram = op.at(w)
+    direct = (partial(gram.cholesky, reg, rhs) if factor is None
+              else partial(_cholesky, None, rhs, factor))
+    return _solve(rhs, tol, op.matvec(w, reg), lambda: gram.diag + reg, direct,
+                  factor is not None, tol)[0]
+
+
+def _solve(b, tol, matvec, diag, direct, direct_first, z_tol=0.0):
+    """Solve S p = b for SPD S, the routine behind spd_solve and
+    weighted_solve.  direct() returns (Cholesky factor, p) or
+    (None, None).  With direct_first it runs first and Jacobi-PCG
+    (matvec, and diag() for the diagonal of S, called only then)
+    refines an answer that misses; otherwise PCG runs from zero and
+    direct() is the last resort.  p is accepted when ||S p - b|| <=
+    tol * ||b|| + z_tol * max(diag) * ||p||.  Returns (p, PCG
+    iterations, residual, factor or None); raises Breakdown."""
+    m = b.shape[0]
+    bnorm = float(np.linalg.norm(b))
+    if bnorm == 0.0:
+        return np.zeros(m), 0, 0.0, None
+    target = tol * bnorm
+
+    def attempt():
+        cf, p = direct()
+        return cf, p, float(np.linalg.norm(matvec(p) - b)) if cf is not None else np.inf
+
+    cf, p, res = attempt() if direct_first else (None, None, np.inf)
     if res <= target:
-        return z
-    diag = op.diag(w) + reg
-    z_weight = tol * float(diag.max())
-    if factor is None or res > target + z_weight * float(np.linalg.norm(z)):
-        z, _, res = _pcg(matvec, rhs, diag, z, target, 10 * m)
-    bound = target + z_weight * float(np.linalg.norm(z))
-    if res > bound:
-        raise Breakdown(f"residual {res:.3e} above the backward-error target {bound:.3e} after PCG")
-    return z
+        return p, 0, res, cf
+    jacobi = diag()
+    z_weight = z_tol * float(jacobi.max())
+
+    def accepted(p, res):
+        return res <= target + z_weight * float(np.linalg.norm(p))
+
+    if cf is not None and accepted(p, res):
+        return p, 0, res, cf
+    x0 = p if cf is not None else np.zeros(m)
+    p, iters, res = _pcg(matvec, b, jacobi, x0, target, 10 * m)
+    if accepted(p, res):
+        return p, iters, res, cf
+    if not direct_first:
+        cf, p_direct, res_direct = attempt()
+        if cf is not None and accepted(p_direct, res_direct):
+            return p_direct, iters, res_direct, cf
+    raise Breakdown(f"residual {res:.3e} above target {target:.3e} after factoring and PCG")
+
+
+def _cholesky(S, b, cf=None):
+    """(factor, S^{-1} b) by Cholesky, with the factor cf of S when one
+    is given, or (None, None) when the factorization fails or gives a
+    non-finite solution."""
+    try:
+        if cf is None:
+            cf = scipy.linalg.cho_factor(S, lower=True, check_finite=False)
+        p = scipy.linalg.cho_solve(cf, b, check_finite=False)
+    except scipy.linalg.LinAlgError:
+        return None, None
+    return (cf, p) if np.all(np.isfinite(p)) else (None, None)
 
 
 def spd_solve_adjoint(L, p, grad_p, tol=1e-10, reg=None):

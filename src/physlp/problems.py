@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SolverConfig, StandardFormLP, feasibility_residual, validate
+# validate stays importable here; constructing a StandardFormLP validates
+from .core import SolverConfig, StandardFormLP, feasibility_residual, validate  # noqa: F401
 from .errors import (DimensionMismatch, EmptyClass, KernelDegenerate,
                      NonFiniteEntry, Unreachable)
 
@@ -135,7 +136,7 @@ def build_matching_lp(inst):
     b = np.ones(n + m)
     c = np.concatenate([C.ravel(), np.full(m, gamma)])
     names = [f"x[{i},{j}]" for i in range(n) for j in range(m)] + [f"s[{j}]" for j in range(m)]
-    lp = validate(StandardFormLP(A, b, c, names=names, box_bound=1.0))
+    lp = StandardFormLP(A, b, c, names=names, box_bound=1.0)
     assert feasibility_residual(lp, matching_feasible_point(n, m)) <= 1e-9
     return lp
 
@@ -317,7 +318,7 @@ def build_l1svm_lp(inst):
     c[off["xi"]:off["xi"] + n] = inst.c_reg
     c[off["z"]:off["z"] + n] = 2.0 * inst.c_reg
 
-    lp = validate(StandardFormLP(A, b, c))
+    lp = StandardFormLP(A, b, c)
     assert feasibility_residual(lp, svm_feasible_point(n)) <= 1e-10
     return lp
 
@@ -490,7 +491,7 @@ def build_shortest_path_lp(graph, source, sink):
     b[keep.index(sink)] = -1.0
     c = np.array([w for _, _, w in graph.arcs])
     names = [f"arc[{t}->{h}]" for t, h, _ in graph.arcs]
-    return validate(StandardFormLP(A, b, c, names=names))
+    return StandardFormLP(A, b, c, names=names)
 
 
 # ---------------------------------------------------------------------------
@@ -509,4 +510,4 @@ def random_bounded_lp(rng, m_rows, n_cols):
     x_feas = rng.uniform(0.2, 1.0, size=n_cols)
     b = A @ x_feas
     c = rng.uniform(0.1, 1.0, size=n_cols)
-    return validate(StandardFormLP(A, b, c)), x_feas
+    return StandardFormLP(A, b, c), x_feas

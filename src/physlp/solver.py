@@ -21,12 +21,11 @@ from functools import partial
 
 import numpy as np
 
-from . import linalg
 from .core import (SolveResult, SolveStatus, SolverConfig, StandardFormLP,
                    TraceRecord, validate)
 from .errors import (Breakdown, DimensionMismatch, LinSolveFailure,
                      MissingBound, NonPositiveInit, ZeroCostNeedsGamma)
-from .linalg import default_regularization, matrix_free_solve, spd_solve
+from .linalg import spd_solve
 
 # Width of the early-stop window: the objective must be stalled across
 # this many consecutive iterations (plus a satisfied residual) to stop.
@@ -60,7 +59,8 @@ class PreparedLP:
     zero_mask marks columns whose (post-flip) cost was exactly zero
     before perturbation.  gamma is the perturbation actually applied
     (0.0 when none was needed) and bound is the box bound M used by the
-    flip (None when nothing was flipped).
+    flip (None when nothing was flipped).  lp shares A and b with the
+    LP it was prepared from unless a column was flipped.
     """
 
     lp: StandardFormLP
@@ -71,16 +71,13 @@ class PreparedLP:
     bound: float | None = None
 
     def decode(self, y):
-        """Map an iterate back to the original coordinates."""
+        """Map an iterate back to the original coordinates.  The flip
+        x = M - y is its own inverse, so encode is the same map."""
         if self.bound is None:
             return np.asarray(y, dtype=np.float64).copy()
         return np.where(self.flip_mask, self.bound - y, y)
 
-    def encode(self, x):
-        """Map a point in original coordinates into the working ones."""
-        if self.bound is None:
-            return np.asarray(x, dtype=np.float64).copy()
-        return np.where(self.flip_mask, self.bound - x, x)
+    encode = decode
 
     def restore(self):
         """Reconstruct the original LP from the stored transforms."""
@@ -104,23 +101,7 @@ def flip_negative_costs(lp):
     are present without a bound.  The returned PreparedLP is
     pre-perturbation: its cost is nonnegative but may contain zeros.
     """
-    lp = validate(lp)
-    neg = lp.c < 0.0
-    if not np.any(neg):
-        prep_lp = StandardFormLP(lp.A.copy(), lp.b.copy(), lp.c.copy())
-        return PreparedLP(prep_lp, neg, lp.c == 0.0, lp.c.copy(),
-                          bound=lp.box_bound)
-    if lp.box_bound is None:
-        raise MissingBound(f"{int(neg.sum())} negative cost entries but lp.box_bound is not set")
-    M = float(lp.box_bound)
-    flipped = np.flatnonzero(neg)
-    A = lp.A.copy()
-    A[:, flipped] = -A[:, flipped]
-    b = lp.b + M * A[:, flipped].sum(axis=1)
-    c = lp.c.copy()
-    c[flipped] = -c[flipped]
-    prep_lp = StandardFormLP(A, b, c)
-    return PreparedLP(prep_lp, neg, c == 0.0, lp.c.copy(), bound=M)
+    return _prepare(lp, perturb=False)
 
 
 def prepare_lp(lp, gamma=None):
@@ -129,15 +110,32 @@ def prepare_lp(lp, gamma=None):
     gamma=None picks default_gamma(m, n) when zero costs are present
     and 0.0 otherwise; an explicit gamma is applied as given.
     """
-    prep = flip_negative_costs(lp)
-    has_zero = bool(np.any(prep.zero_mask))
-    if gamma is None:
-        gamma = default_gamma(lp.m, lp.n) if has_zero else 0.0
-    gamma = float(gamma)
-    c_hat = perturb_cost(prep.lp.c, gamma)
-    prep.lp = StandardFormLP(prep.lp.A, prep.lp.b, c_hat)
-    prep.gamma = gamma if has_zero else 0.0
-    return prep
+    return _prepare(lp, gamma)
+
+
+def _prepare(lp, gamma=None, perturb=True):
+    """flip_negative_costs, then with perturb the zero-cost perturbation.
+    lp is validated once here and the working LP is built once; it
+    shares lp's A and b unless a column is flipped."""
+    lp = validate(lp)
+    neg = lp.c < 0.0
+    A, b, c, bound = lp.A, lp.b, lp.c, lp.box_bound
+    if np.any(neg):
+        if bound is None:
+            raise MissingBound(f"{int(neg.sum())} negative cost entries but lp.box_bound is not set")
+        bound = float(bound)
+        flipped = np.flatnonzero(neg)
+        A = A.copy()
+        A[:, flipped] = -A[:, flipped]
+        b = b + bound * A[:, flipped].sum(axis=1)
+        c = np.where(neg, -c, c)
+    zero = c == 0.0
+    if perturb:
+        if gamma is None:
+            gamma = default_gamma(lp.m, lp.n) if zero.any() else 0.0
+        c = perturb_cost(c, float(gamma))
+    gamma = float(gamma) if perturb and zero.any() else 0.0
+    return PreparedLP(StandardFormLP(A, b, c), neg, zero, lp.c.copy(), gamma, bound)
 
 
 @dataclass
@@ -147,12 +145,13 @@ class StepDetail:
 
     The update is x_new = max((1-h) x_prev + h * w * u, eps) with
     u = A^T p, p = (A diag(w) A^T + reg*I)^{-1} b and w = x_prev / c_hat.
-    factor is the Cholesky factor of that matrix in cho_factor form,
-    which backward and jvp reuse for their own solves.  Steps with more
-    than linalg.DIRECT_MAX_DIM rows are solved matrix-free by CG, never
-    form the matrix and store no factor (None), unless CG failed and
-    the Cholesky last resort ran.  clamp_mask is True where the
-    pre-clamp value stayed strictly above eps.  Per step this is at
+    factor is the SpdSolveReport.factor of the step's spd_solve call,
+    the Cholesky factor of that matrix in cho_factor form, which
+    backward and jvp reuse for their own solves.  Above
+    linalg.DIRECT_MAX_DIM rows spd_solve runs CG matrix-free, and the
+    step stores no factor (None) unless CG failed and the Cholesky last
+    resort ran.  clamp_mask is True where the pre-clamp value stayed
+    strictly above eps.  Per step this is at
     most one m-by-m factor plus four n-vectors and one m-vector.
     """
 
@@ -170,34 +169,27 @@ def step_detail(prep, x, cfg, reg_override=None):
     """One dynamics update from the iterate x, with full intermediates;
     the next iterate is its x_new.
 
-    Up to linalg.DIRECT_MAX_DIM rows L = A diag(w) A^T is assembled
-    through prep.lp.operator and solved by spd_solve; above it the solve is
-    matrix-free (linalg.matrix_free_solve).  reg_override pins the
-    Tikhonov term to an exact value (used when replaying a recorded
-    trajectory, which then takes the same path); otherwise
-    cfg.linsolve_reg is used, with one 100x retry after a linear-solve
-    breakdown.
+    L = A diag(w) A^T goes to spd_solve as prep.lp.operator.at(w) at
+    every size; spd_solve factors it up to linalg.DIRECT_MAX_DIM rows
+    and runs matrix-free CG above.  reg_override pins the Tikhonov term
+    to an exact value (used when replaying a recorded trajectory, which
+    then takes the same path); otherwise cfg.linsolve_reg is used, with
+    one 100x retry after a linear-solve breakdown.
     """
     op = prep.lp.operator
-    b = prep.lp.b
     h = cfg.step_size
     eps = cfg.clamp_floor
 
     w = x / prep.lp.c
-    if prep.lp.m > linalg.DIRECT_MAX_DIM:
-        solve_with = partial(matrix_free_solve, op, w, b, cfg.linsolve_tol)
-        default_reg = partial(op.default_regularization, w)
-    else:
-        L = op.gram(w)
-        solve_with = partial(spd_solve, L, b, cfg.linsolve_tol)
-        default_reg = partial(default_regularization, L)
+    gram = op.at(w)
+    solve_with = partial(spd_solve, gram, prep.lp.b, cfg.linsolve_tol)
     if reg_override is not None:
         report = solve_with(reg_override)
     else:
         try:
             report = solve_with(cfg.linsolve_reg)
         except Breakdown:
-            base = cfg.linsolve_reg if cfg.linsolve_reg else default_reg()
+            base = cfg.linsolve_reg if cfg.linsolve_reg else gram.default_regularization()
             try:
                 report = solve_with(100.0 * base)
             except Breakdown as exc:
@@ -254,7 +246,6 @@ def _evaluate(prep, b, y):
 
 def _solve_loop(lp, cfg, x0, early_stop, record_steps):
     """Shared forward loop; returns (result, prepared lp, y0, steps)."""
-    lp = validate(lp)
     prep = prepare_lp(lp, cfg.gamma)
     y0 = initial_state(prep, cfg, x0)
     y = y0

@@ -10,6 +10,13 @@ from physlp.problems import (Graph, MatchingInstance, build_matching_lp,
 
 
 @pytest.fixture(scope="session")
+def matching_5x50():
+    """5x50 assignment LP (55x300), the match-small size: direct solves."""
+    C = np.random.default_rng(3).uniform(size=(5, 50))
+    return build_matching_lp(MatchingInstance(C))
+
+
+@pytest.fixture(scope="session")
 def matching_50x100():
     """50x100 assignment LP (150x5100): direct solves."""
     C = np.random.default_rng(0).uniform(size=(50, 100))

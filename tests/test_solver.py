@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from physlp import (SolveStatus, SolverConfig, StandardFormLP, default_gamma,
+from physlp import (SolveStatus, SolverConfig, StandardFormLP, core, default_gamma,
                     default_regularization, feasibility_residual,
                     flip_negative_costs, initial_state, linalg, perturb_cost,
-                    prepare_lp, solve, step_detail)
+                    prepare_lp, solve, solver, step_detail)
 from physlp.errors import (DimensionMismatch, MissingBound, NonPositiveInit,
                            ZeroCostNeedsGamma)
 from physlp.problems import random_bounded_lp
@@ -90,6 +90,29 @@ def test_flip_preserves_residual_through_encode():
     assert feasibility_residual(lp, x) == pytest.approx(
         feasibility_residual(prep.lp, y), abs=1e-12)
     assert np.allclose(prep.decode(y), x)
+
+
+def test_prepare_copies_A_only_when_a_column_flips(signed_sparse_40x400):
+    lp = toy_lp()
+    assert prepare_lp(lp).lp.A is lp.A
+    assert flip_negative_costs(lp).lp.A is lp.A
+    prep = prepare_lp(signed_sparse_40x400)
+    assert prep.flip_mask.any() and not np.shares_memory(prep.lp.A, signed_sparse_40x400.A)
+
+
+def test_solve_validates_at_most_twice(matching_5x50, monkeypatch):
+    # once at the public boundary, once when the working LP is built
+    calls = []
+
+    def counting(lp):
+        calls.append(lp)
+        return validate(lp)
+
+    validate = core.validate
+    for module in (core, solver):
+        monkeypatch.setattr(module, "validate", counting)
+    solve(matching_5x50, SolverConfig(max_iters=3))
+    assert len(calls) <= 2
 
 
 def test_prepared_cost_strictly_positive():
@@ -209,9 +232,10 @@ def test_matrix_free_default_reg_is_the_assembled_one(dag_600):
     w = initial_state(prep, SolverConfig(seed=4)) / prep.lp.c
     for L in (op.gram(w), (A * w) @ A.T):
         want = default_regularization(L)
-        assert abs(op.default_regularization(w) - want) <= 1e-12 * want
-    report = linalg.matrix_free_solve(op, w, prep.lp.b)
-    assert report.regularization_used == op.default_regularization(w)
+        assert abs(op.at(w).default_regularization() - want) <= 1e-12 * want
+    report = linalg.spd_solve(op.at(w), prep.lp.b)
+    assert report.regularization_used == op.at(w).default_regularization()
+    assert report.factor is None
 
 
 def test_matrix_free_steps_skip_the_gram_pattern(dag_600):
@@ -271,6 +295,47 @@ def test_matrix_free_step_falls_back_to_cholesky(dag_600, monkeypatch):
     res = solve(dag_600, cfg)
     assert res.status is not SolveStatus.LINSOLVE_FAILURE
     assert len(res.trace) == 3
+
+
+def test_weighted_solve_without_a_factor_falls_back_to_cholesky(dag_600, monkeypatch):
+    capped_pcg(monkeypatch)
+    prep = prepare_lp(dag_600)
+    op = prep.lp.operator
+    w = initial_state(prep, SolverConfig(seed=6)) / prep.lp.c
+    reg = op.at(w).default_regularization()
+    rhs = np.random.default_rng(6).normal(size=prep.lp.m)
+    z = linalg.weighted_solve(op, w, reg, rhs, None)
+    S = op.gram(w) + reg * np.eye(prep.lp.m)
+    bound = 1e-10 * (np.diag(S).max() * np.linalg.norm(z) + np.linalg.norm(rhs))
+    assert np.linalg.norm(S @ z - rhs) <= bound
+
+
+@pytest.mark.parametrize("name", ["matching_5x50", "dag_600"])
+def test_every_step_calls_spd_solve_once(name, request, monkeypatch):
+    # the benchmark's traced run sees the linear solves through this name
+    lp = request.getfixturevalue(name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return spd_solve(*args, **kwargs)
+
+    spd_solve = solver.spd_solve
+    monkeypatch.setattr(solver, "spd_solve", counting)
+    res = solve(lp, SolverConfig(max_iters=5))
+    assert res.status is not SolveStatus.LINSOLVE_FAILURE
+    assert len(res.trace) > 0
+    assert len(calls) == len(res.trace)
+
+
+def test_overflowing_weights_report_a_linsolve_failure():
+    # x / c overflows on the subnormal cost, so A diag(w) A^T is infinite
+    lp = StandardFormLP([[1.0, 1.0, 1.0]], [1.0], [1e-310, 1.0, 2.0])
+    with pytest.warns(RuntimeWarning) as record:
+        res = solve(lp, SolverConfig(max_iters=5))
+    assert any("overflow" in str(r.message) for r in record)
+    assert res.status is SolveStatus.LINSOLVE_FAILURE
+    assert np.all(np.isfinite(res.x))
 
 
 def test_matrix_free_failure_is_reported_not_raised(dag_600, monkeypatch):
