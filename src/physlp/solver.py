@@ -151,8 +151,8 @@ class StepDetail:
     linalg.DIRECT_MAX_DIM rows spd_solve runs CG matrix-free, and the
     step stores no factor (None) unless CG failed and the Cholesky last
     resort ran.  clamp_mask is True where the pre-clamp value stayed
-    strictly above eps.  Per step this is at
-    most one m-by-m factor plus four n-vectors and one m-vector.
+    strictly above eps.  Per step this is at most one m-by-m factor
+    plus four n-vectors and one m-vector.
     """
 
     x_prev: np.ndarray

@@ -102,13 +102,12 @@ def test_prepare_copies_A_only_when_a_column_flips(signed_sparse_40x400):
 
 def test_solve_validates_at_most_twice(matching_5x50, monkeypatch):
     # once at the public boundary, once when the working LP is built
-    calls = []
+    validate, calls = core.validate, []
 
     def counting(lp):
         calls.append(lp)
         return validate(lp)
 
-    validate = core.validate
     for module in (core, solver):
         monkeypatch.setattr(module, "validate", counting)
     solve(matching_5x50, SolverConfig(max_iters=3))
@@ -314,13 +313,12 @@ def test_weighted_solve_without_a_factor_falls_back_to_cholesky(dag_600, monkeyp
 def test_every_step_calls_spd_solve_once(name, request, monkeypatch):
     # the benchmark's traced run sees the linear solves through this name
     lp = request.getfixturevalue(name)
-    calls = []
+    spd_solve, calls = solver.spd_solve, []
 
     def counting(*args, **kwargs):
         calls.append(args)
         return spd_solve(*args, **kwargs)
 
-    spd_solve = solver.spd_solve
     monkeypatch.setattr(solver, "spd_solve", counting)
     res = solve(lp, SolverConfig(max_iters=5))
     assert res.status is not SolveStatus.LINSOLVE_FAILURE
