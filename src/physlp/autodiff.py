@@ -13,9 +13,10 @@ mask; w = x_prev / c_hat is recomputed.  The solve adjoint
 gL = -outer(z, p) has rank one, so backward never forms an m-by-m or
 m-by-n array per step: each step costs a few products with A through
 the LP's WeightedOperator, the CSR copy the forward pass used,
-and two triangular solves against the stored factor (PCG with the
-operator v -> A(w * A^T v) + reg*v when the step had no factor), and gA
-comes from one GEMM over the 2K stacked per-step vectors at the end.
+and two triangular solves against the stored factor (PCG on the sparse
+A diag(w) A^T + reg*I that the forward CG steps use, when the step had
+no factor), and gA comes from one GEMM over the 2K stacked per-step
+vectors at the end.
 jvp forms dL p the same way.  Both accept their solves on backward
 error.
 
@@ -46,8 +47,8 @@ class UnrolledTape:
     the CSR copy of A the steps computed with), the initial
     iterate in working coordinates, and one StepDetail per iteration:
     five O(n) or O(m) vectors each, plus spd_solve's m-by-m Cholesky
-    factor, which steps above linalg.DIRECT_MAX_DIM rows (matrix-free
-    CG) only hold when its last resort ran."""
+    factor, which steps above linalg.DIRECT_MAX_DIM rows (CG on the
+    sparse matrix) only hold when its last resort ran."""
 
     prep: object
     cfg: SolverConfig
@@ -71,16 +72,17 @@ class UnrolledTape:
         """Recompute the forward pass from the stored initial point.
 
         Uses the recorded per-iteration regularization and the same
-        operator, so each step takes the recorded path (factored or
-        matrix-free) and the replay is bit-identical to the
-        recorded trajectory on one platform.
+        operator, and starts each step's CG from the previous replayed
+        step's p as the forward pass did, so each step takes the
+        recorded path (factored or CG) and the replay is bit-identical
+        to the recorded trajectory on one platform.
         Returns the list of post-clamp iterates.
         """
-        x = self.x0.copy()
+        x, p = self.x0.copy(), None
         iterates = []
         for det in self.steps:
-            redo = step_detail(self.prep, x, self.cfg, reg_override=det.reg_used)
-            x = redo.x_new
+            redo = step_detail(self.prep, x, self.cfg, reg_override=det.reg_used, p0=p)
+            x, p = redo.x_new, redo.p
             iterates.append(x)
         return iterates
 

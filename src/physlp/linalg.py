@@ -4,12 +4,15 @@ Every dynamics step solves (L + reg*I) p = b with L = A W A^T symmetric
 positive semidefinite.  WeightedOperator holds a CSR copy of A and
 computes every product with A diag(w) A^T through it.  spd_solve, the
 one entry point at every size, factors L by Cholesky up to
-DIRECT_MAX_DIM rows; above, it runs Jacobi-preconditioned CG on
-v -> A (w * A^T v) + reg*v and factors L only as a last resort.
-weighted_solve, used by backward and jvp, reuses a stored factor; both
-run _solve, the one factor, refine and fall-back routine.
+DIRECT_MAX_DIM rows; above, it assembles S = L + reg*I as a sparse
+matrix on the compressed pattern of A A^T, runs Jacobi-preconditioned
+CG on it from a given start (the solver passes the previous step's p),
+and factors S only as a last resort.  weighted_solve, used by backward
+and jvp, reuses a stored factor and otherwise runs on the same sparse
+S; both run _solve, the one factor, refine and fall-back routine.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -31,12 +34,13 @@ AUTO_REG_SCALE = 1e-10
 class SpdSolveReport:
     """Solution of (L + reg*I) p = b plus solve diagnostics.
 
-    iterations is 0 when the Cholesky factor alone solved the system,
-    otherwise the number of CG steps taken.  final_residual is
-    ||(L + reg*I) p - b||_2.  factor is the Cholesky factor of L + reg*I
-    in scipy's cho_factor form, None when CG alone solved the system
-    (above DIRECT_MAX_DIM rows, unless the last resort ran);
-    weighted_solve reuses it for further right-hand sides.
+    iterations is the number of CG steps taken: 0 when the Cholesky
+    factor alone solved the system, or when CG's starting point already
+    met the target.  final_residual is ||(L + reg*I) p - b||_2.
+    factor is the Cholesky factor of L + reg*I in scipy's cho_factor
+    form, None when CG alone solved the system (above DIRECT_MAX_DIM
+    rows, unless the last resort ran); weighted_solve reuses it for
+    further right-hand sides.
     """
 
     p: np.ndarray
@@ -58,9 +62,12 @@ class WeightedOperator:
 
     A is the CSR matrix and AT its transpose (a CSC view of the same
     arrays).  gram is one sparse product P @ w, with P built on the
-    first gram call (_gram_pattern), so operators whose steps run
-    matrix-free do not pay for it.  P has sum_j nnz(a_j)^2 entries: two
-    per column on matching and path LPs, but n*m*m for a dense A.
+    first gram call (_gram_pattern), so operators whose steps run CG do
+    not pay for it.  P has sum_j nnz(a_j)^2 entries: four per column on
+    matching and path LPs, but n*m*m for a dense A.  CG steps use the
+    compressed pattern instead (_sparse_gram_pattern): one entry per
+    nonzero of A A^T, built on the first CG solve, so direct steps do
+    not pay for it.
     """
 
     def __init__(self, A):
@@ -77,6 +84,10 @@ class WeightedOperator:
     @cached_property
     def _gram(self):
         return _gram_pattern(self.A.tocsc())
+
+    @cached_property
+    def _sparse_pattern(self):
+        return _sparse_gram_pattern(self.A.tocsc())
 
     def gram(self, w):
         """A diag(w) A^T as a dense array."""
@@ -100,8 +111,9 @@ class WeightedOperator:
 @dataclass
 class WeightedGram:
     """A diag(w) A^T as spd_solve takes it from the solver: built from a
-    validated A and w > 0, so not checked.  The matrix (dense) and its
-    diagonal (diag) are computed on first use."""
+    validated A and w > 0, so not checked.  The dense matrix (dense) and
+    its values on the compressed pattern (_values) are computed on first
+    use."""
 
     op: WeightedOperator
     w: np.ndarray
@@ -111,28 +123,34 @@ class WeightedGram:
         return self.op.gram(self.w)
 
     @cached_property
-    def diag(self):
-        return self.op.diag(self.w)
+    def _values(self):
+        return self.op._sparse_pattern[2] @ self.w
 
-    def cholesky(self, reg, b):
-        """_cholesky of A diag(w) A^T + reg*I and b."""
-        return _cholesky(self.dense + reg * np.eye(b.shape[0]), b)
+    def sparse(self, reg):
+        """A diag(w) A^T + reg*I as a CSR matrix with sorted indices."""
+        indptr, indices, _, diagonal = self.op._sparse_pattern
+        data = self._values.copy()
+        data[diagonal] += reg
+        m = indptr.size - 1
+        return scipy.sparse.csr_array((data, indices, indptr), shape=(m, m))
 
     def default_regularization(self):
         """default_regularization of the matrix, with the trace spd_solve
-        reads at this size: of dense up to DIRECT_MAX_DIM rows, else diag."""
+        reads at this size: of dense up to DIRECT_MAX_DIM rows, else of
+        the sparse form."""
         m = self.op.A.shape[0]
-        trace = np.trace(self.dense) if m <= DIRECT_MAX_DIM else self.diag.sum()
+        if m <= DIRECT_MAX_DIM:
+            trace = np.trace(self.dense)
+        else:
+            trace = self._values[self.op._sparse_pattern[3]].sum()
         return AUTO_REG_SCALE * float(trace) / m
 
 
-def _gram_pattern(C):
-    """A diag(w) A^T, flattened row-major, as a linear map P of w.
-
-    C is A in CSC.  Column j adds w_j a_ij a_kj to entry (i, k) for each
-    ordered pair of its nonzeros, so column j of P holds a_ij a_kj at
-    row i*m + k.  P is CSC, built from the pairs without sorting.
-    """
+def _column_pairs(C):
+    """Every ordered pair of nonzeros in one column of C, which is A in
+    CSC, grouped by column: column j adds w_j a_ij a_kj to entry (i, k)
+    of A diag(w) A^T.  Returns the flat row-major positions i*m + k,
+    the products a_ij a_kj, and the number of pairs of each column."""
     m, n = C.shape
     count = np.diff(C.indptr)
     col = np.repeat(np.arange(n), count)  # column of each nonzero
@@ -140,9 +158,40 @@ def _gram_pattern(C):
     left = np.repeat(np.arange(C.nnz), pairs)  # each nonzero, once per partner
     offset = np.arange(left.size) - np.repeat(np.cumsum(pairs) - pairs, pairs)
     right = C.indptr[col[left]] + offset  # the partners, same column
-    rows = C.indices[left].astype(np.int64) * m + C.indices[right]
-    indptr = np.concatenate(([0], np.cumsum(count * count)))
-    return scipy.sparse.csc_array((C.data[left] * C.data[right], rows, indptr), shape=(m * m, n))
+    flat = C.indices[left].astype(np.int64) * m + C.indices[right]
+    return flat, C.data[left] * C.data[right], count * count
+
+
+def _gram_pattern(C):
+    """A diag(w) A^T, flattened row-major, as a linear map P of w.
+
+    Column j of P holds a_ij a_kj at row i*m + k for each ordered pair of
+    column j's nonzeros (_column_pairs).  P is CSC, built from the pairs
+    without sorting.
+    """
+    m, n = C.shape
+    flat, products, per_column = _column_pairs(C)
+    indptr = np.concatenate(([0], np.cumsum(per_column)))
+    return scipy.sparse.csc_array((products, flat, indptr), shape=(m * m, n))
+
+
+def _sparse_gram_pattern(C):
+    """The nonzero pattern of A A^T plus its diagonal, as CSR arrays
+    (indptr, indices), the map Q with data = Q @ w for the values of
+    A diag(w) A^T on it, and the positions of the diagonal in data.
+
+    Built from the pairs of _column_pairs, deduplicated, so never
+    through the m*m rows of P.
+    """
+    m, n = C.shape
+    flat, products, per_column = _column_pairs(C)
+    keys = np.concatenate((flat, np.arange(m, dtype=np.int64) * (m + 1)))
+    pattern, position = np.unique(keys, return_inverse=True)
+    columns = np.repeat(np.arange(n), per_column)
+    Q = scipy.sparse.csr_array((products, (position[:flat.size], columns)),
+                               shape=(pattern.size, n))
+    indptr = np.searchsorted(pattern, m * np.arange(m + 1))
+    return indptr, pattern % m, Q, position[flat.size:]
 
 
 def _check_spd_inputs(L, b):
@@ -163,13 +212,20 @@ def _check_spd_inputs(L, b):
     return L, b
 
 
+def _norm(v):
+    """||v||_2 as np.linalg.norm computes it for a real vector,
+    sqrt(v @ v), without its dispatch cost."""
+    return math.sqrt(v @ v)
+
+
 def _pcg(S_matvec, b, diag, x0, target, max_iters):
-    """Jacobi-preconditioned CG down to absolute residual target."""
+    """Jacobi-preconditioned CG from x0 down to absolute residual target."""
     inv_diag = 1.0 / np.maximum(diag, np.finfo(np.float64).tiny)
     x = x0.copy()
     r = b - S_matvec(x)
-    if np.linalg.norm(r) <= target:
-        return x, 0, float(np.linalg.norm(r))
+    rnorm = _norm(r)
+    if rnorm <= target:
+        return x, 0, rnorm
     z = inv_diag * r
     d = z.copy()
     rz = float(r @ z)
@@ -180,26 +236,29 @@ def _pcg(S_matvec, b, diag, x0, target, max_iters):
             break
         alpha = rz / dSd
         x += alpha * d
-        r -= alpha * Sd
-        rnorm = float(np.linalg.norm(r))
+        Sd *= alpha
+        r -= Sd
+        rnorm = _norm(r)
         if rnorm <= target:
             return x, k, rnorm
-        z = inv_diag * r
+        np.multiply(inv_diag, r, out=z)
         rz_next = float(r @ z)
-        d = z + (rz_next / rz) * d
+        d *= rz_next / rz
+        d += z
         rz = rz_next
-    return x, max_iters, float(np.linalg.norm(b - S_matvec(x)))
+    return x, max_iters, _norm(b - S_matvec(x))
 
 
-def spd_solve(L, b, tol=1e-10, reg=None):
+def spd_solve(L, b, tol=1e-10, reg=None, x0=None):
     """Solve (L + reg*I) p = b for symmetric positive (semi)definite L.
 
     L is a dense array, checked for shape, finiteness and symmetry, or
-    the unchecked WeightedGram op.at(w) of the solver, applied
-    matrix-free above DIRECT_MAX_DIM rows.  reg=None applies the
-    trace-scaled default.  The achieved residual satisfies
-    ||(L + reg*I) p - b|| <= tol * ||b|| or Breakdown is raised after
-    both Cholesky and Jacobi-PCG have failed (see _solve).
+    the unchecked WeightedGram op.at(w) of the solver, assembled sparse
+    above DIRECT_MAX_DIM rows.  reg=None applies the trace-scaled
+    default.  x0 is where CG starts when it runs first (zero when
+    None); the Cholesky path ignores it.  The achieved residual
+    satisfies ||(L + reg*I) p - b|| <= tol * ||b|| or Breakdown is
+    raised after both Cholesky and Jacobi-PCG have failed (see _solve).
     """
     weighted = isinstance(L, WeightedGram)
     if not weighted:
@@ -210,22 +269,22 @@ def spd_solve(L, b, tol=1e-10, reg=None):
     reg = float(reg)
 
     if weighted and m > DIRECT_MAX_DIM:
-        matvec, diag = L.op.matvec(L.w, reg), lambda: L.diag + reg
-        direct = partial(L.cholesky, reg, b)
+        S = L.sparse(reg)
     else:
         S = (L.dense if weighted else L) + reg * np.eye(m)
-        matvec, diag = partial(np.matmul, S), partial(np.diag, S)
-        direct = partial(_cholesky, S, b)
-    p, iters, res, cf = _solve(b, tol, matvec, diag, direct, m <= DIRECT_MAX_DIM)
+    p, iters, res, cf = _solve(b, tol, S.__matmul__, S.diagonal, partial(_cholesky, S, b),
+                               m <= DIRECT_MAX_DIM, x0)
     return SpdSolveReport(p, iters, res, reg, cf)
 
 
 def weighted_solve(op, w, reg, rhs, factor=None, tol=1e-10):
-    """Solve (A diag(w) A^T + reg*I) z = rhs without forming the matrix.
+    """Solve (A diag(w) A^T + reg*I) z = rhs.
 
     op is the WeightedOperator of A and factor a Cholesky factor of that
-    matrix (SpdSolveReport.factor of the solve that built it).  Products
-    with the matrix go through op.matvec.  z is accepted on backward error,
+    matrix (SpdSolveReport.factor of the solve that built it).  With a
+    factor, products with the matrix go through op.matvec; without one
+    they go through the sparse matrix that spd_solve's CG steps use.
+    z is accepted on backward error,
 
         ||S z - rhs|| <= tol * (||S|| ||z|| + ||rhs||),
 
@@ -233,33 +292,34 @@ def weighted_solve(op, w, reg, rhs, factor=None, tol=1e-10):
     right-hand side far smaller than S z's rounding error does not
     fail.  PCG refines a factored solution that misses the target;
     without a factor PCG runs first and the Cholesky factor of the
-    assembled matrix is the last resort (see _solve).
+    matrix is the last resort (see _solve).
     """
-    gram = op.at(w)
-    direct = (partial(gram.cholesky, reg, rhs) if factor is None
-              else partial(_cholesky, None, rhs, factor))
-    return _solve(rhs, tol, op.matvec(w, reg), lambda: gram.diag + reg, direct,
-                  factor is not None, tol)[0]
+    if factor is None:
+        S = op.at(w).sparse(reg)
+        return _solve(rhs, tol, S.__matmul__, S.diagonal, partial(_cholesky, S, rhs),
+                      False, z_tol=tol)[0]
+    return _solve(rhs, tol, op.matvec(w, reg), lambda: op.diag(w) + reg,
+                  partial(_cholesky, None, rhs, factor), True, z_tol=tol)[0]
 
 
-def _solve(b, tol, matvec, diag, direct, direct_first, z_tol=0.0):
+def _solve(b, tol, matvec, diag, direct, direct_first, x0=None, z_tol=0.0):
     """Solve S p = b for SPD S, the routine behind spd_solve and
     weighted_solve.  direct() returns (Cholesky factor, p) or
     (None, None).  With direct_first it runs first and Jacobi-PCG
     (matvec, and diag() for the diagonal of S, called only then)
-    refines an answer that misses; otherwise PCG runs from zero and
-    direct() is the last resort.  p is accepted when ||S p - b|| <=
-    tol * ||b|| + z_tol * max(diag) * ||p||.  Returns (p, PCG
-    iterations, residual, factor or None); raises Breakdown."""
+    refines an answer that misses; otherwise PCG runs from x0 (zero
+    when None) and direct() is the last resort.  p is accepted when
+    ||S p - b|| <= tol * ||b|| + z_tol * max(diag) * ||p||.  Returns
+    (p, PCG iterations, residual, factor or None); raises Breakdown."""
     m = b.shape[0]
-    bnorm = float(np.linalg.norm(b))
+    bnorm = _norm(b)
     if bnorm == 0.0:
         return np.zeros(m), 0, 0.0, None
     target = tol * bnorm
 
     def attempt():
         cf, p = direct()
-        return cf, p, float(np.linalg.norm(matvec(p) - b)) if cf is not None else np.inf
+        return cf, p, _norm(matvec(p) - b) if cf is not None else np.inf
 
     cf, p, res = attempt() if direct_first else (None, None, np.inf)
     if res <= target:
@@ -268,11 +328,14 @@ def _solve(b, tol, matvec, diag, direct, direct_first, z_tol=0.0):
     z_weight = z_tol * float(jacobi.max())
 
     def accepted(p, res):
-        return res <= target + z_weight * float(np.linalg.norm(p))
+        return res <= target + z_weight * _norm(p)
 
     if cf is not None and accepted(p, res):
         return p, 0, res, cf
-    x0 = p if cf is not None else np.zeros(m)
+    if cf is not None:
+        x0 = p
+    elif x0 is None:
+        x0 = np.zeros(m)
     p, iters, res = _pcg(matvec, b, jacobi, x0, target, 10 * m)
     if accepted(p, res):
         return p, iters, res, cf
@@ -286,14 +349,15 @@ def _solve(b, tol, matvec, diag, direct, direct_first, z_tol=0.0):
 def _cholesky(S, b, cf=None):
     """(factor, S^{-1} b) by Cholesky, with the factor cf of S when one
     is given, or (None, None) when the factorization fails or gives a
-    non-finite solution."""
+    non-finite solution.  A sparse S is made dense first."""
     try:
         if cf is None:
+            S = S.toarray() if scipy.sparse.issparse(S) else S
             cf = scipy.linalg.cho_factor(S, lower=True, check_finite=False)
         p = scipy.linalg.cho_solve(cf, b, check_finite=False)
     except scipy.linalg.LinAlgError:
         return None, None
-    return (cf, p) if np.all(np.isfinite(p)) else (None, None)
+    return (cf, p) if np.isfinite(p).all() else (None, None)
 
 
 def spd_solve_adjoint(L, p, grad_p, tol=1e-10, reg=None):

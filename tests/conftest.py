@@ -1,5 +1,5 @@
-"""Shared instances: sparse LPs on the direct and the matrix-free path,
-and one with flipped columns."""
+"""Shared instances: sparse LPs on the direct and the CG path, and one
+with flipped columns."""
 
 import numpy as np
 import pytest
@@ -26,7 +26,8 @@ def matching_50x100():
 @pytest.fixture(scope="session")
 def dag_600():
     """Unit-flow LP on a 600-node DAG of out-degree 3 (599x1794): more
-    rows than linalg.DIRECT_MAX_DIM, so matrix-free CG."""
+    rows than linalg.DIRECT_MAX_DIM, so CG on the sparse A W A^T,
+    warm-started from the previous step's p."""
     rng = np.random.default_rng(1)
     nodes = 600
     arcs = []

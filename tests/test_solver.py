@@ -6,7 +6,7 @@ import pytest
 from physlp import (SolveStatus, SolverConfig, StandardFormLP, core, default_gamma,
                     default_regularization, feasibility_residual,
                     flip_negative_costs, initial_state, linalg, perturb_cost,
-                    prepare_lp, solve, solver, step_detail)
+                    prepare_lp, solve, solve_with_tape, solver, step_detail)
 from physlp.errors import (DimensionMismatch, MissingBound, NonPositiveInit,
                            ZeroCostNeedsGamma)
 from physlp.problems import random_bounded_lp
@@ -245,6 +245,39 @@ def test_matrix_free_steps_skip_the_gram_pattern(dag_600):
     assert "_gram" not in vars(prep.lp.operator)
 
 
+@pytest.mark.parametrize("name", ["dag_600", "signed_sparse_40x400"])
+def test_sparse_matrix_is_the_dense_gram(name, request):
+    # S = A diag(w) A^T + reg*I on the compressed pattern, which CG steps
+    # and factorless weighted solves use, against the P @ w assembly
+    prep = prepare_lp(request.getfixturevalue(name))
+    op = prep.lp.operator
+    w = np.random.default_rng(9).uniform(0.1, 2.0, size=prep.lp.n)
+    reg = 1e-3
+    S = op.at(w).sparse(reg)
+    want = op.gram(w) + reg * np.eye(prep.lp.m)
+    assert S.has_sorted_indices
+    assert S.nnz == np.count_nonzero(want)
+    assert np.array_equal(S.toarray() != 0, want != 0)
+    assert np.abs(S.toarray() - want).max() <= 1e-14 * np.abs(want).max()
+    diag = op.diag(w) + reg
+    assert np.abs(S.diagonal() - diag).max() <= 1e-14 * diag.max()
+
+
+def test_sparse_matrix_keeps_the_diagonal_of_an_empty_row():
+    # reg*I lands on every row, also where A A^T has no entry
+    A = np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
+    w = np.array([1.0, 2.0, 3.0])
+    S = linalg.WeightedOperator(A).at(w).sparse(0.5)
+    assert np.array_equal(S.toarray(), (A * w) @ A.T + 0.5 * np.eye(3))
+
+
+def test_direct_steps_skip_the_sparse_pattern(matching_5x50):
+    res, tape = solve_with_tape(matching_5x50, SolverConfig(max_iters=3))
+    assert len(res.trace) == 3
+    assert all(det.factor is not None for det in tape.steps)
+    assert "_sparse_pattern" not in vars(tape.prep.lp.operator)
+
+
 def test_residual_through_the_flipped_operator(signed_sparse_40x400):
     lp = signed_sparse_40x400
     assert prepare_lp(lp).flip_mask.any()
@@ -326,13 +359,19 @@ def test_every_step_calls_spd_solve_once(name, request, monkeypatch):
     assert len(calls) == len(res.trace)
 
 
-def test_overflowing_weights_report_a_linsolve_failure():
-    # x / c overflows on the subnormal cost, so A diag(w) A^T is infinite
+def test_overflowing_weights_report_a_linsolve_failure(monkeypatch):
+    # x / c overflows on the subnormal cost, so A diag(w) A^T is infinite:
+    # the step fails at once, without a solve on it
+    def spd_solve(*args, **kwargs):
+        raise AssertionError("solved with non-finite weights")
+
+    monkeypatch.setattr(solver, "spd_solve", spd_solve)
     lp = StandardFormLP([[1.0, 1.0, 1.0]], [1.0], [1e-310, 1.0, 2.0])
     with pytest.warns(RuntimeWarning) as record:
         res = solve(lp, SolverConfig(max_iters=5))
-    assert any("overflow" in str(r.message) for r in record)
+    assert [str(r.message) for r in record] == ["overflow encountered in divide"]
     assert res.status is SolveStatus.LINSOLVE_FAILURE
+    assert res.trace == []
     assert np.all(np.isfinite(res.x))
 
 
@@ -343,6 +382,49 @@ def test_matrix_free_failure_is_reported_not_raised(dag_600, monkeypatch):
     assert res.status is SolveStatus.LINSOLVE_FAILURE
     assert res.trace == []
     assert np.all(np.isfinite(res.x))
+
+
+def dense_residuals(tape):
+    """||(L + reg*I) p - b|| / ||b|| of each recorded step, with L
+    assembled densely from A and x_prev."""
+    A, b, c = tape.prep.lp.A, tape.prep.lp.b, tape.prep.lp.c
+    out = []
+    for det in tape.steps:
+        S = (A * (det.x_prev / c)) @ A.T + det.reg_used * np.eye(len(b))
+        out.append(np.linalg.norm(S @ det.p - b) / np.linalg.norm(b))
+    return np.array(out)
+
+
+def test_warm_started_steps_meet_the_tolerance(dag_600):
+    cfg = SolverConfig(max_iters=100, seed=7)
+    _, tape = solve_with_tape(dag_600, cfg)
+    assert all(det.factor is None for det in tape.steps)
+    assert dense_residuals(tape).max() <= cfg.linsolve_tol
+
+
+def test_warm_starts_take_no_more_cg_iterations(dag_600):
+    # the same recorded iterates, each solved again from zero
+    cfg = SolverConfig(max_iters=100, seed=7)
+    res, tape = solve_with_tape(dag_600, cfg)
+    op, b = tape.prep.lp.operator, tape.prep.lp.b
+    cold = sum(linalg.spd_solve(op.at(det.x_prev / tape.prep.lp.c), b, cfg.linsolve_tol,
+                                det.reg_used).iterations for det in tape.steps)
+    warm = sum(r.linsolve_iterations for r in res.trace)
+    assert warm == sum(det.linsolve_iterations for det in tape.steps)
+    assert warm <= cold
+
+
+def test_each_step_starts_from_the_previous_p(dag_600, monkeypatch):
+    spd_solve, starts = solver.spd_solve, []
+
+    def recording(*args, x0=None, **kwargs):
+        starts.append(x0)
+        return spd_solve(*args, x0=x0, **kwargs)
+
+    monkeypatch.setattr(solver, "spd_solve", recording)
+    _, tape = solve_with_tape(dag_600, SolverConfig(max_iters=4))
+    assert starts[0] is None
+    assert all(x0 is det.p for x0, det in zip(starts[1:], tape.steps))
 
 
 # -------------------------------------------------------------- solve
