@@ -72,17 +72,16 @@ class UnrolledTape:
         """Recompute the forward pass from the stored initial point.
 
         Uses the recorded per-iteration regularization and the same
-        operator, and starts each step's CG from the previous replayed
-        step's p as the forward pass did, so each step takes the
-        recorded path (factored or CG) and the replay is bit-identical
-        to the recorded trajectory on one platform.
+        operator, so each step takes the recorded path (factored or
+        CG) and the replay is bit-identical to the recorded trajectory
+        on one platform.
         Returns the list of post-clamp iterates.
         """
-        x, p = self.x0.copy(), None
+        x = self.x0.copy()
         iterates = []
         for det in self.steps:
-            redo = step_detail(self.prep, x, self.cfg, reg_override=det.reg_used, p0=p)
-            x, p = redo.x_new, redo.p
+            redo = step_detail(self.prep, x, self.cfg, reg_override=det.reg_used)
+            x = redo.x_new
             iterates.append(x)
         return iterates
 

@@ -6,8 +6,7 @@ computes every product with A diag(w) A^T through it.  spd_solve, the
 one entry point at every size, factors L by Cholesky up to
 DIRECT_MAX_DIM rows; above, it assembles S = L + reg*I as a sparse
 matrix on the compressed pattern of A A^T, runs Jacobi-preconditioned
-CG on it from a given start (the solver passes the previous step's p),
-and factors S only as a last resort.  weighted_solve, used by backward
+CG on it from zero, and factors S only as a last resort.  weighted_solve, used by backward
 and jvp, reuses a stored factor and otherwise runs on the same sparse
 S; both run _solve, the one factor, refine and fall-back routine.
 """
@@ -34,13 +33,12 @@ AUTO_REG_SCALE = 1e-10
 class SpdSolveReport:
     """Solution of (L + reg*I) p = b plus solve diagnostics.
 
-    iterations is the number of CG steps taken: 0 when the Cholesky
-    factor alone solved the system, or when CG's starting point already
-    met the target.  final_residual is ||(L + reg*I) p - b||_2.
-    factor is the Cholesky factor of L + reg*I in scipy's cho_factor
-    form, None when CG alone solved the system (above DIRECT_MAX_DIM
-    rows, unless the last resort ran); weighted_solve reuses it for
-    further right-hand sides.
+    iterations is 0 when the Cholesky factor alone solved the system,
+    otherwise the number of CG steps taken.  final_residual is
+    ||(L + reg*I) p - b||_2.  factor is the Cholesky factor of L + reg*I
+    in scipy's cho_factor form, None when CG alone solved the system
+    (above DIRECT_MAX_DIM rows, unless the last resort ran);
+    weighted_solve reuses it for further right-hand sides.
     """
 
     p: np.ndarray
@@ -249,16 +247,15 @@ def _pcg(S_matvec, b, diag, x0, target, max_iters):
     return x, max_iters, _norm(b - S_matvec(x))
 
 
-def spd_solve(L, b, tol=1e-10, reg=None, x0=None):
+def spd_solve(L, b, tol=1e-10, reg=None):
     """Solve (L + reg*I) p = b for symmetric positive (semi)definite L.
 
     L is a dense array, checked for shape, finiteness and symmetry, or
     the unchecked WeightedGram op.at(w) of the solver, assembled sparse
     above DIRECT_MAX_DIM rows.  reg=None applies the trace-scaled
-    default.  x0 is where CG starts when it runs first (zero when
-    None); the Cholesky path ignores it.  The achieved residual
-    satisfies ||(L + reg*I) p - b|| <= tol * ||b|| or Breakdown is
-    raised after both Cholesky and Jacobi-PCG have failed (see _solve).
+    default.  The achieved residual satisfies
+    ||(L + reg*I) p - b|| <= tol * ||b|| or Breakdown is raised after
+    both Cholesky and Jacobi-PCG have failed (see _solve).
     """
     weighted = isinstance(L, WeightedGram)
     if not weighted:
@@ -273,7 +270,7 @@ def spd_solve(L, b, tol=1e-10, reg=None, x0=None):
     else:
         S = (L.dense if weighted else L) + reg * np.eye(m)
     p, iters, res, cf = _solve(b, tol, S.__matmul__, S.diagonal, partial(_cholesky, S, b),
-                               m <= DIRECT_MAX_DIM, x0)
+                               m <= DIRECT_MAX_DIM)
     return SpdSolveReport(p, iters, res, reg, cf)
 
 
@@ -297,20 +294,20 @@ def weighted_solve(op, w, reg, rhs, factor=None, tol=1e-10):
     if factor is None:
         S = op.at(w).sparse(reg)
         return _solve(rhs, tol, S.__matmul__, S.diagonal, partial(_cholesky, S, rhs),
-                      False, z_tol=tol)[0]
+                      False, tol)[0]
     return _solve(rhs, tol, op.matvec(w, reg), lambda: op.diag(w) + reg,
-                  partial(_cholesky, None, rhs, factor), True, z_tol=tol)[0]
+                  partial(_cholesky, None, rhs, factor), True, tol)[0]
 
 
-def _solve(b, tol, matvec, diag, direct, direct_first, x0=None, z_tol=0.0):
+def _solve(b, tol, matvec, diag, direct, direct_first, z_tol=0.0):
     """Solve S p = b for SPD S, the routine behind spd_solve and
     weighted_solve.  direct() returns (Cholesky factor, p) or
     (None, None).  With direct_first it runs first and Jacobi-PCG
     (matvec, and diag() for the diagonal of S, called only then)
-    refines an answer that misses; otherwise PCG runs from x0 (zero
-    when None) and direct() is the last resort.  p is accepted when
-    ||S p - b|| <= tol * ||b|| + z_tol * max(diag) * ||p||.  Returns
-    (p, PCG iterations, residual, factor or None); raises Breakdown."""
+    refines an answer that misses; otherwise PCG runs from zero and
+    direct() is the last resort.  p is accepted when ||S p - b|| <=
+    tol * ||b|| + z_tol * max(diag) * ||p||.  Returns (p, PCG
+    iterations, residual, factor or None); raises Breakdown."""
     m = b.shape[0]
     bnorm = _norm(b)
     if bnorm == 0.0:
@@ -332,10 +329,7 @@ def _solve(b, tol, matvec, diag, direct, direct_first, x0=None, z_tol=0.0):
 
     if cf is not None and accepted(p, res):
         return p, 0, res, cf
-    if cf is not None:
-        x0 = p
-    elif x0 is None:
-        x0 = np.zeros(m)
+    x0 = p if cf is not None else np.zeros(m)
     p, iters, res = _pcg(matvec, b, jacobi, x0, target, 10 * m)
     if accepted(p, res):
         return p, iters, res, cf

@@ -165,19 +165,18 @@ class StepDetail:
     linsolve_iterations: int
 
 
-def step_detail(prep, x, cfg, reg_override=None, p0=None):
+def step_detail(prep, x, cfg, reg_override=None):
     """One dynamics update from the iterate x, with full intermediates;
     the next iterate is its x_new.
 
     L = A diag(w) A^T goes to spd_solve as prep.lp.operator.at(w) at
     every size; spd_solve factors it up to linalg.DIRECT_MAX_DIM rows
-    and runs CG on it, assembled sparse, above.  CG starts from p0,
-    the previous step's p in the solve loop and in replay (zero when
-    None).  reg_override pins the Tikhonov term to an exact value (used
-    when replaying a recorded trajectory, which then takes the same
-    path); otherwise cfg.linsolve_reg is used, with one 100x retry
-    after a linear-solve breakdown.  Weights x / c that are not finite
-    raise LinSolveFailure before any solve.
+    and runs CG on it, assembled sparse, above.  reg_override pins the
+    Tikhonov term to an exact value (used when replaying a recorded
+    trajectory, which then takes the same path); otherwise
+    cfg.linsolve_reg is used, with one 100x retry after a linear-solve
+    breakdown.  Weights x / c that are not finite raise LinSolveFailure
+    before any solve.
     """
     op = prep.lp.operator
     h = cfg.step_size
@@ -187,7 +186,7 @@ def step_detail(prep, x, cfg, reg_override=None, p0=None):
     if not np.isfinite(w).all():
         raise LinSolveFailure("the weights x / c are not finite, so A diag(w) A^T is not either")
     gram = op.at(w)
-    solve_with = partial(spd_solve, gram, prep.lp.b, cfg.linsolve_tol, x0=p0)
+    solve_with = partial(spd_solve, gram, prep.lp.b, cfg.linsolve_tol)
     if reg_override is not None:
         report = solve_with(reg_override)
     else:
@@ -253,7 +252,7 @@ def _solve_loop(lp, cfg, x0, early_stop, record_steps):
     """Shared forward loop; returns (result, prepared lp, y0, steps)."""
     prep = prepare_lp(lp, cfg.gamma)
     y0 = initial_state(prep, cfg, x0)
-    y, p = y0, None
+    y = y0
 
     steps = [] if record_steps else None
     trace = []
@@ -261,13 +260,13 @@ def _solve_loop(lp, cfg, x0, early_stop, record_steps):
     status = SolveStatus.MAX_ITERS
     for k in range(1, cfg.max_iters + 1):
         try:
-            det = step_detail(prep, y, cfg, p0=p)
+            det = step_detail(prep, y, cfg)
         except LinSolveFailure:
             status = SolveStatus.LINSOLVE_FAILURE
             break
         if record_steps:
             steps.append(det)
-        y, p = det.x_new, det.p
+        y = det.x_new
         _, obj, res = _evaluate(prep, lp.b, y)
         trace.append(TraceRecord(k, obj, res, det.linsolve_iterations))
         objectives.append(obj)

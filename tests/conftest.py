@@ -26,8 +26,7 @@ def matching_50x100():
 @pytest.fixture(scope="session")
 def dag_600():
     """Unit-flow LP on a 600-node DAG of out-degree 3 (599x1794): more
-    rows than linalg.DIRECT_MAX_DIM, so CG on the sparse A W A^T,
-    warm-started from the previous step's p."""
+    rows than linalg.DIRECT_MAX_DIM, so CG on the sparse A W A^T."""
     rng = np.random.default_rng(1)
     nodes = 600
     arcs = []

@@ -85,9 +85,9 @@ def test_tape_replay_bit_identical():
 @pytest.mark.parametrize("name, factored", [("matching_50x100", True), ("dag_600", False)])
 def test_tape_replay_bit_identical_on_csr_operators(name, factored, request):
     # replay takes the recorded path: CSR assembly and Cholesky on the
-    # matching, CG warm-started from the previous p on the DAG
+    # matching, CG on the sparse matrix on the DAG
     lp = request.getfixturevalue(name)
-    _, tape = solve_with_tape(lp, SolverConfig(max_iters=20, seed=2))
+    _, tape = solve_with_tape(lp, SolverConfig(max_iters=8, seed=2))
     assert all((det.factor is not None) == factored for det in tape.steps)
     for det, x in zip(tape.steps, tape.replay()):
         assert np.array_equal(det.x_new, x)
