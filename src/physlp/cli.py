@@ -13,6 +13,7 @@ the only non-reproducible values.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -21,7 +22,7 @@ from multiprocessing import Pool
 import numpy as np
 
 from .core import SolverConfig, SolveStatus, load_lp
-from .errors import PhyslpError, Unreachable
+from .errors import InvalidConfig, PhyslpError, Unreachable
 from .autodiff import backward, solve_with_tape
 from .oracles import dijkstra, hungarian
 from .problems import (GaussianKernel, Graph, LinearKernel, MatchingInstance,
@@ -80,7 +81,7 @@ def cmd_solve(args):
 # ---------------------------------------------------------- match-bench
 
 def _match_trial(payload):
-    index, seed_seq, n, m, budgets, step, error_block = payload
+    index, seed_seq, n, m, budgets, cfg, error_block = payload
     rng = np.random.default_rng(seed_seq)
     C = rng.uniform(size=(n, m))
     solver_seed = int(rng.integers(2 ** 63))
@@ -90,7 +91,7 @@ def _match_trial(payload):
         x_star = x_star[:n * m]
     norm_star = float(np.linalg.norm(x_star))
 
-    cfg = SolverConfig(max_iters=max(budgets), step_size=step, seed=solver_seed)
+    cfg = dataclasses.replace(cfg, seed=solver_seed)
     prep = prepare_lp(lp, cfg.gamma)
     y = initial_state(prep, cfg)
     records = []
@@ -111,9 +112,14 @@ def _match_trial(payload):
 def cmd_match_bench(args):
     if args.n > args.m:
         return _fail(f"need n <= m, got n={args.n} m={args.m}", EXIT_IO)
+    if args.trials < 1:
+        return _fail(f"--trials must be at least 1, got {args.trials}", EXIT_IO)
     budgets = sorted(set(args.iters))
+    if budgets[0] < 1:
+        return _fail(f"every --iters budget must be at least 1, got {budgets[0]}", EXIT_IO)
+    cfg = SolverConfig(max_iters=budgets[-1], step_size=args.step)
     children = np.random.SeedSequence(args.seed).spawn(args.trials)
-    payloads = [(i, ss, args.n, args.m, budgets, args.step, args.error_block)
+    payloads = [(i, ss, args.n, args.m, budgets, cfg, args.error_block)
                 for i, ss in enumerate(children)]
     if args.jobs > 1:
         with Pool(args.jobs) as pool:
@@ -354,6 +360,8 @@ def main(argv=None):
         return args.func(args)
     except Unreachable as exc:
         return _fail(exc, EXIT_SOLVER)
+    except InvalidConfig as exc:
+        return _fail(exc, EXIT_IO)
     except PhyslpError as exc:
         return _fail(exc, EXIT_SOLVER)
 

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteEntry
+from .errors import DimensionMismatch, InvalidConfig, NonFiniteEntry
 from .linalg import WeightedOperator
 
 
@@ -142,19 +142,19 @@ class SolverConfig:
 
     def __post_init__(self):
         if self.max_iters < 0:
-            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
+            raise InvalidConfig(f"max_iters must be >= 0, got {self.max_iters}")
         if not 0.0 < self.step_size <= 1.0:
-            raise ValueError(f"step_size must lie in (0, 1], got {self.step_size}")
+            raise InvalidConfig(f"step_size must lie in (0, 1], got {self.step_size}")
         if self.clamp_floor <= 0.0:
-            raise ValueError(f"clamp_floor must be positive, got {self.clamp_floor}")
+            raise InvalidConfig(f"clamp_floor must be positive, got {self.clamp_floor}")
         if self.gamma is not None and self.gamma < 0.0:
-            raise ValueError(f"gamma must be non-negative, got {self.gamma}")
+            raise InvalidConfig(f"gamma must be non-negative, got {self.gamma}")
         if self.linsolve_tol <= 0.0:
-            raise ValueError(f"linsolve_tol must be positive, got {self.linsolve_tol}")
+            raise InvalidConfig(f"linsolve_tol must be positive, got {self.linsolve_tol}")
         if self.linsolve_reg is not None and self.linsolve_reg < 0.0:
-            raise ValueError(f"linsolve_reg must be non-negative, got {self.linsolve_reg}")
+            raise InvalidConfig(f"linsolve_reg must be non-negative, got {self.linsolve_reg}")
         if self.residual_tol <= 0.0:
-            raise ValueError(f"residual_tol must be positive, got {self.residual_tol}")
+            raise InvalidConfig(f"residual_tol must be positive, got {self.residual_tol}")
 
 
 @dataclass

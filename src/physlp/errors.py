@@ -5,6 +5,10 @@ class PhyslpError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InvalidConfig(PhyslpError, ValueError):
+    """A SolverConfig field is out of its range."""
+
+
 class DimensionMismatch(PhyslpError):
     """Array shapes are inconsistent with the problem dimensions."""
 
@@ -55,7 +59,3 @@ class TooLarge(PhyslpError):
 
 class InfeasibleDetected(PhyslpError):
     """No nonnegative basic solution exists."""
-
-
-class UnboundedUnsupported(PhyslpError):
-    """Problem appears unbounded; only bounded feasible sets are supported."""

@@ -1,19 +1,23 @@
 """Regularized SPD solves, their adjoints, and the weighted operator.
 
 Every dynamics step solves (L + reg*I) p = b with L = A W A^T symmetric
-positive semidefinite.  WeightedOperator holds a CSR copy of A and
-computes every product with A diag(w) A^T through it.  spd_solve, the
-one entry point at every size, factors L by Cholesky up to
-DIRECT_MAX_DIM rows; above, it assembles S = L + reg*I as a sparse
-matrix on the compressed pattern of A A^T, runs Jacobi-preconditioned
-CG on it from zero, and factors S only as a last resort.  weighted_solve, used by backward
-and jvp, reuses a stored factor and otherwise runs on the same sparse
-S; both run _solve, the one factor, refine and fall-back routine.
+positive semidefinite.  WeightedOperator holds a CSR copy of A and one
+map Q from w to the values of A diag(w) A^T on the nonzero pattern of
+A A^T plus its diagonal.  WeightedGram, op.at(w), computes Q @ w once
+and reads every form of L from it: dense, sparse, and its diagonal.
+spd_solve, the one entry point at every size, factors the dense
+L + reg*I by Cholesky up to DIRECT_MAX_DIM rows; above, it runs
+Jacobi-preconditioned CG from zero on the sparse one, and factors it
+only as a last resort.  DIRECT_MAX_DIM picks the method, never the
+values.  weighted_solve, used by backward and jvp, reuses a stored
+factor and otherwise runs on the same sparse matrix; both run _solve,
+the one factor, refine and fall-back routine.
 """
 
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -59,13 +63,12 @@ class WeightedOperator:
     A diag(w) A^T.
 
     A is the CSR matrix and AT its transpose (a CSC view of the same
-    arrays).  gram is one sparse product P @ w, with P built on the
-    first gram call (_gram_pattern), so operators whose steps run CG do
-    not pay for it.  P has sum_j nnz(a_j)^2 entries: four per column on
-    matching and path LPs, but n*m*m for a dense A.  CG steps use the
-    compressed pattern instead (_sparse_gram_pattern): one entry per
-    nonzero of A A^T, built on the first CG solve, so direct steps do
-    not pay for it.
+    arrays).  matvec multiplies by A diag(w) A^T + reg*I through A and
+    AT.  at(w) gives the matrix itself, whose entries all come from one
+    map Q of w, built on first use (_pattern, see _build_pattern).  Q
+    has a row per nonzero of A A^T plus the diagonal, and
+    sum_j nnz(a_j)^2 entries: four per column on matching and path LPs,
+    but about n*m*m for a dense A.
     """
 
     def __init__(self, A):
@@ -74,27 +77,12 @@ class WeightedOperator:
         # directly, at a sixth of the cost of csr_array(A)
         flat = np.flatnonzero(A != 0)
         indptr = np.searchsorted(flat, n * np.arange(m + 1))
-        data, indices = A.ravel()[flat], flat % n
-        self.A = scipy.sparse.csr_array((data, indices, indptr), shape=(m, n))
+        self.A = scipy.sparse.csr_array((A.ravel()[flat], flat % n, indptr), shape=(m, n))
         self.AT = self.A.T
-        self._A_sq = scipy.sparse.csr_array((data * data, indices, indptr), shape=(m, n))
 
     @cached_property
-    def _gram(self):
-        return _gram_pattern(self.A.tocsc())
-
-    @cached_property
-    def _sparse_pattern(self):
-        return _sparse_gram_pattern(self.A.tocsc())
-
-    def gram(self, w):
-        """A diag(w) A^T as a dense array."""
-        m = self.A.shape[0]
-        return (self._gram @ w).reshape(m, m)
-
-    def diag(self, w):
-        """The diagonal of A diag(w) A^T, (A * A) w."""
-        return self._A_sq @ w
+    def _pattern(self):
+        return _build_pattern(self.A.tocsc())
 
     def matvec(self, w, reg):
         """v -> A (w * (A^T v)) + reg*v, the product with A diag(w) A^T + reg*I."""
@@ -106,49 +94,25 @@ class WeightedOperator:
         return WeightedGram(self, w)
 
 
-@dataclass
-class WeightedGram:
-    """A diag(w) A^T as spd_solve takes it from the solver: built from a
-    validated A and w > 0, so not checked.  The dense matrix (dense) and
-    its values on the compressed pattern (_values) are computed on first
-    use."""
-
-    op: WeightedOperator
-    w: np.ndarray
-
-    @cached_property
-    def dense(self):
-        return self.op.gram(self.w)
-
-    @cached_property
-    def _values(self):
-        return self.op._sparse_pattern[2] @ self.w
-
-    def sparse(self, reg):
-        """A diag(w) A^T + reg*I as a CSR matrix with sorted indices."""
-        indptr, indices, _, diagonal = self.op._sparse_pattern
-        data = self._values.copy()
-        data[diagonal] += reg
-        m = indptr.size - 1
-        return scipy.sparse.csr_array((data, indices, indptr), shape=(m, m))
-
-    def default_regularization(self):
-        """default_regularization of the matrix, with the trace spd_solve
-        reads at this size: of dense up to DIRECT_MAX_DIM rows, else of
-        the sparse form."""
-        m = self.op.A.shape[0]
-        if m <= DIRECT_MAX_DIM:
-            trace = np.trace(self.dense)
-        else:
-            trace = self._values[self.op._sparse_pattern[3]].sum()
-        return AUTO_REG_SCALE * float(trace) / m
+class _Pattern(NamedTuple):
+    keys: np.ndarray  # row-major positions i*m + k of the entries, sorted
+    indptr: np.ndarray  # the same entries as CSR index arrays
+    indices: np.ndarray
+    Q: scipy.sparse.csc_array  # Q @ w gives their values
+    diagonal: np.ndarray  # positions of the diagonal entries
 
 
-def _column_pairs(C):
-    """Every ordered pair of nonzeros in one column of C, which is A in
-    CSC, grouped by column: column j adds w_j a_ij a_kj to entry (i, k)
-    of A diag(w) A^T.  Returns the flat row-major positions i*m + k,
-    the products a_ij a_kj, and the number of pairs of each column."""
+def _build_pattern(C):
+    """The entries of A diag(w) A^T that can be nonzero, and the map Q
+    from w to their values, as a _Pattern; C is A in CSC.
+
+    Column j adds w_j a_ij a_kj to entry (i, k) for each ordered pair of
+    its nonzeros.  The pattern is the deduplicated positions of those
+    pairs plus the whole diagonal, so that reg*I has a place in every
+    row.  Column j of Q holds the products a_ij a_kj of its pairs, each
+    at the row of its entry in the pattern: Q is CSC, grouped by column
+    as the pairs are made, so it is built without sorting.
+    """
     m, n = C.shape
     count = np.diff(C.indptr)
     col = np.repeat(np.arange(n), count)  # column of each nonzero
@@ -157,39 +121,62 @@ def _column_pairs(C):
     offset = np.arange(left.size) - np.repeat(np.cumsum(pairs) - pairs, pairs)
     right = C.indptr[col[left]] + offset  # the partners, same column
     flat = C.indices[left].astype(np.int64) * m + C.indices[right]
-    return flat, C.data[left] * C.data[right], count * count
-
-
-def _gram_pattern(C):
-    """A diag(w) A^T, flattened row-major, as a linear map P of w.
-
-    Column j of P holds a_ij a_kj at row i*m + k for each ordered pair of
-    column j's nonzeros (_column_pairs).  P is CSC, built from the pairs
-    without sorting.
-    """
-    m, n = C.shape
-    flat, products, per_column = _column_pairs(C)
-    indptr = np.concatenate(([0], np.cumsum(per_column)))
-    return scipy.sparse.csc_array((products, flat, indptr), shape=(m * m, n))
-
-
-def _sparse_gram_pattern(C):
-    """The nonzero pattern of A A^T plus its diagonal, as CSR arrays
-    (indptr, indices), the map Q with data = Q @ w for the values of
-    A diag(w) A^T on it, and the positions of the diagonal in data.
-
-    Built from the pairs of _column_pairs, deduplicated, so never
-    through the m*m rows of P.
-    """
-    m, n = C.shape
-    flat, products, per_column = _column_pairs(C)
     keys = np.concatenate((flat, np.arange(m, dtype=np.int64) * (m + 1)))
-    pattern, position = np.unique(keys, return_inverse=True)
-    columns = np.repeat(np.arange(n), per_column)
-    Q = scipy.sparse.csr_array((products, (position[:flat.size], columns)),
-                               shape=(pattern.size, n))
-    indptr = np.searchsorted(pattern, m * np.arange(m + 1))
-    return indptr, pattern % m, Q, position[flat.size:]
+    keys, entry = np.unique(keys, return_inverse=True)
+    Q_indptr = np.concatenate(([0], np.cumsum(count * count)))
+    Q = scipy.sparse.csc_array((C.data[left] * C.data[right], entry[:flat.size], Q_indptr),
+                               shape=(keys.size, n))
+    indptr = np.searchsorted(keys, m * np.arange(m + 1))
+    return _Pattern(keys, indptr, keys % m, Q, entry[flat.size:])
+
+
+@dataclass
+class WeightedGram:
+    """A diag(w) A^T as spd_solve takes it from the solver: built from a
+    validated A and w > 0, so not checked.
+
+    Its values on the operator's pattern, Q @ w, are computed once, on
+    first use, and every form is read from them: sparse(reg) for CG
+    steps, dense(reg) for direct ones, and the diagonal behind
+    default_regularization and the Jacobi preconditioner of a factored
+    weighted_solve.
+    """
+
+    op: WeightedOperator
+    w: np.ndarray
+
+    @cached_property
+    def _values(self):
+        return self.op._pattern.Q @ self.w
+
+    @cached_property
+    def _diagonal(self):
+        return self._values[self.op._pattern.diagonal]
+
+    def _shifted(self, reg):
+        data = self._values.copy()
+        data[self.op._pattern.diagonal] += reg
+        return data
+
+    def sparse(self, reg):
+        """A diag(w) A^T + reg*I as a CSR matrix with sorted indices."""
+        pattern = self.op._pattern
+        m = pattern.indptr.size - 1
+        return scipy.sparse.csr_array((self._shifted(reg), pattern.indices, pattern.indptr),
+                                      shape=(m, m))
+
+    def dense(self, reg):
+        """A diag(w) A^T + reg*I as a dense array, the values of sparse(reg)
+        scattered to their row-major positions."""
+        pattern = self.op._pattern
+        m = pattern.indptr.size - 1
+        S = np.zeros(m * m)
+        S[pattern.keys] = self._shifted(reg)
+        return S.reshape(m, m)
+
+    def default_regularization(self):
+        """default_regularization of the matrix, from its diagonal."""
+        return AUTO_REG_SCALE * float(self._diagonal.sum()) / self._diagonal.size
 
 
 def _check_spd_inputs(L, b):
@@ -251,9 +238,9 @@ def spd_solve(L, b, tol=1e-10, reg=None):
     """Solve (L + reg*I) p = b for symmetric positive (semi)definite L.
 
     L is a dense array, checked for shape, finiteness and symmetry, or
-    the unchecked WeightedGram op.at(w) of the solver, assembled sparse
-    above DIRECT_MAX_DIM rows.  reg=None applies the trace-scaled
-    default.  The achieved residual satisfies
+    the unchecked WeightedGram op.at(w) of the solver, assembled dense
+    up to DIRECT_MAX_DIM rows and sparse above.  reg=None applies the
+    trace-scaled default.  The achieved residual satisfies
     ||(L + reg*I) p - b|| <= tol * ||b|| or Breakdown is raised after
     both Cholesky and Jacobi-PCG have failed (see _solve).
     """
@@ -265,10 +252,10 @@ def spd_solve(L, b, tol=1e-10, reg=None):
         reg = L.default_regularization() if weighted else default_regularization(L)
     reg = float(reg)
 
-    if weighted and m > DIRECT_MAX_DIM:
-        S = L.sparse(reg)
+    if weighted:
+        S = L.sparse(reg) if m > DIRECT_MAX_DIM else L.dense(reg)
     else:
-        S = (L.dense if weighted else L) + reg * np.eye(m)
+        S = L + reg * np.eye(m)
     p, iters, res, cf = _solve(b, tol, S.__matmul__, S.diagonal, partial(_cholesky, S, b),
                                m <= DIRECT_MAX_DIM)
     return SpdSolveReport(p, iters, res, reg, cf)
@@ -279,8 +266,9 @@ def weighted_solve(op, w, reg, rhs, factor=None, tol=1e-10):
 
     op is the WeightedOperator of A and factor a Cholesky factor of that
     matrix (SpdSolveReport.factor of the solve that built it).  With a
-    factor, products with the matrix go through op.matvec; without one
-    they go through the sparse matrix that spd_solve's CG steps use.
+    factor, products with the matrix go through op.matvec and its
+    diagonal comes from op.at(w); without one they go through the
+    sparse matrix that spd_solve's CG steps use.
     z is accepted on backward error,
 
         ||S z - rhs|| <= tol * (||S|| ||z|| + ||rhs||),
@@ -295,7 +283,7 @@ def weighted_solve(op, w, reg, rhs, factor=None, tol=1e-10):
         S = op.at(w).sparse(reg)
         return _solve(rhs, tol, S.__matmul__, S.diagonal, partial(_cholesky, S, rhs),
                       False, tol)[0]
-    return _solve(rhs, tol, op.matvec(w, reg), lambda: op.diag(w) + reg,
+    return _solve(rhs, tol, op.matvec(w, reg), lambda: op.at(w)._diagonal + reg,
                   partial(_cholesky, None, rhs, factor), True, tol)[0]
 
 

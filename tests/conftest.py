@@ -1,12 +1,13 @@
-"""Shared instances: sparse LPs on the direct and the CG path, and one
-with flipped columns."""
+"""Shared instances: sparse LPs on the direct and the CG path, one
+with flipped columns, and one with a dense A."""
 
 import numpy as np
 import pytest
 
 from physlp import StandardFormLP
-from physlp.problems import (Graph, MatchingInstance, build_matching_lp,
-                             build_shortest_path_lp)
+from physlp.problems import (GaussianKernel, Graph, MatchingInstance, SvmInstance,
+                             build_l1svm_lp, build_matching_lp,
+                             build_shortest_path_lp, two_gaussian_blobs)
 
 
 @pytest.fixture(scope="session")
@@ -46,3 +47,11 @@ def signed_sparse_40x400():
     A[np.arange(40), rng.choice(400, size=40, replace=False)] = 1.0
     c = rng.uniform(0.1, 1.0, size=400) * np.where(rng.uniform(size=400) < 0.2, -1.0, 1.0)
     return StandardFormLP(A, A @ rng.uniform(0.1, 1.0, size=400), c, box_bound=2.0)
+
+
+@pytest.fixture(scope="session")
+def svm_20():
+    """The svm-demo LP on 20 points (80x182, 18% nonzeros): a dense A,
+    whose Gram pattern is built from 145k column pairs (direct solves)."""
+    points, labels = two_gaussian_blobs(10, 4, 2.0, np.random.default_rng(0))
+    return build_l1svm_lp(SvmInstance(points, labels, GaussianKernel(sigma=1.0), c_reg=2.0))

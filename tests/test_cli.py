@@ -151,6 +151,16 @@ def test_match_bench_rejects_n_above_m(capsys):
     assert rc == 1 and "n <= m" in err
 
 
+@pytest.mark.parametrize("flags", [["--trials", "0"], ["--iters", "0"],
+                                   ["--iters", "5", "0"], ["--iters", "-1"]])
+def test_match_bench_rejects_no_trials_and_empty_budgets(flags, capsys):
+    # a mean over no records would print mean_error=nan and exit 0
+    rc, out, err = run(capsys, ["match-bench", "--n", "2", "--m", "4",
+                                "--trials", "2"] + flags)
+    assert rc == 1 and out == ""
+    assert err.startswith("error:") and "at least 1" in err
+
+
 def test_match_bench_fully_constrained_is_exact(capsys):
     rc, stdout, _ = run(capsys, ["match-bench", "--n", "1", "--m", "1",
                                  "--trials", "3", "--iters", "50"])
@@ -257,3 +267,22 @@ def test_shortest_path_same_endpoints_is_input_error(tmp_path, capsys):
     rc, _, _ = run(capsys, ["shortest-path", "--graph", g, "--source", "1",
                             "--sink", "1"])
     assert rc == 1
+
+
+# ------------------------------------------------------- solver config
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--lp", "LP", "--step", "2"],
+    ["shortest-path", "--graph", "GRAPH", "--source", "0", "--sink", "1",
+     "--iters", "-1"],
+    ["match-bench", "--n", "2", "--m", "4", "--trials", "1", "--step", "0"],
+    ["svm-demo", "--iters", "-3"],
+    ["learn-cost", "--inner-step", "2"],
+])
+def test_invalid_solver_config_is_input_error(argv, tmp_path, capsys):
+    files = {"LP": write_toy_lp(tmp_path / "toy.json"),
+             "GRAPH": write_graph(tmp_path / "g.json", 2, [[0, 1, 1.0]])}
+    rc, _, err = run(capsys, [files.get(a, a) for a in argv])
+    assert rc == 1
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")

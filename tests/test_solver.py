@@ -197,7 +197,7 @@ def test_operator_follows_the_lp_it_belongs_to(signed_sparse_40x400):
     assert prep.lp.operator is prep.lp.operator
     w = np.random.default_rng(5).uniform(0.1, 2.0, size=prep.lp.n)
     want = (A * w) @ A.T
-    assert np.abs(prep.lp.operator.gram(w) - want).max() <= 1e-14 * np.abs(want).max()
+    assert np.abs(prep.lp.operator.at(w).dense(0.0) - want).max() <= 1e-14 * np.abs(want).max()
     cfg = SolverConfig(seed=5)
     det = step_detail(prep, initial_state(prep, cfg), cfg)
     assert np.all(det.x_new >= cfg.clamp_floor)
@@ -229,37 +229,31 @@ def test_matrix_free_default_reg_is_the_assembled_one(dag_600):
     prep = prepare_lp(dag_600)
     op, A = prep.lp.operator, prep.lp.A
     w = initial_state(prep, SolverConfig(seed=4)) / prep.lp.c
-    for L in (op.gram(w), (A * w) @ A.T):
-        want = default_regularization(L)
-        assert abs(op.at(w).default_regularization() - want) <= 1e-12 * want
+    want = default_regularization((A * w) @ A.T)
+    assert abs(op.at(w).default_regularization() - want) <= 1e-12 * want
     report = linalg.spd_solve(op.at(w), prep.lp.b)
     assert report.regularization_used == op.at(w).default_regularization()
     assert report.factor is None
 
 
-def test_matrix_free_steps_skip_the_gram_pattern(dag_600):
-    prep = prepare_lp(dag_600)
-    cfg = SolverConfig(seed=4)
-    det = step_detail(prep, initial_state(prep, cfg), cfg)
-    assert det.factor is None
-    assert "_gram" not in vars(prep.lp.operator)
-
-
-@pytest.mark.parametrize("name", ["dag_600", "signed_sparse_40x400"])
+@pytest.mark.parametrize("name", ["matching_5x50", "dag_600", "signed_sparse_40x400", "svm_20"])
 def test_sparse_matrix_is_the_dense_gram(name, request):
     # S = A diag(w) A^T + reg*I on the compressed pattern, which CG steps
-    # and factorless weighted solves use, against the P @ w assembly
+    # and factorless weighted solves use, against a dense product; the
+    # dense form that direct steps factor comes from the same values, so
+    # it is S bit for bit
     prep = prepare_lp(request.getfixturevalue(name))
-    op = prep.lp.operator
+    op, A = prep.lp.operator, prep.lp.A
     w = np.random.default_rng(9).uniform(0.1, 2.0, size=prep.lp.n)
     reg = 1e-3
     S = op.at(w).sparse(reg)
-    want = op.gram(w) + reg * np.eye(prep.lp.m)
+    want = (A * w) @ A.T + reg * np.eye(prep.lp.m)
     assert S.has_sorted_indices
     assert S.nnz == np.count_nonzero(want)
     assert np.array_equal(S.toarray() != 0, want != 0)
     assert np.abs(S.toarray() - want).max() <= 1e-14 * np.abs(want).max()
-    diag = op.diag(w) + reg
+    assert np.array_equal(op.at(w).dense(reg), S.toarray())
+    diag = np.diag(want)
     assert np.abs(S.diagonal() - diag).max() <= 1e-14 * diag.max()
 
 
@@ -271,13 +265,6 @@ def test_sparse_matrix_keeps_the_diagonal_of_an_empty_row():
     assert np.array_equal(S.toarray(), (A * w) @ A.T + 0.5 * np.eye(3))
 
 
-def test_direct_steps_skip_the_sparse_pattern(matching_5x50):
-    res, tape = solve_with_tape(matching_5x50, SolverConfig(max_iters=3))
-    assert len(res.trace) == 3
-    assert all(det.factor is not None for det in tape.steps)
-    assert "_sparse_pattern" not in vars(tape.prep.lp.operator)
-
-
 def test_residual_through_the_flipped_operator(signed_sparse_40x400):
     lp = signed_sparse_40x400
     assert prepare_lp(lp).flip_mask.any()
@@ -286,9 +273,9 @@ def test_residual_through_the_flipped_operator(signed_sparse_40x400):
 
 
 def forbid_assembly(monkeypatch):
-    def gram(self, w):
+    def dense(self, reg):
         raise AssertionError("L was assembled")
-    monkeypatch.setattr(linalg.WeightedOperator, "gram", gram)
+    monkeypatch.setattr(linalg.WeightedGram, "dense", dense)
 
 
 def test_matrix_free_steps_never_form_L(dag_600, monkeypatch):
@@ -322,7 +309,8 @@ def test_matrix_free_step_falls_back_to_cholesky(dag_600, monkeypatch):
     cfg = SolverConfig(max_iters=3, seed=6)
     det = step_detail(prep, initial_state(prep, cfg), cfg)
     assert det.factor is not None
-    S = prep.lp.operator.gram(det.x_prev / prep.lp.c) + det.reg_used * np.eye(prep.lp.m)
+    A = prep.lp.A
+    S = (A * (det.x_prev / prep.lp.c)) @ A.T + det.reg_used * np.eye(prep.lp.m)
     assert np.linalg.norm(S @ det.p - prep.lp.b) <= 1e-10 * np.linalg.norm(prep.lp.b)
     res = solve(dag_600, cfg)
     assert res.status is not SolveStatus.LINSOLVE_FAILURE
@@ -337,7 +325,32 @@ def test_weighted_solve_without_a_factor_falls_back_to_cholesky(dag_600, monkeyp
     reg = op.at(w).default_regularization()
     rhs = np.random.default_rng(6).normal(size=prep.lp.m)
     z = linalg.weighted_solve(op, w, reg, rhs, None)
-    S = op.gram(w) + reg * np.eye(prep.lp.m)
+    A = prep.lp.A
+    S = (A * w) @ A.T + reg * np.eye(prep.lp.m)
+    bound = 1e-10 * (np.diag(S).max() * np.linalg.norm(z) + np.linalg.norm(rhs))
+    assert np.linalg.norm(S @ z - rhs) <= bound
+
+
+def test_factored_weighted_solve_refines_with_the_jacobi_diagonal(matching_5x50, monkeypatch):
+    # the factor of another matrix misses the target, so PCG refines its
+    # answer, preconditioned by the diagonal of A diag(w) A^T + reg*I
+    prep = prepare_lp(matching_5x50)
+    op, A = prep.lp.operator, prep.lp.A
+    rng = np.random.default_rng(11)
+    w = rng.uniform(0.1, 2.0, size=prep.lp.n)
+    reg = 1e-3
+    stale = linalg.spd_solve(op.at(2.0 * w), prep.lp.b, reg=reg).factor
+    pcg, seen = linalg._pcg, []
+
+    def spy(mv, b, diag, x0, target, max_iters):
+        seen.append(diag)
+        return pcg(mv, b, diag, x0, target, max_iters)
+    monkeypatch.setattr(linalg, "_pcg", spy)
+    rhs = rng.normal(size=prep.lp.m)
+    z = linalg.weighted_solve(op, w, reg, rhs, stale)
+    S = (A * w) @ A.T + reg * np.eye(prep.lp.m)
+    assert len(seen) == 1
+    assert np.abs(seen[0] - np.diag(S)).max() <= 1e-14 * np.diag(S).max()
     bound = 1e-10 * (np.diag(S).max() * np.linalg.norm(z) + np.linalg.norm(rhs))
     assert np.linalg.norm(S @ z - rhs) <= bound
 
