@@ -18,7 +18,9 @@ A diag(w) A^T + reg*I that the forward CG steps use, when the step had
 no factor), and gA comes from one GEMM over the 2K stacked per-step
 vectors at the end.
 jvp forms dL p the same way.  Both accept their solves on backward
-error.
+error, to cfg.linsolve_tol on factored steps and to at most
+CG_ADJOINT_TOL on CG steps, whose forward solves ran to the looser
+solver.forward_tol.
 
 The clamp back-propagates as a subgradient: pass-through where the
 pre-clamp value stayed strictly above the floor, zero where the clamp
@@ -39,6 +41,20 @@ from .errors import DimensionMismatch
 # backward and jvp solve with the recorded factors instead.
 from .linalg import spd_solve, spd_solve_adjoint, weighted_solve  # noqa: F401
 from .solver import _solve_loop, step_detail
+
+# Relative target of the adjoint and tangent solves of steps without a
+# factor (CG steps), when cfg.linsolve_tol is looser.  weighted_solve
+# accepts z on a backward-error bound, which on ill-conditioned DAG
+# Laplacians allows a large forward error: on a 100-step tape of a
+# 600-node DAG, backward and jvp missed the dot-product test by 6.6e-4
+# at 1e-10, 4.3e-7 at 1e-12 and 1.9e-11 at 1e-14.  Factored steps keep
+# cfg.linsolve_tol, which their Cholesky solves meet anyway.
+CG_ADJOINT_TOL = 1e-14
+
+
+def _adjoint_tol(det, cfg):
+    """Target of the backward or tangent solve of the step det."""
+    return cfg.linsolve_tol if det.factor is not None else min(cfg.linsolve_tol, CG_ADJOINT_TOL)
 
 
 @dataclass
@@ -71,16 +87,17 @@ class UnrolledTape:
     def replay(self):
         """Recompute the forward pass from the stored initial point.
 
-        Uses the recorded per-iteration regularization and the same
-        operator, so each step takes the recorded path (factored or
-        CG) and the replay is bit-identical to the recorded trajectory
-        on one platform.
+        Uses the recorded per-iteration regularization and solve
+        target and the same operator, so each step takes the recorded
+        path (factored or CG) and the replay is bit-identical to the
+        recorded trajectory on one platform.
         Returns the list of post-clamp iterates.
         """
         x = self.x0.copy()
         iterates = []
         for det in self.steps:
-            redo = step_detail(self.prep, x, self.cfg, reg_override=det.reg_used)
+            redo = step_detail(self.prep, x, self.cfg, reg_override=det.reg_used,
+                               tol=det.tol_used)
             x = redo.x_new
             iterates.append(x)
         return iterates
@@ -168,7 +185,8 @@ def backward(tape, grad_x):
         gu = w * gq
         # p = S^{-1} b with S = A diag(w) A^T + reg*I: z = S^{-1} (A gu),
         # and the rank-1 gL = -outer(z, p) gives gw = -(A^T z) * u
-        z = weighted_solve(op, w, det.reg_used, op.A @ gu, det.factor, tape.cfg.linsolve_tol)
+        z = weighted_solve(op, w, det.reg_used, op.A @ gu, det.factor,
+                           _adjoint_tol(det, tape.cfg))
         gb += z
         v = op.AT @ z
         gw = det.u * (gq - v)
@@ -225,7 +243,7 @@ def jvp(tape, dc=None, dA=None, db=None):
         dAt_p = dA_w.T @ p
         dL_p = dA_w @ (w * u) + op.A @ (dw * u + w * dAt_p)
         dp = weighted_solve(op, w, det.reg_used, db_w - dL_p, det.factor,
-                            tape.cfg.linsolve_tol)
+                            _adjoint_tol(det, tape.cfg))
         du = dAt_p + op.AT @ dp
         dx = (1.0 - h) * dx + h * (dw * u + w * du)
         dx = np.where(det.clamp_mask, dx, 0.0)

@@ -52,6 +52,16 @@ def _fail(message, code):
     return code
 
 
+def _not_positive(args, *names):
+    """The error message for the first of args' named flags whose value
+    is not positive (NaN included), or None when all are."""
+    for name in names:
+        value = getattr(args, name)
+        if not value > 0:
+            return f"--{name.replace('_', '-')} must be positive, got {value}"
+    return None
+
+
 # ---------------------------------------------------------------- solve
 
 def cmd_solve(args):
@@ -110,6 +120,8 @@ def _match_trial(payload):
 
 
 def cmd_match_bench(args):
+    if bad := _not_positive(args, "n"):
+        return _fail(bad, EXIT_IO)
     if args.n > args.m:
         return _fail(f"need n <= m, got n={args.n} m={args.m}", EXIT_IO)
     if args.trials < 1:
@@ -161,6 +173,8 @@ def cmd_match_bench(args):
 # ------------------------------------------------------------- svm-demo
 
 def cmd_svm_demo(args):
+    if bad := _not_positive(args, "n_per_class", "dim", "c_reg", "big_m"):
+        return _fail(bad, EXIT_IO)
     rng = np.random.default_rng(args.seed)
     points, labels = two_gaussian_blobs(args.n_per_class, args.dim, args.sep, rng)
     kernel = LinearKernel() if args.kernel == "linear" \
@@ -201,6 +215,8 @@ def _parse_target(text):
 
 
 def cmd_learn_cost(args):
+    if bad := _not_positive(args, "n"):
+        return _fail(bad, EXIT_IO)
     target = args.target if args.target is not None else list(range(args.n))
     if len(target) != args.n or any(t < 0 or t >= args.m for t in target):
         return _fail(f"target must list {args.n} distinct columns below "

@@ -31,6 +31,19 @@ from .linalg import spd_solve
 # this many consecutive iterations (plus a satisfied residual) to stop.
 STALL_WINDOW = 3
 
+# Forcing term of the forward CG solves (Eisenstat & Walker, SIAM J.
+# Sci. Comput. 1996, applied to the IRLS view of the dynamics).  A step
+# of size h whose solve leaves the residual r = S p - b gives the next
+# iterate the infeasibility
+#     A x+ - b = (1 - h)(A x - b) + h (r - reg p) + (clamp),
+# so r passes into it as it stands.  Solving to a relative target of
+# FORCING * ||A x - b|| / ||b|| adds at most h * FORCING * ||A x - b||:
+# the residual still falls by about (1 - h + h * FORCING) per step,
+# down to the clamp floor, which holds ||A x - b|| near 1e-6 anyway.
+# A tighter solve buys accuracy the next step discards.  A direct
+# step's Cholesky answer meets any such target, so only CG steps change.
+FORCING = 0.03
+
 
 def default_gamma(m, n):
     """Perturbation for zero costs, 1 / (2 sqrt(m + n)) for an m-by-n LP."""
@@ -144,15 +157,19 @@ class StepDetail:
     the reverse sweep without re-forming or re-factoring A diag(w) A^T.
 
     The update is x_new = max((1-h) x_prev + h * w * u, eps) with
-    u = A^T p, p = (A diag(w) A^T + reg*I)^{-1} b and w = x_prev / c_hat.
+    u = A^T p, w = x_prev / c_hat and p the solution of
+    (A diag(w) A^T + reg*I) p = b to relative residual tol_used.
     factor is the SpdSolveReport.factor of the step's spd_solve call,
     the Cholesky factor of that matrix in cho_factor form, which
     backward and jvp reuse for their own solves.  Above
     linalg.DIRECT_MAX_DIM rows spd_solve runs CG on the matrix
     assembled sparse, and the step stores no factor (None) unless CG
     failed and the Cholesky last resort ran.  clamp_mask is True where
-    the pre-clamp value stayed strictly above eps.  Per step this is at
-    most one m-by-m factor plus four n-vectors and one m-vector.
+    the pre-clamp value stayed strictly above eps.  reg_used and
+    tol_used are the Tikhonov term and the relative solve target the
+    step ran with, which replay passes back to take the same path to
+    the same p.  Per step this is at most one m-by-m factor plus four
+    n-vectors and one m-vector.
     """
 
     x_prev: np.ndarray
@@ -162,10 +179,11 @@ class StepDetail:
     x_new: np.ndarray
     clamp_mask: np.ndarray
     reg_used: float
+    tol_used: float
     linsolve_iterations: int
 
 
-def step_detail(prep, x, cfg, reg_override=None):
+def step_detail(prep, x, cfg, reg_override=None, tol=None):
     """One dynamics update from the iterate x, with full intermediates;
     the next iterate is its x_new.
 
@@ -175,8 +193,10 @@ def step_detail(prep, x, cfg, reg_override=None):
     Tikhonov term to an exact value (used when replaying a recorded
     trajectory, which then takes the same path); otherwise
     cfg.linsolve_reg is used, with one 100x retry after a linear-solve
-    breakdown.  Weights x / c that are not finite raise LinSolveFailure
-    before any solve.
+    breakdown.  tol is the relative target handed to spd_solve,
+    cfg.linsolve_tol when None; _solve_loop passes forward_tol of the
+    iterate's residual.  Weights x / c that are not finite raise
+    LinSolveFailure before any solve.
     """
     op = prep.lp.operator
     h = cfg.step_size
@@ -186,7 +206,8 @@ def step_detail(prep, x, cfg, reg_override=None):
     if not np.isfinite(w).all():
         raise LinSolveFailure("the weights x / c are not finite, so A diag(w) A^T is not either")
     gram = op.at(w)
-    solve_with = partial(spd_solve, gram, prep.lp.b, cfg.linsolve_tol)
+    tol = cfg.linsolve_tol if tol is None else tol
+    solve_with = partial(spd_solve, gram, prep.lp.b, tol)
     if reg_override is not None:
         report = solve_with(reg_override)
     else:
@@ -204,7 +225,7 @@ def step_detail(prep, x, cfg, reg_override=None):
     clamp_mask = pre > eps
     x_new = np.maximum(pre, eps)
     return StepDetail(x, report.factor, p, u, x_new, clamp_mask,
-                      report.regularization_used, report.iterations)
+                      report.regularization_used, tol, report.iterations)
 
 
 def initial_state(prep, cfg, x0=None):
@@ -229,6 +250,16 @@ def initial_state(prep, cfg, x0=None):
     return np.maximum(y0, cfg.clamp_floor)
 
 
+def forward_tol(cfg, residual, bnorm):
+    """Relative solve target of a forward step from an iterate whose
+    residual ||A x - b|| is residual, with bnorm = ||b||:
+    max(cfg.linsolve_tol, FORCING * min(1, residual / bnorm)).  The cap
+    keeps the target below 1, so a step from a far-infeasible start
+    still moves; a zero b (whose solve is exact) gets FORCING."""
+    ratio = residual / bnorm if residual < bnorm else 1.0
+    return max(cfg.linsolve_tol, FORCING * ratio)
+
+
 def _stalled(objectives, tol):
     """Relative objective change over the last STALL_WINDOW iterations."""
     if len(objectives) < STALL_WINDOW + 1:
@@ -249,10 +280,18 @@ def _evaluate(prep, b, y):
 
 
 def _solve_loop(lp, cfg, x0, early_stop, record_steps):
-    """Shared forward loop; returns (result, prepared lp, y0, steps)."""
+    """Shared forward loop; returns (result, prepared lp, y0, steps).
+
+    Each step solves to forward_tol of the residual of its input: the
+    trace residual of the previous iterate, and one more evaluation for
+    y0.  That residual is against the original data, which equals the
+    working LP's (see _evaluate), and bnorm is the working ||b||, the
+    right-hand side of the solves."""
     prep = prepare_lp(lp, cfg.gamma)
     y0 = initial_state(prep, cfg, x0)
     y = y0
+    bnorm = float(np.linalg.norm(prep.lp.b))
+    res = _evaluate(prep, lp.b, y0)[2]
 
     steps = [] if record_steps else None
     trace = []
@@ -260,7 +299,7 @@ def _solve_loop(lp, cfg, x0, early_stop, record_steps):
     status = SolveStatus.MAX_ITERS
     for k in range(1, cfg.max_iters + 1):
         try:
-            det = step_detail(prep, y, cfg)
+            det = step_detail(prep, y, cfg, tol=forward_tol(cfg, res, bnorm))
         except LinSolveFailure:
             status = SolveStatus.LINSOLVE_FAILURE
             break

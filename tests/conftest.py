@@ -25,9 +25,8 @@ def matching_50x100():
 
 
 @pytest.fixture(scope="session")
-def dag_600():
-    """Unit-flow LP on a 600-node DAG of out-degree 3 (599x1794): more
-    rows than linalg.DIRECT_MAX_DIM, so CG on the sparse A W A^T."""
+def dag_600_graph():
+    """A 600-node DAG of out-degree 3 (1794 arcs i -> j > i)."""
     rng = np.random.default_rng(1)
     nodes = 600
     arcs = []
@@ -35,7 +34,14 @@ def dag_600():
         k = min(3, nodes - 1 - i)
         heads = i + 1 + rng.choice(nodes - 1 - i, size=k, replace=False)
         arcs += [(i, int(j), float(w)) for j, w in zip(heads, rng.uniform(0.01, 1.0, size=k))]
-    return build_shortest_path_lp(Graph(nodes, arcs), 0, nodes - 1)
+    return Graph(nodes, arcs)
+
+
+@pytest.fixture(scope="session")
+def dag_600(dag_600_graph):
+    """Unit-flow LP from node 0 to node 599 of dag_600_graph (599x1794):
+    more rows than linalg.DIRECT_MAX_DIM, so CG on the sparse A W A^T."""
+    return build_shortest_path_lp(dag_600_graph, 0, dag_600_graph.num_nodes - 1)
 
 
 @pytest.fixture(scope="session")

@@ -85,10 +85,12 @@ def test_tape_replay_bit_identical():
 @pytest.mark.parametrize("name, factored", [("matching_50x100", True), ("dag_600", False)])
 def test_tape_replay_bit_identical_on_csr_operators(name, factored, request):
     # replay takes the recorded path: CSR assembly and Cholesky on the
-    # matching, CG on the sparse matrix on the DAG
+    # matching, CG on the sparse matrix on the DAG, each step to the
+    # target it recorded
     lp = request.getfixturevalue(name)
-    _, tape = solve_with_tape(lp, SolverConfig(max_iters=8, seed=2))
+    _, tape = solve_with_tape(lp, SolverConfig(max_iters=30, seed=2))
     assert all((det.factor is not None) == factored for det in tape.steps)
+    assert len({det.tol_used for det in tape.steps}) > 10
     for det, x in zip(tape.steps, tape.replay()):
         assert np.array_equal(det.x_new, x)
 
@@ -264,6 +266,21 @@ def test_dot_product_on_cg_steps(monkeypatch):
     assert all(det.factor is None and det.linsolve_iterations > 0 for det in tape.steps)
     g = rng.normal(size=lp.n)
     dc, dA, db = rng.normal(size=lp.n), rng.normal(size=(lp.m, lp.n)), rng.normal(size=lp.m)
+    grads = backward(tape, g)
+    lhs = float(g @ jvp(tape, dc=dc, dA=dA, db=db))
+    rhs = float(grads.grad_c @ dc + (grads.grad_A * dA).sum() + grads.grad_b @ db)
+    assert abs(lhs - rhs) <= 1e-8 * max(abs(lhs), abs(rhs))
+
+
+def test_dot_product_on_a_long_cg_tape(dag_600):
+    # the adjoint and tangent solves of CG steps run to CG_ADJOINT_TOL,
+    # which holds backward and jvp together over 100 steps
+    _, tape = solve_with_tape(dag_600, SolverConfig(max_iters=100, seed=7))
+    assert all(det.factor is None for det in tape.steps)
+    rng = np.random.default_rng(4)
+    g = rng.normal(size=dag_600.n)
+    dc, dA, db = (rng.normal(size=dag_600.n), rng.normal(size=(dag_600.m, dag_600.n)),
+                  rng.normal(size=dag_600.m))
     grads = backward(tape, g)
     lhs = float(g @ jvp(tape, dc=dc, dA=dA, db=db))
     rhs = float(grads.grad_c @ dc + (grads.grad_A * dA).sum() + grads.grad_b @ db)

@@ -248,6 +248,15 @@ def test_shortest_path_single_arc_prints_weight(tmp_path, capsys):
     assert json.loads(out.rsplit("\n", 2)[0])["within_tolerance"]
 
 
+def test_shortest_path_on_a_dag_above_the_direct_cutoff(dag_600_graph, tmp_path, capsys):
+    # 599 rows: every step runs CG, the only CLI run that does
+    g = write_graph(tmp_path / "dag.json", **dag_600_graph.to_dict())
+    rc, out, _ = run(capsys, ["shortest-path", "--graph", g, "--source", "0",
+                              "--sink", "599"])
+    report = json.loads(out.rsplit("\n", 2)[0])
+    assert rc == 0 and report["relative_gap"] <= 1e-3
+
+
 def test_shortest_path_unreachable_is_solver_error(tmp_path, capsys):
     g = write_graph(tmp_path / "split.json", 3, [[0, 1, 1.0]])
     rc, _, err = run(capsys, ["shortest-path", "--graph", g, "--source", "0",
@@ -280,6 +289,23 @@ def test_shortest_path_same_endpoints_is_input_error(tmp_path, capsys):
     ["learn-cost", "--inner-step", "2"],
 ])
 def test_invalid_solver_config_is_input_error(argv, tmp_path, capsys):
+    assert_input_error(argv, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["svm-demo", "--c-reg", "0"],
+    ["svm-demo", "--big-m", "0"],
+    ["svm-demo", "--dim", "0"],
+    ["svm-demo", "--n-per-class", "0"],
+    ["match-bench", "--n", "0", "--m", "5"],
+    ["learn-cost", "--n", "0"],
+])
+def test_non_positive_size_or_weight_is_input_error(argv, tmp_path, capsys):
+    # rejected before the problem builders raise on them
+    assert_input_error(argv, tmp_path, capsys)
+
+
+def assert_input_error(argv, tmp_path, capsys):
     files = {"LP": write_toy_lp(tmp_path / "toy.json"),
              "GRAPH": write_graph(tmp_path / "g.json", 2, [[0, 1, 1.0]])}
     rc, _, err = run(capsys, [files.get(a, a) for a in argv])

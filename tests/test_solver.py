@@ -408,23 +408,74 @@ def dense_residuals(tape):
     return np.array(out)
 
 
+def input_residuals(lp, res, tape):
+    """||A x - b|| of each step's input: the residual of y0, then the
+    trace residuals of all but the last iterate."""
+    first = feasibility_residual(lp, tape.prep.decode(tape.x0))
+    return np.array([first] + [r.residual for r in res.trace[:-1]])
+
+
 def test_cg_steps_meet_the_tolerance(dag_600):
+    # every CG step meets its own target, forward_tol of the residual
+    # of its input, and no looser one
     cfg = SolverConfig(max_iters=100, seed=7)
-    _, tape = solve_with_tape(dag_600, cfg)
+    res, tape = solve_with_tape(dag_600, cfg)
     assert all(det.factor is None for det in tape.steps)
-    assert dense_residuals(tape).max() <= cfg.linsolve_tol
+    tols = np.array([det.tol_used for det in tape.steps])
+    assert np.all(dense_residuals(tape) <= tols)
+    ratio = np.minimum(1.0, input_residuals(dag_600, res, tape) / np.linalg.norm(dag_600.b))
+    expected = np.maximum(cfg.linsolve_tol, solver.FORCING * ratio)
+    assert tols == pytest.approx(expected, rel=1e-12, abs=0.0)
+    # the targets follow the residual: loose from the random start,
+    # tighter as the iterate becomes feasible
+    assert tols[0] == solver.FORCING and tols[-1] < 1e-6
 
 
 def test_cg_steps_do_not_depend_on_the_previous_step(dag_600):
     # each step's CG starts from zero, so solving a recorded iterate
-    # again on its own gives the same p after the same CG count
+    # again on its own, to its recorded target, gives the same p after
+    # the same CG count
     cfg = SolverConfig(max_iters=30, seed=7)
     res, tape = solve_with_tape(dag_600, cfg)
     op, b, c = tape.prep.lp.operator, tape.prep.lp.b, tape.prep.lp.c
     for det, record in zip(tape.steps, res.trace):
-        again = linalg.spd_solve(op.at(det.x_prev / c), b, cfg.linsolve_tol, det.reg_used)
+        again = linalg.spd_solve(op.at(det.x_prev / c), b, det.tol_used, det.reg_used)
         assert again.iterations == det.linsolve_iterations == record.linsolve_iterations
         assert np.array_equal(again.p, det.p)
+
+
+def test_forward_targets_stay_at_or_below_the_forcing_term(dag_600):
+    # a start far from feasible gives the capped target FORCING < 1, so
+    # the first steps still run CG and move
+    cfg = SolverConfig(max_iters=20, seed=3)
+    res, tape = solve_with_tape(dag_600, cfg, x0=np.full(dag_600.n, 1e3))
+    assert tape.steps[0].tol_used == solver.FORCING
+    assert all(cfg.linsolve_tol <= det.tol_used <= solver.FORCING for det in tape.steps)
+    assert all(det.linsolve_iterations > 0 for det in tape.steps)
+    assert res.trace[-1].residual < 1e-3 * input_residuals(dag_600, res, tape)[0]
+
+
+@pytest.mark.parametrize("name, iters", [("matching_5x50", 100), ("matching_50x100", 50)])
+def test_forcing_leaves_direct_steps_alone(name, iters, request, monkeypatch):
+    # a Cholesky answer meets the tightest target, so a looser one
+    # returns the same p
+    lp = request.getfixturevalue(name)
+    cfg = SolverConfig(max_iters=iters, seed=5)
+    loose = solve(lp, cfg, early_stop=False)
+    monkeypatch.setattr(solver, "FORCING", 0.0)
+    tight = solve(lp, cfg, early_stop=False)
+    assert np.array_equal(loose.x, tight.x)
+    assert loose.trace == tight.trace
+
+
+def test_forcing_cuts_cg_iterations_not_accuracy(dag_600, monkeypatch):
+    cfg = SolverConfig(max_iters=100, seed=7)
+    loose = solve(dag_600, cfg, early_stop=False)
+    monkeypatch.setattr(solver, "FORCING", 0.0)
+    tight = solve(dag_600, cfg, early_stop=False)
+    cg = [sum(r.linsolve_iterations for r in res.trace) for res in (loose, tight)]
+    assert cg[0] <= 0.7 * cg[1]
+    assert np.abs(loose.x - tight.x).max() <= 1e-6
 
 
 # -------------------------------------------------------------- solve
