@@ -13,14 +13,14 @@ mask; w = x_prev / c_hat is recomputed.  The solve adjoint
 gL = -outer(z, p) has rank one, so backward never forms an m-by-m or
 m-by-n array per step: each step costs a few products with A through
 the LP's WeightedOperator, the CSR copy the forward pass used,
-and two triangular solves against the stored factor (PCG on the sparse
-A diag(w) A^T + reg*I that the forward CG steps use, when the step had
-no factor), and gA comes from one GEMM over the 2K stacked per-step
-vectors at the end.
-jvp forms dL p the same way.  Both accept their solves on backward
-error, to cfg.linsolve_tol on factored steps and to at most
-CG_ADJOINT_TOL on CG steps, whose forward solves ran to the looser
-solver.forward_tol.
+and one spd_solve: two triangular solves against the stored factor, or
+PCG on the sparse A diag(w) A^T + reg*I that the forward CG steps use
+when the step had no factor.  gA comes from one GEMM over the 2K
+stacked per-step vectors at the end.
+jvp forms dL p the same way.  spd_solve accepts every solve on backward
+error; backward and jvp ask for cfg.linsolve_tol on factored steps and
+at most CG_ADJOINT_TOL on CG steps, whose forward solves ran to the
+looser solver.forward_tol.
 
 The clamp back-propagates as a subgradient: pass-through where the
 pre-clamp value stayed strictly above the floor, zero where the clamp
@@ -36,14 +36,14 @@ import numpy as np
 
 from .core import SolverConfig, validate
 from .errors import DimensionMismatch
-# spd_solve and spd_solve_adjoint, the SPD solve and its adjoint, stay
-# importable from this module for callers that look them up here;
-# backward and jvp solve with the recorded factors instead.
-from .linalg import spd_solve, spd_solve_adjoint, weighted_solve  # noqa: F401
+# backward and jvp solve through spd_solve.  spd_solve_adjoint stays
+# imported here unused: the benchmark's traced run looks it up on this
+# module.
+from .linalg import spd_solve, spd_solve_adjoint  # noqa: F401
 from .solver import _solve_loop, step_detail
 
 # Relative target of the adjoint and tangent solves of steps without a
-# factor (CG steps), when cfg.linsolve_tol is looser.  weighted_solve
+# factor (CG steps), when cfg.linsolve_tol is looser.  spd_solve
 # accepts z on a backward-error bound, which on ill-conditioned DAG
 # Laplacians allows a large forward error: on a 100-step tape of a
 # 600-node DAG, backward and jvp missed the dot-product test by 6.6e-4
@@ -185,8 +185,8 @@ def backward(tape, grad_x):
         gu = w * gq
         # p = S^{-1} b with S = A diag(w) A^T + reg*I: z = S^{-1} (A gu),
         # and the rank-1 gL = -outer(z, p) gives gw = -(A^T z) * u
-        z = weighted_solve(op, w, det.reg_used, op.A @ gu, det.factor,
-                           _adjoint_tol(det, tape.cfg))
+        z = spd_solve(op.at(w), op.A @ gu, _adjoint_tol(det, tape.cfg), det.reg_used,
+                      det.factor).p
         gb += z
         v = op.AT @ z
         gw = det.u * (gq - v)
@@ -242,8 +242,8 @@ def jvp(tape, dc=None, dA=None, db=None):
         # dL p with dL = dA W A^T + A dW A^T + A W dA^T, never formed
         dAt_p = dA_w.T @ p
         dL_p = dA_w @ (w * u) + op.A @ (dw * u + w * dAt_p)
-        dp = weighted_solve(op, w, det.reg_used, db_w - dL_p, det.factor,
-                            _adjoint_tol(det, tape.cfg))
+        dp = spd_solve(op.at(w), db_w - dL_p, _adjoint_tol(det, tape.cfg), det.reg_used,
+                       det.factor).p
         du = dAt_p + op.AT @ dp
         dx = (1.0 - h) * dx + h * (dw * u + w * du)
         dx = np.where(det.clamp_mask, dx, 0.0)

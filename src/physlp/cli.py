@@ -175,10 +175,14 @@ def cmd_match_bench(args):
 def cmd_svm_demo(args):
     if bad := _not_positive(args, "n_per_class", "dim", "c_reg", "big_m"):
         return _fail(bad, EXIT_IO)
+    if args.kernel == "linear":
+        kernel = LinearKernel()
+    elif bad := _not_positive(args, "sigma"):
+        return _fail(bad, EXIT_IO)
+    else:
+        kernel = GaussianKernel(sigma=args.sigma)
     rng = np.random.default_rng(args.seed)
     points, labels = two_gaussian_blobs(args.n_per_class, args.dim, args.sep, rng)
-    kernel = LinearKernel() if args.kernel == "linear" \
-        else GaussianKernel(sigma=args.sigma)
     inst = SvmInstance(points, labels, kernel, c_reg=args.c_reg,
                        big_m=args.big_m)
     lp = build_l1svm_lp(inst)

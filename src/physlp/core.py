@@ -123,11 +123,12 @@ class SolverConfig:
     clamp_floor  eps > 0; iterates are clamped to stay >= eps
     gamma        perturbation added to zero costs; None picks
                  1 / (2 sqrt(m + n)) per instance, 0 forbids zero costs
-    linsolve_tol relative residual target of the backward and jvp
-                 solves (at most autodiff.CG_ADJOINT_TOL on CG steps);
-                 in forward steps the floor of the target
-                 solver.forward_tol, which solve and solve_with_tape
-                 derive from each iterate's residual
+    linsolve_tol tolerance of the backward and jvp solves (at most
+                 autodiff.CG_ADJOINT_TOL on CG steps); in forward
+                 steps the floor of the tolerance solver.forward_tol,
+                 which solve and solve_with_tape derive from each
+                 iterate's residual.  spd_solve accepts every solve on
+                 normwise backward error at its tolerance
     linsolve_reg Tikhonov term added to A W A^T; None scales
                  1e-10 * trace / m per solve
     residual_tol feasibility tolerance used for early stopping and the

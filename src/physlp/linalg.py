@@ -5,18 +5,17 @@ positive semidefinite.  WeightedOperator holds a CSR copy of A and one
 map Q from w to the values of A diag(w) A^T on the nonzero pattern of
 A A^T plus its diagonal.  WeightedGram, op.at(w), computes Q @ w once
 and reads every form of L from it: dense, sparse, and its diagonal.
-spd_solve, the one entry point at every size, factors the dense
-L + reg*I by Cholesky up to DIRECT_MAX_DIM rows; above, it runs
-Jacobi-preconditioned CG from zero on the sparse one, and factors it
-only as a last resort.  DIRECT_MAX_DIM picks the method, never the
-values.  weighted_solve, used by backward and jvp, reuses a stored
-factor and otherwise runs on the same sparse matrix; both run _solve,
-the one factor, refine and fall-back routine.
+spd_solve is the one solve routine, for the forward steps and for the
+backward and tangent solves alike.  It factors the dense L + reg*I by
+Cholesky up to DIRECT_MAX_DIM rows; above, it runs Jacobi-preconditioned
+CG from zero on the sparse one, and factors it only as a last resort.
+Given the factor of an earlier solve, it reuses it.  DIRECT_MAX_DIM
+picks the method, never the values.
 """
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -40,9 +39,9 @@ class SpdSolveReport:
     iterations is 0 when the Cholesky factor alone solved the system,
     otherwise the number of CG steps taken.  final_residual is
     ||(L + reg*I) p - b||_2.  factor is the Cholesky factor of L + reg*I
-    in scipy's cho_factor form, None when CG alone solved the system
-    (above DIRECT_MAX_DIM rows, unless the last resort ran);
-    weighted_solve reuses it for further right-hand sides.
+    in scipy's cho_factor form, which spd_solve(..., factor=) reuses for
+    further right-hand sides; it is None when CG alone solved the system
+    (above DIRECT_MAX_DIM rows, unless the last resort ran) or b is zero.
     """
 
     p: np.ndarray
@@ -139,7 +138,7 @@ class WeightedGram:
     first use, and every form is read from them: sparse(reg) for CG
     steps, dense(reg) for direct ones, and the diagonal behind
     default_regularization and the Jacobi preconditioner of a factored
-    weighted_solve.
+    spd_solve, whose products go through op.matvec.
     """
 
     op: WeightedOperator
@@ -234,15 +233,28 @@ def _pcg(S_matvec, b, diag, x0, target, max_iters):
     return x, max_iters, _norm(b - S_matvec(x))
 
 
-def spd_solve(L, b, tol=1e-10, reg=None):
+def spd_solve(L, b, tol=1e-10, reg=None, factor=None):
     """Solve (L + reg*I) p = b for symmetric positive (semi)definite L.
 
     L is a dense array, checked for shape, finiteness and symmetry, or
     the unchecked WeightedGram op.at(w) of the solver, assembled dense
     up to DIRECT_MAX_DIM rows and sparse above.  reg=None applies the
-    trace-scaled default.  The achieved residual satisfies
-    ||(L + reg*I) p - b|| <= tol * ||b|| or Breakdown is raised after
-    both Cholesky and Jacobi-PCG have failed (see _solve).
+    trace-scaled default.  factor, a Cholesky factor of L + reg*I
+    (SpdSolveReport.factor of an earlier solve with it), is reused;
+    products with a WeightedGram then go through op.matvec instead of
+    the assembled matrix.
+
+    With a factor or up to DIRECT_MAX_DIM rows, Cholesky runs first and
+    Jacobi-PCG refines an answer that misses; above, PCG runs from zero
+    down to ||(L + reg*I) p - b|| <= tol * ||b|| and the Cholesky
+    factor is the last resort.  p is accepted on normwise backward
+    error,
+
+        ||S p - b|| <= tol * (||b|| + max(diag(S)) * ||p||),
+
+    S = L + reg*I, with max(diag(S)) estimating ||S||, so that a
+    right-hand side far below the rounding error of S p does not fail.
+    Breakdown is raised when no answer is accepted.
     """
     weighted = isinstance(L, WeightedGram)
     if not weighted:
@@ -251,80 +263,44 @@ def spd_solve(L, b, tol=1e-10, reg=None):
     if reg is None:
         reg = L.default_regularization() if weighted else default_regularization(L)
     reg = float(reg)
-
-    if weighted:
-        S = L.sparse(reg) if m > DIRECT_MAX_DIM else L.dense(reg)
-    else:
-        S = L + reg * np.eye(m)
-    p, iters, res, cf = _solve(b, tol, S.__matmul__, S.diagonal, partial(_cholesky, S, b),
-                               m <= DIRECT_MAX_DIM)
-    return SpdSolveReport(p, iters, res, reg, cf)
-
-
-def weighted_solve(op, w, reg, rhs, factor=None, tol=1e-10):
-    """Solve (A diag(w) A^T + reg*I) z = rhs.
-
-    op is the WeightedOperator of A and factor a Cholesky factor of that
-    matrix (SpdSolveReport.factor of the solve that built it).  With a
-    factor, products with the matrix go through op.matvec and its
-    diagonal comes from op.at(w); without one they go through the
-    sparse matrix that spd_solve's CG steps use.
-    z is accepted on backward error,
-
-        ||S z - rhs|| <= tol * (||S|| ||z|| + ||rhs||),
-
-    with ||S|| estimated by the largest diagonal entry, so that a
-    right-hand side far smaller than S z's rounding error does not
-    fail.  PCG refines a factored solution that misses the target;
-    without a factor PCG runs first and the Cholesky factor of the
-    matrix is the last resort (see _solve).
-    """
-    if factor is None:
-        S = op.at(w).sparse(reg)
-        return _solve(rhs, tol, S.__matmul__, S.diagonal, partial(_cholesky, S, rhs),
-                      False, tol)[0]
-    return _solve(rhs, tol, op.matvec(w, reg), lambda: op.at(w)._diagonal + reg,
-                  partial(_cholesky, None, rhs, factor), True, tol)[0]
-
-
-def _solve(b, tol, matvec, diag, direct, direct_first, z_tol=0.0):
-    """Solve S p = b for SPD S, the routine behind spd_solve and
-    weighted_solve.  direct() returns (Cholesky factor, p) or
-    (None, None).  With direct_first it runs first and Jacobi-PCG
-    (matvec, and diag() for the diagonal of S, called only then)
-    refines an answer that misses; otherwise PCG runs from zero and
-    direct() is the last resort.  p is accepted when ||S p - b|| <=
-    tol * ||b|| + z_tol * max(diag) * ||p||.  Returns (p, PCG
-    iterations, residual, factor or None); raises Breakdown."""
-    m = b.shape[0]
     bnorm = _norm(b)
     if bnorm == 0.0:
-        return np.zeros(m), 0, 0.0, None
-    target = tol * bnorm
+        return SpdSolveReport(np.zeros(m), 0, 0.0, reg)
 
-    def attempt():
-        cf, p = direct()
+    if weighted and factor is not None:
+        matvec, diag = L.op.matvec(L.w, reg), lambda: L._diagonal + reg
+    else:
+        if not weighted:
+            S = L + reg * np.eye(m)
+        else:
+            S = L.sparse(reg) if m > DIRECT_MAX_DIM else L.dense(reg)
+        matvec, diag = S.__matmul__, S.diagonal
+
+    def direct():
+        cf, p = _cholesky(S, b) if factor is None else _cholesky(None, b, factor)
         return cf, p, _norm(matvec(p) - b) if cf is not None else np.inf
 
-    cf, p, res = attempt() if direct_first else (None, None, np.inf)
+    target = tol * bnorm
+    direct_first = factor is not None or m <= DIRECT_MAX_DIM
+    cf, p, res = direct() if direct_first else (None, None, np.inf)
     if res <= target:
-        return p, 0, res, cf
+        return SpdSolveReport(p, 0, res, reg, cf)
     jacobi = diag()
-    z_weight = z_tol * float(jacobi.max())
+    slack = tol * float(jacobi.max())
 
     def accepted(p, res):
-        return res <= target + z_weight * _norm(p)
+        return res <= target + slack * _norm(p)
 
     if cf is not None and accepted(p, res):
-        return p, 0, res, cf
+        return SpdSolveReport(p, 0, res, reg, cf)
     x0 = p if cf is not None else np.zeros(m)
     p, iters, res = _pcg(matvec, b, jacobi, x0, target, 10 * m)
     if accepted(p, res):
-        return p, iters, res, cf
+        return SpdSolveReport(p, iters, res, reg, cf)
     if not direct_first:
-        cf, p_direct, res_direct = attempt()
+        cf, p_direct, res_direct = direct()
         if cf is not None and accepted(p_direct, res_direct):
-            return p_direct, iters, res_direct, cf
+            return SpdSolveReport(p_direct, iters, res_direct, reg, cf)
     raise Breakdown(f"residual {res:.3e} above target {target:.3e} after factoring and PCG")
 
 

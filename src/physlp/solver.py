@@ -157,16 +157,16 @@ class StepDetail:
     the reverse sweep without re-forming or re-factoring A diag(w) A^T.
 
     The update is x_new = max((1-h) x_prev + h * w * u, eps) with
-    u = A^T p, w = x_prev / c_hat and p the solution of
-    (A diag(w) A^T + reg*I) p = b to relative residual tol_used.
+    u = A^T p, w = x_prev / c_hat and p the spd_solve answer of
+    (A diag(w) A^T + reg*I) p = b at tolerance tol_used.
     factor is the SpdSolveReport.factor of the step's spd_solve call,
     the Cholesky factor of that matrix in cho_factor form, which
-    backward and jvp reuse for their own solves.  Above
+    backward and jvp hand back to spd_solve for their own solves.  Above
     linalg.DIRECT_MAX_DIM rows spd_solve runs CG on the matrix
     assembled sparse, and the step stores no factor (None) unless CG
     failed and the Cholesky last resort ran.  clamp_mask is True where
     the pre-clamp value stayed strictly above eps.  reg_used and
-    tol_used are the Tikhonov term and the relative solve target the
+    tol_used are the Tikhonov term and the solve tolerance the
     step ran with, which replay passes back to take the same path to
     the same p.  Per step this is at most one m-by-m factor plus four
     n-vectors and one m-vector.

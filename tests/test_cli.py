@@ -193,6 +193,13 @@ def test_svm_demo_two_points_far_apart(capsys):
     assert json.loads(out)["accuracy"] == 1.0
 
 
+def test_svm_demo_linear_kernel_ignores_sigma(capsys):
+    rc, out, _ = run(capsys, ["svm-demo", "--kernel", "linear", "--sigma", "0",
+                              "--n-per-class", "1", "--sep", "5"])
+    assert rc == 0
+    assert json.loads(out)["kernel"] == "linear"
+
+
 # ----------------------------------------------------------- learn-cost
 
 def test_learn_cost_zero_steps_changes_nothing(capsys):
@@ -299,6 +306,10 @@ def test_invalid_solver_config_is_input_error(argv, tmp_path, capsys):
     ["svm-demo", "--n-per-class", "0"],
     ["match-bench", "--n", "0", "--m", "5"],
     ["learn-cost", "--n", "0"],
+    # the Gaussian kernel divides by sigma**2: 0 overflows, -1 runs as 1
+    ["svm-demo", "--sigma", "0"],
+    ["svm-demo", "--sigma", "nan"],
+    ["svm-demo", "--sigma", "-1"],
 ])
 def test_non_positive_size_or_weight_is_input_error(argv, tmp_path, capsys):
     # rejected before the problem builders raise on them

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from physlp import default_regularization, spd_solve, spd_solve_adjoint
 from physlp.errors import Breakdown, NotSymmetric
-from physlp.linalg import WeightedOperator, weighted_solve
+from physlp.linalg import WeightedOperator
 
 
 def test_identity_system():
@@ -80,7 +81,7 @@ def test_iterative_path_used_above_direct_cutoff():
     assert np.linalg.norm(L @ rep.p - b) <= 1e-8 * np.linalg.norm(b)
 
 
-def test_weighted_solve_with_and_without_factor():
+def test_weighted_spd_solve_with_and_without_factor():
     rng = np.random.default_rng(7)
     A = rng.uniform(size=(6, 15))
     w = rng.uniform(0.1, 1.0, size=15)
@@ -88,10 +89,29 @@ def test_weighted_solve_with_and_without_factor():
     factor = spd_solve((A * w) @ A.T, rng.normal(size=6), reg=1e-9).factor
     rhs = rng.normal(size=6)
     want = np.linalg.solve(S, rhs)
+    gram = WeightedOperator(A).at(w)
     for f in (factor, None):
-        z = weighted_solve(WeightedOperator(A), w, 1e-9, rhs, f)
+        z = spd_solve(gram, rhs, reg=1e-9, factor=f).p
         assert np.linalg.norm(z - want) <= 1e-8 * np.linalg.norm(want)
-    assert not weighted_solve(WeightedOperator(A), w, 1e-9, np.zeros(6), factor).any()
+    assert not spd_solve(gram, np.zeros(6), reg=1e-9, factor=factor).p.any()
+
+
+def test_ill_conditioned_system_keeps_the_cholesky_answer():
+    # eigenvalues 1 down to 1e-12 and no ridge: the Cholesky answer
+    # leaves a relative residual near 2e-6, far above tol * ||b||, but
+    # is backward stable; PCG started from it only raises the residual
+    rng = np.random.default_rng(0)
+    Q, _ = np.linalg.qr(rng.normal(size=(20, 20)))
+    L = (Q * np.logspace(0, -12, 20)) @ Q.T
+    L = 0.5 * (L + L.T)
+    b = rng.normal(size=20)
+    tol = 1e-10
+    rep = spd_solve(L, b, tol=tol, reg=0.0)
+    assert rep.iterations == 0
+    assert np.array_equal(rep.p, scipy.linalg.cho_solve(rep.factor, b))
+    res = np.linalg.norm(L @ rep.p - b)
+    assert res > 1e3 * tol * np.linalg.norm(b)
+    assert res <= tol * (np.linalg.norm(b) + np.linalg.norm(L, 2) * np.linalg.norm(rep.p))
 
 
 def test_adjoint_matches_dense_formula():

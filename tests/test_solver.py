@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from physlp import (SolveStatus, SolverConfig, StandardFormLP, core, default_gamma,
-                    default_regularization, feasibility_residual,
-                    flip_negative_costs, initial_state, linalg, perturb_cost,
+from physlp import (SolveStatus, SolverConfig, StandardFormLP, autodiff, backward, core,
+                    default_gamma, default_regularization, feasibility_residual,
+                    flip_negative_costs, initial_state, jvp, linalg, perturb_cost,
                     prepare_lp, solve, solve_with_tape, solver, step_detail)
 from physlp.errors import (DimensionMismatch, MissingBound, NonPositiveInit,
                            ZeroCostNeedsGamma)
@@ -239,7 +239,7 @@ def test_matrix_free_default_reg_is_the_assembled_one(dag_600):
 @pytest.mark.parametrize("name", ["matching_5x50", "dag_600", "signed_sparse_40x400", "svm_20"])
 def test_sparse_matrix_is_the_dense_gram(name, request):
     # S = A diag(w) A^T + reg*I on the compressed pattern, which CG steps
-    # and factorless weighted solves use, against a dense product; the
+    # and their backward and jvp solves use, against a dense product; the
     # dense form that direct steps factor comes from the same values, so
     # it is S bit for bit
     prep = prepare_lp(request.getfixturevalue(name))
@@ -317,21 +317,24 @@ def test_matrix_free_step_falls_back_to_cholesky(dag_600, monkeypatch):
     assert len(res.trace) == 3
 
 
-def test_weighted_solve_without_a_factor_falls_back_to_cholesky(dag_600, monkeypatch):
+def test_cg_solve_of_any_rhs_falls_back_to_cholesky(dag_600, monkeypatch):
+    # a right-hand side other than b, as backward and jvp solve on CG steps
     capped_pcg(monkeypatch)
     prep = prepare_lp(dag_600)
     op = prep.lp.operator
     w = initial_state(prep, SolverConfig(seed=6)) / prep.lp.c
     reg = op.at(w).default_regularization()
     rhs = np.random.default_rng(6).normal(size=prep.lp.m)
-    z = linalg.weighted_solve(op, w, reg, rhs, None)
+    report = linalg.spd_solve(op.at(w), rhs, reg=reg)
+    assert report.factor is not None
+    z = report.p
     A = prep.lp.A
     S = (A * w) @ A.T + reg * np.eye(prep.lp.m)
     bound = 1e-10 * (np.diag(S).max() * np.linalg.norm(z) + np.linalg.norm(rhs))
     assert np.linalg.norm(S @ z - rhs) <= bound
 
 
-def test_factored_weighted_solve_refines_with_the_jacobi_diagonal(matching_5x50, monkeypatch):
+def test_factored_spd_solve_refines_with_the_jacobi_diagonal(matching_5x50, monkeypatch):
     # the factor of another matrix misses the target, so PCG refines its
     # answer, preconditioned by the diagonal of A diag(w) A^T + reg*I
     prep = prepare_lp(matching_5x50)
@@ -347,7 +350,7 @@ def test_factored_weighted_solve_refines_with_the_jacobi_diagonal(matching_5x50,
         return pcg(mv, b, diag, x0, target, max_iters)
     monkeypatch.setattr(linalg, "_pcg", spy)
     rhs = rng.normal(size=prep.lp.m)
-    z = linalg.weighted_solve(op, w, reg, rhs, stale)
+    z = linalg.spd_solve(op.at(w), rhs, reg=reg, factor=stale).p
     S = (A * w) @ A.T + reg * np.eye(prep.lp.m)
     assert len(seen) == 1
     assert np.abs(seen[0] - np.diag(S)).max() <= 1e-14 * np.diag(S).max()
@@ -355,21 +358,41 @@ def test_factored_weighted_solve_refines_with_the_jacobi_diagonal(matching_5x50,
     assert np.linalg.norm(S @ z - rhs) <= bound
 
 
-@pytest.mark.parametrize("name", ["matching_5x50", "dag_600"])
-def test_every_step_calls_spd_solve_once(name, request, monkeypatch):
-    # the benchmark's traced run sees the linear solves through this name
-    lp = request.getfixturevalue(name)
-    spd_solve, calls = solver.spd_solve, []
+def count_calls(monkeypatch, module, name):
+    """The argument tuples of every call to module.name from now on."""
+    inner, calls = getattr(module, name), []
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return spd_solve(*args, **kwargs)
+        return inner(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "spd_solve", counting)
-    res = solve(lp, SolverConfig(max_iters=5))
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["matching_5x50", "dag_600"])
+def test_every_step_calls_spd_solve_once(name, request, monkeypatch):
+    # the benchmark's traced run sees the linear solves through these
+    # names: solver.spd_solve in forward steps, autodiff.spd_solve in
+    # backward and jvp, which pass each step's factor (None on CG steps)
+    lp = request.getfixturevalue(name)
+    forward = count_calls(monkeypatch, solver, "spd_solve")
+    adjoint = count_calls(monkeypatch, autodiff, "spd_solve")
+    cfg = SolverConfig(max_iters=5)
+    res = solve(lp, cfg)
     assert res.status is not SolveStatus.LINSOLVE_FAILURE
     assert len(res.trace) > 0
-    assert len(calls) == len(res.trace)
+    assert len(forward) == len(res.trace)
+    _, tape = solve_with_tape(lp, cfg)
+    assert len(tape) == 5 and adjoint == []
+    assert all((det.factor is None) == (lp.m > linalg.DIRECT_MAX_DIM) for det in tape.steps)
+    backward(tape, np.ones(lp.n))
+    assert len(adjoint) == len(tape)
+    assert all(args[4] is det.factor for args, det in zip(adjoint, reversed(tape.steps)))
+    adjoint.clear()
+    jvp(tape, db=np.ones(lp.m))
+    assert len(adjoint) == len(tape)
+    assert all(args[4] is det.factor for args, det in zip(adjoint, tape.steps))
 
 
 def test_overflowing_weights_report_a_linsolve_failure(monkeypatch):
