@@ -126,6 +126,8 @@ def cmd_match_bench(args):
         return _fail(f"need n <= m, got n={args.n} m={args.m}", EXIT_IO)
     if args.trials < 1:
         return _fail(f"--trials must be at least 1, got {args.trials}", EXIT_IO)
+    if args.jobs < 1:
+        return _fail(f"--jobs must be at least 1, got {args.jobs}", EXIT_IO)
     budgets = sorted(set(args.iters))
     if budgets[0] < 1:
         return _fail(f"every --iters budget must be at least 1, got {budgets[0]}", EXIT_IO)
@@ -133,8 +135,9 @@ def cmd_match_bench(args):
     children = np.random.SeedSequence(args.seed).spawn(args.trials)
     payloads = [(i, ss, args.n, args.m, budgets, cfg, args.error_block)
                 for i, ss in enumerate(children)]
-    if args.jobs > 1:
-        with Pool(args.jobs) as pool:
+    jobs = min(args.jobs, args.trials)
+    if jobs > 1:
+        with Pool(jobs) as pool:
             per_trial = pool.map(_match_trial, payloads)
     else:
         per_trial = [_match_trial(p) for p in payloads]

@@ -11,6 +11,7 @@ dataclasses; treat them as immutable after construction.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -150,16 +151,15 @@ class SolverConfig:
             raise InvalidConfig(f"max_iters must be >= 0, got {self.max_iters}")
         if not 0.0 < self.step_size <= 1.0:
             raise InvalidConfig(f"step_size must lie in (0, 1], got {self.step_size}")
-        if self.clamp_floor <= 0.0:
-            raise InvalidConfig(f"clamp_floor must be positive, got {self.clamp_floor}")
-        if self.gamma is not None and self.gamma < 0.0:
-            raise InvalidConfig(f"gamma must be non-negative, got {self.gamma}")
-        if self.linsolve_tol <= 0.0:
-            raise InvalidConfig(f"linsolve_tol must be positive, got {self.linsolve_tol}")
-        if self.linsolve_reg is not None and self.linsolve_reg < 0.0:
-            raise InvalidConfig(f"linsolve_reg must be non-negative, got {self.linsolve_reg}")
-        if self.residual_tol <= 0.0:
-            raise InvalidConfig(f"residual_tol must be positive, got {self.residual_tol}")
+        # "not x > 0" rejects NaN, which "x <= 0" lets through; isfinite rejects inf
+        for name in ("clamp_floor", "linsolve_tol", "residual_tol"):
+            value = getattr(self, name)
+            if not (value > 0.0 and math.isfinite(value)):
+                raise InvalidConfig(f"{name} must be positive and finite, got {value}")
+        for name in ("gamma", "linsolve_reg"):
+            value = getattr(self, name)
+            if value is not None and not (value >= 0.0 and math.isfinite(value)):
+                raise InvalidConfig(f"{name} must be non-negative and finite, got {value}")
 
 
 @dataclass

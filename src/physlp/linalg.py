@@ -7,7 +7,9 @@ A A^T plus its diagonal.  WeightedGram, op.at(w), computes Q @ w once
 and reads every form of L from it: dense, sparse, and its diagonal.
 spd_solve is the one solve routine, for the forward steps and for the
 backward and tangent solves alike.  It factors the dense L + reg*I by
-Cholesky up to DIRECT_MAX_DIM rows; above, it runs Jacobi-preconditioned
+Cholesky up to DIRECT_MAX_DIM rows, calling LAPACK dpotrf and dpotrs
+directly and keeping dpotrf's lower factor as (c, True), the form
+scipy.linalg.cho_solve takes; above, it runs Jacobi-preconditioned
 CG from zero on the sparse one, and factors it only as a last resort.
 Given the factor of an earlier solve, it reuses it.  DIRECT_MAX_DIM
 picks the method, never the values.
@@ -19,8 +21,8 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import Breakdown, DimensionMismatch, NonFiniteEntry, NotSymmetric
 
@@ -38,8 +40,9 @@ class SpdSolveReport:
 
     iterations is 0 when the Cholesky factor alone solved the system,
     otherwise the number of CG steps taken.  final_residual is
-    ||(L + reg*I) p - b||_2.  factor is the Cholesky factor of L + reg*I
-    in scipy's cho_factor form, which spd_solve(..., factor=) reuses for
+    ||(L + reg*I) p - b||_2.  factor is the Cholesky factor of L + reg*I,
+    LAPACK dpotrf's lower factor as (c, True), the form
+    scipy.linalg.cho_solve takes, which spd_solve(..., factor=) reuses for
     further right-hand sides; it is None when CG alone solved the system
     (above DIRECT_MAX_DIM rows, unless the last resort ran) or b is zero.
     """
@@ -203,12 +206,14 @@ def _norm(v):
 
 
 def _pcg(S_matvec, b, diag, x0, target, max_iters):
-    """Jacobi-preconditioned CG from x0 down to absolute residual target."""
+    """Jacobi-preconditioned CG from x0 down to absolute residual target.
+    A negative diagonal entry makes S indefinite, so CG does not start:
+    its Jacobi scale, 1/tiny, would overflow the first step."""
     inv_diag = 1.0 / np.maximum(diag, np.finfo(np.float64).tiny)
     x = x0.copy()
     r = b - S_matvec(x)
     rnorm = _norm(r)
-    if rnorm <= target:
+    if rnorm <= target or diag.min() < 0.0:
         return x, 0, rnorm
     z = inv_diag * r
     d = z.copy()
@@ -307,15 +312,18 @@ def spd_solve(L, b, tol=1e-10, reg=None, factor=None):
 def _cholesky(S, b, cf=None):
     """(factor, S^{-1} b) by Cholesky, with the factor cf of S when one
     is given, or (None, None) when the factorization fails or gives a
-    non-finite solution.  A sparse S is made dense first."""
-    try:
-        if cf is None:
-            S = S.toarray() if scipy.sparse.issparse(S) else S
-            cf = scipy.linalg.cho_factor(S, lower=True, check_finite=False)
-        p = scipy.linalg.cho_solve(cf, b, check_finite=False)
-    except scipy.linalg.LinAlgError:
-        return None, None
-    return (cf, p) if np.isfinite(p).all() else (None, None)
+    non-finite solution.  A sparse S is made dense first.  LAPACK is
+    called directly: scipy's cho_factor and cho_solve make the same
+    calls but cost as much again in their wrappers at m ~ 50."""
+    if cf is None:
+        S = S.toarray() if scipy.sparse.issparse(S) else S
+        c, info = dpotrf(S, lower=1, clean=0)
+        if info != 0:
+            return None, None
+        cf = (c, True)
+    c, lower = cf
+    p, info = dpotrs(c, b, lower=lower)
+    return (cf, p) if info == 0 and np.isfinite(p).all() else (None, None)
 
 
 def spd_solve_adjoint(L, p, grad_p, tol=1e-10, reg=None):

@@ -160,7 +160,8 @@ class StepDetail:
     u = A^T p, w = x_prev / c_hat and p the spd_solve answer of
     (A diag(w) A^T + reg*I) p = b at tolerance tol_used.
     factor is the SpdSolveReport.factor of the step's spd_solve call,
-    the Cholesky factor of that matrix in cho_factor form, which
+    the Cholesky factor of that matrix as LAPACK dpotrf's lower factor
+    (c, True), the form scipy.linalg.cho_solve takes, which
     backward and jvp hand back to spd_solve for their own solves.  Above
     linalg.DIRECT_MAX_DIM rows spd_solve runs CG on the matrix
     assembled sparse, and the step stores no factor (None) unless CG

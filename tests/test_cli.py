@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from physlp import StandardFormLP, save_lp
+from physlp import StandardFormLP, cli, save_lp
 from physlp.cli import main
 
 
@@ -161,6 +161,41 @@ def test_match_bench_rejects_no_trials_and_empty_budgets(flags, capsys):
     assert err.startswith("error:") and "at least 1" in err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_match_bench_rejects_fewer_than_one_job(jobs, capsys):
+    rc, out, err = run(capsys, ["match-bench", "--n", "2", "--m", "4",
+                                "--trials", "2", "--jobs", jobs])
+    assert rc == 1 and out == ""
+    assert err.startswith("error:") and "--jobs must be at least 1" in err
+
+
+def test_match_bench_starts_no_more_workers_than_trials(monkeypatch, capsys):
+    started = []
+
+    class FakePool:
+        """Runs the trials in this process and records the pool size."""
+
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            return [fn(p) for p in payloads]
+
+    monkeypatch.setattr(cli, "Pool", FakePool)
+    argv = ["match-bench", "--n", "2", "--m", "4", "--iters", "2", "--jobs", "8"]
+    assert run(capsys, argv + ["--trials", "3"])[0] == 0
+    assert started == [3]
+    # a single trial needs no pool at all
+    assert run(capsys, argv + ["--trials", "1"])[0] == 0
+    assert started == [3]
+
+
 def test_match_bench_fully_constrained_is_exact(capsys):
     rc, stdout, _ = run(capsys, ["match-bench", "--n", "1", "--m", "1",
                                  "--trials", "3", "--iters", "50"])
@@ -289,6 +324,11 @@ def test_shortest_path_same_endpoints_is_input_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["solve", "--lp", "LP", "--step", "2"],
+    # NaN and inf once ran, or ended in LINSOLVE_FAILURE with NaN in the JSON
+    ["solve", "--lp", "LP", "--eps", "nan"],
+    ["solve", "--lp", "LP", "--eps", "inf"],
+    ["solve", "--lp", "LP", "--gamma", "nan"],
+    ["solve", "--lp", "LP", "--gamma", "inf"],
     ["shortest-path", "--graph", "GRAPH", "--source", "0", "--sink", "1",
      "--iters", "-1"],
     ["match-bench", "--n", "2", "--m", "4", "--trials", "1", "--step", "0"],

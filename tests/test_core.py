@@ -132,6 +132,9 @@ def test_config_defaults():
     {"residual_tol": -1.0},
     {"gamma": -0.5},
     {"linsolve_reg": -1e-9},
+    *[{name: value} for name in ("clamp_floor", "gamma", "linsolve_tol",
+                                 "linsolve_reg", "residual_tol")
+      for value in (float("nan"), float("inf"))],
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):

@@ -96,6 +96,41 @@ def test_weighted_spd_solve_with_and_without_factor():
     assert not spd_solve(gram, np.zeros(6), reg=1e-9, factor=factor).p.any()
 
 
+def assert_scipy_cholesky_answer(S, rep, b):
+    assert rep.iterations == 0
+    assert rep.factor[1] is True
+    want = scipy.linalg.cho_factor(S, lower=True)[0]
+    assert np.array_equal(np.tril(rep.factor[0]), np.tril(want))
+    assert np.array_equal(rep.p, scipy.linalg.cho_solve(rep.factor, b))
+
+
+def test_factor_is_scipys_lower_cholesky_of_a_dense_matrix():
+    rng = np.random.default_rng(5)
+    B = rng.normal(size=(30, 45))
+    L, b, reg = B @ B.T, rng.normal(size=30), 1e-6
+    rep = spd_solve(L, b, reg=reg)
+    assert_scipy_cholesky_answer(L + reg * np.eye(30), rep, b)
+
+
+def test_factor_is_scipys_lower_cholesky_of_a_weighted_gram(matching_5x50):
+    rng = np.random.default_rng(6)
+    lp = matching_5x50
+    gram = lp.operator.at(rng.uniform(0.1, 2.0, size=lp.n))
+    b, reg = rng.normal(size=lp.m), 1e-9
+    rep = spd_solve(gram, b, reg=reg)
+    assert_scipy_cholesky_answer(gram.dense(reg), rep, b)
+
+
+@pytest.mark.parametrize("b", [[1.0, 1.0], [1.0, 0.0]])
+def test_indefinite_matrix_breaks_down(b):
+    # the failed factorization is reported as Breakdown, not as
+    # LinAlgError, and PCG does not overflow on the negative diagonal;
+    # the partial factor dpotrf leaves solves b = [1, 0] exactly, and
+    # must not come back as a factor that backward would reuse
+    with pytest.raises(Breakdown):
+        spd_solve(np.diag([1.0, -1.0]), np.array(b), reg=0.0)
+
+
 def test_ill_conditioned_system_keeps_the_cholesky_answer():
     # eigenvalues 1 down to 1e-12 and no ridge: the Cholesky answer
     # leaves a relative residual near 2e-6, far above tol * ||b||, but
