@@ -3,9 +3,10 @@
 solve_with_tape records the forward loop on a lean tape; backward then
 walks the tape once, applying the adjoint of each operation (clamp,
 convex update, weighted projection, SPD solve, Laplacian assembly,
-weighting) and finally maps the accumulated gradients through the
-zero-cost perturbation and the negative-cost flip back to the original
-(c, A, b).
+weighting) and finally hands the accumulated gradients to
+PreparedLP.pullback, which maps them back to the original (c, A, b).
+jvp maps its direction in through PreparedLP.tangent; neither reads
+the negative-cost flip or the zero-cost perturbation itself.
 
 Per step the tape holds the Cholesky factor of S = A diag(w) A^T + reg*I
 that the forward solve computed, plus x_prev, p, u, x_new and the clamp
@@ -24,13 +25,13 @@ looser solver.forward_tol.
 
 The clamp back-propagates as a subgradient: pass-through where the
 pre-clamp value stayed strictly above the floor, zero where the clamp
-was active.  Gradients with respect to the perturbation gamma and the
-flip bound M are discarded; coordinates whose cost was exactly zero
-(and therefore replaced by gamma) receive zero cost gradient.
+was active.  The pullback holds the perturbation gamma and the flip's M
+constant: coordinates whose cost was exactly zero (and therefore
+replaced by gamma) receive zero cost gradient.
 """
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -44,7 +45,7 @@ from .solver import _solve_loop, step_detail
 
 # Relative target of the adjoint and tangent solves of steps without a
 # factor (CG steps), when cfg.linsolve_tol is looser.  spd_solve
-# accepts z on a backward-error bound, which on ill-conditioned DAG
+# accepts z on a backward-error test, which on ill-conditioned DAG
 # Laplacians allows a large forward error: on a 100-step tape of a
 # 600-node DAG, backward and jvp missed the dot-product test by 6.6e-4
 # at 1e-10, 4.3e-7 at 1e-12 and 1.9e-11 at 1e-14.  Factored steps keep
@@ -126,28 +127,6 @@ def solve_with_tape(lp, cfg=None, x0=None, early_stop=False):
     return result, tape
 
 
-def _seed_to_working(tape, dc, dA, db):
-    """Map perturbation directions of (c, A, b) into working coordinates."""
-    prep = tape.prep
-    n = prep.lp.n
-    m = prep.lp.m
-    dc = np.zeros(n) if dc is None else np.asarray(dc, dtype=np.float64)
-    dA = np.zeros((m, n)) if dA is None else np.asarray(dA, dtype=np.float64)
-    db = np.zeros(m) if db is None else np.asarray(db, dtype=np.float64)
-    if dc.shape != (n,) or dA.shape != (m, n) or db.shape != (m,):
-        raise DimensionMismatch("direction shapes must match the LP")
-    flip = prep.flip_mask
-    dc_w = np.where(flip, -dc, dc)
-    dc_w = np.where(prep.zero_mask, 0.0, dc_w)
-    dA_w = dA.copy()
-    db_w = db.copy()
-    if prep.bound is not None and np.any(flip):
-        flipped = np.flatnonzero(flip)
-        dA_w[:, flipped] = -dA[:, flipped]
-        db_w = db - prep.bound * dA[:, flipped].sum(axis=1)
-    return dc_w, dA_w, db_w
-
-
 def backward(tape, grad_x):
     """Pull d(loss)/d(x_final) back to gradients of (c, A, b).
 
@@ -167,8 +146,8 @@ def backward(tape, grad_x):
     if grad_x.shape != (n,):
         raise DimensionMismatch(f"grad_x has shape {grad_x.shape}, expected ({n},)")
 
-    # decoded x = M - y on flipped coordinates
-    g = np.where(prep.flip_mask, -grad_x, grad_x)
+    # decoded x = shift + sign * y
+    g = prep.sign * grad_x
     gc_hat = np.zeros(n)
     gb = np.zeros(m)
     # each step adds outer(p, gu - v*w) - outer(z, u*w) to gA; the 2K
@@ -197,16 +176,7 @@ def backward(tape, grad_x):
         g = (1.0 - h) * g + gw / c_hat
     gA = left.T @ right
 
-    # map working-coordinate gradients back to the original data
-    gc = np.where(prep.zero_mask, 0.0, gc_hat)
-    gc = np.where(prep.flip_mask, -gc, gc)
-    grad_A = gA
-    grad_b = gb
-    if prep.bound is not None and np.any(prep.flip_mask):
-        flipped = np.flatnonzero(prep.flip_mask)
-        grad_A = gA.copy()
-        grad_A[:, flipped] = -gA[:, flipped] - prep.bound * gb[:, np.newaxis]
-    return LpGradients(gc, grad_A, grad_b)
+    return LpGradients(*prep.pullback(gc_hat, gA, gb))
 
 
 def objective_gradients(tape):
@@ -232,9 +202,14 @@ def jvp(tape, dc=None, dA=None, db=None):
     op = prep.lp.operator
     c_hat = prep.lp.c
     h = tape.cfg.step_size
-    dc_w, dA_w, db_w = _seed_to_working(tape, dc, dA, db)
+    n, m = prep.lp.n, prep.lp.m
+    dc, dA, db = (np.zeros(shape) if d is None else np.asarray(d, dtype=np.float64)
+                  for d, shape in ((dc, (n,)), (dA, (m, n)), (db, (m,))))
+    if dc.shape != (n,) or dA.shape != (m, n) or db.shape != (m,):
+        raise DimensionMismatch("direction shapes must match the LP")
+    dc_w, dA_w, db_w = prep.tangent(dc, dA, db)
 
-    dx = np.zeros(prep.lp.n)
+    dx = np.zeros(n)
     for det in tape.steps:
         x, p, u = det.x_prev, det.p, det.u
         w = x / c_hat
@@ -247,7 +222,7 @@ def jvp(tape, dc=None, dA=None, db=None):
         du = dAt_p + op.AT @ dp
         dx = (1.0 - h) * dx + h * (dw * u + w * du)
         dx = np.where(det.clamp_mask, dx, 0.0)
-    return np.where(prep.flip_mask, -dx, dx)
+    return prep.sign * dx
 
 
 def finite_diff_grad(lp, cfg, loss, step_scale=1e-6, x0=None):
@@ -260,12 +235,11 @@ def finite_diff_grad(lp, cfg, loss, step_scale=1e-6, x0=None):
     being checked.
     """
     from .solver import solve
-    from .core import StandardFormLP
 
     lp = validate(lp)
 
     def run(A, b, c):
-        trial = StandardFormLP(A, b, c, box_bound=lp.box_bound)
+        trial = replace(lp, A=A, b=b, c=c)
         return float(loss(solve(trial, cfg, x0=x0, early_stop=False).x))
 
     def central(arr, setter):

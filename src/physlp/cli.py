@@ -15,6 +15,7 @@ the only non-reproducible values.
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 from multiprocessing import Pool
@@ -184,6 +185,8 @@ def cmd_svm_demo(args):
         return _fail(bad, EXIT_IO)
     else:
         kernel = GaussianKernel(sigma=args.sigma)
+    if not math.isfinite(args.sep):
+        return _fail(f"--sep must be finite, got {args.sep}", EXIT_IO)
     rng = np.random.default_rng(args.seed)
     points, labels = two_gaussian_blobs(args.n_per_class, args.dim, args.sep, rng)
     inst = SvmInstance(points, labels, kernel, c_reg=args.c_reg,
@@ -224,6 +227,10 @@ def _parse_target(text):
 def cmd_learn_cost(args):
     if bad := _not_positive(args, "n"):
         return _fail(bad, EXIT_IO)
+    if not math.isfinite(args.lr):
+        return _fail(f"--lr must be finite, got {args.lr}", EXIT_IO)
+    if args.steps < 0:
+        return _fail(f"--steps must be at least 0, got {args.steps}", EXIT_IO)
     target = args.target if args.target is not None else list(range(args.n))
     if len(target) != args.n or any(t < 0 or t >= args.m for t in target):
         return _fail(f"target must list {args.n} distinct columns below "

@@ -74,9 +74,11 @@ class StandardFormLP:
 
 
 def validate(lp):
-    """Check shapes and finiteness; returns the same instance unchanged.
+    """Check shapes, finiteness and box_bound; returns the same instance
+    unchanged.
 
-    Raises DimensionMismatch or NonFiniteEntry.  Idempotent.
+    Raises DimensionMismatch, NonFiniteEntry, or InvalidConfig for a
+    box_bound that is set and not positive.  Idempotent.
     """
     m, n = lp.A.shape
     if m < 1 or n < 1:
@@ -90,6 +92,12 @@ def validate(lp):
     for arr, name in ((lp.A, "A"), (lp.b, "b"), (lp.c, "c")):
         if not np.all(np.isfinite(arr)):
             raise NonFiniteEntry(f"{name} contains a non-finite entry")
+    bound = lp.box_bound
+    if bound is not None:
+        if not math.isfinite(bound):
+            raise NonFiniteEntry(f"box_bound must be finite, got {bound}")
+        if not bound > 0.0:
+            raise InvalidConfig(f"box_bound must be positive, got {bound}")
     return lp
 
 

@@ -6,7 +6,7 @@ class PhyslpError(Exception):
 
 
 class InvalidConfig(PhyslpError, ValueError):
-    """A SolverConfig field is out of its range."""
+    """A SolverConfig field or an LP's box_bound is out of its range."""
 
 
 class DimensionMismatch(PhyslpError):

@@ -67,43 +67,59 @@ def perturb_cost(c, gamma):
 class PreparedLP:
     """LP after flipping negative costs and perturbing zero costs.
 
-    lp holds the transformed problem whose cost is the working vector
-    c_hat; flip_mask marks columns that were replaced by y_i = M - x_i,
-    zero_mask marks columns whose (post-flip) cost was exactly zero
-    before perturbation.  gamma is the perturbation actually applied
-    (0.0 when none was needed) and bound is the box bound M used by the
-    flip (None when nothing was flipped).  lp shares A and b with the
-    LP it was prepared from unless a column was flipped.
+    The flip is the affine change of variables x = shift + sign * y
+    from working to original coordinates: sign is -1 and shift is M on
+    the columns whose cost is negative (flip_mask), 1 and 0 elsewhere.
+    It maps the data to A sign, b - A shift and sign c.  zero_mask marks
+    the columns whose cost was then exactly zero, which the perturbation
+    raised to gamma (0.0 when none was needed).  lp holds the working
+    problem, whose cost is c_hat; it shares A and b with the LP it was
+    prepared from unless a column flips.  bound is that LP's box_bound
+    as given, None only when it sets none, so whether anything flipped
+    is flip_mask.any().  The methods are the maps across the transform:
+    decode and encode for iterates, restore for the data, tangent and
+    pullback for perturbations and gradients of the data.
     """
 
     lp: StandardFormLP
     flip_mask: np.ndarray
     zero_mask: np.ndarray
     original_c: np.ndarray
+    sign: np.ndarray
+    shift: np.ndarray
     gamma: float = 0.0
     bound: float | None = None
 
     def decode(self, y):
-        """Map an iterate back to the original coordinates.  The flip
-        x = M - y is its own inverse, so encode is the same map."""
-        if self.bound is None:
-            return np.asarray(y, dtype=np.float64).copy()
-        return np.where(self.flip_mask, self.bound - y, y)
+        """Map an iterate back to the original coordinates.  shift is
+        nonzero only where sign is -1, so the map is its own inverse
+        and encode is the same map."""
+        return self.shift + self.sign * y
 
     encode = decode
 
     def restore(self):
         """Reconstruct the original LP from the stored transforms."""
-        A = self.lp.A.copy()
-        b = self.lp.b.copy()
-        c = self.lp.c.copy()
-        c[self.zero_mask] = 0.0
-        if self.bound is not None:
-            flipped = np.flatnonzero(self.flip_mask)
-            A[:, flipped] = -A[:, flipped]
-            b = b + self.bound * A[:, flipped].sum(axis=1)
-            c[flipped] = -c[flipped]
-        return StandardFormLP(A, b, c, box_bound=self.bound)
+        A = self.lp.A * self.sign
+        c = np.where(self.zero_mask, 0.0, self.lp.c) * self.sign
+        return StandardFormLP(A, self.lp.b + A @ self.shift, c, box_bound=self.bound)
+
+    def tangent(self, dc, dA, db):
+        """Map a perturbation (dc, dA, db) of the original data to the
+        working data.  gamma and M are constants, so perturbed columns
+        get no cost tangent."""
+        dc = np.where(self.zero_mask, 0.0, self.sign * dc)
+        if not self.flip_mask.any():
+            return dc, dA, db
+        return dc, dA * self.sign, db - dA @ self.shift
+
+    def pullback(self, gc, gA, gb):
+        """Map gradients with respect to the working data back to the
+        original data: the transpose of tangent."""
+        gc = self.sign * np.where(self.zero_mask, 0.0, gc)
+        if not self.flip_mask.any():
+            return gc, gA, gb
+        return gc, gA * self.sign - np.outer(gb, self.shift), gb
 
 
 def flip_negative_costs(lp):
@@ -132,23 +148,22 @@ def _prepare(lp, gamma=None, perturb=True):
     shares lp's A and b unless a column is flipped."""
     lp = validate(lp)
     neg = lp.c < 0.0
-    A, b, c, bound = lp.A, lp.b, lp.c, lp.box_bound
-    if np.any(neg):
-        if bound is None:
+    sign = np.where(neg, -1.0, 1.0)
+    shift = np.zeros(lp.n)
+    A, b, c = lp.A, lp.b, sign * lp.c
+    if neg.any():
+        if lp.box_bound is None:
             raise MissingBound(f"{int(neg.sum())} negative cost entries but lp.box_bound is not set")
-        bound = float(bound)
-        flipped = np.flatnonzero(neg)
-        A = A.copy()
-        A[:, flipped] = -A[:, flipped]
-        b = b + bound * A[:, flipped].sum(axis=1)
-        c = np.where(neg, -c, c)
+        shift[neg] = lp.box_bound
+        A, b = A * sign, b - A @ shift
     zero = c == 0.0
     if perturb:
         if gamma is None:
             gamma = default_gamma(lp.m, lp.n) if zero.any() else 0.0
         c = perturb_cost(c, float(gamma))
     gamma = float(gamma) if perturb and zero.any() else 0.0
-    return PreparedLP(StandardFormLP(A, b, c), neg, zero, lp.c.copy(), gamma, bound)
+    return PreparedLP(StandardFormLP(A, b, c), neg, zero, lp.c.copy(), sign, shift, gamma,
+                      lp.box_bound)
 
 
 @dataclass
@@ -274,10 +289,10 @@ def _stalled(objectives, tol):
 def _evaluate(prep, b, y):
     """Decoded iterate, its objective and its residual ||A x - b|| against
     the original data.  The residual goes through prep.lp.operator,
-    whose matrix differs from A only by the sign of the flipped columns."""
+    whose matrix is A sign, as (A sign)(sign x) = A x."""
     x = prep.decode(y)
-    signed = np.where(prep.flip_mask, -x, x)
-    return x, float(prep.original_c @ x), float(np.linalg.norm(prep.lp.operator.A @ signed - b))
+    residual = np.linalg.norm(prep.lp.operator.A @ (prep.sign * x) - b)
+    return x, float(prep.original_c @ x), float(residual)
 
 
 def _solve_loop(lp, cfg, x0, early_stop, record_steps):

@@ -184,16 +184,23 @@ def test_finite_diff_repeatable():
 def test_randomized_gradcheck_and_transpose():
     # dense loss w.x on random instances; skip the rare clamp-active
     # tapes where the subgradient legitimately disagrees with central
-    # differences
+    # differences.  The last 8 instances negate about 40% of the costs,
+    # so their columns flip through the box bound: as A > 0, every
+    # feasible x_i is at most min_r b_r / A_ri
     rng = np.random.default_rng(5)
     checked = 0
-    while checked < 20:
+    while checked < 28:
         m = int(rng.integers(1, 6))
         n = m + int(rng.integers(1, 6))
         lp, _ = random_bounded_lp(rng, m, n)
+        if checked >= 20:
+            neg = rng.permutation(n) < max(1, round(0.4 * n))
+            bound = 1.5 * (lp.b[:, np.newaxis] / lp.A).min(axis=0).max()
+            lp = StandardFormLP(lp.A, lp.b, np.where(neg, -lp.c, lp.c), box_bound=bound)
         k = int(rng.integers(3, 21))
         cfg = SolverConfig(max_iters=k, seed=int(rng.integers(2 ** 31)))
         _, tape = solve_with_tape(lp, cfg)
+        assert tape.prep.flip_mask.any() == (checked >= 20)
         if tape.clamp_active_any:
             continue
         w = rng.normal(size=n)

@@ -69,6 +69,17 @@ def test_solve_zero_cost_without_gamma_is_solver_error(tmp_path, capsys):
     assert rc == 2 and "gamma" in err.lower()
 
 
+@pytest.mark.parametrize("bound", ["NaN", "Infinity", "-1.0", "0"])
+def test_solve_rejects_a_bad_box_bound(bound, tmp_path, capsys):
+    lp_file = tmp_path / "bound.json"
+    lp_file.write_text(f'{{"A": [[1.0, 1.0]], "b": [1.0], "c": [-1.0, 2.0], '
+                       f'"box_bound": {bound}}}')
+    rc, out, err = run(capsys, ["solve", "--lp", str(lp_file)])
+    lines = err.strip().splitlines()
+    assert rc == 1 and out == ""
+    assert len(lines) == 1 and lines[0].startswith("error: box_bound")
+
+
 # ----------------------------------------------------------- match-bench
 
 BENCH_ARGS = ["match-bench", "--n", "2", "--m", "4", "--trials", "5",
@@ -350,6 +361,12 @@ def test_invalid_solver_config_is_input_error(argv, tmp_path, capsys):
     ["svm-demo", "--sigma", "0"],
     ["svm-demo", "--sigma", "nan"],
     ["svm-demo", "--sigma", "-1"],
+    # non-finite numbers that reached the solver as non-finite data
+    ["svm-demo", "--sep", "nan"],
+    ["svm-demo", "--sep", "inf"],
+    ["learn-cost", "--lr", "nan"],
+    ["learn-cost", "--lr", "inf"],
+    ["learn-cost", "--steps", "-1"],
 ])
 def test_non_positive_size_or_weight_is_input_error(argv, tmp_path, capsys):
     # rejected before the problem builders raise on them

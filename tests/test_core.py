@@ -8,7 +8,7 @@ import pytest
 from physlp import (SolverConfig, StandardFormLP, feasibility_residual,
                     load_lp, lp_from_dict, lp_to_dict, objective, save_lp,
                     validate)
-from physlp.errors import DimensionMismatch, NonFiniteEntry
+from physlp.errors import DimensionMismatch, InvalidConfig, NonFiniteEntry
 
 
 def toy_lp():
@@ -54,6 +54,22 @@ def test_validate_rejects_inf_in_A():
 def test_validate_rejects_empty():
     with pytest.raises(DimensionMismatch):
         StandardFormLP(np.zeros((0, 2)), np.zeros(0), np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("bound, error", [
+    # -1 once gave x = [-1, 2] with objective 5, and 0 gave x1 = -1e-8
+    (-1.0, InvalidConfig), (0.0, InvalidConfig), (0, InvalidConfig),
+    (float("nan"), NonFiniteEntry), (float("inf"), NonFiniteEntry),
+    (float("-inf"), NonFiniteEntry),
+])
+def test_validate_rejects_a_bad_box_bound(bound, error):
+    with pytest.raises(error):
+        StandardFormLP(np.array([[1.0, 1.0]]), np.array([1.0]),
+                       np.array([-1.0, 2.0]), box_bound=bound)
+    lp = toy_lp()
+    lp.box_bound = bound
+    with pytest.raises(error):
+        validate(lp)
 
 
 def test_names_length_checked():

@@ -92,6 +92,27 @@ def test_flip_preserves_residual_through_encode():
     assert np.allclose(prep.decode(y), x)
 
 
+def test_pullback_is_the_transpose_of_tangent(signed_sparse_40x400):
+    # <pullback(g), d> = <g, tangent(d)> over (c, A, b) on an LP with
+    # flipped and perturbed columns
+    lp = signed_sparse_40x400
+    prep = prepare_lp(StandardFormLP(lp.A, lp.b, np.where(np.arange(lp.n) < 10, 0.0, lp.c),
+                                     box_bound=lp.box_bound))
+    assert prep.flip_mask.any() and prep.zero_mask.any()
+    rng = np.random.default_rng(9)
+
+    def draw():
+        return rng.normal(size=lp.n), rng.normal(size=(lp.m, lp.n)), rng.normal(size=lp.m)
+
+    def dot(u, v):
+        return sum(float(np.vdot(a, b)) for a, b in zip(u, v))
+
+    for _ in range(5):
+        d, g = draw(), draw()
+        lhs, rhs = dot(prep.pullback(*g), d), dot(g, prep.tangent(*d))
+        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
+
+
 def test_prepare_copies_A_only_when_a_column_flips(signed_sparse_40x400):
     lp = toy_lp()
     assert prepare_lp(lp).lp.A is lp.A
