@@ -6,6 +6,8 @@ in reverse mode, and ships builders for bipartite matching, L1 kernel
 SVMs, and shortest-path flows plus exact oracles to check against.
 """
 
+import importlib
+
 from .autodiff import (LpGradients, UnrolledTape, backward, finite_diff_grad,
                        jvp, objective_gradients, solve_with_tape)
 from .core import (SolveResult, SolveStatus, SolverConfig, StandardFormLP,
@@ -15,7 +17,7 @@ from .linalg import (SpdSolveReport, default_regularization, spd_solve,
                      spd_solve_adjoint)
 from .solver import (PreparedLP, StepDetail, default_gamma, flip_negative_costs,
                      initial_state, perturb_cost, prepare_lp, solve, step_detail)
-from . import errors, oracles, problems
+from . import errors, problems
 
 __version__ = "0.1.0"
 
@@ -30,3 +32,12 @@ __all__ = [
     "objective_gradients", "finite_diff_grad",
     "errors", "oracles", "problems",
 ]
+
+
+def __getattr__(name):
+    # oracles imports scipy.optimize, for linear_sum_assignment alone,
+    # which made up about a third of the import time; it loads on first
+    # use of physlp.oracles (PEP 562)
+    if name == "oracles":
+        return importlib.import_module(f"{__name__}.oracles")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

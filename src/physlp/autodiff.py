@@ -34,6 +34,7 @@ import copy
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.linalg.blas import daxpy, ddot
 
 from .core import SolverConfig, validate
 from .errors import DimensionMismatch
@@ -155,6 +156,11 @@ def backward(tape, grad_x):
     K = len(tape.steps)
     left = np.empty((2 * K, m))
     right = np.empty((2 * K, n))
+    # a default Tikhonov term reg = s * sum_j w_j ||a_j||^2 / m adds
+    # g_reg * s ||a_j||^2 / m to gw_j and (2 s / m) g_reg w_j a_j to
+    # column j of gA, which omega collects for one update at the end
+    col_sq = _column_dots(op.A, prep.lp.A)
+    omega = np.zeros(n)
 
     for k, det in enumerate(reversed(tape.steps)):
         w = det.x_prev / c_hat
@@ -168,13 +174,17 @@ def backward(tape, grad_x):
                       det.factor).p
         gb += z
         v = op.AT @ z
-        gw = det.u * (gq - v)
+        g_reg = -ddot(z, det.p) * det.reg_scale / m
+        gw = daxpy(col_sq, det.u * (gq - v), a=g_reg)
+        omega = daxpy(w, omega, a=2.0 * g_reg)
         left[k], right[k] = det.p, gu - v * w
         left[K + k], right[K + k] = z, -(det.u * w)
         # w = x / c_hat
         gc_hat -= gw * det.x_prev / c_hat ** 2
         g = (1.0 - h) * g + gw / c_hat
     gA = left.T @ right
+    rows = _rows(op.A)
+    gA[rows, op.A.indices] += op.A.data * omega[op.A.indices]
 
     return LpGradients(*prep.pullback(gc_hat, gA, gb))
 
@@ -208,6 +218,10 @@ def jvp(tape, dc=None, dA=None, db=None):
     if dc.shape != (n,) or dA.shape != (m, n) or db.shape != (m,):
         raise DimensionMismatch("direction shapes must match the LP")
     dc_w, dA_w, db_w = prep.tangent(dc, dA, db)
+    # a default Tikhonov term moves by
+    # d reg = s / m * sum_j (dw_j ||a_j||^2 + 2 w_j a_j . da_j)
+    col_sq = _column_dots(op.A, prep.lp.A)
+    col_da = _column_dots(op.A, dA_w)
 
     dx = np.zeros(n)
     for det in tape.steps:
@@ -217,12 +231,25 @@ def jvp(tape, dc=None, dA=None, db=None):
         # dL p with dL = dA W A^T + A dW A^T + A W dA^T, never formed
         dAt_p = dA_w.T @ p
         dL_p = dA_w @ (w * u) + op.A @ (dw * u + w * dAt_p)
+        d_reg = det.reg_scale / m * (ddot(dw, col_sq) + 2.0 * ddot(w, col_da))
+        dL_p += d_reg * p
         dp = spd_solve(op.at(w), db_w - dL_p, _adjoint_tol(det, tape.cfg), det.reg_used,
                        det.factor).p
         du = dAt_p + op.AT @ dp
         dx = (1.0 - h) * dx + h * (dw * u + w * du)
         dx = np.where(det.clamp_mask, dx, 0.0)
     return prep.sign * dx
+
+
+def _rows(A):
+    """The row of each stored entry of the CSR matrix A."""
+    return np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+
+
+def _column_dots(A, X):
+    """a_j . x_j for every column j of the CSR matrix A and the dense X
+    of its shape, over the nonzeros of A."""
+    return np.bincount(A.indices, A.data * X[_rows(A), A.indices], minlength=A.shape[1])
 
 
 def finite_diff_grad(lp, cfg, loss, step_scale=1e-6, x0=None):

@@ -25,7 +25,6 @@ import numpy as np
 from .core import SolverConfig, SolveStatus, load_lp
 from .errors import InvalidConfig, PhyslpError, Unreachable
 from .autodiff import backward, solve_with_tape
-from .oracles import dijkstra, hungarian
 from .problems import (GaussianKernel, Graph, LinearKernel, MatchingInstance,
                        SvmInstance, assignment_to_vector, build_l1svm_lp,
                        build_matching_lp, build_shortest_path_lp,
@@ -92,6 +91,8 @@ def cmd_solve(args):
 # ---------------------------------------------------------- match-bench
 
 def _match_trial(payload):
+    from .oracles import hungarian
+
     index, seed_seq, n, m, budgets, cfg, error_block = payload
     rng = np.random.default_rng(seed_seq)
     C = rng.uniform(size=(n, m))
@@ -279,6 +280,8 @@ def cmd_learn_cost(args):
 # -------------------------------------------------------- shortest-path
 
 def cmd_shortest_path(args):
+    from .oracles import dijkstra
+
     try:
         with open(args.graph) as fh:
             graph = Graph.from_dict(json.load(fh))

@@ -25,7 +25,7 @@ from .core import (SolveResult, SolveStatus, SolverConfig, StandardFormLP,
                    TraceRecord, validate)
 from .errors import (Breakdown, DimensionMismatch, LinSolveFailure,
                      MissingBound, NonPositiveInit, ZeroCostNeedsGamma)
-from .linalg import spd_solve
+from .linalg import AUTO_REG_SCALE, _norm, spd_solve
 
 # Width of the early-stop window: the objective must be stalled across
 # this many consecutive iterations (plus a satisfied residual) to stop.
@@ -184,8 +184,12 @@ class StepDetail:
     the pre-clamp value stayed strictly above eps.  reg_used and
     tol_used are the Tikhonov term and the solve tolerance the
     step ran with, which replay passes back to take the same path to
-    the same p.  Per step this is at most one m-by-m factor plus four
-    n-vectors and one m-vector.
+    the same p.  reg_scale is s when reg_used is the default
+    s * sum_j w_j ||a_j||^2 / m (s = linalg.AUTO_REG_SCALE, or 100 times
+    that after the retry), which moves with w and A, so that backward
+    and jvp differentiate it; it is 0 when cfg.linsolve_reg or
+    reg_override fixed the term.  Per step this is at most one m-by-m
+    factor plus four n-vectors and one m-vector.
     """
 
     x_prev: np.ndarray
@@ -195,6 +199,7 @@ class StepDetail:
     x_new: np.ndarray
     clamp_mask: np.ndarray
     reg_used: float
+    reg_scale: float
     tol_used: float
     linsolve_iterations: int
 
@@ -225,12 +230,14 @@ def step_detail(prep, x, cfg, reg_override=None, tol=None):
     tol = cfg.linsolve_tol if tol is None else tol
     solve_with = partial(spd_solve, gram, prep.lp.b, tol)
     if reg_override is not None:
-        report = solve_with(reg_override)
+        report, reg_scale = solve_with(reg_override), 0.0
     else:
         try:
             report = solve_with(cfg.linsolve_reg)
+            reg_scale = AUTO_REG_SCALE if cfg.linsolve_reg is None else 0.0
         except Breakdown:
             base = cfg.linsolve_reg if cfg.linsolve_reg else gram.default_regularization()
+            reg_scale = 0.0 if cfg.linsolve_reg else 100.0 * AUTO_REG_SCALE
             try:
                 report = solve_with(100.0 * base)
             except Breakdown as exc:
@@ -241,7 +248,7 @@ def step_detail(prep, x, cfg, reg_override=None, tol=None):
     clamp_mask = pre > eps
     x_new = np.maximum(pre, eps)
     return StepDetail(x, report.factor, p, u, x_new, clamp_mask,
-                      report.regularization_used, tol, report.iterations)
+                      report.regularization_used, reg_scale, tol, report.iterations)
 
 
 def initial_state(prep, cfg, x0=None):
@@ -291,8 +298,8 @@ def _evaluate(prep, b, y):
     the original data.  The residual goes through prep.lp.operator,
     whose matrix is A sign, as (A sign)(sign x) = A x."""
     x = prep.decode(y)
-    residual = np.linalg.norm(prep.lp.operator.A @ (prep.sign * x) - b)
-    return x, float(prep.original_c @ x), float(residual)
+    residual = _norm(prep.lp.operator.A @ (prep.sign * x) - b)
+    return x, float(prep.original_c @ x), residual
 
 
 def _solve_loop(lp, cfg, x0, early_stop, record_steps):

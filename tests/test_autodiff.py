@@ -1,11 +1,13 @@
 """Tape recording, reverse-mode gradients, and tangent propagation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from physlp import (SolverConfig, StandardFormLP, backward, finite_diff_grad,
                     jvp, linalg, objective_gradients, solve, solve_with_tape,
-                    spd_solve_adjoint)
+                    solver, spd_solve_adjoint)
 from physlp.errors import DimensionMismatch
 from physlp.problems import (MatchingInstance, build_matching_lp,
                              random_bounded_lp)
@@ -27,7 +29,8 @@ def matching_lp(rng, n, m):
 
 def dense_backward(tape, grad_x):
     """Reference reverse sweep that forms the solve adjoint explicitly:
-    L = A diag(w) A^T, gL = -outer(z, p), and the contractions gL @ A.
+    L = A diag(w) A^T, gL = -outer(z, p), and the contractions gL @ A;
+    a default Tikhonov term reg = s trace(L) / m passes trace(gL) on.
     Returns working-coordinate (grad_c, grad_A, grad_b) for a tape
     without flipped coordinates."""
     prep = tape.prep
@@ -47,6 +50,9 @@ def dense_backward(tape, grad_x):
         gb += gb_step
         gw += np.einsum("rj,rj->j", A, gL @ A)
         gA += ((gL + gL.T) @ A) * w
+        g_reg = np.trace(gL) * det.reg_scale / len(gb)
+        gw += g_reg * (A * A).sum(axis=0)
+        gA += 2.0 * g_reg * A * w
         gc -= gw * det.x_prev / c_hat ** 2
         g = (1.0 - h) * g + gw / c_hat
     return np.where(prep.zero_mask, 0.0, gc), gA, gb
@@ -227,6 +233,41 @@ def test_randomized_gradcheck_and_transpose():
                     + grads.grad_b @ db)
         assert abs(lhs - rhs) <= 1e-8 * max(abs(lhs), abs(rhs), 1.0)
         checked += 1
+
+
+def test_gradients_follow_the_default_tikhonov_term(monkeypatch):
+    # with linsolve_reg=None each step's reg is s * trace(A W A^T) / m,
+    # which moves with c, A and the iterate.  At s = 1e-4 it shifts the
+    # gradients by 1e-4 to 3e-3 relative, so backward and jvp meet
+    # finite differences only by differentiating it; at the default
+    # 1e-10 the shift is of the order of the randomized test's band
+    for module in (linalg, solver):
+        monkeypatch.setattr(module, "AUTO_REG_SCALE", 1e-4)
+    rng = np.random.default_rng(9)
+    lp, _ = random_bounded_lp(rng, 3, 6)
+    cfg = SolverConfig(max_iters=10, seed=2)
+    _, tape = solve_with_tape(lp, cfg)
+    assert not tape.clamp_active_any
+    assert all(det.reg_scale == 1e-4 for det in tape.steps)
+    w = rng.normal(size=lp.n)
+    fd = finite_diff_grad(lp, cfg, lambda x: float(w @ x))
+    dc, dA, db = rng.normal(size=lp.n), rng.normal(size=(lp.m, lp.n)), rng.normal(size=lp.m)
+    eta = 1e-6
+
+    def x_at(t):
+        trial = StandardFormLP(lp.A + t * dA, lp.b + t * db, lp.c + t * dc)
+        return solve(trial, cfg, early_stop=False).x
+    fd_dx = (x_at(eta) - x_at(-eta)) / (2.0 * eta)
+
+    def errors(tape):
+        grads = backward(tape, w)
+        pairs = [(grads.grad_c, fd.grad_c), (grads.grad_A, fd.grad_A),
+                 (grads.grad_b, fd.grad_b), (jvp(tape, dc, dA, db), fd_dx)]
+        return [rel_err(got, want) for got, want in pairs]
+
+    assert max(errors(tape)) <= 1e-6
+    frozen = replace(tape, steps=[replace(det, reg_scale=0.0) for det in tape.steps])
+    assert min(errors(frozen)) > 1e-5
 
 
 @pytest.mark.parametrize("shape", [(30, 30), (10, 40)])

@@ -1,12 +1,15 @@
-"""SPD solve paths, regularization, and the solve adjoint."""
+"""SPD solve paths, regularization, the PCG kernel, and the solve
+adjoint."""
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from physlp import default_regularization, spd_solve, spd_solve_adjoint
+from physlp import (SolverConfig, backward, default_regularization, solve,
+                    solve_with_tape, spd_solve, spd_solve_adjoint)
 from physlp.errors import Breakdown, NotSymmetric
-from physlp.linalg import WeightedOperator
+from physlp.linalg import WeightedOperator, _pcg
+from physlp.problems import build_shortest_path_lp
 
 
 def test_identity_system():
@@ -184,3 +187,165 @@ def test_adjoint_directional_derivative():
     fd = (hi - lo) / (2.0 * eta)
     analytic = float(np.sum(grad_L * dL) + grad_b @ db)
     assert abs(fd - analytic) <= 1e-5 * max(1.0, abs(fd))
+
+
+# ------------------------------------------------------------ PCG kernel
+
+def reference_pcg(S_matvec, b, diag, x0, target, max_iters):
+    """Jacobi-PCG in plain numpy, one temporary or in-place numpy call
+    per vector operation: the loop that _pcg runs through BLAS ddot and
+    daxpy, with the same stopping rules."""
+    inv_diag = 1.0 / np.maximum(diag, np.finfo(np.float64).tiny)
+    x = np.zeros(b.shape[0]) if x0 is None else x0.copy()
+    r = b - S_matvec(x)
+    rnorm = np.linalg.norm(r)
+    if rnorm <= target or diag.min() < 0.0:
+        return x, 0, rnorm
+    z = inv_diag * r
+    d = z.copy()
+    rz = float(r @ z)
+    for k in range(1, max_iters + 1):
+        Sd = S_matvec(d)
+        dSd = float(d @ Sd)
+        if dSd <= 0.0 or not np.isfinite(dSd):
+            break
+        alpha = rz / dSd
+        x += alpha * d
+        Sd *= alpha
+        r -= Sd
+        rnorm = np.linalg.norm(r)
+        if rnorm <= target:
+            return x, k, rnorm
+        np.multiply(inv_diag, r, out=z)
+        rz_next = float(r @ z)
+        d *= rz_next / rz
+        d += z
+        rz = rz_next
+    return x, max_iters, np.linalg.norm(b - S_matvec(x))
+
+
+@pytest.fixture(scope="module")
+def dag_600_systems(dag_600):
+    """A diag(w) A^T + reg*I, as CSR, at the first, 50th and last step
+    of a 100-step dag_600 tape, and that tape's right-hand side b."""
+    _, tape = solve_with_tape(dag_600, SolverConfig(max_iters=100, seed=7))
+    op, c = tape.prep.lp.operator, tape.prep.lp.c
+    systems = [op.at(det.x_prev / c).sparse(det.reg_used)
+               for det in (tape.steps[0], tape.steps[49], tape.steps[99])]
+    return systems, tape.prep.lp.b
+
+
+@pytest.mark.parametrize("step", [0, 1, 2], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("tol", [1e-3, 1e-10])
+@pytest.mark.parametrize("rhs", ["b", "random"])
+def test_pcg_follows_the_reference_loop(dag_600_systems, step, tol, rhs):
+    # daxpy fuses multiply and add, so the iterates differ from the
+    # numpy loop's at rounding level, but a wrong buffer swap would
+    # still converge, only in many more iterations
+    systems, b = dag_600_systems
+    S = systems[step]
+    if rhs == "random":
+        b = np.random.default_rng(step).normal(size=b.size)
+    args = (S.__matmul__, b, S.diagonal(), None, tol * np.linalg.norm(b), 10 * b.size)
+    x, iters, res = _pcg(*args)
+    x_ref, iters_ref, _ = reference_pcg(*args)
+    assert 0 < iters < 10 * b.size
+    assert abs(iters - iters_ref) <= 1
+    assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+    assert res == pytest.approx(np.linalg.norm(S @ x - b), rel=1e-6)
+
+
+def test_pcg_takes_no_step_from_an_answer_that_meets_the_target(dag_600_systems):
+    systems, b = dag_600_systems
+    S = systems[1]
+    x0 = reference_pcg(S.__matmul__, b, S.diagonal(), None, 1e-12 * np.linalg.norm(b), 6000)[0]
+    x, iters, res = _pcg(S.__matmul__, b, S.diagonal(), x0, 1e-10 * np.linalg.norm(b), 6000)
+    assert iters == 0
+    assert np.array_equal(x, x0) and x is not x0
+    assert res == np.linalg.norm(b - S @ x0)
+
+
+@pytest.mark.parametrize("S, b", [
+    # a negative diagonal entry: PCG does not start
+    (np.diag([1.0, -1.0]), np.array([1.0, 1.0])),
+    # a positive diagonal but d^T S d < 0 on the first direction
+    (np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([1.0, -1.0])),
+], ids=["negative-diagonal", "negative-curvature"])
+def test_pcg_stops_on_an_indefinite_matrix_as_the_reference_does(S, b):
+    args = (S.__matmul__, b, np.diag(S).copy(), None, 1e-10, 20)
+    x, iters, res = _pcg(*args)
+    x_ref, iters_ref, res_ref = reference_pcg(*args)
+    assert iters == iters_ref
+    assert np.array_equal(x, x_ref) and res == res_ref
+    assert res > 1e-10
+
+
+# ------------------------------------------------- the caller's arrays
+
+def readonly(v):
+    v = np.array(v, dtype=np.float64)
+    v.flags.writeable = False
+    return v
+
+
+def dense_cg_system():
+    # as in test_iterative_path_used_above_direct_cutoff
+    rng = np.random.default_rng(4)
+    m = 600
+    B = rng.normal(size=(m, 8))
+    L = np.diag(rng.uniform(1.0, 2.0, size=m)) + 0.01 * (B @ B.T)
+    return L, rng.normal(size=m), {}
+
+
+def weighted_cg_system(lp):
+    rng = np.random.default_rng(8)
+    return lp.operator.at(rng.uniform(0.1, 1.0, size=lp.n)), lp.b, {}
+
+
+def dense_refined_system():
+    # the factor of L + 1e-3 I misses the system with reg 1e-9, so PCG
+    # refines its answer
+    rng = np.random.default_rng(9)
+    B = rng.normal(size=(30, 45))
+    L = B @ B.T
+    stale = spd_solve(L, rng.normal(size=30), reg=1e-3).factor
+    return L, rng.normal(size=30), {"reg": 1e-9, "factor": stale}
+
+
+def weighted_refined_system(lp):
+    rng = np.random.default_rng(10)
+    w = rng.uniform(0.1, 2.0, size=lp.n)
+    stale = spd_solve(lp.operator.at(2.0 * w), lp.b, reg=1e-3).factor
+    return lp.operator.at(w), rng.normal(size=lp.m), {"reg": 1e-3, "factor": stale}
+
+
+@pytest.mark.parametrize("case", ["dense-cg", "weighted-cg", "dense-refined",
+                                  "weighted-refined"])
+def test_spd_solve_leaves_a_read_only_rhs_alone(case, dag_600, matching_5x50):
+    L, b, kwargs = {
+        "dense-cg": dense_cg_system,
+        "weighted-cg": lambda: weighted_cg_system(dag_600),
+        "dense-refined": dense_refined_system,
+        "weighted-refined": lambda: weighted_refined_system(matching_5x50),
+    }[case]()
+    b = readonly(b)
+    before = b.copy()
+    rep = spd_solve(L, b, **kwargs)
+    assert rep.iterations > 0  # every case runs PCG
+    assert np.array_equal(b, before)
+    assert rep.p is not b
+
+
+def test_solve_and_backward_leave_the_lp_alone(dag_600_graph):
+    # prep.lp shares b with the caller's LP, so a write into the PCG
+    # residual's buffer would change the LP for every later step
+    lp = build_shortest_path_lp(dag_600_graph, 0, dag_600_graph.num_nodes - 1)
+    for arr in (lp.A, lp.b, lp.c):
+        arr.flags.writeable = False
+    before = lp.b.copy()
+    cfg = SolverConfig(max_iters=10, seed=3)
+    solve(lp, cfg)
+    _, tape = solve_with_tape(lp, cfg)
+    assert tape.prep.lp.b is lp.b
+    backward(tape, np.random.default_rng(3).normal(size=lp.n))
+    assert np.array_equal(lp.b, before)

@@ -1,6 +1,10 @@
 """Reference solvers: Hungarian, vertex enumeration, Dijkstra."""
 
+import os
+import subprocess
+import sys
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -231,3 +235,19 @@ def test_dijkstra_consistent_with_shortest_path_lp():
     _, length = dijkstra(g, 0, 4)
     vs = enumerate_vertices(build_shortest_path_lp(g, 0, 4))
     assert vs.objective == pytest.approx(length, abs=1e-12)
+
+
+def test_import_physlp_leaves_scipy_optimize_unloaded():
+    # oracles, and scipy.optimize with it, loads on first use of
+    # physlp.oracles
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = ("import sys, physlp\n"
+            "assert 'scipy.optimize' not in sys.modules\n"
+            "assert 'physlp.oracles' not in sys.modules\n"
+            "assert physlp.oracles.hungarian([[1.0]]).map.tolist() == [0]\n"
+            "assert 'scipy.optimize' in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
