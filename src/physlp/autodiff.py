@@ -10,14 +10,18 @@ the negative-cost flip or the zero-cost perturbation itself.
 
 Per step the tape holds the Cholesky factor of S = A diag(w) A^T + reg*I
 that the forward solve computed, plus x_prev, p, u, x_new and the clamp
-mask; w = x_prev / c_hat is recomputed.  The solve adjoint
-gL = -outer(z, p) has rank one, so backward never forms an m-by-m or
-m-by-n array per step: each step costs a few products with A through
-the LP's WeightedOperator, the CSR copy the forward pass used,
-and one spd_solve: two triangular solves against the stored factor, or
-PCG on the sparse A diag(w) A^T + reg*I that the forward CG steps use
-when the step had no factor.  gA comes from one GEMM over the 2K
-stacked per-step vectors at the end.
+mask; w = x_prev / c_hat is recomputed.  The factor is dense, m^2
+floats, or a linalg.BlockFactor where the operator splits its rows:
+the factor of the Schur complement on F plus the block S_FI and the
+diagonal S_II, 7,600 floats against 22,500 on a 150-row assignment LP.
+The solve adjoint gL = -outer(z, p) has rank one, so backward never
+forms an m-by-m or m-by-n array per step: each step costs a few
+products with A through the LP's WeightedOperator, the CSR copy the
+forward pass used, and one spd_solve: two triangular solves against
+the stored factor (around two GEMVs for a BlockFactor), or PCG on the
+sparse A diag(w) A^T + reg*I that the forward CG steps use when the
+step had no factor.  gA comes from one GEMM over the 2K stacked
+per-step vectors at the end.
 jvp forms dL p the same way.  spd_solve accepts every solve on backward
 error; backward and jvp ask for cfg.linsolve_tol on factored steps and
 at most CG_ADJOINT_TOL on CG steps, whose forward solves ran to the
@@ -64,9 +68,10 @@ class UnrolledTape:
     """Recorded forward pass: the prepared LP (whose lp.operator holds
     the CSR copy of A the steps computed with), the initial
     iterate in working coordinates, and one StepDetail per iteration:
-    five O(n) or O(m) vectors each, plus spd_solve's m-by-m Cholesky
-    factor, which steps above linalg.DIRECT_MAX_DIM rows (CG on the
-    sparse matrix) only hold when its last resort ran."""
+    five O(n) or O(m) vectors each, plus spd_solve's Cholesky factor,
+    m-by-m or a linalg.BlockFactor of |F|^2 + |F| |I| + |I| floats,
+    which steps above linalg.DIRECT_MAX_DIM rows (CG on the sparse
+    matrix) only hold when its last resort ran."""
 
     prep: object
     cfg: SolverConfig
@@ -206,22 +211,23 @@ def jvp(tape, dc=None, dA=None, db=None):
     Propagates a perturbation (dc, dA, db) of the original data through
     the recorded forward pass and returns d(x_final).  The adjoint in
     backward is the transpose of this map, which the tests verify via
-    dot products.
+    dot products.  Without dA no m-by-n product is taken.
     """
     prep = tape.prep
     op = prep.lp.operator
     c_hat = prep.lp.c
     h = tape.cfg.step_size
     n, m = prep.lp.n, prep.lp.m
-    dc, dA, db = (np.zeros(shape) if d is None else np.asarray(d, dtype=np.float64)
-                  for d, shape in ((dc, (n,)), (dA, (m, n)), (db, (m,))))
-    if dc.shape != (n,) or dA.shape != (m, n) or db.shape != (m,):
+    dc, db = (np.zeros(shape) if d is None else np.asarray(d, dtype=np.float64)
+              for d, shape in ((dc, (n,)), (db, (m,))))
+    dA = None if dA is None else np.asarray(dA, dtype=np.float64)
+    if dc.shape != (n,) or db.shape != (m,) or (dA is not None and dA.shape != (m, n)):
         raise DimensionMismatch("direction shapes must match the LP")
     dc_w, dA_w, db_w = prep.tangent(dc, dA, db)
     # a default Tikhonov term moves by
     # d reg = s / m * sum_j (dw_j ||a_j||^2 + 2 w_j a_j . da_j)
     col_sq = _column_dots(op.A, prep.lp.A)
-    col_da = _column_dots(op.A, dA_w)
+    col_da = np.zeros(n) if dA_w is None else _column_dots(op.A, dA_w)
 
     dx = np.zeros(n)
     for det in tape.steps:
@@ -229,8 +235,11 @@ def jvp(tape, dc=None, dA=None, db=None):
         w = x / c_hat
         dw = dx / c_hat - x * dc_w / c_hat ** 2
         # dL p with dL = dA W A^T + A dW A^T + A W dA^T, never formed
-        dAt_p = dA_w.T @ p
-        dL_p = dA_w @ (w * u) + op.A @ (dw * u + w * dAt_p)
+        if dA_w is None:
+            dAt_p, dL_p = 0.0, op.A @ (dw * u)
+        else:
+            dAt_p = dA_w.T @ p
+            dL_p = dA_w @ (w * u) + op.A @ (dw * u + w * dAt_p)
         d_reg = det.reg_scale / m * (ddot(dw, col_sq) + 2.0 * ddot(w, col_da))
         dL_p += d_reg * p
         dp = spd_solve(op.at(w), db_w - dL_p, _adjoint_tol(det, tape.cfg), det.reg_used,

@@ -4,18 +4,25 @@ Every dynamics step solves (L + reg*I) p = b with L = A W A^T symmetric
 positive semidefinite.  WeightedOperator holds a CSR copy of A and one
 map Q from w to the values of A diag(w) A^T on the nonzero pattern of
 A A^T plus its diagonal.  WeightedGram, op.at(w), computes Q @ w once
-and reads every form of L from it: dense, sparse, and its diagonal.
+and reads every form of L from it: dense, in blocks, sparse, and its
+diagonal.
 spd_solve is the one solve routine, for the forward steps and for the
-backward and tangent solves alike.  It factors the dense L + reg*I by
-Cholesky up to DIRECT_MAX_DIM rows, calling LAPACK dpotrf and dpotrs
-directly and keeping dpotrf's lower factor as (c, True), the form
-scipy.linalg.cho_solve takes; above, it runs Jacobi-preconditioned
-CG from zero on the sparse one, and factors it only as a last resort.
-Given the factor of an earlier solve, it reuses it.  DIRECT_MAX_DIM
-picks the method, never the values.  The CG loop, _pcg, does its
-vector operations as level-1 BLAS calls (scipy.linalg.blas ddot and
-daxpy) in place, as numpy's fixed cost per call outweighs the work on
-vectors of a few hundred entries.
+backward and tangent solves alike.  It factors L + reg*I by Cholesky
+up to DIRECT_MAX_DIM rows, calling LAPACK dpotrf and dpotrs directly,
+in one of two forms.  Dense, it keeps dpotrf's lower factor as
+(c, True), the form scipy.linalg.cho_solve takes.  In blocks, it
+eliminates first a set I of rows of A that share no column, whose
+block of L + reg*I is the diagonal d_I, and factors only the Schur
+complement of that block on the other rows F, as a BlockFactor.  The
+operator picks the block form once (its _split) where it saves
+BLOCK_MIN_SAVING flops of dpotrf, as on assignment LPs of 150 rows.
+Above DIRECT_MAX_DIM rows spd_solve runs Jacobi-preconditioned CG from
+zero on the sparse L + reg*I, and factors it densely only as a last
+resort.  Given the factor of an earlier solve, it reuses it.
+DIRECT_MAX_DIM and the split pick the method, never the values.  The
+CG loop, _pcg, does its vector operations as level-1 BLAS calls
+(scipy.linalg.blas ddot and daxpy) in place, as numpy's fixed cost per
+call outweighs the work on vectors of a few hundred entries.
 """
 
 import math
@@ -36,6 +43,11 @@ DIRECT_MAX_DIM = 512
 SYMMETRY_TOL = 1e-10
 # Scale factor for the automatic Tikhonov term.
 AUTO_REG_SCALE = 1e-10
+# Flops of dpotrf that the block factor must save, m^3/3 against
+# |F|^3/3 + |F|^2 |I| for the Schur complement, to be used.  Below it
+# the block form's extra numpy calls cost more than they save: taken at
+# every size, it ran 13% slower on 55-row and 8% slower on 60-row LPs.
+BLOCK_MIN_SAVING = 2e5
 
 
 @dataclass
@@ -45,10 +57,11 @@ class SpdSolveReport:
     iterations is 0 when the Cholesky factor alone solved the system,
     otherwise the number of CG steps taken.  final_residual is
     ||(L + reg*I) p - b||_2.  factor is the Cholesky factor of L + reg*I,
+    which spd_solve(..., factor=) reuses for further right-hand sides:
     LAPACK dpotrf's lower factor as (c, True), the form
-    scipy.linalg.cho_solve takes, which spd_solve(..., factor=) reuses for
-    further right-hand sides; it is None when CG alone solved the system
-    (above DIRECT_MAX_DIM rows, unless the last resort ran) or b is zero.
+    scipy.linalg.cho_solve takes, or a BlockFactor where the operator
+    splits its rows.  It is None when CG alone solved the system (above
+    DIRECT_MAX_DIM rows, unless the last resort ran) or b is zero.
     """
 
     p: np.ndarray
@@ -89,6 +102,10 @@ class WeightedOperator:
     @cached_property
     def _pattern(self):
         return _build_pattern(self.A.tocsc())
+
+    @cached_property
+    def _split(self):
+        return _build_split(self._pattern)
 
     def matvec(self, w, reg):
         """v -> A (w * (A^T v)) + reg*v, the product with A diag(w) A^T + reg*I."""
@@ -136,6 +153,77 @@ def _build_pattern(C):
     return _Pattern(keys, indptr, keys % m, Q, entry[flat.size:])
 
 
+class _Split(NamedTuple):
+    I: np.ndarray  # rows that share no column, eliminated first
+    F: np.ndarray  # the other rows
+    # where the entries of diag(S_II), S_FF and S_FI sit among the
+    # pattern's values, in those blocks' shapes; an entry outside the
+    # pattern points one past the values, at an appended zero
+    diagonal: np.ndarray
+    ff: np.ndarray
+    fi: np.ndarray
+
+
+def _build_split(pattern):
+    """The rows of the block factor as a _Split, or None where it would
+    save fewer than BLOCK_MIN_SAVING flops of dpotrf.
+
+    I is a maximal set of rows that share no column, so that the I x I
+    block of A diag(w) A^T is diagonal for every w; it is picked
+    greedily, rows of fewest neighbours in the pattern of A A^T first.
+    On an assignment LP these are the rows of the larger side.
+    """
+    m = pattern.indptr.size - 1
+    if m ** 3 / 3 < BLOCK_MIN_SAVING:
+        return None
+    chosen = np.zeros(m, dtype=bool)
+    free = np.ones(m, dtype=bool)
+    indptr = pattern.indptr.tolist()  # Python ints index faster
+    for i in np.argsort(np.diff(pattern.indptr), kind="stable").tolist():
+        if free[i]:
+            chosen[i] = True
+            free[pattern.indices[indptr[i]:indptr[i + 1]]] = False
+    I, F = np.flatnonzero(chosen), np.flatnonzero(~chosen)
+    if m ** 3 / 3 - F.size ** 3 / 3 - F.size ** 2 * I.size < BLOCK_MIN_SAVING:
+        return None
+    at = np.full(m * m, pattern.keys.size)
+    at[pattern.keys] = np.arange(pattern.keys.size)
+    at = at.reshape(m, m)
+    return _Split(I, F, at[I, I], at[np.ix_(F, F)], at[np.ix_(F, I)])
+
+
+class _Blocks(NamedTuple):
+    """S = A diag(w) A^T + reg*I in the blocks of a _Split: S_II =
+    diag(d), S_FI = B and S_FF = FF."""
+
+    FF: np.ndarray
+    B: np.ndarray
+    d: np.ndarray
+    I: np.ndarray
+    F: np.ndarray
+
+    def __matmul__(self, p):
+        pI, pF = p[self.I], p[self.F]
+        out = np.empty(p.size)
+        out[self.I] = self.d * pI + pF @ self.B
+        out[self.F] = self.B @ pI + self.FF @ pF
+        return out
+
+
+class BlockFactor(NamedTuple):
+    """The Cholesky factor of S = A diag(w) A^T + reg*I with the rows I
+    first, whose block S_II = diag(d) has the factor diag(sqrt(d)): the
+    block S_FI = B and dpotrf's lower factor c of the Schur complement
+    S_FF - B diag(1/d) B^T.  It holds |F|^2 + |F| |I| + |I| floats,
+    not m^2."""
+
+    c: np.ndarray
+    B: np.ndarray
+    d: np.ndarray
+    I: np.ndarray
+    F: np.ndarray
+
+
 @dataclass
 class WeightedGram:
     """A diag(w) A^T as spd_solve takes it from the solver: built from a
@@ -143,7 +231,7 @@ class WeightedGram:
 
     Its values on the operator's pattern, Q @ w, are computed once, on
     first use, and every form is read from them: sparse(reg) for CG
-    steps, dense(reg) for direct ones, and the diagonal behind
+    steps, direct(reg) for direct ones, and the diagonal behind
     default_regularization and the Jacobi preconditioner of a factored
     spd_solve, whose products go through op.matvec.
     """
@@ -179,6 +267,17 @@ class WeightedGram:
         S = np.zeros(m * m)
         S[pattern.keys] = self._shifted(reg)
         return S.reshape(m, m)
+
+    def direct(self, reg):
+        """A diag(w) A^T + reg*I for a direct solve: its _Blocks where the
+        operator splits its rows, dense(reg) otherwise.  The blocks are
+        gathered from the values, never from an m-by-m array."""
+        split = self.op._split
+        if split is None:
+            return self.dense(reg)
+        values = np.append(self._shifted(reg), 0.0)
+        return _Blocks(values[split.ff], values[split.fi], values[split.diagonal],
+                       split.I, split.F)
 
     def default_regularization(self):
         """default_regularization of the matrix, from its diagonal."""
@@ -263,9 +362,10 @@ def spd_solve(L, b, tol=1e-10, reg=None, factor=None):
     """Solve (L + reg*I) p = b for symmetric positive (semi)definite L.
 
     L is a dense array, checked for shape, finiteness and symmetry, or
-    the unchecked WeightedGram op.at(w) of the solver, assembled dense
-    up to DIRECT_MAX_DIM rows and sparse above.  reg=None applies the
-    trace-scaled default.  factor, a Cholesky factor of L + reg*I
+    the unchecked WeightedGram op.at(w) of the solver, assembled by
+    direct(reg), dense or in blocks, up to DIRECT_MAX_DIM rows and
+    sparse above.  reg=None applies the trace-scaled default.  factor,
+    a Cholesky factor of L + reg*I, dense or a BlockFactor
     (SpdSolveReport.factor of an earlier solve with it), is reused;
     products with a WeightedGram then go through op.matvec instead of
     the assembled matrix.
@@ -299,7 +399,7 @@ def spd_solve(L, b, tol=1e-10, reg=None, factor=None):
         if not weighted:
             S = L + reg * np.eye(m)
         else:
-            S = L.sparse(reg) if m > DIRECT_MAX_DIM else L.dense(reg)
+            S = L.sparse(reg) if m > DIRECT_MAX_DIM else L.direct(reg)
         matvec = S.__matmul__
 
     def direct():
@@ -333,17 +433,32 @@ def spd_solve(L, b, tol=1e-10, reg=None, factor=None):
 def _cholesky(S, b, cf=None):
     """(factor, S^{-1} b) by Cholesky, with the factor cf of S when one
     is given, or (None, None) when the factorization fails or gives a
-    non-finite solution.  A sparse S is made dense first.  LAPACK is
-    called directly: scipy's cho_factor and cho_solve make the same
-    calls but cost as much again in their wrappers at m ~ 50."""
+    non-finite solution.  A sparse S is made dense first; _Blocks give
+    a BlockFactor, through one GEMM and a dpotrf of order |F|, and are
+    solved by two GEMVs around a dpotrs.  LAPACK is called directly:
+    scipy's cho_factor and cho_solve make the same calls but cost as
+    much again in their wrappers at m ~ 50."""
     if cf is None:
-        S = S.toarray() if scipy.sparse.issparse(S) else S
-        c, info = dpotrf(S, lower=1, clean=0)
+        if isinstance(S, _Blocks):
+            if not S.d.min() > 0.0:
+                return None, None
+            c, info = dpotrf(S.FF - (S.B / S.d) @ S.B.T, lower=1, clean=0, overwrite_a=1)
+            cf = BlockFactor(c, S.B, S.d, S.I, S.F)
+        else:
+            S = S.toarray() if scipy.sparse.issparse(S) else S
+            c, info = dpotrf(S, lower=1, clean=0)
+            cf = (c, True)
         if info != 0:
             return None, None
-        cf = (c, True)
-    c, lower = cf
-    p, info = dpotrs(c, b, lower=lower)
+    if isinstance(cf, BlockFactor):
+        c, B, d, I, F = cf
+        t = b[I] / d
+        # dpotrs refuses an empty system, which F is when A A^T is diagonal
+        pF, info = dpotrs(c, b[F] - B @ t, lower=1) if F.size else (np.empty(0), 0)
+        p = np.empty(b.size)
+        p[F], p[I] = pF, t - (pF @ B) / d
+    else:
+        p, info = dpotrs(cf[0], b, lower=cf[1])
     return (cf, p) if info == 0 and np.isfinite(p).all() else (None, None)
 
 

@@ -106,10 +106,11 @@ class PreparedLP:
 
     def tangent(self, dc, dA, db):
         """Map a perturbation (dc, dA, db) of the original data to the
-        working data.  gamma and M are constants, so perturbed columns
-        get no cost tangent."""
+        working data; dA may be None, for no perturbation of A, and maps
+        to None.  gamma and M are constants, so perturbed columns get no
+        cost tangent."""
         dc = np.where(self.zero_mask, 0.0, self.sign * dc)
-        if not self.flip_mask.any():
+        if dA is None or not self.flip_mask.any():
             return dc, dA, db
         return dc, dA * self.sign, db - dA @ self.shift
 
@@ -175,9 +176,12 @@ class StepDetail:
     u = A^T p, w = x_prev / c_hat and p the spd_solve answer of
     (A diag(w) A^T + reg*I) p = b at tolerance tol_used.
     factor is the SpdSolveReport.factor of the step's spd_solve call,
-    the Cholesky factor of that matrix as LAPACK dpotrf's lower factor
-    (c, True), the form scipy.linalg.cho_solve takes, which
-    backward and jvp hand back to spd_solve for their own solves.  Above
+    the Cholesky factor of that matrix, which backward and jvp hand back
+    to spd_solve for their own solves: LAPACK dpotrf's lower factor
+    (c, True), the form scipy.linalg.cho_solve takes, or, where the
+    operator splits its rows, a linalg.BlockFactor, which holds the
+    factor of a Schur complement of order |F|, the |F|-by-|I| block and
+    the diagonal block instead of m^2 floats.  Above
     linalg.DIRECT_MAX_DIM rows spd_solve runs CG on the matrix
     assembled sparse, and the step stores no factor (None) unless CG
     failed and the Cholesky last resort ran.  clamp_mask is True where

@@ -335,6 +335,35 @@ def test_dot_product_on_a_long_cg_tape(dag_600):
     assert abs(lhs - rhs) <= 1e-8 * max(abs(lhs), abs(rhs))
 
 
+@pytest.mark.parametrize("seed", [7, 8])
+def test_dot_product_on_block_factored_steps(matching_50x100, seed):
+    # every step of a 150-row assignment LP keeps a BlockFactor, which
+    # the backward and tangent solves reuse
+    lp = matching_50x100
+    _, tape = solve_with_tape(lp, SolverConfig(max_iters=50, seed=seed))
+    assert all(isinstance(det.factor, linalg.BlockFactor) for det in tape.steps)
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=lp.n)
+    dc, dA, db = rng.normal(size=lp.n), rng.normal(size=(lp.m, lp.n)), rng.normal(size=lp.m)
+    grads = backward(tape, g)
+    lhs = float(g @ jvp(tape, dc=dc, dA=dA, db=db))
+    rhs = float(grads.grad_c @ dc + (grads.grad_A * dA).sum() + grads.grad_b @ db)
+    assert abs(lhs - rhs) <= 1e-8 * max(abs(lhs), abs(rhs))
+
+
+@pytest.mark.parametrize("name", ["dag_600", "matching_50x100", "signed_sparse_40x400"])
+def test_jvp_without_dA_is_jvp_with_a_zero_dA(name, request):
+    # the no-dA path skips every m-by-n product; signed_sparse_40x400
+    # flips columns, whose tangent would otherwise pass dA through
+    lp = request.getfixturevalue(name)
+    _, tape = solve_with_tape(lp, SolverConfig(max_iters=20, seed=5))
+    rng = np.random.default_rng(5)
+    dc, db = rng.normal(size=lp.n), rng.normal(size=lp.m)
+    zero = np.zeros((lp.m, lp.n))
+    assert np.array_equal(jvp(tape, dc=dc), jvp(tape, dc=dc, dA=zero))
+    assert np.array_equal(jvp(tape, dc=dc, db=db), jvp(tape, dc=dc, dA=zero, db=db))
+
+
 def test_jvp_matches_directional_fd():
     lp, _ = random_bounded_lp(np.random.default_rng(3), 2, 5)
     cfg = SolverConfig(max_iters=8, seed=11)

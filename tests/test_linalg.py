@@ -1,15 +1,15 @@
-"""SPD solve paths, regularization, the PCG kernel, and the solve
-adjoint."""
+"""SPD solve paths, regularization, the block factor, the PCG kernel,
+and the solve adjoint."""
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from physlp import (SolverConfig, backward, default_regularization, solve,
-                    solve_with_tape, spd_solve, spd_solve_adjoint)
+from physlp import (SolverConfig, StandardFormLP, backward, default_regularization,
+                    linalg, solve, solve_with_tape, spd_solve, spd_solve_adjoint)
 from physlp.errors import Breakdown, NotSymmetric
-from physlp.linalg import WeightedOperator, _pcg
-from physlp.problems import build_shortest_path_lp
+from physlp.linalg import BlockFactor, WeightedOperator, _pcg
+from physlp.problems import MatchingInstance, build_matching_lp, build_shortest_path_lp
 
 
 def test_identity_system():
@@ -187,6 +187,115 @@ def test_adjoint_directional_derivative():
     fd = (hi - lo) / (2.0 * eta)
     analytic = float(np.sum(grad_L * dL) + grad_b @ db)
     assert abs(fd - analytic) <= 1e-5 * max(1.0, abs(fd))
+
+
+# ---------------------------------------------------------- block factor
+
+def is_dense_factor(factor):
+    return isinstance(factor, tuple) and len(factor) == 2 and factor[1] is True
+
+
+def test_block_factor_only_where_the_split_saves_flops(matching_5x50, matching_50x100):
+    # 50x100: the 100 proposal rows share no column and go first, and a
+    # step stores 50^2 + 50*100 + 100 floats instead of 150^2; 5x50 and
+    # 30x30 (55 and 60 rows) save too few flops and stay dense
+    split = matching_50x100.operator._split
+    assert np.array_equal(split.I, np.arange(50, 150))
+    assert np.array_equal(split.F, np.arange(50))
+    _, tape = solve_with_tape(matching_50x100, SolverConfig(max_iters=5, seed=1))
+    for det in tape.steps:
+        assert isinstance(det.factor, BlockFactor)
+        assert sum(a.size for a in det.factor[:3]) == 7600
+    square = build_matching_lp(MatchingInstance(np.random.default_rng(7).uniform(size=(30, 30))))
+    for lp in (matching_5x50, square):
+        _, tape = solve_with_tape(lp, SolverConfig(max_iters=5, seed=1))
+        assert lp.operator._split is None
+        assert all(is_dense_factor(det.factor) for det in tape.steps)
+
+
+@pytest.fixture(scope="module")
+def matching_50x100_tape(matching_50x100):
+    return solve_with_tape(matching_50x100, SolverConfig(max_iters=50, seed=7))[1]
+
+
+@pytest.mark.parametrize("step", [1, 25, 49])
+def test_block_solve_meets_the_backward_error_bound(matching_50x100_tape, step):
+    # as spd_solve's docstring states it, from a new factor and from the
+    # step's, on a right-hand side other than b
+    tape = matching_50x100_tape
+    det, A = tape.steps[step], tape.prep.lp.A
+    w = det.x_prev / tape.prep.lp.c
+    S = (A * w) @ A.T + det.reg_used * np.eye(A.shape[0])
+    rhs = np.random.default_rng(step).normal(size=A.shape[0])
+    tol = 1e-10
+    gram = tape.prep.lp.operator.at(w)
+    for factor in (None, det.factor):
+        rep = spd_solve(gram, rhs, tol=tol, reg=det.reg_used, factor=factor)
+        assert isinstance(rep.factor, BlockFactor) and rep.iterations == 0
+        bound = tol * (np.linalg.norm(rhs) + np.diag(S).max() * np.linalg.norm(rep.p))
+        assert np.linalg.norm(S @ rep.p - rhs) <= bound
+
+
+def test_block_factor_of_a_diagonal_gram():
+    # A = [I I]: no two rows share a column, so every row is eliminated
+    # first and the Schur complement is empty; the costs differ by 2x in
+    # each pair, so 100 steps reach the cheaper side's vertex
+    m = 100
+    rng = np.random.default_rng(3)
+    first = np.where(rng.uniform(size=m) < 0.5, 1.0, 2.0)
+    c = np.concatenate([first, 3.0 - first])
+    b = rng.uniform(0.5, 1.5, size=m)
+    lp = StandardFormLP(np.hstack([np.eye(m), np.eye(m)]), b, c)
+    assert lp.operator._split.F.size == 0
+    res, tape = solve_with_tape(lp, SolverConfig(max_iters=100, seed=3))
+    assert all(isinstance(det.factor, BlockFactor) for det in tape.steps)
+    cheap = c[:m] < c[m:]
+    assert np.abs(res.x - np.concatenate([b * cheap, b * ~cheap])).max() <= 1e-6
+    det = tape.steps[0]
+    w = det.x_prev / c
+    assert np.allclose(det.p, b / (w[:m] + w[m:] + det.reg_used), rtol=1e-14, atol=0.0)
+    grads = backward(tape, rng.normal(size=2 * m))
+    assert np.isfinite(grads.grad_c).all()
+
+
+@pytest.mark.parametrize("name", ["matching_5x50", "matching_50x100"])
+def test_a_failed_factor_falls_back_to_pcg_on_both_routes(name, request, monkeypatch):
+    # dpotrf reporting failure, on the whole matrix or on the Schur
+    # complement alike: no factor is kept and PCG solves the system
+    lp = request.getfixturevalue(name)
+    gram = lp.operator.at(np.random.default_rng(2).uniform(0.1, 2.0, size=lp.n))
+    want = spd_solve(gram, lp.b)
+    assert want.factor is not None and want.iterations == 0
+    monkeypatch.setattr(linalg, "dpotrf", lambda a, **kwargs: (a, 1))
+    rep = spd_solve(gram, lp.b)
+    assert rep.factor is None and rep.iterations > 0
+    assert np.linalg.norm(rep.p - want.p) <= 1e-8 * np.linalg.norm(want.p)
+
+
+@pytest.mark.parametrize("scale, orders", [(0.5, [50]), (1.5, [])],
+                         ids=["schur-indefinite", "diagonal-indefinite"])
+def test_an_indefinite_matrix_breaks_down_on_both_routes(matching_50x100, monkeypatch,
+                                                         scale, orders):
+    # reg = -d/2 keeps the diagonal block positive but makes the matrix,
+    # and so its Schur complement, indefinite; at -1.5 d a diagonal
+    # entry is negative and the block route factors nothing, where an
+    # LDL^T of the blocks would still solve the system; the dense route
+    # raises Breakdown on the same matrices
+    op = matching_50x100.operator
+    w = np.random.default_rng(1).uniform(0.1, 2.0, size=matching_50x100.n)
+    reg = -scale * op.at(w)._diagonal[op._split.I].min()
+    potrf, seen = linalg.dpotrf, []
+
+    def spy(a, **kwargs):
+        seen.append(a.shape[0])
+        return potrf(a, **kwargs)
+    monkeypatch.setattr(linalg, "dpotrf", spy)
+    with pytest.raises(Breakdown):
+        spd_solve(op.at(w), matching_50x100.b, reg=reg)
+    assert seen == orders
+    with pytest.raises(Breakdown):
+        spd_solve(op.at(w).dense(0.0), matching_50x100.b, reg=reg)
+    assert seen == orders + [150]
 
 
 # ------------------------------------------------------------ PCG kernel
