@@ -30,7 +30,7 @@ from .problems import (GaussianKernel, Graph, LinearKernel, MatchingInstance,
                        build_matching_lp, build_shortest_path_lp,
                        decode_matching, decode_svm, matching_cost_gradient,
                        split_matching_vars, two_gaussian_blobs)
-from .solver import initial_state, prepare_lp, solve, step_detail
+from .solver import _iterate, initial_state, prepare_lp, solve
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -91,6 +91,9 @@ def cmd_solve(args):
 # ---------------------------------------------------------- match-bench
 
 def _match_trial(payload):
+    """One trial: the error of the forward loop's iterate at each
+    budget k, the x of solve(lp, cfg with max_iters=k, early_stop=False);
+    time_sec includes the evaluation that loop makes after each step."""
     from .oracles import hungarian
 
     index, seed_seq, n, m, budgets, cfg, error_block = payload
@@ -105,13 +108,11 @@ def _match_trial(payload):
 
     cfg = dataclasses.replace(cfg, seed=solver_seed)
     prep = prepare_lp(lp, cfg.gamma)
-    y = initial_state(prep, cfg)
+    y0 = initial_state(prep, cfg)
     records = []
     start = time.perf_counter()
-    for k in range(1, max(budgets) + 1):
-        y = step_detail(prep, y, cfg).x_new
+    for k, (_, x, _, _) in enumerate(_iterate(prep, lp.b, y0, cfg), 1):
         if k in budgets:
-            x = prep.decode(y)
             if error_block == "x-only":
                 x = x[:n * m]
             err = float(np.linalg.norm(x - x_star)) / norm_star

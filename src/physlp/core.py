@@ -135,9 +135,10 @@ class SolverConfig:
     linsolve_tol tolerance of the backward and jvp solves (at most
                  autodiff.CG_ADJOINT_TOL on CG steps); in forward
                  steps the floor of the tolerance solver.forward_tol,
-                 which solve and solve_with_tape derive from each
-                 iterate's residual.  spd_solve accepts every solve on
-                 normwise backward error at its tolerance
+                 which the forward loop of solve, solve_with_tape and
+                 match-bench derives from each iterate's residual.
+                 spd_solve accepts every solve on normwise backward
+                 error at its tolerance
     linsolve_reg Tikhonov term added to A W A^T; None scales
                  1e-10 * trace / m per solve
     residual_tol feasibility tolerance used for early stopping and the

@@ -123,30 +123,17 @@ class PreparedLP:
         return gc, gA * self.sign - np.outer(gb, self.shift), gb
 
 
-def flip_negative_costs(lp):
-    """Substitute x_i = M - y_i on negative-cost coordinates.
-
-    M is taken from lp.box_bound and must dominate the feasible set on
-    the flipped coordinates; MissingBound is raised when negative costs
-    are present without a bound.  The returned PreparedLP is
-    pre-perturbation: its cost is nonnegative but may contain zeros.
-    """
-    return _prepare(lp, perturb=False)
-
-
 def prepare_lp(lp, gamma=None):
     """Flip negative costs, then perturb zero costs.
 
-    gamma=None picks default_gamma(m, n) when zero costs are present
-    and 0.0 otherwise; an explicit gamma is applied as given.
-    """
-    return _prepare(lp, gamma)
-
-
-def _prepare(lp, gamma=None, perturb=True):
-    """flip_negative_costs, then with perturb the zero-cost perturbation.
+    Negative-cost coordinates are substituted x_i = M - y_i, with M =
+    lp.box_bound, which must dominate the feasible set on them;
+    MissingBound is raised when negative costs are present without a
+    bound.  gamma=None picks default_gamma(m, n) when zero costs are
+    present and 0.0 otherwise; an explicit gamma is applied as given.
     lp is validated once here and the working LP is built once; it
-    shares lp's A and b unless a column is flipped."""
+    shares lp's A and b unless a column is flipped.
+    """
     lp = validate(lp)
     neg = lp.c < 0.0
     sign = np.where(neg, -1.0, 1.0)
@@ -158,11 +145,10 @@ def _prepare(lp, gamma=None, perturb=True):
         shift[neg] = lp.box_bound
         A, b = A * sign, b - A @ shift
     zero = c == 0.0
-    if perturb:
-        if gamma is None:
-            gamma = default_gamma(lp.m, lp.n) if zero.any() else 0.0
-        c = perturb_cost(c, float(gamma))
-    gamma = float(gamma) if perturb and zero.any() else 0.0
+    if gamma is None:
+        gamma = default_gamma(lp.m, lp.n) if zero.any() else 0.0
+    c = perturb_cost(c, float(gamma))
+    gamma = float(gamma) if zero.any() else 0.0
     return PreparedLP(StandardFormLP(A, b, c), neg, zero, lp.c.copy(), sign, shift, gamma,
                       lp.box_bound)
 
@@ -219,9 +205,9 @@ def step_detail(prep, x, cfg, reg_override=None, tol=None):
     trajectory, which then takes the same path); otherwise
     cfg.linsolve_reg is used, with one 100x retry after a linear-solve
     breakdown.  tol is the relative target handed to spd_solve,
-    cfg.linsolve_tol when None; _solve_loop passes forward_tol of the
-    iterate's residual.  Weights x / c that are not finite raise
-    LinSolveFailure before any solve.
+    cfg.linsolve_tol when None; _iterate, the forward loop, passes
+    forward_tol of the iterate's residual.  Weights x / c that are not
+    finite raise LinSolveFailure before any solve.
     """
     op = prep.lp.operator
     h = cfg.step_size
@@ -306,43 +292,50 @@ def _evaluate(prep, b, y):
     return x, float(prep.original_c @ x), residual
 
 
-def _solve_loop(lp, cfg, x0, early_stop, record_steps):
-    """Shared forward loop; returns (result, prepared lp, y0, steps).
+def _iterate(prep, b, y, cfg):
+    """The forward loop: cfg.max_iters steps from the working iterate
+    y, yielding (StepDetail, decoded x, objective, residual) after each;
+    LinSolveFailure propagates.  Each step solves to forward_tol of the
+    residual of its input, which _evaluate takes against the original
+    b and which equals the working LP's; bnorm is the working ||b||,
+    the right-hand side of the solves."""
+    bnorm = float(np.linalg.norm(prep.lp.b))
+    res = _evaluate(prep, b, y)[2]
+    for _ in range(cfg.max_iters):
+        det = step_detail(prep, y, cfg, tol=forward_tol(cfg, res, bnorm))
+        y = det.x_new
+        x, obj, res = _evaluate(prep, b, y)
+        yield det, x, obj, res
 
-    Each step solves to forward_tol of the residual of its input: the
-    trace residual of the previous iterate, and one more evaluation for
-    y0.  That residual is against the original data, which equals the
-    working LP's (see _evaluate), and bnorm is the working ||b||, the
-    right-hand side of the solves."""
+
+def _solve_loop(lp, cfg, x0, early_stop, record_steps):
+    """Runs _iterate for solve and solve_with_tape, with the trace, the
+    early stop and the status; returns (result, prepared lp, y0, steps).
+    A LinSolveFailure ends the loop at the last valid iterate."""
     prep = prepare_lp(lp, cfg.gamma)
     y0 = initial_state(prep, cfg, x0)
-    y = y0
-    bnorm = float(np.linalg.norm(prep.lp.b))
-    res = _evaluate(prep, lp.b, y0)[2]
 
     steps = [] if record_steps else None
     trace = []
     objectives = []
     status = SolveStatus.MAX_ITERS
-    for k in range(1, cfg.max_iters + 1):
-        try:
-            det = step_detail(prep, y, cfg, tol=forward_tol(cfg, res, bnorm))
-        except LinSolveFailure:
-            status = SolveStatus.LINSOLVE_FAILURE
-            break
-        if record_steps:
-            steps.append(det)
-        y = det.x_new
-        _, obj, res = _evaluate(prep, lp.b, y)
-        trace.append(TraceRecord(k, obj, res, det.linsolve_iterations))
-        objectives.append(obj)
-        if early_stop and res <= cfg.residual_tol and _stalled(objectives, cfg.residual_tol):
-            break
+    x = None
+    try:
+        for k, (det, x, obj, res) in enumerate(_iterate(prep, lp.b, y0, cfg), 1):
+            if record_steps:
+                steps.append(det)
+            trace.append(TraceRecord(k, obj, res, det.linsolve_iterations))
+            objectives.append(obj)
+            if early_stop and res <= cfg.residual_tol and _stalled(objectives, cfg.residual_tol):
+                break
+    except LinSolveFailure:
+        status = SolveStatus.LINSOLVE_FAILURE
 
-    x_dec, obj, res = _evaluate(prep, lp.b, y)
+    if x is None:  # no step completed
+        x, obj, res = _evaluate(prep, lp.b, y0)
     if status is not SolveStatus.LINSOLVE_FAILURE:
         status = SolveStatus.CONVERGED if res <= cfg.residual_tol else SolveStatus.MAX_ITERS
-    result = SolveResult(x_dec, obj, res, trace, status)
+    result = SolveResult(x, obj, res, trace, status)
     return result, prep, y0, steps
 
 

@@ -5,8 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from physlp import StandardFormLP, cli, save_lp
+from physlp import SolverConfig, StandardFormLP, cli, linalg, save_lp, solve, solver
 from physlp.cli import main
+from physlp.errors import LinSolveFailure
+from physlp.oracles import hungarian
+from physlp.problems import MatchingInstance, assignment_to_vector, build_matching_lp
 
 
 def run(capsys, argv):
@@ -212,6 +215,47 @@ def test_match_bench_fully_constrained_is_exact(capsys):
                                  "--trials", "3", "--iters", "50"])
     assert rc == 0
     assert float(stdout.split("mean_error=")[1]) <= 1e-6
+
+
+def test_match_bench_iterates_are_solves_on_cg_steps(monkeypatch, tmp_path, capsys):
+    # with the direct cutoff below the 6 rows of a 2-by-4 matching LP
+    # every step runs CG, whose answer depends on the solve target; the
+    # iterate at each budget k is still that of solve with max_iters=k
+    monkeypatch.setattr(linalg, "DIRECT_MAX_DIM", 2)
+    out = tmp_path / "report.json"
+    rc, _, _ = run(capsys, BENCH_ARGS + ["--jobs", "1", "--out", str(out)])
+    assert rc == 0
+    records = json.loads(out.read_text())["records"]
+    assert len(records) == 5 * 2
+    # each trial draws its costs, then its solver seed, from one child
+    # of the --seed sequence (default 0)
+    for index, seed_seq in enumerate(np.random.SeedSequence(0).spawn(5)):
+        rng = np.random.default_rng(seed_seq)
+        C = rng.uniform(size=(2, 4))
+        seed = int(rng.integers(2 ** 63))
+        lp = build_matching_lp(MatchingInstance(C))
+        x_star = assignment_to_vector(hungarian(C).map, 2, 4)
+        for rec in (r for r in records if r["trial"] == index):
+            assert rec["seed"] == seed
+            x = solve(lp, SolverConfig(max_iters=rec["iters"], seed=seed), early_stop=False).x
+            assert rec["error"] == float(np.linalg.norm(x - x_star)) / float(np.linalg.norm(x_star))
+
+
+def test_match_bench_step_failure_is_solver_error(monkeypatch, tmp_path, capsys):
+    step, calls = solver.step_detail, []
+
+    def fail_second(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise LinSolveFailure("injected step failure")
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "step_detail", fail_second)
+    out = tmp_path / "report.json"
+    rc, stdout, err = run(capsys, BENCH_ARGS + ["--jobs", "1", "--out", str(out)])
+    assert rc == 2 and stdout == ""
+    assert err.startswith("error:") and "injected step failure" in err
+    assert not out.exists()
 
 
 # ------------------------------------------------------------- svm-demo

@@ -5,8 +5,8 @@ import pytest
 
 from physlp import (SolveStatus, SolverConfig, StandardFormLP, autodiff, backward, core,
                     default_gamma, default_regularization, feasibility_residual,
-                    flip_negative_costs, initial_state, jvp, linalg, perturb_cost,
-                    prepare_lp, solve, solve_with_tape, solver, step_detail)
+                    initial_state, jvp, linalg, perturb_cost, prepare_lp, solve,
+                    solve_with_tape, solver, step_detail)
 from physlp.errors import (DimensionMismatch, MissingBound, NonPositiveInit,
                            ZeroCostNeedsGamma)
 from physlp.problems import random_bounded_lp
@@ -39,7 +39,7 @@ def test_default_gamma_scale():
 # --------------------------------------------------------------- flip
 
 def test_flip_identity_when_no_negatives():
-    prep = flip_negative_costs(toy_lp())
+    prep = prepare_lp(toy_lp())
     assert not prep.flip_mask.any()
     assert np.array_equal(prep.lp.A, [[1.0, 1.0]])
     assert np.array_equal(prep.lp.c, [1.0, 2.0])
@@ -50,17 +50,20 @@ def test_flip_single_negative_coordinate():
     # x1 = 1 - y1 negates the column and shifts b
     lp = StandardFormLP(np.array([[1.0, 1.0]]), np.array([1.0]),
                         np.array([-1.0, 0.0]), box_bound=1.0)
-    prep = flip_negative_costs(lp)
+    prep = prepare_lp(lp)
     assert prep.flip_mask.tolist() == [True, False]
     assert np.array_equal(prep.lp.A, [[-1.0, 1.0]])
     assert np.array_equal(prep.lp.b, [0.0])
-    assert np.array_equal(prep.lp.c, [1.0, 0.0])
+    # the flip leaves x2's cost zero, which the perturbation then raises
+    assert prep.zero_mask.tolist() == [False, True]
+    assert prep.gamma == default_gamma(1, 2)
+    assert np.array_equal(prep.lp.c, [1.0, prep.gamma])
 
 
 def test_flip_requires_bound():
     lp = toy_lp(c=(-1.0, 1.0))
     with pytest.raises(MissingBound):
-        flip_negative_costs(lp)
+        prepare_lp(lp)
 
 
 def test_flip_restore_roundtrip():
@@ -70,7 +73,7 @@ def test_flip_restore_roundtrip():
         A = rng.normal(size=(m, n))
         lp = StandardFormLP(A, rng.normal(size=m), rng.normal(size=n),
                             box_bound=2.0)
-        prep = flip_negative_costs(lp)
+        prep = prepare_lp(lp)
         back = prep.restore()
         assert np.array_equal(back.A, lp.A)
         assert np.array_equal(back.c, lp.c)
@@ -84,7 +87,7 @@ def test_flip_preserves_residual_through_encode():
     rng = np.random.default_rng(8)
     lp = StandardFormLP(rng.normal(size=(2, 4)), rng.normal(size=2),
                         np.array([1.0, -1.0, 2.0, -0.5]), box_bound=3.0)
-    prep = flip_negative_costs(lp)
+    prep = prepare_lp(lp)
     x = rng.uniform(0.1, 2.9, size=4)
     y = prep.encode(x)
     assert feasibility_residual(lp, x) == pytest.approx(
@@ -116,7 +119,6 @@ def test_pullback_is_the_transpose_of_tangent(signed_sparse_40x400):
 def test_prepare_copies_A_only_when_a_column_flips(signed_sparse_40x400):
     lp = toy_lp()
     assert prepare_lp(lp).lp.A is lp.A
-    assert flip_negative_costs(lp).lp.A is lp.A
     prep = prepare_lp(signed_sparse_40x400)
     assert prep.flip_mask.any() and not np.shares_memory(prep.lp.A, signed_sparse_40x400.A)
 
@@ -210,9 +212,9 @@ def test_one_step_reaches_feasibility_with_full_step():
 # ---------------------------------------------------- weighted operator
 
 def test_operator_follows_the_lp_it_belongs_to(signed_sparse_40x400):
-    # flip_negative_costs builds a new LP, and its operator is that of
-    # the flipped A, so step_detail runs on its output as on prepare_lp's
-    prep = flip_negative_costs(signed_sparse_40x400)
+    # prepare_lp builds a new LP when a column flips, and its operator
+    # is that of the flipped A
+    prep = prepare_lp(signed_sparse_40x400)
     A = prep.lp.A
     assert np.array_equal(prep.lp.operator.A.toarray(), A)
     assert prep.lp.operator is prep.lp.operator
