@@ -390,8 +390,14 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    # match-bench, svm-demo and learn-cost draw from the seed before
+    # they build a SolverConfig, which would reject it
+    if args.seed < 0:
+        return _fail(f"--seed must be at least 0, got {args.seed}", EXIT_IO)
     try:
         return args.func(args)
+    except OSError as exc:  # an --out or --csv file that cannot be written
+        return _fail(exc, EXIT_IO)
     except Unreachable as exc:
         return _fail(exc, EXIT_SOLVER)
     except InvalidConfig as exc:

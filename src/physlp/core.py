@@ -12,6 +12,7 @@ dataclasses; treat them as immutable after construction.
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -143,7 +144,8 @@ class SolverConfig:
                  1e-10 * trace / m per solve
     residual_tol feasibility tolerance used for early stopping and the
                  converged status
-    seed         seeds the random initial iterate when x0 is not given
+    seed         integer >= 0; seeds the random initial iterate when x0
+                 is not given
     """
 
     max_iters: int = 10
@@ -156,8 +158,11 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_iters < 0:
-            raise InvalidConfig(f"max_iters must be >= 0, got {self.max_iters}")
+        # numbers.Integral takes numpy integers too, and rejects 2.5
+        for name in ("max_iters", "seed"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= 0):
+                raise InvalidConfig(f"{name} must be an integer >= 0, got {value!r}")
         if not 0.0 < self.step_size <= 1.0:
             raise InvalidConfig(f"step_size must lie in (0, 1], got {self.step_size}")
         # "not x > 0" rejects NaN, which "x <= 0" lets through; isfinite rejects inf

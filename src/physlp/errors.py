@@ -29,10 +29,6 @@ class NonPositiveInit(PhyslpError):
     """Initial iterate must be strictly positive."""
 
 
-class NotSymmetric(PhyslpError):
-    """Matrix expected to be symmetric is not, beyond tolerance."""
-
-
 class Breakdown(PhyslpError):
     """Linear solve failed to reach the requested tolerance."""
 

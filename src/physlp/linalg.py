@@ -5,7 +5,7 @@ positive semidefinite.  WeightedOperator holds a CSR copy of A and one
 map Q from w to the values of A diag(w) A^T on the nonzero pattern of
 A A^T plus its diagonal.  WeightedGram, op.at(w), computes Q @ w once
 and reads every form of L from it: dense, in blocks, sparse, and its
-diagonal.
+diagonal.  It is the one form of L that spd_solve takes.
 spd_solve is the one solve routine, for the forward steps and for the
 backward and tangent solves alike.  It factors L + reg*I by Cholesky
 up to DIRECT_MAX_DIM rows, calling LAPACK dpotrf and dpotrs directly,
@@ -35,12 +35,10 @@ import scipy.sparse
 from scipy.linalg.blas import daxpy, ddot
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .errors import Breakdown, DimensionMismatch, NonFiniteEntry, NotSymmetric
+from .errors import Breakdown, DimensionMismatch
 
 # Direct factorization up to this order, CG above it.
 DIRECT_MAX_DIM = 512
-# Relative max-norm tolerance for the symmetry check.
-SYMMETRY_TOL = 1e-10
 # Scale factor for the automatic Tikhonov term.
 AUTO_REG_SCALE = 1e-10
 # Flops of dpotrf that the block factor must save, m^3/3 against
@@ -69,12 +67,6 @@ class SpdSolveReport:
     final_residual: float
     regularization_used: float
     factor: tuple | None = None
-
-
-def default_regularization(L):
-    """Trace-scaled Tikhonov term, 1e-10 * trace(L) / m."""
-    m = L.shape[0]
-    return AUTO_REG_SCALE * float(np.trace(L)) / m
 
 
 class WeightedOperator:
@@ -226,14 +218,13 @@ class BlockFactor(NamedTuple):
 
 @dataclass
 class WeightedGram:
-    """A diag(w) A^T as spd_solve takes it from the solver: built from a
-    validated A and w > 0, so not checked.
+    """A diag(w) A^T, the one form of L that spd_solve takes: built from
+    a validated A and w > 0, so not checked.
 
     Its values on the operator's pattern, Q @ w, are computed once, on
     first use, and every form is read from them: sparse(reg) for CG
     steps, direct(reg) for direct ones, and the diagonal behind
-    default_regularization and the Jacobi preconditioner of a factored
-    spd_solve, whose products go through op.matvec.
+    default_regularization and the Jacobi preconditioner of spd_solve.
     """
 
     op: WeightedOperator
@@ -280,26 +271,9 @@ class WeightedGram:
                        split.I, split.F)
 
     def default_regularization(self):
-        """default_regularization of the matrix, from its diagonal."""
+        """The trace-scaled Tikhonov term 1e-10 * trace / m, from the
+        diagonal."""
         return AUTO_REG_SCALE * float(self._diagonal.sum()) / self._diagonal.size
-
-
-def _check_spd_inputs(L, b):
-    L = np.asarray(L, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if L.ndim != 2 or L.shape[0] != L.shape[1]:
-        raise DimensionMismatch(f"L must be square, got shape {L.shape}")
-    if b.shape != (L.shape[0],):
-        raise DimensionMismatch(f"b has shape {b.shape}, expected ({L.shape[0]},)")
-    if not np.all(np.isfinite(L)):
-        raise NonFiniteEntry("L contains a non-finite entry")
-    if not np.all(np.isfinite(b)):
-        raise NonFiniteEntry("b contains a non-finite entry")
-    scale = max(1.0, float(np.max(np.abs(L))))
-    asym = float(np.max(np.abs(L - L.T)))
-    if asym > SYMMETRY_TOL * scale:
-        raise NotSymmetric(f"max |L - L^T| = {asym:.3e} exceeds {SYMMETRY_TOL:.0e} * {scale:.3e}")
-    return L, b
 
 
 def _norm(v):
@@ -359,16 +333,15 @@ def _pcg(S_matvec, b, diag, x0, target, max_iters):
 
 
 def spd_solve(L, b, tol=1e-10, reg=None, factor=None):
-    """Solve (L + reg*I) p = b for symmetric positive (semi)definite L.
+    """Solve (L + reg*I) p = b for L = A diag(w) A^T.
 
-    L is a dense array, checked for shape, finiteness and symmetry, or
-    the unchecked WeightedGram op.at(w) of the solver, assembled by
-    direct(reg), dense or in blocks, up to DIRECT_MAX_DIM rows and
-    sparse above.  reg=None applies the trace-scaled default.  factor,
-    a Cholesky factor of L + reg*I, dense or a BlockFactor
-    (SpdSolveReport.factor of an earlier solve with it), is reused;
-    products with a WeightedGram then go through op.matvec instead of
-    the assembled matrix.
+    L is the WeightedGram op.at(w), and anything else raises TypeError.
+    It is assembled by direct(reg), dense or in blocks, up to
+    DIRECT_MAX_DIM rows and sparse above.  reg=None applies the
+    trace-scaled default.  factor, a Cholesky factor of L + reg*I, dense
+    or a BlockFactor (SpdSolveReport.factor of an earlier solve with
+    it), is reused; products then go through op.matvec instead of the
+    assembled matrix.
 
     With a factor or up to DIRECT_MAX_DIM rows, Cholesky runs first and
     Jacobi-PCG refines an answer that misses; above, PCG runs from zero
@@ -382,24 +355,18 @@ def spd_solve(L, b, tol=1e-10, reg=None, factor=None):
     right-hand side far below the rounding error of S p does not fail.
     Breakdown is raised when no answer is accepted.
     """
-    weighted = isinstance(L, WeightedGram)
-    if not weighted:
-        L, b = _check_spd_inputs(L, b)
+    if not isinstance(L, WeightedGram):
+        raise TypeError(f"spd_solve takes L as op.at(w), a WeightedGram, not {type(L).__name__}")
     m = b.shape[0]
-    if reg is None:
-        reg = L.default_regularization() if weighted else default_regularization(L)
-    reg = float(reg)
+    reg = float(L.default_regularization() if reg is None else reg)
     bnorm = _norm(b)
     if bnorm == 0.0:
         return SpdSolveReport(np.zeros(m), 0, 0.0, reg)
 
-    if weighted and factor is not None:
+    if factor is not None:
         matvec = L.op.matvec(L.w, reg)
     else:
-        if not weighted:
-            S = L + reg * np.eye(m)
-        else:
-            S = L.sparse(reg) if m > DIRECT_MAX_DIM else L.direct(reg)
+        S = L.sparse(reg) if m > DIRECT_MAX_DIM else L.direct(reg)
         matvec = S.__matmul__
 
     def direct():
@@ -411,8 +378,7 @@ def spd_solve(L, b, tol=1e-10, reg=None, factor=None):
     cf, p, res = direct() if direct_first else (None, None, np.inf)
     if res <= target:
         return SpdSolveReport(p, 0, res, reg, cf)
-    # a WeightedGram's diagonal is cached; S.diagonal() would extract it
-    jacobi = L._diagonal + reg if weighted else S.diagonal()
+    jacobi = L._diagonal + reg
     slack = tol * float(jacobi.max())
 
     def accepted(p, res):
@@ -463,7 +429,8 @@ def _cholesky(S, b, cf=None):
 
 
 def spd_solve_adjoint(L, p, grad_p, tol=1e-10, reg=None):
-    """Reverse-mode rule for p = (L + reg*I)^{-1} b.
+    """Reverse-mode rule for p = (L + reg*I)^{-1} b, L = op.at(w) as
+    spd_solve takes it.
 
     Given d(loss)/dp, returns (grad_L, grad_b) where
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # validate stays importable here; constructing a StandardFormLP validates
-from .core import SolverConfig, StandardFormLP, feasibility_residual, validate  # noqa: F401
+from .core import SolverConfig, StandardFormLP, validate  # noqa: F401
 from .errors import (DimensionMismatch, EmptyClass, KernelDegenerate,
                      NonFiniteEntry, Unreachable)
 
@@ -136,9 +136,7 @@ def build_matching_lp(inst):
     b = np.ones(n + m)
     c = np.concatenate([C.ravel(), np.full(m, gamma)])
     names = [f"x[{i},{j}]" for i in range(n) for j in range(m)] + [f"s[{j}]" for j in range(m)]
-    lp = StandardFormLP(A, b, c, names=names, box_bound=1.0)
-    assert feasibility_residual(lp, matching_feasible_point(n, m)) <= 1e-9
-    return lp
+    return StandardFormLP(A, b, c, names=names, box_bound=1.0)
 
 
 def split_matching_vars(x, n, m):
@@ -318,9 +316,7 @@ def build_l1svm_lp(inst):
     c[off["xi"]:off["xi"] + n] = inst.c_reg
     c[off["z"]:off["z"] + n] = 2.0 * inst.c_reg
 
-    lp = StandardFormLP(A, b, c)
-    assert feasibility_residual(lp, svm_feasible_point(n)) <= 1e-10
-    return lp
+    return StandardFormLP(A, b, c)
 
 
 @dataclass

@@ -389,8 +389,32 @@ def test_shortest_path_same_endpoints_is_input_error(tmp_path, capsys):
     ["match-bench", "--n", "2", "--m", "4", "--trials", "1", "--step", "0"],
     ["svm-demo", "--iters", "-3"],
     ["learn-cost", "--inner-step", "2"],
+    # a negative seed once ended in numpy's ValueError traceback
+    ["solve", "--lp", "LP", "--seed", "-1"],
+    ["match-bench", "--n", "2", "--m", "4", "--trials", "1", "--seed", "-1"],
+    ["svm-demo", "--seed", "-1"],
+    ["learn-cost", "--seed", "-1"],
+    ["shortest-path", "--graph", "GRAPH", "--source", "0", "--sink", "1",
+     "--seed", "-1"],
 ])
 def test_invalid_solver_config_is_input_error(argv, tmp_path, capsys):
+    assert_input_error(argv, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--lp", "LP", "--out", "MISSING"],
+    ["match-bench", "--n", "2", "--m", "4", "--trials", "1", "--iters", "1",
+     "--out", "MISSING"],
+    ["match-bench", "--n", "2", "--m", "4", "--trials", "1", "--iters", "1",
+     "--csv", "MISSING"],
+    ["svm-demo", "--iters", "1", "--out", "MISSING"],
+    ["learn-cost", "--steps", "0", "--out", "MISSING"],
+    ["shortest-path", "--graph", "GRAPH", "--source", "0", "--sink", "1",
+     "--out", "MISSING"],
+])
+def test_unwritable_output_is_input_error(argv, tmp_path, capsys):
+    # a file under a directory that does not exist once ended in a
+    # FileNotFoundError traceback
     assert_input_error(argv, tmp_path, capsys)
 
 
@@ -419,7 +443,8 @@ def test_non_positive_size_or_weight_is_input_error(argv, tmp_path, capsys):
 
 def assert_input_error(argv, tmp_path, capsys):
     files = {"LP": write_toy_lp(tmp_path / "toy.json"),
-             "GRAPH": write_graph(tmp_path / "g.json", 2, [[0, 1, 1.0]])}
+             "GRAPH": write_graph(tmp_path / "g.json", 2, [[0, 1, 1.0]]),
+             "MISSING": str(tmp_path / "no-such-dir" / "out")}
     rc, _, err = run(capsys, [files.get(a, a) for a in argv])
     assert rc == 1
     lines = err.strip().splitlines()

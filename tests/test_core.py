@@ -151,6 +151,9 @@ def test_config_defaults():
     *[{name: value} for name in ("clamp_floor", "gamma", "linsolve_tol",
                                  "linsolve_reg", "residual_tol")
       for value in (float("nan"), float("inf"))],
+    # once accepted, and then a raw TypeError or ValueError inside solve
+    {"max_iters": 2.5},
+    {"seed": -1},
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):

@@ -5,15 +5,20 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from physlp import (SolverConfig, StandardFormLP, backward, default_regularization,
-                    linalg, solve, solve_with_tape, spd_solve, spd_solve_adjoint)
-from physlp.errors import Breakdown, NotSymmetric
+from physlp import (SolverConfig, StandardFormLP, backward, linalg, solve,
+                    solve_with_tape, spd_solve, spd_solve_adjoint)
+from physlp.errors import Breakdown
 from physlp.linalg import BlockFactor, WeightedOperator, _pcg
 from physlp.problems import MatchingInstance, build_matching_lp, build_shortest_path_lp
 
 
+def gram(B, w=None):
+    """B diag(w) B^T as the WeightedGram spd_solve takes; w = 1 gives B B^T."""
+    return WeightedOperator(B).at(np.ones(B.shape[1]) if w is None else np.asarray(w, float))
+
+
 def test_identity_system():
-    rep = spd_solve(np.eye(2), np.array([3.0, 4.0]))
+    rep = spd_solve(gram(np.eye(2)), np.array([3.0, 4.0]))
     assert np.allclose(rep.p, [3.0, 4.0], atol=1e-12)
     assert rep.iterations == 0  # direct path for small systems
     assert rep.final_residual <= 1e-10
@@ -21,43 +26,43 @@ def test_identity_system():
 
 
 def test_diagonal_system():
-    rep = spd_solve(np.diag([2.0, 4.0]), np.array([2.0, 4.0]))
+    rep = spd_solve(gram(np.eye(2), [2.0, 4.0]), np.array([2.0, 4.0]))
     assert np.allclose(rep.p, [1.0, 1.0], atol=1e-12)
 
 
 def test_singular_rank_one_with_ridge():
-    L = np.ones((2, 2))
+    L = gram(np.ones((2, 1)))  # ones((2, 2))
     rep = spd_solve(L, np.array([1.0, 1.0]), reg=1e-8)
     assert np.allclose(rep.p, [0.5, 0.5], atol=1e-6)
     assert rep.regularization_used == 1e-8
 
 
-def test_rejects_asymmetry():
-    with pytest.raises(NotSymmetric):
-        spd_solve(np.array([[1.0, 0.5], [0.2, 1.0]]), np.ones(2))
+@pytest.mark.parametrize("call", [
+    lambda L: spd_solve(L, np.ones(2)),
+    lambda L: spd_solve_adjoint(L, np.ones(2), np.ones(2)),
+], ids=["spd_solve", "spd_solve_adjoint"])
+def test_a_dense_matrix_is_a_type_error(call):
+    # the one form of L is op.at(w); a dense array is not converted
+    with pytest.raises(TypeError, match=r"op\.at\(w\)"):
+        call(np.eye(2))
 
 
 def test_rejects_shape_mismatch():
     with pytest.raises(Exception):
-        spd_solve(np.eye(3), np.ones(2))
+        spd_solve(gram(np.eye(3)), np.ones(2))
 
 
 def test_breakdown_on_inconsistent_singular_system():
     # b outside the range of the rank-1 matrix, no ridge: neither the
     # factorization nor CG can reach the residual target
-    L = np.ones((2, 2))
+    L = gram(np.ones((2, 1)))  # ones((2, 2))
     with pytest.raises(Breakdown):
         spd_solve(L, np.array([1.0, -1.0]), reg=0.0)
 
 
 def test_zero_rhs_returns_zero():
-    rep = spd_solve(np.eye(3), np.zeros(3))
+    rep = spd_solve(gram(np.eye(3)), np.zeros(3))
     assert np.array_equal(rep.p, np.zeros(3))
-
-
-def test_default_regularization_scales_with_trace():
-    L = np.diag([1.0, 3.0])
-    assert default_regularization(L) == pytest.approx(1e-10 * 4.0 / 2.0)
 
 
 def test_random_spd_solve_accuracy():
@@ -67,7 +72,7 @@ def test_random_spd_solve_accuracy():
         B = rng.normal(size=(m, m))
         L = B @ B.T + m * np.eye(m)
         b = rng.normal(size=m)
-        rep = spd_solve(L, b)
+        rep = spd_solve(gram(np.hstack([B, np.sqrt(m) * np.eye(m)])), b)
         assert np.linalg.norm(L @ rep.p - b) <= 1e-8 * np.linalg.norm(b)
 
 
@@ -78,7 +83,8 @@ def test_iterative_path_used_above_direct_cutoff():
     B = rng.normal(size=(m, 8))
     L = np.diag(d) + 0.01 * (B @ B.T)
     b = rng.normal(size=m)
-    rep = spd_solve(L, b, tol=1e-10)
+    rep = spd_solve(gram(np.hstack([np.eye(m), B]), np.concatenate([d, np.full(8, 0.01)])),
+                    b, tol=1e-10)
     assert rep.iterations > 0  # conjugate gradient, not factorization
     assert rep.factor is None
     assert np.linalg.norm(L @ rep.p - b) <= 1e-8 * np.linalg.norm(b)
@@ -89,14 +95,14 @@ def test_weighted_spd_solve_with_and_without_factor():
     A = rng.uniform(size=(6, 15))
     w = rng.uniform(0.1, 1.0, size=15)
     S = (A * w) @ A.T + 1e-9 * np.eye(6)
-    factor = spd_solve((A * w) @ A.T, rng.normal(size=6), reg=1e-9).factor
+    L = gram(A, w)
+    factor = spd_solve(L, rng.normal(size=6), reg=1e-9).factor
     rhs = rng.normal(size=6)
     want = np.linalg.solve(S, rhs)
-    gram = WeightedOperator(A).at(w)
     for f in (factor, None):
-        z = spd_solve(gram, rhs, reg=1e-9, factor=f).p
+        z = spd_solve(L, rhs, reg=1e-9, factor=f).p
         assert np.linalg.norm(z - want) <= 1e-8 * np.linalg.norm(want)
-    assert not spd_solve(gram, np.zeros(6), reg=1e-9, factor=factor).p.any()
+    assert not spd_solve(L, np.zeros(6), reg=1e-9, factor=factor).p.any()
 
 
 def assert_scipy_cholesky_answer(S, rep, b):
@@ -105,14 +111,6 @@ def assert_scipy_cholesky_answer(S, rep, b):
     want = scipy.linalg.cho_factor(S, lower=True)[0]
     assert np.array_equal(np.tril(rep.factor[0]), np.tril(want))
     assert np.array_equal(rep.p, scipy.linalg.cho_solve(rep.factor, b))
-
-
-def test_factor_is_scipys_lower_cholesky_of_a_dense_matrix():
-    rng = np.random.default_rng(5)
-    B = rng.normal(size=(30, 45))
-    L, b, reg = B @ B.T, rng.normal(size=30), 1e-6
-    rep = spd_solve(L, b, reg=reg)
-    assert_scipy_cholesky_answer(L + reg * np.eye(30), rep, b)
 
 
 def test_factor_is_scipys_lower_cholesky_of_a_weighted_gram(matching_5x50):
@@ -131,7 +129,7 @@ def test_indefinite_matrix_breaks_down(b):
     # the partial factor dpotrf leaves solves b = [1, 0] exactly, and
     # must not come back as a factor that backward would reuse
     with pytest.raises(Breakdown):
-        spd_solve(np.diag([1.0, -1.0]), np.array(b), reg=0.0)
+        spd_solve(gram(np.eye(2), [1.0, -1.0]), np.array(b), reg=0.0)
 
 
 def test_ill_conditioned_system_keeps_the_cholesky_answer():
@@ -140,11 +138,11 @@ def test_ill_conditioned_system_keeps_the_cholesky_answer():
     # is backward stable; PCG started from it only raises the residual
     rng = np.random.default_rng(0)
     Q, _ = np.linalg.qr(rng.normal(size=(20, 20)))
-    L = (Q * np.logspace(0, -12, 20)) @ Q.T
-    L = 0.5 * (L + L.T)
+    Lw = gram(Q, np.logspace(0, -12, 20))
+    L = Lw.dense(0.0)
     b = rng.normal(size=20)
     tol = 1e-10
-    rep = spd_solve(L, b, tol=tol, reg=0.0)
+    rep = spd_solve(Lw, b, tol=tol, reg=0.0)
     assert rep.iterations == 0
     assert np.array_equal(rep.p, scipy.linalg.cho_solve(rep.factor, b))
     res = np.linalg.norm(L @ rep.p - b)
@@ -158,32 +156,38 @@ def test_adjoint_matches_dense_formula():
         m = int(rng.integers(1, 12))
         B = rng.normal(size=(m, m))
         L = B @ B.T + m * np.eye(m)
+        Lw = gram(np.hstack([B, np.sqrt(m) * np.eye(m)]))
         b = rng.normal(size=m)
-        p = spd_solve(L, b).p
+        p = spd_solve(Lw, b).p
         grad_p = rng.normal(size=m)
-        grad_L, grad_b = spd_solve_adjoint(L, p, grad_p)
+        grad_L, grad_b = spd_solve_adjoint(Lw, p, grad_p)
         want_gb = np.linalg.solve(L, grad_p)  # L symmetric
         assert np.allclose(grad_b, want_gb, atol=1e-8)
         assert np.allclose(grad_L, -np.outer(want_gb, p), atol=1e-8)
 
 
 def test_adjoint_directional_derivative():
-    # first-order check: loss = grad_p . p(L, b)
+    # first-order check: loss = grad_p . p(L, b); L + t dL is the gram
+    # of [B, sqrt(m) I, V] at weights (1, 1, t lam), dL = V diag(lam) V^T
     rng = np.random.default_rng(6)
     m = 5
     B = rng.normal(size=(m, m))
-    L = B @ B.T + m * np.eye(m)
     b = rng.normal(size=m)
     grad_p = rng.normal(size=m)
-    p = spd_solve(L, b).p
-    grad_L, grad_b = spd_solve_adjoint(L, p, grad_p)
 
     dL = rng.normal(size=(m, m))
     dL = 0.5 * (dL + dL.T)
     db = rng.normal(size=m)
+    lam, V = np.linalg.eigh(dL)
+    op = WeightedOperator(np.hstack([B, np.sqrt(m) * np.eye(m), V]))
+
+    def L(t):
+        return op.at(np.concatenate([np.ones(2 * m), t * lam]))
+    p = spd_solve(L(0.0), b).p
+    grad_L, grad_b = spd_solve_adjoint(L(0.0), p, grad_p)
     eta = 1e-6
-    lo = grad_p @ spd_solve(L - eta * dL, b - eta * db).p
-    hi = grad_p @ spd_solve(L + eta * dL, b + eta * db).p
+    lo = grad_p @ spd_solve(L(-eta), b - eta * db).p
+    hi = grad_p @ spd_solve(L(eta), b + eta * db).p
     fd = (hi - lo) / (2.0 * eta)
     analytic = float(np.sum(grad_L * dL) + grad_b @ db)
     assert abs(fd - analytic) <= 1e-5 * max(1.0, abs(fd))
@@ -293,8 +297,9 @@ def test_an_indefinite_matrix_breaks_down_on_both_routes(matching_50x100, monkey
     with pytest.raises(Breakdown):
         spd_solve(op.at(w), matching_50x100.b, reg=reg)
     assert seen == orders
+    monkeypatch.setattr(op, "_split", None)
     with pytest.raises(Breakdown):
-        spd_solve(op.at(w).dense(0.0), matching_50x100.b, reg=reg)
+        spd_solve(op.at(w), matching_50x100.b, reg=reg)
     assert seen == orders + [150]
 
 
@@ -397,28 +402,9 @@ def readonly(v):
     return v
 
 
-def dense_cg_system():
-    # as in test_iterative_path_used_above_direct_cutoff
-    rng = np.random.default_rng(4)
-    m = 600
-    B = rng.normal(size=(m, 8))
-    L = np.diag(rng.uniform(1.0, 2.0, size=m)) + 0.01 * (B @ B.T)
-    return L, rng.normal(size=m), {}
-
-
 def weighted_cg_system(lp):
     rng = np.random.default_rng(8)
     return lp.operator.at(rng.uniform(0.1, 1.0, size=lp.n)), lp.b, {}
-
-
-def dense_refined_system():
-    # the factor of L + 1e-3 I misses the system with reg 1e-9, so PCG
-    # refines its answer
-    rng = np.random.default_rng(9)
-    B = rng.normal(size=(30, 45))
-    L = B @ B.T
-    stale = spd_solve(L, rng.normal(size=30), reg=1e-3).factor
-    return L, rng.normal(size=30), {"reg": 1e-9, "factor": stale}
 
 
 def weighted_refined_system(lp):
@@ -428,13 +414,10 @@ def weighted_refined_system(lp):
     return lp.operator.at(w), rng.normal(size=lp.m), {"reg": 1e-3, "factor": stale}
 
 
-@pytest.mark.parametrize("case", ["dense-cg", "weighted-cg", "dense-refined",
-                                  "weighted-refined"])
+@pytest.mark.parametrize("case", ["weighted-cg", "weighted-refined"])
 def test_spd_solve_leaves_a_read_only_rhs_alone(case, dag_600, matching_5x50):
     L, b, kwargs = {
-        "dense-cg": dense_cg_system,
         "weighted-cg": lambda: weighted_cg_system(dag_600),
-        "dense-refined": dense_refined_system,
         "weighted-refined": lambda: weighted_refined_system(matching_5x50),
     }[case]()
     b = readonly(b)

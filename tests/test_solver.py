@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from physlp import (SolveStatus, SolverConfig, StandardFormLP, autodiff, backward, core,
-                    default_gamma, default_regularization, feasibility_residual,
+                    default_gamma, feasibility_residual,
                     initial_state, jvp, linalg, perturb_cost, prepare_lp, solve,
                     solve_with_tape, solver, step_detail)
 from physlp.errors import (DimensionMismatch, MissingBound, NonPositiveInit,
@@ -226,14 +227,21 @@ def test_operator_follows_the_lp_it_belongs_to(signed_sparse_40x400):
     assert np.all(det.x_new >= cfg.clamp_floor)
 
 
+def dense_reg(L, cfg):
+    """The Tikhonov term of a step: cfg.linsolve_reg, or 1e-10 trace(L) / m."""
+    return 1e-10 * np.trace(L) / len(L) if cfg.linsolve_reg is None else cfg.linsolve_reg
+
+
 def dense_step(prep, x, cfg):
-    """One step with L assembled densely, the form before the CSR
-    operator: (p, x_new)."""
+    """One step with L assembled densely and solved by scipy's Cholesky,
+    the form before the CSR operator: (p, x_new)."""
     A, b = prep.lp.A, prep.lp.b
     w = x / prep.lp.c
-    report = linalg.spd_solve((A * w) @ A.T, b, tol=cfg.linsolve_tol, reg=cfg.linsolve_reg)
-    pre = (1.0 - cfg.step_size) * x + cfg.step_size * (w * (A.T @ report.p))
-    return report.p, np.maximum(pre, cfg.clamp_floor)
+    L = (A * w) @ A.T
+    S = L + dense_reg(L, cfg) * np.eye(len(b))
+    p = scipy.linalg.cho_solve(scipy.linalg.cho_factor(S), b)
+    pre = (1.0 - cfg.step_size) * x + cfg.step_size * (w * (A.T @ p))
+    return p, np.maximum(pre, cfg.clamp_floor)
 
 
 @pytest.mark.parametrize("name", ["matching_50x100", "dag_600", "signed_sparse_40x400"])
@@ -252,7 +260,8 @@ def test_matrix_free_default_reg_is_the_assembled_one(dag_600):
     prep = prepare_lp(dag_600)
     op, A = prep.lp.operator, prep.lp.A
     w = initial_state(prep, SolverConfig(seed=4)) / prep.lp.c
-    want = default_regularization((A * w) @ A.T)
+    L = (A * w) @ A.T
+    want = 1e-10 * np.trace(L) / len(L)
     assert abs(op.at(w).default_regularization() - want) <= 1e-12 * want
     report = linalg.spd_solve(op.at(w), prep.lp.b)
     assert report.regularization_used == op.at(w).default_regularization()
