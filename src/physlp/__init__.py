@@ -13,7 +13,6 @@ from .autodiff import (LpGradients, UnrolledTape, backward, finite_diff_grad,
 from .core import (SolveResult, SolveStatus, SolverConfig, StandardFormLP,
                    TraceRecord, feasibility_residual, load_lp, lp_from_dict,
                    lp_to_dict, objective, save_lp, validate)
-from .linalg import SpdSolveReport, spd_solve, spd_solve_adjoint
 from .solver import (PreparedLP, StepDetail, default_gamma, initial_state,
                      perturb_cost, prepare_lp, solve, step_detail)
 from . import errors, problems
@@ -24,7 +23,6 @@ __all__ = [
     "StandardFormLP", "SolverConfig", "SolveResult", "SolveStatus", "TraceRecord",
     "validate", "objective", "feasibility_residual",
     "lp_to_dict", "lp_from_dict", "save_lp", "load_lp",
-    "SpdSolveReport", "spd_solve", "spd_solve_adjoint",
     "PreparedLP", "StepDetail", "perturb_cost", "prepare_lp",
     "initial_state", "step_detail", "solve", "default_gamma",
     "UnrolledTape", "LpGradients", "solve_with_tape", "backward", "jvp",

@@ -36,6 +36,7 @@ replaced by gamma) receive zero cost gradient.
 
 import copy
 from dataclasses import dataclass, field, replace
+from itertools import islice
 
 import numpy as np
 from scipy.linalg.blas import daxpy, ddot
@@ -46,7 +47,7 @@ from .errors import DimensionMismatch
 # imported here unused: the benchmark's traced run looks it up on this
 # module.
 from .linalg import spd_solve, spd_solve_adjoint  # noqa: F401
-from .solver import _solve_loop, step_detail
+from .solver import _iterate, _solve_loop
 
 # Relative target of the adjoint and tangent solves of steps without a
 # factor (CG steps), when cfg.linsolve_tol is looser.  spd_solve
@@ -94,20 +95,17 @@ class UnrolledTape:
     def replay(self):
         """Recompute the forward pass from the stored initial point.
 
-        Uses the recorded per-iteration regularization and solve
-        target and the same operator, so each step takes the recorded
-        path (factored or CG) and the replay is bit-identical to the
-        recorded trajectory on one platform.
+        Runs the forward loop, solver._iterate, again for len(self)
+        steps on the same operator.  A step's Tikhonov term and solve
+        target follow from its input alone, so each step takes the
+        recorded path (factored or CG) and the replay is bit-identical
+        to the recorded trajectory on one platform.  That holds for
+        early-stopped tapes too, and for tapes whose run ended at
+        LINSOLVE_FAILURE, as the replay stops before the failed step.
         Returns the list of post-clamp iterates.
         """
-        x = self.x0.copy()
-        iterates = []
-        for det in self.steps:
-            redo = step_detail(self.prep, x, self.cfg, reg_override=det.reg_used,
-                               tol=det.tol_used)
-            x = redo.x_new
-            iterates.append(x)
-        return iterates
+        steps = islice(_iterate(self.prep, self.x0, self.cfg), len(self.steps))
+        return [det.x_new for det, _, _, _ in steps]
 
 
 @dataclass

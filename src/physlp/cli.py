@@ -111,7 +111,7 @@ def _match_trial(payload):
     y0 = initial_state(prep, cfg)
     records = []
     start = time.perf_counter()
-    for k, (_, x, _, _) in enumerate(_iterate(prep, lp.b, y0, cfg), 1):
+    for k, (_, x, _, _) in enumerate(_iterate(prep, y0, cfg), 1):
         if k in budgets:
             if error_block == "x-only":
                 x = x[:n * m]

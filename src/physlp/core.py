@@ -140,8 +140,6 @@ class SolverConfig:
                  match-bench derives from each iterate's residual.
                  spd_solve accepts every solve on normwise backward
                  error at its tolerance
-    linsolve_reg Tikhonov term added to A W A^T; None scales
-                 1e-10 * trace / m per solve
     residual_tol feasibility tolerance used for early stopping and the
                  converged status
     seed         integer >= 0; seeds the random initial iterate when x0
@@ -153,7 +151,6 @@ class SolverConfig:
     clamp_floor: float = 1e-8
     gamma: float | None = None
     linsolve_tol: float = 1e-10
-    linsolve_reg: float | None = None
     residual_tol: float = 1e-8
     seed: int = 0
 
@@ -170,10 +167,8 @@ class SolverConfig:
             value = getattr(self, name)
             if not (value > 0.0 and math.isfinite(value)):
                 raise InvalidConfig(f"{name} must be positive and finite, got {value}")
-        for name in ("gamma", "linsolve_reg"):
-            value = getattr(self, name)
-            if value is not None and not (value >= 0.0 and math.isfinite(value)):
-                raise InvalidConfig(f"{name} must be non-negative and finite, got {value}")
+        if self.gamma is not None and not (self.gamma >= 0.0 and math.isfinite(self.gamma)):
+            raise InvalidConfig(f"gamma must be non-negative and finite, got {self.gamma}")
 
 
 @dataclass

@@ -17,14 +17,13 @@ reported in the original coordinates against the original cost vector.
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .core import (SolveResult, SolveStatus, SolverConfig, StandardFormLP,
                    TraceRecord, validate)
-from .errors import (Breakdown, DimensionMismatch, LinSolveFailure,
-                     MissingBound, NonPositiveInit, ZeroCostNeedsGamma)
+from .errors import (Breakdown, DimensionMismatch, LinSolveFailure, MissingBound,
+                     NonFiniteEntry, NonPositiveInit, ZeroCostNeedsGamma)
 from .linalg import AUTO_REG_SCALE, _norm, spd_solve
 
 # Width of the early-stop window: the objective must be stalled across
@@ -172,14 +171,12 @@ class StepDetail:
     assembled sparse, and the step stores no factor (None) unless CG
     failed and the Cholesky last resort ran.  clamp_mask is True where
     the pre-clamp value stayed strictly above eps.  reg_used and
-    tol_used are the Tikhonov term and the solve tolerance the
-    step ran with, which replay passes back to take the same path to
-    the same p.  reg_scale is s when reg_used is the default
-    s * sum_j w_j ||a_j||^2 / m (s = linalg.AUTO_REG_SCALE, or 100 times
-    that after the retry), which moves with w and A, so that backward
-    and jvp differentiate it; it is 0 when cfg.linsolve_reg or
-    reg_override fixed the term.  Per step this is at most one m-by-m
-    factor plus four n-vectors and one m-vector.
+    tol_used are the Tikhonov term and the solve tolerance the step ran
+    with.  reg_used is s * sum_j w_j ||a_j||^2 / m, and reg_scale is s:
+    linalg.AUTO_REG_SCALE, or 100 times that after the retry.  The term
+    moves with w and A, so backward and jvp, which solve with it,
+    differentiate it.  Per step this is at most one m-by-m factor plus
+    four n-vectors and one m-vector.
     """
 
     x_prev: np.ndarray
@@ -194,19 +191,18 @@ class StepDetail:
     linsolve_iterations: int
 
 
-def step_detail(prep, x, cfg, reg_override=None, tol=None):
+def step_detail(prep, x, cfg, tol=None):
     """One dynamics update from the iterate x, with full intermediates;
     the next iterate is its x_new.
 
     L = A diag(w) A^T goes to spd_solve as prep.lp.operator.at(w) at
     every size; spd_solve factors it up to linalg.DIRECT_MAX_DIM rows
-    and runs CG on it, assembled sparse, above.  reg_override pins the
-    Tikhonov term to an exact value (used when replaying a recorded
-    trajectory, which then takes the same path); otherwise
-    cfg.linsolve_reg is used, with one 100x retry after a linear-solve
+    and runs CG on it, assembled sparse, above, with spd_solve's default
+    Tikhonov term and one retry at 100 times it after a linear-solve
     breakdown.  tol is the relative target handed to spd_solve,
-    cfg.linsolve_tol when None; _iterate, the forward loop, passes
-    forward_tol of the iterate's residual.  Weights x / c that are not
+    cfg.linsolve_tol when None; _iterate, the forward loop and the one
+    caller in the package, passes forward_tol of the iterate's residual,
+    so the step is set by x and cfg alone.  Weights x / c that are not
     finite raise LinSolveFailure before any solve.
     """
     op = prep.lp.operator
@@ -218,20 +214,14 @@ def step_detail(prep, x, cfg, reg_override=None, tol=None):
         raise LinSolveFailure("the weights x / c are not finite, so A diag(w) A^T is not either")
     gram = op.at(w)
     tol = cfg.linsolve_tol if tol is None else tol
-    solve_with = partial(spd_solve, gram, prep.lp.b, tol)
-    if reg_override is not None:
-        report, reg_scale = solve_with(reg_override), 0.0
-    else:
+    try:
+        report, reg_scale = spd_solve(gram, prep.lp.b, tol), AUTO_REG_SCALE
+    except Breakdown:
+        reg_scale = 100.0 * AUTO_REG_SCALE
         try:
-            report = solve_with(cfg.linsolve_reg)
-            reg_scale = AUTO_REG_SCALE if cfg.linsolve_reg is None else 0.0
-        except Breakdown:
-            base = cfg.linsolve_reg if cfg.linsolve_reg else gram.default_regularization()
-            reg_scale = 0.0 if cfg.linsolve_reg else 100.0 * AUTO_REG_SCALE
-            try:
-                report = solve_with(100.0 * base)
-            except Breakdown as exc:
-                raise LinSolveFailure(f"inner solve failed after a 100x regularization retry: {exc}") from exc
+            report = spd_solve(gram, prep.lp.b, tol, 100.0 * gram.default_regularization())
+        except Breakdown as exc:
+            raise LinSolveFailure(f"inner solve failed after a 100x regularization retry: {exc}") from exc
     p = report.p
     u = op.AT @ p
     pre = (1.0 - h) * x + h * (w * u)
@@ -245,9 +235,10 @@ def initial_state(prep, cfg, x0=None):
     """The starting iterate in working coordinates.
 
     x0, when given, is interpreted in the original coordinates and must
-    be strictly positive (it does not have to be feasible).  Without
-    x0 the iterate is drawn componentwise uniform on (0, 1) from a
-    generator seeded with cfg.seed.
+    be finite (NonFiniteEntry) and strictly positive (NonPositiveInit);
+    it does not have to be feasible.  Without x0 the iterate is drawn
+    componentwise uniform on (0, 1) from a generator seeded with
+    cfg.seed.
     """
     n = prep.lp.n
     if x0 is None:
@@ -257,6 +248,8 @@ def initial_state(prep, cfg, x0=None):
         x0 = np.asarray(x0, dtype=np.float64)
         if x0.shape != (n,):
             raise DimensionMismatch(f"x0 has shape {x0.shape}, expected ({n},)")
+        if not np.isfinite(x0).all():
+            raise NonFiniteEntry("x0 contains a non-finite entry")
         if not np.all(x0 > 0.0):
             raise NonPositiveInit("x0 must be strictly positive componentwise")
         y0 = prep.encode(x0)
@@ -283,28 +276,29 @@ def _stalled(objectives, tol):
                for j in range(1, STALL_WINDOW + 1))
 
 
-def _evaluate(prep, b, y):
-    """Decoded iterate, its objective and its residual ||A x - b|| against
-    the original data.  The residual goes through prep.lp.operator,
-    whose matrix is A sign, as (A sign)(sign x) = A x."""
+def _evaluate(prep, y):
+    """Decoded iterate, its objective against the original cost and its
+    residual ||A x - b||, taken in working coordinates: with
+    x = shift + sign y, (A sign) y - (b - A shift) = A x - b."""
     x = prep.decode(y)
-    residual = _norm(prep.lp.operator.A @ (prep.sign * x) - b)
+    residual = _norm(prep.lp.operator.A @ y - prep.lp.b)
     return x, float(prep.original_c @ x), residual
 
 
-def _iterate(prep, b, y, cfg):
+def _iterate(prep, y, cfg):
     """The forward loop: cfg.max_iters steps from the working iterate
     y, yielding (StepDetail, decoded x, objective, residual) after each;
     LinSolveFailure propagates.  Each step solves to forward_tol of the
-    residual of its input, which _evaluate takes against the original
-    b and which equals the working LP's; bnorm is the working ||b||,
-    the right-hand side of the solves."""
+    residual of its input, with bnorm the working ||b||, the right-hand
+    side of the solves; a step is thus set by its input alone, and
+    running the loop again from the same y repeats it bit for bit, which
+    is how UnrolledTape.replay recomputes a tape."""
     bnorm = float(np.linalg.norm(prep.lp.b))
-    res = _evaluate(prep, b, y)[2]
+    res = _evaluate(prep, y)[2]
     for _ in range(cfg.max_iters):
         det = step_detail(prep, y, cfg, tol=forward_tol(cfg, res, bnorm))
         y = det.x_new
-        x, obj, res = _evaluate(prep, b, y)
+        x, obj, res = _evaluate(prep, y)
         yield det, x, obj, res
 
 
@@ -321,7 +315,7 @@ def _solve_loop(lp, cfg, x0, early_stop, record_steps):
     status = SolveStatus.MAX_ITERS
     x = None
     try:
-        for k, (det, x, obj, res) in enumerate(_iterate(prep, lp.b, y0, cfg), 1):
+        for k, (det, x, obj, res) in enumerate(_iterate(prep, y0, cfg), 1):
             if record_steps:
                 steps.append(det)
             trace.append(TraceRecord(k, obj, res, det.linsolve_iterations))
@@ -332,7 +326,7 @@ def _solve_loop(lp, cfg, x0, early_stop, record_steps):
         status = SolveStatus.LINSOLVE_FAILURE
 
     if x is None:  # no step completed
-        x, obj, res = _evaluate(prep, lp.b, y0)
+        x, obj, res = _evaluate(prep, y0)
     if status is not SolveStatus.LINSOLVE_FAILURE:
         status = SolveStatus.CONVERGED if res <= cfg.residual_tol else SolveStatus.MAX_ITERS
     result = SolveResult(x, obj, res, trace, status)

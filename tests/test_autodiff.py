@@ -79,6 +79,10 @@ def test_tape_early_stop_off_by_default():
     _, short = solve_with_tape(toy_lp(c=(1.0, 1.0)),
                                SolverConfig(max_iters=200), early_stop=True)
     assert len(short) < 200
+    # replay recomputes exactly the steps the early-stopped tape holds
+    redone = short.replay()
+    assert len(redone) == len(short)
+    assert all(np.array_equal(det.x_new, x) for det, x in zip(short.steps, redone))
 
 
 def test_tape_replay_bit_identical():
@@ -91,11 +95,12 @@ def test_tape_replay_bit_identical():
         assert np.array_equal(det.x_new, x)
 
 
-@pytest.mark.parametrize("name, factored", [("matching_50x100", True), ("dag_600", False)])
+@pytest.mark.parametrize("name, factored", [("matching_50x100", True), ("dag_600", False),
+                                           ("signed_sparse_40x400", True)])
 def test_tape_replay_bit_identical_on_csr_operators(name, factored, request):
     # replay takes the recorded path: CSR assembly and Cholesky on the
-    # matching, CG on the sparse matrix on the DAG, each step to the
-    # target it recorded
+    # matching and on the flipped LP, CG on the sparse matrix on the
+    # DAG, each step to the target it recorded
     lp = request.getfixturevalue(name)
     _, tape = solve_with_tape(lp, SolverConfig(max_iters=30, seed=2))
     assert all((det.factor is not None) == factored for det in tape.steps)
@@ -239,9 +244,9 @@ def test_randomized_gradcheck_and_transpose():
 
 
 def test_gradients_follow_the_default_tikhonov_term(monkeypatch):
-    # with linsolve_reg=None each step's reg is s * trace(A W A^T) / m,
-    # which moves with c, A and the iterate.  At s = 1e-4 it shifts the
-    # gradients by 1e-4 to 3e-3 relative, so backward and jvp meet
+    # each step's reg is s * trace(A W A^T) / m, which moves with c, A
+    # and the iterate.  At s = 1e-4 it shifts the gradients by 1e-4 to
+    # 3e-3 relative, so backward and jvp meet
     # finite differences only by differentiating it; at the default
     # 1e-10 the shift is of the order of the randomized test's band
     for module in (linalg, solver):

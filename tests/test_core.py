@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import physlp
 from physlp import (SolverConfig, StandardFormLP, feasibility_residual,
                     load_lp, lp_from_dict, lp_to_dict, objective, save_lp,
                     validate)
@@ -135,7 +136,6 @@ def test_config_defaults():
     assert cfg.linsolve_tol == 1e-10
     assert cfg.residual_tol == 1e-8
     assert cfg.gamma is None
-    assert cfg.linsolve_reg is None
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -147,9 +147,7 @@ def test_config_defaults():
     {"linsolve_tol": 0.0},
     {"residual_tol": -1.0},
     {"gamma": -0.5},
-    {"linsolve_reg": -1e-9},
-    *[{name: value} for name in ("clamp_floor", "gamma", "linsolve_tol",
-                                 "linsolve_reg", "residual_tol")
+    *[{name: value} for name in ("clamp_floor", "gamma", "linsolve_tol", "residual_tol")
       for value in (float("nan"), float("inf"))],
     # once accepted, and then a raw TypeError or ValueError inside solve
     {"max_iters": 2.5},
@@ -186,3 +184,14 @@ def test_lp_file_roundtrip(tmp_path):
     back = load_lp(path)
     assert np.array_equal(back.A, lp.A)
     assert np.array_equal(back.c, lp.c)
+
+
+def test_every_public_name_resolves():
+    # oracles resolves through the package's lazy __getattr__.  The SPD
+    # solves take only the solver's internal op.at(w), so they stay in
+    # physlp.linalg and out of the package namespace
+    assert [name for name in physlp.__all__ if not hasattr(physlp, name)] == []
+    assert "oracles" in physlp.__all__
+    for name in ("spd_solve", "spd_solve_adjoint", "SpdSolveReport"):
+        assert name not in physlp.__all__ and not hasattr(physlp, name)
+        assert hasattr(physlp.linalg, name)

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from physlp import (SolverConfig, StandardFormLP, backward, linalg, solve,
-                    solve_with_tape, spd_solve, spd_solve_adjoint)
+from physlp import SolverConfig, StandardFormLP, backward, linalg, solve, solve_with_tape
 from physlp.errors import Breakdown
-from physlp.linalg import BlockFactor, WeightedOperator, _pcg
+from physlp.linalg import BlockFactor, WeightedOperator, _pcg, spd_solve, spd_solve_adjoint
 from physlp.problems import MatchingInstance, build_matching_lp, build_shortest_path_lp
 
 

@@ -8,8 +8,8 @@ from physlp import (SolveStatus, SolverConfig, StandardFormLP, autodiff, backwar
                     default_gamma, feasibility_residual,
                     initial_state, jvp, linalg, perturb_cost, prepare_lp, solve,
                     solve_with_tape, solver, step_detail)
-from physlp.errors import (DimensionMismatch, MissingBound, NonPositiveInit,
-                           ZeroCostNeedsGamma)
+from physlp.errors import (DimensionMismatch, MissingBound, NonFiniteEntry,
+                           NonPositiveInit, ZeroCostNeedsGamma)
 from physlp.problems import random_bounded_lp
 
 
@@ -227,18 +227,14 @@ def test_operator_follows_the_lp_it_belongs_to(signed_sparse_40x400):
     assert np.all(det.x_new >= cfg.clamp_floor)
 
 
-def dense_reg(L, cfg):
-    """The Tikhonov term of a step: cfg.linsolve_reg, or 1e-10 trace(L) / m."""
-    return 1e-10 * np.trace(L) / len(L) if cfg.linsolve_reg is None else cfg.linsolve_reg
-
-
 def dense_step(prep, x, cfg):
     """One step with L assembled densely and solved by scipy's Cholesky,
-    the form before the CSR operator: (p, x_new)."""
+    the form before the CSR operator, with the default Tikhonov term
+    1e-10 trace(L) / m: (p, x_new)."""
     A, b = prep.lp.A, prep.lp.b
     w = x / prep.lp.c
     L = (A * w) @ A.T
-    S = L + dense_reg(L, cfg) * np.eye(len(b))
+    S = L + 1e-10 * np.trace(L) / len(b) * np.eye(len(b))
     p = scipy.linalg.cho_solve(scipy.linalg.cho_factor(S), b)
     pre = (1.0 - cfg.step_size) * x + cfg.step_size * (w * (A.T @ p))
     return p, np.maximum(pre, cfg.clamp_floor)
@@ -593,6 +589,15 @@ def test_solve_deterministic_per_seed():
 def test_solve_rejects_nonpositive_start():
     with pytest.raises(NonPositiveInit):
         solve(toy_lp(), SolverConfig(), x0=np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("run", [solve, solve_with_tape])
+def test_solve_rejects_nonfinite_start(run, bad):
+    # bad input, not a failure of the linear solve: it must not end in
+    # status LINSOLVE_FAILURE, and finiteness is checked before positivity
+    with pytest.raises(NonFiniteEntry):
+        run(toy_lp(), SolverConfig(max_iters=5), x0=np.array([bad, 1.0]))
 
 
 def test_solve_rejects_wrong_shape_start():
