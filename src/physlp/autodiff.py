@@ -16,12 +16,14 @@ the factor of the Schur complement on F plus the block S_FI and the
 diagonal S_II, 7,600 floats against 22,500 on a 150-row assignment LP.
 The solve adjoint gL = -outer(z, p) has rank one, so backward never
 forms an m-by-m or m-by-n array per step: each step costs a few
-products with A through the LP's WeightedOperator, the CSR copy the
-forward pass used, and one spd_solve: two triangular solves against
-the stored factor (around two GEMVs for a BlockFactor), or PCG on the
-sparse A diag(w) A^T + reg*I that the forward CG steps use when the
-step had no factor.  gA comes from one GEMM over the 2K stacked
-per-step vectors at the end.
+products with A through PreparedLP.op, the WeightedOperator the
+forward pass used (the input LP's own unless a column flipped), and
+one spd_solve: two triangular solves against the stored factor
+(around two GEMVs for a BlockFactor), or PCG on the sparse
+A diag(w) A^T + reg*I that the forward CG steps use when the step had
+no factor.  gA comes from one GEMM over the 2K stacked per-step
+vectors at the end, and the column norms ||a_j||^2 of the Tikhonov
+term from op's CSR data.
 jvp forms dL p the same way.  spd_solve accepts every solve on backward
 error; backward and jvp ask for cfg.linsolve_tol on factored steps and
 at most CG_ADJOINT_TOL on CG steps, whose forward solves ran to the
@@ -66,9 +68,9 @@ def _adjoint_tol(det, cfg):
 
 @dataclass
 class UnrolledTape:
-    """Recorded forward pass: the prepared LP (whose lp.operator holds
-    the CSR copy of A the steps computed with), the initial
-    iterate in working coordinates, and one StepDetail per iteration:
+    """Recorded forward pass: the prepared LP (whose op holds the CSR
+    copy of A sign the steps computed with), the initial iterate in
+    working coordinates, and one StepDetail per iteration:
     five O(n) or O(m) vectors each, plus spd_solve's Cholesky factor,
     m-by-m or a linalg.BlockFactor of |F|^2 + |F| |I| + |I| floats,
     which steps above linalg.DIRECT_MAX_DIM rows (CG on the sparse
@@ -140,11 +142,10 @@ def backward(tape, grad_x):
     misses its backward-error target even after PCG refinement.
     """
     prep = tape.prep
-    op = prep.lp.operator
-    c_hat = prep.lp.c
+    op = prep.op
+    c_hat = prep.c
     h = tape.cfg.step_size
-    n = prep.lp.n
-    m = prep.lp.m
+    m, n = op.A.shape
 
     grad_x = np.asarray(grad_x, dtype=np.float64)
     if grad_x.shape != (n,):
@@ -162,7 +163,7 @@ def backward(tape, grad_x):
     # a default Tikhonov term reg = s * sum_j w_j ||a_j||^2 / m adds
     # g_reg * s ||a_j||^2 / m to gw_j and (2 s / m) g_reg w_j a_j to
     # column j of gA, which omega collects for one update at the end
-    col_sq = _column_dots(op.A, prep.lp.A)
+    col_sq = np.bincount(op.A.indices, op.A.data ** 2, minlength=n)
     omega = np.zeros(n)
 
     for k, det in enumerate(reversed(tape.steps)):
@@ -198,7 +199,7 @@ def objective_gradients(tape):
     Adds the direct d(c^T x)/dc = x term to the solve-mediated
     gradients, so a zero-length tape gives grad_c = x0 exactly.
     """
-    grads = backward(tape, tape.prep.original_c)
+    grads = backward(tape, tape.prep.source.c)
     grads.grad_c = grads.grad_c + tape.prep.decode(tape.x_final)
     return grads
 
@@ -212,10 +213,10 @@ def jvp(tape, dc=None, dA=None, db=None):
     dot products.  Without dA no m-by-n product is taken.
     """
     prep = tape.prep
-    op = prep.lp.operator
-    c_hat = prep.lp.c
+    op = prep.op
+    c_hat = prep.c
     h = tape.cfg.step_size
-    n, m = prep.lp.n, prep.lp.m
+    m, n = op.A.shape
     dc, db = (np.zeros(shape) if d is None else np.asarray(d, dtype=np.float64)
               for d, shape in ((dc, (n,)), (db, (m,))))
     dA = None if dA is None else np.asarray(dA, dtype=np.float64)
@@ -224,7 +225,7 @@ def jvp(tape, dc=None, dA=None, db=None):
     dc_w, dA_w, db_w = prep.tangent(dc, dA, db)
     # a default Tikhonov term moves by
     # d reg = s / m * sum_j (dw_j ||a_j||^2 + 2 w_j a_j . da_j)
-    col_sq = _column_dots(op.A, prep.lp.A)
+    col_sq = np.bincount(op.A.indices, op.A.data ** 2, minlength=n)
     col_da = np.zeros(n) if dA_w is None else _column_dots(op.A, dA_w)
 
     dx = np.zeros(n)

@@ -23,7 +23,7 @@ from multiprocessing import Pool
 import numpy as np
 
 from .core import SolverConfig, SolveStatus, load_lp
-from .errors import InvalidConfig, PhyslpError, Unreachable
+from .errors import DimensionMismatch, InvalidConfig, PhyslpError, Unreachable
 from .autodiff import backward, solve_with_tape
 from .problems import (GaussianKernel, Graph, LinearKernel, MatchingInstance,
                        SvmInstance, assignment_to_vector, build_l1svm_lp,
@@ -291,7 +291,8 @@ def cmd_shortest_path(args):
     try:
         path, length = dijkstra(graph, args.source, args.sink)
         lp = build_shortest_path_lp(graph, args.source, args.sink)
-    except ValueError as exc:  # source == sink, non-positive weights
+    except (ValueError, DimensionMismatch) as exc:
+        # source == sink, a node outside the graph, non-positive weights
         return _fail(exc, EXIT_IO)
     result = solve(lp, SolverConfig(max_iters=args.iters, seed=args.seed))
     gap = abs(result.objective - length) / (1.0 + length)
@@ -389,7 +390,10 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # 0 after --help; 2, the solver-error code, on a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_IO
     # match-bench, svm-demo and learn-cost draw from the seed before
     # they build a SolverConfig, which would reject it
     if args.seed < 0:

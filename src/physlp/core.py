@@ -6,8 +6,12 @@ A standard-form program is
 
 with A stored densely as an (m, n) array; the public API takes and
 returns A in that form.  The solver computes with a CSR copy of A,
-StandardFormLP.operator, built on first use.  Instances are plain
-dataclasses; treat them as immutable after construction.
+StandardFormLP.operator, built on the first solve and reused by every
+later one.  An LP holds A, b and c as read-only float64 views, not
+copies, of the arrays it is given; assigning a new A drops the
+operator.  A write into an array that was passed in goes unseen by an
+operator already built, so give an LP new arrays rather than change
+them in place.
 """
 
 import json
@@ -52,10 +56,15 @@ class StandardFormLP:
     names: list | None = None
     box_bound: float | None = None
 
+    def __setattr__(self, name, value):
+        if name in ("A", "b", "c"):
+            value = (_as_matrix(value) if name == "A" else _as_vector(value, name)).view()
+            value.flags.writeable = False
+            if name == "A":
+                self.__dict__.pop("operator", None)
+        super().__setattr__(name, value)
+
     def __post_init__(self):
-        self.A = _as_matrix(self.A)
-        self.b = _as_vector(self.b, "b")
-        self.c = _as_vector(self.c, "c")
         validate(self)
 
     @property
@@ -70,7 +79,8 @@ class StandardFormLP:
 
     @cached_property
     def operator(self):
-        """The linalg.WeightedOperator of A (a CSR copy), built on first use."""
+        """The linalg.WeightedOperator of A (a CSR copy), built on first use
+        and again after A is assigned."""
         return WeightedOperator(self.A)
 
 
@@ -140,8 +150,8 @@ class SolverConfig:
                  match-bench derives from each iterate's residual.
                  spd_solve accepts every solve on normwise backward
                  error at its tolerance
-    residual_tol feasibility tolerance used for early stopping and the
-                 converged status
+    residual_tol feasibility tolerance of the stop test, with a stalled
+                 objective; CONVERGED means the test held at the end
     seed         integer >= 0; seeds the random initial iterate when x0
                  is not given
     """

@@ -15,6 +15,7 @@ that dominates the feasible set.  Results are always decoded and
 reported in the original coordinates against the original cost vector.
 """
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -24,7 +25,7 @@ from .core import (SolveResult, SolveStatus, SolverConfig, StandardFormLP,
                    TraceRecord, validate)
 from .errors import (Breakdown, DimensionMismatch, LinSolveFailure, MissingBound,
                      NonFiniteEntry, NonPositiveInit, ZeroCostNeedsGamma)
-from .linalg import AUTO_REG_SCALE, _norm, spd_solve
+from .linalg import AUTO_REG_SCALE, WeightedOperator, _norm, spd_solve
 
 # Width of the early-stop window: the objective must be stalled across
 # this many consecutive iterations (plus a satisfied residual) to stop.
@@ -71,23 +72,26 @@ class PreparedLP:
     the columns whose cost is negative (flip_mask), 1 and 0 elsewhere.
     It maps the data to A sign, b - A shift and sign c.  zero_mask marks
     the columns whose cost was then exactly zero, which the perturbation
-    raised to gamma (0.0 when none was needed).  lp holds the working
-    problem, whose cost is c_hat; it shares A and b with the LP it was
-    prepared from unless a column flips.  bound is that LP's box_bound
-    as given, None only when it sets none, so whether anything flipped
-    is flip_mask.any().  The methods are the maps across the transform:
-    decode and encode for iterates, restore for the data, tangent and
-    pullback for perturbations and gradients of the data.
+    raised to gamma (0.0 when none was needed).  source is a shallow
+    copy of the validated LP as given, so assigning a field of that LP
+    later leaves a tape alone.  The working problem is op, the
+    WeightedOperator of A sign, with b and the cost c_hat as c.  Unless
+    a column flips, op is the LP's own operator and b is its b, so an
+    LP keeps one operator across its solves; a flip builds a new op
+    from the dense A sign.  The methods are the maps across the
+    transform: decode and encode for iterates, tangent and pullback
+    for perturbations and gradients of the data.
     """
 
-    lp: StandardFormLP
+    source: StandardFormLP
+    op: WeightedOperator
+    b: np.ndarray
+    c: np.ndarray
     flip_mask: np.ndarray
     zero_mask: np.ndarray
-    original_c: np.ndarray
     sign: np.ndarray
     shift: np.ndarray
     gamma: float = 0.0
-    bound: float | None = None
 
     def decode(self, y):
         """Map an iterate back to the original coordinates.  shift is
@@ -96,12 +100,6 @@ class PreparedLP:
         return self.shift + self.sign * y
 
     encode = decode
-
-    def restore(self):
-        """Reconstruct the original LP from the stored transforms."""
-        A = self.lp.A * self.sign
-        c = np.where(self.zero_mask, 0.0, self.lp.c) * self.sign
-        return StandardFormLP(A, self.lp.b + A @ self.shift, c, box_bound=self.bound)
 
     def tangent(self, dc, dA, db):
         """Map a perturbation (dc, dA, db) of the original data to the
@@ -130,26 +128,28 @@ def prepare_lp(lp, gamma=None):
     MissingBound is raised when negative costs are present without a
     bound.  gamma=None picks default_gamma(m, n) when zero costs are
     present and 0.0 otherwise; an explicit gamma is applied as given.
-    lp is validated once here and the working LP is built once; it
-    shares lp's A and b unless a column is flipped.
+    This is the one validation of a solve, and no second LP is built:
+    the working problem is lp.operator, or the operator of A sign when
+    a column flips, with the working b and c.
     """
     lp = validate(lp)
     neg = lp.c < 0.0
     sign = np.where(neg, -1.0, 1.0)
     shift = np.zeros(lp.n)
-    A, b, c = lp.A, lp.b, sign * lp.c
+    b, c = lp.b, sign * lp.c
     if neg.any():
         if lp.box_bound is None:
             raise MissingBound(f"{int(neg.sum())} negative cost entries but lp.box_bound is not set")
         shift[neg] = lp.box_bound
-        A, b = A * sign, b - A @ shift
+        op, b = WeightedOperator(lp.A * sign), b - lp.A @ shift
+    else:
+        op = lp.operator
     zero = c == 0.0
     if gamma is None:
         gamma = default_gamma(lp.m, lp.n) if zero.any() else 0.0
     c = perturb_cost(c, float(gamma))
     gamma = float(gamma) if zero.any() else 0.0
-    return PreparedLP(StandardFormLP(A, b, c), neg, zero, lp.c.copy(), sign, shift, gamma,
-                      lp.box_bound)
+    return PreparedLP(copy.copy(lp), op, b, c, neg, zero, sign, shift, gamma)
 
 
 @dataclass
@@ -195,7 +195,7 @@ def step_detail(prep, x, cfg, tol=None):
     """One dynamics update from the iterate x, with full intermediates;
     the next iterate is its x_new.
 
-    L = A diag(w) A^T goes to spd_solve as prep.lp.operator.at(w) at
+    L = A diag(w) A^T goes to spd_solve as prep.op.at(w) at
     every size; spd_solve factors it up to linalg.DIRECT_MAX_DIM rows
     and runs CG on it, assembled sparse, above, with spd_solve's default
     Tikhonov term and one retry at 100 times it after a linear-solve
@@ -205,21 +205,21 @@ def step_detail(prep, x, cfg, tol=None):
     so the step is set by x and cfg alone.  Weights x / c that are not
     finite raise LinSolveFailure before any solve.
     """
-    op = prep.lp.operator
+    op = prep.op
     h = cfg.step_size
     eps = cfg.clamp_floor
 
-    w = x / prep.lp.c
+    w = x / prep.c
     if not np.isfinite(w).all():
         raise LinSolveFailure("the weights x / c are not finite, so A diag(w) A^T is not either")
     gram = op.at(w)
     tol = cfg.linsolve_tol if tol is None else tol
     try:
-        report, reg_scale = spd_solve(gram, prep.lp.b, tol), AUTO_REG_SCALE
+        report, reg_scale = spd_solve(gram, prep.b, tol), AUTO_REG_SCALE
     except Breakdown:
         reg_scale = 100.0 * AUTO_REG_SCALE
         try:
-            report = spd_solve(gram, prep.lp.b, tol, 100.0 * gram.default_regularization())
+            report = spd_solve(gram, prep.b, tol, 100.0 * gram.default_regularization())
         except Breakdown as exc:
             raise LinSolveFailure(f"inner solve failed after a 100x regularization retry: {exc}") from exc
     p = report.p
@@ -240,7 +240,7 @@ def initial_state(prep, cfg, x0=None):
     componentwise uniform on (0, 1) from a generator seeded with
     cfg.seed.
     """
-    n = prep.lp.n
+    n = prep.source.n
     if x0 is None:
         rng = np.random.default_rng(cfg.seed)
         y0 = rng.uniform(0.0, 1.0, size=n)
@@ -281,8 +281,8 @@ def _evaluate(prep, y):
     residual ||A x - b||, taken in working coordinates: with
     x = shift + sign y, (A sign) y - (b - A shift) = A x - b."""
     x = prep.decode(y)
-    residual = _norm(prep.lp.operator.A @ y - prep.lp.b)
-    return x, float(prep.original_c @ x), residual
+    residual = _norm(prep.op.A @ y - prep.b)
+    return x, float(prep.source.c @ x), residual
 
 
 def _iterate(prep, y, cfg):
@@ -293,7 +293,7 @@ def _iterate(prep, y, cfg):
     side of the solves; a step is thus set by its input alone, and
     running the loop again from the same y repeats it bit for bit, which
     is how UnrolledTape.replay recomputes a tape."""
-    bnorm = float(np.linalg.norm(prep.lp.b))
+    bnorm = float(np.linalg.norm(prep.b))
     res = _evaluate(prep, y)[2]
     for _ in range(cfg.max_iters):
         det = step_detail(prep, y, cfg, tol=forward_tol(cfg, res, bnorm))
@@ -305,30 +305,33 @@ def _iterate(prep, y, cfg):
 def _solve_loop(lp, cfg, x0, early_stop, record_steps):
     """Runs _iterate for solve and solve_with_tape, with the trace, the
     early stop and the status; returns (result, prepared lp, y0, steps).
-    A LinSolveFailure ends the loop at the last valid iterate."""
+    The status is CONVERGED when the stop test (residual at most
+    cfg.residual_tol and a stalled objective) holds at the last
+    iterate, with or without early_stop, and MAX_ITERS otherwise.  A
+    LinSolveFailure ends the loop at the last valid iterate."""
     prep = prepare_lp(lp, cfg.gamma)
     y0 = initial_state(prep, cfg, x0)
 
     steps = [] if record_steps else None
     trace = []
     objectives = []
-    status = SolveStatus.MAX_ITERS
     x = None
+    converged = False
     try:
         for k, (det, x, obj, res) in enumerate(_iterate(prep, y0, cfg), 1):
             if record_steps:
                 steps.append(det)
             trace.append(TraceRecord(k, obj, res, det.linsolve_iterations))
             objectives.append(obj)
-            if early_stop and res <= cfg.residual_tol and _stalled(objectives, cfg.residual_tol):
+            converged = res <= cfg.residual_tol and _stalled(objectives, cfg.residual_tol)
+            if converged and early_stop:
                 break
+        status = SolveStatus.CONVERGED if converged else SolveStatus.MAX_ITERS
     except LinSolveFailure:
         status = SolveStatus.LINSOLVE_FAILURE
 
     if x is None:  # no step completed
         x, obj, res = _evaluate(prep, y0)
-    if status is not SolveStatus.LINSOLVE_FAILURE:
-        status = SolveStatus.CONVERGED if res <= cfg.residual_tol else SolveStatus.MAX_ITERS
     result = SolveResult(x, obj, res, trace, status)
     return result, prep, y0, steps
 
@@ -336,13 +339,16 @@ def _solve_loop(lp, cfg, x0, early_stop, record_steps):
 def solve(lp, cfg=None, x0=None, early_stop=True):
     """Run the dynamics for cfg.max_iters updates.
 
-    Stops early once the feasibility residual is at most
+    The stop test holds once the feasibility residual is at most
     cfg.residual_tol and the objective has stalled (relative change
-    over the last three iterations within the same tolerance).  The
-    returned SolveResult carries the decoded iterate, the objective
-    against the original cost, the final residual, one TraceRecord per
-    iteration performed, and a status flag; a linear-solve breakdown
-    surfaces as status LINSOLVE_FAILURE with the last valid iterate.
+    over the last three iterations within the same tolerance); with
+    early_stop the run ends there.  The returned SolveResult carries
+    the decoded iterate, the objective against the original cost, the
+    final residual, one TraceRecord per iteration performed, and a
+    status flag: CONVERGED when the stop test holds at the last
+    iterate, MAX_ITERS when the budget ran out first, even on a
+    feasible iterate that is still moving, and LINSOLVE_FAILURE, with
+    the last valid iterate, after a linear-solve breakdown.
     """
     if cfg is None:
         cfg = SolverConfig()

@@ -36,9 +36,9 @@ def dense_backward(tape, grad_x):
     Returns working-coordinate (grad_c, grad_A, grad_b) for a tape
     without flipped coordinates."""
     prep = tape.prep
-    A, c_hat, h = prep.lp.A, prep.lp.c, tape.cfg.step_size
+    A, c_hat, h = prep.op.A.toarray(), prep.c, tape.cfg.step_size
     g = np.asarray(grad_x, dtype=np.float64)
-    gc, gA, gb = np.zeros(prep.lp.n), np.zeros(A.shape), np.zeros(prep.lp.m)
+    gc, gA, gb = np.zeros(prep.source.n), np.zeros(A.shape), np.zeros(prep.source.m)
     for det in reversed(tape.steps):
         w = det.x_prev / c_hat
         L = (A * w) @ A.T
@@ -113,7 +113,7 @@ def test_tape_stores_consistent_solves():
     lp = build_matching_lp(MatchingInstance(
         np.array([[0.2, 0.8, 0.5], [0.8, 0.2, 0.4]])))
     _, tape = solve_with_tape(lp, SolverConfig(max_iters=10))
-    A, b, c_hat = tape.prep.lp.A, tape.prep.lp.b, tape.prep.lp.c
+    A, b, c_hat = tape.prep.op.A.toarray(), tape.prep.b, tape.prep.c
     for det in tape.steps:
         L = (A * (det.x_prev / c_hat)) @ A.T
         lhs = (L + det.reg_used * np.eye(L.shape[0])) @ det.p
@@ -141,6 +141,16 @@ def test_zero_length_objective_gradient_with_flip():
                               x0=np.array([0.3, 0.6]))
     og = objective_gradients(tape)
     assert np.allclose(og.grad_c, [0.3, 0.6], atol=1e-15)
+
+
+def test_assigning_the_lp_after_a_tape_leaves_the_tape_alone():
+    lp = toy_lp()
+    _, tape = solve_with_tape(lp, SolverConfig(max_iters=20))
+    before = objective_gradients(tape)
+    lp.A, lp.b, lp.c = [[2.0, 1.0]], [3.0], [3.0, 1.0]
+    after = objective_gradients(tape)
+    for name in ("grad_c", "grad_A", "grad_b"):
+        assert np.array_equal(getattr(before, name), getattr(after, name))
 
 
 def test_backward_rejects_bad_grad_shape():

@@ -375,6 +375,36 @@ def test_shortest_path_same_endpoints_is_input_error(tmp_path, capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("sink", ["7", "-1"])
+def test_shortest_path_node_outside_the_graph_is_input_error(sink, tmp_path, capsys):
+    g = write_graph(tmp_path / "g.json", 3, [[0, 1, 1.0], [1, 2, 1.0]])
+    rc, out, err = run(capsys, ["shortest-path", "--graph", g, "--source", "0",
+                                "--sink", sink])
+    assert rc == 1 and out == "" and err.startswith("error:")
+
+
+# -------------------------------------------------------- usage errors
+
+@pytest.mark.parametrize("argv", [
+    ["solve"],
+    ["learn-cost", "--target", "1,1"],
+    ["solve", "--lp", "lp.json", "--iters", "abc"],
+    ["match-bench", "--error-block", "none"],
+    ["no-such-command"],
+    [],
+])
+def test_usage_error_is_input_error(argv, capsys):
+    # argparse exits 2, which is the solver-error code
+    rc, out, err = run(capsys, argv)
+    assert rc == 1 and out == "" and "error:" in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+def test_help_exits_zero(argv, capsys):
+    rc, out, _ = run(capsys, argv)
+    assert rc == 0 and out.startswith("usage:")
+
+
 # ------------------------------------------------------- solver config
 
 @pytest.mark.parametrize("argv", [

@@ -226,12 +226,12 @@ def test_block_solve_meets_the_backward_error_bound(matching_50x100_tape, step):
     # as spd_solve's docstring states it, from a new factor and from the
     # step's, on a right-hand side other than b
     tape = matching_50x100_tape
-    det, A = tape.steps[step], tape.prep.lp.A
-    w = det.x_prev / tape.prep.lp.c
+    det, A = tape.steps[step], tape.prep.op.A.toarray()
+    w = det.x_prev / tape.prep.c
     S = (A * w) @ A.T + det.reg_used * np.eye(A.shape[0])
     rhs = np.random.default_rng(step).normal(size=A.shape[0])
     tol = 1e-10
-    gram = tape.prep.lp.operator.at(w)
+    gram = tape.prep.op.at(w)
     for factor in (None, det.factor):
         rep = spd_solve(gram, rhs, tol=tol, reg=det.reg_used, factor=factor)
         assert isinstance(rep.factor, BlockFactor) and rep.iterations == 0
@@ -342,10 +342,10 @@ def dag_600_systems(dag_600):
     """A diag(w) A^T + reg*I, as CSR, at the first, 50th and last step
     of a 100-step dag_600 tape, and that tape's right-hand side b."""
     _, tape = solve_with_tape(dag_600, SolverConfig(max_iters=100, seed=7))
-    op, c = tape.prep.lp.operator, tape.prep.lp.c
+    op, c = tape.prep.op, tape.prep.c
     systems = [op.at(det.x_prev / c).sparse(det.reg_used)
                for det in (tape.steps[0], tape.steps[49], tape.steps[99])]
-    return systems, tape.prep.lp.b
+    return systems, tape.prep.b
 
 
 @pytest.mark.parametrize("step", [0, 1, 2], ids=["first", "middle", "last"])
@@ -428,8 +428,8 @@ def test_spd_solve_leaves_a_read_only_rhs_alone(case, dag_600, matching_5x50):
 
 
 def test_solve_and_backward_leave_the_lp_alone(dag_600_graph):
-    # prep.lp shares b with the caller's LP, so a write into the PCG
-    # residual's buffer would change the LP for every later step
+    # the prepared LP shares b with the caller's LP, so a write into
+    # the PCG residual's buffer would change the LP for every later step
     lp = build_shortest_path_lp(dag_600_graph, 0, dag_600_graph.num_nodes - 1)
     for arr in (lp.A, lp.b, lp.c):
         arr.flags.writeable = False
@@ -437,6 +437,6 @@ def test_solve_and_backward_leave_the_lp_alone(dag_600_graph):
     cfg = SolverConfig(max_iters=10, seed=3)
     solve(lp, cfg)
     _, tape = solve_with_tape(lp, cfg)
-    assert tape.prep.lp.b is lp.b
+    assert tape.prep.b is lp.b
     backward(tape, np.random.default_rng(3).normal(size=lp.n))
     assert np.array_equal(lp.b, before)

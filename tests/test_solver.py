@@ -42,8 +42,8 @@ def test_default_gamma_scale():
 def test_flip_identity_when_no_negatives():
     prep = prepare_lp(toy_lp())
     assert not prep.flip_mask.any()
-    assert np.array_equal(prep.lp.A, [[1.0, 1.0]])
-    assert np.array_equal(prep.lp.c, [1.0, 2.0])
+    assert np.array_equal(prep.op.A.toarray(), [[1.0, 1.0]])
+    assert np.array_equal(prep.c, [1.0, 2.0])
 
 
 def test_flip_single_negative_coordinate():
@@ -53,12 +53,12 @@ def test_flip_single_negative_coordinate():
                         np.array([-1.0, 0.0]), box_bound=1.0)
     prep = prepare_lp(lp)
     assert prep.flip_mask.tolist() == [True, False]
-    assert np.array_equal(prep.lp.A, [[-1.0, 1.0]])
-    assert np.array_equal(prep.lp.b, [0.0])
+    assert np.array_equal(prep.op.A.toarray(), [[-1.0, 1.0]])
+    assert np.array_equal(prep.b, [0.0])
     # the flip leaves x2's cost zero, which the perturbation then raises
     assert prep.zero_mask.tolist() == [False, True]
     assert prep.gamma == default_gamma(1, 2)
-    assert np.array_equal(prep.lp.c, [1.0, prep.gamma])
+    assert np.array_equal(prep.c, [1.0, prep.gamma])
 
 
 def test_flip_requires_bound():
@@ -67,7 +67,9 @@ def test_flip_requires_bound():
         prepare_lp(lp)
 
 
-def test_flip_restore_roundtrip():
+def test_flip_maps_the_working_data():
+    # x = shift + sign y turns (A, b, c) into (A sign, b - A shift,
+    # sign c), on the validated input that the prepared LP keeps
     rng = np.random.default_rng(7)
     for _ in range(10):
         m, n = 2, 5
@@ -75,12 +77,12 @@ def test_flip_restore_roundtrip():
         lp = StandardFormLP(A, rng.normal(size=m), rng.normal(size=n),
                             box_bound=2.0)
         prep = prepare_lp(lp)
-        back = prep.restore()
-        assert np.array_equal(back.A, lp.A)
-        assert np.array_equal(back.c, lp.c)
-        # b went through b + M*s - M*s, exact only up to rounding
-        assert np.allclose(back.b, lp.b, rtol=0, atol=1e-12)
-        assert back.box_bound == lp.box_bound
+        assert prep.source is not lp and prep.source.A is lp.A and prep.source.c is lp.c
+        assert np.array_equal(prep.sign, np.where(lp.c < 0.0, -1.0, 1.0))
+        assert np.array_equal(prep.shift, np.where(lp.c < 0.0, 2.0, 0.0))
+        assert np.array_equal(prep.op.A.toarray(), lp.A * prep.sign)
+        assert np.array_equal(prep.b, lp.b - lp.A @ prep.shift)
+        assert np.array_equal(prep.c, prep.sign * lp.c)
 
 
 def test_flip_preserves_residual_through_encode():
@@ -92,7 +94,7 @@ def test_flip_preserves_residual_through_encode():
     x = rng.uniform(0.1, 2.9, size=4)
     y = prep.encode(x)
     assert feasibility_residual(lp, x) == pytest.approx(
-        feasibility_residual(prep.lp, y), abs=1e-12)
+        np.linalg.norm(prep.op.A @ y - prep.b), abs=1e-12)
     assert np.allclose(prep.decode(y), x)
 
 
@@ -119,23 +121,68 @@ def test_pullback_is_the_transpose_of_tangent(signed_sparse_40x400):
 
 def test_prepare_copies_A_only_when_a_column_flips(signed_sparse_40x400):
     lp = toy_lp()
-    assert prepare_lp(lp).lp.A is lp.A
-    prep = prepare_lp(signed_sparse_40x400)
-    assert prep.flip_mask.any() and not np.shares_memory(prep.lp.A, signed_sparse_40x400.A)
+    prep = prepare_lp(lp)
+    assert prep.op is lp.operator and prep.b is lp.b
+    lp = signed_sparse_40x400
+    prep = prepare_lp(lp)
+    assert prep.flip_mask.any() and prep.op is not lp.operator
 
 
-def test_solve_validates_at_most_twice(matching_5x50, monkeypatch):
-    # once at the public boundary, once when the working LP is built
+@pytest.mark.parametrize("name", ["matching_5x50", "svm_20"])
+def test_prepare_reuses_the_input_operator(name, request):
+    # no column flips, with zero costs (svm_20) or without: every solve
+    # of one LP object computes with the operator that LP built once
+    lp = request.getfixturevalue(name)
+    prep = prepare_lp(lp)
+    assert not prep.flip_mask.any() and prep.zero_mask.any() == (name == "svm_20")
+    assert prep.op is lp.operator
+    _, tape = solve_with_tape(lp, SolverConfig(max_iters=1))
+    assert tape.prep.op is lp.operator
+
+
+def test_an_assigned_A_is_solved_with_its_own_operator():
+    # assigning A drops the operator the first solve built, so the next
+    # solve is the one a new LP of the same data gets
+    cfg = SolverConfig(max_iters=50)
+    lp = StandardFormLP([[1.0, 1.0]], [1.0], [1.0, 2.0])
+    solve(lp, cfg)
+    old = lp.operator
+    lp.A = [[2.0, 1.0]]
+    res = solve(lp, cfg)
+    assert lp.operator is not old
+    want = solve(StandardFormLP([[2.0, 1.0]], [1.0], [1.0, 2.0]), cfg)
+    assert np.array_equal(res.x, want.x) and res.residual == want.residual
+    assert feasibility_residual(lp, res.x) <= 1e-6
+    lp.A = np.ones((2, 2))
+    with pytest.raises(DimensionMismatch):
+        solve(lp, cfg)
+
+
+def test_lp_arrays_are_read_only_views():
+    # a write into the LP would go unseen by its cached operator, so it
+    # raises; the caller's own arrays are neither copied nor locked
+    A, b, c = np.array([[1.0, 1.0]]), np.array([1.0]), np.array([1.0, 2.0])
+    lp = StandardFormLP(A, b, c)
+    for mine, given in ((lp.A, A), (lp.b, b), (lp.c, c)):
+        assert np.shares_memory(mine, given) and given.flags.writeable
+        with pytest.raises(ValueError):
+            mine[0] = 3.0
+
+
+def test_solve_validates_once(matching_5x50, monkeypatch):
+    # at the public boundary only: the prepared LP builds no new LP
     validate, calls = core.validate, []
 
     def counting(lp):
         calls.append(lp)
         return validate(lp)
 
-    for module in (core, solver):
+    for module in (core, solver, autodiff):
         monkeypatch.setattr(module, "validate", counting)
-    solve(matching_5x50, SolverConfig(max_iters=3))
-    assert len(calls) <= 2
+    for run in (solve, solve_with_tape):
+        calls.clear()
+        run(matching_5x50, SolverConfig(max_iters=3))
+        assert len(calls) == 1 and calls[0] is matching_5x50
 
 
 def test_prepared_cost_strictly_positive():
@@ -143,8 +190,8 @@ def test_prepared_cost_strictly_positive():
                         np.array([0.5, 0.0, -2.0]), box_bound=1.0)
     prep = prepare_lp(lp, gamma=0.25)
     assert prep.gamma == 0.25
-    assert (prep.lp.c > 0).all()
-    assert prep.lp.c.min() >= min(0.25, 0.5)
+    assert (prep.c > 0).all()
+    assert prep.c.min() >= min(0.25, 0.5)
 
 
 # --------------------------------------------------------------- step
@@ -206,22 +253,22 @@ def test_one_step_reaches_feasibility_with_full_step():
         cfg = SolverConfig()
         x = initial_state(prep, cfg, x0=rng.uniform(0.5, 2.0, size=6))
         out = step_detail(prep, x, cfg)
-        assert feasibility_residual(prep.lp, out.x_new) <= 1e-8 * (
+        assert np.linalg.norm(prep.op.A @ out.x_new - prep.b) <= 1e-8 * (
             1.0 + np.linalg.norm(lp.b))
 
 
 # ---------------------------------------------------- weighted operator
 
 def test_operator_follows_the_lp_it_belongs_to(signed_sparse_40x400):
-    # prepare_lp builds a new LP when a column flips, and its operator
-    # is that of the flipped A
+    # prepare_lp flips the operator's columns when a cost is negative,
+    # and the working operator is that of the flipped A
     prep = prepare_lp(signed_sparse_40x400)
-    A = prep.lp.A
-    assert np.array_equal(prep.lp.operator.A.toarray(), A)
-    assert prep.lp.operator is prep.lp.operator
-    w = np.random.default_rng(5).uniform(0.1, 2.0, size=prep.lp.n)
+    A = signed_sparse_40x400.A * prep.sign
+    assert np.array_equal(prep.op.A.toarray(), A)
+    assert prep.op is not signed_sparse_40x400.operator
+    w = np.random.default_rng(5).uniform(0.1, 2.0, size=prep.source.n)
     want = (A * w) @ A.T
-    assert np.abs(prep.lp.operator.at(w).dense(0.0) - want).max() <= 1e-14 * np.abs(want).max()
+    assert np.abs(prep.op.at(w).dense(0.0) - want).max() <= 1e-14 * np.abs(want).max()
     cfg = SolverConfig(seed=5)
     det = step_detail(prep, initial_state(prep, cfg), cfg)
     assert np.all(det.x_new >= cfg.clamp_floor)
@@ -231,8 +278,8 @@ def dense_step(prep, x, cfg):
     """One step with L assembled densely and solved by scipy's Cholesky,
     the form before the CSR operator, with the default Tikhonov term
     1e-10 trace(L) / m: (p, x_new)."""
-    A, b = prep.lp.A, prep.lp.b
-    w = x / prep.lp.c
+    A, b = prep.op.A.toarray(), prep.b
+    w = x / prep.c
     L = (A * w) @ A.T
     S = L + 1e-10 * np.trace(L) / len(b) * np.eye(len(b))
     p = scipy.linalg.cho_solve(scipy.linalg.cho_factor(S), b)
@@ -254,12 +301,12 @@ def test_csr_step_matches_a_dense_step(name, request):
 
 def test_matrix_free_default_reg_is_the_assembled_one(dag_600):
     prep = prepare_lp(dag_600)
-    op, A = prep.lp.operator, prep.lp.A
-    w = initial_state(prep, SolverConfig(seed=4)) / prep.lp.c
+    op, A = prep.op, prep.op.A.toarray()
+    w = initial_state(prep, SolverConfig(seed=4)) / prep.c
     L = (A * w) @ A.T
     want = 1e-10 * np.trace(L) / len(L)
     assert abs(op.at(w).default_regularization() - want) <= 1e-12 * want
-    report = linalg.spd_solve(op.at(w), prep.lp.b)
+    report = linalg.spd_solve(op.at(w), prep.b)
     assert report.regularization_used == op.at(w).default_regularization()
     assert report.factor is None
 
@@ -271,11 +318,11 @@ def test_sparse_matrix_is_the_dense_gram(name, request):
     # dense form that direct steps factor comes from the same values, so
     # it is S bit for bit
     prep = prepare_lp(request.getfixturevalue(name))
-    op, A = prep.lp.operator, prep.lp.A
-    w = np.random.default_rng(9).uniform(0.1, 2.0, size=prep.lp.n)
+    op, A = prep.op, prep.op.A.toarray()
+    w = np.random.default_rng(9).uniform(0.1, 2.0, size=prep.source.n)
     reg = 1e-3
     S = op.at(w).sparse(reg)
-    want = (A * w) @ A.T + reg * np.eye(prep.lp.m)
+    want = (A * w) @ A.T + reg * np.eye(prep.source.m)
     assert S.has_sorted_indices
     assert S.nnz == np.count_nonzero(want)
     assert np.array_equal(S.toarray() != 0, want != 0)
@@ -337,9 +384,9 @@ def test_matrix_free_step_falls_back_to_cholesky(dag_600, monkeypatch):
     cfg = SolverConfig(max_iters=3, seed=6)
     det = step_detail(prep, initial_state(prep, cfg), cfg)
     assert det.factor is not None
-    A = prep.lp.A
-    S = (A * (det.x_prev / prep.lp.c)) @ A.T + det.reg_used * np.eye(prep.lp.m)
-    assert np.linalg.norm(S @ det.p - prep.lp.b) <= 1e-10 * np.linalg.norm(prep.lp.b)
+    A = prep.op.A.toarray()
+    S = (A * (det.x_prev / prep.c)) @ A.T + det.reg_used * np.eye(prep.source.m)
+    assert np.linalg.norm(S @ det.p - prep.b) <= 1e-10 * np.linalg.norm(prep.b)
     res = solve(dag_600, cfg)
     assert res.status is not SolveStatus.LINSOLVE_FAILURE
     assert len(res.trace) == 3
@@ -349,15 +396,15 @@ def test_cg_solve_of_any_rhs_falls_back_to_cholesky(dag_600, monkeypatch):
     # a right-hand side other than b, as backward and jvp solve on CG steps
     capped_pcg(monkeypatch)
     prep = prepare_lp(dag_600)
-    op = prep.lp.operator
-    w = initial_state(prep, SolverConfig(seed=6)) / prep.lp.c
+    op = prep.op
+    w = initial_state(prep, SolverConfig(seed=6)) / prep.c
     reg = op.at(w).default_regularization()
-    rhs = np.random.default_rng(6).normal(size=prep.lp.m)
+    rhs = np.random.default_rng(6).normal(size=prep.source.m)
     report = linalg.spd_solve(op.at(w), rhs, reg=reg)
     assert report.factor is not None
     z = report.p
-    A = prep.lp.A
-    S = (A * w) @ A.T + reg * np.eye(prep.lp.m)
+    A = prep.op.A.toarray()
+    S = (A * w) @ A.T + reg * np.eye(prep.source.m)
     bound = 1e-10 * (np.diag(S).max() * np.linalg.norm(z) + np.linalg.norm(rhs))
     assert np.linalg.norm(S @ z - rhs) <= bound
 
@@ -366,20 +413,20 @@ def test_factored_spd_solve_refines_with_the_jacobi_diagonal(matching_5x50, monk
     # the factor of another matrix misses the target, so PCG refines its
     # answer, preconditioned by the diagonal of A diag(w) A^T + reg*I
     prep = prepare_lp(matching_5x50)
-    op, A = prep.lp.operator, prep.lp.A
+    op, A = prep.op, prep.op.A.toarray()
     rng = np.random.default_rng(11)
-    w = rng.uniform(0.1, 2.0, size=prep.lp.n)
+    w = rng.uniform(0.1, 2.0, size=prep.source.n)
     reg = 1e-3
-    stale = linalg.spd_solve(op.at(2.0 * w), prep.lp.b, reg=reg).factor
+    stale = linalg.spd_solve(op.at(2.0 * w), prep.b, reg=reg).factor
     pcg, seen = linalg._pcg, []
 
     def spy(mv, b, diag, x0, target, max_iters):
         seen.append(diag)
         return pcg(mv, b, diag, x0, target, max_iters)
     monkeypatch.setattr(linalg, "_pcg", spy)
-    rhs = rng.normal(size=prep.lp.m)
+    rhs = rng.normal(size=prep.source.m)
     z = linalg.spd_solve(op.at(w), rhs, reg=reg, factor=stale).p
-    S = (A * w) @ A.T + reg * np.eye(prep.lp.m)
+    S = (A * w) @ A.T + reg * np.eye(prep.source.m)
     assert len(seen) == 1
     assert np.abs(seen[0] - np.diag(S)).max() <= 1e-14 * np.diag(S).max()
     bound = 1e-10 * (np.diag(S).max() * np.linalg.norm(z) + np.linalg.norm(rhs))
@@ -451,7 +498,7 @@ def test_matrix_free_failure_is_reported_not_raised(dag_600, monkeypatch):
 def dense_residuals(tape):
     """||(L + reg*I) p - b|| / ||b|| of each recorded step, with L
     assembled densely from A and x_prev."""
-    A, b, c = tape.prep.lp.A, tape.prep.lp.b, tape.prep.lp.c
+    A, b, c = tape.prep.op.A.toarray(), tape.prep.b, tape.prep.c
     out = []
     for det in tape.steps:
         S = (A * (det.x_prev / c)) @ A.T + det.reg_used * np.eye(len(b))
@@ -488,7 +535,7 @@ def test_cg_steps_do_not_depend_on_the_previous_step(dag_600):
     # the same CG count
     cfg = SolverConfig(max_iters=30, seed=7)
     res, tape = solve_with_tape(dag_600, cfg)
-    op, b, c = tape.prep.lp.operator, tape.prep.lp.b, tape.prep.lp.c
+    op, b, c = tape.prep.op, tape.prep.b, tape.prep.c
     for det, record in zip(tape.steps, res.trace):
         again = linalg.spd_solve(op.at(det.x_prev / c), b, det.tol_used, det.reg_used)
         assert again.iterations == det.linsolve_iterations == record.linsolve_iterations
@@ -560,14 +607,26 @@ def test_solve_all_negative_costs():
 
 
 def test_solve_trace_and_status():
-    # status reports the final residual check: the toy is feasible from
-    # the first update, so even a 3-step budget counts as converged
+    # the toy is feasible from the first update, but a 3-step budget
+    # ends before the objective (1.05 against the optimum 1) stalls, so
+    # the stop test never holds
     res = solve(toy_lp(), SolverConfig(max_iters=3))
-    assert res.status == SolveStatus.CONVERGED
+    assert res.status == SolveStatus.MAX_ITERS
     assert len(res.trace) == 3
     assert [r.iteration for r in res.trace] == [1, 2, 3]
     assert all(np.isfinite(r.objective) and np.isfinite(r.residual)
                for r in res.trace)
+
+
+@pytest.mark.parametrize("early_stop", [True, False])
+def test_a_budget_that_ends_on_a_moving_iterate_is_max_iters(early_stop):
+    # every iterate is feasible, but 5 steps from x0 = [1e-6, 1] end at
+    # the objective 1.99997, still on its way to the optimum 1
+    cfg = SolverConfig(max_iters=5)
+    res = solve(toy_lp(), cfg, x0=np.array([1e-6, 1.0]), early_stop=early_stop)
+    assert len(res.trace) == 5 and res.residual <= cfg.residual_tol
+    assert res.objective == pytest.approx(1.99997, abs=1e-5)
+    assert res.status == SolveStatus.MAX_ITERS
 
 
 def test_solve_early_stop_shortens_trace():
@@ -610,7 +669,8 @@ def test_solve_zero_iterations_returns_start():
     res = solve(toy_lp(), SolverConfig(max_iters=0), x0=x0)
     assert np.array_equal(res.x, x0)
     assert len(res.trace) == 0
-    assert res.status == SolveStatus.MAX_ITERS  # start is infeasible
+    # a 0-step budget never runs the stop test
+    assert res.status == SolveStatus.MAX_ITERS
 
 
 def test_feasibility_attraction_property():
