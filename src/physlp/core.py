@@ -7,11 +7,14 @@ A standard-form program is
 with A stored densely as an (m, n) array; the public API takes and
 returns A in that form.  The solver computes with a CSR copy of A,
 StandardFormLP.operator, built on the first solve and reused by every
-later one.  An LP holds A, b and c as read-only float64 views, not
-copies, of the arrays it is given; assigning a new A drops the
-operator.  A write into an array that was passed in goes unseen by an
-operator already built, so give an LP new arrays rather than change
-them in place.
+later one.  StandardFormLP.from_operator builds an LP around an
+operator that already exists, so LPs of one constraint matrix can
+share it: problems.build_matching_lp does so for every assignment LP
+of one shape.  An LP holds A, b and c as read-only float64 views, not
+copies, of the arrays it is given; assigning a new A drops that LP's
+operator and leaves the others alone.  A write into an array that was
+passed in goes unseen by an operator already built, so give an LP new
+arrays rather than change them in place.
 """
 
 import json
@@ -67,6 +70,19 @@ class StandardFormLP:
     def __post_init__(self):
         validate(self)
 
+    @classmethod
+    def from_operator(cls, op, b, c, names=None, box_bound=None):
+        """The LP with the constraint matrix of the WeightedOperator op,
+        whose operator is op itself, so no solve rebuilds it.
+
+        A is op.A.toarray(), bit-equal to the A that op was built from,
+        and the LP is validated like any other.  LPs built from one op
+        share it; each still holds its own A, b, c and names.
+        """
+        lp = cls(op.A.toarray(), b, c, names=names, box_bound=box_bound)
+        lp.operator = op
+        return lp
+
     @property
     def m(self):
         """Number of equality constraints."""
@@ -80,7 +96,7 @@ class StandardFormLP:
     @cached_property
     def operator(self):
         """The linalg.WeightedOperator of A (a CSR copy), built on first use
-        and again after A is assigned."""
+        and again after A is assigned, unless from_operator gave it."""
         return WeightedOperator(self.A)
 
 

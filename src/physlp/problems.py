@@ -6,11 +6,20 @@ single-pair shortest path on a directed graph.  Builders are pure
 functions from instance data to StandardFormLP; decoders map a solved
 vector back to the combinatorial object.  A generator for random
 bounded-feasible LPs used by tests and benchmarks lives here as well.
+
+The constraint matrix of an assignment LP depends only on its shape
+(n, m), so build_matching_lp takes its WeightedOperator, with the Gram
+map and the row split already built, from a cache of the last
+MATCHING_CACHE_SHAPES shapes and makes the LP with
+StandardFormLP.from_operator: every matching LP of one shape shares
+one operator, and no solve rebuilds it.  The cache holds no dense A,
+about 1 MB per 50x100 shape and 4 MB per 100x200 shape.
 """
 
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -18,6 +27,10 @@ import numpy as np
 from .core import SolverConfig, StandardFormLP, validate  # noqa: F401
 from .errors import (DimensionMismatch, EmptyClass, KernelDegenerate,
                      NonFiniteEntry, Unreachable)
+from .linalg import WeightedOperator
+
+# Assignment shapes (n, m) whose operator build_matching_lp keeps.
+MATCHING_CACHE_SHAPES = 8
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +128,8 @@ def build_matching_lp(inst):
 
     Variables are X in row-major order followed by the m slacks, so the
     LP has n*m + m columns and n + m rows.  Every feasible point lies
-    in [0, 1], recorded as box_bound.
+    in [0, 1], recorded as box_bound.  LPs of one shape share one
+    operator, lp.operator; each owns its A, b, c and names.
     """
     C = inst.C
     if C.ndim != 2:
@@ -127,16 +141,35 @@ def build_matching_lp(inst):
         raise NonFiniteEntry("C contains a non-finite entry")
     gamma = matching_slack_gamma(m) if inst.gamma is None else float(inst.gamma)
 
+    op, names = _matching_operator(n, m)
+    c = np.concatenate([C.ravel(), np.full(m, gamma)])
+    return StandardFormLP.from_operator(op, np.ones(n + m), c, names=list(names), box_bound=1.0)
+
+
+@lru_cache(maxsize=MATCHING_CACHE_SHAPES)
+def _matching_operator(n, m):
+    """The WeightedOperator of the n-by-m assignment matrix, with its
+    Gram map and row split built, and the column names as a tuple.
+
+    A depends on (n, m) alone, so every matching LP of one shape shares
+    this operator.  Built here, the Gram map and split are never built
+    lazily on a shared operator.  The dense A is dropped once the
+    operator is built.
+    """
     A = np.zeros((n + m, n * m + m))
     for i in range(n):
         A[i, i * m:(i + 1) * m] = 1.0
     for j in range(m):
         A[n + j, j:n * m:m] = 1.0
         A[n + j, n * m + j] = 1.0
-    b = np.ones(n + m)
-    c = np.concatenate([C.ravel(), np.full(m, gamma)])
+    op = WeightedOperator(A)
+    op._split  # builds op._pattern first
+    # every LP of the shape reads these, so a write raises rather than
+    # reaching them all
+    for arr in (op.A.data, op.A.indices, op.A.indptr):
+        arr.flags.writeable = False
     names = [f"x[{i},{j}]" for i in range(n) for j in range(m)] + [f"s[{j}]" for j in range(m)]
-    return StandardFormLP(A, b, c, names=names, box_bound=1.0)
+    return op, tuple(names)
 
 
 def split_matching_vars(x, n, m):
@@ -442,7 +475,7 @@ def _check_graph(graph, source, sink):
     for t, h, w in graph.arcs:
         if not 0 <= t < N or not 0 <= h < N:
             raise DimensionMismatch(f"arc ({t}, {h}) references a node outside [0, {N})")
-        if not np.isfinite(w) or w <= 0.0:
+        if not math.isfinite(w) or w <= 0.0:
             raise ValueError(f"arc ({t}, {h}) needs a positive finite weight, got {w}")
 
 

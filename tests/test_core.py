@@ -10,6 +10,7 @@ from physlp import (SolverConfig, StandardFormLP, feasibility_residual,
                     load_lp, lp_from_dict, lp_to_dict, objective, save_lp,
                     validate)
 from physlp.errors import DimensionMismatch, InvalidConfig, NonFiniteEntry
+from physlp.linalg import WeightedOperator
 
 
 def toy_lp():
@@ -77,6 +78,39 @@ def test_names_length_checked():
     with pytest.raises(DimensionMismatch):
         StandardFormLP(np.array([[1.0, 1.0]]), np.array([1.0]),
                        np.array([1.0, 2.0]), names=["only-one"])
+
+
+def test_from_operator_takes_the_operator_and_its_matrix():
+    A = np.array([[1.0, 0.0, 2.0], [0.0, -3.0, 1.0]])
+    op = WeightedOperator(A)
+    lp = StandardFormLP.from_operator(op, [1.0, 2.0], [1.0, 2.0, 3.0],
+                                      names=["x", "y", "z"], box_bound=4.0)
+    assert lp.operator is op
+    assert np.array_equal(lp.A, op.A.toarray()) and np.array_equal(lp.A, A)
+    assert lp.names == ["x", "y", "z"] and lp.box_bound == 4.0
+    assert not lp.A.flags.writeable
+
+
+def test_from_operator_lps_drop_only_their_own_operator():
+    op = WeightedOperator(np.array([[1.0, 1.0]]))
+    first = StandardFormLP.from_operator(op, [1.0], [1.0, 2.0])
+    second = StandardFormLP.from_operator(op, [2.0], [3.0, 1.0])
+    assert first.A is not second.A and first.operator is second.operator
+    first.A = np.array([[2.0, 1.0]])
+    assert first.operator is not op and second.operator is op
+    assert np.array_equal(first.operator.A.toarray(), [[2.0, 1.0]])
+
+
+@pytest.mark.parametrize("b, c, error", [
+    ([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], DimensionMismatch),
+    ([1.0, 2.0], [1.0, 2.0], DimensionMismatch),
+    ([1.0, 2.0], [1.0, np.nan, 3.0], NonFiniteEntry),
+    ([1.0, 2.0], [1.0, 2.0, np.inf], NonFiniteEntry),
+])
+def test_from_operator_validates(b, c, error):
+    op = WeightedOperator(np.array([[1.0, 0.0, 2.0], [0.0, -3.0, 1.0]]))
+    with pytest.raises(error):
+        StandardFormLP.from_operator(op, b, c)
 
 
 def test_objective_values():

@@ -1,9 +1,13 @@
 """Problem builders, decoders, and generators."""
 
+import os
+
 import numpy as np
 import pytest
 
-from physlp import SolverConfig, feasibility_residual, solve
+from physlp import (SolverConfig, StandardFormLP, backward, feasibility_residual, jvp,
+                    linalg, prepare_lp, problems, solve, solve_with_tape)
+from physlp.cli import main
 from physlp.errors import (DimensionMismatch, EmptyClass, NonFiniteEntry,
                            Unreachable)
 from physlp.oracles import dijkstra, enumerate_vertices, hungarian
@@ -57,6 +61,129 @@ def test_matching_lp_rejects_bad_shapes():
         build_matching_lp(MatchingInstance(np.ones((3, 2))))
     with pytest.raises(NonFiniteEntry):
         build_matching_lp(MatchingInstance(np.array([[1.0, np.nan]])))
+
+
+def loop_built_matching_lp(C, gamma=None):
+    """The assignment LP as build_matching_lp made it before it shared
+    operators: a new dense A per call, filled row by row."""
+    n, m = C.shape
+    gamma = matching_slack_gamma(m) if gamma is None else gamma
+    A = np.zeros((n + m, n * m + m))
+    for i in range(n):
+        A[i, i * m:(i + 1) * m] = 1.0
+    for j in range(m):
+        A[n + j, j:n * m:m] = 1.0
+        A[n + j, n * m + j] = 1.0
+    c = np.concatenate([C.ravel(), np.full(m, gamma)])
+    names = [f"x[{i},{j}]" for i in range(n) for j in range(m)] + [f"s[{j}]" for j in range(m)]
+    return StandardFormLP(A, np.ones(n + m), c, names=names, box_bound=1.0)
+
+
+def bits(arr):
+    return arr.dtype, arr.shape, arr.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 3), (5, 50), (30, 30), (50, 100)])
+def test_matching_lp_is_the_loop_built_one_bit_for_bit(shape):
+    C = np.random.default_rng(4).uniform(size=shape)
+    lp, want = build_matching_lp(MatchingInstance(C)), loop_built_matching_lp(C)
+    for name in ("A", "b", "c"):
+        assert bits(getattr(lp, name)) == bits(getattr(want, name))
+    assert lp.names == want.names and type(lp.names) is list
+    assert lp.box_bound == want.box_bound
+
+
+def test_matching_lps_of_one_shape_share_their_operator():
+    rng = np.random.default_rng(5)
+    first = build_matching_lp(MatchingInstance(rng.uniform(size=(5, 50))))
+    second = build_matching_lp(MatchingInstance(rng.uniform(size=(5, 50)), gamma=0.3))
+    assert first.operator is second.operator
+    assert first.A is not second.A and first.names is not second.names
+    with pytest.raises(ValueError, match="read-only"):
+        first.operator.A.data[0] = 2.0
+    for shape in ((5, 51), (6, 50), (50, 50)):
+        other = build_matching_lp(MatchingInstance(np.ones(shape)))
+        assert other.operator is not first.operator
+
+
+def test_matching_names_are_owned_by_each_lp():
+    first = build_matching_lp(MatchingInstance(np.ones((2, 3))))
+    second = build_matching_lp(MatchingInstance(np.ones((2, 3))))
+    first.names[0] = "renamed"
+    first.names.append("extra")
+    assert second.names[0] == "x[0,0]" and len(second.names) == 9
+    assert build_matching_lp(MatchingInstance(np.ones((2, 3)))).names == second.names
+
+
+@pytest.mark.parametrize("shape", [(5, 50), (30, 30), (50, 100)])
+def test_a_shared_operator_solves_as_an_own_one_bit_for_bit(shape):
+    """Solves, tapes, gradients and tangents of a matching LP are the
+    same bits whether its operator is shared or built for it alone."""
+    rng = np.random.default_rng(6)
+    lp = build_matching_lp(MatchingInstance(rng.uniform(size=shape)))
+    own = StandardFormLP(lp.A.copy(), lp.b, lp.c, names=list(lp.names), box_bound=lp.box_bound)
+    assert own.operator is not lp.operator
+    cfg = SolverConfig(max_iters=20, seed=3)
+
+    got, want = solve(lp, cfg), solve(own, cfg)
+    assert bits(got.x) == bits(want.x) and got.objective == want.objective
+    assert got.trace == want.trace and got.status == want.status
+
+    (got, tape), (want, own_tape) = solve_with_tape(lp, cfg), solve_with_tape(own, cfg)
+    assert bits(got.x) == bits(want.x) and got.trace == want.trace
+    for det, own_det in zip(tape.steps, own_tape.steps, strict=True):
+        assert bits(det.p) == bits(own_det.p) and bits(det.x_new) == bits(own_det.x_new)
+
+    g = rng.standard_normal(lp.n)
+    grads, own_grads = backward(tape, g), backward(own_tape, g)
+    for name in ("grad_c", "grad_A", "grad_b"):
+        assert bits(getattr(grads, name)) == bits(getattr(own_grads, name))
+
+    dc, db = rng.standard_normal(lp.n), rng.standard_normal(lp.m)
+    dA = (lp.A != 0) * rng.standard_normal(lp.A.shape)
+    for pert in (dict(dc=dc, db=db), dict(dc=dc, dA=dA, db=db)):
+        assert bits(jvp(tape, **pert)) == bits(jvp(own_tape, **pert))
+
+
+def test_a_negative_gamma_flips_onto_an_operator_of_its_own():
+    C = np.random.default_rng(7).uniform(size=(5, 50))
+    lp = build_matching_lp(MatchingInstance(C, gamma=-0.1))
+    shared = build_matching_lp(MatchingInstance(C)).operator
+    assert lp.operator is shared
+    prep = prepare_lp(lp)
+    assert prep.flip_mask.any() and prep.op is not shared
+    assert np.array_equal(prep.op.A.toarray(), lp.A * prep.sign)
+    assert np.array_equal(shared.A.toarray(), lp.A)
+
+
+def test_one_matching_shape_builds_its_gram_pattern_once(monkeypatch):
+    """A regression guard: LPs of one assignment shape share the Gram
+    map, so neither repeated builds and solves nor a cost-learning run
+    build it again for the assignment matrix.  A solve whose costs went
+    negative flips columns onto an operator of its own, A sign, whose
+    entries of -1 tell its builds apart."""
+    calls = []
+    build = linalg._build_pattern
+
+    def counted(C):
+        calls.append("flipped" if (C.data < 0).any() else "shared")
+        return build(C)
+
+    monkeypatch.setattr(linalg, "_build_pattern", counted)
+    problems._matching_operator.cache_clear()
+    rng = np.random.default_rng(8)
+    for _ in range(5):
+        solve(build_matching_lp(MatchingInstance(rng.uniform(size=(5, 50)))),
+              SolverConfig(max_iters=3))
+    assert calls == ["shared"]
+
+    calls.clear()
+    problems._matching_operator.cache_clear()
+    assert main(["learn-cost", "--steps", "3", "--out", os.devnull]) in (0, 3)
+    # the descent drives some costs below zero after its first step, and
+    # each solve from there on builds the pattern of its flipped operator,
+    # so only the first solve of this run reads the shared one
+    assert calls.count("shared") == 1
 
 
 def test_matching_feasible_witness():
@@ -315,6 +442,12 @@ def test_shortest_path_input_errors():
         build_shortest_path_lp(Graph(2, [(0, 1, -1.0)]), 0, 1)
     with pytest.raises(DimensionMismatch):
         build_shortest_path_lp(Graph(2, [(0, 7, 1.0)]), 0, 1)
+
+
+@pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf, 0.0])
+def test_shortest_path_rejects_a_weight_that_is_not_positive_and_finite(weight):
+    with pytest.raises(ValueError, match="positive finite weight"):
+        build_shortest_path_lp(Graph(3, [(0, 1, 1.0), (1, 2, weight)]), 0, 2)
 
 
 def test_lp_optimum_matches_dijkstra_on_random_dags():
