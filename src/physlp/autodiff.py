@@ -6,7 +6,8 @@ convex update, weighted projection, SPD solve, Laplacian assembly,
 weighting) and finally hands the accumulated gradients to
 PreparedLP.pullback, which maps them back to the original (c, A, b).
 jvp maps its direction in through PreparedLP.tangent; neither reads
-the negative-cost flip or the zero-cost perturbation itself.
+the negative-cost flip or the zero-cost perturbation itself.  The tape
+holds the LP and the SolverConfig it ran with, both frozen, not copies.
 
 Per step the tape holds the Cholesky factor of S = A diag(w) A^T + reg*I
 that the forward solve computed, plus x_prev, p, u, x_new and the clamp
@@ -36,18 +37,16 @@ constant: coordinates whose cost was exactly zero (and therefore
 replaced by gamma) receive zero cost gradient.
 """
 
-import copy
 from dataclasses import dataclass, field, replace
 from itertools import islice
 
 import numpy as np
 from scipy.linalg.blas import daxpy, ddot
 
-from .core import SolverConfig, validate
+# validate and spd_solve_adjoint stay imported unused: the benchmark's
+# traced run wraps them here
+from .core import SolverConfig, validate  # noqa: F401
 from .errors import DimensionMismatch
-# backward and jvp solve through spd_solve.  spd_solve_adjoint stays
-# imported here unused: the benchmark's traced run looks it up on this
-# module.
 from .linalg import spd_solve, spd_solve_adjoint  # noqa: F401
 from .solver import _iterate, _solve_loop
 
@@ -69,7 +68,8 @@ def _adjoint_tol(det, cfg):
 @dataclass
 class UnrolledTape:
     """Recorded forward pass: the prepared LP (whose op holds the CSR
-    copy of A sign the steps computed with), the initial iterate in
+    copy of A sign the steps computed with, and whose source is the
+    LP solved), cfg, the config it ran with, the initial iterate in
     working coordinates, and one StepDetail per iteration:
     five O(n) or O(m) vectors each, plus spd_solve's Cholesky factor,
     m-by-m or a linalg.BlockFactor of |F|^2 + |F| |I| + |I| floats,
@@ -129,7 +129,7 @@ def solve_with_tape(lp, cfg=None, x0=None, early_stop=False):
     if cfg is None:
         cfg = SolverConfig()
     result, prep, y0, steps = _solve_loop(lp, cfg, x0, early_stop, record_steps=True)
-    tape = UnrolledTape(prep, copy.copy(cfg), y0, steps)
+    tape = UnrolledTape(prep, cfg, y0, steps)
     return result, tape
 
 
@@ -270,8 +270,6 @@ def finite_diff_grad(lp, cfg, loss, step_scale=1e-6, x0=None):
     being checked.
     """
     from .solver import solve
-
-    lp = validate(lp)
 
     def run(A, b, c):
         trial = replace(lp, A=A, b=b, c=c)

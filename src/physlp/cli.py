@@ -292,7 +292,7 @@ def cmd_shortest_path(args):
         path, length = dijkstra(graph, args.source, args.sink)
         lp = build_shortest_path_lp(graph, args.source, args.sink)
     except (ValueError, DimensionMismatch) as exc:
-        # source == sink, a node outside the graph, non-positive weights
+        # source == sink, a node outside the graph, a bad arc weight
         return _fail(exc, EXIT_IO)
     result = solve(lp, SolverConfig(max_iters=args.iters, seed=args.seed))
     gap = abs(result.objective - length) / (1.0 + length)

@@ -10,11 +10,14 @@ StandardFormLP.operator, built on the first solve and reused by every
 later one.  StandardFormLP.from_operator builds an LP around an
 operator that already exists, so LPs of one constraint matrix can
 share it: problems.build_matching_lp does so for every assignment LP
-of one shape.  An LP holds A, b and c as read-only float64 views, not
-copies, of the arrays it is given; assigning a new A drops that LP's
-operator and leaves the others alone.  A write into an array that was
-passed in goes unseen by an operator already built, so give an LP new
-arrays rather than change them in place.
+of one shape, and from_operator(lp.operator, lp.b, c) solves new costs
+on lp's A.  StandardFormLP and SolverConfig are frozen: each is
+validated once, when built, and a changed one is a new one, made with
+dataclasses.replace and validated again (an LP made so builds its own
+operator).  An LP holds A, b and c as read-only float64 views, not
+copies, of the arrays it is given.  A write into an array that was
+passed in goes unseen by validation and by an operator already built,
+so give an LP new arrays rather than change them in place.
 """
 
 import json
@@ -44,7 +47,7 @@ def _as_vector(v, name):
     return v
 
 
-@dataclass
+@dataclass(frozen=True)
 class StandardFormLP:
     """min c.x s.t. A x = b, x >= 0.
 
@@ -59,15 +62,12 @@ class StandardFormLP:
     names: list | None = None
     box_bound: float | None = None
 
-    def __setattr__(self, name, value):
-        if name in ("A", "b", "c"):
+    def __post_init__(self):
+        for name in ("A", "b", "c"):
+            value = getattr(self, name)
             value = (_as_matrix(value) if name == "A" else _as_vector(value, name)).view()
             value.flags.writeable = False
-            if name == "A":
-                self.__dict__.pop("operator", None)
-        super().__setattr__(name, value)
-
-    def __post_init__(self):
+            object.__setattr__(self, name, value)
         validate(self)
 
     @classmethod
@@ -80,7 +80,7 @@ class StandardFormLP:
         share it; each still holds its own A, b, c and names.
         """
         lp = cls(op.A.toarray(), b, c, names=names, box_bound=box_bound)
-        lp.operator = op
+        object.__setattr__(lp, "operator", op)
         return lp
 
     @property
@@ -96,13 +96,13 @@ class StandardFormLP:
     @cached_property
     def operator(self):
         """The linalg.WeightedOperator of A (a CSR copy), built on first use
-        and again after A is assigned, unless from_operator gave it."""
+        unless from_operator gave it."""
         return WeightedOperator(self.A)
 
 
 def validate(lp):
     """Check shapes, finiteness and box_bound; returns the same instance
-    unchanged.
+    unchanged.  StandardFormLP calls it once, when built.
 
     Raises DimensionMismatch, NonFiniteEntry, or InvalidConfig for a
     box_bound that is set and not positive.  Idempotent.
@@ -150,7 +150,7 @@ class SolveStatus(Enum):
     LINSOLVE_FAILURE = "linsolve_failure"
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     """Knobs for the dynamics loop.
 

@@ -16,7 +16,7 @@ import scipy.optimize
 
 from .errors import (DimensionMismatch, InfeasibleDetected, NonFiniteEntry,
                      TooLarge, Unreachable)
-from .problems import Assignment
+from .problems import Assignment, _check_graph
 
 # guard rails for enumerate_vertices
 MAX_COLUMNS = 24
@@ -123,15 +123,13 @@ def dijkstra(graph, source, sink):
     """Shortest path for positive weights; returns (node path, length).
 
     Deterministic: equal-length alternatives resolve toward the lowest
-    node index.  Raises Unreachable when no path exists.
+    node index.  Checks the graph as build_shortest_path_lp does, and
+    raises Unreachable when no path exists.
     """
+    _check_graph(graph, source, sink)
     N = graph.num_nodes
-    if not 0 <= source < N or not 0 <= sink < N:
-        raise DimensionMismatch(f"source/sink must lie in [0, {N}), got {source}, {sink}")
     adj = [[] for _ in range(N)]
     for t, h, w in graph.arcs:
-        if w <= 0.0:
-            raise ValueError(f"arc ({t}, {h}) has non-positive weight {w}")
         adj[t].append((h, float(w)))
     for lst in adj:
         lst.sort()

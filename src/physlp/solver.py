@@ -15,14 +15,14 @@ that dominates the feasible set.  Results are always decoded and
 reported in the original coordinates against the original cost vector.
 """
 
-import copy
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+# validate stays imported unused: the benchmark's traced run wraps it here
 from .core import (SolveResult, SolveStatus, SolverConfig, StandardFormLP,
-                   TraceRecord, validate)
+                   TraceRecord, validate)  # noqa: F401
 from .errors import (Breakdown, DimensionMismatch, LinSolveFailure, MissingBound,
                      NonFiniteEntry, NonPositiveInit, ZeroCostNeedsGamma)
 from .linalg import AUTO_REG_SCALE, WeightedOperator, _norm, spd_solve
@@ -72,15 +72,15 @@ class PreparedLP:
     the columns whose cost is negative (flip_mask), 1 and 0 elsewhere.
     It maps the data to A sign, b - A shift and sign c.  zero_mask marks
     the columns whose cost was then exactly zero, which the perturbation
-    raised to gamma (0.0 when none was needed).  source is a shallow
-    copy of the validated LP as given, so assigning a field of that LP
-    later leaves a tape alone.  The working problem is op, the
-    WeightedOperator of A sign, with b and the cost c_hat as c.  Unless
-    a column flips, op is the LP's own operator and b is its b, so an
-    LP keeps one operator across its solves; a flip builds a new op
-    from the dense A sign.  The methods are the maps across the
-    transform: decode and encode for iterates, tangent and pullback
-    for perturbations and gradients of the data.
+    raised to gamma (0.0 when none was needed).  source is the LP as
+    given, which is frozen, so a tape that holds it cannot see it
+    change.  The working problem is op, the WeightedOperator of A sign,
+    with b and the cost c_hat as c.  Unless a column flips, op is the
+    LP's own operator and b is its b, so an LP keeps one operator
+    across its solves; a flip builds a new op from the dense A sign.
+    The methods are the maps across the transform: decode and encode
+    for iterates, tangent and pullback for perturbations and gradients
+    of the data.
     """
 
     source: StandardFormLP
@@ -128,11 +128,11 @@ def prepare_lp(lp, gamma=None):
     MissingBound is raised when negative costs are present without a
     bound.  gamma=None picks default_gamma(m, n) when zero costs are
     present and 0.0 otherwise; an explicit gamma is applied as given.
-    This is the one validation of a solve, and no second LP is built:
-    the working problem is lp.operator, or the operator of A sign when
-    a column flips, with the working b and c.
+    lp was validated when it was built, so nothing here validates it
+    again, and no second LP is built: the working problem is
+    lp.operator, or the operator of A sign when a column flips, with
+    the working b and c.
     """
-    lp = validate(lp)
     neg = lp.c < 0.0
     sign = np.where(neg, -1.0, 1.0)
     shift = np.zeros(lp.n)
@@ -149,7 +149,7 @@ def prepare_lp(lp, gamma=None):
         gamma = default_gamma(lp.m, lp.n) if zero.any() else 0.0
     c = perturb_cost(c, float(gamma))
     gamma = float(gamma) if zero.any() else 0.0
-    return PreparedLP(copy.copy(lp), op, b, c, neg, zero, sign, shift, gamma)
+    return PreparedLP(lp, op, b, c, neg, zero, sign, shift, gamma)
 
 
 @dataclass

@@ -361,6 +361,14 @@ def test_shortest_path_unreachable_is_solver_error(tmp_path, capsys):
     assert rc == 2 and "reach" in err
 
 
+def test_shortest_path_infinite_weight_is_input_error(tmp_path, capsys):
+    # json writes the weight as Infinity; it once ran as unreachable (2)
+    g = write_graph(tmp_path / "inf.json", 2, [[0, 1, float("inf")]])
+    rc, out, err = run(capsys, ["shortest-path", "--graph", g, "--source", "0",
+                                "--sink", "1"])
+    assert rc == 1 and out == "" and "positive finite" in err
+
+
 def test_shortest_path_missing_graph_is_io_error(tmp_path, capsys):
     rc, _, _ = run(capsys, ["shortest-path", "--graph",
                             str(tmp_path / "none.json"), "--source", "0",

@@ -1,6 +1,8 @@
 """LP container, config validation, and JSON round-trips."""
 
 import json
+from dataclasses import FrozenInstanceError, fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -69,9 +71,8 @@ def test_validate_rejects_a_bad_box_bound(bound, error):
         StandardFormLP(np.array([[1.0, 1.0]]), np.array([1.0]),
                        np.array([-1.0, 2.0]), box_bound=bound)
     lp = toy_lp()
-    lp.box_bound = bound
     with pytest.raises(error):
-        validate(lp)
+        validate(SimpleNamespace(A=lp.A, b=lp.b, c=lp.c, names=None, box_bound=bound))
 
 
 def test_names_length_checked():
@@ -92,13 +93,15 @@ def test_from_operator_takes_the_operator_and_its_matrix():
 
 
 def test_from_operator_lps_drop_only_their_own_operator():
+    # an LP made from one of them with a new A builds its own operator
     op = WeightedOperator(np.array([[1.0, 1.0]]))
     first = StandardFormLP.from_operator(op, [1.0], [1.0, 2.0])
     second = StandardFormLP.from_operator(op, [2.0], [3.0, 1.0])
     assert first.A is not second.A and first.operator is second.operator
-    first.A = np.array([[2.0, 1.0]])
-    assert first.operator is not op and second.operator is op
-    assert np.array_equal(first.operator.A.toarray(), [[2.0, 1.0]])
+    changed = replace(first, A=np.array([[2.0, 1.0]]))
+    assert changed.operator is not op
+    assert first.operator is op and second.operator is op
+    assert np.array_equal(changed.operator.A.toarray(), [[2.0, 1.0]])
 
 
 @pytest.mark.parametrize("b, c, error", [
@@ -111,6 +114,32 @@ def test_from_operator_validates(b, c, error):
     op = WeightedOperator(np.array([[1.0, 0.0, 2.0], [0.0, -3.0, 1.0]]))
     with pytest.raises(error):
         StandardFormLP.from_operator(op, b, c)
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(StandardFormLP)] + ["operator"])
+def test_an_lp_cannot_be_assigned(name):
+    # validated once, when built: a changed LP is a new one
+    lp = toy_lp()
+    with pytest.raises(FrozenInstanceError):
+        setattr(lp, name, getattr(lp, name))
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(SolverConfig)])
+def test_a_config_cannot_be_assigned(name):
+    cfg = SolverConfig()
+    with pytest.raises(FrozenInstanceError):
+        setattr(cfg, name, getattr(cfg, name))
+
+
+def test_replace_validates_again():
+    # an assigned step_size of 5 once ran unchecked: x = [1e-8, 1e-8]
+    # after 20 steps, with residual 0.99999998 and status MAX_ITERS
+    with pytest.raises(InvalidConfig):
+        replace(SolverConfig(max_iters=20), step_size=5.0)
+    with pytest.raises(NonFiniteEntry):
+        replace(toy_lp(), c=[np.nan, 1.0])
+    with pytest.raises(DimensionMismatch):
+        replace(toy_lp(), b=[1.0, 2.0])
 
 
 def test_objective_values():

@@ -208,6 +208,20 @@ def test_dijkstra_unreachable_and_validation():
         dijkstra(Graph(2, [(0, 1, 0.0)]), 0, 1)
 
 
+@pytest.mark.parametrize("weight", [np.nan, np.inf])
+def test_dijkstra_rejects_a_weight_that_is_not_finite(weight):
+    # an inf weight once read as "cannot be reached", and NaN passed
+    with pytest.raises(ValueError, match="positive finite"):
+        dijkstra(Graph(3, [(0, 1, 1.0), (1, 2, weight)]), 0, 2)
+
+
+@pytest.mark.parametrize("tail", [-1, 3])
+def test_dijkstra_rejects_an_arc_outside_the_graph(tail):
+    # -1 once aliased node 2: the path [0, 2, 1] of length 2
+    with pytest.raises(DimensionMismatch):
+        dijkstra(Graph(3, [(tail, 1, 1.0), (0, 2, 1.0), (2, 1, 1.0)]), 0, 1)
+
+
 def test_dijkstra_matches_path_enumeration():
     rng = np.random.default_rng(23)
     done = 0

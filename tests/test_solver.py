@@ -1,12 +1,14 @@
 """Forward dynamics: perturbation, flipping, stepping, and solve."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from physlp import (SolveStatus, SolverConfig, StandardFormLP, autodiff, backward, core,
-                    default_gamma, feasibility_residual,
-                    initial_state, jvp, linalg, perturb_cost, prepare_lp, solve,
+                    default_gamma, feasibility_residual, initial_state, jvp, linalg,
+                    objective_gradients, perturb_cost, prepare_lp, problems, solve,
                     solve_with_tape, solver, step_detail)
 from physlp.errors import (DimensionMismatch, MissingBound, NonFiniteEntry,
                            NonPositiveInit, ZeroCostNeedsGamma)
@@ -77,7 +79,7 @@ def test_flip_maps_the_working_data():
         lp = StandardFormLP(A, rng.normal(size=m), rng.normal(size=n),
                             box_bound=2.0)
         prep = prepare_lp(lp)
-        assert prep.source is not lp and prep.source.A is lp.A and prep.source.c is lp.c
+        assert prep.source is lp
         assert np.array_equal(prep.sign, np.where(lp.c < 0.0, -1.0, 1.0))
         assert np.array_equal(prep.shift, np.where(lp.c < 0.0, 2.0, 0.0))
         assert np.array_equal(prep.op.A.toarray(), lp.A * prep.sign)
@@ -140,22 +142,22 @@ def test_prepare_reuses_the_input_operator(name, request):
     assert tape.prep.op is lp.operator
 
 
-def test_an_assigned_A_is_solved_with_its_own_operator():
-    # assigning A drops the operator the first solve built, so the next
-    # solve is the one a new LP of the same data gets
+def test_a_replaced_A_is_solved_with_its_own_operator():
+    # an LP made with a new A solves as a new LP of the same data does,
+    # on an operator of its own, and leaves the original's alone
     cfg = SolverConfig(max_iters=50)
     lp = StandardFormLP([[1.0, 1.0]], [1.0], [1.0, 2.0])
     solve(lp, cfg)
     old = lp.operator
-    lp.A = [[2.0, 1.0]]
-    res = solve(lp, cfg)
-    assert lp.operator is not old
+    changed = replace(lp, A=[[2.0, 1.0]])
+    res = solve(changed, cfg)
+    assert changed.operator is not old and lp.operator is old
     want = solve(StandardFormLP([[2.0, 1.0]], [1.0], [1.0, 2.0]), cfg)
     assert np.array_equal(res.x, want.x) and res.residual == want.residual
-    assert feasibility_residual(lp, res.x) <= 1e-6
-    lp.A = np.ones((2, 2))
+    assert res.trace == want.trace and res.status is want.status
+    assert feasibility_residual(changed, res.x) <= 1e-6
     with pytest.raises(DimensionMismatch):
-        solve(lp, cfg)
+        replace(lp, A=np.ones((2, 2)))
 
 
 def test_lp_arrays_are_read_only_views():
@@ -169,20 +171,28 @@ def test_lp_arrays_are_read_only_views():
             mine[0] = 3.0
 
 
-def test_solve_validates_once(matching_5x50, monkeypatch):
-    # at the public boundary only: the prepared LP builds no new LP
+def test_an_lp_is_validated_once_when_built(monkeypatch):
+    # at the public boundary only: building the LP validates it, and no
+    # solve, gradient or replay of it validates it again
     validate, calls = core.validate, []
 
     def counting(lp):
         calls.append(lp)
         return validate(lp)
 
-    for module in (core, solver, autodiff):
+    for module in (core, problems, solver, autodiff):
         monkeypatch.setattr(module, "validate", counting)
-    for run in (solve, solve_with_tape):
-        calls.clear()
-        run(matching_5x50, SolverConfig(max_iters=3))
-        assert len(calls) == 1 and calls[0] is matching_5x50
+    lp = problems.build_matching_lp(
+        problems.MatchingInstance(np.random.default_rng(3).uniform(size=(3, 4))))
+    assert len(calls) == 1 and calls[0] is lp
+    cfg = SolverConfig(max_iters=3)
+    solve(lp, cfg)
+    _, tape = solve_with_tape(lp, cfg)
+    backward(tape, np.ones(lp.n))
+    jvp(tape, dc=np.ones(lp.n), dA=np.ones((lp.m, lp.n)), db=np.ones(lp.m))
+    objective_gradients(tape)
+    tape.replay()
+    assert len(calls) == 1 and calls[0] is lp
 
 
 def test_prepared_cost_strictly_positive():
