@@ -194,7 +194,7 @@ def cmd_svm_demo(args):
     inst = SvmInstance(points, labels, kernel, c_reg=args.c_reg,
                        big_m=args.big_m)
     lp = build_l1svm_lp(inst)
-    cfg = SolverConfig(max_iters=args.iters, gamma=inst.gamma, seed=args.seed)
+    cfg = SolverConfig(max_iters=args.iters, seed=args.seed)
     result = solve(lp, cfg)
     clf = decode_svm(result.x, inst)
     decisions = clf.decision(points)

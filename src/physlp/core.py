@@ -14,10 +14,9 @@ of one shape, and from_operator(lp.operator, lp.b, c) solves new costs
 on lp's A.  StandardFormLP and SolverConfig are frozen: each is
 validated once, when built, and a changed one is a new one, made with
 dataclasses.replace and validated again (an LP made so builds its own
-operator).  An LP holds A, b and c as read-only float64 views, not
-copies, of the arrays it is given.  A write into an array that was
-passed in goes unseen by validation and by an operator already built,
-so give an LP new arrays rather than change them in place.
+operator).  An LP owns A, b and c as read-only float64 arrays: it
+keeps an array that is already one, as another LP's is, and copies
+anything else, so no later write by the caller reaches it.
 """
 
 import json
@@ -33,53 +32,52 @@ from .errors import DimensionMismatch, InvalidConfig, NonFiniteEntry
 from .linalg import WeightedOperator
 
 
-def _as_matrix(A):
-    A = np.asarray(A, dtype=np.float64)
-    if A.ndim != 2:
-        raise DimensionMismatch(f"A must be 2-D, got ndim={A.ndim}")
-    return A
-
-
-def _as_vector(v, name):
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise DimensionMismatch(f"{name} must be 1-D, got ndim={v.ndim}")
-    return v
+def _owned(value, name, ndim):
+    """value as a read-only float64 array of ndim dimensions that no
+    one else can write: a read-only ndarray owning its memory is kept,
+    anything else is copied."""
+    if not (type(value) is np.ndarray and value.dtype == np.float64
+            and value.flags.owndata and not value.flags.writeable):
+        value = np.array(value, dtype=np.float64)
+        value.flags.writeable = False
+    if value.ndim != ndim:
+        raise DimensionMismatch(f"{name} must be {ndim}-D, got ndim={value.ndim}")
+    return value
 
 
 @dataclass(frozen=True)
 class StandardFormLP:
     """min c.x s.t. A x = b, x >= 0.
 
-    names optionally labels the columns.  box_bound, when set, promises
-    that every feasible point satisfies x_i <= box_bound componentwise;
-    it is required before negative-cost coordinates can be flipped.
+    A, b and c are read-only float64 arrays that the LP owns (see the
+    module docstring).  box_bound, when set, promises that every
+    feasible point satisfies x_i <= box_bound componentwise; it is
+    required before negative-cost coordinates can be flipped.
     """
 
     A: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    names: list | None = None
     box_bound: float | None = None
 
     def __post_init__(self):
-        for name in ("A", "b", "c"):
-            value = getattr(self, name)
-            value = (_as_matrix(value) if name == "A" else _as_vector(value, name)).view()
-            value.flags.writeable = False
-            object.__setattr__(self, name, value)
+        for name, ndim in (("A", 2), ("b", 1), ("c", 1)):
+            object.__setattr__(self, name, _owned(getattr(self, name), name, ndim))
         validate(self)
 
     @classmethod
-    def from_operator(cls, op, b, c, names=None, box_bound=None):
+    def from_operator(cls, op, b, c, box_bound=None):
         """The LP with the constraint matrix of the WeightedOperator op,
         whose operator is op itself, so no solve rebuilds it.
 
         A is op.A.toarray(), bit-equal to the A that op was built from,
-        and the LP is validated like any other.  LPs built from one op
-        share it; each still holds its own A, b, c and names.
+        made read-only and kept without a second copy; the LP is
+        validated like any other.  LPs built from one op share it; each
+        still owns its A, b and c.
         """
-        lp = cls(op.A.toarray(), b, c, names=names, box_bound=box_bound)
+        A = op.A.toarray()
+        A.flags.writeable = False
+        lp = cls(A, b, c, box_bound=box_bound)
         object.__setattr__(lp, "operator", op)
         return lp
 
@@ -101,8 +99,9 @@ class StandardFormLP:
 
 
 def validate(lp):
-    """Check shapes, finiteness and box_bound; returns the same instance
-    unchanged.  StandardFormLP calls it once, when built.
+    """Check that A is not empty, that b and c fit its shape, that A, b
+    and c are finite, and box_bound; returns the same instance unchanged.
+    StandardFormLP calls it once, when built.
 
     Raises DimensionMismatch, NonFiniteEntry, or InvalidConfig for a
     box_bound that is set and not positive.  Idempotent.
@@ -114,8 +113,6 @@ def validate(lp):
         raise DimensionMismatch(f"b has shape {lp.b.shape}, expected ({m},)")
     if lp.c.shape != (n,):
         raise DimensionMismatch(f"c has shape {lp.c.shape}, expected ({n},)")
-    if lp.names is not None and len(lp.names) != n:
-        raise DimensionMismatch(f"names has length {len(lp.names)}, expected {n}")
     for arr, name in ((lp.A, "A"), (lp.b, "b"), (lp.c, "c")):
         if not np.all(np.isfinite(arr)):
             raise NonFiniteEntry(f"{name} contains a non-finite entry")
@@ -223,21 +220,19 @@ class SolveResult:
 def lp_to_dict(lp):
     """Plain-dict form of an LP for JSON serialization."""
     d = {"A": lp.A.tolist(), "b": lp.b.tolist(), "c": lp.c.tolist()}
-    if lp.names is not None:
-        d["names"] = list(lp.names)
     if lp.box_bound is not None:
         d["box_bound"] = float(lp.box_bound)
     return d
 
 
 def lp_from_dict(d):
-    """Inverse of lp_to_dict.  Unknown keys are ignored."""
+    """Inverse of lp_to_dict.  Unknown keys are ignored, among them the
+    "names" that earlier versions wrote."""
     for key in ("A", "b", "c"):
         if key not in d:
             raise KeyError(f"LP dict is missing required key {key!r}")
-    names = d.get("names")
     bound = d.get("box_bound")
-    return StandardFormLP(d["A"], d["b"], d["c"], names=names,
+    return StandardFormLP(d["A"], d["b"], d["c"],
                           box_bound=None if bound is None else float(bound))
 
 

@@ -6,6 +6,8 @@ single-pair shortest path on a directed graph.  Builders are pure
 functions from instance data to StandardFormLP; decoders map a solved
 vector back to the combinatorial object.  A generator for random
 bounded-feasible LPs used by tests and benchmarks lives here as well.
+Instances live in memory; the one file format here is the graph file
+that physlp shortest-path reads (Graph.to_dict and Graph.from_dict).
 
 The constraint matrix of an assignment LP depends only on its shape
 (n, m), so build_matching_lp takes its WeightedOperator, with the Gram
@@ -23,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-# validate stays importable here; constructing a StandardFormLP validates
+# validate stays imported unused: the benchmark's traced run wraps it here
 from .core import SolverConfig, StandardFormLP, validate  # noqa: F401
 from .errors import (DimensionMismatch, EmptyClass, KernelDegenerate,
                      NonFiniteEntry, Unreachable)
@@ -43,9 +45,6 @@ class LinearKernel:
     def gram(self, X, Y):
         return np.asarray(X, dtype=np.float64) @ np.asarray(Y, dtype=np.float64).T
 
-    def to_dict(self):
-        return {"type": "linear"}
-
 
 @dataclass(frozen=True)
 class GaussianKernel:
@@ -59,18 +58,6 @@ class GaussianKernel:
         sq = (np.sum(X ** 2, axis=1)[:, None] + np.sum(Y ** 2, axis=1)[None, :]
               - 2.0 * X @ Y.T)
         return np.exp(-np.maximum(sq, 0.0) / (2.0 * self.sigma ** 2))
-
-    def to_dict(self):
-        return {"type": "gaussian", "sigma": float(self.sigma)}
-
-
-def kernel_from_dict(d):
-    kind = d.get("type")
-    if kind == "linear":
-        return LinearKernel()
-    if kind == "gaussian":
-        return GaussianKernel(float(d.get("sigma", 1.0)))
-    raise KeyError(f"unknown kernel type {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -101,16 +88,6 @@ class MatchingInstance:
     def __post_init__(self):
         self.C = np.asarray(self.C, dtype=np.float64)
 
-    def to_dict(self):
-        d = {"C": self.C.tolist()}
-        if self.gamma is not None:
-            d["gamma"] = float(self.gamma)
-        return d
-
-    @staticmethod
-    def from_dict(d):
-        return MatchingInstance(d["C"], d.get("gamma"))
-
 
 def matching_slack_gamma(m):
     """Default slack cost, 1 / (2 sqrt(m)) for m proposal slacks."""
@@ -129,7 +106,7 @@ def build_matching_lp(inst):
     Variables are X in row-major order followed by the m slacks, so the
     LP has n*m + m columns and n + m rows.  Every feasible point lies
     in [0, 1], recorded as box_bound.  LPs of one shape share one
-    operator, lp.operator; each owns its A, b, c and names.
+    operator, lp.operator; each owns its A, b and c.
     """
     C = inst.C
     if C.ndim != 2:
@@ -141,15 +118,14 @@ def build_matching_lp(inst):
         raise NonFiniteEntry("C contains a non-finite entry")
     gamma = matching_slack_gamma(m) if inst.gamma is None else float(inst.gamma)
 
-    op, names = _matching_operator(n, m)
     c = np.concatenate([C.ravel(), np.full(m, gamma)])
-    return StandardFormLP.from_operator(op, np.ones(n + m), c, names=list(names), box_bound=1.0)
+    return StandardFormLP.from_operator(_matching_operator(n, m), np.ones(n + m), c, box_bound=1.0)
 
 
 @lru_cache(maxsize=MATCHING_CACHE_SHAPES)
 def _matching_operator(n, m):
     """The WeightedOperator of the n-by-m assignment matrix, with its
-    Gram map and row split built, and the column names as a tuple.
+    Gram map and row split built.
 
     A depends on (n, m) alone, so every matching LP of one shape shares
     this operator.  Built here, the Gram map and split are never built
@@ -168,8 +144,7 @@ def _matching_operator(n, m):
     # reaching them all
     for arr in (op.A.data, op.A.indices, op.A.indptr):
         arr.flags.writeable = False
-    names = [f"x[{i},{j}]" for i in range(n) for j in range(m)] + [f"s[{j}]" for j in range(m)]
-    return op, tuple(names)
+    return op
 
 
 def split_matching_vars(x, n, m):
@@ -229,8 +204,8 @@ class SvmInstance:
     """Binary training set with labels in {-1, +1}.
 
     c_reg weights the hinge slack, big_m is the small constraint
-    relaxation bought by the binary-like z block, gamma optionally
-    overrides the solver's zero-cost perturbation.
+    relaxation bought by the binary-like z block.  The solver's
+    zero-cost perturbation is SolverConfig.gamma.
     """
 
     points: np.ndarray
@@ -238,24 +213,10 @@ class SvmInstance:
     kernel: object = field(default_factory=LinearKernel)
     c_reg: float = 1.0
     big_m: float = 0.001
-    gamma: float | None = None
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.float64)
-
-    def to_dict(self):
-        d = {"points": self.points.tolist(), "labels": self.labels.astype(int).tolist(),
-             "kernel": self.kernel.to_dict(), "C": float(self.c_reg), "M": float(self.big_m)}
-        if self.gamma is not None:
-            d["gamma"] = float(self.gamma)
-        return d
-
-    @staticmethod
-    def from_dict(d):
-        return SvmInstance(d["points"], d["labels"], kernel_from_dict(d["kernel"]),
-                           c_reg=float(d.get("C", 1.0)), big_m=float(d.get("M", 0.001)),
-                           gamma=d.get("gamma"))
 
 
 def _svm_offsets(n):
@@ -387,7 +348,7 @@ def fit_svm(inst, cfg=None):
     from .solver import solve
 
     if cfg is None:
-        cfg = SolverConfig(max_iters=300, gamma=inst.gamma)
+        cfg = SolverConfig(max_iters=300)
     lp = build_l1svm_lp(inst)
     result = solve(lp, cfg)
     return decode_svm(result.x, inst), result
@@ -416,7 +377,7 @@ class PairwiseSvmEnsemble:
         return self.classes[np.argmax(votes, axis=1)]
 
 
-def pairwise_multiclass(points, labels, kernel=None, c_reg=1.0, big_m=0.001, gamma=None):
+def pairwise_multiclass(points, labels, kernel=None, c_reg=1.0, big_m=0.001):
     """Build the k-choose-2 binary instances for a k-class training set."""
     points = np.asarray(points, dtype=np.float64)
     labels = np.asarray(labels)
@@ -434,8 +395,7 @@ def pairwise_multiclass(points, labels, kernel=None, c_reg=1.0, big_m=0.001, gam
             mask = (labels == classes[a]) | (labels == classes[b])
             y = np.where(labels[mask] == classes[a], 1.0, -1.0)
             pairs.append((a, b))
-            instances.append(SvmInstance(points[mask], y, kernel,
-                                         c_reg=c_reg, big_m=big_m, gamma=gamma))
+            instances.append(SvmInstance(points[mask], y, kernel, c_reg=c_reg, big_m=big_m))
     return PairwiseSvmEnsemble(classes, pairs, instances)
 
 
@@ -516,11 +476,11 @@ def build_shortest_path_lp(graph, source, sink):
     touched = np.any(A_full != 0.0, axis=1)
     keep = [v for v in range(N) if v != source and touched[v]]
     A = A_full[keep]
+    A.flags.writeable = False  # a new array, so the LP keeps it uncopied
     b = np.zeros(len(keep))
     b[keep.index(sink)] = -1.0
     c = np.array([w for _, _, w in graph.arcs])
-    names = [f"arc[{t}->{h}]" for t, h, _ in graph.arcs]
-    return StandardFormLP(A, b, c, names=names)
+    return StandardFormLP(A, b, c)
 
 
 # ---------------------------------------------------------------------------

@@ -72,23 +72,16 @@ def test_validate_rejects_a_bad_box_bound(bound, error):
                        np.array([-1.0, 2.0]), box_bound=bound)
     lp = toy_lp()
     with pytest.raises(error):
-        validate(SimpleNamespace(A=lp.A, b=lp.b, c=lp.c, names=None, box_bound=bound))
-
-
-def test_names_length_checked():
-    with pytest.raises(DimensionMismatch):
-        StandardFormLP(np.array([[1.0, 1.0]]), np.array([1.0]),
-                       np.array([1.0, 2.0]), names=["only-one"])
+        validate(SimpleNamespace(A=lp.A, b=lp.b, c=lp.c, box_bound=bound))
 
 
 def test_from_operator_takes_the_operator_and_its_matrix():
     A = np.array([[1.0, 0.0, 2.0], [0.0, -3.0, 1.0]])
     op = WeightedOperator(A)
-    lp = StandardFormLP.from_operator(op, [1.0, 2.0], [1.0, 2.0, 3.0],
-                                      names=["x", "y", "z"], box_bound=4.0)
+    lp = StandardFormLP.from_operator(op, [1.0, 2.0], [1.0, 2.0, 3.0], box_bound=4.0)
     assert lp.operator is op
     assert np.array_equal(lp.A, op.A.toarray()) and np.array_equal(lp.A, A)
-    assert lp.names == ["x", "y", "z"] and lp.box_bound == 4.0
+    assert lp.box_bound == 4.0
     assert not lp.A.flags.writeable
 
 
@@ -223,14 +216,24 @@ def test_config_rejects_bad_values(kwargs):
 
 def test_lp_dict_roundtrip():
     lp = StandardFormLP(np.array([[1.0, 2.0], [3.0, 4.0]]),
-                        np.array([1.0, 2.0]), np.array([0.5, -0.5]),
-                        names=["a", "b"], box_bound=3.0)
+                        np.array([1.0, 2.0]), np.array([0.5, -0.5]), box_bound=3.0)
     back = lp_from_dict(lp_to_dict(lp))
     assert np.array_equal(back.A, lp.A)
     assert np.array_equal(back.b, lp.b)
     assert np.array_equal(back.c, lp.c)
-    assert back.names == lp.names
     assert back.box_bound == lp.box_bound
+
+
+def test_an_lp_file_with_names_still_loads(tmp_path):
+    # earlier versions wrote column labels under "names"; nothing reads them
+    path = tmp_path / "lp.json"
+    path.write_text(json.dumps({"A": [[1.0, 1.0]], "b": [1.0], "c": [1.0, 2.0],
+                                "box_bound": 2.0, "names": ["x", "y"]}))
+    lp = load_lp(path)
+    assert np.array_equal(lp.A, [[1.0, 1.0]]) and lp.box_bound == 2.0
+    assert not hasattr(lp, "names")
+    save_lp(lp, path)
+    assert sorted(json.loads(path.read_text())) == ["A", "b", "box_bound", "c"]
 
 
 def test_lp_from_dict_requires_keys():

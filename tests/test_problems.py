@@ -1,6 +1,7 @@
 """Problem builders, decoders, and generators."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from physlp.problems import (Assignment, GaussianKernel, Graph, LinearKernel,
                              assignment_to_vector, build_l1svm_lp,
                              build_matching_lp, build_shortest_path_lp,
                              decode_matching, decode_svm, fit_svm,
-                             kernel_from_dict, matching_cost_gradient,
+                             matching_cost_gradient,
                              matching_feasible_point, matching_slack_gamma,
                              pairwise_multiclass, random_bounded_lp,
                              split_matching_vars, svm_feasible_point,
@@ -40,7 +41,6 @@ def test_matching_lp_cost_layout():
     lp2 = build_matching_lp(MatchingInstance(C, gamma=0.01))
     assert np.allclose(lp2.c[6:], 0.01)
     assert lp.box_bound == 1.0
-    assert lp.names[0] == "x[0,0]" and lp.names[-1] == "s[2]"
 
 
 def test_matching_lp_row_structure():
@@ -75,8 +75,7 @@ def loop_built_matching_lp(C, gamma=None):
         A[n + j, j:n * m:m] = 1.0
         A[n + j, n * m + j] = 1.0
     c = np.concatenate([C.ravel(), np.full(m, gamma)])
-    names = [f"x[{i},{j}]" for i in range(n) for j in range(m)] + [f"s[{j}]" for j in range(m)]
-    return StandardFormLP(A, np.ones(n + m), c, names=names, box_bound=1.0)
+    return StandardFormLP(A, np.ones(n + m), c, box_bound=1.0)
 
 
 def bits(arr):
@@ -89,7 +88,6 @@ def test_matching_lp_is_the_loop_built_one_bit_for_bit(shape):
     lp, want = build_matching_lp(MatchingInstance(C)), loop_built_matching_lp(C)
     for name in ("A", "b", "c"):
         assert bits(getattr(lp, name)) == bits(getattr(want, name))
-    assert lp.names == want.names and type(lp.names) is list
     assert lp.box_bound == want.box_bound
 
 
@@ -98,7 +96,7 @@ def test_matching_lps_of_one_shape_share_their_operator():
     first = build_matching_lp(MatchingInstance(rng.uniform(size=(5, 50))))
     second = build_matching_lp(MatchingInstance(rng.uniform(size=(5, 50)), gamma=0.3))
     assert first.operator is second.operator
-    assert first.A is not second.A and first.names is not second.names
+    assert not np.shares_memory(first.A, second.A)
     with pytest.raises(ValueError, match="read-only"):
         first.operator.A.data[0] = 2.0
     for shape in ((5, 51), (6, 50), (50, 50)):
@@ -106,13 +104,17 @@ def test_matching_lps_of_one_shape_share_their_operator():
         assert other.operator is not first.operator
 
 
-def test_matching_names_are_owned_by_each_lp():
-    first = build_matching_lp(MatchingInstance(np.ones((2, 3))))
-    second = build_matching_lp(MatchingInstance(np.ones((2, 3))))
-    first.names[0] = "renamed"
-    first.names.append("extra")
-    assert second.names[0] == "x[0,0]" and len(second.names) == 9
-    assert build_matching_lp(MatchingInstance(np.ones((2, 3)))).names == second.names
+def test_a_matching_lp_allocates_one_dense_A():
+    # from_operator keeps op.A.toarray() as the LP's A: no second copy
+    C = np.random.default_rng(9).uniform(size=(50, 100))
+    build_matching_lp(MatchingInstance(C))  # caches the shape's operator
+    tracemalloc.start()
+    try:
+        lp = build_matching_lp(MatchingInstance(C))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lp.A.nbytes > 6e6 and peak < 1.5 * lp.A.nbytes
 
 
 @pytest.mark.parametrize("shape", [(5, 50), (30, 30), (50, 100)])
@@ -121,7 +123,7 @@ def test_a_shared_operator_solves_as_an_own_one_bit_for_bit(shape):
     same bits whether its operator is shared or built for it alone."""
     rng = np.random.default_rng(6)
     lp = build_matching_lp(MatchingInstance(rng.uniform(size=shape)))
-    own = StandardFormLP(lp.A.copy(), lp.b, lp.c, names=list(lp.names), box_bound=lp.box_bound)
+    own = StandardFormLP(lp.A.copy(), lp.b, lp.c, box_bound=lp.box_bound)
     assert own.operator is not lp.operator
     cfg = SolverConfig(max_iters=20, seed=3)
 
@@ -244,14 +246,6 @@ def test_assignment_vector_roundtrip():
         assignment_to_vector([0, 0], 2, 4)  # duplicate task
 
 
-def test_matching_instance_dict_roundtrip():
-    inst = MatchingInstance(np.array([[1.0, 2.0]]), gamma=0.25)
-    back = MatchingInstance.from_dict(inst.to_dict())
-    assert np.array_equal(back.C, inst.C)
-    assert back.gamma == 0.25
-    assert MatchingInstance.from_dict({"C": [[1.0, 2.0]]}).gamma is None
-
-
 # ----------------------------------------------------------------- svm
 
 def test_kernel_values():
@@ -262,15 +256,6 @@ def test_kernel_values():
     assert np.allclose(np.diag(g), 1.0)
     assert g[0, 1] == pytest.approx(np.exp(-5.0 / 2.0))
     assert np.allclose(g, g.T)
-
-
-def test_kernel_dict_roundtrip():
-    assert isinstance(kernel_from_dict({"type": "linear"}), LinearKernel)
-    k = kernel_from_dict({"type": "gaussian", "sigma": 2.5})
-    assert isinstance(k, GaussianKernel) and k.sigma == 2.5
-    assert kernel_from_dict(GaussianKernel(0.7).to_dict()).sigma == 0.7
-    with pytest.raises(KeyError):
-        kernel_from_dict({"type": "cubic"})
 
 
 def test_svm_lp_dimensions():
@@ -352,16 +337,6 @@ def test_decode_svm_cancels_split_variables():
     assert clf.bias == 0.0
     with pytest.raises(DimensionMismatch):
         decode_svm(np.zeros(19), inst)
-
-
-def test_svm_instance_dict_roundtrip():
-    pts, lab = two_gaussian_blobs(2, 2, 1.0, np.random.default_rng(2))
-    inst = SvmInstance(pts, lab, GaussianKernel(1.5), c_reg=2.0, big_m=0.01)
-    back = SvmInstance.from_dict(inst.to_dict())
-    assert np.array_equal(back.points, inst.points)
-    assert np.array_equal(back.labels, inst.labels)
-    assert back.kernel.sigma == 1.5
-    assert back.c_reg == 2.0 and back.big_m == 0.01
 
 
 def test_pairwise_instance_counts():

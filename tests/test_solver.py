@@ -161,14 +161,44 @@ def test_a_replaced_A_is_solved_with_its_own_operator():
 
 
 def test_lp_arrays_are_read_only_views():
-    # a write into the LP would go unseen by its cached operator, so it
-    # raises; the caller's own arrays are neither copied nor locked
+    # read-only, and no views of the caller's arrays: the LP owns
+    # copies, so a write into the LP raises and the caller's arrays
+    # stay writable
     A, b, c = np.array([[1.0, 1.0]]), np.array([1.0]), np.array([1.0, 2.0])
     lp = StandardFormLP(A, b, c)
     for mine, given in ((lp.A, A), (lp.b, b), (lp.c, c)):
-        assert np.shares_memory(mine, given) and given.flags.writeable
+        assert not np.shares_memory(mine, given) and given.flags.writeable
+        assert mine.flags.owndata and np.array_equal(mine, given)
         with pytest.raises(ValueError):
             mine[0] = 3.0
+    # a read-only view is copied too: the array it views can still change
+    view = np.array([[1.0, 1.0]]).view()
+    view.flags.writeable = False
+    assert not np.shares_memory(StandardFormLP(view, b, c).A, view)
+
+
+@pytest.mark.parametrize("name", ["A", "b", "c"])
+def test_a_write_into_the_callers_array_does_not_reach_the_lp(name):
+    # writing A[0, 0] = 2 after a first solve once left lp.A reading
+    # [[2, 1]] while the cached operator solved [[1, 1]]
+    given = {"A": np.array([[1.0, 1.0]]), "b": np.array([1.0]), "c": np.array([1.0, 2.0])}
+    lp = StandardFormLP(**given)
+    cfg = SolverConfig(max_iters=50)
+    first = solve(lp, cfg)
+    given[name].flat[0] = 2.0
+    assert np.array_equal(lp.A, [[1.0, 1.0]]) and np.array_equal(lp.b, [1.0])
+    assert np.array_equal(lp.c, [1.0, 2.0])
+    second = solve(lp, cfg)
+    assert np.array_equal(second.x, first.x) and second.residual == first.residual
+    assert second.trace == first.trace and second.status is first.status
+    assert feasibility_residual(lp, second.x) <= 1e-6
+
+
+def test_replace_keeps_the_arrays_it_is_not_given(matching_5x50):
+    lp = matching_5x50
+    changed = replace(lp, c=lp.c + 1.0)
+    assert changed.A is lp.A and changed.b is lp.b
+    assert not np.shares_memory(changed.c, lp.c)
 
 
 def test_an_lp_is_validated_once_when_built(monkeypatch):
