@@ -5,9 +5,11 @@ walks the tape once, applying the adjoint of each operation (clamp,
 convex update, weighted projection, SPD solve, Laplacian assembly,
 weighting) and finally hands the accumulated gradients to
 PreparedLP.pullback, which maps them back to the original (c, A, b).
-jvp maps its direction in through PreparedLP.tangent; neither reads
-the negative-cost flip or the zero-cost perturbation itself.  The tape
-holds the LP and the SolverConfig it ran with, both frozen, not copies.
+jvp maps its direction in through PreparedLP.tangent.  Both compute
+with the LP's one operator and apply the flip's column signs around
+their products with A; neither reads the zero-cost perturbation.  The
+tape holds the LP and the SolverConfig it ran with, both frozen, not
+copies.
 
 Per step the tape holds the Cholesky factor of S = A diag(w) A^T + reg*I
 that the forward solve computed, plus x_prev, p, u, x_new and the clamp
@@ -17,14 +19,12 @@ the factor of the Schur complement on F plus the block S_FI and the
 diagonal S_II, 7,600 floats against 22,500 on a 150-row assignment LP.
 The solve adjoint gL = -outer(z, p) has rank one, so backward never
 forms an m-by-m or m-by-n array per step: each step costs a few
-products with A through PreparedLP.op, the WeightedOperator the
-forward pass used (the input LP's own unless a column flipped), and
-one spd_solve: two triangular solves against the stored factor
-(around two GEMVs for a BlockFactor), or PCG on the sparse
-A diag(w) A^T + reg*I that the forward CG steps use when the step had
-no factor.  gA comes from one GEMM over the 2K stacked per-step
-vectors at the end, and the column norms ||a_j||^2 of the Tikhonov
-term from op's CSR data.
+products with A and one spd_solve: two triangular solves against the
+stored factor (around two GEMVs for a BlockFactor), or PCG on the
+sparse A diag(w) A^T + reg*I that the forward CG steps use when the
+step had no factor.  gA comes from one GEMM over the 2K stacked
+per-step vectors at the end, and the column norms ||a_j||^2 of the
+Tikhonov term from op's CSR data.
 jvp forms dL p the same way.  spd_solve accepts every solve on backward
 error; backward and jvp ask for cfg.linsolve_tol on factored steps and
 at most CG_ADJOINT_TOL on CG steps, whose forward solves ran to the
@@ -67,10 +67,10 @@ def _adjoint_tol(det, cfg):
 
 @dataclass
 class UnrolledTape:
-    """Recorded forward pass: the prepared LP (whose op holds the CSR
-    copy of A sign the steps computed with, and whose source is the
-    LP solved), cfg, the config it ran with, the initial iterate in
-    working coordinates, and one StepDetail per iteration:
+    """Recorded forward pass: the prepared LP (whose source is the LP
+    solved, with the operator the steps computed with), cfg, the config
+    it ran with, the initial iterate in working coordinates, and one
+    StepDetail per iteration:
     five O(n) or O(m) vectors each, plus spd_solve's Cholesky factor,
     m-by-m or a linalg.BlockFactor of |F|^2 + |F| |I| + |I| floats,
     which steps above linalg.DIRECT_MAX_DIM rows (CG on the sparse
@@ -142,7 +142,7 @@ def backward(tape, grad_x):
     misses its backward-error target even after PCG refinement.
     """
     prep = tape.prep
-    op = prep.op
+    op, sign = prep.source.operator, prep.sign
     c_hat = prep.c
     h = tape.cfg.step_size
     m, n = op.A.shape
@@ -151,8 +151,8 @@ def backward(tape, grad_x):
     if grad_x.shape != (n,):
         raise DimensionMismatch(f"grad_x has shape {grad_x.shape}, expected ({n},)")
 
-    # decoded x = shift + sign * y
-    g = prep.sign * grad_x
+    # decoded x = shift + sign * y; the working matrix is A sign
+    g = sign * grad_x
     gc_hat = np.zeros(n)
     gb = np.zeros(m)
     # each step adds outer(p, gu - v*w) - outer(z, u*w) to gA; the 2K
@@ -174,10 +174,10 @@ def backward(tape, grad_x):
         gu = w * gq
         # p = S^{-1} b with S = A diag(w) A^T + reg*I: z = S^{-1} (A gu),
         # and the rank-1 gL = -outer(z, p) gives gw = -(A^T z) * u
-        z = spd_solve(op.at(w), op.A @ gu, _adjoint_tol(det, tape.cfg), det.reg_used,
+        z = spd_solve(op.at(w), op.A @ (sign * gu), _adjoint_tol(det, tape.cfg), det.reg_used,
                       det.factor).p
         gb += z
-        v = op.AT @ z
+        v = sign * (op.AT @ z)
         g_reg = -ddot(z, det.p) * det.reg_scale / m
         gw = daxpy(col_sq, det.u * (gq - v), a=g_reg)
         omega = daxpy(w, omega, a=2.0 * g_reg)
@@ -188,7 +188,7 @@ def backward(tape, grad_x):
         g = (1.0 - h) * g + gw / c_hat
     gA = left.T @ right
     rows = _rows(op.A)
-    gA[rows, op.A.indices] += op.A.data * omega[op.A.indices]
+    gA[rows, op.A.indices] += op.A.data * sign[op.A.indices] * omega[op.A.indices]
 
     return LpGradients(*prep.pullback(gc_hat, gA, gb))
 
@@ -213,7 +213,7 @@ def jvp(tape, dc=None, dA=None, db=None):
     dot products.  Without dA no m-by-n product is taken.
     """
     prep = tape.prep
-    op = prep.op
+    op, sign = prep.source.operator, prep.sign
     c_hat = prep.c
     h = tape.cfg.step_size
     m, n = op.A.shape
@@ -226,7 +226,7 @@ def jvp(tape, dc=None, dA=None, db=None):
     # a default Tikhonov term moves by
     # d reg = s / m * sum_j (dw_j ||a_j||^2 + 2 w_j a_j . da_j)
     col_sq = np.bincount(op.A.indices, op.A.data ** 2, minlength=n)
-    col_da = np.zeros(n) if dA_w is None else _column_dots(op.A, dA_w)
+    col_da = np.zeros(n) if dA_w is None else sign * _column_dots(op.A, dA_w)
 
     dx = np.zeros(n)
     for det in tape.steps:
@@ -235,18 +235,18 @@ def jvp(tape, dc=None, dA=None, db=None):
         dw = dx / c_hat - x * dc_w / c_hat ** 2
         # dL p with dL = dA W A^T + A dW A^T + A W dA^T, never formed
         if dA_w is None:
-            dAt_p, dL_p = 0.0, op.A @ (dw * u)
+            dAt_p, dL_p = 0.0, op.A @ (sign * (dw * u))
         else:
             dAt_p = dA_w.T @ p
-            dL_p = dA_w @ (w * u) + op.A @ (dw * u + w * dAt_p)
+            dL_p = dA_w @ (w * u) + op.A @ (sign * (dw * u + w * dAt_p))
         d_reg = det.reg_scale / m * (ddot(dw, col_sq) + 2.0 * ddot(w, col_da))
         dL_p += d_reg * p
         dp = spd_solve(op.at(w), db_w - dL_p, _adjoint_tol(det, tape.cfg), det.reg_used,
                        det.factor).p
-        du = dAt_p + op.AT @ dp
+        du = dAt_p + sign * (op.AT @ dp)
         dx = (1.0 - h) * dx + h * (dw * u + w * du)
         dx = np.where(det.clamp_mask, dx, 0.0)
-    return prep.sign * dx
+    return sign * dx
 
 
 def _rows(A):

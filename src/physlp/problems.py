@@ -467,18 +467,19 @@ def build_shortest_path_lp(graph, source, sink):
     _check_graph(graph, source, sink)
     if sink not in _reachable(graph, source):
         raise Unreachable(f"node {sink} cannot be reached from node {source}")
-    N = graph.num_nodes
-    n_arcs = len(graph.arcs)
-    A_full = np.zeros((N, n_arcs))
-    for j, (t, h, _) in enumerate(graph.arcs):
-        A_full[t, j] += 1.0
-        A_full[h, j] -= 1.0
-    touched = np.any(A_full != 0.0, axis=1)
-    keep = [v for v in range(N) if v != source and touched[v]]
-    A = A_full[keep]
+    # a self-loop's +1 and -1 cancel, so only the other arcs touch a row
+    moves = [(j, t, h) for j, (t, h, _) in enumerate(graph.arcs) if t != h]
+    keep = sorted({v for _, t, h in moves for v in (t, h)} - {source})
+    row = {v: i for i, v in enumerate(keep)}
+    A = np.zeros((len(keep), len(graph.arcs)))
+    for j, t, h in moves:
+        if t in row:
+            A[row[t], j] = 1.0
+        if h in row:
+            A[row[h], j] = -1.0
     A.flags.writeable = False  # a new array, so the LP keeps it uncopied
     b = np.zeros(len(keep))
-    b[keep.index(sink)] = -1.0
+    b[row[sink]] = -1.0
     c = np.array([w for _, _, w in graph.arcs])
     return StandardFormLP(A, b, c)
 

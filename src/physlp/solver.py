@@ -11,7 +11,8 @@ set and then to an optimal vertex; the initial point does not have to
 be feasible.  Two preprocessing transforms extend the update to general
 costs: zero costs are raised to a small gamma > 0, and negative-cost
 coordinates are flipped through x_i = M - y_i against a box bound M
-that dominates the feasible set.  Results are always decoded and
+that dominates the feasible set, as signs on the vectors around the
+products with the LP's one operator.  Results are always decoded and
 reported in the original coordinates against the original cost vector.
 """
 
@@ -25,7 +26,7 @@ from .core import (SolveResult, SolveStatus, SolverConfig, StandardFormLP,
                    TraceRecord, validate)  # noqa: F401
 from .errors import (Breakdown, DimensionMismatch, LinSolveFailure, MissingBound,
                      NonFiniteEntry, NonPositiveInit, ZeroCostNeedsGamma)
-from .linalg import AUTO_REG_SCALE, WeightedOperator, _norm, spd_solve
+from .linalg import AUTO_REG_SCALE, _norm, spd_solve
 
 # Width of the early-stop window: the objective must be stalled across
 # this many consecutive iterations (plus a satisfied residual) to stop.
@@ -69,29 +70,25 @@ class PreparedLP:
 
     The flip is the affine change of variables x = shift + sign * y
     from working to original coordinates: sign is -1 and shift is M on
-    the columns whose cost is negative (flip_mask), 1 and 0 elsewhere.
-    It maps the data to A sign, b - A shift and sign c.  zero_mask marks
-    the columns whose cost was then exactly zero, which the perturbation
-    raised to gamma (0.0 when none was needed).  source is the LP as
-    given, which is frozen, so a tape that holds it cannot see it
-    change.  The working problem is op, the WeightedOperator of A sign,
-    with b and the cost c_hat as c.  Unless a column flips, op is the
-    LP's own operator and b is its b, so an LP keeps one operator
-    across its solves; a flip builds a new op from the dense A sign.
-    The methods are the maps across the transform: decode and encode
-    for iterates, tangent and pullback for perturbations and gradients
-    of the data.
+    the columns whose cost is negative, 1 and 0 elsewhere.  It maps the
+    data to A sign, b - A shift and sign c.  zero_mask marks the columns
+    whose cost was then exactly zero, which the perturbation raised to
+    gamma.  source is the LP as given, which is frozen, so a tape that
+    holds it cannot see it change.  The working problem is A sign, b
+    and the cost c_hat as c, and A sign is never built: products with
+    it are A @ (sign * v) and sign * (A^T @ p) on source.operator, and
+    the signs cancel in A diag(w) A^T.  Unless a column flips, b is the
+    LP's own b.  The methods are the maps across the transform: decode
+    and encode for iterates, tangent and pullback for perturbations and
+    gradients of the data.
     """
 
     source: StandardFormLP
-    op: WeightedOperator
     b: np.ndarray
     c: np.ndarray
-    flip_mask: np.ndarray
     zero_mask: np.ndarray
     sign: np.ndarray
     shift: np.ndarray
-    gamma: float = 0.0
 
     def decode(self, y):
         """Map an iterate back to the original coordinates.  shift is
@@ -107,7 +104,7 @@ class PreparedLP:
         to None.  gamma and M are constants, so perturbed columns get no
         cost tangent."""
         dc = np.where(self.zero_mask, 0.0, self.sign * dc)
-        if dA is None or not self.flip_mask.any():
+        if dA is None or not self.shift.any():
             return dc, dA, db
         return dc, dA * self.sign, db - dA @ self.shift
 
@@ -115,7 +112,7 @@ class PreparedLP:
         """Map gradients with respect to the working data back to the
         original data: the transpose of tangent."""
         gc = self.sign * np.where(self.zero_mask, 0.0, gc)
-        if not self.flip_mask.any():
+        if not self.shift.any():
             return gc, gA, gb
         return gc, gA * self.sign - np.outer(gb, self.shift), gb
 
@@ -129,9 +126,8 @@ def prepare_lp(lp, gamma=None):
     bound.  gamma=None picks default_gamma(m, n) when zero costs are
     present and 0.0 otherwise; an explicit gamma is applied as given.
     lp was validated when it was built, so nothing here validates it
-    again, and no second LP is built: the working problem is
-    lp.operator, or the operator of A sign when a column flips, with
-    the working b and c.
+    again, and no second LP or operator is built: the working problem
+    is lp.operator with the column signs and the working b and c.
     """
     neg = lp.c < 0.0
     sign = np.where(neg, -1.0, 1.0)
@@ -141,15 +137,12 @@ def prepare_lp(lp, gamma=None):
         if lp.box_bound is None:
             raise MissingBound(f"{int(neg.sum())} negative cost entries but lp.box_bound is not set")
         shift[neg] = lp.box_bound
-        op, b = WeightedOperator(lp.A * sign), b - lp.A @ shift
-    else:
-        op = lp.operator
+        b = b - lp.A @ shift
     zero = c == 0.0
     if gamma is None:
         gamma = default_gamma(lp.m, lp.n) if zero.any() else 0.0
     c = perturb_cost(c, float(gamma))
-    gamma = float(gamma) if zero.any() else 0.0
-    return PreparedLP(lp, op, b, c, neg, zero, sign, shift, gamma)
+    return PreparedLP(lp, b, c, zero, sign, shift)
 
 
 @dataclass
@@ -195,17 +188,19 @@ def step_detail(prep, x, cfg, tol=None):
     """One dynamics update from the iterate x, with full intermediates;
     the next iterate is its x_new.
 
-    L = A diag(w) A^T goes to spd_solve as prep.op.at(w) at
-    every size; spd_solve factors it up to linalg.DIRECT_MAX_DIM rows
-    and runs CG on it, assembled sparse, above, with spd_solve's default
-    Tikhonov term and one retry at 100 times it after a linear-solve
-    breakdown.  tol is the relative target handed to spd_solve,
-    cfg.linsolve_tol when None; _iterate, the forward loop and the one
-    caller in the package, passes forward_tol of the iterate's residual,
-    so the step is set by x and cfg alone.  Weights x / c that are not
-    finite raise LinSolveFailure before any solve.
+    L = A diag(w) A^T goes to spd_solve as op.at(w), op the LP's
+    operator, at every size; the flip's signs cancel in L and enter
+    only u = sign * (A^T p).  spd_solve factors L up to
+    linalg.DIRECT_MAX_DIM rows and runs CG on it, assembled sparse,
+    above, with spd_solve's default Tikhonov term and one retry at 100
+    times it after a linear-solve breakdown.  tol is the relative
+    target handed to spd_solve, cfg.linsolve_tol when None; _iterate,
+    the forward loop and the one caller in the package, passes
+    forward_tol of the iterate's residual, so the step is set by x and
+    cfg alone.  Weights x / c that are not finite raise LinSolveFailure
+    before any solve.
     """
-    op = prep.op
+    op = prep.source.operator
     h = cfg.step_size
     eps = cfg.clamp_floor
 
@@ -223,7 +218,7 @@ def step_detail(prep, x, cfg, tol=None):
         except Breakdown as exc:
             raise LinSolveFailure(f"inner solve failed after a 100x regularization retry: {exc}") from exc
     p = report.p
-    u = op.AT @ p
+    u = prep.sign * (op.AT @ p)
     pre = (1.0 - h) * x + h * (w * u)
     clamp_mask = pre > eps
     x_new = np.maximum(pre, eps)
@@ -281,7 +276,7 @@ def _evaluate(prep, y):
     residual ||A x - b||, taken in working coordinates: with
     x = shift + sign y, (A sign) y - (b - A shift) = A x - b."""
     x = prep.decode(y)
-    residual = _norm(prep.op.A @ y - prep.b)
+    residual = _norm(prep.source.operator.A @ (prep.sign * y) - prep.b)
     return x, float(prep.source.c @ x), residual
 
 

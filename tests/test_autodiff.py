@@ -7,8 +7,8 @@ import pytest
 import scipy.linalg
 
 from physlp import (SolverConfig, StandardFormLP, backward, finite_diff_grad,
-                    jvp, linalg, objective_gradients, solve, solve_with_tape,
-                    solver)
+                    jvp, linalg, objective_gradients, prepare_lp, solve,
+                    solve_with_tape, solver)
 from physlp.errors import DimensionMismatch
 from physlp.problems import (MatchingInstance, build_matching_lp,
                              random_bounded_lp)
@@ -36,7 +36,7 @@ def dense_backward(tape, grad_x):
     Returns working-coordinate (grad_c, grad_A, grad_b) for a tape
     without flipped coordinates."""
     prep = tape.prep
-    A, c_hat, h = prep.op.A.toarray(), prep.c, tape.cfg.step_size
+    A, c_hat, h = prep.source.operator.A.toarray(), prep.c, tape.cfg.step_size
     g = np.asarray(grad_x, dtype=np.float64)
     gc, gA, gb = np.zeros(prep.source.n), np.zeros(A.shape), np.zeros(prep.source.m)
     for det in reversed(tape.steps):
@@ -113,7 +113,7 @@ def test_tape_stores_consistent_solves():
     lp = build_matching_lp(MatchingInstance(
         np.array([[0.2, 0.8, 0.5], [0.8, 0.2, 0.4]])))
     _, tape = solve_with_tape(lp, SolverConfig(max_iters=10))
-    A, b, c_hat = tape.prep.op.A.toarray(), tape.prep.b, tape.prep.c
+    A, b, c_hat = tape.prep.source.operator.A.toarray(), tape.prep.b, tape.prep.c
     for det in tape.steps:
         L = (A * (det.x_prev / c_hat)) @ A.T
         lhs = (L + det.reg_used * np.eye(L.shape[0])) @ det.p
@@ -229,7 +229,7 @@ def test_randomized_gradcheck_and_transpose():
         k = int(rng.integers(3, 21))
         cfg = SolverConfig(max_iters=k, seed=int(rng.integers(2 ** 31)))
         _, tape = solve_with_tape(lp, cfg)
-        assert tape.prep.flip_mask.any() == (checked >= 20)
+        assert (tape.prep.sign < 0).any() == (checked >= 20)
         if tape.clamp_active_any:
             continue
         w = rng.normal(size=n)
@@ -450,7 +450,7 @@ def test_jvp_matches_directional_differences_on_factored_steps(route, seed):
     tape, gap = _jvp_fd_gap(lp, SolverConfig(max_iters=50, seed=seed), 1e-10, seed)
     factor = linalg.BlockFactor if route == "block" else tuple
     assert all(isinstance(det.factor, factor) for det in tape.steps)
-    assert tape.prep.flip_mask.any() == (route == "flipped")
+    assert (tape.prep.sign < 0).any() == (route == "flipped")
     assert gap <= JVP_FD_BAND
 
 
@@ -466,6 +466,50 @@ def test_jvp_matches_directional_differences_on_cg_steps(dag_600, monkeypatch):
     assert all(det.factor is None for det in tape.steps)
     assert gap <= JVP_FD_BAND
 
+
+
+def _flipped_lp(route, request):
+    """signed_sparse_40x400 (dense factor), a flipped 20x30 matching
+    (dense factor) or dag_600 with every 7th cost negated (CG)."""
+    if route == "matching":
+        return _survey_lp("flipped", 0)
+    lp = request.getfixturevalue(route)
+    if route == "dag_600":
+        c = np.where(np.arange(lp.n) % 7 == 0, -lp.c, lp.c)
+        lp = StandardFormLP(lp.A, lp.b, c, box_bound=1.0)
+    return lp
+
+
+@pytest.mark.parametrize("route, factored", [("signed_sparse_40x400", True), ("matching", True),
+                                             ("dag_600", False)])
+def test_a_flipped_lp_is_its_substituted_lp_bit_for_bit(route, factored, request):
+    """The flip is the change of variables x = shift + sign y: the tape,
+    gradients and tangents of a flipped LP are those of the LP
+    (A sign, b - A shift, sign c), built by hand, mapped across it."""
+    lp = _flipped_lp(route, request)
+    prep = prepare_lp(lp)
+    assert (prep.sign < 0).any()
+    sub = StandardFormLP(lp.A * prep.sign, lp.b - lp.A @ prep.shift, prep.sign * lp.c)
+    cfg = SolverConfig(max_iters=5, seed=3)
+    (res, tape), (sub_res, sub_tape) = solve_with_tape(lp, cfg), solve_with_tape(sub, cfg)
+    assert all((det.factor is not None) == factored for det in tape.steps)
+    assert np.array_equal(res.x, prep.decode(sub_res.x))
+    assert [r.residual for r in res.trace] == [r.residual for r in sub_res.trace]
+    for det, sub_det in zip(tape.steps, sub_tape.steps, strict=True):
+        for name in ("p", "u", "x_new"):
+            assert np.array_equal(getattr(det, name), getattr(sub_det, name))
+
+    rng = np.random.default_rng(4)
+    g = rng.standard_normal(lp.n)
+    got, want = backward(tape, g), backward(sub_tape, prep.sign * g)
+    for a, b in zip((got.grad_c, got.grad_A, got.grad_b),
+                    prep.pullback(want.grad_c, want.grad_A, want.grad_b), strict=True):
+        assert np.array_equal(a, b)
+
+    dc, db = rng.standard_normal(lp.n), rng.standard_normal(lp.m)
+    for dA in (None, (lp.A != 0) * rng.standard_normal(lp.A.shape)):
+        want = prep.sign * jvp(sub_tape, *prep.tangent(dc, dA, db))
+        assert np.array_equal(jvp(tape, dc, dA, db), want)
 
 def test_matching_gradient_sign_pattern():
     # two agents, two tasks; the loss sums the matched mass on the

@@ -1,4 +1,5 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package, test module and demo uses each name it
+imports."""
 
 import ast
 from pathlib import Path
@@ -22,6 +23,8 @@ WRAPPED_BY_THE_BENCHMARK = {
 
 # __init__.py imports to re-export
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).parent
+SCRIPTS = sorted([*TESTS.glob("*.py"), *(TESTS.parent / "demos").glob("*.py")])
 
 
 def unused_imports(path):
@@ -40,6 +43,11 @@ def unused_imports(path):
 def test_a_module_uses_what_it_imports(module):
     kept = {name for mod, name in WRAPPED_BY_THE_BENCHMARK if mod == module}
     assert unused_imports(SRC / f"{module}.py") == kept
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_a_test_or_demo_uses_what_it_imports(path):
+    assert unused_imports(path) == set()
 
 
 def test_the_guard_sees_an_unused_import(tmp_path):

@@ -226,12 +226,12 @@ def test_block_solve_meets_the_backward_error_bound(matching_50x100_tape, step):
     # as spd_solve's docstring states it, from a new factor and from the
     # step's, on a right-hand side other than b
     tape = matching_50x100_tape
-    det, A = tape.steps[step], tape.prep.op.A.toarray()
+    det, A = tape.steps[step], tape.prep.source.operator.A.toarray()
     w = det.x_prev / tape.prep.c
     S = (A * w) @ A.T + det.reg_used * np.eye(A.shape[0])
     rhs = np.random.default_rng(step).normal(size=A.shape[0])
     tol = 1e-10
-    gram = tape.prep.op.at(w)
+    gram = tape.prep.source.operator.at(w)
     for factor in (None, det.factor):
         rep = spd_solve(gram, rhs, tol=tol, reg=det.reg_used, factor=factor)
         assert isinstance(rep.factor, BlockFactor) and rep.iterations == 0
@@ -342,7 +342,7 @@ def dag_600_systems(dag_600):
     """A diag(w) A^T + reg*I, as CSR, at the first, 50th and last step
     of a 100-step dag_600 tape, and that tape's right-hand side b."""
     _, tape = solve_with_tape(dag_600, SolverConfig(max_iters=100, seed=7))
-    op, c = tape.prep.op, tape.prep.c
+    op, c = tape.prep.source.operator, tape.prep.c
     systems = [op.at(det.x_prev / c).sparse(det.reg_used)
                for det in (tape.steps[0], tape.steps[49], tape.steps[99])]
     return systems, tape.prep.b

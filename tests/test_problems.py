@@ -12,7 +12,7 @@ from physlp.cli import main
 from physlp.errors import (DimensionMismatch, EmptyClass, NonFiniteEntry,
                            Unreachable)
 from physlp.oracles import dijkstra, enumerate_vertices, hungarian
-from physlp.problems import (Assignment, GaussianKernel, Graph, LinearKernel,
+from physlp.problems import (GaussianKernel, Graph, LinearKernel,
                              MatchingInstance, SvmInstance,
                              assignment_to_vector, build_l1svm_lp,
                              build_matching_lp, build_shortest_path_lp,
@@ -147,23 +147,39 @@ def test_a_shared_operator_solves_as_an_own_one_bit_for_bit(shape):
         assert bits(jvp(tape, **pert)) == bits(jvp(own_tape, **pert))
 
 
-def test_a_negative_gamma_flips_onto_an_operator_of_its_own():
+def test_a_negative_gamma_flips_onto_the_shared_operator(monkeypatch):
+    # the flip is a sign on vectors, so a flipped matching LP's solves,
+    # tapes, gradients and tangents compute with the shape's operator
+    # and build no other
     C = np.random.default_rng(7).uniform(size=(5, 50))
     lp = build_matching_lp(MatchingInstance(C, gamma=-0.1))
     shared = build_matching_lp(MatchingInstance(C)).operator
     assert lp.operator is shared
     prep = prepare_lp(lp)
-    assert prep.flip_mask.any() and prep.op is not shared
-    assert np.array_equal(prep.op.A.toarray(), lp.A * prep.sign)
+    assert (prep.sign < 0).any() and prep.source.operator is shared
     assert np.array_equal(shared.A.toarray(), lp.A)
+    built, used = [], []
+    init, at = linalg.WeightedOperator.__init__, linalg.WeightedOperator.at
+    monkeypatch.setattr(linalg.WeightedOperator, "__init__",
+                        lambda op, A: built.append(A) or init(op, A))
+    monkeypatch.setattr(linalg.WeightedOperator, "at", lambda op, w: used.append(op) or at(op, w))
+    cfg = SolverConfig(max_iters=5)
+    solve(lp, cfg)
+    _, tape = solve_with_tape(lp, cfg)
+    backward(tape, np.ones(lp.n))
+    jvp(tape, dc=np.ones(lp.n), dA=(lp.A != 0) * 1.0, db=np.ones(lp.m))
+    tape.replay()
+    assert built == [] and len(used) == 25
+    assert all(op is shared for op in used)
 
 
 def test_one_matching_shape_builds_its_gram_pattern_once(monkeypatch):
     """A regression guard: LPs of one assignment shape share the Gram
     map, so neither repeated builds and solves nor a cost-learning run
-    build it again for the assignment matrix.  A solve whose costs went
-    negative flips columns onto an operator of its own, A sign, whose
-    entries of -1 tell its builds apart."""
+    build it again.  The descent drives some costs below zero after its
+    first step, and a flipped solve computes with the shared operator
+    too; a build of any other matrix, such as A sign, whose entries of
+    -1 tell it apart, would show here."""
     calls = []
     build = linalg._build_pattern
 
@@ -182,10 +198,9 @@ def test_one_matching_shape_builds_its_gram_pattern_once(monkeypatch):
     calls.clear()
     problems._matching_operator.cache_clear()
     assert main(["learn-cost", "--steps", "3", "--out", os.devnull]) in (0, 3)
-    # the descent drives some costs below zero after its first step, and
-    # each solve from there on builds the pattern of its flipped operator,
-    # so only the first solve of this run reads the shared one
-    assert calls.count("shared") == 1
+    # one build, for the first LP of the shape; every later solve, the
+    # flipped ones included, reads it
+    assert calls == ["shared"]
 
 
 def test_matching_feasible_witness():
@@ -403,6 +418,26 @@ def test_triangle_picks_two_hop_route():
 def test_isolated_node_row_dropped():
     lp = build_shortest_path_lp(Graph(4, [(0, 1, 1.0), (1, 2, 1.0)]), 0, 2)
     assert lp.m == 2  # node 3 untouched, node 0 is the source
+
+
+def test_a_self_loop_touches_no_row():
+    # a self-loop's +1 and -1 cancel: node 3's row is dropped, and the
+    # loops' columns of A are zero
+    lp = build_shortest_path_lp(Graph(4, [(0, 1, 1.0), (3, 3, 1.0), (1, 1, 0.5), (1, 2, 1.0)]),
+                                0, 2)
+    assert np.array_equal(lp.A, [[-1.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, -1.0]])
+    assert np.array_equal(lp.b, [0.0, -1.0]) and np.array_equal(lp.c, [1.0, 1.0, 0.5, 1.0])
+
+
+def test_a_shortest_path_lp_allocates_one_dense_A(dag_600_graph):
+    # A is filled at the kept rows: no N-by-arcs array is made first
+    tracemalloc.start()
+    try:
+        lp = build_shortest_path_lp(dag_600_graph, 0, dag_600_graph.num_nodes - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lp.A.nbytes > 8e6 and peak < 1.5 * lp.A.nbytes
 
 
 def test_shortest_path_input_errors():

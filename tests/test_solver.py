@@ -43,8 +43,8 @@ def test_default_gamma_scale():
 
 def test_flip_identity_when_no_negatives():
     prep = prepare_lp(toy_lp())
-    assert not prep.flip_mask.any()
-    assert np.array_equal(prep.op.A.toarray(), [[1.0, 1.0]])
+    assert not (prep.sign < 0).any()
+    assert np.array_equal(prep.source.operator.A.toarray(), [[1.0, 1.0]])
     assert np.array_equal(prep.c, [1.0, 2.0])
 
 
@@ -54,13 +54,12 @@ def test_flip_single_negative_coordinate():
     lp = StandardFormLP(np.array([[1.0, 1.0]]), np.array([1.0]),
                         np.array([-1.0, 0.0]), box_bound=1.0)
     prep = prepare_lp(lp)
-    assert prep.flip_mask.tolist() == [True, False]
-    assert np.array_equal(prep.op.A.toarray(), [[-1.0, 1.0]])
+    assert (prep.sign < 0).tolist() == [True, False]
+    assert np.array_equal(prep.source.operator.A.toarray() * prep.sign, [[-1.0, 1.0]])
     assert np.array_equal(prep.b, [0.0])
     # the flip leaves x2's cost zero, which the perturbation then raises
     assert prep.zero_mask.tolist() == [False, True]
-    assert prep.gamma == default_gamma(1, 2)
-    assert np.array_equal(prep.c, [1.0, prep.gamma])
+    assert np.array_equal(prep.c, [1.0, default_gamma(1, 2)])
 
 
 def test_flip_requires_bound():
@@ -82,7 +81,7 @@ def test_flip_maps_the_working_data():
         assert prep.source is lp
         assert np.array_equal(prep.sign, np.where(lp.c < 0.0, -1.0, 1.0))
         assert np.array_equal(prep.shift, np.where(lp.c < 0.0, 2.0, 0.0))
-        assert np.array_equal(prep.op.A.toarray(), lp.A * prep.sign)
+        assert np.array_equal(prep.source.operator.A.toarray() * prep.sign, lp.A * prep.sign)
         assert np.array_equal(prep.b, lp.b - lp.A @ prep.shift)
         assert np.array_equal(prep.c, prep.sign * lp.c)
 
@@ -96,7 +95,7 @@ def test_flip_preserves_residual_through_encode():
     x = rng.uniform(0.1, 2.9, size=4)
     y = prep.encode(x)
     assert feasibility_residual(lp, x) == pytest.approx(
-        np.linalg.norm(prep.op.A @ y - prep.b), abs=1e-12)
+        np.linalg.norm(prep.source.operator.A @ (prep.sign * y) - prep.b), abs=1e-12)
     assert np.allclose(prep.decode(y), x)
 
 
@@ -106,7 +105,7 @@ def test_pullback_is_the_transpose_of_tangent(signed_sparse_40x400):
     lp = signed_sparse_40x400
     prep = prepare_lp(StandardFormLP(lp.A, lp.b, np.where(np.arange(lp.n) < 10, 0.0, lp.c),
                                      box_bound=lp.box_bound))
-    assert prep.flip_mask.any() and prep.zero_mask.any()
+    assert (prep.sign < 0).any() and prep.zero_mask.any()
     rng = np.random.default_rng(9)
 
     def draw():
@@ -121,13 +120,28 @@ def test_pullback_is_the_transpose_of_tangent(signed_sparse_40x400):
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
 
 
-def test_prepare_copies_A_only_when_a_column_flips(signed_sparse_40x400):
+def test_a_flipped_lp_computes_with_the_lp_operator(signed_sparse_40x400, monkeypatch):
+    # the flip is a sign on the vectors around the products with A, so
+    # every solve, tape, backward, jvp and replay of a flipped LP reads
+    # lp.operator and builds no other; only b is new, and only on a flip
     lp = toy_lp()
-    prep = prepare_lp(lp)
-    assert prep.op is lp.operator and prep.b is lp.b
+    assert prepare_lp(lp).b is lp.b
     lp = signed_sparse_40x400
+    op = lp.operator
     prep = prepare_lp(lp)
-    assert prep.flip_mask.any() and prep.op is not lp.operator
+    assert (prep.sign < 0).any() and prep.source is lp
+    assert np.array_equal(prep.b, lp.b - lp.A @ prep.shift)
+    built = count_calls(monkeypatch, linalg.WeightedOperator, "__init__")
+    used = count_calls(monkeypatch, linalg.WeightedOperator, "at")
+    cfg = SolverConfig(max_iters=5)
+    solve(lp, cfg)
+    _, tape = solve_with_tape(lp, cfg)
+    assert tape.prep.source.operator is op
+    backward(tape, np.ones(lp.n))
+    jvp(tape, dc=np.ones(lp.n), dA=np.ones((lp.m, lp.n)), db=np.ones(lp.m))
+    tape.replay()
+    assert built == [] and len(used) == 25
+    assert all(args[0] is op for args in used)
 
 
 @pytest.mark.parametrize("name", ["matching_5x50", "svm_20"])
@@ -136,10 +150,10 @@ def test_prepare_reuses_the_input_operator(name, request):
     # of one LP object computes with the operator that LP built once
     lp = request.getfixturevalue(name)
     prep = prepare_lp(lp)
-    assert not prep.flip_mask.any() and prep.zero_mask.any() == (name == "svm_20")
-    assert prep.op is lp.operator
+    assert not (prep.sign < 0).any() and prep.zero_mask.any() == (name == "svm_20")
+    assert prep.source.operator is lp.operator and prep.b is lp.b
     _, tape = solve_with_tape(lp, SolverConfig(max_iters=1))
-    assert tape.prep.op is lp.operator
+    assert tape.prep.source.operator is lp.operator
 
 
 def test_a_replaced_A_is_solved_with_its_own_operator():
@@ -229,7 +243,7 @@ def test_prepared_cost_strictly_positive():
     lp = StandardFormLP(np.array([[1.0, 1.0, 1.0]]), np.array([1.0]),
                         np.array([0.5, 0.0, -2.0]), box_bound=1.0)
     prep = prepare_lp(lp, gamma=0.25)
-    assert prep.gamma == 0.25
+    assert np.array_equal(prep.c[prep.zero_mask], [0.25])
     assert (prep.c > 0).all()
     assert prep.c.min() >= min(0.25, 0.5)
 
@@ -293,22 +307,24 @@ def test_one_step_reaches_feasibility_with_full_step():
         cfg = SolverConfig()
         x = initial_state(prep, cfg, x0=rng.uniform(0.5, 2.0, size=6))
         out = step_detail(prep, x, cfg)
-        assert np.linalg.norm(prep.op.A @ out.x_new - prep.b) <= 1e-8 * (
+        assert np.linalg.norm(prep.source.operator.A @ out.x_new - prep.b) <= 1e-8 * (
             1.0 + np.linalg.norm(lp.b))
 
 
 # ---------------------------------------------------- weighted operator
 
 def test_operator_follows_the_lp_it_belongs_to(signed_sparse_40x400):
-    # prepare_lp flips the operator's columns when a cost is negative,
-    # and the working operator is that of the flipped A
+    # prepare_lp flips columns when a cost is negative as signs on
+    # vectors: the operator stays the LP's own, and as the signs cancel
+    # in A sign diag(w) sign A^T, its Gram matrix is the flipped A's
     prep = prepare_lp(signed_sparse_40x400)
+    op = prep.source.operator
     A = signed_sparse_40x400.A * prep.sign
-    assert np.array_equal(prep.op.A.toarray(), A)
-    assert prep.op is not signed_sparse_40x400.operator
+    assert op is signed_sparse_40x400.operator
+    assert np.array_equal(op.A.toarray() * prep.sign, A)
     w = np.random.default_rng(5).uniform(0.1, 2.0, size=prep.source.n)
     want = (A * w) @ A.T
-    assert np.abs(prep.op.at(w).dense(0.0) - want).max() <= 1e-14 * np.abs(want).max()
+    assert np.abs(op.at(w).dense(0.0) - want).max() <= 1e-14 * np.abs(want).max()
     cfg = SolverConfig(seed=5)
     det = step_detail(prep, initial_state(prep, cfg), cfg)
     assert np.all(det.x_new >= cfg.clamp_floor)
@@ -317,8 +333,8 @@ def test_operator_follows_the_lp_it_belongs_to(signed_sparse_40x400):
 def dense_step(prep, x, cfg):
     """One step with L assembled densely and solved by scipy's Cholesky,
     the form before the CSR operator, with the default Tikhonov term
-    1e-10 trace(L) / m: (p, x_new)."""
-    A, b = prep.op.A.toarray(), prep.b
+    1e-10 trace(L) / m: (p, x_new).  A is the working matrix A sign."""
+    A, b = prep.source.operator.A.toarray() * prep.sign, prep.b
     w = x / prep.c
     L = (A * w) @ A.T
     S = L + 1e-10 * np.trace(L) / len(b) * np.eye(len(b))
@@ -341,7 +357,8 @@ def test_csr_step_matches_a_dense_step(name, request):
 
 def test_matrix_free_default_reg_is_the_assembled_one(dag_600):
     prep = prepare_lp(dag_600)
-    op, A = prep.op, prep.op.A.toarray()
+    op = prep.source.operator
+    A = op.A.toarray()
     w = initial_state(prep, SolverConfig(seed=4)) / prep.c
     L = (A * w) @ A.T
     want = 1e-10 * np.trace(L) / len(L)
@@ -356,9 +373,10 @@ def test_sparse_matrix_is_the_dense_gram(name, request):
     # S = A diag(w) A^T + reg*I on the compressed pattern, which CG steps
     # and their backward and jvp solves use, against a dense product; the
     # dense form that direct steps factor comes from the same values, so
-    # it is S bit for bit
+    # it is S bit for bit; A is the working A sign, whose signs cancel
     prep = prepare_lp(request.getfixturevalue(name))
-    op, A = prep.op, prep.op.A.toarray()
+    op = prep.source.operator
+    A = op.A.toarray() * prep.sign
     w = np.random.default_rng(9).uniform(0.1, 2.0, size=prep.source.n)
     reg = 1e-3
     S = op.at(w).sparse(reg)
@@ -382,7 +400,7 @@ def test_sparse_matrix_keeps_the_diagonal_of_an_empty_row():
 
 def test_residual_through_the_flipped_operator(signed_sparse_40x400):
     lp = signed_sparse_40x400
-    assert prepare_lp(lp).flip_mask.any()
+    assert (prepare_lp(lp).sign < 0).any()
     res = solve(lp, SolverConfig(max_iters=5))
     assert res.residual == pytest.approx(feasibility_residual(lp, res.x), rel=1e-12)
 
@@ -424,7 +442,7 @@ def test_matrix_free_step_falls_back_to_cholesky(dag_600, monkeypatch):
     cfg = SolverConfig(max_iters=3, seed=6)
     det = step_detail(prep, initial_state(prep, cfg), cfg)
     assert det.factor is not None
-    A = prep.op.A.toarray()
+    A = prep.source.operator.A.toarray()
     S = (A * (det.x_prev / prep.c)) @ A.T + det.reg_used * np.eye(prep.source.m)
     assert np.linalg.norm(S @ det.p - prep.b) <= 1e-10 * np.linalg.norm(prep.b)
     res = solve(dag_600, cfg)
@@ -436,14 +454,14 @@ def test_cg_solve_of_any_rhs_falls_back_to_cholesky(dag_600, monkeypatch):
     # a right-hand side other than b, as backward and jvp solve on CG steps
     capped_pcg(monkeypatch)
     prep = prepare_lp(dag_600)
-    op = prep.op
+    op = prep.source.operator
     w = initial_state(prep, SolverConfig(seed=6)) / prep.c
     reg = op.at(w).default_regularization()
     rhs = np.random.default_rng(6).normal(size=prep.source.m)
     report = linalg.spd_solve(op.at(w), rhs, reg=reg)
     assert report.factor is not None
     z = report.p
-    A = prep.op.A.toarray()
+    A = op.A.toarray()
     S = (A * w) @ A.T + reg * np.eye(prep.source.m)
     bound = 1e-10 * (np.diag(S).max() * np.linalg.norm(z) + np.linalg.norm(rhs))
     assert np.linalg.norm(S @ z - rhs) <= bound
@@ -453,7 +471,8 @@ def test_factored_spd_solve_refines_with_the_jacobi_diagonal(matching_5x50, monk
     # the factor of another matrix misses the target, so PCG refines its
     # answer, preconditioned by the diagonal of A diag(w) A^T + reg*I
     prep = prepare_lp(matching_5x50)
-    op, A = prep.op, prep.op.A.toarray()
+    op = prep.source.operator
+    A = op.A.toarray()
     rng = np.random.default_rng(11)
     w = rng.uniform(0.1, 2.0, size=prep.source.n)
     reg = 1e-3
@@ -538,7 +557,7 @@ def test_matrix_free_failure_is_reported_not_raised(dag_600, monkeypatch):
 def dense_residuals(tape):
     """||(L + reg*I) p - b|| / ||b|| of each recorded step, with L
     assembled densely from A and x_prev."""
-    A, b, c = tape.prep.op.A.toarray(), tape.prep.b, tape.prep.c
+    A, b, c = tape.prep.source.operator.A.toarray(), tape.prep.b, tape.prep.c
     out = []
     for det in tape.steps:
         S = (A * (det.x_prev / c)) @ A.T + det.reg_used * np.eye(len(b))
@@ -575,7 +594,7 @@ def test_cg_steps_do_not_depend_on_the_previous_step(dag_600):
     # the same CG count
     cfg = SolverConfig(max_iters=30, seed=7)
     res, tape = solve_with_tape(dag_600, cfg)
-    op, b, c = tape.prep.op, tape.prep.b, tape.prep.c
+    op, b, c = tape.prep.source.operator, tape.prep.b, tape.prep.c
     for det, record in zip(tape.steps, res.trace):
         again = linalg.spd_solve(op.at(det.x_prev / c), b, det.tol_used, det.reg_used)
         assert again.iterations == det.linsolve_iterations == record.linsolve_iterations
