@@ -6,8 +6,10 @@ convex update, weighted projection, SPD solve, Laplacian assembly,
 weighting) and finally hands the accumulated gradients to
 PreparedLP.pullback, which maps them back to the original (c, A, b).
 jvp maps its direction in through PreparedLP.tangent.  Both compute
-with the LP's one operator and apply the flip's column signs around
-their products with A; neither reads the zero-cost perturbation.  The
+with the LP's one operator, through PreparedLP.matvec and rmatvec,
+which apply the flip's column signs only where a column flips; neither
+reads the zero-cost perturbation.  Both skip the blend with the
+previous iterate's term at step_size 1, as the forward step does.  The
 tape holds the LP and the SolverConfig it ran with, both frozen, not
 copies.
 
@@ -144,6 +146,7 @@ def backward(tape, grad_x):
     prep = tape.prep
     op, sign = prep.source.operator, prep.sign
     c_hat = prep.c
+    c_sq = c_hat ** 2
     h = tape.cfg.step_size
     m, n = op.A.shape
 
@@ -169,23 +172,24 @@ def backward(tape, grad_x):
     for k, det in enumerate(reversed(tape.steps)):
         w = det.x_prev / c_hat
         g = np.where(det.clamp_mask, g, 0.0)
-        gq = h * g
+        # pre = (1 - h) x + h q, or q itself at h = 1
+        gq = g if h == 1.0 else h * g
         # q = w * u, u = A^T p
         gu = w * gq
         # p = S^{-1} b with S = A diag(w) A^T + reg*I: z = S^{-1} (A gu),
         # and the rank-1 gL = -outer(z, p) gives gw = -(A^T z) * u
-        z = spd_solve(op.at(w), op.A @ (sign * gu), _adjoint_tol(det, tape.cfg), det.reg_used,
+        z = spd_solve(op.at(w), prep.matvec(gu), _adjoint_tol(det, tape.cfg), det.reg_used,
                       det.factor).p
         gb += z
-        v = sign * (op.AT @ z)
+        v = prep.rmatvec(z)
         g_reg = -ddot(z, det.p) * det.reg_scale / m
         gw = daxpy(col_sq, det.u * (gq - v), a=g_reg)
         omega = daxpy(w, omega, a=2.0 * g_reg)
         left[k], right[k] = det.p, gu - v * w
         left[K + k], right[K + k] = z, -(det.u * w)
         # w = x / c_hat
-        gc_hat -= gw * det.x_prev / c_hat ** 2
-        g = (1.0 - h) * g + gw / c_hat
+        gc_hat -= gw * det.x_prev / c_sq
+        g = gw / c_hat if h == 1.0 else (1.0 - h) * g + gw / c_hat
     gA = left.T @ right
     rows = _rows(op.A)
     gA[rows, op.A.indices] += op.A.data * sign[op.A.indices] * omega[op.A.indices]
@@ -228,23 +232,25 @@ def jvp(tape, dc=None, dA=None, db=None):
     col_sq = np.bincount(op.A.indices, op.A.data ** 2, minlength=n)
     col_da = np.zeros(n) if dA_w is None else sign * _column_dots(op.A, dA_w)
 
+    c_sq = c_hat ** 2
     dx = np.zeros(n)
     for det in tape.steps:
         x, p, u = det.x_prev, det.p, det.u
         w = x / c_hat
-        dw = dx / c_hat - x * dc_w / c_hat ** 2
+        dw = dx / c_hat - x * dc_w / c_sq
         # dL p with dL = dA W A^T + A dW A^T + A W dA^T, never formed
         if dA_w is None:
-            dAt_p, dL_p = 0.0, op.A @ (sign * (dw * u))
+            dAt_p, dL_p = 0.0, prep.matvec(dw * u)
         else:
             dAt_p = dA_w.T @ p
-            dL_p = dA_w @ (w * u) + op.A @ (sign * (dw * u + w * dAt_p))
+            dL_p = dA_w @ (w * u) + prep.matvec(dw * u + w * dAt_p)
         d_reg = det.reg_scale / m * (ddot(dw, col_sq) + 2.0 * ddot(w, col_da))
         dL_p += d_reg * p
         dp = spd_solve(op.at(w), db_w - dL_p, _adjoint_tol(det, tape.cfg), det.reg_used,
                        det.factor).p
-        du = dAt_p + sign * (op.AT @ dp)
-        dx = (1.0 - h) * dx + h * (dw * u + w * du)
+        du = dAt_p + prep.rmatvec(dp)
+        dq = dw * u + w * du
+        dx = dq if h == 1.0 else (1.0 - h) * dx + h * dq
         dx = np.where(det.clamp_mask, dx, 0.0)
     return sign * dx
 

@@ -71,14 +71,15 @@ class PreparedLP:
     The flip is the affine change of variables x = shift + sign * y
     from working to original coordinates: sign is -1 and shift is M on
     the columns whose cost is negative, 1 and 0 elsewhere.  It maps the
-    data to A sign, b - A shift and sign c.  zero_mask marks the columns
-    whose cost was then exactly zero, which the perturbation raised to
-    gamma.  source is the LP as given, which is frozen, so a tape that
-    holds it cannot see it change.  The working problem is A sign, b
-    and the cost c_hat as c, and A sign is never built: products with
-    it are A @ (sign * v) and sign * (A^T @ p) on source.operator, and
-    the signs cancel in A diag(w) A^T.  Unless a column flips, b is the
-    LP's own b.  The methods are the maps across the transform: decode
+    data to A sign, b - A shift and sign c.  flipped is whether any
+    column flips.  zero_mask marks the columns whose cost was then
+    exactly zero, which the perturbation raised to gamma.  source is the
+    LP as given, which is frozen, so a tape that holds it cannot see it
+    change.  The working problem is A sign, b and the cost c_hat as c,
+    and A sign is never built: matvec and rmatvec are its products, on
+    source.operator, and the signs cancel in A diag(w) A^T.  Unless a
+    column flips, b is the LP's own b, and nothing applies sign or
+    shift.  The other methods are the maps across the transform: decode
     and encode for iterates, tangent and pullback for perturbations and
     gradients of the data.
     """
@@ -89,12 +90,24 @@ class PreparedLP:
     zero_mask: np.ndarray
     sign: np.ndarray
     shift: np.ndarray
+    flipped: bool
+
+    def matvec(self, y):
+        """(A sign) y = A (sign * y)."""
+        A = self.source.operator.A
+        return A @ (self.sign * y) if self.flipped else A @ y
+
+    def rmatvec(self, p):
+        """(A sign)^T p = sign * (A^T p)."""
+        u = self.source.operator.AT @ p
+        return self.sign * u if self.flipped else u
 
     def decode(self, y):
-        """Map an iterate back to the original coordinates.  shift is
-        nonzero only where sign is -1, so the map is its own inverse
-        and encode is the same map."""
-        return self.shift + self.sign * y
+        """Map an iterate back to the original coordinates: y itself,
+        not a copy, unless a column flips.  shift is nonzero only where
+        sign is -1, so the map is its own inverse and encode is the
+        same map."""
+        return self.shift + self.sign * y if self.flipped else y
 
     encode = decode
 
@@ -104,7 +117,7 @@ class PreparedLP:
         to None.  gamma and M are constants, so perturbed columns get no
         cost tangent."""
         dc = np.where(self.zero_mask, 0.0, self.sign * dc)
-        if dA is None or not self.shift.any():
+        if dA is None or not self.flipped:
             return dc, dA, db
         return dc, dA * self.sign, db - dA @ self.shift
 
@@ -112,7 +125,7 @@ class PreparedLP:
         """Map gradients with respect to the working data back to the
         original data: the transpose of tangent."""
         gc = self.sign * np.where(self.zero_mask, 0.0, gc)
-        if not self.shift.any():
+        if not self.flipped:
             return gc, gA, gb
         return gc, gA * self.sign - np.outer(gb, self.shift), gb
 
@@ -133,7 +146,8 @@ def prepare_lp(lp, gamma=None):
     sign = np.where(neg, -1.0, 1.0)
     shift = np.zeros(lp.n)
     b, c = lp.b, sign * lp.c
-    if neg.any():
+    flipped = bool(neg.any())
+    if flipped:
         if lp.box_bound is None:
             raise MissingBound(f"{int(neg.sum())} negative cost entries but lp.box_bound is not set")
         shift[neg] = lp.box_bound
@@ -142,7 +156,7 @@ def prepare_lp(lp, gamma=None):
     if gamma is None:
         gamma = default_gamma(lp.m, lp.n) if zero.any() else 0.0
     c = perturb_cost(c, float(gamma))
-    return PreparedLP(lp, b, c, zero, sign, shift)
+    return PreparedLP(lp, b, c, zero, sign, shift, flipped)
 
 
 @dataclass
@@ -151,7 +165,7 @@ class StepDetail:
     the reverse sweep without re-forming or re-factoring A diag(w) A^T.
 
     The update is x_new = max((1-h) x_prev + h * w * u, eps) with
-    u = A^T p, w = x_prev / c_hat and p the spd_solve answer of
+    u = (A sign)^T p, w = x_prev / c_hat and p the spd_solve answer of
     (A diag(w) A^T + reg*I) p = b at tolerance tol_used.
     factor is the SpdSolveReport.factor of the step's spd_solve call,
     the Cholesky factor of that matrix, which backward and jvp hand back
@@ -190,7 +204,9 @@ def step_detail(prep, x, cfg, tol=None):
 
     L = A diag(w) A^T goes to spd_solve as op.at(w), op the LP's
     operator, at every size; the flip's signs cancel in L and enter
-    only u = sign * (A^T p).  spd_solve factors L up to
+    only u = prep.rmatvec(p).  With q = w * u, the damped update is
+    (1 - h) x + h q, and q itself at h = 1, where the two agree up to
+    the sign of a zero.  spd_solve factors L up to
     linalg.DIRECT_MAX_DIM rows and runs CG on it, assembled sparse,
     above, with spd_solve's default Tikhonov term and one retry at 100
     times it after a linear-solve breakdown.  tol is the relative
@@ -218,8 +234,9 @@ def step_detail(prep, x, cfg, tol=None):
         except Breakdown as exc:
             raise LinSolveFailure(f"inner solve failed after a 100x regularization retry: {exc}") from exc
     p = report.p
-    u = prep.sign * (op.AT @ p)
-    pre = (1.0 - h) * x + h * (w * u)
+    u = prep.rmatvec(p)
+    q = w * u
+    pre = q if h == 1.0 else (1.0 - h) * x + h * q
     clamp_mask = pre > eps
     x_new = np.maximum(pre, eps)
     return StepDetail(x, report.factor, p, u, x_new, clamp_mask,
@@ -274,20 +291,23 @@ def _stalled(objectives, tol):
 def _evaluate(prep, y):
     """Decoded iterate, its objective against the original cost and its
     residual ||A x - b||, taken in working coordinates: with
-    x = shift + sign y, (A sign) y - (b - A shift) = A x - b."""
+    x = shift + sign y, (A sign) y - (b - A shift) = A x - b.  x is y
+    itself unless a column flips."""
     x = prep.decode(y)
-    residual = _norm(prep.source.operator.A @ (prep.sign * y) - prep.b)
+    residual = _norm(prep.matvec(y) - prep.b)
     return x, float(prep.source.c @ x), residual
 
 
 def _iterate(prep, y, cfg):
     """The forward loop: cfg.max_iters steps from the working iterate
-    y, yielding (StepDetail, decoded x, objective, residual) after each;
-    LinSolveFailure propagates.  Each step solves to forward_tol of the
-    residual of its input, with bnorm the working ||b||, the right-hand
-    side of the solves; a step is thus set by its input alone, and
-    running the loop again from the same y repeats it bit for bit, which
-    is how UnrolledTape.replay recomputes a tape."""
+    y, yielding (StepDetail, decoded x, objective, residual) after each,
+    where x is the StepDetail's x_new itself unless a column flips, so
+    a caller copies it before writing; LinSolveFailure propagates.  Each
+    step solves to forward_tol of the residual of its input, with bnorm
+    the working ||b||, the right-hand side of the solves; a step is thus
+    set by its input alone, and running the loop again from the same y
+    repeats it bit for bit, which is how UnrolledTape.replay recomputes
+    a tape."""
     bnorm = float(np.linalg.norm(prep.b))
     res = _evaluate(prep, y)[2]
     for _ in range(cfg.max_iters):
@@ -327,7 +347,8 @@ def _solve_loop(lp, cfg, x0, early_stop, record_steps):
 
     if x is None:  # no step completed
         x, obj, res = _evaluate(prep, y0)
-    result = SolveResult(x, obj, res, trace, status)
+    # x may be the last x_new or y0, which a tape holds, so it is copied
+    result = SolveResult(x.copy(), obj, res, trace, status)
     return result, prep, y0, steps
 
 

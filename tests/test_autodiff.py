@@ -5,8 +5,9 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg.blas import daxpy, ddot
 
-from physlp import (SolverConfig, StandardFormLP, backward, finite_diff_grad,
+from physlp import (SolverConfig, StandardFormLP, autodiff, backward, finite_diff_grad,
                     jvp, linalg, objective_gradients, prepare_lp, solve,
                     solve_with_tape, solver)
 from physlp.errors import DimensionMismatch
@@ -162,6 +163,145 @@ def test_backward_rejects_bad_grad_shape():
     _, tape = solve_with_tape(toy_lp(), SolverConfig(max_iters=2))
     with pytest.raises(DimensionMismatch):
         backward(tape, np.ones(3))
+
+
+# ------------------------------------------- the flip and the blend
+#
+# A step applies sign and shift only where a column flips, and blends
+# with the previous iterate only where step_size is not 1.  The
+# references below apply all three whatever the LP, as the update is
+# written; both sides of every skip must match them bit for bit.
+
+def applied_step(prep, x, cfg, tol):
+    """(p, u, x_new, clamp_mask) of step_detail, with sign and the
+    blend applied unconditionally."""
+    op, h, eps = prep.source.operator, cfg.step_size, cfg.clamp_floor
+    w = x / prep.c
+    p = linalg.spd_solve(op.at(w), prep.b, tol).p
+    u = prep.sign * (op.AT @ p)
+    pre = (1.0 - h) * x + h * (w * u)
+    return p, u, np.maximum(pre, eps), pre > eps
+
+
+def applied_backward(tape, grad_x):
+    """backward, with sign, shift and the blend applied unconditionally."""
+    prep = tape.prep
+    op, sign, c_hat, h = prep.source.operator, prep.sign, prep.c, tape.cfg.step_size
+    m, n = op.A.shape
+    g = sign * grad_x
+    gc_hat, gb, omega = np.zeros(n), np.zeros(m), np.zeros(n)
+    K = len(tape.steps)
+    left, right = np.empty((2 * K, m)), np.empty((2 * K, n))
+    col_sq = np.bincount(op.A.indices, op.A.data ** 2, minlength=n)
+    for k, det in enumerate(reversed(tape.steps)):
+        w = det.x_prev / c_hat
+        g = np.where(det.clamp_mask, g, 0.0)
+        gq = h * g
+        gu = w * gq
+        z = linalg.spd_solve(op.at(w), op.A @ (sign * gu), autodiff._adjoint_tol(det, tape.cfg),
+                             det.reg_used, det.factor).p
+        gb += z
+        v = sign * (op.AT @ z)
+        g_reg = -ddot(z, det.p) * det.reg_scale / m
+        gw = daxpy(col_sq, det.u * (gq - v), a=g_reg)
+        omega = daxpy(w, omega, a=2.0 * g_reg)
+        left[k], right[k] = det.p, gu - v * w
+        left[K + k], right[K + k] = z, -(det.u * w)
+        gc_hat -= gw * det.x_prev / c_hat ** 2
+        g = (1.0 - h) * g + gw / c_hat
+    gA = left.T @ right
+    rows = np.repeat(np.arange(m), np.diff(op.A.indptr))
+    gA[rows, op.A.indices] += op.A.data * sign[op.A.indices] * omega[op.A.indices]
+    gc = sign * np.where(prep.zero_mask, 0.0, gc_hat)
+    return gc, gA * sign - np.outer(gb, prep.shift), gb
+
+
+def applied_jvp(tape, dc, dA, db):
+    """jvp, with sign, shift and the blend applied unconditionally."""
+    prep = tape.prep
+    op, sign, c_hat, h = prep.source.operator, prep.sign, prep.c, tape.cfg.step_size
+    m, n = op.A.shape
+    dc_w = np.where(prep.zero_mask, 0.0, sign * dc)
+    dA_w = None if dA is None else dA * sign
+    db_w = db if dA is None else db - dA @ prep.shift
+    col_sq = np.bincount(op.A.indices, op.A.data ** 2, minlength=n)
+    col_da = np.zeros(n) if dA_w is None else sign * autodiff._column_dots(op.A, dA_w)
+    dx = np.zeros(n)
+    for det in tape.steps:
+        x, p, u = det.x_prev, det.p, det.u
+        w = x / c_hat
+        dw = dx / c_hat - x * dc_w / c_hat ** 2
+        if dA_w is None:
+            dAt_p, dL_p = 0.0, op.A @ (sign * (dw * u))
+        else:
+            dAt_p = dA_w.T @ p
+            dL_p = dA_w @ (w * u) + op.A @ (sign * (dw * u + w * dAt_p))
+        dL_p += det.reg_scale / m * (ddot(dw, col_sq) + 2.0 * ddot(w, col_da)) * p
+        dp = linalg.spd_solve(op.at(w), db_w - dL_p, autodiff._adjoint_tol(det, tape.cfg),
+                              det.reg_used, det.factor).p
+        du = dAt_p + sign * (op.AT @ dp)
+        dx = (1.0 - h) * dx + h * (dw * u + w * du)
+        dx = np.where(det.clamp_mask, dx, 0.0)
+    return sign * dx
+
+
+SKIP_CASES = [(name, h) for name in ("matching_5x50", "signed_sparse_40x400") for h in (1.0, 0.5)]
+
+
+def skip_tape(name, h, request):
+    lp = request.getfixturevalue(name)
+    res, tape = solve_with_tape(lp, SolverConfig(max_iters=12, seed=5, step_size=h))
+    assert tape.prep.flipped == (name == "signed_sparse_40x400")
+    return lp, res, tape
+
+
+@pytest.mark.parametrize("name, h", SKIP_CASES)
+def test_step_equals_the_update_with_sign_and_blend_applied(name, h, request):
+    lp, res, tape = skip_tape(name, h, request)
+    prep, op = tape.prep, lp.operator
+    for det in tape.steps:
+        want = applied_step(prep, det.x_prev, tape.cfg, det.tol_used)
+        for got, ref in zip((det.p, det.u, det.x_new, det.clamp_mask), want, strict=True):
+            assert np.array_equal(got, ref)
+    # _evaluate's residual and decoded iterate, with sign and shift applied
+    for det, rec in zip(tape.steps, res.trace, strict=True):
+        assert rec.residual == linalg._norm(op.A @ (prep.sign * det.x_new) - prep.b)
+    assert np.array_equal(res.x, prep.shift + prep.sign * tape.x_final)
+
+
+@pytest.mark.parametrize("name, h", SKIP_CASES)
+def test_backward_equals_the_sweep_with_sign_and_blend_applied(name, h, request):
+    lp, _, tape = skip_tape(name, h, request)
+    g = np.random.default_rng(8).standard_normal(lp.n)
+    got = backward(tape, g)
+    for a, b in zip((got.grad_c, got.grad_A, got.grad_b), applied_backward(tape, g), strict=True):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("name, h", SKIP_CASES)
+def test_jvp_equals_the_tangent_with_sign_and_blend_applied(name, h, request):
+    lp, _, tape = skip_tape(name, h, request)
+    rng = np.random.default_rng(9)
+    dc, db = rng.standard_normal(lp.n), rng.standard_normal(lp.m)
+    for dA in (None, (lp.A != 0) * rng.standard_normal(lp.A.shape)):
+        assert np.array_equal(jvp(tape, dc, dA, db), applied_jvp(tape, dc, dA, db))
+
+
+@pytest.mark.parametrize("max_iters", [0, 5])
+def test_an_unflipped_result_does_not_alias_the_tape(matching_5x50, max_iters):
+    # decode passes an unflipped iterate through, so the result copies it
+    res, tape = solve_with_tape(matching_5x50, SolverConfig(max_iters=max_iters, seed=2))
+    assert not tape.prep.flipped
+    held = [tape.x0, tape.x_final] + [getattr(det, name) for det in tape.steps
+                                      for name in ("x_prev", "p", "u", "x_new", "clamp_mask")]
+    assert not any(np.shares_memory(res.x, a) for a in held)
+    g = np.random.default_rng(3).standard_normal(matching_5x50.n)
+    before = objective_gradients(tape), backward(tape, g)
+    res.x[:] = -1.0
+    after = objective_gradients(tape), backward(tape, g)
+    for b, a in zip(before, after):
+        for name in ("grad_c", "grad_A", "grad_b"):
+            assert np.array_equal(getattr(b, name), getattr(a, name))
 
 
 # ----------------------------------------------------- gradient checks
