@@ -13,20 +13,26 @@ previous iterate's term at step_size 1, as the forward step does.  The
 tape holds the LP and the SolverConfig it ran with, both frozen, not
 copies.
 
-Per step the tape holds the Cholesky factor of S = A diag(w) A^T + reg*I
-that the forward solve computed, plus x_prev, p, u, x_new and the clamp
-mask; w = x_prev / c_hat is recomputed.  The factor is dense, m^2
-floats, or a linalg.BlockFactor where the operator splits its rows:
-the factor of the Schur complement on F plus the block S_FI and the
-diagonal S_II, 7,600 floats against 22,500 on a 150-row assignment LP.
+Per step the tape holds the linalg.WeightedGram the forward solve
+used, with w = x_prev / c_hat and the matrix S = A diag(w) A^T + reg*I
+it assembled, the Cholesky factor of S that it computed, and x_prev,
+p, u, x_new and the clamp mask.  Nothing of S is computed again: S is
+kept in the layout its route reads, and the factor is dense, m^2
+floats, or a linalg.BlockFactor where the operator splits its rows,
+the factor of the Schur complement on F and the diagonal S_II, with
+the block S_FI shared with the gram.  A step of a 30x30 assignment LP
+(60x930) holds about 84 kB, and one of a 50x100 LP (150x5100), whose
+rows split, about 216 kB, by tracemalloc.
 The solve adjoint gL = -outer(z, p) has rank one, so backward never
-forms an m-by-m or m-by-n array per step: each step costs a few
-products with A and one spd_solve: two triangular solves against the
-stored factor (around two GEMVs for a BlockFactor), or PCG on the
-sparse A diag(w) A^T + reg*I that the forward CG steps use when the
-step had no factor.  gA comes from one GEMM over the 2K stacked
-per-step vectors at the end, and the column norms ||a_j||^2 of the
-Tikhonov term from op's CSR data.
+forms an m-by-m or m-by-n array per step: each step costs one product
+with A sign and one with its transpose, a few n-vector operations, and
+one spd_solve against the step's gram and factor: two triangular
+solves (around two GEMVs for a BlockFactor) and a residual check
+against the kept S, a dense GEMV of order m or, in blocks, two GEMVs
+and the diagonal; or PCG on the kept sparse S when the step had no
+factor.  gA comes from one GEMM over the 2K stacked per-step vectors
+at the end, and the column norms ||a_j||^2 of the Tikhonov term from
+op's CSR data.
 jvp forms dL p the same way.  spd_solve accepts every solve on backward
 error; backward and jvp ask for cfg.linsolve_tol on factored steps and
 at most CG_ADJOINT_TOL on CG steps, whose forward solves ran to the
@@ -72,11 +78,16 @@ class UnrolledTape:
     """Recorded forward pass: the prepared LP (whose source is the LP
     solved, with the operator the steps computed with), cfg, the config
     it ran with, the initial iterate in working coordinates, and one
-    StepDetail per iteration:
-    five O(n) or O(m) vectors each, plus spd_solve's Cholesky factor,
-    m-by-m or a linalg.BlockFactor of |F|^2 + |F| |I| + |I| floats,
+    StepDetail per iteration: the step's WeightedGram (w and the matrix
+    its solve assembled: m-by-m, or the blocks diag(S_II), S_FF and S_FI
+    of |I| + |F|^2 + |F| |I| floats where the operator splits its rows,
+    or the sparse matrix's data above linalg.DIRECT_MAX_DIM rows), four
+    more O(n) and one O(m) vectors, and spd_solve's Cholesky factor,
+    m-by-m or a linalg.BlockFactor of |F|^2 + |I| floats of its own,
     which steps above linalg.DIRECT_MAX_DIM rows (CG on the sparse
-    matrix) only hold when its last resort ran."""
+    matrix) only hold when its last resort ran.  About 84 kB per step at
+    30x30 (60x930) and 216 kB at 50x100 (150x5100), by tracemalloc; all
+    of it is reachable through dataclass fields."""
 
     prep: object
     cfg: SolverConfig
@@ -170,7 +181,7 @@ def backward(tape, grad_x):
     omega = np.zeros(n)
 
     for k, det in enumerate(reversed(tape.steps)):
-        w = det.x_prev / c_hat
+        w = det.gram.w
         g = np.where(det.clamp_mask, g, 0.0)
         # pre = (1 - h) x + h q, or q itself at h = 1
         gq = g if h == 1.0 else h * g
@@ -178,7 +189,7 @@ def backward(tape, grad_x):
         gu = w * gq
         # p = S^{-1} b with S = A diag(w) A^T + reg*I: z = S^{-1} (A gu),
         # and the rank-1 gL = -outer(z, p) gives gw = -(A^T z) * u
-        z = spd_solve(op.at(w), prep.matvec(gu), _adjoint_tol(det, tape.cfg), det.reg_used,
+        z = spd_solve(det.gram, prep.matvec(gu), _adjoint_tol(det, tape.cfg), det.reg_used,
                       det.factor).p
         gb += z
         v = prep.rmatvec(z)
@@ -235,8 +246,7 @@ def jvp(tape, dc=None, dA=None, db=None):
     c_sq = c_hat ** 2
     dx = np.zeros(n)
     for det in tape.steps:
-        x, p, u = det.x_prev, det.p, det.u
-        w = x / c_hat
+        x, w, p, u = det.x_prev, det.gram.w, det.p, det.u
         dw = dx / c_hat - x * dc_w / c_sq
         # dL p with dL = dA W A^T + A dW A^T + A W dA^T, never formed
         if dA_w is None:
@@ -246,7 +256,7 @@ def jvp(tape, dc=None, dA=None, db=None):
             dL_p = dA_w @ (w * u) + prep.matvec(dw * u + w * dAt_p)
         d_reg = det.reg_scale / m * (ddot(dw, col_sq) + 2.0 * ddot(w, col_da))
         dL_p += d_reg * p
-        dp = spd_solve(op.at(w), db_w - dL_p, _adjoint_tol(det, tape.cfg), det.reg_used,
+        dp = spd_solve(det.gram, db_w - dL_p, _adjoint_tol(det, tape.cfg), det.reg_used,
                        det.factor).p
         du = dAt_p + prep.rmatvec(dp)
         dq = dw * u + w * du

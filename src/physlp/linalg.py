@@ -2,10 +2,14 @@
 
 Every dynamics step solves (L + reg*I) p = b with L = A W A^T symmetric
 positive semidefinite.  WeightedOperator holds a CSR copy of A and one
-map Q from w to the values of A diag(w) A^T on the nonzero pattern of
-A A^T plus its diagonal.  WeightedGram, op.at(w), computes Q @ w once
-and reads every form of L from it: dense, in blocks, sparse, and its
-diagonal.  It is the one form of L that spd_solve takes.
+map Q from w to the values of A diag(w) A^T, written in the layout
+that the solve route of its row count reads: the row-major m-by-m
+matrix on the dense route, the blocks [diag(S_II) | S_FF | S_FI] where
+the rows split, and the CSR data on the pattern of A A^T plus its
+diagonal above DIRECT_MAX_DIM.  WeightedGram, op.at(w), computes
+Q @ w once and keeps it: every form of L is read from it, dense, in
+blocks or sparse, by writing reg onto its diagonal, and its diagonal
+is copied aside.  It is the one form of L that spd_solve takes.
 spd_solve is the one solve routine, for the forward steps and for the
 backward and tangent solves alike.  It factors L + reg*I by Cholesky
 up to DIRECT_MAX_DIM rows, calling LAPACK dpotrf and dpotrs directly,
@@ -18,7 +22,8 @@ operator picks the block form once (its _split) where it saves
 BLOCK_MIN_SAVING flops of dpotrf, as on assignment LPs of 150 rows.
 Above DIRECT_MAX_DIM rows spd_solve runs Jacobi-preconditioned CG from
 zero on the sparse L + reg*I, and factors it densely only as a last
-resort.  Given the factor of an earlier solve, it reuses it.
+resort.  Given the factor of an earlier solve, it reuses it, and
+checks and refines its answer against the gram's own matrix.
 DIRECT_MAX_DIM and the split pick the method, never the values.  The
 CG loop, _pcg, does its vector operations as level-1 BLAS calls
 (scipy.linalg.blas ddot and daxpy) in place, as numpy's fixed cost per
@@ -26,7 +31,7 @@ call outweighs the work on vectors of a few hundred entries.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -46,24 +51,6 @@ AUTO_REG_SCALE = 1e-10
 # the block form's extra numpy calls cost more than they save: taken at
 # every size, it ran 13% slower on 55-row and 8% slower on 60-row LPs.
 BLOCK_MIN_SAVING = 2e5
-
-
-class _lazy:
-    """An attribute computed on first access and then stored on the
-    instance, as functools.cached_property, but without the lock that
-    cached_property takes on every first access before Python 3.12.
-    It is for WeightedGram, which is new at every step and is not
-    shared between threads: on Python 3.11 the lock made each of its
-    first reads cost about 0.54 us, against 0.19 us without it."""
-
-    def __init__(self, compute):
-        self.compute, self.name = compute, compute.__name__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.compute(obj)
-        return value
 
 
 @dataclass
@@ -88,16 +75,16 @@ class SpdSolveReport:
 
 
 class WeightedOperator:
-    """A constraint matrix A, held as CSR, and its products with
+    """A constraint matrix A, held as CSR, and its map from w to
     A diag(w) A^T.
 
     A is the CSR matrix and AT its transpose (a CSC view of the same
-    arrays).  matvec multiplies by A diag(w) A^T + reg*I through A and
-    AT.  at(w) gives the matrix itself, whose entries all come from one
-    map Q of w, built on first use (_pattern, see _build_pattern).  Q
-    has a row per nonzero of A A^T plus the diagonal, and
-    sum_j nnz(a_j)^2 entries: four per column on matching and path LPs,
-    but about n*m*m for a dense A.
+    arrays).  at(w) gives A diag(w) A^T, whose entries all come from one
+    map Q of w, built on first use (_pattern, see _build_pattern), in
+    the layout that the solve route of A's row count reads.  Q has
+    sum_j nnz(a_j)^2 entries, fewer in the block layout: four per
+    column on matching and path LPs, but about n*m*m for a dense A.
+    _split is the row split of the block layout, or None.
     """
 
     def __init__(self, A):
@@ -115,24 +102,28 @@ class WeightedOperator:
 
     @cached_property
     def _split(self):
-        return _build_split(self._pattern)
-
-    def matvec(self, w, reg):
-        """v -> A (w * (A^T v)) + reg*v, the product with A diag(w) A^T + reg*I."""
-        A, AT = self.A, self.AT
-        return lambda v: A @ (w * (AT @ v)) + reg * v
+        return self._pattern.split
 
     def at(self, w):
         """A diag(w) A^T as a WeightedGram, for spd_solve; w must be positive."""
         return WeightedGram(self, w)
 
 
+class _Split(NamedTuple):
+    I: np.ndarray  # rows that share no column, eliminated first
+    F: np.ndarray  # the other rows
+
+
 class _Pattern(NamedTuple):
     keys: np.ndarray  # row-major positions i*m + k of the entries, sorted
     indptr: np.ndarray  # the same entries as CSR index arrays
     indices: np.ndarray
-    Q: scipy.sparse.csc_array  # Q @ w gives their values
-    diagonal: np.ndarray  # positions of the diagonal entries
+    split: _Split | None  # the rows of the block layout, or None
+    Q: scipy.sparse.csc_array  # Q @ w gives the values in the layout
+    diagonal: np.ndarray  # positions of the m diagonal entries among them
+    # positions of the pattern's entries among them: all, in order
+    # (a slice) in the CSR layout
+    entries: np.ndarray | slice
 
 
 def _build_pattern(C):
@@ -143,8 +134,19 @@ def _build_pattern(C):
     its nonzeros.  The pattern is the deduplicated positions of those
     pairs plus the whole diagonal, so that reg*I has a place in every
     row.  Column j of Q holds the products a_ij a_kj of its pairs, each
-    at the row of its entry in the pattern: Q is CSC, grouped by column
-    as the pairs are made, so it is built without sorting.
+    at the position of its entry in the layout that the route of m rows
+    reads, so that Q @ w is that matrix with nothing to gather:
+
+    - above DIRECT_MAX_DIM rows, for CG, the pattern's entries in CSR
+      order, the data of the sparse matrix;
+    - up to it, where the operator splits its rows (_build_split), the
+      blocks [diag(S_II) | S_FF | S_FI], each row-major; Q holds no
+      pair of S_IF, which is S_FI transposed;
+    - otherwise the row-major m-by-m matrix.
+
+    Q is CSC, grouped by column as the pairs are made, so it is built
+    without sorting, and Q @ w sums each entry's products in the order
+    of their columns in every layout.
     """
     m, n = C.shape
     count = np.diff(C.indptr)
@@ -156,50 +158,68 @@ def _build_pattern(C):
     flat = C.indices[left].astype(np.int64) * m + C.indices[right]
     keys = np.concatenate((flat, np.arange(m, dtype=np.int64) * (m + 1)))
     keys, entry = np.unique(keys, return_inverse=True)
-    Q_indptr = np.concatenate(([0], np.cumsum(count * count)))
-    Q = scipy.sparse.csc_array((C.data[left] * C.data[right], entry[:flat.size], Q_indptr),
-                               shape=(keys.size, n))
     indptr = np.searchsorted(keys, m * np.arange(m + 1))
-    return _Pattern(keys, indptr, keys % m, Q, entry[flat.size:])
+    indices = keys % m
+    split = None if m > DIRECT_MAX_DIM else _build_split(indptr, indices)
+    own = np.ones(keys.size, dtype=bool)
+    if m > DIRECT_MAX_DIM:
+        size, at = keys.size, np.arange(keys.size)
+    elif split is None:
+        size, at = m * m, keys
+    else:
+        size = split.I.size + split.F.size * m
+        at, own = _block_positions(keys // m, indices, split)
+    pair = entry[:flat.size]
+    kept = own[pair]
+    Q_indptr = np.concatenate(([0], np.cumsum(np.bincount(col[left[kept]], minlength=n))))
+    Q = scipy.sparse.csc_array(((C.data[left] * C.data[right])[kept], at[pair[kept]], Q_indptr),
+                               shape=(size, n))
+    entries = slice(None) if m > DIRECT_MAX_DIM else at
+    return _Pattern(keys, indptr, indices, split, Q, at[entry[flat.size:]], entries)
 
 
-class _Split(NamedTuple):
-    I: np.ndarray  # rows that share no column, eliminated first
-    F: np.ndarray  # the other rows
-    # where the entries of diag(S_II), S_FF and S_FI sit among the
-    # pattern's values, in those blocks' shapes; an entry outside the
-    # pattern points one past the values, at an appended zero
-    diagonal: np.ndarray
-    ff: np.ndarray
-    fi: np.ndarray
+def _block_positions(rows, cols, split):
+    """Where the entries (rows, cols) sit among [diag(S_II) | S_FF |
+    S_FI], and whether they are their own: an entry of S_IF sits at the
+    place of its transpose in S_FI."""
+    I, F = split
+    first = np.zeros(I.size + F.size, dtype=bool)
+    first[I] = True
+    index = np.empty(first.size, dtype=np.int64)  # within I or within F
+    index[I], index[F] = np.arange(I.size), np.arange(F.size)
+    own = ~first[rows] | first[cols]
+    rows, cols = np.where(own, rows, cols), np.where(own, cols, rows)
+    at = np.where(first[cols], I.size + F.size ** 2 + index[rows] * I.size + index[cols],
+                  I.size + index[rows] * F.size + index[cols])
+    # both rows in I: a diagonal entry, as no two rows of I share a column
+    at = np.where(first[rows], index[rows], at)
+    return at, own
 
 
-def _build_split(pattern):
+def _build_split(indptr, indices):
     """The rows of the block factor as a _Split, or None where it would
-    save fewer than BLOCK_MIN_SAVING flops of dpotrf.
+    save fewer than BLOCK_MIN_SAVING flops of dpotrf; indptr and indices
+    are the pattern of A A^T as CSR index arrays.
 
     I is a maximal set of rows that share no column, so that the I x I
     block of A diag(w) A^T is diagonal for every w; it is picked
     greedily, rows of fewest neighbours in the pattern of A A^T first.
     On an assignment LP these are the rows of the larger side.
     """
-    m = pattern.indptr.size - 1
+    m = indptr.size - 1
     if m ** 3 / 3 < BLOCK_MIN_SAVING:
         return None
     chosen = np.zeros(m, dtype=bool)
     free = np.ones(m, dtype=bool)
-    indptr = pattern.indptr.tolist()  # Python ints index faster
-    for i in np.argsort(np.diff(pattern.indptr), kind="stable").tolist():
+    bounds = indptr.tolist()  # Python ints index faster
+    for i in np.argsort(np.diff(indptr), kind="stable").tolist():
         if free[i]:
             chosen[i] = True
-            free[pattern.indices[indptr[i]:indptr[i + 1]]] = False
+            free[indices[bounds[i]:bounds[i + 1]]] = False
     I, F = np.flatnonzero(chosen), np.flatnonzero(~chosen)
     if m ** 3 / 3 - F.size ** 3 / 3 - F.size ** 2 * I.size < BLOCK_MIN_SAVING:
         return None
-    at = np.full(m * m, pattern.keys.size)
-    at[pattern.keys] = np.arange(pattern.keys.size)
-    at = at.reshape(m, m)
-    return _Split(I, F, at[I, I], at[np.ix_(F, F)], at[np.ix_(F, I)])
+    return _Split(I, F)
 
 
 class _Blocks(NamedTuple):
@@ -224,8 +244,9 @@ class BlockFactor(NamedTuple):
     """The Cholesky factor of S = A diag(w) A^T + reg*I with the rows I
     first, whose block S_II = diag(d) has the factor diag(sqrt(d)): the
     block S_FI = B and dpotrf's lower factor c of the Schur complement
-    S_FF - B diag(1/d) B^T.  It holds |F|^2 + |F| |I| + |I| floats,
-    not m^2."""
+    S_FF - B diag(1/d) B^T.  c and d are |F|^2 + |I| floats of their
+    own; B is a view of the values of the WeightedGram it was factored
+    from."""
 
     c: np.ndarray
     B: np.ndarray
@@ -239,57 +260,76 @@ class WeightedGram:
     """A diag(w) A^T, the one form of L that spd_solve takes: built from
     a validated A and w > 0, so not checked.
 
-    Its values on the operator's pattern, Q @ w, are computed once, on
-    first use, and every form is read from them: sparse(reg) for CG
-    steps, direct(reg) for direct ones, and the diagonal behind
-    default_regularization and the Jacobi preconditioner of spd_solve.
+    values is Q @ w, computed once, when the gram is made, in the layout
+    of the operator's Q (see _build_pattern), and diagonal is its
+    diagonal, behind default_regularization and the Jacobi
+    preconditioner of spd_solve.  Every form is read from values:
+    direct(reg) for direct steps, sparse(reg) for CG steps, and
+    dense(reg).  Each first writes diagonal + reg onto the diagonal of
+    values, unless reg is the term they already hold, and reads the
+    rest as it stands: direct(reg) is views of values in the layout
+    its route reads.  So a form of one reg changes when a form of
+    another is asked for.  A gram kept with its step keeps the matrix
+    that the step factored and checked, for backward and jvp to check
+    against.
     """
 
     op: WeightedOperator
     w: np.ndarray
+    values: np.ndarray = field(init=False)
+    diagonal: np.ndarray = field(init=False)
+    reg: float = field(init=False, default=0.0)  # the term on values' diagonal
 
-    @_lazy
-    def _values(self):
-        return self.op._pattern.Q @ self.w
+    def __post_init__(self):
+        pattern = self.op._pattern
+        self.values = pattern.Q @ self.w
+        self.diagonal = self.values[pattern.diagonal]
 
-    @_lazy
-    def _diagonal(self):
-        return self._values[self.op._pattern.diagonal]
+    def _shifted(self, reg):
+        """values, holding reg on the diagonal."""
+        if reg != self.reg:
+            self.values[self.op._pattern.diagonal] = self.diagonal + reg
+            self.reg = reg
+        return self.values
 
     def sparse(self, reg):
-        """A diag(w) A^T + reg*I as a CSR matrix with sorted indices."""
+        """A diag(w) A^T + reg*I as a CSR matrix with sorted indices;
+        its data are values themselves in the layout of CG steps."""
         pattern = self.op._pattern
         m = pattern.indptr.size - 1
-        data = self._values.copy()
-        data[pattern.diagonal] += reg
+        data = self._shifted(reg)[pattern.entries]
         return scipy.sparse.csr_array((data, pattern.indices, pattern.indptr), shape=(m, m))
 
     def dense(self, reg):
-        """A diag(w) A^T + reg*I as a dense array: the values scattered
-        to their row-major positions, then reg added on the diagonal."""
+        """A diag(w) A^T + reg*I as an m-by-m array: values reshaped
+        where they are the row-major matrix, as in the layout of dense
+        steps, and scattered to their row-major positions otherwise."""
         pattern = self.op._pattern
         m = pattern.indptr.size - 1
+        values = self._shifted(reg)
+        if values.size == m * m:
+            return values.reshape(m, m)
         S = np.zeros(m * m)
-        S[pattern.keys] = self._values
-        S[::m + 1] += reg
+        S[pattern.keys] = values[pattern.entries]
         return S.reshape(m, m)
 
     def direct(self, reg):
-        """A diag(w) A^T + reg*I for a direct solve: its _Blocks where the
-        operator splits its rows, dense(reg) otherwise.  The blocks are
-        gathered from the values, never from an m-by-m array."""
+        """A diag(w) A^T + reg*I for a direct solve: its _Blocks, views
+        of values, where the operator splits its rows, and dense(reg)
+        otherwise."""
         split = self.op._split
         if split is None:
             return self.dense(reg)
-        values = np.append(self._values, 0.0)
-        values[self.op._pattern.diagonal] += reg
-        return _Blocks(values[split.ff], values[split.fi], values[split.diagonal],
+        values = self._shifted(reg)
+        nI, nFF = split.I.size, split.F.size ** 2
+        return _Blocks(values[nI:nI + nFF].reshape(split.F.size, split.F.size),
+                       values[nI + nFF:].reshape(split.F.size, nI), values[:nI],
                        split.I, split.F)
 
     def default_regularization(self):
         """The trace-scaled Tikhonov term 1e-10 * trace / m, from the
         diagonal."""
-        return AUTO_REG_SCALE * float(self._diagonal.sum()) / self._diagonal.size
+        return AUTO_REG_SCALE * float(self.diagonal.sum()) / self.diagonal.size
 
 
 def _norm(v):
@@ -352,12 +392,14 @@ def spd_solve(L, b, tol=1e-10, reg=None, factor=None):
     """Solve (L + reg*I) p = b for L = A diag(w) A^T.
 
     L is the WeightedGram op.at(w), and anything else raises TypeError.
-    It is assembled by direct(reg), dense or in blocks, up to
-    DIRECT_MAX_DIM rows and sparse above.  reg=None applies the
-    trace-scaled default.  factor, a Cholesky factor of L + reg*I, dense
-    or a BlockFactor (SpdSolveReport.factor of an earlier solve with
-    it), is reused; products then go through op.matvec instead of the
-    assembled matrix.
+    S = L + reg*I is read from it by direct(reg), dense or in blocks, up
+    to DIRECT_MAX_DIM rows and by sparse(reg) above; on a gram that
+    holds reg already that is views of its values, with no arithmetic.
+    reg=None applies the trace-scaled default.  factor, a Cholesky
+    factor of L + reg*I, dense or a BlockFactor (SpdSolveReport.factor
+    of an earlier solve with it), is reused.  The residuals are
+    products with S, which comes from L and not from the factor, so the
+    factor of another matrix misses and is refined against L.
 
     With a factor or up to DIRECT_MAX_DIM rows, Cholesky runs first and
     Jacobi-PCG refines an answer that misses; above, PCG runs from zero
@@ -380,32 +422,27 @@ def spd_solve(L, b, tol=1e-10, reg=None, factor=None):
         return SpdSolveReport(np.zeros(m), 0, 0.0, reg)
     target = tol * bnorm
 
-    # cf, p and res: the direct answer, or None, None and inf
+    direct = m <= DIRECT_MAX_DIM
+    S = L.direct(reg) if direct else L.sparse(reg)
+    matvec = S.__matmul__
+    # cf, p and res: the Cholesky answer, or None, None and inf
     cf = p = None
     res = math.inf
-    if factor is not None:
-        matvec = L.op.matvec(L.w, reg)
-        cf, p = _cholesky(None, b, factor)
-    elif m <= DIRECT_MAX_DIM:
-        S = L.direct(reg)
-        matvec = S.__matmul__
-        cf, p = _cholesky(S, b)
-    else:
-        S = L.sparse(reg)
-        matvec = S.__matmul__
+    if factor is not None or direct:
+        cf, p = _cholesky(S, b, factor)
     if cf is not None:
         res = _norm(matvec(p) - b)
         if res <= target:
             return SpdSolveReport(p, 0, res, reg, cf)
     # the normwise backward-error test: res <= target + slack * ||p||
-    jacobi = L._diagonal + reg
+    jacobi = L.diagonal + reg
     slack = tol * float(jacobi.max())
     if cf is not None and res <= target + slack * _norm(p):
         return SpdSolveReport(p, 0, res, reg, cf)
     p, iters, res = _pcg(matvec, b, jacobi, p, target, 10 * m)
     if res <= target + slack * _norm(p):
         return SpdSolveReport(p, iters, res, reg, cf)
-    if factor is None and m > DIRECT_MAX_DIM:  # the last resort
+    if factor is None and not direct:  # the last resort
         cf, p_direct = _cholesky(S.toarray(), b)
         if cf is not None:
             res_direct = _norm(matvec(p_direct) - b)
@@ -416,10 +453,10 @@ def spd_solve(L, b, tol=1e-10, reg=None, factor=None):
 
 def _cholesky(S, b, cf=None):
     """(factor, S^{-1} b) by Cholesky, with the factor cf of S when one
-    is given, or (None, None) when the factorization fails or gives a
-    non-finite solution.  S is dense or _Blocks, which give a
-    BlockFactor, through one GEMM and a dpotrf of order |F|, and are
-    solved by two GEMVs around a dpotrs.  LAPACK is called directly:
+    is given, and then S is not read, or (None, None) when the
+    factorization fails or gives a non-finite solution.  S is factored
+    dense, or as _Blocks, which give a BlockFactor, through one GEMM and
+    a dpotrf of order |F|, and are solved by two GEMVs around a dpotrs.  LAPACK is called directly:
     scipy's cho_factor and cho_solve make the same calls but cost as
     much again in their wrappers at m ~ 50."""
     if cf is None:
@@ -427,7 +464,8 @@ def _cholesky(S, b, cf=None):
             if not S.d.min() > 0.0:
                 return None, None
             c, info = dpotrf(S.FF - (S.B / S.d) @ S.B.T, lower=1, clean=0, overwrite_a=1)
-            cf = BlockFactor(c, S.B, S.d, S.I, S.F)
+            # d is copied: a solve at another reg rewrites the diagonal
+            cf = BlockFactor(c, S.B, S.d.copy(), S.I, S.F)
         else:
             c, info = dpotrf(S, lower=1, clean=0)
             cf = (c, True)

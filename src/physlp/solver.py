@@ -26,7 +26,7 @@ from .core import (SolveResult, SolveStatus, SolverConfig, StandardFormLP,
                    TraceRecord, validate)  # noqa: F401
 from .errors import (Breakdown, DimensionMismatch, LinSolveFailure, MissingBound,
                      NonFiniteEntry, NonPositiveInit, ZeroCostNeedsGamma)
-from .linalg import AUTO_REG_SCALE, _norm, spd_solve
+from .linalg import AUTO_REG_SCALE, WeightedGram, _norm, spd_solve
 
 # Width of the early-stop window: the objective must be stalled across
 # this many consecutive iterations (plus a satisfied residual) to stop.
@@ -167,26 +167,35 @@ class StepDetail:
     The update is x_new = max((1-h) x_prev + h * w * u, eps) with
     u = (A sign)^T p, w = x_prev / c_hat and p the spd_solve answer of
     (A diag(w) A^T + reg*I) p = b at tolerance tol_used.
+    gram is the linalg.WeightedGram the step solved with: w, and the
+    values of A diag(w) A^T + reg_used*I in the layout of the step's
+    route, which backward and jvp hand back to spd_solve to check and
+    refine their own answers against: the m-by-m matrix, the blocks
+    diag(S_II), S_FF and S_FI where the operator splits its rows, or
+    the CSR data of the sparse matrix above linalg.DIRECT_MAX_DIM rows.
     factor is the SpdSolveReport.factor of the step's spd_solve call,
-    the Cholesky factor of that matrix, which backward and jvp hand back
-    to spd_solve for their own solves: LAPACK dpotrf's lower factor
-    (c, True), the form scipy.linalg.cho_solve takes, or, where the
-    operator splits its rows, a linalg.BlockFactor, which holds the
-    factor of a Schur complement of order |F|, the |F|-by-|I| block and
-    the diagonal block instead of m^2 floats.  Above
-    linalg.DIRECT_MAX_DIM rows spd_solve runs CG on the matrix
-    assembled sparse, and the step stores no factor (None) unless CG
+    the Cholesky factor of that matrix, which backward and jvp hand
+    back as well: LAPACK dpotrf's lower factor (c, True), the form
+    scipy.linalg.cho_solve takes, or, where the operator splits its
+    rows, a linalg.BlockFactor, which holds the factor of a Schur
+    complement of order |F|, diag(S_II) and a view of the block S_FI in
+    gram.  Above linalg.DIRECT_MAX_DIM rows spd_solve runs CG on the
+    sparse matrix, and the step stores no factor (None) unless CG
     failed and the Cholesky last resort ran.  clamp_mask is True where
     the pre-clamp value stayed strictly above eps.  reg_used and
     tol_used are the Tikhonov term and the solve tolerance the step ran
     with.  reg_used is s * sum_j w_j ||a_j||^2 / m, and reg_scale is s:
     linalg.AUTO_REG_SCALE, or 100 times that after the retry.  The term
     moves with w and A, so backward and jvp, which solve with it,
-    differentiate it.  Per step this is at most one m-by-m factor plus
-    four n-vectors and one m-vector.
+    differentiate it.  Per step this is, on the dense route, two
+    m-by-m arrays (the matrix and its factor), five n-vectors (w among
+    them) and two m-vectors; where the rows split, 2 |I| + 2 |F|^2 +
+    |F| |I| floats in place of the two m-by-m arrays: about 84 kB at
+    30x30 (60x930) and 216 kB at 50x100 (150x5100), by tracemalloc.
     """
 
     x_prev: np.ndarray
+    gram: WeightedGram
     factor: tuple | None
     p: np.ndarray
     u: np.ndarray
@@ -209,7 +218,8 @@ def step_detail(prep, x, cfg, tol=None):
     the sign of a zero.  spd_solve factors L up to
     linalg.DIRECT_MAX_DIM rows and runs CG on it, assembled sparse,
     above, with spd_solve's default Tikhonov term and one retry at 100
-    times it after a linear-solve breakdown.  tol is the relative
+    times it after a linear-solve breakdown.  The step keeps the gram,
+    which then holds the matrix of its last solve.  tol is the relative
     target handed to spd_solve, cfg.linsolve_tol when None; _iterate,
     the forward loop and the one caller in the package, passes
     forward_tol of the iterate's residual, so the step is set by x and
@@ -239,7 +249,7 @@ def step_detail(prep, x, cfg, tol=None):
     pre = q if h == 1.0 else (1.0 - h) * x + h * q
     clamp_mask = pre > eps
     x_new = np.maximum(pre, eps)
-    return StepDetail(x, report.factor, p, u, x_new, clamp_mask,
+    return StepDetail(x, gram, report.factor, p, u, x_new, clamp_mask,
                       report.regularization_used, reg_scale, tol, report.iterations)
 
 

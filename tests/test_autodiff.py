@@ -514,6 +514,51 @@ def test_dot_product_on_block_factored_steps(matching_50x100, seed):
     assert abs(lhs - rhs) <= 1e-8 * max(abs(lhs), abs(rhs))
 
 
+def count_calls(monkeypatch, owner, name):
+    """The argument tuples of every call to owner.name from now on."""
+    inner, calls = getattr(owner, name), []
+    monkeypatch.setattr(owner, name, lambda *args: calls.append(args) or inner(*args))
+    return calls
+
+
+class CountingQ:
+    """The Gram map Q of an operator, counting its products with w."""
+
+    def __init__(self, Q):
+        self.Q, self.products = Q, 0
+
+    def __matmul__(self, w):
+        self.products += 1
+        return self.Q @ w
+
+
+@pytest.mark.parametrize("name", ["matching_5x50", "matching_50x100", "signed_sparse_40x400"])
+def test_factored_reverse_sweeps_compute_no_gram_values(name, request, monkeypatch):
+    # backward and jvp solve against each step's kept gram and factor:
+    # no op.at(w), no Q @ w, and one product with A sign and one with
+    # its transpose per step (dense, block and flipped routes)
+    lp = request.getfixturevalue(name)
+    op = lp.operator
+    Q = CountingQ(op._pattern.Q)
+    monkeypatch.setitem(op.__dict__, "_pattern", op._pattern._replace(Q=Q))
+    _, tape = solve_with_tape(lp, SolverConfig(max_iters=5, seed=3))
+    assert Q.products == len(tape) == 5
+    assert all(det.factor is not None for det in tape.steps)
+    at = count_calls(monkeypatch, linalg.WeightedOperator, "at")
+    matvec = count_calls(monkeypatch, tape.prep, "matvec")
+    rmatvec = count_calls(monkeypatch, tape.prep, "rmatvec")
+    rng = np.random.default_rng(3)
+    sweeps = [lambda: backward(tape, rng.normal(size=lp.n)),
+              lambda: jvp(tape, dc=rng.normal(size=lp.n), db=rng.normal(size=lp.m)),
+              lambda: jvp(tape, dc=rng.normal(size=lp.n), dA=rng.normal(size=lp.A.shape))]
+    for sweep in sweeps:
+        matvec.clear()
+        rmatvec.clear()
+        sweep()
+        assert len(matvec) == len(rmatvec) == len(tape)
+    assert at == [] and Q.products == 5
+
+
 @pytest.mark.parametrize("name", ["dag_600", "matching_50x100", "signed_sparse_40x400"])
 def test_jvp_without_dA_is_jvp_with_a_zero_dA(name, request):
     # the no-dA path skips every m-by-n product; signed_sparse_40x400

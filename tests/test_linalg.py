@@ -200,20 +200,78 @@ def is_dense_factor(factor):
 
 def test_block_factor_only_where_the_split_saves_flops(matching_5x50, matching_50x100):
     # 50x100: the 100 proposal rows share no column and go first, and a
-    # step stores 50^2 + 50*100 + 100 floats instead of 150^2; 5x50 and
-    # 30x30 (55 and 60 rows) save too few flops and stay dense
+    # step keeps the blocks [diag(S_II) | S_FF | S_FI], 100 + 50^2 +
+    # 50*100 floats, the factor of the Schur complement, 50^2, and its
+    # own diag(S_II), 100, with S_FI shared: 10,200 floats instead of
+    # two 150^2 arrays.  5x50 and 30x30 (55 and 60 rows) save too few
+    # flops and keep the m-by-m matrix and its dense factor.
     split = matching_50x100.operator._split
     assert np.array_equal(split.I, np.arange(50, 150))
     assert np.array_equal(split.F, np.arange(50))
     _, tape = solve_with_tape(matching_50x100, SolverConfig(max_iters=5, seed=1))
     for det in tape.steps:
         assert isinstance(det.factor, BlockFactor)
-        assert sum(a.size for a in det.factor[:3]) == 7600
+        assert det.gram.values.size == 7600
+        assert np.shares_memory(det.factor.B, det.gram.values)
+        assert det.gram.values.size + det.factor.c.size + det.factor.d.size == 10200
     square = build_matching_lp(MatchingInstance(np.random.default_rng(7).uniform(size=(30, 30))))
     for lp in (matching_5x50, square):
         _, tape = solve_with_tape(lp, SolverConfig(max_iters=5, seed=1))
         assert lp.operator._split is None
-        assert all(is_dense_factor(det.factor) for det in tape.steps)
+        for det in tape.steps:
+            assert is_dense_factor(det.factor)
+            assert det.gram.values.size == det.factor[0].size == lp.m ** 2
+
+
+def test_every_layout_reads_the_same_matrix(matching_50x100, monkeypatch):
+    # Q writes A diag(w) A^T in the layout of the route of m rows: the
+    # blocks where the rows split, row-major where they do not, and CSR
+    # data above DIRECT_MAX_DIM.  Every form read from any layout is the
+    # same matrix bit for bit, at any reg and after another reg.
+    A = matching_50x100.operator.A.toarray()
+    w = np.random.default_rng(4).uniform(0.1, 2.0, size=A.shape[1])
+    block = matching_50x100.operator
+    # Q's layout is picked when it is built, so the other two are built
+    # under constants that pick the dense and the CSR layout
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "BLOCK_MIN_SAVING", np.inf)
+        dense = WeightedOperator(A)
+        dense._pattern
+        patch.setattr(linalg, "DIRECT_MAX_DIM", 2)
+        csr = WeightedOperator(A)
+        csr._pattern
+    sizes = [op._pattern.Q.shape[0] for op in (block, dense, csr)]
+    assert sizes == [7600, 150 ** 2, block._pattern.keys.size]
+    assert (dense._split, csr._split) == (None, None)
+    want = {}
+    for reg in (1e-3, 0.25, 1e-3):
+        S = (A * w) @ A.T + reg * np.eye(150)
+        forms = []
+        for op in (block, dense, csr):
+            gram = op.at(w)
+            forms += [gram.dense(reg).copy(), gram.sparse(reg).toarray()]
+        assert all(np.array_equal(f, forms[0]) for f in forms)
+        assert np.abs(forms[0] - S).max() <= 1e-13 * np.abs(S).max()
+        I, F = block._split
+        blocks = block.at(w).direct(reg)
+        assert np.array_equal(blocks.FF, forms[0][np.ix_(F, F)])
+        assert np.array_equal(blocks.B, forms[0][np.ix_(F, I)])
+        assert np.array_equal(blocks.d, forms[0][I, I])
+        assert np.array_equal(forms[0], want.setdefault(reg, forms[0]))
+
+
+def test_a_block_factor_keeps_its_diagonal_when_the_gram_moves_on(matching_50x100):
+    # the blocks are views of the gram's values, whose diagonal a solve
+    # at another reg rewrites; the factor keeps its own diag(S_II)
+    op = matching_50x100.operator
+    gram = op.at(np.random.default_rng(5).uniform(0.1, 2.0, size=matching_50x100.n))
+    b = matching_50x100.b
+    rep = spd_solve(gram, b, reg=1e-3)
+    d = rep.factor.d.copy()
+    spd_solve(gram, b, reg=0.5)
+    assert np.array_equal(rep.factor.d, d)
+    again = spd_solve(gram, b, reg=1e-3, factor=rep.factor)
+    assert again.iterations == 0 and np.array_equal(again.p, rep.p)
 
 
 @pytest.fixture(scope="module")
@@ -286,7 +344,7 @@ def test_an_indefinite_matrix_breaks_down_on_both_routes(matching_50x100, monkey
     # raises Breakdown on the same matrices
     op = matching_50x100.operator
     w = np.random.default_rng(1).uniform(0.1, 2.0, size=matching_50x100.n)
-    reg = -scale * op.at(w)._diagonal[op._split.I].min()
+    reg = -scale * op.at(w).diagonal[op._split.I].min()
     potrf, seen = linalg.dpotrf, []
 
     def spy(a, **kwargs):
