@@ -307,6 +307,6 @@ def finite_diff_grad(lp, cfg, loss, step_scale=1e-6, x0=None):
         return grad
 
     grad_c = central(lp.c, lambda c: run(lp.A, lp.b, c))
-    grad_A = central(lp.A, lambda A: run(A, lp.b, lp.c))
+    grad_A = central(lp.A.toarray(), lambda A: run(A, lp.b, lp.c))
     grad_b = central(lp.b, lambda b: run(lp.A, b, lp.c))
     return LpGradients(grad_c, grad_A, grad_b)

@@ -2,20 +2,19 @@
 
 A standard-form program is
 
-    min c.x   subject to   A x = b,  x >= 0,
+    min c.x   subject to   A x = b,  x >= 0.
 
-with A stored densely as an (m, n) array; the public API takes and
-returns A in that form.  The solver computes with a CSR copy of A,
-StandardFormLP.operator, built on the first solve and reused by every
-later one.  StandardFormLP.from_operator builds an LP around an
-operator that already exists, so LPs of one constraint matrix can
-share it: problems.build_matching_lp does so for every assignment LP
-of one shape, and from_operator(lp.operator, lp.b, c) solves new costs
-on lp's A.  StandardFormLP and SolverConfig are frozen: each is
-validated once, when built, and a changed one is a new one, made with
-dataclasses.replace and validated again (an LP made so builds its own
-operator).  An LP owns A, b and c as read-only float64 arrays: it
-keeps an array that is already one, as another LP's is, and copies
+StandardFormLP holds A in one form, a read-only float64
+scipy.sparse.csr_array, converted once from the dense or sparse A it
+is given; lp.A.toarray() is a dense copy.  Its operator, the
+WeightedOperator the solver computes with, holds that same matrix
+(lp.operator.A is lp.A) and is built on the first solve.
+StandardFormLP.from_operator builds an LP around an existing operator,
+so LPs of one constraint matrix share it and its A, as the assignment
+LPs of one shape do.  StandardFormLP and SolverConfig are frozen and
+validated once, when built; dataclasses.replace makes a new one, which
+is validated again and builds its own operator.  An LP keeps an A, b
+or c that is already read-only, as another LP's is, and copies
 anything else, so no later write by the caller reaches it.
 """
 
@@ -27,58 +26,83 @@ from enum import Enum
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse
 
 from .errors import DimensionMismatch, InvalidConfig, NonFiniteEntry
 from .linalg import WeightedOperator
 
 
-def _owned(value, name, ndim):
-    """value as a read-only float64 array of ndim dimensions that no
-    one else can write: a read-only ndarray owning its memory is kept,
-    anything else is copied."""
+def _owned(value):
+    """value as a read-only float64 array that no one else can write: a
+    read-only ndarray owning its memory is kept, anything else is
+    copied.  validate checks its shape."""
     if not (type(value) is np.ndarray and value.dtype == np.float64
             and value.flags.owndata and not value.flags.writeable):
         value = np.array(value, dtype=np.float64)
         value.flags.writeable = False
-    if value.ndim != ndim:
-        raise DimensionMismatch(f"{name} must be {ndim}-D, got ndim={value.ndim}")
     return value
+
+
+def _owned_csr(value):
+    """value, dense or sparse, as a read-only float64 csr_array with
+    sorted indices and no stored zeros, after the checks of its shape:
+    a csr_array whose arrays are read-only, as an LP's A, is kept, and
+    anything else is converted into new arrays."""
+    if not scipy.sparse.issparse(value):
+        value = np.asarray(value, dtype=np.float64)
+    if value.ndim != 2 or min(value.shape) < 1:
+        raise DimensionMismatch(f"A must be 2-D with m >= 1 and n >= 1, got shape {value.shape}")
+    if scipy.sparse.issparse(value):
+        if type(value) is scipy.sparse.csr_array and value.dtype == np.float64 and not any(
+                arr.flags.writeable for arr in (value.data, value.indices, value.indptr)):
+            return value
+        A = scipy.sparse.csr_array(value, dtype=np.float64, copy=True)
+        A.sum_duplicates()
+        A.eliminate_zeros()
+    else:
+        # row-major positions of the nonzeros, NaN included: CSR built
+        # from them directly costs a sixth of csr_array(value)
+        m, n = value.shape
+        flat = np.flatnonzero(value != 0)
+        indptr = np.searchsorted(flat, n * np.arange(m + 1))
+        A = scipy.sparse.csr_array((value.ravel()[flat], flat % n, indptr), shape=(m, n))
+    for arr in (A.data, A.indices, A.indptr):
+        arr.flags.writeable = False
+    return A
 
 
 @dataclass(frozen=True)
 class StandardFormLP:
     """min c.x s.t. A x = b, x >= 0.
 
-    A, b and c are read-only float64 arrays that the LP owns (see the
-    module docstring).  box_bound, when set, promises that every
-    feasible point satisfies x_i <= box_bound componentwise; it is
-    required before negative-cost coordinates can be flipped.
+    A is a read-only float64 scipy.sparse.csr_array, given dense or
+    sparse; b and c are read-only float64 arrays.  The LP owns all
+    three (see the module docstring).  box_bound, when set, promises
+    that every feasible point satisfies x_i <= box_bound componentwise;
+    it is required before negative-cost coordinates can be flipped.
     """
 
-    A: np.ndarray
+    A: scipy.sparse.csr_array
     b: np.ndarray
     c: np.ndarray
     box_bound: float | None = None
 
     def __post_init__(self):
-        for name, ndim in (("A", 2), ("b", 1), ("c", 1)):
-            object.__setattr__(self, name, _owned(getattr(self, name), name, ndim))
+        object.__setattr__(self, "A", _owned_csr(self.A))
+        for name in ("b", "c"):
+            object.__setattr__(self, name, _owned(getattr(self, name)))
         validate(self)
 
     @classmethod
     def from_operator(cls, op, b, c, box_bound=None):
-        """The LP with the constraint matrix of the WeightedOperator op,
-        whose operator is op itself, so no solve rebuilds it.
-
-        A is op.A.toarray(), bit-equal to the A that op was built from,
-        made read-only and kept without a second copy; the LP is
-        validated like any other.  LPs built from one op share it; each
-        still owns its A, b and c.
-        """
-        A = op.A.toarray()
-        A.flags.writeable = False
-        lp = cls(A, b, c, box_bound=box_bound)
-        object.__setattr__(lp, "operator", op)
+        """The LP of b, c and the constraint matrix of the
+        WeightedOperator op, validated like any other.  When op.A is
+        read-only, as an LP's operator's is, the LP's A is op.A and its
+        operator op, so no solve rebuilds it; otherwise the LP copies
+        op.A and builds its own operator from the copy."""
+        lp = cls(op.A, b, c, box_bound=box_bound)
+        if lp.A is op.A:
+            object.__setattr__(lp, "operator", op)
         return lp
 
     @property
@@ -93,27 +117,26 @@ class StandardFormLP:
 
     @cached_property
     def operator(self):
-        """The linalg.WeightedOperator of A (a CSR copy), built on first use
-        unless from_operator gave it."""
+        """The linalg.WeightedOperator of A, holding A itself, built on
+        first use unless from_operator gave it."""
         return WeightedOperator(self.A)
 
 
 def validate(lp):
-    """Check that A is not empty, that b and c fit its shape, that A, b
-    and c are finite, and box_bound; returns the same instance unchanged.
-    StandardFormLP calls it once, when built.
+    """Check that b and c fit the shape of A, that A.data (every nonzero
+    of the CSR A, NaN included), b and c are finite, and box_bound;
+    returns the same instance unchanged.  StandardFormLP calls it once,
+    when built, after it has checked the shape of A.
 
     Raises DimensionMismatch, NonFiniteEntry, or InvalidConfig for a
     box_bound that is set and not positive.  Idempotent.
     """
     m, n = lp.A.shape
-    if m < 1 or n < 1:
-        raise DimensionMismatch(f"LP must have m >= 1 and n >= 1, got A shape {lp.A.shape}")
     if lp.b.shape != (m,):
         raise DimensionMismatch(f"b has shape {lp.b.shape}, expected ({m},)")
     if lp.c.shape != (n,):
         raise DimensionMismatch(f"c has shape {lp.c.shape}, expected ({n},)")
-    for arr, name in ((lp.A, "A"), (lp.b, "b"), (lp.c, "c")):
+    for arr, name in ((lp.A.data, "A"), (lp.b, "b"), (lp.c, "c")):
         if not np.all(np.isfinite(arr)):
             raise NonFiniteEntry(f"{name} contains a non-finite entry")
     bound = lp.box_bound
@@ -218,8 +241,9 @@ class SolveResult:
 
 
 def lp_to_dict(lp):
-    """Plain-dict form of an LP for JSON serialization."""
-    d = {"A": lp.A.tolist(), "b": lp.b.tolist(), "c": lp.c.tolist()}
+    """Plain-dict form of an LP for JSON serialization; A is written
+    dense, row by row."""
+    d = {"A": lp.A.toarray().tolist(), "b": lp.b.tolist(), "c": lp.c.tolist()}
     if lp.box_bound is not None:
         d["box_bound"] = float(lp.box_bound)
     return d

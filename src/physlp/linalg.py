@@ -1,15 +1,15 @@
 """Regularized SPD solves, their adjoints, and the weighted operator.
 
 Every dynamics step solves (L + reg*I) p = b with L = A W A^T symmetric
-positive semidefinite.  WeightedOperator holds a CSR copy of A and one
-map Q from w to the values of A diag(w) A^T, written in the layout
-that the solve route of its row count reads: the row-major m-by-m
-matrix on the dense route, the blocks [diag(S_II) | S_FF | S_FI] where
-the rows split, and the CSR data on the pattern of A A^T plus its
-diagonal above DIRECT_MAX_DIM.  WeightedGram, op.at(w), computes
-Q @ w once and keeps it: every form of L is read from it, dense, in
-blocks or sparse, by writing reg onto its diagonal, and its diagonal
-is copied aside.  It is the one form of L that spd_solve takes.
+positive semidefinite.  WeightedOperator holds A, the LP's own CSR
+array, and one map Q from w to the values of A diag(w) A^T, written in
+the layout that the solve route of its row count reads: the row-major
+m-by-m matrix on the dense route, the blocks [diag(S_II) | S_FF |
+S_FI] where the rows split, and the CSR data on the pattern of A A^T
+plus its diagonal above DIRECT_MAX_DIM.  WeightedGram, op.at(w),
+computes Q @ w once and keeps it: every form of L is read from it,
+dense, in blocks or sparse, by writing reg onto its diagonal, and its
+diagonal is copied aside.  It is the one form of L that spd_solve takes.
 spd_solve is the one solve routine, for the forward steps and for the
 backward and tangent solves alike.  It factors L + reg*I by Cholesky
 up to DIRECT_MAX_DIM rows, calling LAPACK dpotrf and dpotrs directly,
@@ -75,26 +75,22 @@ class SpdSolveReport:
 
 
 class WeightedOperator:
-    """A constraint matrix A, held as CSR, and its map from w to
-    A diag(w) A^T.
+    """A constraint matrix A, a scipy.sparse.csr_array, and its map from
+    w to A diag(w) A^T.
 
-    A is the CSR matrix and AT its transpose (a CSC view of the same
-    arrays).  at(w) gives A diag(w) A^T, whose entries all come from one
-    map Q of w, built on first use (_pattern, see _build_pattern), in
-    the layout that the solve route of A's row count reads.  Q has
-    sum_j nnz(a_j)^2 entries, fewer in the block layout: four per
-    column on matching and path LPs, but about n*m*m for a dense A.
-    _split is the row split of the block layout, or None.
+    A is kept, not copied: an LP's operator holds the LP's own A.  AT
+    is its transpose (a CSC view of the same arrays).  at(w) gives
+    A diag(w) A^T, whose entries all come from one map Q of w, built on
+    first use (_pattern, see _build_pattern), in the layout that the
+    solve route of A's row count reads.  Q has sum_j nnz(a_j)^2
+    entries, fewer in the block layout: four per column on matching and
+    path LPs, but about n*m*m for a dense A.  _split is the row split
+    of the block layout, or None.
     """
 
     def __init__(self, A):
-        m, n = A.shape
-        # row-major positions of the nonzeros; CSR is built from them
-        # directly, at a sixth of the cost of csr_array(A)
-        flat = np.flatnonzero(A != 0)
-        indptr = np.searchsorted(flat, n * np.arange(m + 1))
-        self.A = scipy.sparse.csr_array((A.ravel()[flat], flat % n, indptr), shape=(m, n))
-        self.AT = self.A.T
+        self.A = A
+        self.AT = A.T
 
     @cached_property
     def _pattern(self):

@@ -81,11 +81,12 @@ def enumerate_vertices(lp, feas_tol=1e-9):
     if n_bases > MAX_BASES:
         raise TooLarge(f"C({n}, {m}) = {n_bases} bases exceeds the {MAX_BASES} guard")
 
+    A = lp.A.toarray()
     bnorm = float(np.linalg.norm(lp.b))
     skipped = 0
     found = []  # (objective, basis, x)
     for basis in combinations(range(n), m):
-        A_B = lp.A[:, basis]
+        A_B = A[:, basis]
         try:
             x_B = np.linalg.solve(A_B, lp.b)
         except np.linalg.LinAlgError:

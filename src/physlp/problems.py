@@ -14,8 +14,9 @@ The constraint matrix of an assignment LP depends only on its shape
 map and the row split already built, from a cache of the last
 MATCHING_CACHE_SHAPES shapes and makes the LP with
 StandardFormLP.from_operator: every matching LP of one shape shares
-one operator, and no solve rebuilds it.  The cache holds no dense A,
-about 1 MB per 50x100 shape and 4 MB per 100x200 shape.
+one operator and its read-only CSR A, and no solve rebuilds it.  The
+cache holds about 1 MB per 50x100 shape and 4 MB per 100x200 shape.
+Every builder makes A as CSR, with no m-by-n array.
 """
 
 import math
@@ -24,6 +25,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+import scipy.sparse
 
 # validate stays imported unused: the benchmark's traced run wraps it here
 from .core import SolverConfig, StandardFormLP, validate  # noqa: F401
@@ -106,7 +108,7 @@ def build_matching_lp(inst):
     Variables are X in row-major order followed by the m slacks, so the
     LP has n*m + m columns and n + m rows.  Every feasible point lies
     in [0, 1], recorded as box_bound.  LPs of one shape share one
-    operator, lp.operator; each owns its A, b and c.
+    operator, lp.operator, and its read-only A; each owns its b and c.
     """
     C = inst.C
     if C.ndim != 2:
@@ -128,22 +130,23 @@ def _matching_operator(n, m):
     Gram map and row split built.
 
     A depends on (n, m) alone, so every matching LP of one shape shares
-    this operator.  Built here, the Gram map and split are never built
-    lazily on a shared operator.  The dense A is dropped once the
-    operator is built.
+    this operator and its A, built as CSR: row i < n holds the columns
+    of X's row i, row n + j those of X's column j and slack j, all 1.
+    Built here, the Gram map and split are never built lazily on a
+    shared operator.
     """
-    A = np.zeros((n + m, n * m + m))
-    for i in range(n):
-        A[i, i * m:(i + 1) * m] = 1.0
-    for j in range(m):
-        A[n + j, j:n * m:m] = 1.0
-        A[n + j, n * m + j] = 1.0
+    indptr = np.concatenate((m * np.arange(n + 1), n * m + (n + 1) * np.arange(1, m + 1)))
+    # the columns n*m + m in n + 1 blocks of m: block k holds X's row k,
+    # and the last the slacks, so the transpose lists X's columns
+    indices = np.concatenate((np.arange(n * m), np.arange((n + 1) * m).reshape(n + 1, m).T.ravel()))
+    A = scipy.sparse.csr_array((np.ones(indices.size), indices, indptr),
+                               shape=(n + m, n * m + m))
+    # read-only: the LPs of the shape keep it uncopied, and a write
+    # raises rather than reaching them all
+    for arr in (A.data, A.indices, A.indptr):
+        arr.flags.writeable = False
     op = WeightedOperator(A)
     op._split  # builds op._pattern first
-    # every LP of the shape reads these, so a write raises rather than
-    # reaching them all
-    for arr in (op.A.data, op.A.indices, op.A.indptr):
-        arr.flags.writeable = False
     return op
 
 
@@ -268,48 +271,17 @@ def build_l1svm_lp(inst):
     if not np.all(np.isfinite(G)):
         raise KernelDegenerate("kernel matrix contains non-finite entries")
 
-    off = _svm_offsets(n)
-    n_var = 9 * n + 2
-    A = np.zeros((4 * n, n_var))
-    b = np.zeros(4 * n)
-    idx = np.arange(n)
-
-    # margin rows
-    r0 = idx
-    A[np.ix_(r0, off["a1"] + idx)] = y[:, np.newaxis] * G
-    A[np.ix_(r0, off["a2"] + idx)] = -y[:, np.newaxis] * G
-    A[r0, off["b1"]] = y
-    A[r0, off["b2"]] = -y
-    A[r0, off["xi"] + idx] = 1.0
-    A[r0, off["z"] + idx] = -inst.big_m
-    A[r0, off["l"] + idx] = -1.0
-    b[r0] = 1.0
-
-    # lower envelope rows: G alpha - s + p = 0
-    r1 = n + idx
-    A[np.ix_(r1, off["a1"] + idx)] = G
-    A[np.ix_(r1, off["a2"] + idx)] = -G
-    A[r1, off["s"] + idx] = -1.0
-    A[r1, off["p"] + idx] = 1.0
-
-    # upper envelope rows: G alpha + s - q = 0
-    r2 = 2 * n + idx
-    A[np.ix_(r2, off["a1"] + idx)] = G
-    A[np.ix_(r2, off["a2"] + idx)] = -G
-    A[r2, off["s"] + idx] = 1.0
-    A[r2, off["q"] + idx] = -1.0
-
-    # z_i + r_i = 1
-    r3 = 3 * n + idx
-    A[r3, off["z"] + idx] = 1.0
-    A[r3, off["r"] + idx] = 1.0
-    b[r3] = 1.0
-
-    c = np.zeros(n_var)
-    c[off["s"]:off["s"] + n] = 1.0
-    c[off["xi"]:off["xi"] + n] = inst.c_reg
-    c[off["z"]:off["z"] + n] = 2.0 * inst.c_reg
-
+    # block rows: margin, lower envelope, upper envelope, z + r = 1;
+    # block columns in the layout of _svm_offsets; None is a zero block
+    yG, y_col, I = y[:, np.newaxis] * G, y[:, np.newaxis], np.eye(n)
+    A = scipy.sparse.block_array(
+        [[yG, -yG, None, y_col, -y_col, I, -inst.big_m * I, -I, None, None, None],
+         [G, -G, -I, None, None, None, None, None, I, None, None],
+         [G, -G, I, None, None, None, None, None, None, -I, None],
+         [None, None, None, None, None, None, I, None, None, None, I]], format="csr")
+    b = np.concatenate((np.ones(n), np.zeros(2 * n), np.ones(n)))
+    c = np.concatenate((np.zeros(2 * n), np.ones(n), np.zeros(2), np.full(n, float(inst.c_reg)),
+                        np.full(n, 2.0 * inst.c_reg), np.zeros(4 * n)))
     return StandardFormLP(A, b, c)
 
 
@@ -467,20 +439,23 @@ def build_shortest_path_lp(graph, source, sink):
     _check_graph(graph, source, sink)
     if sink not in _reachable(graph, source):
         raise Unreachable(f"node {sink} cannot be reached from node {source}")
+    tails, heads, weights = zip(*graph.arcs)
+    ends = np.array((tails, heads))
     # a self-loop's +1 and -1 cancel, so only the other arcs touch a row
-    moves = [(j, t, h) for j, (t, h, _) in enumerate(graph.arcs) if t != h]
-    keep = sorted({v for _, t, h in moves for v in (t, h)} - {source})
-    row = {v: i for i, v in enumerate(keep)}
-    A = np.zeros((len(keep), len(graph.arcs)))
-    for j, t, h in moves:
-        if t in row:
-            A[row[t], j] = 1.0
-        if h in row:
-            A[row[h], j] = -1.0
-    A.flags.writeable = False  # a new array, so the LP keeps it uncopied
-    b = np.zeros(len(keep))
+    loop = ends[0] == ends[1]
+    keep = np.setdiff1d(ends[:, ~loop], [source])  # sorted
+    row = np.full(graph.num_nodes, -1)
+    row[keep] = np.arange(keep.size)
+    # arc by arc, the rows of its +1 and -1, -1 where there is none:
+    # A by columns, which tocsr turns into sorted rows
+    at = np.where(loop, -1, row[ends]).T
+    hit = at >= 0
+    A = scipy.sparse.csc_array((np.broadcast_to([1.0, -1.0], at.shape)[hit], at[hit],
+                                np.concatenate(([0], np.cumsum(hit.sum(axis=1))))),
+                               shape=(keep.size, len(graph.arcs))).tocsr()
+    b = np.zeros(keep.size)
     b[row[sink]] = -1.0
-    c = np.array([w for _, _, w in graph.arcs])
+    c = np.array(weights)
     return StandardFormLP(A, b, c)
 
 

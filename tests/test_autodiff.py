@@ -283,7 +283,7 @@ def test_jvp_equals_the_tangent_with_sign_and_blend_applied(name, h, request):
     lp, _, tape = skip_tape(name, h, request)
     rng = np.random.default_rng(9)
     dc, db = rng.standard_normal(lp.n), rng.standard_normal(lp.m)
-    for dA in (None, (lp.A != 0) * rng.standard_normal(lp.A.shape)):
+    for dA in (None, (lp.A.toarray() != 0) * rng.standard_normal(lp.A.shape)):
         assert np.array_equal(jvp(tape, dc, dA, db), applied_jvp(tape, dc, dA, db))
 
 
@@ -364,7 +364,7 @@ def test_randomized_gradcheck_and_transpose():
         lp, _ = random_bounded_lp(rng, m, n)
         if checked >= 20:
             neg = rng.permutation(n) < max(1, round(0.4 * n))
-            bound = 1.5 * (lp.b[:, np.newaxis] / lp.A).min(axis=0).max()
+            bound = 1.5 * (lp.b[:, np.newaxis] / lp.A.toarray()).min(axis=0).max()
             lp = StandardFormLP(lp.A, lp.b, np.where(neg, -lp.c, lp.c), box_bound=bound)
         k = int(rng.integers(3, 21))
         cfg = SolverConfig(max_iters=k, seed=int(rng.integers(2 ** 31)))
@@ -620,7 +620,7 @@ def _jvp_fd_gap(lp, cfg, eta, seed):
     _, tape = solve_with_tape(lp, cfg)
     rng = np.random.default_rng(1000 + seed)
     dc = np.where(tape.prep.zero_mask, 0.0, rng.normal(size=lp.n))
-    dA = np.where(lp.A != 0.0, rng.normal(size=lp.A.shape), 0.0)
+    dA = np.where(lp.A.toarray() != 0.0, rng.normal(size=lp.A.shape), 0.0)
     dx = jvp(tape, dc=dc, dA=dA)
     xp, xm = (solve(replace(lp, A=lp.A + s * eta * dA, c=lp.c + s * eta * dc), cfg,
                     early_stop=False).x for s in (1.0, -1.0))
@@ -692,7 +692,7 @@ def test_a_flipped_lp_is_its_substituted_lp_bit_for_bit(route, factored, request
         assert np.array_equal(a, b)
 
     dc, db = rng.standard_normal(lp.n), rng.standard_normal(lp.m)
-    for dA in (None, (lp.A != 0) * rng.standard_normal(lp.A.shape)):
+    for dA in (None, (lp.A.toarray() != 0) * rng.standard_normal(lp.A.shape)):
         want = prep.sign * jvp(sub_tape, *prep.tangent(dc, dA, db))
         assert np.array_equal(jvp(tape, dc, dA, db), want)
 

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 import physlp
 from physlp import (SolverConfig, StandardFormLP, feasibility_residual,
@@ -77,20 +78,32 @@ def test_validate_rejects_a_bad_box_bound(bound, error):
 
 def test_from_operator_takes_the_operator_and_its_matrix():
     A = np.array([[1.0, 0.0, 2.0], [0.0, -3.0, 1.0]])
-    op = WeightedOperator(A)
+    op = StandardFormLP(A, [1.0, 1.0], [1.0, 1.0, 1.0]).operator
     lp = StandardFormLP.from_operator(op, [1.0, 2.0], [1.0, 2.0, 3.0], box_bound=4.0)
-    assert lp.operator is op
-    assert np.array_equal(lp.A, op.A.toarray()) and np.array_equal(lp.A, A)
+    assert lp.operator is op and lp.A is op.A
+    assert np.array_equal(lp.A.toarray(), A)
     assert lp.box_bound == 4.0
-    assert not lp.A.flags.writeable
+    assert not any(arr.flags.writeable for arr in (lp.A.data, lp.A.indices, lp.A.indptr))
+
+
+def test_from_operator_copies_a_writable_matrix():
+    # an operator built on the caller's writable CSR is not shared: the
+    # LP keeps a read-only copy and builds its own operator from it
+    A = scipy.sparse.csr_array(np.array([[1.0, 0.0, 2.0], [0.0, -3.0, 1.0]]))
+    op = WeightedOperator(A)
+    lp = StandardFormLP.from_operator(op, [1.0, 2.0], [1.0, 2.0, 3.0])
+    assert lp.A is not A and lp.operator is not op and lp.operator.A is lp.A
+    A.data[0] = 5.0
+    assert lp.A.toarray()[0, 0] == 1.0
 
 
 def test_from_operator_lps_drop_only_their_own_operator():
     # an LP made from one of them with a new A builds its own operator
-    op = WeightedOperator(np.array([[1.0, 1.0]]))
+    op = toy_lp().operator
     first = StandardFormLP.from_operator(op, [1.0], [1.0, 2.0])
     second = StandardFormLP.from_operator(op, [2.0], [3.0, 1.0])
-    assert first.A is not second.A and first.operator is second.operator
+    # LPs of one operator share its read-only A
+    assert first.A is second.A and first.operator is second.operator
     changed = replace(first, A=np.array([[2.0, 1.0]]))
     assert changed.operator is not op
     assert first.operator is op and second.operator is op
@@ -104,7 +117,7 @@ def test_from_operator_lps_drop_only_their_own_operator():
     ([1.0, 2.0], [1.0, 2.0, np.inf], NonFiniteEntry),
 ])
 def test_from_operator_validates(b, c, error):
-    op = WeightedOperator(np.array([[1.0, 0.0, 2.0], [0.0, -3.0, 1.0]]))
+    op = StandardFormLP([[1.0, 0.0, 2.0], [0.0, -3.0, 1.0]], [1.0, 1.0], [1.0, 1.0, 1.0]).operator
     with pytest.raises(error):
         StandardFormLP.from_operator(op, b, c)
 
@@ -214,14 +227,49 @@ def test_config_rejects_bad_values(kwargs):
         SolverConfig(**kwargs)
 
 
-def test_lp_dict_roundtrip():
+# the file of the LP below as save_lp wrote it when A was held dense
+DENSE_A_FILE = """{
+  "A": [
+    [
+      1.0,
+      0.0,
+      -2.5
+    ],
+    [
+      -0.0,
+      3.0,
+      0.0
+    ]
+  ],
+  "b": [
+    1.0,
+    2.0
+  ],
+  "box_bound": 3.0,
+  "c": [
+    0.5,
+    -0.5,
+    1.0
+  ]
+}
+"""
+
+
+def test_lp_dict_roundtrip(tmp_path):
     lp = StandardFormLP(np.array([[1.0, 2.0], [3.0, 4.0]]),
                         np.array([1.0, 2.0]), np.array([0.5, -0.5]), box_bound=3.0)
     back = lp_from_dict(lp_to_dict(lp))
-    assert np.array_equal(back.A, lp.A)
+    assert np.array_equal(back.A.toarray(), lp.A.toarray())
     assert np.array_equal(back.b, lp.b)
     assert np.array_equal(back.c, lp.c)
     assert back.box_bound == lp.box_bound
+    # A is written dense, zeros included, as when it was held dense; a
+    # -0.0 entry is not stored in the CSR A, so it is written as 0.0
+    path = tmp_path / "lp.json"
+    save_lp(StandardFormLP([[1.0, 0.0, -2.5], [-0.0, 3.0, 0.0]], [1.0, 2.0],
+                           [0.5, -0.5, 1.0], box_bound=3.0), path)
+    assert path.read_text() == DENSE_A_FILE.replace("-0.0,", "0.0,")
+    assert DENSE_A_FILE.count("-0.0,") == 1
 
 
 def test_an_lp_file_with_names_still_loads(tmp_path):
@@ -230,7 +278,7 @@ def test_an_lp_file_with_names_still_loads(tmp_path):
     path.write_text(json.dumps({"A": [[1.0, 1.0]], "b": [1.0], "c": [1.0, 2.0],
                                 "box_bound": 2.0, "names": ["x", "y"]}))
     lp = load_lp(path)
-    assert np.array_equal(lp.A, [[1.0, 1.0]]) and lp.box_bound == 2.0
+    assert np.array_equal(lp.A.toarray(), [[1.0, 1.0]]) and lp.box_bound == 2.0
     assert not hasattr(lp, "names")
     save_lp(lp, path)
     assert sorted(json.loads(path.read_text())) == ["A", "b", "box_bound", "c"]
@@ -248,7 +296,7 @@ def test_lp_file_roundtrip(tmp_path):
     data = json.loads(path.read_text())
     assert data["A"] == [[1.0, 1.0]]
     back = load_lp(path)
-    assert np.array_equal(back.A, lp.A)
+    assert np.array_equal(back.A.toarray(), lp.A.toarray())
     assert np.array_equal(back.c, lp.c)
 
 

@@ -4,6 +4,7 @@ and the solve adjoint."""
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from physlp import SolverConfig, StandardFormLP, backward, linalg, solve, solve_with_tape
 from physlp.errors import Breakdown
@@ -13,7 +14,8 @@ from physlp.problems import MatchingInstance, build_matching_lp, build_shortest_
 
 def gram(B, w=None):
     """B diag(w) B^T as the WeightedGram spd_solve takes; w = 1 gives B B^T."""
-    return WeightedOperator(B).at(np.ones(B.shape[1]) if w is None else np.asarray(w, float))
+    w = np.ones(B.shape[1]) if w is None else np.asarray(w, float)
+    return WeightedOperator(scipy.sparse.csr_array(B)).at(w)
 
 
 def test_identity_system():
@@ -178,7 +180,7 @@ def test_adjoint_directional_derivative():
     dL = 0.5 * (dL + dL.T)
     db = rng.normal(size=m)
     lam, V = np.linalg.eigh(dL)
-    op = WeightedOperator(np.hstack([B, np.sqrt(m) * np.eye(m), V]))
+    op = WeightedOperator(scipy.sparse.csr_array(np.hstack([B, np.sqrt(m) * np.eye(m), V])))
 
     def L(t):
         return op.at(np.concatenate([np.ones(2 * m), t * lam]))
@@ -228,17 +230,17 @@ def test_every_layout_reads_the_same_matrix(matching_50x100, monkeypatch):
     # blocks where the rows split, row-major where they do not, and CSR
     # data above DIRECT_MAX_DIM.  Every form read from any layout is the
     # same matrix bit for bit, at any reg and after another reg.
-    A = matching_50x100.operator.A.toarray()
-    w = np.random.default_rng(4).uniform(0.1, 2.0, size=A.shape[1])
     block = matching_50x100.operator
+    A = block.A.toarray()
+    w = np.random.default_rng(4).uniform(0.1, 2.0, size=A.shape[1])
     # Q's layout is picked when it is built, so the other two are built
     # under constants that pick the dense and the CSR layout
     with monkeypatch.context() as patch:
         patch.setattr(linalg, "BLOCK_MIN_SAVING", np.inf)
-        dense = WeightedOperator(A)
+        dense = WeightedOperator(block.A)
         dense._pattern
         patch.setattr(linalg, "DIRECT_MAX_DIM", 2)
-        csr = WeightedOperator(A)
+        csr = WeightedOperator(block.A)
         csr._pattern
     sizes = [op._pattern.Q.shape[0] for op in (block, dense, csr)]
     assert sizes == [7600, 150 ** 2, block._pattern.keys.size]
@@ -489,7 +491,7 @@ def test_solve_and_backward_leave_the_lp_alone(dag_600_graph):
     # the prepared LP shares b with the caller's LP, so a write into
     # the PCG residual's buffer would change the LP for every later step
     lp = build_shortest_path_lp(dag_600_graph, 0, dag_600_graph.num_nodes - 1)
-    for arr in (lp.A, lp.b, lp.c):
+    for arr in (lp.A.data, lp.b, lp.c):
         arr.flags.writeable = False
     before = lp.b.copy()
     cfg = SolverConfig(max_iters=10, seed=3)

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from physlp import (SolverConfig, StandardFormLP, backward, feasibility_residual, jvp,
                     linalg, prepare_lp, problems, solve, solve_with_tape)
@@ -45,12 +46,13 @@ def test_matching_lp_cost_layout():
 
 def test_matching_lp_row_structure():
     lp = build_matching_lp(MatchingInstance(np.ones((2, 3))))
+    A = lp.A.toarray()
     # agent rows: each X row sums to 1, slacks unused
-    assert np.array_equal(lp.A[0], [1, 1, 1, 0, 0, 0, 0, 0, 0])
-    assert np.array_equal(lp.A[1], [0, 0, 0, 1, 1, 1, 0, 0, 0])
+    assert np.array_equal(A[0], [1, 1, 1, 0, 0, 0, 0, 0, 0])
+    assert np.array_equal(A[1], [0, 0, 0, 1, 1, 1, 0, 0, 0])
     # task rows: column sum plus own slack
-    assert np.array_equal(lp.A[2], [1, 0, 0, 1, 0, 0, 1, 0, 0])
-    assert np.array_equal(lp.A[4], [0, 0, 1, 0, 0, 1, 0, 0, 1])
+    assert np.array_equal(A[2], [1, 0, 0, 1, 0, 0, 1, 0, 0])
+    assert np.array_equal(A[4], [0, 0, 1, 0, 0, 1, 0, 0, 1])
     assert np.array_equal(lp.b, np.ones(5))
 
 
@@ -79,6 +81,10 @@ def loop_built_matching_lp(C, gamma=None):
 
 
 def bits(arr):
+    """The bits of an array; of a CSR array, the bits of its data and
+    the positions of its entries (scipy picks the index dtype)."""
+    if scipy.sparse.issparse(arr):
+        return arr.shape, bits(arr.data), arr.indices.tolist(), arr.indptr.tolist()
     return arr.dtype, arr.shape, arr.tobytes()
 
 
@@ -96,7 +102,8 @@ def test_matching_lps_of_one_shape_share_their_operator():
     first = build_matching_lp(MatchingInstance(rng.uniform(size=(5, 50))))
     second = build_matching_lp(MatchingInstance(rng.uniform(size=(5, 50)), gamma=0.3))
     assert first.operator is second.operator
-    assert not np.shares_memory(first.A, second.A)
+    # and its read-only A
+    assert first.A is second.A is first.operator.A
     with pytest.raises(ValueError, match="read-only"):
         first.operator.A.data[0] = 2.0
     for shape in ((5, 51), (6, 50), (50, 50)):
@@ -104,47 +111,40 @@ def test_matching_lps_of_one_shape_share_their_operator():
         assert other.operator is not first.operator
 
 
-def test_a_matching_lp_allocates_one_dense_A():
-    # from_operator keeps op.A.toarray() as the LP's A: no second copy
-    C = np.random.default_rng(9).uniform(size=(50, 100))
-    build_matching_lp(MatchingInstance(C))  # caches the shape's operator
-    tracemalloc.start()
-    try:
-        lp = build_matching_lp(MatchingInstance(C))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert lp.A.nbytes > 6e6 and peak < 1.5 * lp.A.nbytes
-
-
 @pytest.mark.parametrize("shape", [(5, 50), (30, 30), (50, 100)])
 def test_a_shared_operator_solves_as_an_own_one_bit_for_bit(shape):
     """Solves, tapes, gradients and tangents of a matching LP are the
-    same bits whether its operator is shared or built for it alone."""
+    same bits whether its operator is shared or built for it alone,
+    from A given dense or as a CSR array of the caller's."""
     rng = np.random.default_rng(6)
     lp = build_matching_lp(MatchingInstance(rng.uniform(size=shape)))
-    own = StandardFormLP(lp.A.copy(), lp.b, lp.c, box_bound=lp.box_bound)
-    assert own.operator is not lp.operator
+    A = lp.A.toarray()
     cfg = SolverConfig(max_iters=20, seed=3)
-
-    got, want = solve(lp, cfg), solve(own, cfg)
-    assert bits(got.x) == bits(want.x) and got.objective == want.objective
-    assert got.trace == want.trace and got.status == want.status
-
-    (got, tape), (want, own_tape) = solve_with_tape(lp, cfg), solve_with_tape(own, cfg)
-    assert bits(got.x) == bits(want.x) and got.trace == want.trace
-    for det, own_det in zip(tape.steps, own_tape.steps, strict=True):
-        assert bits(det.p) == bits(own_det.p) and bits(det.x_new) == bits(own_det.x_new)
-
     g = rng.standard_normal(lp.n)
-    grads, own_grads = backward(tape, g), backward(own_tape, g)
-    for name in ("grad_c", "grad_A", "grad_b"):
-        assert bits(getattr(grads, name)) == bits(getattr(own_grads, name))
-
     dc, db = rng.standard_normal(lp.n), rng.standard_normal(lp.m)
-    dA = (lp.A != 0) * rng.standard_normal(lp.A.shape)
-    for pert in (dict(dc=dc, db=db), dict(dc=dc, dA=dA, db=db)):
-        assert bits(jvp(tape, **pert)) == bits(jvp(own_tape, **pert))
+    dA = (A != 0) * rng.standard_normal(A.shape)
+    got, (got_taped, tape) = solve(lp, cfg), solve_with_tape(lp, cfg)
+    grads = backward(tape, g)
+
+    for given in (A, scipy.sparse.csr_array(A)):
+        own = StandardFormLP(given, lp.b, lp.c, box_bound=lp.box_bound)
+        assert own.operator is not lp.operator and bits(own.A) == bits(lp.A)
+
+        want = solve(own, cfg)
+        assert bits(got.x) == bits(want.x) and got.objective == want.objective
+        assert got.trace == want.trace and got.status == want.status
+
+        want, own_tape = solve_with_tape(own, cfg)
+        assert bits(got_taped.x) == bits(want.x) and got_taped.trace == want.trace
+        for det, own_det in zip(tape.steps, own_tape.steps, strict=True):
+            assert bits(det.p) == bits(own_det.p) and bits(det.x_new) == bits(own_det.x_new)
+
+        own_grads = backward(own_tape, g)
+        for name in ("grad_c", "grad_A", "grad_b"):
+            assert bits(getattr(grads, name)) == bits(getattr(own_grads, name))
+
+        for pert in (dict(dc=dc, db=db), dict(dc=dc, dA=dA, db=db)):
+            assert bits(jvp(tape, **pert)) == bits(jvp(own_tape, **pert))
 
 
 def test_a_negative_gamma_flips_onto_the_shared_operator(monkeypatch):
@@ -157,7 +157,7 @@ def test_a_negative_gamma_flips_onto_the_shared_operator(monkeypatch):
     assert lp.operator is shared
     prep = prepare_lp(lp)
     assert (prep.sign < 0).any() and prep.source.operator is shared
-    assert np.array_equal(shared.A.toarray(), lp.A)
+    assert shared.A is lp.A
     built, used = [], []
     init, at = linalg.WeightedOperator.__init__, linalg.WeightedOperator.at
     monkeypatch.setattr(linalg.WeightedOperator, "__init__",
@@ -167,7 +167,7 @@ def test_a_negative_gamma_flips_onto_the_shared_operator(monkeypatch):
     solve(lp, cfg)
     _, tape = solve_with_tape(lp, cfg)
     backward(tape, np.ones(lp.n))
-    jvp(tape, dc=np.ones(lp.n), dA=(lp.A != 0) * 1.0, db=np.ones(lp.m))
+    jvp(tape, dc=np.ones(lp.n), dA=lp.A.toarray(), db=np.ones(lp.m))
     tape.replay()
     # 5 steps each for solve, the tape and the replay; backward and jvp
     # read each step's gram from the tape and take none
@@ -296,6 +296,39 @@ def test_svm_cost_pattern():
     assert c[:2 * n].sum() == 0.0 and c[5 * n + 2:].sum() == 0.0
 
 
+def row_built_svm_lp(inst):
+    """The SVM LP as build_l1svm_lp made it before it built A by blocks:
+    a dense A filled row block by row block."""
+    X, y = inst.points, inst.labels
+    n, idx = X.shape[0], np.arange(X.shape[0])
+    G = inst.kernel.gram(X, X) * y[np.newaxis, :]
+    a1, a2, s, b1, b2, xi, z, l, p, q, r = 0, n, 2 * n, 3 * n, 3 * n + 1, *(
+        3 * n + 2 + k * n for k in range(6))
+    A, b, c = np.zeros((4 * n, 9 * n + 2)), np.zeros(4 * n), np.zeros(9 * n + 2)
+    A[np.ix_(idx, a1 + idx)], A[np.ix_(idx, a2 + idx)] = y[:, None] * G, -y[:, None] * G
+    A[idx, b1], A[idx, b2] = y, -y
+    A[idx, xi + idx], A[idx, z + idx], A[idx, l + idx] = 1.0, -inst.big_m, -1.0
+    for row, sign in ((n + idx, -1.0), (2 * n + idx, 1.0)):
+        A[np.ix_(row, a1 + idx)], A[np.ix_(row, a2 + idx)] = G, -G
+        A[row, s + idx] = sign
+    A[n + idx, p + idx], A[2 * n + idx, q + idx] = 1.0, -1.0
+    A[3 * n + idx, z + idx], A[3 * n + idx, r + idx] = 1.0, 1.0
+    b[idx], b[3 * n + idx] = 1.0, 1.0
+    c[s:s + n], c[xi:xi + n], c[z:z + n] = 1.0, inst.c_reg, 2.0 * inst.c_reg
+    return StandardFormLP(A, b, c)
+
+
+@pytest.mark.parametrize("kernel, n_per, seed", [(LinearKernel(), 1, 0), (LinearKernel(), 4, 1),
+                                                 (GaussianKernel(sigma=0.7), 5, 2)])
+def test_svm_lp_is_the_row_built_one_bit_for_bit(kernel, n_per, seed):
+    pts, lab = two_gaussian_blobs(n_per, 3, 1.0, np.random.default_rng(seed))
+    pts[0] = 0.0  # a linear kernel then has a zero row and column in G
+    inst = SvmInstance(pts, lab, kernel, c_reg=1.5, big_m=0.01)
+    lp, want = build_l1svm_lp(inst), row_built_svm_lp(inst)
+    for name in ("A", "b", "c"):
+        assert bits(getattr(lp, name)) == bits(getattr(want, name))
+
+
 def test_svm_feasible_witness():
     for n_per in (1, 5):
         pts, lab = two_gaussian_blobs(n_per, 3, 1.0, np.random.default_rng(1))
@@ -397,7 +430,7 @@ def test_graph_dict_roundtrip():
 
 def test_single_arc_lp():
     lp = build_shortest_path_lp(Graph(2, [(0, 1, 2.0)]), 0, 1)
-    assert np.array_equal(lp.A, [[-1.0]])
+    assert np.array_equal(lp.A.toarray(), [[-1.0]])
     assert np.array_equal(lp.b, [-1.0])
     assert np.array_equal(lp.c, [2.0])
     res = solve(lp, SolverConfig(max_iters=100))
@@ -408,7 +441,7 @@ def test_triangle_picks_two_hop_route():
     g = Graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 2.5)])
     lp = build_shortest_path_lp(g, 0, 2)
     # source row dropped: rows are nodes 1 and 2
-    assert np.array_equal(lp.A, [[-1.0, 1.0, 0.0], [0.0, -1.0, -1.0]])
+    assert np.array_equal(lp.A.toarray(), [[-1.0, 1.0, 0.0], [0.0, -1.0, -1.0]])
     assert np.array_equal(lp.b, [0.0, -1.0])
     res = solve(lp, SolverConfig(max_iters=300))
     path, length = dijkstra(g, 0, 2)
@@ -427,19 +460,32 @@ def test_a_self_loop_touches_no_row():
     # loops' columns of A are zero
     lp = build_shortest_path_lp(Graph(4, [(0, 1, 1.0), (3, 3, 1.0), (1, 1, 0.5), (1, 2, 1.0)]),
                                 0, 2)
-    assert np.array_equal(lp.A, [[-1.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, -1.0]])
+    assert np.array_equal(lp.A.toarray(), [[-1.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, -1.0]])
     assert np.array_equal(lp.b, [0.0, -1.0]) and np.array_equal(lp.c, [1.0, 1.0, 0.5, 1.0])
 
 
-def test_a_shortest_path_lp_allocates_one_dense_A(dag_600_graph):
-    # A is filled at the kept rows: no N-by-arcs array is made first
+@pytest.mark.parametrize("family", ["matching", "dag_600"])
+def test_an_lp_is_built_with_no_dense_A(family, dag_600_graph):
+    # A is built as CSR: a 50x100 matching LP whose shape is cached, and
+    # the dag_600 LP, build with a tracemalloc peak far below the bytes
+    # of their A dense (6.1 and 8.6 MB)
+    if family == "matching":
+        inst = MatchingInstance(np.random.default_rng(9).uniform(size=(50, 100)))
+        build_matching_lp(inst)  # caches the shape's operator
+
+        def build():
+            return build_matching_lp(inst)
+    else:
+        def build():
+            return build_shortest_path_lp(dag_600_graph, 0, dag_600_graph.num_nodes - 1)
     tracemalloc.start()
     try:
-        lp = build_shortest_path_lp(dag_600_graph, 0, dag_600_graph.num_nodes - 1)
+        lp = build()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert lp.A.nbytes > 8e6 and peak < 1.5 * lp.A.nbytes
+    dense = 8 * lp.m * lp.n
+    assert dense > 6e6 and peak < 0.2 * dense
 
 
 def test_shortest_path_input_errors():
@@ -485,6 +531,6 @@ def test_random_bounded_lp_witness():
     for _ in range(10):
         lp, x_feas = random_bounded_lp(rng, 3, 7)
         assert feasibility_residual(lp, x_feas) <= 1e-12
-        assert (lp.A > 0).all() and (lp.c > 0).all() and (x_feas > 0).all()
+        assert (lp.A.toarray() > 0).all() and (lp.c > 0).all() and (x_feas > 0).all()
     with pytest.raises(DimensionMismatch):
         random_bounded_lp(rng, 4, 4)

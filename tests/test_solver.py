@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from physlp import (SolveStatus, SolverConfig, StandardFormLP, autodiff, backward, core,
                     default_gamma, feasibility_residual, initial_state, jvp, linalg,
@@ -82,7 +83,7 @@ def test_flip_maps_the_working_data():
         assert prep.source is lp
         assert np.array_equal(prep.sign, np.where(lp.c < 0.0, -1.0, 1.0))
         assert np.array_equal(prep.shift, np.where(lp.c < 0.0, 2.0, 0.0))
-        assert np.array_equal(prep.source.operator.A.toarray() * prep.sign, lp.A * prep.sign)
+        assert prep.source.operator.A is lp.A and np.array_equal(lp.A.toarray(), A)
         assert np.array_equal(prep.b, lp.b - lp.A @ prep.shift)
         assert np.array_equal(prep.c, prep.sign * lp.c)
 
@@ -121,18 +122,45 @@ def test_pullback_is_the_transpose_of_tangent(signed_sparse_40x400):
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
 
 
+def flipped_case(family, seed):
+    """(lp, cfg, the LP's optimum) of a flipped LP with a known optimum.
+
+    "matching": a 20x30 assignment with about a fifth of C negated,
+    whose optimum is Hungarian's.  "dag": a 30-node DAG, arcs i -> j > i
+    at out-degree 3, with every 7th arc cost negated and box_bound 1,
+    whose optimum is the shortest path from node 0 to node 29, found by
+    a dynamic program over the nodes in their topological order."""
+    rng = np.random.default_rng(seed)
+    if family == "matching":
+        C = rng.uniform(size=(20, 30)) * np.where(rng.uniform(size=(20, 30)) < 0.2, -1.0, 1.0)
+        lp = build_matching_lp(MatchingInstance(C))
+        return lp, SolverConfig(max_iters=50, seed=seed), hungarian(C).cost
+    nodes, arcs = 30, []
+    for i in range(nodes - 1):
+        heads = i + 1 + rng.choice(nodes - 1 - i, size=min(3, nodes - 1 - i), replace=False)
+        weights = rng.uniform(0.01, 1.0, size=heads.size)
+        arcs += [(i, int(j), float(w)) for j, w in zip(heads, weights)]
+    lp = problems.build_shortest_path_lp(problems.Graph(nodes, arcs), 0, nodes - 1)
+    c = np.where(np.arange(lp.n) % 7 == 0, -lp.c, lp.c)
+    dist = np.full(nodes, np.inf)
+    dist[0] = 0.0
+    for (t, h, _), cost in sorted(zip(arcs, c)):  # by tail: topological order
+        dist[h] = min(dist[h], dist[t] + cost)
+    return StandardFormLP(lp.A, lp.b, c, box_bound=1.0), SolverConfig(max_iters=100, seed=3), \
+        dist[-1]
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="ROADMAP item 1: the flip x = M - y keeps y >= 0, which is x <= M, "
                           "but nothing keeps x >= 0, so a flipped LP is solved as a relaxation")
-def test_a_flipped_matching_is_solved_as_the_lp_it_is():
-    # 20x30 assignments with about a fifth of C negated: the decoded x
-    # is feasible, so its objective is at least Hungarian's optimum
-    for seed in (0, 2):
-        rng = np.random.default_rng(seed)
-        C = rng.uniform(size=(20, 30)) * np.where(rng.uniform(size=(20, 30)) < 0.2, -1.0, 1.0)
-        res = solve(build_matching_lp(MatchingInstance(C)), SolverConfig(max_iters=50, seed=seed))
-        assert res.x.min() >= -1e-6
-        assert res.objective >= hungarian(C).cost - 1e-6
+@pytest.mark.parametrize("family, seed", [("matching", 0), ("matching", 2), ("dag", 1),
+                                          ("dag", 2)])
+def test_a_flipped_lp_is_solved_as_the_lp_it_is(family, seed):
+    # the solution is feasible, so its objective is at least the optimum
+    lp, cfg, optimum = flipped_case(family, seed)
+    res = solve(lp, cfg)
+    assert res.x.min() >= -1e-6
+    assert res.objective >= optimum - 1e-6
 
 
 def test_a_flipped_lp_computes_with_the_lp_operator(signed_sparse_40x400, monkeypatch):
@@ -197,15 +225,24 @@ def test_lp_arrays_are_read_only_views():
     # stay writable
     A, b, c = np.array([[1.0, 1.0]]), np.array([1.0]), np.array([1.0, 2.0])
     lp = StandardFormLP(A, b, c)
-    for mine, given in ((lp.A, A), (lp.b, b), (lp.c, c)):
+    for mine, given in ((lp.b, b), (lp.c, c)):
         assert not np.shares_memory(mine, given) and given.flags.writeable
         assert mine.flags.owndata and np.array_equal(mine, given)
         with pytest.raises(ValueError):
             mine[0] = 3.0
+    # A is a CSR array of new arrays, each read-only, whether the caller
+    # gives A dense or as a CSR array of its own
+    for given in (A, scipy.sparse.csr_array(A)):
+        mine = StandardFormLP(given, b, c).A
+        assert np.array_equal(mine.toarray(), A) and A.flags.writeable
+        for arr in (mine.data, mine.indices, mine.indptr):
+            assert not np.shares_memory(arr, A) and not np.shares_memory(arr, given.data)
+            with pytest.raises(ValueError):
+                arr[0] = 3
     # a read-only view is copied too: the array it views can still change
-    view = np.array([[1.0, 1.0]]).view()
+    view = np.array([1.0]).view()
     view.flags.writeable = False
-    assert not np.shares_memory(StandardFormLP(view, b, c).A, view)
+    assert not np.shares_memory(StandardFormLP(A, view, c).b, view)
 
 
 @pytest.mark.parametrize("name", ["A", "b", "c"])
@@ -217,7 +254,7 @@ def test_a_write_into_the_callers_array_does_not_reach_the_lp(name):
     cfg = SolverConfig(max_iters=50)
     first = solve(lp, cfg)
     given[name].flat[0] = 2.0
-    assert np.array_equal(lp.A, [[1.0, 1.0]]) and np.array_equal(lp.b, [1.0])
+    assert np.array_equal(lp.A.toarray(), [[1.0, 1.0]]) and np.array_equal(lp.b, [1.0])
     assert np.array_equal(lp.c, [1.0, 2.0])
     second = solve(lp, cfg)
     assert np.array_equal(second.x, first.x) and second.residual == first.residual
@@ -336,7 +373,7 @@ def test_operator_follows_the_lp_it_belongs_to(signed_sparse_40x400):
     # in A sign diag(w) sign A^T, its Gram matrix is the flipped A's
     prep = prepare_lp(signed_sparse_40x400)
     op = prep.source.operator
-    A = signed_sparse_40x400.A * prep.sign
+    A = signed_sparse_40x400.A.toarray() * prep.sign
     assert op is signed_sparse_40x400.operator
     assert np.array_equal(op.A.toarray() * prep.sign, A)
     w = np.random.default_rng(5).uniform(0.1, 2.0, size=prep.source.n)
@@ -411,7 +448,7 @@ def test_sparse_matrix_keeps_the_diagonal_of_an_empty_row():
     # reg*I lands on every row, also where A A^T has no entry
     A = np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
     w = np.array([1.0, 2.0, 3.0])
-    S = linalg.WeightedOperator(A).at(w).sparse(0.5)
+    S = linalg.WeightedOperator(scipy.sparse.csr_array(A)).at(w).sparse(0.5)
     assert np.array_equal(S.toarray(), (A * w) @ A.T + 0.5 * np.eye(3))
 
 
