@@ -30,9 +30,15 @@ one spd_solve against the step's gram and factor: two triangular
 solves (around two GEMVs for a BlockFactor) and a residual check
 against the kept S, a dense GEMV of order m or, in blocks, two GEMVs
 and the diagonal; or PCG on the kept sparse S when the step had no
-factor.  gA comes from one GEMM over the 2K stacked per-step vectors
-at the end, and the column norms ||a_j||^2 of the Tikhonov term from
-op's CSR data.
+factor.  The column norms ||a_j||^2 of the Tikhonov term come from
+op's CSR data.  gA is the sum of 2K rank-one terms, two per step, and
+an update on A's nonzeros from the Tikhonov term: backward keeps their
+vectors, stacked as (2K, m) and (2K, n) factor rows, and the n-vector
+omega of the update, and every solve and so every Breakdown stays
+inside backward.  LpGradients.grad_A builds the m-by-n array on its
+first read, with one GEMM over the factor rows, the update and
+PreparedLP.pullback_A, arithmetic only; a caller that reads only
+grad_c and grad_b pays no O(mn) work.
 jvp forms dL p the same way.  spd_solve accepts every solve on backward
 error; backward and jvp ask for cfg.linsolve_tol on factored steps and
 at most CG_ADJOINT_TOL on CG steps, whose forward solves ran to the
@@ -46,6 +52,7 @@ replaced by gamma) receive zero cost gradient.
 """
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import islice
 
 import numpy as np
@@ -54,7 +61,7 @@ from scipy.linalg.blas import daxpy, ddot
 # validate and spd_solve_adjoint stay imported unused: the benchmark's
 # traced run wraps them here
 from .core import SolverConfig, validate  # noqa: F401
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NonFiniteEntry
 from .linalg import spd_solve, spd_solve_adjoint  # noqa: F401
 from .solver import _iterate, _solve_loop
 
@@ -125,11 +132,42 @@ class UnrolledTape:
 
 @dataclass
 class LpGradients:
-    """Gradients of a scalar loss with respect to the original LP data."""
+    """Gradients of a scalar loss with respect to the original LP data.
+
+    grad_A may be given as the m-by-n array or as a function of no
+    arguments that builds it; the first read of grad_A calls the
+    function, keeps the array and drops the function with what it
+    holds.  A build that raises leaves the function in place for the
+    next read.  backward gives such a function.  It holds the factor
+    rows of the 2K rank-one terms of a K-step tape, 2K(m + n) floats,
+    the Tikhonov update's omega, a copy of the working gb and the
+    PreparedLP, but not the tape.  A read runs no solve, only the GEMM,
+    the update on A's nonzeros and pullback_A.  The factor rows are not
+    always smaller than grad_A: at 50 steps they hold 0.53 million
+    floats against 0.77 million at 50x100 (150x5100), but 99,000
+    against 55,800 at 30x30 (60x930), so unread gradients of small LPs
+    hold more than a built grad_A would.
+    """
 
     grad_c: np.ndarray
     grad_A: np.ndarray
     grad_b: np.ndarray
+
+    def __post_init__(self):
+        if callable(self.grad_A):
+            self._build_A = self.grad_A
+            del self.grad_A
+
+    def __getattr__(self, name):
+        # called only for names the instance lacks: grad_A until its
+        # first read stores it, or a name it does not have at all
+        build = vars(self).get("_build_A") if name == "grad_A" else None
+        if build is None:
+            return object.__getattribute__(self, name)
+        grad_A = build()
+        self.grad_A = grad_A
+        vars(self).pop("_build_A", None)
+        return grad_A
 
 
 def solve_with_tape(lp, cfg=None, x0=None, early_stop=False):
@@ -151,8 +189,10 @@ def backward(tape, grad_x):
 
     grad_x is taken with respect to the decoded final iterate.  The
     initial iterate is treated as constant, so a zero-length tape
-    yields zero gradients.  Breakdown is raised when an adjoint solve
-    misses its backward-error target even after PCG refinement.
+    yields zero gradients.  NonFiniteEntry is raised for a grad_x with
+    NaN or infinity, and Breakdown when an adjoint solve misses its
+    backward-error target even after PCG refinement.  grad_c and
+    grad_b are computed here; grad_A is built when it is first read.
     """
     prep = tape.prep
     op, sign = prep.source.operator, prep.sign
@@ -164,19 +204,21 @@ def backward(tape, grad_x):
     grad_x = np.asarray(grad_x, dtype=np.float64)
     if grad_x.shape != (n,):
         raise DimensionMismatch(f"grad_x has shape {grad_x.shape}, expected ({n},)")
+    if not np.isfinite(grad_x).all():
+        raise NonFiniteEntry("grad_x contains a non-finite entry")
 
     # decoded x = shift + sign * y; the working matrix is A sign
     g = sign * grad_x
     gc_hat = np.zeros(n)
     gb = np.zeros(m)
-    # each step adds outer(p, gu - v*w) - outer(z, u*w) to gA; the 2K
-    # vector pairs are stacked and contracted by one GEMM at the end
+    # each step adds outer(p, gu - v*w) + outer(-z, u*w) to gA; the 2K
+    # vector pairs are stacked for _grad_A
     K = len(tape.steps)
     left = np.empty((2 * K, m))
     right = np.empty((2 * K, n))
     # a default Tikhonov term reg = s * sum_j w_j ||a_j||^2 / m adds
     # g_reg * s ||a_j||^2 / m to gw_j and (2 s / m) g_reg w_j a_j to
-    # column j of gA, which omega collects for one update at the end
+    # column j of gA, which omega collects for _grad_A
     col_sq = np.bincount(op.A.indices, op.A.data ** 2, minlength=n)
     omega = np.zeros(n)
 
@@ -196,16 +238,27 @@ def backward(tape, grad_x):
         g_reg = -ddot(z, det.p) * det.reg_scale / m
         gw = daxpy(col_sq, det.u * (gq - v), a=g_reg)
         omega = daxpy(w, omega, a=2.0 * g_reg)
-        left[k], right[k] = det.p, gu - v * w
-        left[K + k], right[K + k] = z, -(det.u * w)
+        left[k] = det.p
+        np.negative(z, out=left[K + k])
+        np.subtract(gu, np.multiply(v, w, out=right[k]), out=right[k])
+        np.multiply(det.u, w, out=right[K + k])
         # w = x / c_hat
         gc_hat -= gw * det.x_prev / c_sq
         g = gw / c_hat if h == 1.0 else (1.0 - h) * g + gw / c_hat
-    gA = left.T @ right
-    rows = _rows(op.A)
-    gA[rows, op.A.indices] += op.A.data * sign[op.A.indices] * omega[op.A.indices]
 
-    return LpGradients(*prep.pullback(gc_hat, gA, gb))
+    # grad_b is gb itself, which a caller may write into before the build
+    grad_c, _, grad_b = prep.pullback(gc_hat, None, gb)
+    return LpGradients(grad_c, partial(_grad_A, prep, left, right, omega, gb.copy()), grad_b)
+
+
+def _grad_A(prep, left, right, omega, gb):
+    """grad_A from backward's factor rows: one GEMM over the 2K stacked
+    pairs, the Tikhonov update omega on A's nonzeros, then pullback_A.
+    It writes into none of its arguments, so a build can be repeated."""
+    A = prep.source.operator.A
+    gA = left.T @ right
+    gA[_rows(A), A.indices] += A.data * prep.sign[A.indices] * omega[A.indices]
+    return prep.pullback_A(gA, gb)
 
 
 def objective_gradients(tape):
@@ -226,6 +279,7 @@ def jvp(tape, dc=None, dA=None, db=None):
     the recorded forward pass and returns d(x_final).  The adjoint in
     backward is the transpose of this map, which the tests verify via
     dot products.  Without dA no m-by-n product is taken.
+    NonFiniteEntry is raised for a direction with NaN or infinity.
     """
     prep = tape.prep
     op, sign = prep.source.operator, prep.sign
@@ -237,6 +291,8 @@ def jvp(tape, dc=None, dA=None, db=None):
     dA = None if dA is None else np.asarray(dA, dtype=np.float64)
     if dc.shape != (n,) or db.shape != (m,) or (dA is not None and dA.shape != (m, n)):
         raise DimensionMismatch("direction shapes must match the LP")
+    if not all(np.isfinite(d).all() for d in (dc, dA, db) if d is not None):
+        raise NonFiniteEntry("a direction contains a non-finite entry")
     dc_w, dA_w, db_w = prep.tangent(dc, dA, db)
     # a default Tikhonov term moves by
     # d reg = s / m * sum_j (dw_j ||a_j||^2 + 2 w_j a_j . da_j)

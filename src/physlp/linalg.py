@@ -407,7 +407,8 @@ def spd_solve(L, b, tol=1e-10, reg=None, factor=None):
 
     S = L + reg*I, with max(diag(S)) estimating ||S||, so that a
     right-hand side far below the rounding error of S p does not fail.
-    Breakdown is raised when no answer is accepted.
+    Breakdown is raised when no answer is accepted, and for a b with
+    NaN or infinity.
     """
     if not isinstance(L, WeightedGram):
         raise TypeError(f"spd_solve takes L as op.at(w), a WeightedGram, not {type(L).__name__}")
@@ -416,6 +417,9 @@ def spd_solve(L, b, tol=1e-10, reg=None, factor=None):
     bnorm = _norm(b)
     if bnorm == 0.0:
         return SpdSolveReport(np.zeros(m), 0, 0.0, reg)
+    # an infinite target would accept any p, 0 included
+    if not math.isfinite(bnorm):
+        raise Breakdown(f"right-hand side norm {bnorm} is not finite")
     target = tol * bnorm
 
     direct = m <= DIRECT_MAX_DIM

@@ -123,11 +123,14 @@ class PreparedLP:
 
     def pullback(self, gc, gA, gb):
         """Map gradients with respect to the working data back to the
-        original data: the transpose of tangent."""
+        original data: the transpose of tangent.  gA may be None, as dA
+        in tangent, and maps to None; pullback_A maps it on its own."""
         gc = self.sign * np.where(self.zero_mask, 0.0, gc)
-        if not self.flipped:
-            return gc, gA, gb
-        return gc, gA * self.sign - np.outer(gb, self.shift), gb
+        return gc, None if gA is None else self.pullback_A(gA, gb), gb
+
+    def pullback_A(self, gA, gb):
+        """The gradient of A that pullback gives, which reads gb too."""
+        return gA * self.sign - np.outer(gb, self.shift) if self.flipped else gA
 
 
 def prepare_lp(lp, gamma=None):

@@ -1,16 +1,18 @@
 """Tape recording, reverse-mode gradients, and tangent propagation."""
 
-from dataclasses import FrozenInstanceError, replace
+import tracemalloc
+import weakref
+from dataclasses import FrozenInstanceError, asdict, fields, replace
 
 import numpy as np
 import pytest
 import scipy.linalg
 from scipy.linalg.blas import daxpy, ddot
 
-from physlp import (SolverConfig, StandardFormLP, autodiff, backward, finite_diff_grad,
-                    jvp, linalg, objective_gradients, prepare_lp, solve,
+from physlp import (LpGradients, SolverConfig, StandardFormLP, autodiff, backward, cli,
+                    finite_diff_grad, jvp, linalg, objective_gradients, prepare_lp, solve,
                     solve_with_tape, solver)
-from physlp.errors import DimensionMismatch
+from physlp.errors import DimensionMismatch, NonFiniteEntry
 from physlp.problems import (MatchingInstance, build_matching_lp,
                              random_bounded_lp)
 
@@ -163,6 +165,33 @@ def test_backward_rejects_bad_grad_shape():
     _, tape = solve_with_tape(toy_lp(), SolverConfig(max_iters=2))
     with pytest.raises(DimensionMismatch):
         backward(tape, np.ones(3))
+
+
+def matching_3x5_tape():
+    lp = matching_lp(np.random.default_rng(0), 3, 5)
+    return lp, solve_with_tape(lp, SolverConfig(max_iters=5))[1]
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_backward_rejects_a_non_finite_grad_x(bad):
+    # an infinite entry once gave an all-zero grad_b, and a NaN a
+    # Breakdown, which callers take for a numerical failure and retry
+    lp, tape = matching_3x5_tape()
+    g = np.ones(lp.n)
+    g[2] = bad
+    with pytest.raises(NonFiniteEntry):
+        backward(tape, g)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("name", ["dc", "dA", "db"])
+def test_jvp_rejects_a_non_finite_direction(name, bad):
+    # an infinite db once gave an all-zero tangent
+    lp, tape = matching_3x5_tape()
+    d = {"dc": np.ones(lp.n), "dA": lp.A.toarray(), "db": np.ones(lp.m)}[name]
+    d.flat[2] = bad
+    with pytest.raises(NonFiniteEntry):
+        jvp(tape, **{name: d})
 
 
 # ------------------------------------------- the flip and the blend
@@ -557,6 +586,102 @@ def test_factored_reverse_sweeps_compute_no_gram_values(name, request, monkeypat
         sweep()
         assert len(matvec) == len(rmatvec) == len(tape)
     assert at == [] and Q.products == 5
+
+
+def count_builds(monkeypatch):
+    """Weak references to the factor rows (left, right) of every
+    grad_A build from now on."""
+    inner, builds = autodiff._grad_A, []
+
+    def build(prep, left, right, *rest):
+        builds.append((weakref.ref(left), weakref.ref(right)))
+        return inner(prep, left, right, *rest)
+
+    monkeypatch.setattr(autodiff, "_grad_A", build)
+    return builds
+
+
+def test_backward_keeps_grad_A_factored_until_it_is_read(matching_50x100, monkeypatch):
+    # 50 steps of a 150x5100 LP: the 2K factor rows take 4.2 MB, one
+    # dense grad_A 6.1 MB; backward makes the rows and no grad_A, and
+    # the gradients keep neither the tape nor, once grad_A is built,
+    # the rows
+    lp = matching_50x100
+    _, tape = solve_with_tape(lp, SolverConfig(max_iters=50, seed=2))
+    g = np.random.default_rng(6).standard_normal(lp.n)
+    want = applied_backward(tape, g)
+    builds = count_builds(monkeypatch)
+    tracemalloc.start()
+    try:
+        grads = backward(tape, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < lp.m * lp.n * 8
+    held = weakref.ref(tape)
+    del tape
+    assert held() is None
+    assert builds == []
+    first = grads.grad_A
+    assert np.array_equal(first, want[1])
+    assert grads.grad_A is first
+    assert len(builds) == 1 and all(row() is None for row in builds[0])
+    for got, ref in ((grads.grad_c, want[0]), (grads.grad_b, want[2])):
+        assert np.array_equal(got, ref)
+
+
+def test_cost_learning_builds_no_grad_A(monkeypatch, capsys):
+    # learn-cost reads grad_c only; a caller that reads grad_A gets one
+    # build however often it reads, and the build runs no solve
+    builds = count_builds(monkeypatch)
+    calls = count_calls(monkeypatch, cli, "backward")
+    cli.main(["learn-cost", "--steps", "2"])
+    capsys.readouterr()
+    assert len(calls) == 2 and builds == []
+
+    _, tape = solve_with_tape(matching_lp(np.random.default_rng(1), 3, 5),
+                              SolverConfig(max_iters=5))
+    grads = objective_gradients(tape)
+    solves = [count_calls(monkeypatch, owner, "spd_solve") for owner in (autodiff, linalg)]
+    first = grads.grad_A
+    assert grads.grad_A is first
+    assert len(builds) == 1 and solves == [[], []]
+
+
+def test_a_failed_grad_A_build_leaves_the_next_read_correct(monkeypatch):
+    # the build writes into none of its inputs and the builder is kept
+    # until one succeeds, so a read after a failed one gives the eager
+    # bits; on a flipped LP pullback_A, the build's last part, does work
+    lp = _survey_lp("flipped", 0)
+    _, tape = solve_with_tape(lp, SolverConfig(max_iters=10, seed=1))
+    assert tape.prep.flipped
+    g = np.random.default_rng(2).standard_normal(lp.n)
+    want = applied_backward(tape, g)
+    grads = backward(tape, g)
+    inner, fails = solver.PreparedLP.pullback_A, [MemoryError()]
+
+    def pullback_A(self, gA, gb):
+        if fails:
+            raise fails.pop()
+        return inner(self, gA, gb)
+
+    monkeypatch.setattr(solver.PreparedLP, "pullback_A", pullback_A)
+    with pytest.raises(MemoryError):
+        grads.grad_A
+    assert np.array_equal(grads.grad_A, want[1])
+
+
+def test_lp_gradients_stay_a_dataclass_of_three_arrays():
+    _, tape = solve_with_tape(matching_lp(np.random.default_rng(1), 3, 5),
+                              SolverConfig(max_iters=5))
+    grads = objective_gradients(tape)
+    assert [f.name for f in fields(grads)] == ["grad_c", "grad_A", "grad_b"]
+    assert LpGradients.__match_args__ == ("grad_c", "grad_A", "grad_b")
+    assert all(isinstance(v, np.ndarray) for v in asdict(grads).values())
+    moved = replace(grads, grad_c=-grads.grad_c)
+    assert moved.grad_A is grads.grad_A and "grad_A=array(" in repr(moved)
+    with pytest.raises(AttributeError, match="grad_x"):
+        grads.grad_x
 
 
 @pytest.mark.parametrize("name", ["dag_600", "matching_50x100", "signed_sparse_40x400"])

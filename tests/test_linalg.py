@@ -61,6 +61,15 @@ def test_breakdown_on_inconsistent_singular_system():
         spd_solve(L, np.array([1.0, -1.0]), reg=0.0)
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_a_non_finite_rhs_breaks_down(bad):
+    # an infinite ||b|| made the target infinite, which accepted p = 0
+    b = np.ones(3)
+    b[1] = bad
+    with pytest.raises(Breakdown, match="not finite"):
+        spd_solve(gram(np.eye(3)), b)
+
+
 def test_zero_rhs_returns_zero():
     rep = spd_solve(gram(np.eye(3)), np.zeros(3))
     assert np.array_equal(rep.p, np.zeros(3))
