@@ -28,12 +28,14 @@ for r in res.trace[:5]:
     print(f"  iter {r.iteration}: obj={r.objective:.4f} residual={r.residual:.1e}")
 print(f"  ... {len(res.trace)} iterations total")
 
-# negative costs are handled by an internal coordinate flip; the LP
-# just needs a box bound that dominates the feasible set
+# a negative cost needs dual potentials pi: the solver runs on the
+# reduced cost c - A^T pi = (1, -1) + 2 = (3, 1), which on the feasible
+# set differs from c.x by the constant pi.b = -2, so it has the same
+# optimum; the reported objective is c.x itself
 lp_neg = StandardFormLP(A=np.array([[1.0, 1.0]]),
                         b=np.array([1.0]),
                         c=np.array([1.0, -1.0]),
-                        box_bound=1.0)
+                        potentials=np.array([-2.0]))
 res = solve(lp_neg, SolverConfig(max_iters=100))
 print("\nwith c = (1, -1):")
 print("x       =", np.round(res.x, 6))

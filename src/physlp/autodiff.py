@@ -4,14 +4,14 @@ solve_with_tape records the forward loop on a lean tape; backward then
 walks the tape once, applying the adjoint of each operation (clamp,
 convex update, weighted projection, SPD solve, Laplacian assembly,
 weighting) and finally hands the accumulated gradients to
-PreparedLP.pullback, which maps them back to the original (c, A, b).
-jvp maps its direction in through PreparedLP.tangent.  Both compute
-with the LP's one operator, through PreparedLP.matvec and rmatvec,
-which apply the flip's column signs only where a column flips; neither
-reads the zero-cost perturbation.  Both skip the blend with the
-previous iterate's term at step_size 1, as the forward step does.  The
-tape holds the LP and the SolverConfig it ran with, both frozen, not
-copies.
+PreparedLP.pullback, which maps them from the working cost c_hat back
+to the LP's (c, A, b).  jvp maps its direction in through
+PreparedLP.tangent.  The iterate is the LP's own, so both compute with
+the LP's one operator, A and its transpose, and neither reads the
+zero-cost perturbation or the potentials but through these two maps.
+Both skip the blend with the previous iterate's term at step_size 1,
+as the forward step does.  The tape holds the LP and the SolverConfig
+it ran with, both frozen, not copies.
 
 Per step the tape holds the linalg.WeightedGram the forward solve
 used, with w = x_prev / c_hat and the matrix S = A diag(w) A^T + reg*I
@@ -25,7 +25,7 @@ the block S_FI shared with the gram.  A step of a 30x30 assignment LP
 rows split, about 216 kB, by tracemalloc.
 The solve adjoint gL = -outer(z, p) has rank one, so backward never
 forms an m-by-m or m-by-n array per step: each step costs one product
-with A sign and one with its transpose, a few n-vector operations, and
+with A and one with its transpose, a few n-vector operations, and
 one spd_solve against the step's gram and factor: two triangular
 solves (around two GEMVs for a BlockFactor) and a residual check
 against the kept S, a dense GEMV of order m or, in blocks, two GEMVs
@@ -46,9 +46,9 @@ looser solver.forward_tol.
 
 The clamp back-propagates as a subgradient: pass-through where the
 pre-clamp value stayed strictly above the floor, zero where the clamp
-was active.  The pullback holds the perturbation gamma and the flip's M
-constant: coordinates whose cost was exactly zero (and therefore
-replaced by gamma) receive zero cost gradient.
+was active.  The pullback holds the perturbation gamma and the
+potentials constant: coordinates whose working cost was exactly zero
+(and therefore replaced by gamma) receive zero cost gradient.
 """
 
 from dataclasses import dataclass, field, replace
@@ -84,10 +84,10 @@ def _adjoint_tol(det, cfg):
 class UnrolledTape:
     """Recorded forward pass: the prepared LP (whose source is the LP
     solved, with the operator the steps computed with), cfg, the config
-    it ran with, the initial iterate in working coordinates, and one
-    StepDetail per iteration: the step's WeightedGram (w and the matrix
-    its solve assembled: m-by-m, or the blocks diag(S_II), S_FF and S_FI
-    of |I| + |F|^2 + |F| |I| floats where the operator splits its rows,
+    it ran with, the initial iterate, and one StepDetail per iteration:
+    the step's WeightedGram (w and the matrix its solve assembled:
+    m-by-m, or the blocks diag(S_II), S_FF and S_FI of
+    |I| + |F|^2 + |F| |I| floats where the operator splits its rows,
     or the sparse matrix's data above linalg.DIRECT_MAX_DIM rows), four
     more O(n) and one O(m) vectors, and spd_solve's Cholesky factor,
     m-by-m or a linalg.BlockFactor of |F|^2 + |I| floats of its own,
@@ -106,7 +106,7 @@ class UnrolledTape:
 
     @property
     def x_final(self):
-        """Final iterate in working coordinates."""
+        """Final iterate."""
         return self.steps[-1].x_new if self.steps else self.x0
 
     @property
@@ -132,7 +132,7 @@ class UnrolledTape:
 
 @dataclass
 class LpGradients:
-    """Gradients of a scalar loss with respect to the original LP data.
+    """Gradients of a scalar loss with respect to the LP's data.
 
     grad_A may be given as the m-by-n array or as a function of no
     arguments that builds it; the first read of grad_A calls the
@@ -140,9 +140,9 @@ class LpGradients:
     holds.  A build that raises leaves the function in place for the
     next read.  backward gives such a function.  It holds the factor
     rows of the 2K rank-one terms of a K-step tape, 2K(m + n) floats,
-    the Tikhonov update's omega, a copy of the working gb and the
-    PreparedLP, but not the tape.  A read runs no solve, only the GEMM,
-    the update on A's nonzeros and pullback_A.  The factor rows are not
+    the Tikhonov update's omega, a copy of grad_c as backward returned
+    it and the PreparedLP, but not the tape.  A read runs no solve,
+    only the GEMM, the update on A's nonzeros and pullback_A.  The factor rows are not
     always smaller than grad_A: at 50 steps they hold 0.53 million
     floats against 0.77 million at 50x100 (150x5100), but 99,000
     against 55,800 at 30x30 (60x930), so unread gradients of small LPs
@@ -187,28 +187,26 @@ def solve_with_tape(lp, cfg=None, x0=None, early_stop=False):
 def backward(tape, grad_x):
     """Pull d(loss)/d(x_final) back to gradients of (c, A, b).
 
-    grad_x is taken with respect to the decoded final iterate.  The
-    initial iterate is treated as constant, so a zero-length tape
-    yields zero gradients.  NonFiniteEntry is raised for a grad_x with
+    grad_x is taken with respect to the final iterate.  The initial
+    iterate is treated as constant, so a zero-length tape yields zero
+    gradients.  NonFiniteEntry is raised for a grad_x with
     NaN or infinity, and Breakdown when an adjoint solve misses its
     backward-error target even after PCG refinement.  grad_c and
     grad_b are computed here; grad_A is built when it is first read.
     """
     prep = tape.prep
-    op, sign = prep.source.operator, prep.sign
+    op = prep.source.operator
     c_hat = prep.c
     c_sq = c_hat ** 2
     h = tape.cfg.step_size
     m, n = op.A.shape
 
-    grad_x = np.asarray(grad_x, dtype=np.float64)
-    if grad_x.shape != (n,):
-        raise DimensionMismatch(f"grad_x has shape {grad_x.shape}, expected ({n},)")
-    if not np.isfinite(grad_x).all():
+    g = np.asarray(grad_x, dtype=np.float64)
+    if g.shape != (n,):
+        raise DimensionMismatch(f"grad_x has shape {g.shape}, expected ({n},)")
+    if not np.isfinite(g).all():
         raise NonFiniteEntry("grad_x contains a non-finite entry")
 
-    # decoded x = shift + sign * y; the working matrix is A sign
-    g = sign * grad_x
     gc_hat = np.zeros(n)
     gb = np.zeros(m)
     # each step adds outer(p, gu - v*w) + outer(-z, u*w) to gA; the 2K
@@ -231,10 +229,10 @@ def backward(tape, grad_x):
         gu = w * gq
         # p = S^{-1} b with S = A diag(w) A^T + reg*I: z = S^{-1} (A gu),
         # and the rank-1 gL = -outer(z, p) gives gw = -(A^T z) * u
-        z = spd_solve(det.gram, prep.matvec(gu), _adjoint_tol(det, tape.cfg), det.reg_used,
+        z = spd_solve(det.gram, op.A @ gu, _adjoint_tol(det, tape.cfg), det.reg_used,
                       det.factor).p
         gb += z
-        v = prep.rmatvec(z)
+        v = op.AT @ z
         g_reg = -ddot(z, det.p) * det.reg_scale / m
         gw = daxpy(col_sq, det.u * (gq - v), a=g_reg)
         omega = daxpy(w, omega, a=2.0 * g_reg)
@@ -246,43 +244,47 @@ def backward(tape, grad_x):
         gc_hat -= gw * det.x_prev / c_sq
         g = gw / c_hat if h == 1.0 else (1.0 - h) * g + gw / c_hat
 
-    # grad_b is gb itself, which a caller may write into before the build
+    # the build pulls back with a copy of grad_c, which a caller may
+    # write into first
     grad_c, _, grad_b = prep.pullback(gc_hat, None, gb)
-    return LpGradients(grad_c, partial(_grad_A, prep, left, right, omega, gb.copy()), grad_b)
+    return LpGradients(grad_c, partial(_grad_A, prep, left, right, omega, grad_c.copy()), grad_b)
 
 
-def _grad_A(prep, left, right, omega, gb):
+def _grad_A(prep, left, right, omega, grad_c):
     """grad_A from backward's factor rows: one GEMM over the 2K stacked
-    pairs, the Tikhonov update omega on A's nonzeros, then pullback_A.
-    It writes into none of its arguments, so a build can be repeated."""
+    pairs, the Tikhonov update omega on A's nonzeros, then pullback_A
+    with backward's grad_c.  It writes into none of its arguments, so a
+    build can be repeated."""
     A = prep.source.operator.A
     gA = left.T @ right
-    gA[_rows(A), A.indices] += A.data * prep.sign[A.indices] * omega[A.indices]
-    return prep.pullback_A(gA, gb)
+    gA[_rows(A), A.indices] += A.data * omega[A.indices]
+    return prep.pullback_A(gA, grad_c)
 
 
 def objective_gradients(tape):
     """Gradients of the reported objective c^T x_final w.r.t. (c, A, b).
 
     Adds the direct d(c^T x)/dc = x term to the solve-mediated
-    gradients, so a zero-length tape gives grad_c = x0 exactly.
+    gradients, so a zero-length tape gives grad_c = x0 exactly.  c is
+    the LP's own cost, so the term reaches grad_c alone; grad_A pulls
+    back the solve-mediated grad_c only.
     """
     grads = backward(tape, tape.prep.source.c)
-    grads.grad_c = grads.grad_c + tape.prep.decode(tape.x_final)
+    grads.grad_c = grads.grad_c + tape.x_final
     return grads
 
 
 def jvp(tape, dc=None, dA=None, db=None):
-    """Directional derivative of the decoded final iterate.
+    """Directional derivative of the final iterate.
 
-    Propagates a perturbation (dc, dA, db) of the original data through
+    Propagates a perturbation (dc, dA, db) of the LP's data through
     the recorded forward pass and returns d(x_final).  The adjoint in
     backward is the transpose of this map, which the tests verify via
     dot products.  Without dA no m-by-n product is taken.
     NonFiniteEntry is raised for a direction with NaN or infinity.
     """
     prep = tape.prep
-    op, sign = prep.source.operator, prep.sign
+    op = prep.source.operator
     c_hat = prep.c
     h = tape.cfg.step_size
     m, n = op.A.shape
@@ -297,7 +299,7 @@ def jvp(tape, dc=None, dA=None, db=None):
     # a default Tikhonov term moves by
     # d reg = s / m * sum_j (dw_j ||a_j||^2 + 2 w_j a_j . da_j)
     col_sq = np.bincount(op.A.indices, op.A.data ** 2, minlength=n)
-    col_da = np.zeros(n) if dA_w is None else sign * _column_dots(op.A, dA_w)
+    col_da = np.zeros(n) if dA_w is None else _column_dots(op.A, dA_w)
 
     c_sq = c_hat ** 2
     dx = np.zeros(n)
@@ -306,19 +308,19 @@ def jvp(tape, dc=None, dA=None, db=None):
         dw = dx / c_hat - x * dc_w / c_sq
         # dL p with dL = dA W A^T + A dW A^T + A W dA^T, never formed
         if dA_w is None:
-            dAt_p, dL_p = 0.0, prep.matvec(dw * u)
+            dAt_p, dL_p = 0.0, op.A @ (dw * u)
         else:
             dAt_p = dA_w.T @ p
-            dL_p = dA_w @ (w * u) + prep.matvec(dw * u + w * dAt_p)
+            dL_p = dA_w @ (w * u) + op.A @ (dw * u + w * dAt_p)
         d_reg = det.reg_scale / m * (ddot(dw, col_sq) + 2.0 * ddot(w, col_da))
         dL_p += d_reg * p
         dp = spd_solve(det.gram, db_w - dL_p, _adjoint_tol(det, tape.cfg), det.reg_used,
                        det.factor).p
-        du = dAt_p + prep.rmatvec(dp)
+        du = dAt_p + op.AT @ dp
         dq = dw * u + w * du
         dx = dq if h == 1.0 else (1.0 - h) * dx + h * dq
         dx = np.where(det.clamp_mask, dx, 0.0)
-    return sign * dx
+    return dx
 
 
 def _rows(A):

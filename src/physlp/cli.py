@@ -23,7 +23,7 @@ from multiprocessing import Pool
 import numpy as np
 
 from .core import SolverConfig, SolveStatus, load_lp
-from .errors import DimensionMismatch, InvalidConfig, PhyslpError, Unreachable
+from .errors import DimensionMismatch, InvalidConfig, NegativeCost, PhyslpError, Unreachable
 from .autodiff import backward, solve_with_tape
 from .problems import (GaussianKernel, Graph, LinearKernel, MatchingInstance,
                        SvmInstance, assignment_to_vector, build_l1svm_lp,
@@ -404,7 +404,7 @@ def main(argv=None):
         return _fail(exc, EXIT_IO)
     except Unreachable as exc:
         return _fail(exc, EXIT_SOLVER)
-    except InvalidConfig as exc:
+    except (InvalidConfig, NegativeCost) as exc:  # faults of the input, as a bad LP field
         return _fail(exc, EXIT_IO)
     except PhyslpError as exc:
         return _fail(exc, EXIT_SOLVER)

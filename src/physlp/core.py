@@ -11,11 +11,15 @@ WeightedOperator the solver computes with, holds that same matrix
 (lp.operator.A is lp.A) and is built on the first solve.
 StandardFormLP.from_operator builds an LP around an existing operator,
 so LPs of one constraint matrix share it and its A, as the assignment
-LPs of one shape do.  StandardFormLP and SolverConfig are frozen and
-validated once, when built; dataclasses.replace makes a new one, which
-is validated again and builds its own operator.  An LP keeps an A, b
-or c that is already read-only, as another LP's is, and copies
-anything else, so no later write by the caller reaches it.
+LPs of one shape do.  An LP may carry dual potentials pi, an
+m-vector: the solver then works with the reduced cost c - A^T pi,
+which has the optimal set of c, as c.x and (c - A^T pi).x differ by
+the constant pi.b on every feasible x.  StandardFormLP and
+SolverConfig are frozen and validated once, when built;
+dataclasses.replace makes a new one, which is validated again and
+builds its own operator.  An LP keeps an A, b, c or potentials that is
+already read-only, as another LP's is, and copies anything else, so no
+later write by the caller reaches it.
 """
 
 import json
@@ -76,31 +80,34 @@ class StandardFormLP:
     """min c.x s.t. A x = b, x >= 0.
 
     A is a read-only float64 scipy.sparse.csr_array, given dense or
-    sparse; b and c are read-only float64 arrays.  The LP owns all
-    three (see the module docstring).  box_bound, when set, promises
-    that every feasible point satisfies x_i <= box_bound componentwise;
-    it is required before negative-cost coordinates can be flipped.
+    sparse; b, c and potentials, when set, are read-only float64
+    arrays.  The LP owns them all (see the module docstring).
+    potentials, None or an m-vector pi, turn the working cost into the
+    reduced cost c - A^T pi, which solver.prepare_lp requires to be
+    nonnegative: an LP with a negative cost needs them.
     """
 
     A: scipy.sparse.csr_array
     b: np.ndarray
     c: np.ndarray
-    box_bound: float | None = None
+    potentials: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "A", _owned_csr(self.A))
-        for name in ("b", "c"):
-            object.__setattr__(self, name, _owned(getattr(self, name)))
+        for name in ("b", "c", "potentials"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, _owned(value))
         validate(self)
 
     @classmethod
-    def from_operator(cls, op, b, c, box_bound=None):
+    def from_operator(cls, op, b, c, potentials=None):
         """The LP of b, c and the constraint matrix of the
         WeightedOperator op, validated like any other.  When op.A is
         read-only, as an LP's operator's is, the LP's A is op.A and its
         operator op, so no solve rebuilds it; otherwise the LP copies
         op.A and builds its own operator from the copy."""
-        lp = cls(op.A, b, c, box_bound=box_bound)
+        lp = cls(op.A, b, c, potentials)
         if lp.A is op.A:
             object.__setattr__(lp, "operator", op)
         return lp
@@ -123,28 +130,24 @@ class StandardFormLP:
 
 
 def validate(lp):
-    """Check that b and c fit the shape of A, that A.data (every nonzero
-    of the CSR A, NaN included), b and c are finite, and box_bound;
-    returns the same instance unchanged.  StandardFormLP calls it once,
-    when built, after it has checked the shape of A.
+    """Check that b, c and potentials, when set, fit the shape of A, and
+    that A.data (every nonzero of the CSR A, NaN included), b, c and
+    potentials are finite; returns the same instance unchanged.
+    StandardFormLP calls it once, when built, after it has checked the
+    shape of A.
 
-    Raises DimensionMismatch, NonFiniteEntry, or InvalidConfig for a
-    box_bound that is set and not positive.  Idempotent.
+    Raises DimensionMismatch or NonFiniteEntry.  Idempotent.
     """
     m, n = lp.A.shape
-    if lp.b.shape != (m,):
-        raise DimensionMismatch(f"b has shape {lp.b.shape}, expected ({m},)")
-    if lp.c.shape != (n,):
-        raise DimensionMismatch(f"c has shape {lp.c.shape}, expected ({n},)")
-    for arr, name in ((lp.A.data, "A"), (lp.b, "b"), (lp.c, "c")):
+    vectors = [(lp.b, "b", m), (lp.c, "c", n)]
+    if lp.potentials is not None:
+        vectors.append((lp.potentials, "potentials", m))
+    for arr, name, size in vectors:
+        if arr.shape != (size,):
+            raise DimensionMismatch(f"{name} has shape {arr.shape}, expected ({size},)")
+    for arr, name, _ in [(lp.A.data, "A", None), *vectors]:
         if not np.all(np.isfinite(arr)):
             raise NonFiniteEntry(f"{name} contains a non-finite entry")
-    bound = lp.box_bound
-    if bound is not None:
-        if not math.isfinite(bound):
-            raise NonFiniteEntry(f"box_bound must be finite, got {bound}")
-        if not bound > 0.0:
-            raise InvalidConfig(f"box_bound must be positive, got {bound}")
     return lp
 
 
@@ -229,9 +232,9 @@ class TraceRecord:
 
 @dataclass
 class SolveResult:
-    """Solver output.  x and objective are reported in the original
-    coordinates against the original cost vector, regardless of any
-    internal perturbation or flipping."""
+    """Solver output.  objective is c.x against the LP's own cost
+    vector, whatever potentials or zero-cost perturbation the solve
+    worked with."""
 
     x: np.ndarray
     objective: float
@@ -244,20 +247,18 @@ def lp_to_dict(lp):
     """Plain-dict form of an LP for JSON serialization; A is written
     dense, row by row."""
     d = {"A": lp.A.toarray().tolist(), "b": lp.b.tolist(), "c": lp.c.tolist()}
-    if lp.box_bound is not None:
-        d["box_bound"] = float(lp.box_bound)
+    if lp.potentials is not None:
+        d["potentials"] = lp.potentials.tolist()
     return d
 
 
 def lp_from_dict(d):
     """Inverse of lp_to_dict.  Unknown keys are ignored, among them the
-    "names" that earlier versions wrote."""
+    column names and the box bound that earlier versions wrote."""
     for key in ("A", "b", "c"):
         if key not in d:
             raise KeyError(f"LP dict is missing required key {key!r}")
-    bound = d.get("box_bound")
-    return StandardFormLP(d["A"], d["b"], d["c"],
-                          box_bound=None if bound is None else float(bound))
+    return StandardFormLP(d["A"], d["b"], d["c"], d.get("potentials"))
 
 
 def save_lp(lp, path):

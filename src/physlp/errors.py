@@ -6,7 +6,7 @@ class PhyslpError(Exception):
 
 
 class InvalidConfig(PhyslpError, ValueError):
-    """A SolverConfig field or an LP's box_bound is out of its range."""
+    """A SolverConfig field is out of its range."""
 
 
 class DimensionMismatch(PhyslpError):
@@ -21,8 +21,8 @@ class ZeroCostNeedsGamma(PhyslpError):
     """Cost vector has zero entries but no positive perturbation was given."""
 
 
-class MissingBound(PhyslpError):
-    """Negative costs require a box bound so coordinates can be flipped."""
+class NegativeCost(PhyslpError):
+    """The working cost c - A^T potentials has a negative entry."""
 
 
 class NonPositiveInit(PhyslpError):

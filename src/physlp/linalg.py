@@ -111,8 +111,7 @@ class _Split(NamedTuple):
 
 
 class _Pattern(NamedTuple):
-    keys: np.ndarray  # row-major positions i*m + k of the entries, sorted
-    indptr: np.ndarray  # the same entries as CSR index arrays
+    indptr: np.ndarray  # the entries as CSR index arrays
     indices: np.ndarray
     split: _Split | None  # the rows of the block layout, or None
     Q: scipy.sparse.csc_array  # Q @ w gives the values in the layout
@@ -171,7 +170,7 @@ def _build_pattern(C):
     Q = scipy.sparse.csc_array(((C.data[left] * C.data[right])[kept], at[pair[kept]], Q_indptr),
                                shape=(size, n))
     entries = slice(None) if m > DIRECT_MAX_DIM else at
-    return _Pattern(keys, indptr, indices, split, Q, at[entry[flat.size:]], entries)
+    return _Pattern(indptr, indices, split, Q, at[entry[flat.size:]], entries)
 
 
 def _block_positions(rows, cols, split):
@@ -260,14 +259,15 @@ class WeightedGram:
     of the operator's Q (see _build_pattern), and diagonal is its
     diagonal, behind default_regularization and the Jacobi
     preconditioner of spd_solve.  Every form is read from values:
-    direct(reg) for direct steps, sparse(reg) for CG steps, and
-    dense(reg).  Each first writes diagonal + reg onto the diagonal of
-    values, unless reg is the term they already hold, and reads the
-    rest as it stands: direct(reg) is views of values in the layout
-    its route reads.  So a form of one reg changes when a form of
-    another is asked for.  A gram kept with its step keeps the matrix
-    that the step factored and checked, for backward and jvp to check
-    against.
+    direct(reg) for direct steps, which is dense(reg), the row-major
+    matrix, where the rows do not split, and sparse(reg), a CSR matrix,
+    for CG steps, and in any layout.  Each first writes diagonal + reg
+    onto the diagonal of values, unless reg is the term they already
+    hold, and reads the rest as it stands: direct(reg) is views of
+    values in the layout its route reads.  So a form of one reg changes
+    when a form of another is asked for.  A gram kept with its step
+    keeps the matrix that the step factored and checked, for backward
+    and jvp to check against.
     """
 
     op: WeightedOperator
@@ -297,17 +297,11 @@ class WeightedGram:
         return scipy.sparse.csr_array((data, pattern.indices, pattern.indptr), shape=(m, m))
 
     def dense(self, reg):
-        """A diag(w) A^T + reg*I as an m-by-m array: values reshaped
-        where they are the row-major matrix, as in the layout of dense
-        steps, and scattered to their row-major positions otherwise."""
-        pattern = self.op._pattern
-        m = pattern.indptr.size - 1
-        values = self._shifted(reg)
-        if values.size == m * m:
-            return values.reshape(m, m)
-        S = np.zeros(m * m)
-        S[pattern.keys] = values[pattern.entries]
-        return S.reshape(m, m)
+        """A diag(w) A^T + reg*I as the m-by-m view of values, which
+        hold the row-major matrix in the layout of dense steps, the one
+        layout this form is read in."""
+        m = self.op._pattern.indptr.size - 1
+        return self._shifted(reg).reshape(m, m)
 
     def direct(self, reg):
         """A diag(w) A^T + reg*I for a direct solve: its _Blocks, views

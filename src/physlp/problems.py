@@ -106,9 +106,15 @@ def build_matching_lp(inst):
     X 1_m = 1_n and X^T 1_n + s = 1_m, X >= 0, s >= 0.
 
     Variables are X in row-major order followed by the m slacks, so the
-    LP has n*m + m columns and n + m rows.  Every feasible point lies
-    in [0, 1], recorded as box_bound.  LPs of one shape share one
+    LP has n*m + m columns and n + m rows.  LPs of one shape share one
     operator, lp.operator, and its read-only A; each owns its b and c.
+
+    Where C or gamma has a negative entry, the LP carries potentials pi
+    that make every working cost c - A^T pi positive: template row i
+    whose row of C has a negative entry gets min_j C_ij - delta, every
+    proposal row gets gamma - delta when gamma < 0, and every other row
+    0, with delta = matching_slack_gamma(m).  With C >= 0 and gamma >= 0
+    no potentials are set.
     """
     C = inst.C
     if C.ndim != 2:
@@ -121,7 +127,13 @@ def build_matching_lp(inst):
     gamma = matching_slack_gamma(m) if inst.gamma is None else float(inst.gamma)
 
     c = np.concatenate([C.ravel(), np.full(m, gamma)])
-    return StandardFormLP.from_operator(_matching_operator(n, m), np.ones(n + m), c, box_bound=1.0)
+    potentials = None
+    row_min = C.min(axis=1)
+    if row_min.min() < 0.0 or gamma < 0.0:
+        delta = matching_slack_gamma(m)
+        potentials = np.concatenate((np.where(row_min < 0.0, row_min - delta, 0.0),
+                                     np.full(m, gamma - delta if gamma < 0.0 else 0.0)))
+    return StandardFormLP.from_operator(_matching_operator(n, m), np.ones(n + m), c, potentials)
 
 
 @lru_cache(maxsize=MATCHING_CACHE_SHAPES)

@@ -8,12 +8,14 @@ a weighted least-squares system built from the current point:
 
 For strictly positive costs the iterate is attracted to the feasible
 set and then to an optimal vertex; the initial point does not have to
-be feasible.  Two preprocessing transforms extend the update to general
-costs: zero costs are raised to a small gamma > 0, and negative-cost
-coordinates are flipped through x_i = M - y_i against a box bound M
-that dominates the feasible set, as signs on the vectors around the
-products with the LP's one operator.  Results are always decoded and
-reported in the original coordinates against the original cost vector.
+be feasible.  The dynamics, and the analysis of Straszak & Vishnoi
+(arXiv 1601.02712), need positive costs, so the update runs on a
+working cost c_hat.  An LP with dual potentials pi runs on its reduced
+cost c - A^T pi, which has the same optimal set (the objective moves by
+the constant pi.b on the feasible set), and zero entries are raised to
+a small gamma > 0.  Nothing else changes: the iterate, the residual,
+the tape and the gradients stay in the LP's own coordinates, and the
+objective is reported against the LP's own cost.
 """
 
 import math
@@ -24,7 +26,7 @@ import numpy as np
 # validate stays imported unused: the benchmark's traced run wraps it here
 from .core import (SolveResult, SolveStatus, SolverConfig, StandardFormLP,
                    TraceRecord, validate)  # noqa: F401
-from .errors import (Breakdown, DimensionMismatch, LinSolveFailure, MissingBound,
+from .errors import (Breakdown, DimensionMismatch, LinSolveFailure, NegativeCost,
                      NonFiniteEntry, NonPositiveInit, ZeroCostNeedsGamma)
 from .linalg import AUTO_REG_SCALE, WeightedGram, _norm, spd_solve
 
@@ -66,100 +68,68 @@ def perturb_cost(c, gamma):
 
 @dataclass
 class PreparedLP:
-    """LP after flipping negative costs and perturbing zero costs.
+    """An LP with the working cost that its dynamics run on.
 
-    The flip is the affine change of variables x = shift + sign * y
-    from working to original coordinates: sign is -1 and shift is M on
-    the columns whose cost is negative, 1 and 0 elsewhere.  It maps the
-    data to A sign, b - A shift and sign c.  flipped is whether any
-    column flips.  zero_mask marks the columns whose cost was then
-    exactly zero, which the perturbation raised to gamma.  source is the
-    LP as given, which is frozen, so a tape that holds it cannot see it
-    change.  The working problem is A sign, b and the cost c_hat as c,
-    and A sign is never built: matvec and rmatvec are its products, on
-    source.operator, and the signs cancel in A diag(w) A^T.  Unless a
-    column flips, b is the LP's own b, and nothing applies sign or
-    shift.  The other methods are the maps across the transform: decode
-    and encode for iterates, tangent and pullback for perturbations and
-    gradients of the data.
+    c is c_hat: the LP's cost, or its reduced cost c - A^T pi when the
+    LP carries potentials pi, with each entry that is exactly zero
+    raised to gamma; zero_mask marks those entries.  source is the LP
+    as given, which is frozen, so a tape that holds it cannot see it
+    change; its A, b and operator are the working ones.  tangent and
+    pullback map perturbations and gradients of the LP's data across
+    c_hat.
     """
 
     source: StandardFormLP
-    b: np.ndarray
     c: np.ndarray
     zero_mask: np.ndarray
-    sign: np.ndarray
-    shift: np.ndarray
-    flipped: bool
-
-    def matvec(self, y):
-        """(A sign) y = A (sign * y)."""
-        A = self.source.operator.A
-        return A @ (self.sign * y) if self.flipped else A @ y
-
-    def rmatvec(self, p):
-        """(A sign)^T p = sign * (A^T p)."""
-        u = self.source.operator.AT @ p
-        return self.sign * u if self.flipped else u
-
-    def decode(self, y):
-        """Map an iterate back to the original coordinates: y itself,
-        not a copy, unless a column flips.  shift is nonzero only where
-        sign is -1, so the map is its own inverse and encode is the
-        same map."""
-        return self.shift + self.sign * y if self.flipped else y
-
-    encode = decode
 
     def tangent(self, dc, dA, db):
-        """Map a perturbation (dc, dA, db) of the original data to the
-        working data; dA may be None, for no perturbation of A, and maps
-        to None.  gamma and M are constants, so perturbed columns get no
-        cost tangent."""
-        dc = np.where(self.zero_mask, 0.0, self.sign * dc)
-        if dA is None or not self.flipped:
-            return dc, dA, db
-        return dc, dA * self.sign, db - dA @ self.shift
+        """Map a perturbation (dc, dA, db) of the LP's data to the
+        working data: the cost moves by dc - dA^T pi, and by nothing
+        where it was raised to gamma, as gamma and pi are constants.
+        dA may be None, for no perturbation of A; dA and db pass
+        through."""
+        pi = self.source.potentials
+        if dA is not None and pi is not None:
+            dc = dc - dA.T @ pi
+        return np.where(self.zero_mask, 0.0, dc), dA, db
 
     def pullback(self, gc, gA, gb):
         """Map gradients with respect to the working data back to the
-        original data: the transpose of tangent.  gA may be None, as dA
-        in tangent, and maps to None; pullback_A maps it on its own."""
-        gc = self.sign * np.where(self.zero_mask, 0.0, gc)
-        return gc, None if gA is None else self.pullback_A(gA, gb), gb
+        LP's data: the transpose of tangent.  gA may be None, as dA in
+        tangent, and maps to None; pullback_A maps it on its own."""
+        gc = np.where(self.zero_mask, 0.0, gc)
+        return gc, None if gA is None else self.pullback_A(gA, gc), gb
 
-    def pullback_A(self, gA, gb):
-        """The gradient of A that pullback gives, which reads gb too."""
-        return gA * self.sign - np.outer(gb, self.shift) if self.flipped else gA
+    def pullback_A(self, gA, gc):
+        """The gradient of A that pullback gives, gA - outer(pi, gc),
+        where gc is the cost gradient that pullback returns."""
+        pi = self.source.potentials
+        return gA if pi is None else gA - np.outer(pi, gc)
 
 
 def prepare_lp(lp, gamma=None):
-    """Flip negative costs, then perturb zero costs.
+    """The working cost of lp, as a PreparedLP: c, or the reduced cost
+    c - A^T pi when lp carries potentials pi, with zero entries raised
+    to gamma.
 
-    Negative-cost coordinates are substituted x_i = M - y_i, with M =
-    lp.box_bound, which must dominate the feasible set on them;
-    MissingBound is raised when negative costs are present without a
-    bound.  gamma=None picks default_gamma(m, n) when zero costs are
-    present and 0.0 otherwise; an explicit gamma is applied as given.
-    lp was validated when it was built, so nothing here validates it
-    again, and no second LP or operator is built: the working problem
-    is lp.operator with the column signs and the working b and c.
+    The dynamics need a working cost that is nowhere negative, so
+    NegativeCost is raised for any negative entry: an LP with a
+    negative cost needs potentials that make it nonnegative.
+    gamma=None picks default_gamma(m, n) when zero costs are present
+    and 0.0 otherwise; an explicit gamma is applied as given.  lp was
+    validated when it was built, so nothing here validates it again,
+    and no second LP or operator is built.
     """
-    neg = lp.c < 0.0
-    sign = np.where(neg, -1.0, 1.0)
-    shift = np.zeros(lp.n)
-    b, c = lp.b, sign * lp.c
-    flipped = bool(neg.any())
-    if flipped:
-        if lp.box_bound is None:
-            raise MissingBound(f"{int(neg.sum())} negative cost entries but lp.box_bound is not set")
-        shift[neg] = lp.box_bound
-        b = b - lp.A @ shift
+    c = lp.c if lp.potentials is None else lp.c - lp.operator.AT @ lp.potentials
+    neg = c < 0.0
+    if neg.any():
+        raise NegativeCost(f"{int(neg.sum())} entries of the working cost c - A^T potentials "
+                           f"are negative; the LP needs potentials that make it nonnegative")
     zero = c == 0.0
     if gamma is None:
         gamma = default_gamma(lp.m, lp.n) if zero.any() else 0.0
-    c = perturb_cost(c, float(gamma))
-    return PreparedLP(lp, b, c, zero, sign, shift, flipped)
+    return PreparedLP(lp, perturb_cost(c, float(gamma)), zero)
 
 
 @dataclass
@@ -168,7 +138,7 @@ class StepDetail:
     the reverse sweep without re-forming or re-factoring A diag(w) A^T.
 
     The update is x_new = max((1-h) x_prev + h * w * u, eps) with
-    u = (A sign)^T p, w = x_prev / c_hat and p the spd_solve answer of
+    u = A^T p, w = x_prev / c_hat and p the spd_solve answer of
     (A diag(w) A^T + reg*I) p = b at tolerance tol_used.
     gram is the linalg.WeightedGram the step solved with: w, and the
     values of A diag(w) A^T + reg_used*I in the layout of the step's
@@ -215,10 +185,9 @@ def step_detail(prep, x, cfg, tol=None):
     the next iterate is its x_new.
 
     L = A diag(w) A^T goes to spd_solve as op.at(w), op the LP's
-    operator, at every size; the flip's signs cancel in L and enter
-    only u = prep.rmatvec(p).  With q = w * u, the damped update is
-    (1 - h) x + h q, and q itself at h = 1, where the two agree up to
-    the sign of a zero.  spd_solve factors L up to
+    operator, at every size, and u = A^T p.  With q = w * u, the damped
+    update is (1 - h) x + h q, and q itself at h = 1, where the two
+    agree up to the sign of a zero.  spd_solve factors L up to
     linalg.DIRECT_MAX_DIM rows and runs CG on it, assembled sparse,
     above, with spd_solve's default Tikhonov term and one retry at 100
     times it after a linear-solve breakdown.  The step keeps the gram,
@@ -229,7 +198,8 @@ def step_detail(prep, x, cfg, tol=None):
     cfg alone.  Weights x / c that are not finite raise LinSolveFailure
     before any solve.
     """
-    op = prep.source.operator
+    lp = prep.source
+    op = lp.operator
     h = cfg.step_size
     eps = cfg.clamp_floor
 
@@ -239,15 +209,15 @@ def step_detail(prep, x, cfg, tol=None):
     gram = op.at(w)
     tol = cfg.linsolve_tol if tol is None else tol
     try:
-        report, reg_scale = spd_solve(gram, prep.b, tol), AUTO_REG_SCALE
+        report, reg_scale = spd_solve(gram, lp.b, tol), AUTO_REG_SCALE
     except Breakdown:
         reg_scale = 100.0 * AUTO_REG_SCALE
         try:
-            report = spd_solve(gram, prep.b, tol, 100.0 * gram.default_regularization())
+            report = spd_solve(gram, lp.b, tol, 100.0 * gram.default_regularization())
         except Breakdown as exc:
             raise LinSolveFailure(f"inner solve failed after a 100x regularization retry: {exc}") from exc
     p = report.p
-    u = prep.rmatvec(p)
+    u = op.AT @ p
     q = w * u
     pre = q if h == 1.0 else (1.0 - h) * x + h * q
     clamp_mask = pre > eps
@@ -257,18 +227,17 @@ def step_detail(prep, x, cfg, tol=None):
 
 
 def initial_state(prep, cfg, x0=None):
-    """The starting iterate in working coordinates.
+    """The starting iterate.
 
-    x0, when given, is interpreted in the original coordinates and must
-    be finite (NonFiniteEntry) and strictly positive (NonPositiveInit);
-    it does not have to be feasible.  Without x0 the iterate is drawn
+    x0, when given, must be finite (NonFiniteEntry) and strictly
+    positive (NonPositiveInit); it does not have to be feasible.  Without x0 the iterate is drawn
     componentwise uniform on (0, 1) from a generator seeded with
     cfg.seed.
     """
     n = prep.source.n
     if x0 is None:
         rng = np.random.default_rng(cfg.seed)
-        y0 = rng.uniform(0.0, 1.0, size=n)
+        x0 = rng.uniform(0.0, 1.0, size=n)
     else:
         x0 = np.asarray(x0, dtype=np.float64)
         if x0.shape != (n,):
@@ -277,8 +246,7 @@ def initial_state(prep, cfg, x0=None):
             raise NonFiniteEntry("x0 contains a non-finite entry")
         if not np.all(x0 > 0.0):
             raise NonPositiveInit("x0 must be strictly positive componentwise")
-        y0 = prep.encode(x0)
-    return np.maximum(y0, cfg.clamp_floor)
+    return np.maximum(x0, cfg.clamp_floor)
 
 
 def forward_tol(cfg, residual, bnorm):
@@ -301,44 +269,40 @@ def _stalled(objectives, tol):
                for j in range(1, STALL_WINDOW + 1))
 
 
-def _evaluate(prep, y):
-    """Decoded iterate, its objective against the original cost and its
-    residual ||A x - b||, taken in working coordinates: with
-    x = shift + sign y, (A sign) y - (b - A shift) = A x - b.  x is y
-    itself unless a column flips."""
-    x = prep.decode(y)
-    residual = _norm(prep.matvec(y) - prep.b)
-    return x, float(prep.source.c @ x), residual
+def _evaluate(prep, x):
+    """The objective of x against the LP's own cost, and its residual
+    ||A x - b||."""
+    lp = prep.source
+    return float(lp.c @ x), _norm(lp.operator.A @ x - lp.b)
 
 
-def _iterate(prep, y, cfg):
-    """The forward loop: cfg.max_iters steps from the working iterate
-    y, yielding (StepDetail, decoded x, objective, residual) after each,
-    where x is the StepDetail's x_new itself unless a column flips, so
-    a caller copies it before writing; LinSolveFailure propagates.  Each
-    step solves to forward_tol of the residual of its input, with bnorm
-    the working ||b||, the right-hand side of the solves; a step is thus
-    set by its input alone, and running the loop again from the same y
-    repeats it bit for bit, which is how UnrolledTape.replay recomputes
-    a tape."""
-    bnorm = float(np.linalg.norm(prep.b))
-    res = _evaluate(prep, y)[2]
+def _iterate(prep, x, cfg):
+    """The forward loop: cfg.max_iters steps from the iterate x,
+    yielding (StepDetail, x, objective, residual) after each, where x
+    is the StepDetail's x_new itself, so a caller copies it before
+    writing; LinSolveFailure propagates.  Each step solves to
+    forward_tol of the residual of its input, with bnorm = ||b||, the
+    right-hand side of the solves; a step is thus set by its input
+    alone, and running the loop again from the same x repeats it bit
+    for bit, which is how UnrolledTape.replay recomputes a tape."""
+    bnorm = float(np.linalg.norm(prep.source.b))
+    res = _evaluate(prep, x)[1]
     for _ in range(cfg.max_iters):
-        det = step_detail(prep, y, cfg, tol=forward_tol(cfg, res, bnorm))
-        y = det.x_new
-        x, obj, res = _evaluate(prep, y)
+        det = step_detail(prep, x, cfg, tol=forward_tol(cfg, res, bnorm))
+        x = det.x_new
+        obj, res = _evaluate(prep, x)
         yield det, x, obj, res
 
 
 def _solve_loop(lp, cfg, x0, early_stop, record_steps):
     """Runs _iterate for solve and solve_with_tape, with the trace, the
-    early stop and the status; returns (result, prepared lp, y0, steps).
+    early stop and the status; returns (result, prepared lp, x0, steps).
     The status is CONVERGED when the stop test (residual at most
     cfg.residual_tol and a stalled objective) holds at the last
     iterate, with or without early_stop, and MAX_ITERS otherwise.  A
     LinSolveFailure ends the loop at the last valid iterate."""
     prep = prepare_lp(lp, cfg.gamma)
-    y0 = initial_state(prep, cfg, x0)
+    x0 = initial_state(prep, cfg, x0)
 
     steps = [] if record_steps else None
     trace = []
@@ -346,7 +310,7 @@ def _solve_loop(lp, cfg, x0, early_stop, record_steps):
     x = None
     converged = False
     try:
-        for k, (det, x, obj, res) in enumerate(_iterate(prep, y0, cfg), 1):
+        for k, (det, x, obj, res) in enumerate(_iterate(prep, x0, cfg), 1):
             if record_steps:
                 steps.append(det)
             trace.append(TraceRecord(k, obj, res, det.linsolve_iterations))
@@ -359,10 +323,11 @@ def _solve_loop(lp, cfg, x0, early_stop, record_steps):
         status = SolveStatus.LINSOLVE_FAILURE
 
     if x is None:  # no step completed
-        x, obj, res = _evaluate(prep, y0)
-    # x may be the last x_new or y0, which a tape holds, so it is copied
+        x = x0
+        obj, res = _evaluate(prep, x)
+    # x may be the last x_new or x0, which a tape holds, so it is copied
     result = SolveResult(x.copy(), obj, res, trace, status)
-    return result, prep, y0, steps
+    return result, prep, x0, steps
 
 
 def solve(lp, cfg=None, x0=None, early_stop=True):
@@ -372,7 +337,7 @@ def solve(lp, cfg=None, x0=None, early_stop=True):
     cfg.residual_tol and the objective has stalled (relative change
     over the last three iterations within the same tolerance); with
     early_stop the run ends there.  The returned SolveResult carries
-    the decoded iterate, the objective against the original cost, the
+    the iterate, the objective against the LP's own cost, the
     final residual, one TraceRecord per iteration performed, and a
     status flag: CONVERGED when the stop test holds at the last
     iterate, MAX_ITERS when the budget ran out first, even on a

@@ -1,5 +1,5 @@
 """Shared instances: sparse LPs on the direct and the CG path, one
-with flipped columns, and one with a dense A."""
+with negative costs and potentials, and one with a dense A."""
 
 import numpy as np
 import pytest
@@ -46,13 +46,18 @@ def dag_600(dag_600_graph):
 
 @pytest.fixture(scope="session")
 def signed_sparse_40x400():
-    """40x400 LP with 5% nonzeros of both signs and a fifth of the costs
-    negative, so prepare_lp flips columns (direct solves)."""
+    """40x400 LP with 5% nonzeros of both signs and a fifth of its costs
+    negative (direct solves).  The costs are c = c_hat + A^T pi for
+    drawn potentials pi and a positive c_hat, and the LP carries pi: its
+    working cost is c_hat, and it is dual-feasible, so bounded, by
+    construction."""
     rng = np.random.default_rng(2)
     A = rng.uniform(-1.0, 1.0, size=(40, 400)) * (rng.uniform(size=(40, 400)) < 0.05)
     A[np.arange(40), rng.choice(400, size=40, replace=False)] = 1.0
-    c = rng.uniform(0.1, 1.0, size=400) * np.where(rng.uniform(size=400) < 0.2, -1.0, 1.0)
-    return StandardFormLP(A, A @ rng.uniform(0.1, 1.0, size=400), c, box_bound=2.0)
+    b = A @ rng.uniform(0.1, 1.0, size=400)
+    pi = rng.normal(size=40)
+    c = rng.uniform(0.1, 1.0, size=400) + A.T @ pi
+    return StandardFormLP(A, b, c, pi)
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,7 @@ import scipy.linalg
 from scipy.linalg.blas import daxpy, ddot
 
 from physlp import (LpGradients, SolverConfig, StandardFormLP, autodiff, backward, cli,
-                    finite_diff_grad, jvp, linalg, objective_gradients, prepare_lp, solve,
+                    finite_diff_grad, jvp, linalg, objective_gradients, solve,
                     solve_with_tape, solver)
 from physlp.errors import DimensionMismatch, NonFiniteEntry
 from physlp.problems import (MatchingInstance, build_matching_lp,
@@ -36,8 +36,7 @@ def dense_backward(tape, grad_x):
     L = A diag(w) A^T, z = (L + reg I)^{-1} A gu by scipy's Cholesky,
     gL = -outer(z, p), and the contractions gL @ A;
     a default Tikhonov term reg = s trace(L) / m passes trace(gL) on.
-    Returns working-coordinate (grad_c, grad_A, grad_b) for a tape
-    without flipped coordinates."""
+    Returns (grad_c, grad_A, grad_b) for an LP without potentials."""
     prep = tape.prep
     A, c_hat, h = prep.source.operator.A.toarray(), prep.c, tape.cfg.step_size
     g = np.asarray(grad_x, dtype=np.float64)
@@ -71,7 +70,7 @@ def test_tape_length_matches_budget():
         res, tape = solve_with_tape(toy_lp(), SolverConfig(max_iters=k))
         assert len(tape) == k
         assert np.array_equal(tape.x_final, tape.steps[-1].x_new)
-        assert np.allclose(tape.prep.decode(tape.x_final), res.x)
+        assert np.array_equal(tape.x_final, res.x)
 
 
 def test_tape_early_stop_off_by_default():
@@ -102,8 +101,8 @@ def test_tape_replay_bit_identical():
                                            ("signed_sparse_40x400", True)])
 def test_tape_replay_bit_identical_on_csr_operators(name, factored, request):
     # replay takes the recorded path: CSR assembly and Cholesky on the
-    # matching and on the flipped LP, CG on the sparse matrix on the
-    # DAG, each step to the target it recorded
+    # matching and on the LP with potentials, CG on the sparse matrix
+    # on the DAG, each step to the target it recorded
     lp = request.getfixturevalue(name)
     _, tape = solve_with_tape(lp, SolverConfig(max_iters=30, seed=2))
     assert all((det.factor is not None) == factored for det in tape.steps)
@@ -116,7 +115,7 @@ def test_tape_stores_consistent_solves():
     lp = build_matching_lp(MatchingInstance(
         np.array([[0.2, 0.8, 0.5], [0.8, 0.2, 0.4]])))
     _, tape = solve_with_tape(lp, SolverConfig(max_iters=10))
-    A, b, c_hat = tape.prep.source.operator.A.toarray(), tape.prep.b, tape.prep.c
+    A, b, c_hat = tape.prep.source.operator.A.toarray(), tape.prep.source.b, tape.prep.c
     for det in tape.steps:
         L = (A * (det.x_prev / c_hat)) @ A.T
         lhs = (L + det.reg_used * np.eye(L.shape[0])) @ det.p
@@ -137,13 +136,15 @@ def test_zero_length_tape_gradients():
     assert np.array_equal(res.x, [0.4, 0.7])
 
 
-def test_zero_length_objective_gradient_with_flip():
+def test_zero_length_objective_gradient_with_potentials():
+    # the objective is the LP's own c.x, whatever its working cost
     lp = StandardFormLP(np.array([[1.0, 1.0]]), np.array([1.0]),
-                        np.array([1.0, -1.0]), box_bound=1.0)
+                        np.array([1.0, -1.0]), np.array([-2.0]))
     _, tape = solve_with_tape(lp, SolverConfig(max_iters=0),
                               x0=np.array([0.3, 0.6]))
     og = objective_gradients(tape)
-    assert np.allclose(og.grad_c, [0.3, 0.6], atol=1e-15)
+    assert np.array_equal(og.grad_c, [0.3, 0.6])
+    assert not og.grad_A.any() and not og.grad_b.any()
 
 
 def test_assigning_the_lp_after_a_tape_leaves_the_tape_alone():
@@ -194,30 +195,39 @@ def test_jvp_rejects_a_non_finite_direction(name, bad):
         jvp(tape, **{name: d})
 
 
-# ------------------------------------------- the flip and the blend
+# ------------------------------------- the potentials and the blend
 #
-# A step applies sign and shift only where a column flips, and blends
-# with the previous iterate only where step_size is not 1.  The
-# references below apply all three whatever the LP, as the update is
-# written; both sides of every skip must match them bit for bit.
+# The maps across the working cost apply the potentials only where an
+# LP carries them, and a step blends with the previous iterate only
+# where step_size is not 1.  The references below apply both whatever
+# the LP, pi = 0 standing in for no potentials, as the update is
+# written; both sides of every skip must match them bit for bit (up to
+# the sign of a zero).
 
 def applied_step(prep, x, cfg, tol):
-    """(p, u, x_new, clamp_mask) of step_detail, with sign and the
-    blend applied unconditionally."""
+    """(p, u, x_new, clamp_mask) of step_detail, with the blend applied
+    unconditionally."""
     op, h, eps = prep.source.operator, cfg.step_size, cfg.clamp_floor
     w = x / prep.c
-    p = linalg.spd_solve(op.at(w), prep.b, tol).p
-    u = prep.sign * (op.AT @ p)
+    p = linalg.spd_solve(op.at(w), prep.source.b, tol).p
+    u = op.AT @ p
     pre = (1.0 - h) * x + h * (w * u)
     return p, u, np.maximum(pre, eps), pre > eps
 
 
+def potentials(prep):
+    """The LP's potentials, or zeros where it has none."""
+    pi = prep.source.potentials
+    return np.zeros(prep.source.m) if pi is None else pi
+
+
 def applied_backward(tape, grad_x):
-    """backward, with sign, shift and the blend applied unconditionally."""
+    """backward, with the potentials and the blend applied
+    unconditionally."""
     prep = tape.prep
-    op, sign, c_hat, h = prep.source.operator, prep.sign, prep.c, tape.cfg.step_size
+    op, c_hat, h = prep.source.operator, prep.c, tape.cfg.step_size
     m, n = op.A.shape
-    g = sign * grad_x
+    g = grad_x
     gc_hat, gb, omega = np.zeros(n), np.zeros(m), np.zeros(n)
     K = len(tape.steps)
     left, right = np.empty((2 * K, m)), np.empty((2 * K, n))
@@ -227,10 +237,10 @@ def applied_backward(tape, grad_x):
         g = np.where(det.clamp_mask, g, 0.0)
         gq = h * g
         gu = w * gq
-        z = linalg.spd_solve(op.at(w), op.A @ (sign * gu), autodiff._adjoint_tol(det, tape.cfg),
+        z = linalg.spd_solve(op.at(w), op.A @ gu, autodiff._adjoint_tol(det, tape.cfg),
                              det.reg_used, det.factor).p
         gb += z
-        v = sign * (op.AT @ z)
+        v = op.AT @ z
         g_reg = -ddot(z, det.p) * det.reg_scale / m
         gw = daxpy(col_sq, det.u * (gq - v), a=g_reg)
         omega = daxpy(w, omega, a=2.0 * g_reg)
@@ -240,38 +250,36 @@ def applied_backward(tape, grad_x):
         g = (1.0 - h) * g + gw / c_hat
     gA = left.T @ right
     rows = np.repeat(np.arange(m), np.diff(op.A.indptr))
-    gA[rows, op.A.indices] += op.A.data * sign[op.A.indices] * omega[op.A.indices]
-    gc = sign * np.where(prep.zero_mask, 0.0, gc_hat)
-    return gc, gA * sign - np.outer(gb, prep.shift), gb
+    gA[rows, op.A.indices] += op.A.data * omega[op.A.indices]
+    gc = np.where(prep.zero_mask, 0.0, gc_hat)
+    return gc, gA - np.outer(potentials(prep), gc), gb
 
 
 def applied_jvp(tape, dc, dA, db):
-    """jvp, with sign, shift and the blend applied unconditionally."""
+    """jvp, with the potentials and the blend applied unconditionally."""
     prep = tape.prep
-    op, sign, c_hat, h = prep.source.operator, prep.sign, prep.c, tape.cfg.step_size
+    op, c_hat, h = prep.source.operator, prep.c, tape.cfg.step_size
     m, n = op.A.shape
-    dc_w = np.where(prep.zero_mask, 0.0, sign * dc)
-    dA_w = None if dA is None else dA * sign
-    db_w = db if dA is None else db - dA @ prep.shift
+    dc_w = np.where(prep.zero_mask, 0.0, dc if dA is None else dc - dA.T @ potentials(prep))
     col_sq = np.bincount(op.A.indices, op.A.data ** 2, minlength=n)
-    col_da = np.zeros(n) if dA_w is None else sign * autodiff._column_dots(op.A, dA_w)
+    col_da = np.zeros(n) if dA is None else autodiff._column_dots(op.A, dA)
     dx = np.zeros(n)
     for det in tape.steps:
         x, p, u = det.x_prev, det.p, det.u
         w = x / c_hat
         dw = dx / c_hat - x * dc_w / c_hat ** 2
-        if dA_w is None:
-            dAt_p, dL_p = 0.0, op.A @ (sign * (dw * u))
+        if dA is None:
+            dAt_p, dL_p = 0.0, op.A @ (dw * u)
         else:
-            dAt_p = dA_w.T @ p
-            dL_p = dA_w @ (w * u) + op.A @ (sign * (dw * u + w * dAt_p))
+            dAt_p = dA.T @ p
+            dL_p = dA @ (w * u) + op.A @ (dw * u + w * dAt_p)
         dL_p += det.reg_scale / m * (ddot(dw, col_sq) + 2.0 * ddot(w, col_da)) * p
-        dp = linalg.spd_solve(op.at(w), db_w - dL_p, autodiff._adjoint_tol(det, tape.cfg),
+        dp = linalg.spd_solve(op.at(w), db - dL_p, autodiff._adjoint_tol(det, tape.cfg),
                               det.reg_used, det.factor).p
-        du = dAt_p + sign * (op.AT @ dp)
+        du = dAt_p + op.AT @ dp
         dx = (1.0 - h) * dx + h * (dw * u + w * du)
         dx = np.where(det.clamp_mask, dx, 0.0)
-    return sign * dx
+    return dx
 
 
 SKIP_CASES = [(name, h) for name in ("matching_5x50", "signed_sparse_40x400") for h in (1.0, 0.5)]
@@ -280,7 +288,7 @@ SKIP_CASES = [(name, h) for name in ("matching_5x50", "signed_sparse_40x400") fo
 def skip_tape(name, h, request):
     lp = request.getfixturevalue(name)
     res, tape = solve_with_tape(lp, SolverConfig(max_iters=12, seed=5, step_size=h))
-    assert tape.prep.flipped == (name == "signed_sparse_40x400")
+    assert (lp.potentials is not None) == (name == "signed_sparse_40x400")
     return lp, res, tape
 
 
@@ -292,10 +300,10 @@ def test_step_equals_the_update_with_sign_and_blend_applied(name, h, request):
         want = applied_step(prep, det.x_prev, tape.cfg, det.tol_used)
         for got, ref in zip((det.p, det.u, det.x_new, det.clamp_mask), want, strict=True):
             assert np.array_equal(got, ref)
-    # _evaluate's residual and decoded iterate, with sign and shift applied
+    # _evaluate's residual and the iterate, the LP's own
     for det, rec in zip(tape.steps, res.trace, strict=True):
-        assert rec.residual == linalg._norm(op.A @ (prep.sign * det.x_new) - prep.b)
-    assert np.array_equal(res.x, prep.shift + prep.sign * tape.x_final)
+        assert rec.residual == linalg._norm(op.A @ det.x_new - lp.b)
+    assert np.array_equal(res.x, tape.x_final)
 
 
 @pytest.mark.parametrize("name, h", SKIP_CASES)
@@ -318,9 +326,8 @@ def test_jvp_equals_the_tangent_with_sign_and_blend_applied(name, h, request):
 
 @pytest.mark.parametrize("max_iters", [0, 5])
 def test_an_unflipped_result_does_not_alias_the_tape(matching_5x50, max_iters):
-    # decode passes an unflipped iterate through, so the result copies it
+    # the result's x is the tape's last iterate, which it copies
     res, tape = solve_with_tape(matching_5x50, SolverConfig(max_iters=max_iters, seed=2))
-    assert not tape.prep.flipped
     held = [tape.x0, tape.x_final] + [getattr(det, name) for det in tape.steps
                                       for name in ("x_prev", "p", "u", "x_new", "clamp_mask")]
     assert not any(np.shares_memory(res.x, a) for a in held)
@@ -382,9 +389,10 @@ def test_finite_diff_repeatable():
 def test_randomized_gradcheck_and_transpose():
     # dense loss w.x on random instances; skip the rare clamp-active
     # tapes where the subgradient legitimately disagrees with central
-    # differences.  The last 8 instances negate about 40% of the costs,
-    # so their columns flip through the box bound: as A > 0, every
-    # feasible x_i is at most min_r b_r / A_ri
+    # differences.  The last 8 instances negate about 40% of the costs
+    # and carry potentials pi < 0 that leave every working cost
+    # c - A^T pi at least 0.1, as A > 0: gradients of A then pass
+    # through c - A^T pi too
     rng = np.random.default_rng(5)
     checked = 0
     while checked < 28:
@@ -393,12 +401,13 @@ def test_randomized_gradcheck_and_transpose():
         lp, _ = random_bounded_lp(rng, m, n)
         if checked >= 20:
             neg = rng.permutation(n) < max(1, round(0.4 * n))
-            bound = 1.5 * (lp.b[:, np.newaxis] / lp.A.toarray()).min(axis=0).max()
-            lp = StandardFormLP(lp.A, lp.b, np.where(neg, -lp.c, lp.c), box_bound=bound)
+            scale = (lp.c.max() + 0.1) / lp.A.sum(axis=0).min()
+            lp = StandardFormLP(lp.A, lp.b, np.where(neg, -lp.c, lp.c),
+                                -scale * rng.uniform(1.0, 2.0, size=m))
         k = int(rng.integers(3, 21))
         cfg = SolverConfig(max_iters=k, seed=int(rng.integers(2 ** 31)))
         _, tape = solve_with_tape(lp, cfg)
-        assert (tape.prep.sign < 0).any() == (checked >= 20)
+        assert (lp.c < 0).any() == (checked >= 20)
         if tape.clamp_active_any:
             continue
         w = rng.normal(size=n)
@@ -550,41 +559,45 @@ def count_calls(monkeypatch, owner, name):
     return calls
 
 
-class CountingQ:
-    """The Gram map Q of an operator, counting its products with w."""
+class Counting:
+    """A matrix that counts its products with vectors and passes every
+    other attribute through."""
 
-    def __init__(self, Q):
-        self.Q, self.products = Q, 0
+    def __init__(self, M):
+        self.M, self.products = M, 0
 
-    def __matmul__(self, w):
+    def __matmul__(self, v):
         self.products += 1
-        return self.Q @ w
+        return self.M @ v
+
+    def __getattr__(self, name):
+        return getattr(self.M, name)
 
 
 @pytest.mark.parametrize("name", ["matching_5x50", "matching_50x100", "signed_sparse_40x400"])
 def test_factored_reverse_sweeps_compute_no_gram_values(name, request, monkeypatch):
     # backward and jvp solve against each step's kept gram and factor:
-    # no op.at(w), no Q @ w, and one product with A sign and one with
-    # its transpose per step (dense, block and flipped routes)
+    # no op.at(w), no Q @ w, and one product with A and one with its
+    # transpose per step (dense, block and potentials routes)
     lp = request.getfixturevalue(name)
     op = lp.operator
-    Q = CountingQ(op._pattern.Q)
+    Q = Counting(op._pattern.Q)
     monkeypatch.setitem(op.__dict__, "_pattern", op._pattern._replace(Q=Q))
     _, tape = solve_with_tape(lp, SolverConfig(max_iters=5, seed=3))
     assert Q.products == len(tape) == 5
     assert all(det.factor is not None for det in tape.steps)
     at = count_calls(monkeypatch, linalg.WeightedOperator, "at")
-    matvec = count_calls(monkeypatch, tape.prep, "matvec")
-    rmatvec = count_calls(monkeypatch, tape.prep, "rmatvec")
+    A, AT = Counting(op.A), Counting(op.AT)
+    monkeypatch.setattr(op, "A", A)
+    monkeypatch.setattr(op, "AT", AT)
     rng = np.random.default_rng(3)
     sweeps = [lambda: backward(tape, rng.normal(size=lp.n)),
               lambda: jvp(tape, dc=rng.normal(size=lp.n), db=rng.normal(size=lp.m)),
               lambda: jvp(tape, dc=rng.normal(size=lp.n), dA=rng.normal(size=lp.A.shape))]
     for sweep in sweeps:
-        matvec.clear()
-        rmatvec.clear()
+        A.products = AT.products = 0
         sweep()
-        assert len(matvec) == len(rmatvec) == len(tape)
+        assert A.products == AT.products == len(tape)
     assert at == [] and Q.products == 5
 
 
@@ -651,19 +664,20 @@ def test_cost_learning_builds_no_grad_A(monkeypatch, capsys):
 def test_a_failed_grad_A_build_leaves_the_next_read_correct(monkeypatch):
     # the build writes into none of its inputs and the builder is kept
     # until one succeeds, so a read after a failed one gives the eager
-    # bits; on a flipped LP pullback_A, the build's last part, does work
-    lp = _survey_lp("flipped", 0)
+    # bits; on an LP with potentials pullback_A, the build's last part,
+    # does work
+    lp = _survey_lp("potentials", 0)
     _, tape = solve_with_tape(lp, SolverConfig(max_iters=10, seed=1))
-    assert tape.prep.flipped
+    assert lp.potentials is not None
     g = np.random.default_rng(2).standard_normal(lp.n)
     want = applied_backward(tape, g)
     grads = backward(tape, g)
     inner, fails = solver.PreparedLP.pullback_A, [MemoryError()]
 
-    def pullback_A(self, gA, gb):
+    def pullback_A(self, gA, gc):
         if fails:
             raise fails.pop()
-        return inner(self, gA, gb)
+        return inner(self, gA, gc)
 
     monkeypatch.setattr(solver.PreparedLP, "pullback_A", pullback_A)
     with pytest.raises(MemoryError):
@@ -687,7 +701,7 @@ def test_lp_gradients_stay_a_dataclass_of_three_arrays():
 @pytest.mark.parametrize("name", ["dag_600", "matching_50x100", "signed_sparse_40x400"])
 def test_jvp_without_dA_is_jvp_with_a_zero_dA(name, request):
     # the no-dA path skips every m-by-n product; signed_sparse_40x400
-    # flips columns, whose tangent would otherwise pass dA through
+    # carries potentials, whose tangent takes dA^T pi where dA is given
     lp = request.getfixturevalue(name)
     _, tape = solve_with_tape(lp, SolverConfig(max_iters=20, seed=5))
     rng = np.random.default_rng(5)
@@ -718,22 +732,25 @@ def test_jvp_matches_directional_fd():
 # built as below and DAGs as dag_600 with graph seed s, cfg seed s,
 # 50 steps (100 on the DAGs): at eta = 1e-10 the gap
 # ||jvp - fd|| / ||fd|| was at most 1.1e-5 on 23 of 24 30x30 tapes,
-# 6.2e-5 on 50x100 tapes and 1.6e-5 on flipped ones; at eta = 1e-8 it
-# was at most 2.6e-6 on 600-node DAGs with tight forward solves.  The
-# 24th 30x30 tape (seed 5) read 7.6e-2: its +-eta runs clamp other
-# coordinates than the tape at every eta from 1e-8 to 1e-11, so the
-# differences straddle a kink of the clamp, where the map has no
-# derivative.  Larger eta cross kinks on most tapes (ROADMAP item 6).
+# 6.2e-5 on 50x100 tapes and 3.7e-6 on 21 of 24 20x30 tapes with
+# potentials; at eta = 1e-8 it was at most 2.6e-6 on 600-node DAGs with
+# tight forward solves.  The 24th 30x30 tape (seed 5) read 7.6e-2: its
+# +-eta runs clamp other coordinates than the tape at every eta from
+# 1e-8 to 1e-11, so the differences straddle a kink of the clamp, where
+# the map has no derivative.  So do the other three 20x30 tapes (seeds
+# 5, 18 and 23, at 2.6e-4, 4.3e-5 and 2.9e-3) at eta = 1e-10, though
+# not at 1e-11.  Larger eta cross kinks on most tapes (ROADMAP item 6).
 JVP_FD_BAND = 1e-4
 
 
 def _survey_lp(route, seed):
     """A 30x30 assignment LP (dense factor), a 50x100 one (block factor)
-    or a 20x30 one with about a fifth of its costs negative (flipped)."""
+    or a 20x30 one with about a fifth of its costs negative, which
+    build_matching_lp gives potentials (dense factor)."""
     rng = np.random.default_rng(seed)
-    shape = {"dense": (30, 30), "block": (50, 100), "flipped": (20, 30)}[route]
+    shape = {"dense": (30, 30), "block": (50, 100), "potentials": (20, 30)}[route]
     C = rng.uniform(size=shape)
-    if route == "flipped":
+    if route == "potentials":
         C *= np.where(rng.uniform(size=shape) < 0.2, -1.0, 1.0)
     return build_matching_lp(MatchingInstance(C))
 
@@ -753,14 +770,14 @@ def _jvp_fd_gap(lp, cfg, eta, seed):
     return tape, np.linalg.norm(dx - fd) / np.linalg.norm(fd)
 
 
-@pytest.mark.parametrize("route", ["dense", "block", "flipped"])
+@pytest.mark.parametrize("route", ["dense", "block", "potentials"])
 @pytest.mark.parametrize("seed", range(4))
 def test_jvp_matches_directional_differences_on_factored_steps(route, seed):
     lp = _survey_lp(route, seed)
     tape, gap = _jvp_fd_gap(lp, SolverConfig(max_iters=50, seed=seed), 1e-10, seed)
     factor = linalg.BlockFactor if route == "block" else tuple
     assert all(isinstance(det.factor, factor) for det in tape.steps)
-    assert (tape.prep.sign < 0).any() == (route == "flipped")
+    assert (lp.potentials is not None) == (route == "potentials")
     assert gap <= JVP_FD_BAND
 
 
@@ -778,48 +795,63 @@ def test_jvp_matches_directional_differences_on_cg_steps(dag_600, monkeypatch):
 
 
 
-def _flipped_lp(route, request):
-    """signed_sparse_40x400 (dense factor), a flipped 20x30 matching
-    (dense factor) or dag_600 with every 7th cost negated (CG)."""
+def _potentials_lp(route, request):
+    """signed_sparse_40x400 (dense factor), a 20x30 matching with
+    negative costs (dense factor) or dag_600 with every 7th cost
+    negated (CG), each with potentials.  The DAG's come from a dynamic
+    program over its nodes in topological order: d_v, the least length
+    of a path ending at v with each arc shortened by 0.05, makes each
+    reduced cost c_th + d_t - d_h at least 0.05, and pi_v = d_0 - d_v
+    on the rows, the nodes other than 0."""
     if route == "matching":
-        return _survey_lp("flipped", 0)
+        return _survey_lp("potentials", 0)
     lp = request.getfixturevalue(route)
     if route == "dag_600":
+        graph = request.getfixturevalue("dag_600_graph")
+        assert lp.m == graph.num_nodes - 1
         c = np.where(np.arange(lp.n) % 7 == 0, -lp.c, lp.c)
-        lp = StandardFormLP(lp.A, lp.b, c, box_bound=1.0)
+        d = np.zeros(graph.num_nodes)
+        for (t, h, _), cost in sorted(zip(graph.arcs, c)):  # by tail: topological order
+            d[h] = min(d[h], d[t] + cost - 0.05)
+        lp = StandardFormLP(lp.A, lp.b, c, d[0] - d[1:])
     return lp
 
 
 @pytest.mark.parametrize("route, factored", [("signed_sparse_40x400", True), ("matching", True),
                                              ("dag_600", False)])
-def test_a_flipped_lp_is_its_substituted_lp_bit_for_bit(route, factored, request):
-    """The flip is the change of variables x = shift + sign y: the tape,
-    gradients and tangents of a flipped LP are those of the LP
-    (A sign, b - A shift, sign c), built by hand, mapped across it."""
-    lp = _flipped_lp(route, request)
-    prep = prepare_lp(lp)
-    assert (prep.sign < 0).any()
-    sub = StandardFormLP(lp.A * prep.sign, lp.b - lp.A @ prep.shift, prep.sign * lp.c)
+def test_an_lp_with_potentials_is_its_reduced_cost_lp_bit_for_bit(route, factored, request):
+    """An LP with potentials pi and the LP of cost c - A^T pi without
+    them run the same iterates, tapes and tangents, bit for bit, and
+    their gradients differ by the pullback of the reduced cost alone:
+    grad_A by -outer(pi, grad_c).  Their objectives differ by pi.(A x),
+    which is pi.b on the feasible set."""
+    lp = _potentials_lp(route, request)
+    pi = lp.potentials
+    assert (lp.c < 0).any() and pi is not None
+    sub = replace(lp, c=lp.c - lp.operator.AT @ pi, potentials=None)
     cfg = SolverConfig(max_iters=5, seed=3)
     (res, tape), (sub_res, sub_tape) = solve_with_tape(lp, cfg), solve_with_tape(sub, cfg)
     assert all((det.factor is not None) == factored for det in tape.steps)
-    assert np.array_equal(res.x, prep.decode(sub_res.x))
+    assert np.array_equal(tape.prep.c, sub_tape.prep.c)
+    assert np.array_equal(res.x, sub_res.x)
     assert [r.residual for r in res.trace] == [r.residual for r in sub_res.trace]
+    # c.x = (c - A^T pi).x + pi.(A x), which is pi.b on the feasible set
+    assert res.objective == pytest.approx(sub_res.objective + pi @ (lp.A @ res.x), rel=1e-12)
     for det, sub_det in zip(tape.steps, sub_tape.steps, strict=True):
         for name in ("p", "u", "x_new"):
             assert np.array_equal(getattr(det, name), getattr(sub_det, name))
 
     rng = np.random.default_rng(4)
     g = rng.standard_normal(lp.n)
-    got, want = backward(tape, g), backward(sub_tape, prep.sign * g)
-    for a, b in zip((got.grad_c, got.grad_A, got.grad_b),
-                    prep.pullback(want.grad_c, want.grad_A, want.grad_b), strict=True):
-        assert np.array_equal(a, b)
+    got, want = backward(tape, g), backward(sub_tape, g)
+    assert np.array_equal(got.grad_c, want.grad_c) and np.array_equal(got.grad_b, want.grad_b)
+    assert np.array_equal(got.grad_A, want.grad_A - np.outer(pi, want.grad_c))
 
     dc, db = rng.standard_normal(lp.n), rng.standard_normal(lp.m)
-    for dA in (None, (lp.A.toarray() != 0) * rng.standard_normal(lp.A.shape)):
-        want = prep.sign * jvp(sub_tape, *prep.tangent(dc, dA, db))
-        assert np.array_equal(jvp(tape, dc, dA, db), want)
+    assert np.array_equal(jvp(tape, dc, None, db), jvp(sub_tape, dc, None, db))
+    dA = (lp.A.toarray() != 0) * rng.standard_normal(lp.A.shape)
+    assert np.array_equal(jvp(tape, dc, dA, db), jvp(sub_tape, dc - dA.T @ pi, dA, db))
+
 
 def test_matching_gradient_sign_pattern():
     # two agents, two tasks; the loss sums the matched mass on the

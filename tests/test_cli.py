@@ -72,15 +72,29 @@ def test_solve_zero_cost_without_gamma_is_solver_error(tmp_path, capsys):
     assert rc == 2 and "gamma" in err.lower()
 
 
-@pytest.mark.parametrize("bound", ["NaN", "Infinity", "-1.0", "0"])
-def test_solve_rejects_a_bad_box_bound(bound, tmp_path, capsys):
-    lp_file = tmp_path / "bound.json"
+@pytest.mark.parametrize("potentials", ["[-2.0, 0.0]", "[NaN]"], ids=["too-long", "nan"])
+def test_solve_rejects_bad_potentials(potentials, tmp_path, capsys):
+    lp_file = tmp_path / "potentials.json"
     lp_file.write_text(f'{{"A": [[1.0, 1.0]], "b": [1.0], "c": [-1.0, 2.0], '
-                       f'"box_bound": {bound}}}')
+                       f'"potentials": {potentials}}}')
     rc, out, err = run(capsys, ["solve", "--lp", str(lp_file)])
     lines = err.strip().splitlines()
     assert rc == 1 and out == ""
-    assert len(lines) == 1 and lines[0].startswith("error: box_bound")
+    assert len(lines) == 1 and lines[0].startswith("error: potentials")
+
+
+@pytest.mark.parametrize("potentials", [None, [-0.5]], ids=["none", "too-small"])
+def test_solve_of_a_negative_cost_without_covering_potentials_is_an_input_error(
+        potentials, tmp_path, capsys):
+    # the fault is in the LP, as a bad field is, not in the solver
+    lp_file = str(tmp_path / "negative.json")
+    save_lp(StandardFormLP([[1.0, 1.0]], [1.0], [-1.0, 2.0], potentials), lp_file)
+    rc, out, err = run(capsys, ["solve", "--lp", lp_file])
+    assert rc == 1 and out == ""
+    assert err.startswith("error: 1 entries of the working cost") and "negative" in err
+    save_lp(StandardFormLP([[1.0, 1.0]], [1.0], [-1.0, 2.0], [-2.0]), lp_file)
+    rc, out, _ = run(capsys, ["solve", "--lp", lp_file, "--iters", "100"])
+    assert rc == 0 and json.loads(out)["objective"] == pytest.approx(-1.0, abs=1e-6)
 
 
 # ----------------------------------------------------------- match-bench

@@ -61,28 +61,39 @@ def test_validate_rejects_empty():
         StandardFormLP(np.zeros((0, 2)), np.zeros(0), np.array([1.0, 2.0]))
 
 
-@pytest.mark.parametrize("bound, error", [
-    # -1 once gave x = [-1, 2] with objective 5, and 0 gave x1 = -1e-8
-    (-1.0, InvalidConfig), (0.0, InvalidConfig), (0, InvalidConfig),
-    (float("nan"), NonFiniteEntry), (float("inf"), NonFiniteEntry),
-    (float("-inf"), NonFiniteEntry),
-])
-def test_validate_rejects_a_bad_box_bound(bound, error):
+@pytest.mark.parametrize("potentials, error", [
+    ([], DimensionMismatch), ([-2.0, 0.0], DimensionMismatch), (-2.0, DimensionMismatch),
+    ([[-2.0]], DimensionMismatch), ([float("nan")], NonFiniteEntry),
+    ([float("inf")], NonFiniteEntry), ([float("-inf")], NonFiniteEntry),
+], ids=["empty", "too-long", "scalar", "2-D", "nan", "inf", "-inf"])
+def test_validate_rejects_bad_potentials(potentials, error):
+    # one potential per row of A, finite
     with pytest.raises(error):
         StandardFormLP(np.array([[1.0, 1.0]]), np.array([1.0]),
-                       np.array([-1.0, 2.0]), box_bound=bound)
+                       np.array([-1.0, 2.0]), potentials)
     lp = toy_lp()
     with pytest.raises(error):
-        validate(SimpleNamespace(A=lp.A, b=lp.b, c=lp.c, box_bound=bound))
+        validate(SimpleNamespace(A=lp.A, b=lp.b, c=lp.c,
+                                 potentials=np.asarray(potentials, dtype=float)))
+
+
+def test_potentials_are_owned_and_read_only():
+    given = np.array([-2.0])
+    lp = StandardFormLP(np.array([[1.0, 1.0]]), np.array([1.0]), np.array([-1.0, 2.0]), given)
+    assert toy_lp().potentials is None
+    assert np.array_equal(lp.potentials, given) and not np.shares_memory(lp.potentials, given)
+    with pytest.raises(ValueError):
+        lp.potentials[0] = 3.0
+    assert replace(lp, c=[1.0, 2.0]).potentials is lp.potentials
 
 
 def test_from_operator_takes_the_operator_and_its_matrix():
     A = np.array([[1.0, 0.0, 2.0], [0.0, -3.0, 1.0]])
     op = StandardFormLP(A, [1.0, 1.0], [1.0, 1.0, 1.0]).operator
-    lp = StandardFormLP.from_operator(op, [1.0, 2.0], [1.0, 2.0, 3.0], box_bound=4.0)
+    lp = StandardFormLP.from_operator(op, [1.0, 2.0], [1.0, 2.0, 3.0], [0.5, -0.5])
     assert lp.operator is op and lp.A is op.A
     assert np.array_equal(lp.A.toarray(), A)
-    assert lp.box_bound == 4.0
+    assert np.array_equal(lp.potentials, [0.5, -0.5])
     assert not any(arr.flags.writeable for arr in (lp.A.data, lp.A.indices, lp.A.indptr))
 
 
@@ -227,7 +238,8 @@ def test_config_rejects_bad_values(kwargs):
         SolverConfig(**kwargs)
 
 
-# the file of the LP below as save_lp wrote it when A was held dense
+# the file of the LP below as save_lp writes it: A dense, as when it
+# was held dense
 DENSE_A_FILE = """{
   "A": [
     [
@@ -245,11 +257,14 @@ DENSE_A_FILE = """{
     1.0,
     2.0
   ],
-  "box_bound": 3.0,
   "c": [
     0.5,
     -0.5,
     1.0
+  ],
+  "potentials": [
+    -1.0,
+    0.25
   ]
 }
 """
@@ -257,31 +272,33 @@ DENSE_A_FILE = """{
 
 def test_lp_dict_roundtrip(tmp_path):
     lp = StandardFormLP(np.array([[1.0, 2.0], [3.0, 4.0]]),
-                        np.array([1.0, 2.0]), np.array([0.5, -0.5]), box_bound=3.0)
+                        np.array([1.0, 2.0]), np.array([0.5, -0.5]), np.array([-1.0, 0.25]))
     back = lp_from_dict(lp_to_dict(lp))
     assert np.array_equal(back.A.toarray(), lp.A.toarray())
     assert np.array_equal(back.b, lp.b)
     assert np.array_equal(back.c, lp.c)
-    assert back.box_bound == lp.box_bound
+    assert np.array_equal(back.potentials, lp.potentials)
+    assert lp_from_dict(lp_to_dict(toy_lp())).potentials is None
     # A is written dense, zeros included, as when it was held dense; a
     # -0.0 entry is not stored in the CSR A, so it is written as 0.0
     path = tmp_path / "lp.json"
     save_lp(StandardFormLP([[1.0, 0.0, -2.5], [-0.0, 3.0, 0.0]], [1.0, 2.0],
-                           [0.5, -0.5, 1.0], box_bound=3.0), path)
+                           [0.5, -0.5, 1.0], [-1.0, 0.25]), path)
     assert path.read_text() == DENSE_A_FILE.replace("-0.0,", "0.0,")
     assert DENSE_A_FILE.count("-0.0,") == 1
 
 
 def test_an_lp_file_with_names_still_loads(tmp_path):
-    # earlier versions wrote column labels under "names"; nothing reads them
+    # earlier versions wrote column labels under "names", and a bound
+    # for a change of variables under "box_bound"; nothing reads them
     path = tmp_path / "lp.json"
     path.write_text(json.dumps({"A": [[1.0, 1.0]], "b": [1.0], "c": [1.0, 2.0],
                                 "box_bound": 2.0, "names": ["x", "y"]}))
     lp = load_lp(path)
-    assert np.array_equal(lp.A.toarray(), [[1.0, 1.0]]) and lp.box_bound == 2.0
-    assert not hasattr(lp, "names")
+    assert np.array_equal(lp.A.toarray(), [[1.0, 1.0]]) and lp.potentials is None
+    assert not hasattr(lp, "names") and not hasattr(lp, "box_bound")
     save_lp(lp, path)
-    assert sorted(json.loads(path.read_text())) == ["A", "b", "box_bound", "c"]
+    assert sorted(json.loads(path.read_text())) == ["A", "b", "c"]
 
 
 def test_lp_from_dict_requires_keys():

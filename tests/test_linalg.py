@@ -237,8 +237,9 @@ def test_block_factor_only_where_the_split_saves_flops(matching_5x50, matching_5
 def test_every_layout_reads_the_same_matrix(matching_50x100, monkeypatch):
     # Q writes A diag(w) A^T in the layout of the route of m rows: the
     # blocks where the rows split, row-major where they do not, and CSR
-    # data above DIRECT_MAX_DIM.  Every form read from any layout is the
-    # same matrix bit for bit, at any reg and after another reg.
+    # data above DIRECT_MAX_DIM.  Every form read from any layout, the
+    # CSR matrix from each and the row-major one, is the same matrix bit
+    # for bit, at any reg and after another reg.
     block = matching_50x100.operator
     A = block.A.toarray()
     w = np.random.default_rng(4).uniform(0.1, 2.0, size=A.shape[1])
@@ -252,15 +253,13 @@ def test_every_layout_reads_the_same_matrix(matching_50x100, monkeypatch):
         csr = WeightedOperator(block.A)
         csr._pattern
     sizes = [op._pattern.Q.shape[0] for op in (block, dense, csr)]
-    assert sizes == [7600, 150 ** 2, block._pattern.keys.size]
+    assert sizes == [7600, 150 ** 2, block._pattern.indices.size]
     assert (dense._split, csr._split) == (None, None)
     want = {}
     for reg in (1e-3, 0.25, 1e-3):
         S = (A * w) @ A.T + reg * np.eye(150)
-        forms = []
-        for op in (block, dense, csr):
-            gram = op.at(w)
-            forms += [gram.dense(reg).copy(), gram.sparse(reg).toarray()]
+        forms = [op.at(w).sparse(reg).toarray() for op in (block, dense, csr)]
+        forms.append(dense.at(w).dense(reg).copy())
         assert all(np.array_equal(f, forms[0]) for f in forms)
         assert np.abs(forms[0] - S).max() <= 1e-13 * np.abs(S).max()
         I, F = block._split
@@ -365,9 +364,12 @@ def test_an_indefinite_matrix_breaks_down_on_both_routes(matching_50x100, monkey
     with pytest.raises(Breakdown):
         spd_solve(op.at(w), matching_50x100.b, reg=reg)
     assert seen == orders
-    monkeypatch.setattr(op, "_split", None)
+    # the dense route: an operator whose Q writes the row-major layout
+    monkeypatch.setattr(linalg, "BLOCK_MIN_SAVING", np.inf)
+    dense = WeightedOperator(op.A)
+    assert dense._split is None
     with pytest.raises(Breakdown):
-        spd_solve(op.at(w), matching_50x100.b, reg=reg)
+        spd_solve(dense.at(w), matching_50x100.b, reg=reg)
     assert seen == orders + [150]
 
 
@@ -414,7 +416,7 @@ def dag_600_systems(dag_600):
     op, c = tape.prep.source.operator, tape.prep.c
     systems = [op.at(det.x_prev / c).sparse(det.reg_used)
                for det in (tape.steps[0], tape.steps[49], tape.steps[99])]
-    return systems, tape.prep.b
+    return systems, tape.prep.source.b
 
 
 @pytest.mark.parametrize("step", [0, 1, 2], ids=["first", "middle", "last"])
@@ -506,6 +508,6 @@ def test_solve_and_backward_leave_the_lp_alone(dag_600_graph):
     cfg = SolverConfig(max_iters=10, seed=3)
     solve(lp, cfg)
     _, tape = solve_with_tape(lp, cfg)
-    assert tape.prep.b is lp.b
+    assert tape.prep.source.b is lp.b
     backward(tape, np.random.default_rng(3).normal(size=lp.n))
     assert np.array_equal(lp.b, before)

@@ -41,7 +41,8 @@ def test_matching_lp_cost_layout():
     assert np.allclose(lp.c[6:], matching_slack_gamma(3))
     lp2 = build_matching_lp(MatchingInstance(C, gamma=0.01))
     assert np.allclose(lp2.c[6:], 0.01)
-    assert lp.box_bound == 1.0
+    # nothing is negative, so no potentials
+    assert lp.potentials is None and lp2.potentials is None
 
 
 def test_matching_lp_row_structure():
@@ -77,7 +78,7 @@ def loop_built_matching_lp(C, gamma=None):
         A[n + j, j:n * m:m] = 1.0
         A[n + j, n * m + j] = 1.0
     c = np.concatenate([C.ravel(), np.full(m, gamma)])
-    return StandardFormLP(A, np.ones(n + m), c, box_bound=1.0)
+    return StandardFormLP(A, np.ones(n + m), c)
 
 
 def bits(arr):
@@ -94,7 +95,7 @@ def test_matching_lp_is_the_loop_built_one_bit_for_bit(shape):
     lp, want = build_matching_lp(MatchingInstance(C)), loop_built_matching_lp(C)
     for name in ("A", "b", "c"):
         assert bits(getattr(lp, name)) == bits(getattr(want, name))
-    assert lp.box_bound == want.box_bound
+    assert lp.potentials is want.potentials is None
 
 
 def test_matching_lps_of_one_shape_share_their_operator():
@@ -127,7 +128,7 @@ def test_a_shared_operator_solves_as_an_own_one_bit_for_bit(shape):
     grads = backward(tape, g)
 
     for given in (A, scipy.sparse.csr_array(A)):
-        own = StandardFormLP(given, lp.b, lp.c, box_bound=lp.box_bound)
+        own = StandardFormLP(given, lp.b, lp.c, lp.potentials)
         assert own.operator is not lp.operator and bits(own.A) == bits(lp.A)
 
         want = solve(own, cfg)
@@ -147,24 +148,43 @@ def test_a_shared_operator_solves_as_an_own_one_bit_for_bit(shape):
             assert bits(jvp(tape, **pert)) == bits(jvp(own_tape, **pert))
 
 
-def test_a_negative_gamma_flips_onto_the_shared_operator(monkeypatch):
-    # the flip is a sign on vectors, so a flipped matching LP's solves,
-    # tapes, gradients and tangents compute with the shape's operator
-    # and build no other
+def test_negative_costs_get_template_row_potentials():
+    # pi_i = min_j C_ij - delta on the template rows with a negative
+    # cost and 0 elsewhere, so every working cost is positive: at least
+    # delta on X, the slack cost gamma on the slacks
+    C = np.array([[0.5, -0.25, 1.0], [0.2, 0.3, 0.4], [-1.0, 0.0, -2.0]])
+    lp = build_matching_lp(MatchingInstance(C))
+    delta = matching_slack_gamma(3)
+    assert np.array_equal(lp.potentials, [-0.25 - delta, 0.0, -2.0 - delta, 0.0, 0.0, 0.0])
+    prep = prepare_lp(lp)
+    X, s = split_matching_vars(prep.c, 3, 3)
+    assert np.allclose(X, C - np.where(C.min(axis=1) < 0, C.min(axis=1) - delta, 0.0)[:, None])
+    assert X[[0, 2]].min() >= delta - 1e-15 and np.array_equal(s, lp.c[9:])
+    assert not prep.zero_mask.any()
+
+
+def test_a_negative_gamma_gets_potentials_on_the_shared_operator(monkeypatch):
+    # a negative slack cost gets gamma - delta on every proposal row, so
+    # the slacks' working cost is delta; potentials change the cost
+    # alone, so the LP's solves, tapes, gradients and tangents compute
+    # with the shape's operator and build no other
     C = np.random.default_rng(7).uniform(size=(5, 50))
     lp = build_matching_lp(MatchingInstance(C, gamma=-0.1))
+    delta = matching_slack_gamma(50)
+    assert np.array_equal(lp.potentials, np.r_[np.zeros(5), np.full(50, -0.1 - delta)])
     shared = build_matching_lp(MatchingInstance(C)).operator
     assert lp.operator is shared
     prep = prepare_lp(lp)
-    assert (prep.sign < 0).any() and prep.source.operator is shared
-    assert shared.A is lp.A
+    assert np.allclose(prep.c[250:], delta) and prep.c.min() > 0.0
+    assert prep.source.operator is shared and shared.A is lp.A
     built, used = [], []
     init, at = linalg.WeightedOperator.__init__, linalg.WeightedOperator.at
     monkeypatch.setattr(linalg.WeightedOperator, "__init__",
                         lambda op, A: built.append(A) or init(op, A))
     monkeypatch.setattr(linalg.WeightedOperator, "at", lambda op, w: used.append(op) or at(op, w))
     cfg = SolverConfig(max_iters=5)
-    solve(lp, cfg)
+    res = solve(lp, cfg)
+    assert res.x.min() > 0.0
     _, tape = solve_with_tape(lp, cfg)
     backward(tape, np.ones(lp.n))
     jvp(tape, dc=np.ones(lp.n), dA=lp.A.toarray(), db=np.ones(lp.m))
@@ -179,14 +199,14 @@ def test_one_matching_shape_builds_its_gram_pattern_once(monkeypatch):
     """A regression guard: LPs of one assignment shape share the Gram
     map, so neither repeated builds and solves nor a cost-learning run
     build it again.  The descent drives some costs below zero after its
-    first step, and a flipped solve computes with the shared operator
-    too; a build of any other matrix, such as A sign, whose entries of
-    -1 tell it apart, would show here."""
+    first step, and a solve with the potentials this gives computes with
+    the shared operator too; a build of any matrix with a negative
+    entry would show here."""
     calls = []
     build = linalg._build_pattern
 
     def counted(C):
-        calls.append("flipped" if (C.data < 0).any() else "shared")
+        calls.append("negated" if (C.data < 0).any() else "shared")
         return build(C)
 
     monkeypatch.setattr(linalg, "_build_pattern", counted)
@@ -200,8 +220,8 @@ def test_one_matching_shape_builds_its_gram_pattern_once(monkeypatch):
     calls.clear()
     problems._matching_operator.cache_clear()
     assert main(["learn-cost", "--steps", "3", "--out", os.devnull]) in (0, 3)
-    # one build, for the first LP of the shape; every later solve, the
-    # flipped ones included, reads it
+    # one build, for the first LP of the shape; every later solve, those
+    # with potentials included, reads it
     assert calls == ["shared"]
 
 
