@@ -13,8 +13,8 @@ from .autodiff import (LpGradients, UnrolledTape, backward, finite_diff_grad,
 from .core import (SolveResult, SolveStatus, SolverConfig, StandardFormLP,
                    TraceRecord, feasibility_residual, load_lp, lp_from_dict,
                    lp_to_dict, objective, save_lp, validate)
-from .solver import (PreparedLP, StepDetail, default_gamma, initial_state,
-                     perturb_cost, prepare_lp, solve, step_detail)
+from .solver import (PreparedLP, StepDetail, default_gamma, initial_state, prepare_lp,
+                     solve, step_detail)
 from . import errors, problems
 
 __version__ = "0.1.0"
@@ -23,7 +23,7 @@ __all__ = [
     "StandardFormLP", "SolverConfig", "SolveResult", "SolveStatus", "TraceRecord",
     "validate", "objective", "feasibility_residual",
     "lp_to_dict", "lp_from_dict", "save_lp", "load_lp",
-    "PreparedLP", "StepDetail", "perturb_cost", "prepare_lp",
+    "PreparedLP", "StepDetail", "prepare_lp",
     "initial_state", "step_detail", "solve", "default_gamma",
     "UnrolledTape", "LpGradients", "solve_with_tape", "backward", "jvp",
     "objective_gradients", "finite_diff_grad",

@@ -3,12 +3,12 @@
 solve_with_tape records the forward loop on a lean tape; backward then
 walks the tape once, applying the adjoint of each operation (clamp,
 convex update, weighted projection, SPD solve, Laplacian assembly,
-weighting) and finally hands the accumulated gradients to
-PreparedLP.pullback, which maps them from the working cost c_hat back
-to the LP's (c, A, b).  jvp maps its direction in through
-PreparedLP.tangent.  The iterate is the LP's own, so both compute with
-the LP's one operator, A and its transpose, and neither reads the
-zero-cost perturbation or the potentials but through these two maps.
+weighting) and finally hands the accumulated cost gradient to
+PreparedLP.pullback and pullback_A, which map it from c_hat back to the
+LP's c and A; jvp maps its direction in through PreparedLP.tangent.
+The iterate is the LP's own, so both compute with the LP's one
+operator, A and its transpose, and neither reads the zero-cost
+perturbation or the potentials but through these maps.
 Both skip the blend with the previous iterate's term at step_size 1,
 as the forward step does.  The tape holds the LP and the SolverConfig
 it ran with, both frozen, not copies.
@@ -53,7 +53,6 @@ potentials constant: coordinates whose working cost was exactly zero
 
 from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import islice
 
 import numpy as np
 from scipy.linalg.blas import daxpy, ddot
@@ -63,7 +62,7 @@ from scipy.linalg.blas import daxpy, ddot
 from .core import SolverConfig, validate  # noqa: F401
 from .errors import DimensionMismatch, NonFiniteEntry
 from .linalg import spd_solve, spd_solve_adjoint  # noqa: F401
-from .solver import _iterate, _solve_loop
+from .solver import _solve_loop
 
 # Relative target of the adjoint and tangent solves of steps without a
 # factor (CG steps), when cfg.linsolve_tol is looser.  spd_solve
@@ -108,26 +107,6 @@ class UnrolledTape:
     def x_final(self):
         """Final iterate."""
         return self.steps[-1].x_new if self.steps else self.x0
-
-    @property
-    def clamp_active_any(self):
-        """True if the clamp fired at any iteration on any coordinate."""
-        return any(not det.clamp_mask.all() for det in self.steps)
-
-    def replay(self):
-        """Recompute the forward pass from the stored initial point.
-
-        Runs the forward loop, solver._iterate, again for len(self)
-        steps on the same operator.  A step's Tikhonov term and solve
-        target follow from its input alone, so each step takes the
-        recorded path (factored or CG) and the replay is bit-identical
-        to the recorded trajectory on one platform.  That holds for
-        early-stopped tapes too, and for tapes whose run ended at
-        LINSOLVE_FAILURE, as the replay stops before the failed step.
-        Returns the list of post-clamp iterates.
-        """
-        steps = islice(_iterate(self.prep, self.x0, self.cfg), len(self.steps))
-        return [det.x_new for det, _, _, _ in steps]
 
 
 @dataclass
@@ -246,8 +225,8 @@ def backward(tape, grad_x):
 
     # the build pulls back with a copy of grad_c, which a caller may
     # write into first
-    grad_c, _, grad_b = prep.pullback(gc_hat, None, gb)
-    return LpGradients(grad_c, partial(_grad_A, prep, left, right, omega, grad_c.copy()), grad_b)
+    grad_c = prep.pullback(gc_hat)
+    return LpGradients(grad_c, partial(_grad_A, prep, left, right, omega, grad_c.copy()), gb)
 
 
 def _grad_A(prep, left, right, omega, grad_c):
@@ -295,11 +274,11 @@ def jvp(tape, dc=None, dA=None, db=None):
         raise DimensionMismatch("direction shapes must match the LP")
     if not all(np.isfinite(d).all() for d in (dc, dA, db) if d is not None):
         raise NonFiniteEntry("a direction contains a non-finite entry")
-    dc_w, dA_w, db_w = prep.tangent(dc, dA, db)
+    dc_w = prep.tangent(dc, dA)
     # a default Tikhonov term moves by
     # d reg = s / m * sum_j (dw_j ||a_j||^2 + 2 w_j a_j . da_j)
     col_sq = np.bincount(op.A.indices, op.A.data ** 2, minlength=n)
-    col_da = np.zeros(n) if dA_w is None else _column_dots(op.A, dA_w)
+    col_da = np.zeros(n) if dA is None else _column_dots(op.A, dA)
 
     c_sq = c_hat ** 2
     dx = np.zeros(n)
@@ -307,14 +286,14 @@ def jvp(tape, dc=None, dA=None, db=None):
         x, w, p, u = det.x_prev, det.gram.w, det.p, det.u
         dw = dx / c_hat - x * dc_w / c_sq
         # dL p with dL = dA W A^T + A dW A^T + A W dA^T, never formed
-        if dA_w is None:
+        if dA is None:
             dAt_p, dL_p = 0.0, op.A @ (dw * u)
         else:
-            dAt_p = dA_w.T @ p
-            dL_p = dA_w @ (w * u) + op.A @ (dw * u + w * dAt_p)
+            dAt_p = dA.T @ p
+            dL_p = dA @ (w * u) + op.A @ (dw * u + w * dAt_p)
         d_reg = det.reg_scale / m * (ddot(dw, col_sq) + 2.0 * ddot(w, col_da))
         dL_p += d_reg * p
-        dp = spd_solve(det.gram, db_w - dL_p, _adjoint_tol(det, tape.cfg), det.reg_used,
+        dp = spd_solve(det.gram, db - dL_p, _adjoint_tol(det, tape.cfg), det.reg_used,
                        det.factor).p
         du = dAt_p + op.AT @ dp
         dq = dw * u + w * du

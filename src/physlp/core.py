@@ -75,7 +75,7 @@ def _owned_csr(value):
     return A
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StandardFormLP:
     """min c.x s.t. A x = b, x >= 0.
 
@@ -84,7 +84,9 @@ class StandardFormLP:
     arrays.  The LP owns them all (see the module docstring).
     potentials, None or an m-vector pi, turn the working cost into the
     reduced cost c - A^T pi, which solver.prepare_lp requires to be
-    nonnegative: an LP with a negative cost needs them.
+    nonnegative: an LP with a negative cost needs them.  Two LPs are
+    equal only when they are the same object, which is also what they
+    hash by, so an LP can key a dict.
     """
 
     A: scipy.sparse.csr_array
@@ -189,10 +191,11 @@ class SolverConfig:
                  match-bench derives from each iterate's residual.
                  spd_solve accepts every solve on normwise backward
                  error at its tolerance
-    residual_tol feasibility tolerance of the stop test, with a stalled
-                 objective; CONVERGED means the test held at the end
     seed         integer >= 0; seeds the random initial iterate when x0
                  is not given
+
+    The feasibility tolerance of the stop test is no knob but the
+    constant solver.RESIDUAL_TOL.
     """
 
     max_iters: int = 10
@@ -200,7 +203,6 @@ class SolverConfig:
     clamp_floor: float = 1e-8
     gamma: float | None = None
     linsolve_tol: float = 1e-10
-    residual_tol: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -212,7 +214,7 @@ class SolverConfig:
         if not 0.0 < self.step_size <= 1.0:
             raise InvalidConfig(f"step_size must lie in (0, 1], got {self.step_size}")
         # "not x > 0" rejects NaN, which "x <= 0" lets through; isfinite rejects inf
-        for name in ("clamp_floor", "linsolve_tol", "residual_tol"):
+        for name in ("clamp_floor", "linsolve_tol"):
             value = getattr(self, name)
             if not (value > 0.0 and math.isfinite(value)):
                 raise InvalidConfig(f"{name} must be positive and finite, got {value}")

@@ -18,7 +18,7 @@ in one of two forms.  Dense, it keeps dpotrf's lower factor as
 eliminates first a set I of rows of A that share no column, whose
 block of L + reg*I is the diagonal d_I, and factors only the Schur
 complement of that block on the other rows F, as a BlockFactor.  The
-operator picks the block form once (its _split) where it saves
+operator picks the block form once, in its _pattern, where it saves
 BLOCK_MIN_SAVING flops of dpotrf, as on assignment LPs of 150 rows.
 Above DIRECT_MAX_DIM rows spd_solve runs Jacobi-preconditioned CG from
 zero on the sparse L + reg*I, and factors it densely only as a last
@@ -84,8 +84,8 @@ class WeightedOperator:
     first use (_pattern, see _build_pattern), in the layout that the
     solve route of A's row count reads.  Q has sum_j nnz(a_j)^2
     entries, fewer in the block layout: four per column on matching and
-    path LPs, but about n*m*m for a dense A.  _split is the row split
-    of the block layout, or None.
+    path LPs, but about n*m*m for a dense A.  _pattern.split is the
+    row split of the block layout, or None.
     """
 
     def __init__(self, A):
@@ -95,10 +95,6 @@ class WeightedOperator:
     @cached_property
     def _pattern(self):
         return _build_pattern(self.A.tocsc())
-
-    @cached_property
-    def _split(self):
-        return self._pattern.split
 
     def at(self, w):
         """A diag(w) A^T as a WeightedGram, for spd_solve; w must be positive."""
@@ -307,7 +303,7 @@ class WeightedGram:
         """A diag(w) A^T + reg*I for a direct solve: its _Blocks, views
         of values, where the operator splits its rows, and dense(reg)
         otherwise."""
-        split = self.op._split
+        split = self.op._pattern.split
         if split is None:
             return self.dense(reg)
         values = self._shifted(reg)

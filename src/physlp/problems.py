@@ -4,10 +4,9 @@ Three families are covered: bipartite matching with per-column slacks,
 an L1-regularized kernel SVM written as a feasibility-slack LP, and
 single-pair shortest path on a directed graph.  Builders are pure
 functions from instance data to StandardFormLP; decoders map a solved
-vector back to the combinatorial object.  A generator for random
-bounded-feasible LPs used by tests and benchmarks lives here as well.
-Instances live in memory; the one file format here is the graph file
-that physlp shortest-path reads (Graph.to_dict and Graph.from_dict).
+vector back to the combinatorial object.  Instances live in memory;
+the one file format here is the graph file that physlp shortest-path
+reads (Graph.to_dict and Graph.from_dict).
 
 The constraint matrix of an assignment LP depends only on its shape
 (n, m), so build_matching_lp takes its WeightedOperator, with the Gram
@@ -96,11 +95,6 @@ def matching_slack_gamma(m):
     return 0.5 / math.sqrt(m)
 
 
-def matching_feasible_point(n, m):
-    """Interior witness: X = 1/m on every entry, s = 1 - n/m."""
-    return np.concatenate([np.full(n * m, 1.0 / m), np.full(m, 1.0 - n / m)])
-
-
 def build_matching_lp(inst):
     """Relaxation  min tr(C X^T) + gamma * sum(s)  subject to
     X 1_m = 1_n and X^T 1_n + s = 1_m, X >= 0, s >= 0.
@@ -158,7 +152,7 @@ def _matching_operator(n, m):
     for arr in (A.data, A.indices, A.indptr):
         arr.flags.writeable = False
     op = WeightedOperator(A)
-    op._split  # builds op._pattern first
+    op._pattern  # builds the Gram map and the row split
     return op
 
 
@@ -239,15 +233,6 @@ def _svm_offsets(n):
     return {"a1": 0, "a2": n, "s": 2 * n, "b1": 3 * n, "b2": 3 * n + 1,
             "xi": 3 * n + 2, "z": 4 * n + 2, "l": 5 * n + 2,
             "p": 6 * n + 2, "q": 7 * n + 2, "r": 8 * n + 2}
-
-
-def svm_feasible_point(n):
-    """All-slack witness: xi = 1, r = 1, everything else 0."""
-    off = _svm_offsets(n)
-    x = np.zeros(9 * n + 2)
-    x[off["xi"]:off["xi"] + n] = 1.0
-    x[off["r"]:off["r"] + n] = 1.0
-    return x
 
 
 def build_l1svm_lp(inst):
@@ -469,22 +454,3 @@ def build_shortest_path_lp(graph, source, sink):
     b[row[sink]] = -1.0
     c = np.array(weights)
     return StandardFormLP(A, b, c)
-
-
-# ---------------------------------------------------------------------------
-# random bounded-feasible instances
-
-def random_bounded_lp(rng, m_rows, n_cols):
-    """Random standard-form LP with a known interior feasible point.
-
-    All entries of A are positive, so the feasible set is bounded; b is
-    A @ x_feas for a strictly positive x_feas, and c is strictly
-    positive.  Returns (lp, x_feas).
-    """
-    if not 1 <= m_rows < n_cols:
-        raise DimensionMismatch(f"need 1 <= m_rows < n_cols, got {m_rows}, {n_cols}")
-    A = rng.uniform(0.05, 1.0, size=(m_rows, n_cols))
-    x_feas = rng.uniform(0.2, 1.0, size=n_cols)
-    b = A @ x_feas
-    c = rng.uniform(0.1, 1.0, size=n_cols)
-    return StandardFormLP(A, b, c), x_feas

@@ -30,6 +30,10 @@ from .errors import (Breakdown, DimensionMismatch, LinSolveFailure, NegativeCost
                      NonFiniteEntry, NonPositiveInit, ZeroCostNeedsGamma)
 from .linalg import AUTO_REG_SCALE, WeightedGram, _norm, spd_solve
 
+# Feasibility tolerance of the stop test: CONVERGED needs a residual
+# ||A x - b|| at most this, with a stalled objective.
+RESIDUAL_TOL = 1e-8
+
 # Width of the early-stop window: the objective must be stalled across
 # this many consecutive iterations (plus a satisfied residual) to stop.
 STALL_WINDOW = 3
@@ -53,19 +57,6 @@ def default_gamma(m, n):
     return 0.5 / math.sqrt(m + n)
 
 
-def perturb_cost(c, gamma):
-    """Replace zero cost entries by gamma, leaving the rest untouched.
-
-    gamma must be positive when c has zero entries; a zero gamma is
-    accepted only for already strictly nonzero costs.
-    """
-    c = np.asarray(c, dtype=np.float64)
-    zero = c == 0.0
-    if np.any(zero) and gamma <= 0.0:
-        raise ZeroCostNeedsGamma(f"{int(zero.sum())} zero cost entries need gamma > 0, got {gamma}")
-    return np.where(zero, gamma, c)
-
-
 @dataclass
 class PreparedLP:
     """An LP with the working cost that its dynamics run on.
@@ -74,36 +65,32 @@ class PreparedLP:
     LP carries potentials pi, with each entry that is exactly zero
     raised to gamma; zero_mask marks those entries.  source is the LP
     as given, which is frozen, so a tape that holds it cannot see it
-    change; its A, b and operator are the working ones.  tangent and
-    pullback map perturbations and gradients of the LP's data across
-    c_hat.
+    change; its A, b and operator are the working ones.  tangent maps
+    perturbations of c and A to c_hat, and pullback and pullback_A, its
+    transpose, map a gradient of c_hat back to c and A.
     """
 
     source: StandardFormLP
     c: np.ndarray
     zero_mask: np.ndarray
 
-    def tangent(self, dc, dA, db):
-        """Map a perturbation (dc, dA, db) of the LP's data to the
-        working data: the cost moves by dc - dA^T pi, and by nothing
-        where it was raised to gamma, as gamma and pi are constants.
-        dA may be None, for no perturbation of A; dA and db pass
-        through."""
+    def tangent(self, dc, dA):
+        """The perturbation of c_hat that dc and dA (None for none) give:
+        dc - dA^T pi, and nothing where c_hat was raised to gamma, as
+        gamma and pi are constants."""
         pi = self.source.potentials
         if dA is not None and pi is not None:
             dc = dc - dA.T @ pi
-        return np.where(self.zero_mask, 0.0, dc), dA, db
+        return np.where(self.zero_mask, 0.0, dc)
 
-    def pullback(self, gc, gA, gb):
-        """Map gradients with respect to the working data back to the
-        LP's data: the transpose of tangent.  gA may be None, as dA in
-        tangent, and maps to None; pullback_A maps it on its own."""
-        gc = np.where(self.zero_mask, 0.0, gc)
-        return gc, None if gA is None else self.pullback_A(gA, gc), gb
+    def pullback(self, gc):
+        """The gradient of c that gc, a gradient of c_hat, gives: the
+        transpose of tangent in dc."""
+        return np.where(self.zero_mask, 0.0, gc)
 
     def pullback_A(self, gA, gc):
-        """The gradient of A that pullback gives, gA - outer(pi, gc),
-        where gc is the cost gradient that pullback returns."""
+        """The gradient of A that gA gives, gA - outer(pi, gc), where gc
+        is the cost gradient that pullback returns."""
         pi = self.source.potentials
         return gA if pi is None else gA - np.outer(pi, gc)
 
@@ -116,10 +103,11 @@ def prepare_lp(lp, gamma=None):
     The dynamics need a working cost that is nowhere negative, so
     NegativeCost is raised for any negative entry: an LP with a
     negative cost needs potentials that make it nonnegative.
-    gamma=None picks default_gamma(m, n) when zero costs are present
-    and 0.0 otherwise; an explicit gamma is applied as given.  lp was
-    validated when it was built, so nothing here validates it again,
-    and no second LP or operator is built.
+    Zero entries are raised to gamma, default_gamma(m, n) when gamma is
+    None, and ZeroCostNeedsGamma is raised for a gamma that is not
+    positive and finite; a cost without zeros is kept as it stands,
+    whatever gamma is.  lp was validated when it was built, so nothing
+    here validates it again, and no second LP or operator is built.
     """
     c = lp.c if lp.potentials is None else lp.c - lp.operator.AT @ lp.potentials
     neg = c < 0.0
@@ -127,15 +115,19 @@ def prepare_lp(lp, gamma=None):
         raise NegativeCost(f"{int(neg.sum())} entries of the working cost c - A^T potentials "
                            f"are negative; the LP needs potentials that make it nonnegative")
     zero = c == 0.0
-    if gamma is None:
-        gamma = default_gamma(lp.m, lp.n) if zero.any() else 0.0
-    return PreparedLP(lp, perturb_cost(c, float(gamma)), zero)
+    if zero.any():
+        gamma = default_gamma(lp.m, lp.n) if gamma is None else float(gamma)
+        if not 0.0 < gamma < math.inf:
+            raise ZeroCostNeedsGamma(f"{int(zero.sum())} zero cost entries need a finite "
+                                     f"gamma > 0, got {gamma}")
+        c = np.where(zero, gamma, c)
+    return PreparedLP(lp, c, zero)
 
 
 @dataclass
 class StepDetail:
-    """What one update leaves on the tape: enough to replay it or to run
-    the reverse sweep without re-forming or re-factoring A diag(w) A^T.
+    """What one update leaves on the tape: enough for backward and jvp
+    to run without re-forming or re-factoring A diag(w) A^T.
 
     The update is x_new = max((1-h) x_prev + h * w * u, eps) with
     u = A^T p, w = x_prev / c_hat and p the spd_solve answer of
@@ -259,13 +251,13 @@ def forward_tol(cfg, residual, bnorm):
     return max(cfg.linsolve_tol, FORCING * ratio)
 
 
-def _stalled(objectives, tol):
-    """Relative objective change over the last STALL_WINDOW iterations."""
-    if len(objectives) < STALL_WINDOW + 1:
+def _stalled(trace, tol):
+    """Relative objective change over the trace's last STALL_WINDOW steps."""
+    if len(trace) < STALL_WINDOW + 1:
         return False
-    last = objectives[-1]
+    last = trace[-1].objective
     scale = 1.0 + abs(last)
-    return all(abs(last - objectives[-1 - j]) <= tol * scale
+    return all(abs(last - trace[-1 - j].objective) <= tol * scale
                for j in range(1, STALL_WINDOW + 1))
 
 
@@ -283,8 +275,8 @@ def _iterate(prep, x, cfg):
     writing; LinSolveFailure propagates.  Each step solves to
     forward_tol of the residual of its input, with bnorm = ||b||, the
     right-hand side of the solves; a step is thus set by its input
-    alone, and running the loop again from the same x repeats it bit
-    for bit, which is how UnrolledTape.replay recomputes a tape."""
+    alone, and running the loop again from the same x, a tape's x0
+    among them, repeats it bit for bit, on the same route."""
     bnorm = float(np.linalg.norm(prep.source.b))
     res = _evaluate(prep, x)[1]
     for _ in range(cfg.max_iters):
@@ -298,7 +290,7 @@ def _solve_loop(lp, cfg, x0, early_stop, record_steps):
     """Runs _iterate for solve and solve_with_tape, with the trace, the
     early stop and the status; returns (result, prepared lp, x0, steps).
     The status is CONVERGED when the stop test (residual at most
-    cfg.residual_tol and a stalled objective) holds at the last
+    RESIDUAL_TOL and a stalled objective) holds at the last
     iterate, with or without early_stop, and MAX_ITERS otherwise.  A
     LinSolveFailure ends the loop at the last valid iterate."""
     prep = prepare_lp(lp, cfg.gamma)
@@ -306,7 +298,6 @@ def _solve_loop(lp, cfg, x0, early_stop, record_steps):
 
     steps = [] if record_steps else None
     trace = []
-    objectives = []
     x = None
     converged = False
     try:
@@ -314,8 +305,7 @@ def _solve_loop(lp, cfg, x0, early_stop, record_steps):
             if record_steps:
                 steps.append(det)
             trace.append(TraceRecord(k, obj, res, det.linsolve_iterations))
-            objectives.append(obj)
-            converged = res <= cfg.residual_tol and _stalled(objectives, cfg.residual_tol)
+            converged = res <= RESIDUAL_TOL and _stalled(trace, RESIDUAL_TOL)
             if converged and early_stop:
                 break
         status = SolveStatus.CONVERGED if converged else SolveStatus.MAX_ITERS
@@ -334,7 +324,7 @@ def solve(lp, cfg=None, x0=None, early_stop=True):
     """Run the dynamics for cfg.max_iters updates.
 
     The stop test holds once the feasibility residual is at most
-    cfg.residual_tol and the objective has stalled (relative change
+    RESIDUAL_TOL and the objective has stalled (relative change
     over the last three iterations within the same tolerance); with
     early_stop the run ends there.  The returned SolveResult carries
     the iterate, the objective against the LP's own cost, the

@@ -1,13 +1,67 @@
 """Shared instances: sparse LPs on the direct and the CG path, one
-with negative costs and potentials, and one with a dense A."""
+with negative costs and potentials, and one with a dense A; and the
+helpers that only tests use: random bounded LPs, feasible points of the
+matching and SVM LPs, and the forward loop run again from a tape.
+
+The test modules import the helpers from this module, which is why
+tests is a package."""
+
+from itertools import islice
 
 import numpy as np
 import pytest
 
-from physlp import StandardFormLP
+from physlp import StandardFormLP, solver
+from physlp.errors import DimensionMismatch
 from physlp.problems import (GaussianKernel, Graph, MatchingInstance, SvmInstance,
-                             build_l1svm_lp, build_matching_lp,
+                             _svm_offsets, build_l1svm_lp, build_matching_lp,
                              build_shortest_path_lp, two_gaussian_blobs)
+
+
+def random_bounded_lp(rng, m_rows, n_cols):
+    """Random standard-form LP with a known interior feasible point.
+
+    All entries of A are positive, so the feasible set is bounded; b is
+    A @ x_feas for a strictly positive x_feas, and c is strictly
+    positive.  Returns (lp, x_feas).
+    """
+    if not 1 <= m_rows < n_cols:
+        raise DimensionMismatch(f"need 1 <= m_rows < n_cols, got {m_rows}, {n_cols}")
+    A = rng.uniform(0.05, 1.0, size=(m_rows, n_cols))
+    x_feas = rng.uniform(0.2, 1.0, size=n_cols)
+    b = A @ x_feas
+    c = rng.uniform(0.1, 1.0, size=n_cols)
+    return StandardFormLP(A, b, c), x_feas
+
+
+def matching_feasible_point(n, m):
+    """Interior point of the n-by-m assignment LP: X = 1/m on every
+    entry, s = 1 - n/m."""
+    return np.concatenate([np.full(n * m, 1.0 / m), np.full(m, 1.0 - n / m)])
+
+
+def svm_feasible_point(n):
+    """All-slack point of the SVM LP of n points: xi = 1, r = 1,
+    everything else 0."""
+    off = _svm_offsets(n)
+    x = np.zeros(9 * n + 2)
+    x[off["xi"]:off["xi"] + n] = 1.0
+    x[off["r"]:off["r"] + n] = 1.0
+    return x
+
+
+def clamp_fired(tape):
+    """Whether the clamp was active at any step on any coordinate."""
+    return any(not det.clamp_mask.all() for det in tape.steps)
+
+
+def rerun(tape):
+    """The post-clamp iterates of the forward loop, solver._iterate, run
+    again from tape.x0 for as many steps as the tape holds; it stops
+    before a step the tape does not hold, so a tape that ended early or
+    at LINSOLVE_FAILURE is rerun as recorded."""
+    return [det.x_new for det, *_ in islice(solver._iterate(tape.prep, tape.x0, tape.cfg),
+                                            len(tape))]
 
 
 @pytest.fixture(scope="session")

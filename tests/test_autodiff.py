@@ -9,12 +9,13 @@ import pytest
 import scipy.linalg
 from scipy.linalg.blas import daxpy, ddot
 
-from physlp import (LpGradients, SolverConfig, StandardFormLP, autodiff, backward, cli,
-                    finite_diff_grad, jvp, linalg, objective_gradients, solve,
-                    solve_with_tape, solver)
-from physlp.errors import DimensionMismatch, NonFiniteEntry
-from physlp.problems import (MatchingInstance, build_matching_lp,
-                             random_bounded_lp)
+from physlp import (LpGradients, SolveStatus, SolverConfig, StandardFormLP, autodiff,
+                    backward, cli, finite_diff_grad, jvp, linalg, objective_gradients,
+                    solve, solve_with_tape, solver)
+from physlp.errors import Breakdown, DimensionMismatch, NonFiniteEntry
+from physlp.problems import MatchingInstance, build_matching_lp
+
+from .conftest import clamp_fired, random_bounded_lp, rerun
 
 
 def toy_lp(c=(1.0, 2.0)):
@@ -81,8 +82,9 @@ def test_tape_early_stop_off_by_default():
     _, short = solve_with_tape(toy_lp(c=(1.0, 1.0)),
                                SolverConfig(max_iters=200), early_stop=True)
     assert len(short) < 200
-    # replay recomputes exactly the steps the early-stopped tape holds
-    redone = short.replay()
+    # the forward loop, run again from x0, recomputes exactly the steps
+    # the early-stopped tape holds
+    redone = rerun(short)
     assert len(redone) == len(short)
     assert all(np.array_equal(det.x_new, x) for det, x in zip(short.steps, redone))
 
@@ -91,7 +93,7 @@ def test_tape_replay_bit_identical():
     lp = build_matching_lp(MatchingInstance(
         np.array([[0.2, 0.8, 0.5], [0.8, 0.2, 0.4]])))
     _, tape = solve_with_tape(lp, SolverConfig(max_iters=10))
-    redone = tape.replay()
+    redone = rerun(tape)
     assert len(redone) == 10
     for det, x in zip(tape.steps, redone):
         assert np.array_equal(det.x_new, x)
@@ -100,15 +102,37 @@ def test_tape_replay_bit_identical():
 @pytest.mark.parametrize("name, factored", [("matching_50x100", True), ("dag_600", False),
                                            ("signed_sparse_40x400", True)])
 def test_tape_replay_bit_identical_on_csr_operators(name, factored, request):
-    # replay takes the recorded path: CSR assembly and Cholesky on the
+    # the forward loop run again from x0 takes the recorded path: CSR assembly and Cholesky on the
     # matching and on the LP with potentials, CG on the sparse matrix
     # on the DAG, each step to the target it recorded
     lp = request.getfixturevalue(name)
     _, tape = solve_with_tape(lp, SolverConfig(max_iters=30, seed=2))
     assert all((det.factor is not None) == factored for det in tape.steps)
     assert len({det.tol_used for det in tape.steps}) > 10
-    for det, x in zip(tape.steps, tape.replay()):
+    for det, x in zip(tape.steps, rerun(tape)):
         assert np.array_equal(det.x_new, x)
+
+
+def test_tape_replay_stops_before_a_failed_step(matching_5x50, monkeypatch):
+    # the fifth step's solve and its retry break down, so the run ends
+    # at LINSOLVE_FAILURE with a tape of four steps; the forward loop,
+    # run again from x0, repeats them and takes no fifth solve
+    inner, calls = solver.spd_solve, []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) > 4:
+            raise Breakdown("forced")
+        return inner(*args)
+
+    monkeypatch.setattr(solver, "spd_solve", failing)
+    res, tape = solve_with_tape(matching_5x50, SolverConfig(max_iters=10))
+    assert res.status is SolveStatus.LINSOLVE_FAILURE and len(calls) == 6
+    assert len(tape) == 4 and np.array_equal(res.x, tape.x_final)
+    calls.clear()
+    redone = rerun(tape)
+    assert len(calls) == 4 and len(redone) == 4
+    assert all(np.array_equal(det.x_new, x) for det, x in zip(tape.steps, redone))
 
 
 def test_tape_stores_consistent_solves():
@@ -349,7 +373,7 @@ def test_toy_coordinate_loss_matches_fd():
     grads = backward(tape, np.array([0.0, 1.0]))
     fd = finite_diff_grad(lp, cfg, lambda x: x[1], x0=np.array([0.5, 0.5]))
     # the toy start is hand-picked so no clamp fires inside 10 steps
-    assert not tape.clamp_active_any
+    assert not clamp_fired(tape)
     assert rel_err(grads.grad_c, fd.grad_c) <= 1e-4
     assert rel_err(grads.grad_A, fd.grad_A) <= 1e-4
     assert rel_err(grads.grad_b, fd.grad_b) <= 1e-4
@@ -408,7 +432,7 @@ def test_randomized_gradcheck_and_transpose():
         cfg = SolverConfig(max_iters=k, seed=int(rng.integers(2 ** 31)))
         _, tape = solve_with_tape(lp, cfg)
         assert (lp.c < 0).any() == (checked >= 20)
-        if tape.clamp_active_any:
+        if clamp_fired(tape):
             continue
         w = rng.normal(size=n)
         grads = backward(tape, w)
@@ -448,7 +472,7 @@ def test_gradients_follow_the_default_tikhonov_term(monkeypatch):
     lp, _ = random_bounded_lp(rng, 3, 6)
     cfg = SolverConfig(max_iters=10, seed=2)
     _, tape = solve_with_tape(lp, cfg)
-    assert not tape.clamp_active_any
+    assert not clamp_fired(tape)
     assert all(det.reg_scale == 1e-4 for det in tape.steps)
     w = rng.normal(size=lp.n)
     fd = finite_diff_grad(lp, cfg, lambda x: float(w @ x))
@@ -715,7 +739,7 @@ def test_jvp_matches_directional_fd():
     lp, _ = random_bounded_lp(np.random.default_rng(3), 2, 5)
     cfg = SolverConfig(max_iters=8, seed=11)
     _, tape = solve_with_tape(lp, cfg)
-    assert not tape.clamp_active_any
+    assert not clamp_fired(tape)
     rng = np.random.default_rng(4)
     dc = rng.normal(size=5)
     dx = jvp(tape, dc=dc)

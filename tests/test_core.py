@@ -10,7 +10,7 @@ import scipy.sparse
 
 import physlp
 from physlp import (SolverConfig, StandardFormLP, feasibility_residual,
-                    load_lp, lp_from_dict, lp_to_dict, objective, save_lp,
+                    load_lp, lp_from_dict, lp_to_dict, objective, save_lp, solver,
                     validate)
 from physlp.errors import DimensionMismatch, InvalidConfig, NonFiniteEntry
 from physlp.linalg import WeightedOperator
@@ -141,6 +141,18 @@ def test_an_lp_cannot_be_assigned(name):
         setattr(lp, name, getattr(lp, name))
 
 
+def test_an_lp_equals_itself_alone_and_hashes():
+    # == on the arrays once raised ValueError, after a
+    # SparseEfficiencyWarning, and hash raised TypeError
+    lp, twin = toy_lp(), toy_lp()
+    assert lp == lp and not lp != lp
+    assert lp != twin and not lp == twin
+    assert hash(lp) == hash(lp)
+    seen = {lp: "first", twin: "second"}
+    assert seen[lp] == "first" and seen[twin] == "second"
+    assert lp in {lp} and twin not in {lp}
+
+
 @pytest.mark.parametrize("name", [f.name for f in fields(SolverConfig)])
 def test_a_config_cannot_be_assigned(name):
     cfg = SolverConfig()
@@ -214,8 +226,11 @@ def test_config_defaults():
     assert cfg.step_size == 1.0
     assert cfg.clamp_floor == 1e-8
     assert cfg.linsolve_tol == 1e-10
-    assert cfg.residual_tol == 1e-8
     assert cfg.gamma is None
+    # the stop test's tolerance is a constant, not a field
+    assert solver.RESIDUAL_TOL == 1e-8
+    assert [f.name for f in fields(SolverConfig)] == [
+        "max_iters", "step_size", "clamp_floor", "gamma", "linsolve_tol", "seed"]
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -225,10 +240,12 @@ def test_config_defaults():
     {"clamp_floor": 0.0},
     {"max_iters": -1},
     {"linsolve_tol": 0.0},
-    {"residual_tol": -1.0},
+    {"clamp_floor": -1.0},
     {"gamma": -0.5},
-    *[{name: value} for name in ("clamp_floor", "gamma", "linsolve_tol", "residual_tol")
+    *[{name: value} for name in ("clamp_floor", "gamma", "linsolve_tol")
       for value in (float("nan"), float("inf"))],
+    {"step_size": float("nan")},
+    {"seed": 2.5},
     # once accepted, and then a raw TypeError or ValueError inside solve
     {"max_iters": 2.5},
     {"seed": -1},

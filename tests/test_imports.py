@@ -1,5 +1,6 @@
 """Every module of the package, test module and demo uses each name it
-imports, and the package raises or catches every error class it
+imports, every definition of the package is reached from outside the
+tests, and the package raises or catches every error class it
 defines."""
 
 import ast
@@ -23,10 +24,20 @@ WRAPPED_BY_THE_BENCHMARK = {
     ("problems", "validate"),
 }
 
+# Definitions that nothing outside the tests reaches, and why they stay
+UNREACHED_ON_PURPOSE = {
+    "oracles.enumerate_vertices": "the tests' reference oracle for small LPs (criterion 2)",
+    "problems.Graph.to_dict": "the writer of the graph format that Graph.from_dict reads",
+    "problems.pairwise_multiclass": "kept until the few-shot SVM head (ROADMAP item 8) "
+                                    "uses it or removes it",
+    "problems.PairwiseSvmEnsemble.fit": "as problems.pairwise_multiclass",
+}
+
 # __init__.py imports to re-export
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.name != "__init__.py")
 TESTS = Path(__file__).parent
-SCRIPTS = sorted([*TESTS.glob("*.py"), *(TESTS.parent / "demos").glob("*.py")])
+ROOT = TESTS.parent
+SCRIPTS = sorted([*TESTS.glob("*.py"), *(ROOT / "demos").glob("*.py")])
 
 
 def unused_imports(path):
@@ -57,6 +68,77 @@ def test_the_guard_sees_an_unused_import(tmp_path):
     probe.write_text("import math\nimport os.path\nfrom os import sep, getcwd as cwd\n"
                      "print(sep, os.path)\n")
     assert unused_imports(probe) == {"math", "cwd"}
+
+
+def referenced(node, skip=None):
+    """The names that the code at node refers to, outside the subtree
+    skip: names, attribute names, imported names, and string constants
+    that are identifiers, as a getattr or __all__ holds them."""
+    if node is skip:
+        return set()
+    if isinstance(node, ast.Name):
+        names = {node.id}
+    elif isinstance(node, ast.Attribute):
+        names = {node.attr}
+    elif isinstance(node, ast.alias):
+        names = {node.name}
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        names = {node.value} if node.value.isidentifier() else set()
+    else:
+        names = set()
+    for child in ast.iter_child_nodes(node):
+        names |= referenced(child, skip)
+    return names
+
+
+def definitions(tree):
+    """(name, node) of each top-level function and class of the module
+    tree, and ("Class.method", node) of each public method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{item.name}", item) for item in node.body
+                        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"))
+
+
+def unreached(modules, others, exported):
+    """The definitions of the modules at the paths modules, as
+    "module.name", whose name no code refers to: not another of the
+    modules, nor their own module outside the definition itself, nor
+    the files at the paths others, nor the names exported."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in modules}
+    outside = set(exported).union(*(referenced(ast.parse(p.read_text())) for p in others))
+    found = set()
+    for stem, tree in trees.items():
+        elsewhere = outside.union(*(referenced(t) for s, t in trees.items() if s != stem))
+        for name, node in definitions(tree):
+            if node.name not in elsewhere and node.name not in referenced(tree, node):
+                found.add(f"{stem}.{name}")
+    return found
+
+
+def test_every_definition_is_reached_outside_the_tests():
+    # from another definition of the package, a demo, the benchmark or
+    # physlp.__all__: what only the tests call belongs in the tests
+    modules = [SRC / f"{module}.py" for module in MODULES]
+    others = [*(ROOT / "demos").glob("*.py"), *(ROOT / "benchmarks").rglob("*.py")]
+    assert unreached(modules, others, physlp.__all__) == set(UNREACHED_ON_PURPOSE)
+
+
+def test_the_guard_sees_an_unreached_definition(tmp_path):
+    lib, user = tmp_path / "lib.py", tmp_path / "user.py"
+    lib.write_text("def used():\n    return Kit().run()\n\n"
+                   "def loop():\n    return loop()\n\n"
+                   "def exported():\n    pass\n\n"
+                   "class Kit:\n    def run(self):\n        return self.stop\n\n"
+                   "    def stop(self):\n        pass\n\n"
+                   "    def idle(self):\n        return self.idle()\n\n"
+                   "    def __len__(self):\n        return 0\n\n"
+                   "    def _hidden(self):\n        pass\n")
+    user.write_text("from lib import used\nused()\n")
+    assert unreached([lib], [user], ["exported"]) == {"lib.loop", "lib.Kit.idle"}
+    assert unreached([lib], [], ["exported"]) == {"lib.used", "lib.loop", "lib.Kit.idle"}
 
 
 def raised_or_caught(paths):

@@ -216,7 +216,7 @@ def test_block_factor_only_where_the_split_saves_flops(matching_5x50, matching_5
     # own diag(S_II), 100, with S_FI shared: 10,200 floats instead of
     # two 150^2 arrays.  5x50 and 30x30 (55 and 60 rows) save too few
     # flops and keep the m-by-m matrix and its dense factor.
-    split = matching_50x100.operator._split
+    split = matching_50x100.operator._pattern.split
     assert np.array_equal(split.I, np.arange(50, 150))
     assert np.array_equal(split.F, np.arange(50))
     _, tape = solve_with_tape(matching_50x100, SolverConfig(max_iters=5, seed=1))
@@ -228,7 +228,7 @@ def test_block_factor_only_where_the_split_saves_flops(matching_5x50, matching_5
     square = build_matching_lp(MatchingInstance(np.random.default_rng(7).uniform(size=(30, 30))))
     for lp in (matching_5x50, square):
         _, tape = solve_with_tape(lp, SolverConfig(max_iters=5, seed=1))
-        assert lp.operator._split is None
+        assert lp.operator._pattern.split is None
         for det in tape.steps:
             assert is_dense_factor(det.factor)
             assert det.gram.values.size == det.factor[0].size == lp.m ** 2
@@ -254,7 +254,7 @@ def test_every_layout_reads_the_same_matrix(matching_50x100, monkeypatch):
         csr._pattern
     sizes = [op._pattern.Q.shape[0] for op in (block, dense, csr)]
     assert sizes == [7600, 150 ** 2, block._pattern.indices.size]
-    assert (dense._split, csr._split) == (None, None)
+    assert (dense._pattern.split, csr._pattern.split) == (None, None)
     want = {}
     for reg in (1e-3, 0.25, 1e-3):
         S = (A * w) @ A.T + reg * np.eye(150)
@@ -262,7 +262,7 @@ def test_every_layout_reads_the_same_matrix(matching_50x100, monkeypatch):
         forms.append(dense.at(w).dense(reg).copy())
         assert all(np.array_equal(f, forms[0]) for f in forms)
         assert np.abs(forms[0] - S).max() <= 1e-13 * np.abs(S).max()
-        I, F = block._split
+        I, F = block._pattern.split
         blocks = block.at(w).direct(reg)
         assert np.array_equal(blocks.FF, forms[0][np.ix_(F, F)])
         assert np.array_equal(blocks.B, forms[0][np.ix_(F, I)])
@@ -317,7 +317,7 @@ def test_block_factor_of_a_diagonal_gram():
     c = np.concatenate([first, 3.0 - first])
     b = rng.uniform(0.5, 1.5, size=m)
     lp = StandardFormLP(np.hstack([np.eye(m), np.eye(m)]), b, c)
-    assert lp.operator._split.F.size == 0
+    assert lp.operator._pattern.split.F.size == 0
     res, tape = solve_with_tape(lp, SolverConfig(max_iters=100, seed=3))
     assert all(isinstance(det.factor, BlockFactor) for det in tape.steps)
     cheap = c[:m] < c[m:]
@@ -354,7 +354,7 @@ def test_an_indefinite_matrix_breaks_down_on_both_routes(matching_50x100, monkey
     # raises Breakdown on the same matrices
     op = matching_50x100.operator
     w = np.random.default_rng(1).uniform(0.1, 2.0, size=matching_50x100.n)
-    reg = -scale * op.at(w).diagonal[op._split.I].min()
+    reg = -scale * op.at(w).diagonal[op._pattern.split.I].min()
     potrf, seen = linalg.dpotrf, []
 
     def spy(a, **kwargs):
@@ -367,7 +367,7 @@ def test_an_indefinite_matrix_breaks_down_on_both_routes(matching_50x100, monkey
     # the dense route: an operator whose Q writes the row-major layout
     monkeypatch.setattr(linalg, "BLOCK_MIN_SAVING", np.inf)
     dense = WeightedOperator(op.A)
-    assert dense._split is None
+    assert dense._pattern.split is None
     with pytest.raises(Breakdown):
         spd_solve(dense.at(w), matching_50x100.b, reg=reg)
     assert seen == orders + [150]

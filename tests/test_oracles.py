@@ -14,7 +14,9 @@ from physlp.errors import (DimensionMismatch, InfeasibleDetected,
                            NonFiniteEntry, TooLarge, Unreachable)
 from physlp.oracles import dijkstra, enumerate_vertices, hungarian
 from physlp.problems import (Graph, MatchingInstance, build_matching_lp,
-                             build_shortest_path_lp, random_bounded_lp)
+                             build_shortest_path_lp)
+
+from .conftest import random_bounded_lp
 
 
 # ----------------------------------------------------------- hungarian

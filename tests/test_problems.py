@@ -18,11 +18,12 @@ from physlp.problems import (GaussianKernel, Graph, LinearKernel,
                              assignment_to_vector, build_l1svm_lp,
                              build_matching_lp, build_shortest_path_lp,
                              decode_matching, decode_svm, fit_svm,
-                             matching_cost_gradient,
-                             matching_feasible_point, matching_slack_gamma,
-                             pairwise_multiclass, random_bounded_lp,
-                             split_matching_vars, svm_feasible_point,
+                             matching_cost_gradient, matching_slack_gamma,
+                             pairwise_multiclass, split_matching_vars,
                              two_gaussian_blobs)
+
+from .conftest import (matching_feasible_point, random_bounded_lp, rerun,
+                       svm_feasible_point)
 
 
 # ------------------------------------------------------------ matching
@@ -188,8 +189,8 @@ def test_a_negative_gamma_gets_potentials_on_the_shared_operator(monkeypatch):
     _, tape = solve_with_tape(lp, cfg)
     backward(tape, np.ones(lp.n))
     jvp(tape, dc=np.ones(lp.n), dA=lp.A.toarray(), db=np.ones(lp.m))
-    tape.replay()
-    # 5 steps each for solve, the tape and the replay; backward and jvp
+    rerun(tape)
+    # 5 steps each for solve, the tape and the rerun; backward and jvp
     # read each step's gram from the tape and take none
     assert built == [] and len(used) == 15
     assert all(op is shared for op in used)

@@ -9,13 +9,14 @@ import scipy.sparse
 
 from physlp import (SolveStatus, SolverConfig, StandardFormLP, autodiff, backward, core,
                     default_gamma, feasibility_residual, initial_state, jvp, linalg,
-                    objective_gradients, perturb_cost, prepare_lp, problems, solve,
+                    objective_gradients, prepare_lp, problems, solve,
                     solve_with_tape, solver, step_detail)
 from physlp.errors import (DimensionMismatch, NegativeCost, NonFiniteEntry,
                            NonPositiveInit, ZeroCostNeedsGamma)
 from physlp.oracles import hungarian
-from physlp.problems import (MatchingInstance, build_matching_lp, decode_matching,
-                             random_bounded_lp)
+from physlp.problems import MatchingInstance, build_matching_lp, decode_matching
+
+from .conftest import random_bounded_lp, rerun
 
 
 def toy_lp(c=(1.0, 2.0)):
@@ -25,17 +26,31 @@ def toy_lp(c=(1.0, 2.0)):
 
 # ------------------------------------------------------------ perturb
 
+def cost_lp(c):
+    """min c.x s.t. sum(x) = 1."""
+    return StandardFormLP(np.ones((1, len(c))), [1.0], c)
+
+
 def test_perturb_replaces_only_zeros():
-    assert np.array_equal(perturb_cost(np.array([1.0, 0.0, 2.0]), 0.5),
-                          [1.0, 0.5, 2.0])
-    assert np.array_equal(perturb_cost(np.array([1.0, 2.0]), 0.5), [1.0, 2.0])
-    assert np.array_equal(perturb_cost(np.array([0.0, 0.0]), 1e-3),
-                          [1e-3, 1e-3])
+    # prepare_lp raises the zero entries of the working cost to gamma
+    # and leaves the rest, and a zero-free cost bit for bit, whatever
+    # gamma is
+    prep = prepare_lp(cost_lp([1.0, 0.0, 2.0]), 0.5)
+    assert np.array_equal(prep.c, [1.0, 0.5, 2.0])
+    assert prep.zero_mask.tolist() == [False, True, False]
+    c = np.random.default_rng(1).uniform(0.1, 1.0, size=6)
+    for gamma in (None, 0.0, 0.5):
+        assert np.array_equal(prepare_lp(cost_lp(c), gamma).c, c)
+    assert np.array_equal(prepare_lp(cost_lp([0.0, 0.0]), 1e-3).c, [1e-3, 1e-3])
 
 
 def test_perturb_zero_gamma_with_zero_cost_fails():
+    for gamma in (0.0, -1.0, float("nan"), float("inf")):
+        # a NaN gamma once gave a NaN working cost
+        with pytest.raises(ZeroCostNeedsGamma, match="1 zero cost entries"):
+            prepare_lp(cost_lp([0.0, 1.0]), gamma)
     with pytest.raises(ZeroCostNeedsGamma):
-        perturb_cost(np.array([0.0, 1.0]), 0.0)
+        solve(cost_lp([0.0, 1.0]), SolverConfig(gamma=0.0))
 
 
 def test_default_gamma_scale():
@@ -88,24 +103,23 @@ def test_a_zero_reduced_cost_is_raised_to_gamma():
 
 
 def test_pullback_is_the_transpose_of_tangent(signed_sparse_40x400):
-    # <pullback(g), d> = <g, tangent(d)> over (c, A, b) on an LP with
-    # potentials and with working costs raised to gamma
+    # the map (dc, dA) -> (tangent(dc, dA), dA) has the transpose
+    # (gc, gA) -> (pullback(gc), pullback_A(gA, pullback(gc))), on an
+    # LP with potentials and with working costs raised to gamma
     lp = signed_sparse_40x400
     c = np.where(np.arange(lp.n) < 10, lp.operator.AT @ lp.potentials, lp.c)
     prep = prepare_lp(replace(lp, c=c))
     assert prep.zero_mask.sum() == 10
     rng = np.random.default_rng(9)
 
-    def draw():
-        return rng.normal(size=lp.n), rng.normal(size=(lp.m, lp.n)), rng.normal(size=lp.m)
-
-    def dot(u, v):
-        return sum(float(np.vdot(a, b)) for a, b in zip(u, v))
-
     for _ in range(5):
-        d, g = draw(), draw()
-        lhs, rhs = dot(prep.pullback(*g), d), dot(g, prep.tangent(*d))
+        dc, dA, gc, gA = (rng.normal(size=shape) for shape in [lp.n, (lp.m, lp.n)] * 2)
+        gc_lp = prep.pullback(gc)
+        lhs = gc_lp @ dc + np.vdot(prep.pullback_A(gA, gc_lp), dA)
+        rhs = gc @ prep.tangent(dc, dA) + np.vdot(gA, dA)
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
+        # without dA the cost maps alone are transposes
+        assert abs(gc_lp @ dc - gc @ prep.tangent(dc, None)) <= 1e-12 * abs(gc_lp @ dc)
 
 
 def negative_cost_case(family, seed):
@@ -165,7 +179,7 @@ def test_a_negative_cost_lp_is_solved_as_the_lp_it_is(family, seed):
 
 def test_a_potentials_lp_computes_with_the_lp_operator(signed_sparse_40x400, monkeypatch):
     # potentials change the cost alone, so every solve, tape, backward,
-    # jvp and replay of an LP with potentials reads lp.operator and
+    # jvp and rerun of an LP with potentials reads lp.operator and
     # builds no other
     lp = signed_sparse_40x400
     op = lp.operator
@@ -179,8 +193,8 @@ def test_a_potentials_lp_computes_with_the_lp_operator(signed_sparse_40x400, mon
     assert tape.prep.source.operator is op
     backward(tape, np.ones(lp.n))
     jvp(tape, dc=np.ones(lp.n), dA=np.ones((lp.m, lp.n)), db=np.ones(lp.m))
-    tape.replay()
-    # 5 steps each for solve, the tape and the replay; backward and jvp
+    rerun(tape)
+    # 5 steps each for solve, the tape and the rerun; backward and jvp
     # read each step's gram from the tape and take none
     assert built == [] and len(used) == 15
     assert all(args[0] is op for args in used)
@@ -277,7 +291,7 @@ def test_replace_keeps_the_arrays_it_is_not_given(matching_5x50):
 
 def test_an_lp_is_validated_once_when_built(monkeypatch):
     # at the public boundary only: building the LP validates it, and no
-    # solve, gradient or replay of it validates it again
+    # solve, gradient or rerun of it validates it again
     validate, calls = core.validate, []
 
     def counting(lp):
@@ -295,7 +309,7 @@ def test_an_lp_is_validated_once_when_built(monkeypatch):
     backward(tape, np.ones(lp.n))
     jvp(tape, dc=np.ones(lp.n), dA=np.ones((lp.m, lp.n)), db=np.ones(lp.m))
     objective_gradients(tape)
-    tape.replay()
+    rerun(tape)
     assert len(calls) == 1 and calls[0] is lp
 
 
@@ -447,7 +461,7 @@ def test_sparse_matrix_is_the_dense_gram(name, request):
     assert np.array_equal(S.toarray() != 0, want != 0)
     assert np.abs(S.toarray() - want).max() <= 1e-14 * np.abs(want).max()
     if prep.source.m <= linalg.DIRECT_MAX_DIM:
-        assert op._split is None
+        assert op._pattern.split is None
         assert np.array_equal(op.at(w).dense(reg), S.toarray())
     diag = np.diag(want)
     assert np.abs(S.diagonal() - diag).max() <= 1e-14 * diag.max()
@@ -741,7 +755,7 @@ def test_a_budget_that_ends_on_a_moving_iterate_is_max_iters(early_stop):
     # the objective 1.99997, still on its way to the optimum 1
     cfg = SolverConfig(max_iters=5)
     res = solve(toy_lp(), cfg, x0=np.array([1e-6, 1.0]), early_stop=early_stop)
-    assert len(res.trace) == 5 and res.residual <= cfg.residual_tol
+    assert len(res.trace) == 5 and res.residual <= solver.RESIDUAL_TOL
     assert res.objective == pytest.approx(1.99997, abs=1e-5)
     assert res.status == SolveStatus.MAX_ITERS
 
