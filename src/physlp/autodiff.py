@@ -14,24 +14,24 @@ as the forward step does.  The tape holds the LP and the SolverConfig
 it ran with, both frozen, not copies.
 
 Per step the tape holds the linalg.WeightedGram the forward solve
-used, with w = x_prev / c_hat and the matrix S = A diag(w) A^T + reg*I
-it assembled, the Cholesky factor of S that it computed, and x_prev,
-p, u, x_new and the clamp mask.  Nothing of S is computed again: S is
-kept in the layout its route reads, and the factor is dense, m^2
-floats, or a linalg.BlockFactor where the operator splits its rows,
-the factor of the Schur complement on F and the diagonal S_II, with
-the block S_FI shared with the gram.  A step of a 30x30 assignment LP
-(60x930) holds about 84 kB, and one of a 50x100 LP (150x5100), whose
-rows split, about 216 kB, by tracemalloc.
+used, the step's whole system S = A diag(w) A^T + reg*I with
+w = x_prev / c_hat, its values in the layout its route reads and the
+Cholesky factor the solve left on it, and x_prev, p, u, x_new and the
+clamp mask.  Nothing of S is computed again, and nothing is factored
+again: the factor is dense, m^2 floats, or, where the operator splits
+its rows, that of the Schur complement on F, |F|^2 floats, whose
+blocks S_II and S_FI the gram's values hold.  A step of a 30x30
+assignment LP (60x930) holds about 83 kB, and one of a 50x100 LP
+(150x5100), whose rows split, about 213 kB, by tracemalloc.
 The solve adjoint gL = -outer(z, p) has rank one, so backward never
 forms an m-by-m or m-by-n array per step: each step costs one product
 with A and one with its transpose, a few n-vector operations, and
-one spd_solve against the step's gram and factor: two triangular
-solves (around two GEMVs for a BlockFactor) and a residual check
-against the kept S, a dense GEMV of order m or, in blocks, two GEMVs
-and the diagonal; or PCG on the kept sparse S when the step had no
-factor.  The column norms ||a_j||^2 of the Tikhonov term come from
-op's CSR data.  gA is the sum of 2K rank-one terms, two per step, and
+one spd_solve against the step's gram: two triangular solves with its
+factor (around two GEMVs in blocks) and a residual check against the
+kept S, a dense GEMV of order m or, in blocks, two GEMVs and the
+diagonal; or PCG on the kept sparse S when the gram has no factor.
+The column norms ||a_j||^2 of the Tikhonov term come from op's CSR
+data.  gA is the sum of 2K rank-one terms, two per step, and
 an update on A's nonzeros from the Tikhonov term: backward keeps their
 vectors, stacked as (2K, m) and (2K, n) factor rows, and the n-vector
 omega of the update, and every solve and so every Breakdown stays
@@ -74,9 +74,9 @@ from .solver import _solve_loop
 CG_ADJOINT_TOL = 1e-14
 
 
-def _adjoint_tol(det, cfg):
-    """Target of the backward or tangent solve of the step det."""
-    return cfg.linsolve_tol if det.factor is not None else min(cfg.linsolve_tol, CG_ADJOINT_TOL)
+def _adjoint_tol(gram, cfg):
+    """Target of the backward or tangent solve of a step's gram."""
+    return cfg.linsolve_tol if gram.factor is not None else min(cfg.linsolve_tol, CG_ADJOINT_TOL)
 
 
 @dataclass
@@ -84,16 +84,16 @@ class UnrolledTape:
     """Recorded forward pass: the prepared LP (whose source is the LP
     solved, with the operator the steps computed with), cfg, the config
     it ran with, the initial iterate, and one StepDetail per iteration:
-    the step's WeightedGram (w and the matrix its solve assembled:
+    the step's WeightedGram (w, the matrix S its solve assembled:
     m-by-m, or the blocks diag(S_II), S_FF and S_FI of
     |I| + |F|^2 + |F| |I| floats where the operator splits its rows,
-    or the sparse matrix's data above linalg.DIRECT_MAX_DIM rows), four
-    more O(n) and one O(m) vectors, and spd_solve's Cholesky factor,
-    m-by-m or a linalg.BlockFactor of |F|^2 + |I| floats of its own,
-    which steps above linalg.DIRECT_MAX_DIM rows (CG on the sparse
-    matrix) only hold when its last resort ran.  About 84 kB per step at
-    30x30 (60x930) and 216 kB at 50x100 (150x5100), by tracemalloc; all
-    of it is reachable through dataclass fields."""
+    or the sparse matrix's data above linalg.DIRECT_MAX_DIM rows, and
+    the Cholesky factor spd_solve left on it, m-by-m or of |F|^2 floats
+    in blocks, which steps above linalg.DIRECT_MAX_DIM rows (CG on the
+    sparse matrix) only hold when its last resort ran), and four more
+    O(n) and one O(m) vectors.  About 83 kB per step at 30x30 (60x930)
+    and 213 kB at 50x100 (150x5100), by tracemalloc; all of it is
+    reachable through dataclass fields."""
 
     prep: object
     cfg: SolverConfig
@@ -208,8 +208,7 @@ def backward(tape, grad_x):
         gu = w * gq
         # p = S^{-1} b with S = A diag(w) A^T + reg*I: z = S^{-1} (A gu),
         # and the rank-1 gL = -outer(z, p) gives gw = -(A^T z) * u
-        z = spd_solve(det.gram, op.A @ gu, _adjoint_tol(det, tape.cfg), det.reg_used,
-                      det.factor).p
+        z = spd_solve(det.gram, op.A @ gu, _adjoint_tol(det.gram, tape.cfg)).p
         gb += z
         v = op.AT @ z
         g_reg = -ddot(z, det.p) * det.reg_scale / m
@@ -293,8 +292,7 @@ def jvp(tape, dc=None, dA=None, db=None):
             dL_p = dA @ (w * u) + op.A @ (dw * u + w * dAt_p)
         d_reg = det.reg_scale / m * (ddot(dw, col_sq) + 2.0 * ddot(w, col_da))
         dL_p += d_reg * p
-        dp = spd_solve(det.gram, db - dL_p, _adjoint_tol(det, tape.cfg), det.reg_used,
-                       det.factor).p
+        dp = spd_solve(det.gram, db - dL_p, _adjoint_tol(det.gram, tape.cfg)).p
         du = dAt_p + op.AT @ dp
         dq = dw * u + w * du
         dx = dq if h == 1.0 else (1.0 - h) * dx + h * dq

@@ -194,8 +194,8 @@ class SolverConfig:
     seed         integer >= 0; seeds the random initial iterate when x0
                  is not given
 
-    The feasibility tolerance of the stop test is no knob but the
-    constant solver.RESIDUAL_TOL.
+    No field takes a bool.  The feasibility tolerance of the stop test
+    is no knob but the constant solver.RESIDUAL_TOL.
     """
 
     max_iters: int = 10
@@ -206,6 +206,10 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # True == 1 would pass every test below: max_iters=True would run one step
+        for name, value in vars(self).items():
+            if isinstance(value, (bool, np.bool_)):
+                raise InvalidConfig(f"{name} must be a number, not the bool {value!r}")
         # numbers.Integral takes numpy integers too, and rejects 2.5
         for name in ("max_iters", "seed"):
             value = getattr(self, name)

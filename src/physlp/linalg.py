@@ -1,28 +1,27 @@
 """Regularized SPD solves, their adjoints, and the weighted operator.
 
-Every dynamics step solves (L + reg*I) p = b with L = A W A^T symmetric
-positive semidefinite.  WeightedOperator holds A, the LP's own CSR
-array, and one map Q from w to the values of A diag(w) A^T, written in
-the layout that the solve route of its row count reads: the row-major
-m-by-m matrix on the dense route, the blocks [diag(S_II) | S_FF |
-S_FI] where the rows split, and the CSR data on the pattern of A A^T
-plus its diagonal above DIRECT_MAX_DIM.  WeightedGram, op.at(w),
-computes Q @ w once and keeps it: every form of L is read from it,
-dense, in blocks or sparse, by writing reg onto its diagonal, and its
-diagonal is copied aside.  It is the one form of L that spd_solve takes.
+Every dynamics step solves S p = b with S = A W A^T + reg*I, A W A^T
+symmetric positive semidefinite.  WeightedOperator holds A, the LP's
+own CSR array, and one map Q from w to the values of A diag(w) A^T,
+written in the layout that the solve route of its row count reads: the
+row-major m-by-m matrix on the dense route, the blocks [diag(S_II) |
+S_FF | S_FI] where the rows split, and the CSR data on the pattern of
+A A^T plus its diagonal above DIRECT_MAX_DIM.  WeightedGram,
+op.at(w, reg), is the step's whole system S: it computes Q @ w once,
+writes reg onto its diagonal, and keeps its own Cholesky factor once a
+solve has made one.  It is the one form of S that spd_solve takes.
 spd_solve is the one solve routine, for the forward steps and for the
-backward and tangent solves alike.  It factors L + reg*I by Cholesky
-up to DIRECT_MAX_DIM rows, calling LAPACK dpotrf and dpotrs directly,
-in one of two forms.  Dense, it keeps dpotrf's lower factor as
-(c, True), the form scipy.linalg.cho_solve takes.  In blocks, it
-eliminates first a set I of rows of A that share no column, whose
-block of L + reg*I is the diagonal d_I, and factors only the Schur
-complement of that block on the other rows F, as a BlockFactor.  The
-operator picks the block form once, in its _pattern, where it saves
+backward and tangent solves alike.  It factors S by Cholesky up to
+DIRECT_MAX_DIM rows, calling LAPACK dpotrf and dpotrs directly, in one
+of two forms.  Dense, the factor is dpotrf's lower factor of S.  In
+blocks, it eliminates first a set I of rows of A that share no column,
+whose block of S is the diagonal d_I, and the factor is that of the
+Schur complement of that block on the other rows F.  The operator
+picks the block form once, in its _pattern, where it saves
 BLOCK_MIN_SAVING flops of dpotrf, as on assignment LPs of 150 rows.
 Above DIRECT_MAX_DIM rows spd_solve runs Jacobi-preconditioned CG from
-zero on the sparse L + reg*I, and factors it densely only as a last
-resort.  Given the factor of an earlier solve, it reuses it, and
+zero on the sparse S, and factors it densely only as a last resort.  A
+gram that holds a factor has it reused by every later solve, which
 checks and refines its answer against the gram's own matrix.
 DIRECT_MAX_DIM and the split pick the method, never the values.  The
 CG loop, _pcg, does its vector operations as level-1 BLAS calls
@@ -55,23 +54,16 @@ BLOCK_MIN_SAVING = 2e5
 
 @dataclass
 class SpdSolveReport:
-    """Solution of (L + reg*I) p = b plus solve diagnostics.
+    """Solution of S p = b plus solve diagnostics.
 
     iterations is 0 when the Cholesky factor alone solved the system,
     otherwise the number of CG steps taken.  final_residual is
-    ||(L + reg*I) p - b||_2.  factor is the Cholesky factor of L + reg*I,
-    which spd_solve(..., factor=) reuses for further right-hand sides:
-    LAPACK dpotrf's lower factor as (c, True), the form
-    scipy.linalg.cho_solve takes, or a BlockFactor where the operator
-    splits its rows.  It is None when CG alone solved the system (above
-    DIRECT_MAX_DIM rows, unless the last resort ran) or b is zero.
+    ||S p - b||_2.  The factor, if any, stays on the WeightedGram.
     """
 
     p: np.ndarray
     iterations: int
     final_residual: float
-    regularization_used: float
-    factor: tuple | None = None
 
 
 class WeightedOperator:
@@ -96,9 +88,10 @@ class WeightedOperator:
     def _pattern(self):
         return _build_pattern(self.A.tocsc())
 
-    def at(self, w):
-        """A diag(w) A^T as a WeightedGram, for spd_solve; w must be positive."""
-        return WeightedGram(self, w)
+    def at(self, w, reg=None):
+        """A diag(w) A^T + reg*I as a WeightedGram, for spd_solve; w must
+        be positive, and reg None gives the trace-scaled default."""
+        return WeightedGram(self, w, reg)
 
 
 class _Split(NamedTuple):
@@ -231,91 +224,60 @@ class _Blocks(NamedTuple):
         return out
 
 
-class BlockFactor(NamedTuple):
-    """The Cholesky factor of S = A diag(w) A^T + reg*I with the rows I
-    first, whose block S_II = diag(d) has the factor diag(sqrt(d)): the
-    block S_FI = B and dpotrf's lower factor c of the Schur complement
-    S_FF - B diag(1/d) B^T.  c and d are |F|^2 + |I| floats of their
-    own; B is a view of the values of the WeightedGram it was factored
-    from."""
-
-    c: np.ndarray
-    B: np.ndarray
-    d: np.ndarray
-    I: np.ndarray
-    F: np.ndarray
-
-
 @dataclass
 class WeightedGram:
-    """A diag(w) A^T, the one form of L that spd_solve takes: built from
-    a validated A and w > 0, so not checked.
+    """S = A diag(w) A^T + reg*I, one step's whole linear system and the
+    one form of it that spd_solve takes: built from a validated A and
+    w > 0, so not checked.
 
-    values is Q @ w, computed once, when the gram is made, in the layout
-    of the operator's Q (see _build_pattern), and diagonal is its
-    diagonal, behind default_regularization and the Jacobi
-    preconditioner of spd_solve.  Every form is read from values:
-    direct(reg) for direct steps, which is dense(reg), the row-major
-    matrix, where the rows do not split, and sparse(reg), a CSR matrix,
-    for CG steps, and in any layout.  Each first writes diagonal + reg
-    onto the diagonal of values, unless reg is the term they already
-    hold, and reads the rest as it stands: direct(reg) is views of
-    values in the layout its route reads.  So a form of one reg changes
-    when a form of another is asked for.  A gram kept with its step
-    keeps the matrix that the step factored and checked, for backward
-    and jvp to check against.
+    reg is fixed when the gram is made: given, or AUTO_REG_SCALE times
+    the trace of A diag(w) A^T over m when None.  values is Q @ w in
+    the layout of the operator's Q (see _build_pattern), with reg added
+    onto its diagonal then; nothing writes it afterwards.  Every form of
+    S is views of it: direct() for direct steps, the row-major matrix
+    or, where the rows split, its _Blocks, and sparse(), a CSR matrix,
+    for CG steps and in any layout.  factor is None until a solve gets
+    one from dpotrf: then the lower Cholesky factor of S, or, where the
+    rows split, of the Schur complement of S_II on the rows F, and every
+    later solve with the gram reuses it.  A gram kept with its step
+    keeps the matrix and the factor that the step solved with, for
+    backward and jvp.
     """
 
     op: WeightedOperator
     w: np.ndarray
+    reg: float | None = None
     values: np.ndarray = field(init=False)
-    diagonal: np.ndarray = field(init=False)
-    reg: float = field(init=False, default=0.0)  # the term on values' diagonal
+    factor: np.ndarray | None = field(init=False, default=None)
 
     def __post_init__(self):
         pattern = self.op._pattern
         self.values = pattern.Q @ self.w
-        self.diagonal = self.values[pattern.diagonal]
+        diagonal = self.values[pattern.diagonal]
+        self.reg = (AUTO_REG_SCALE * float(diagonal.sum()) / diagonal.size if self.reg is None
+                    else float(self.reg))
+        self.values[pattern.diagonal] = diagonal + self.reg
 
-    def _shifted(self, reg):
-        """values, holding reg on the diagonal."""
-        if reg != self.reg:
-            self.values[self.op._pattern.diagonal] = self.diagonal + reg
-            self.reg = reg
-        return self.values
-
-    def sparse(self, reg):
-        """A diag(w) A^T + reg*I as a CSR matrix with sorted indices;
-        its data are values themselves in the layout of CG steps."""
+    def sparse(self):
+        """S as a CSR matrix with sorted indices; its data are values
+        themselves in the layout of CG steps."""
         pattern = self.op._pattern
         m = pattern.indptr.size - 1
-        data = self._shifted(reg)[pattern.entries]
-        return scipy.sparse.csr_array((data, pattern.indices, pattern.indptr), shape=(m, m))
+        return scipy.sparse.csr_array((self.values[pattern.entries], pattern.indices,
+                                       pattern.indptr), shape=(m, m))
 
-    def dense(self, reg):
-        """A diag(w) A^T + reg*I as the m-by-m view of values, which
-        hold the row-major matrix in the layout of dense steps, the one
-        layout this form is read in."""
-        m = self.op._pattern.indptr.size - 1
-        return self._shifted(reg).reshape(m, m)
-
-    def direct(self, reg):
-        """A diag(w) A^T + reg*I for a direct solve: its _Blocks, views
-        of values, where the operator splits its rows, and dense(reg)
-        otherwise."""
-        split = self.op._pattern.split
-        if split is None:
-            return self.dense(reg)
-        values = self._shifted(reg)
-        nI, nFF = split.I.size, split.F.size ** 2
-        return _Blocks(values[nI:nI + nFF].reshape(split.F.size, split.F.size),
-                       values[nI + nFF:].reshape(split.F.size, nI), values[:nI],
-                       split.I, split.F)
-
-    def default_regularization(self):
-        """The trace-scaled Tikhonov term 1e-10 * trace / m, from the
-        diagonal."""
-        return AUTO_REG_SCALE * float(self.diagonal.sum()) / self.diagonal.size
+    def direct(self):
+        """S for a direct solve, as views of values: its _Blocks where the
+        operator splits its rows, and otherwise the m-by-m matrix, which
+        values hold row-major in that layout."""
+        pattern, values = self.op._pattern, self.values
+        if pattern.split is None:
+            m = pattern.indptr.size - 1
+            return values.reshape(m, m)
+        I, F = pattern.split
+        nFF = F.size ** 2
+        return _Blocks(values[I.size:I.size + nFF].reshape(F.size, F.size),
+                       values[I.size + nFF:].reshape(F.size, I.size), values[:I.size], I, F)
 
 
 def _norm(v):
@@ -374,121 +336,117 @@ def _pcg(S_matvec, b, diag, x0, target, max_iters):
     return x, max_iters, _norm(b - S_matvec(x))
 
 
-def spd_solve(L, b, tol=1e-10, reg=None, factor=None):
-    """Solve (L + reg*I) p = b for L = A diag(w) A^T.
+def spd_solve(L, b, tol=1e-10):
+    """Solve S p = b for S = A diag(w) A^T + reg*I.
 
-    L is the WeightedGram op.at(w), and anything else raises TypeError.
-    S = L + reg*I is read from it by direct(reg), dense or in blocks, up
-    to DIRECT_MAX_DIM rows and by sparse(reg) above; on a gram that
-    holds reg already that is views of its values, with no arithmetic.
-    reg=None applies the trace-scaled default.  factor, a Cholesky
-    factor of L + reg*I, dense or a BlockFactor (SpdSolveReport.factor
-    of an earlier solve with it), is reused.  The residuals are
-    products with S, which comes from L and not from the factor, so the
-    factor of another matrix misses and is refined against L.
+    L is the WeightedGram op.at(w, reg), and anything else raises
+    TypeError.  S is read from it by direct(), dense or in blocks, up to
+    DIRECT_MAX_DIM rows and by sparse() above: views of its values, with
+    no arithmetic.  L.factor is reused when L holds one; a direct solve
+    that finds none factors S and leaves the factor on L.  The residuals
+    are products with S, which comes from the gram's values and not from
+    the factor, so a factor that is not S's misses and is refined
+    against S.
 
     With a factor or up to DIRECT_MAX_DIM rows, Cholesky runs first and
     Jacobi-PCG refines an answer that misses; above, PCG runs from zero
-    down to ||(L + reg*I) p - b|| <= tol * ||b|| and the Cholesky
-    factor is the last resort.  p is accepted on normwise backward
-    error,
+    down to ||S p - b|| <= tol * ||b|| and the Cholesky factor is the
+    last resort.  p is accepted on normwise backward error,
 
         ||S p - b|| <= tol * (||b|| + max(diag(S)) * ||p||),
 
-    S = L + reg*I, with max(diag(S)) estimating ||S||, so that a
-    right-hand side far below the rounding error of S p does not fail.
-    Breakdown is raised when no answer is accepted, and for a b with
-    NaN or infinity.
+    with max(diag(S)) estimating ||S||, so that a right-hand side far
+    below the rounding error of S p does not fail.  Breakdown is raised
+    when no answer is accepted, and for a b with NaN or infinity.
     """
     if not isinstance(L, WeightedGram):
         raise TypeError(f"spd_solve takes L as op.at(w), a WeightedGram, not {type(L).__name__}")
     m = b.shape[0]
-    reg = L.default_regularization() if reg is None else float(reg)
     bnorm = _norm(b)
     if bnorm == 0.0:
-        return SpdSolveReport(np.zeros(m), 0, 0.0, reg)
+        return SpdSolveReport(np.zeros(m), 0, 0.0)
     # an infinite target would accept any p, 0 included
     if not math.isfinite(bnorm):
         raise Breakdown(f"right-hand side norm {bnorm} is not finite")
     target = tol * bnorm
 
     direct = m <= DIRECT_MAX_DIM
-    S = L.direct(reg) if direct else L.sparse(reg)
+    S = L.direct() if direct else L.sparse()
     matvec = S.__matmul__
-    # cf, p and res: the Cholesky answer, or None, None and inf
-    cf = p = None
-    res = math.inf
-    if factor is not None or direct:
-        cf, p = _cholesky(S, b, factor)
-    if cf is not None:
-        res = _norm(matvec(p) - b)
-        if res <= target:
-            return SpdSolveReport(p, 0, res, reg, cf)
+    if direct and L.factor is None:
+        L.factor = _factor(S)
+    # p and res: the Cholesky answer, or None and inf
+    p = _chol_solve(S, L.factor, b)
+    res = math.inf if p is None else _norm(matvec(p) - b)
+    if res <= target:
+        return SpdSolveReport(p, 0, res)
     # the normwise backward-error test: res <= target + slack * ||p||
-    jacobi = L.diagonal + reg
+    jacobi = L.values[L.op._pattern.diagonal]
     slack = tol * float(jacobi.max())
-    if cf is not None and res <= target + slack * _norm(p):
-        return SpdSolveReport(p, 0, res, reg, cf)
+    if p is not None and res <= target + slack * _norm(p):
+        return SpdSolveReport(p, 0, res)
     p, iters, res = _pcg(matvec, b, jacobi, p, target, 10 * m)
     if res <= target + slack * _norm(p):
-        return SpdSolveReport(p, iters, res, reg, cf)
-    if factor is None and not direct:  # the last resort
-        cf, p_direct = _cholesky(S.toarray(), b)
-        if cf is not None:
+        return SpdSolveReport(p, iters, res)
+    if L.factor is None and not direct:  # the last resort
+        L.factor = _factor(S.toarray())
+        p_direct = _chol_solve(S, L.factor, b)
+        if p_direct is not None:
             res_direct = _norm(matvec(p_direct) - b)
             if res_direct <= target + slack * _norm(p_direct):
-                return SpdSolveReport(p_direct, iters, res_direct, reg, cf)
+                return SpdSolveReport(p_direct, iters, res_direct)
     raise Breakdown(f"residual {res:.3e} above target {target:.3e} after factoring and PCG")
 
 
-def _cholesky(S, b, cf=None):
-    """(factor, S^{-1} b) by Cholesky, with the factor cf of S when one
-    is given, and then S is not read, or (None, None) when the
-    factorization fails or gives a non-finite solution.  S is factored
-    dense, or as _Blocks, which give a BlockFactor, through one GEMM and
-    a dpotrf of order |F|, and are solved by two GEMVs around a dpotrs.  LAPACK is called directly:
-    scipy's cho_factor and cho_solve make the same calls but cost as
-    much again in their wrappers at m ~ 50."""
-    if cf is None:
-        if isinstance(S, _Blocks):
-            if not S.d.min() > 0.0:
-                return None, None
-            c, info = dpotrf(S.FF - (S.B / S.d) @ S.B.T, lower=1, clean=0, overwrite_a=1)
-            # d is copied: a solve at another reg rewrites the diagonal
-            cf = BlockFactor(c, S.B, S.d.copy(), S.I, S.F)
-        else:
-            c, info = dpotrf(S, lower=1, clean=0)
-            cf = (c, True)
-        if info != 0:
-            return None, None
-    if isinstance(cf, BlockFactor):
-        c, B, d, I, F = cf
-        t = b[I] / d
-        # dpotrs refuses an empty system, which F is when A A^T is diagonal
-        pF, info = dpotrs(c, b[F] - B @ t, lower=1) if F.size else (np.empty(0), 0)
-        p = np.empty(b.size)
-        p[F], p[I] = pF, t - (pF @ B) / d
+def _factor(S):
+    """dpotrf's lower Cholesky factor of S, dense, or for _Blocks of the
+    Schur complement S_FF - B diag(1/d) B^T, made by one GEMM and a
+    dpotrf of order |F|; None where the factorization fails.  LAPACK is
+    called directly: scipy's cho_factor and cho_solve make the same
+    calls but cost as much again in their wrappers at m ~ 50."""
+    if isinstance(S, _Blocks):
+        if not S.d.min() > 0.0:
+            return None
+        c, info = dpotrf(S.FF - (S.B / S.d) @ S.B.T, lower=1, clean=0, overwrite_a=1)
     else:
-        p, info = dpotrs(cf[0], b, lower=cf[1])
-    return (cf, p) if info == 0 and np.isfinite(p).all() else (None, None)
+        c, info = dpotrf(S, lower=1, clean=0)
+    return c if info == 0 else None
 
 
-def spd_solve_adjoint(L, p, grad_p, tol=1e-10, reg=None):
-    """Reverse-mode rule for p = (L + reg*I)^{-1} b, L = op.at(w) as
+def _chol_solve(S, c, b):
+    """S^{-1} b from c, the factor of S that _factor gives, or None when
+    c is None or the solve fails or is not finite.  S is read only
+    where it is _Blocks: two GEMVs with B around a dpotrs of order |F|;
+    any other S (dense or sparse) is solved by one dpotrs."""
+    if c is None:
+        return None
+    if isinstance(S, _Blocks):
+        t = b[S.I] / S.d
+        # dpotrs refuses an empty system, which F is when A A^T is diagonal
+        pF, info = dpotrs(c, b[S.F] - S.B @ t, lower=1) if S.F.size else (np.empty(0), 0)
+        p = np.empty(b.size)
+        p[S.F], p[S.I] = pF, t - (pF @ S.B) / S.d
+    else:
+        p, info = dpotrs(c, b, lower=1)
+    return p if info == 0 and np.isfinite(p).all() else None
+
+
+def spd_solve_adjoint(L, p, grad_p, tol=1e-10):
+    """Reverse-mode rule for p = S^{-1} b, S = op.at(w, reg) as
     spd_solve takes it.
 
     Given d(loss)/dp, returns (grad_L, grad_b) where
 
-        grad_b = (L + reg*I)^{-1} grad_p        (L symmetric)
+        grad_b = S^{-1} grad_p        (S symmetric)
         grad_L = -outer(grad_b, p)
 
-    reg must match the value used in the forward solve.
+    L must be the gram of the forward solve, whose reg it holds.
     """
     p = np.asarray(p, dtype=np.float64)
     grad_p = np.asarray(grad_p, dtype=np.float64)
     if grad_p.shape != p.shape:
         raise DimensionMismatch(f"grad_p has shape {grad_p.shape}, expected {p.shape}")
-    report = spd_solve(L, grad_p, tol=tol, reg=reg)
+    report = spd_solve(L, grad_p, tol=tol)
     grad_b = report.p
     grad_L = -np.outer(grad_b, p)
     return grad_L, grad_b

@@ -130,43 +130,33 @@ class StepDetail:
     to run without re-forming or re-factoring A diag(w) A^T.
 
     The update is x_new = max((1-h) x_prev + h * w * u, eps) with
-    u = A^T p, w = x_prev / c_hat and p the spd_solve answer of
-    (A diag(w) A^T + reg*I) p = b at tolerance tol_used.
-    gram is the linalg.WeightedGram the step solved with: w, and the
-    values of A diag(w) A^T + reg_used*I in the layout of the step's
-    route, which backward and jvp hand back to spd_solve to check and
-    refine their own answers against: the m-by-m matrix, the blocks
-    diag(S_II), S_FF and S_FI where the operator splits its rows, or
-    the CSR data of the sparse matrix above linalg.DIRECT_MAX_DIM rows.
-    factor is the SpdSolveReport.factor of the step's spd_solve call,
-    the Cholesky factor of that matrix, which backward and jvp hand
-    back as well: LAPACK dpotrf's lower factor (c, True), the form
-    scipy.linalg.cho_solve takes, or, where the operator splits its
-    rows, a linalg.BlockFactor, which holds the factor of a Schur
-    complement of order |F|, diag(S_II) and a view of the block S_FI in
-    gram.  Above linalg.DIRECT_MAX_DIM rows spd_solve runs CG on the
-    sparse matrix, and the step stores no factor (None) unless CG
-    failed and the Cholesky last resort ran.  clamp_mask is True where
-    the pre-clamp value stayed strictly above eps.  reg_used and
-    tol_used are the Tikhonov term and the solve tolerance the step ran
-    with.  reg_used is s * sum_j w_j ||a_j||^2 / m, and reg_scale is s:
-    linalg.AUTO_REG_SCALE, or 100 times that after the retry.  The term
-    moves with w and A, so backward and jvp, which solve with it,
-    differentiate it.  Per step this is, on the dense route, two
-    m-by-m arrays (the matrix and its factor), five n-vectors (w among
-    them) and two m-vectors; where the rows split, 2 |I| + 2 |F|^2 +
-    |F| |I| floats in place of the two m-by-m arrays: about 84 kB at
-    30x30 (60x930) and 216 kB at 50x100 (150x5100), by tracemalloc.
+    u = A^T p, w = x_prev / c_hat and p the spd_solve answer of S p = b
+    at tolerance tol_used.  gram is the linalg.WeightedGram the step
+    solved with, its whole system S = A diag(w) A^T + reg*I: w, reg,
+    the values of S in the layout of the step's route (the m-by-m
+    matrix, the blocks diag(S_II), S_FF and S_FI where the operator
+    splits its rows, or the CSR data above linalg.DIRECT_MAX_DIM rows)
+    and the Cholesky factor the solve left on it (None on CG steps
+    unless the last resort ran).  backward and jvp hand the gram back
+    to spd_solve, which reuses the factor and checks their answers
+    against S.  clamp_mask is True where the pre-clamp value stayed
+    strictly above eps.  gram.reg is s * sum_j w_j ||a_j||^2 / m, and
+    reg_scale is s: linalg.AUTO_REG_SCALE, or 100 times that after the
+    retry.  The term moves with w and A, so backward and jvp, which
+    solve with it, differentiate it.  Per step this is, on the dense
+    route, two m-by-m arrays (the matrix and its factor), five
+    n-vectors (w among them) and two m-vectors; where the rows split,
+    |I| + 2 |F|^2 + |F| |I| floats in place of the two m-by-m arrays:
+    about 83 kB at 30x30 (60x930) and 213 kB at 50x100 (150x5100), by
+    tracemalloc.
     """
 
     x_prev: np.ndarray
     gram: WeightedGram
-    factor: tuple | None
     p: np.ndarray
     u: np.ndarray
     x_new: np.ndarray
     clamp_mask: np.ndarray
-    reg_used: float
     reg_scale: float
     tol_used: float
     linsolve_iterations: int
@@ -176,19 +166,18 @@ def step_detail(prep, x, cfg, tol=None):
     """One dynamics update from the iterate x, with full intermediates;
     the next iterate is its x_new.
 
-    L = A diag(w) A^T goes to spd_solve as op.at(w), op the LP's
-    operator, at every size, and u = A^T p.  With q = w * u, the damped
-    update is (1 - h) x + h q, and q itself at h = 1, where the two
-    agree up to the sign of a zero.  spd_solve factors L up to
-    linalg.DIRECT_MAX_DIM rows and runs CG on it, assembled sparse,
-    above, with spd_solve's default Tikhonov term and one retry at 100
-    times it after a linear-solve breakdown.  The step keeps the gram,
-    which then holds the matrix of its last solve.  tol is the relative
-    target handed to spd_solve, cfg.linsolve_tol when None; _iterate,
-    the forward loop and the one caller in the package, passes
-    forward_tol of the iterate's residual, so the step is set by x and
-    cfg alone.  Weights x / c that are not finite raise LinSolveFailure
-    before any solve.
+    S = A diag(w) A^T + reg*I goes to spd_solve as op.at(w), op the
+    LP's operator, at every size, with the default Tikhonov term, and
+    u = A^T p.  With q = w * u, the damped update is (1 - h) x + h q,
+    and q itself at h = 1, where the two agree up to the sign of a
+    zero.  spd_solve factors S up to linalg.DIRECT_MAX_DIM rows and runs
+    CG on it, assembled sparse, above.  After a linear-solve breakdown
+    the step retries once on op.at(w, 100 * reg), a new gram.  The step
+    keeps the gram it solved with.  tol is the relative target handed
+    to spd_solve, cfg.linsolve_tol when None; _iterate, the forward loop
+    and the one caller in the package, passes forward_tol of the
+    iterate's residual, so the step is set by x and cfg alone.  Weights
+    x / c that are not finite raise LinSolveFailure before any solve.
     """
     lp = prep.source
     op = lp.operator
@@ -203,9 +192,9 @@ def step_detail(prep, x, cfg, tol=None):
     try:
         report, reg_scale = spd_solve(gram, lp.b, tol), AUTO_REG_SCALE
     except Breakdown:
-        reg_scale = 100.0 * AUTO_REG_SCALE
+        gram, reg_scale = op.at(w, 100.0 * gram.reg), 100.0 * AUTO_REG_SCALE
         try:
-            report = spd_solve(gram, lp.b, tol, 100.0 * gram.default_regularization())
+            report = spd_solve(gram, lp.b, tol)
         except Breakdown as exc:
             raise LinSolveFailure(f"inner solve failed after a 100x regularization retry: {exc}") from exc
     p = report.p
@@ -214,8 +203,7 @@ def step_detail(prep, x, cfg, tol=None):
     pre = q if h == 1.0 else (1.0 - h) * x + h * q
     clamp_mask = pre > eps
     x_new = np.maximum(pre, eps)
-    return StepDetail(x, gram, report.factor, p, u, x_new, clamp_mask,
-                      report.regularization_used, reg_scale, tol, report.iterations)
+    return StepDetail(x, gram, p, u, x_new, clamp_mask, reg_scale, tol, report.iterations)
 
 
 def initial_state(prep, cfg, x0=None):

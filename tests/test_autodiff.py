@@ -50,7 +50,7 @@ def dense_backward(tape, grad_x):
         gw = det.u * gq
         gu = w * gq
         gA += np.outer(det.p, gu)
-        S = L + det.reg_used * np.eye(len(gb))
+        S = L + det.gram.reg * np.eye(len(gb))
         gb_step = scipy.linalg.cho_solve(scipy.linalg.cho_factor(S), A @ gu)
         gL = -np.outer(gb_step, det.p)
         gb += gb_step
@@ -107,7 +107,7 @@ def test_tape_replay_bit_identical_on_csr_operators(name, factored, request):
     # on the DAG, each step to the target it recorded
     lp = request.getfixturevalue(name)
     _, tape = solve_with_tape(lp, SolverConfig(max_iters=30, seed=2))
-    assert all((det.factor is not None) == factored for det in tape.steps)
+    assert all((det.gram.factor is not None) == factored for det in tape.steps)
     assert len({det.tol_used for det in tape.steps}) > 10
     for det, x in zip(tape.steps, rerun(tape)):
         assert np.array_equal(det.x_new, x)
@@ -135,6 +135,68 @@ def test_tape_replay_stops_before_a_failed_step(matching_5x50, monkeypatch):
     assert all(np.array_equal(det.x_new, x) for det, x in zip(tape.steps, redone))
 
 
+@pytest.mark.parametrize("name", ["matching_5x50", "matching_50x100", "dag_600"])
+def test_no_solve_writes_a_grams_values(name, request, monkeypatch):
+    # a gram writes reg onto its diagonal once, when it is built: the
+    # forward solves, backward and jvp leave its values as they are.  A
+    # forced breakdown of the third forward solve makes the step retry
+    # on a new gram, whose reg is 100 times the default and whose values
+    # differ from the default gram's on the diagonal alone
+    lp = request.getfixturevalue(name)
+    op = lp.operator
+    inner, calls = solver.spd_solve, []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise Breakdown("forced")
+        return inner(*args)
+
+    monkeypatch.setattr(solver, "spd_solve", failing)
+    _, tape = solve_with_tape(lp, SolverConfig(max_iters=5, seed=4))
+    assert len(calls) == 6 and len(tape) == 5
+    for det in tape.steps:
+        assert np.array_equal(det.gram.values, op.at(det.gram.w, det.gram.reg).values)
+    before = [det.gram.values.copy() for det in tape.steps]
+    rng = np.random.default_rng(4)
+    backward(tape, rng.normal(size=lp.n))
+    jvp(tape, dc=rng.normal(size=lp.n), dA=rng.normal(size=lp.A.shape), db=rng.normal(size=lp.m))
+    assert all(np.array_equal(det.gram.values, v) for det, v in zip(tape.steps, before))
+
+    retried = tape.steps[2].gram
+    default, bare = op.at(retried.w), op.at(retried.w, 0.0)
+    assert tape.steps[2].reg_scale == 100.0 * linalg.AUTO_REG_SCALE
+    assert retried.reg == 100.0 * default.reg
+    diagonal = op._pattern.diagonal
+    off = np.ones(retried.values.size, dtype=bool)
+    off[diagonal] = False
+    assert np.array_equal(retried.values[off], default.values[off])
+    assert np.array_equal(retried.values[diagonal], bare.values[diagonal] + retried.reg)
+
+
+@pytest.mark.parametrize("name", ["matching_5x50", "matching_50x100"], ids=["dense", "block"])
+def test_reverse_sweeps_factor_nothing(name, request, monkeypatch):
+    # backward and jvp reuse the factor each step's gram keeps, dense or
+    # of the Schur complement: no dpotrf runs after the forward pass
+    lp = request.getfixturevalue(name)
+    assert (lp.operator._pattern.split is None) == (name == "matching_5x50")
+    _, tape = solve_with_tape(lp, SolverConfig(max_iters=5, seed=3))
+    potrf, calls = linalg.dpotrf, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return potrf(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "dpotrf", counting)
+    rng = np.random.default_rng(3)
+    backward(tape, rng.normal(size=lp.n))
+    jvp(tape, dc=rng.normal(size=lp.n), db=rng.normal(size=lp.m))
+    jvp(tape, dc=rng.normal(size=lp.n), dA=rng.normal(size=lp.A.shape))
+    assert calls == []
+    solve_with_tape(lp, SolverConfig(max_iters=5, seed=3))
+    assert len(calls) == 5  # the spy sees the forward factors
+
+
 def test_tape_stores_consistent_solves():
     lp = build_matching_lp(MatchingInstance(
         np.array([[0.2, 0.8, 0.5], [0.8, 0.2, 0.4]])))
@@ -142,7 +204,7 @@ def test_tape_stores_consistent_solves():
     A, b, c_hat = tape.prep.source.operator.A.toarray(), tape.prep.source.b, tape.prep.c
     for det in tape.steps:
         L = (A * (det.x_prev / c_hat)) @ A.T
-        lhs = (L + det.reg_used * np.eye(L.shape[0])) @ det.p
+        lhs = (L + det.gram.reg * np.eye(L.shape[0])) @ det.p
         assert np.linalg.norm(lhs - b) <= 1e-7 * (1.0 + np.linalg.norm(b))
 
 
@@ -245,6 +307,13 @@ def potentials(prep):
     return np.zeros(prep.source.m) if pi is None else pi
 
 
+def kept_system(op, w, det):
+    """op.at(w) at the step's reg, holding the factor the step keeps."""
+    gram = op.at(w, det.gram.reg)
+    gram.factor = det.gram.factor
+    return gram
+
+
 def applied_backward(tape, grad_x):
     """backward, with the potentials and the blend applied
     unconditionally."""
@@ -261,8 +330,8 @@ def applied_backward(tape, grad_x):
         g = np.where(det.clamp_mask, g, 0.0)
         gq = h * g
         gu = w * gq
-        z = linalg.spd_solve(op.at(w), op.A @ gu, autodiff._adjoint_tol(det, tape.cfg),
-                             det.reg_used, det.factor).p
+        gram = kept_system(op, w, det)
+        z = linalg.spd_solve(gram, op.A @ gu, autodiff._adjoint_tol(gram, tape.cfg)).p
         gb += z
         v = op.AT @ z
         g_reg = -ddot(z, det.p) * det.reg_scale / m
@@ -298,8 +367,8 @@ def applied_jvp(tape, dc, dA, db):
             dAt_p = dA.T @ p
             dL_p = dA @ (w * u) + op.A @ (dw * u + w * dAt_p)
         dL_p += det.reg_scale / m * (ddot(dw, col_sq) + 2.0 * ddot(w, col_da)) * p
-        dp = linalg.spd_solve(op.at(w), db - dL_p, autodiff._adjoint_tol(det, tape.cfg),
-                              det.reg_used, det.factor).p
+        gram = kept_system(op, w, det)
+        dp = linalg.spd_solve(gram, db - dL_p, autodiff._adjoint_tol(gram, tape.cfg)).p
         du = dAt_p + op.AT @ dp
         dx = (1.0 - h) * dx + h * (dw * u + w * du)
         dx = np.where(det.clamp_mask, dx, 0.0)
@@ -536,7 +605,7 @@ def test_dot_product_on_cg_steps(monkeypatch):
     rng = np.random.default_rng(8)
     lp = matching_lp(rng, 3, 5)
     _, tape = solve_with_tape(lp, SolverConfig(max_iters=20))
-    assert all(det.factor is None and det.linsolve_iterations > 0 for det in tape.steps)
+    assert all(det.gram.factor is None and det.linsolve_iterations > 0 for det in tape.steps)
     g = rng.normal(size=lp.n)
     dc, dA, db = rng.normal(size=lp.n), rng.normal(size=(lp.m, lp.n)), rng.normal(size=lp.m)
     grads = backward(tape, g)
@@ -549,7 +618,7 @@ def test_dot_product_on_a_long_cg_tape(dag_600):
     # the adjoint and tangent solves of CG steps run to CG_ADJOINT_TOL,
     # which holds backward and jvp together over 100 steps
     _, tape = solve_with_tape(dag_600, SolverConfig(max_iters=100, seed=7))
-    assert all(det.factor is None for det in tape.steps)
+    assert all(det.gram.factor is None for det in tape.steps)
     rng = np.random.default_rng(4)
     g = rng.normal(size=dag_600.n)
     dc, dA, db = (rng.normal(size=dag_600.n), rng.normal(size=(dag_600.m, dag_600.n)),
@@ -562,11 +631,12 @@ def test_dot_product_on_a_long_cg_tape(dag_600):
 
 @pytest.mark.parametrize("seed", [7, 8])
 def test_dot_product_on_block_factored_steps(matching_50x100, seed):
-    # every step of a 150-row assignment LP keeps a BlockFactor, which
-    # the backward and tangent solves reuse
+    # every step of a 150-row assignment LP keeps the factor of its
+    # Schur complement on the 50 rows F, which the backward and tangent
+    # solves reuse
     lp = matching_50x100
     _, tape = solve_with_tape(lp, SolverConfig(max_iters=50, seed=seed))
-    assert all(isinstance(det.factor, linalg.BlockFactor) for det in tape.steps)
+    assert all(det.gram.factor.shape == (50, 50) for det in tape.steps)
     rng = np.random.default_rng(seed)
     g = rng.normal(size=lp.n)
     dc, dA, db = rng.normal(size=lp.n), rng.normal(size=(lp.m, lp.n)), rng.normal(size=lp.m)
@@ -609,7 +679,7 @@ def test_factored_reverse_sweeps_compute_no_gram_values(name, request, monkeypat
     monkeypatch.setitem(op.__dict__, "_pattern", op._pattern._replace(Q=Q))
     _, tape = solve_with_tape(lp, SolverConfig(max_iters=5, seed=3))
     assert Q.products == len(tape) == 5
-    assert all(det.factor is not None for det in tape.steps)
+    assert all(det.gram.factor is not None for det in tape.steps)
     at = count_calls(monkeypatch, linalg.WeightedOperator, "at")
     A, AT = Counting(op.A), Counting(op.AT)
     monkeypatch.setattr(op, "A", A)
@@ -799,8 +869,10 @@ def _jvp_fd_gap(lp, cfg, eta, seed):
 def test_jvp_matches_directional_differences_on_factored_steps(route, seed):
     lp = _survey_lp(route, seed)
     tape, gap = _jvp_fd_gap(lp, SolverConfig(max_iters=50, seed=seed), 1e-10, seed)
-    factor = linalg.BlockFactor if route == "block" else tuple
-    assert all(isinstance(det.factor, factor) for det in tape.steps)
+    split = lp.operator._pattern.split
+    assert (split is not None) == (route == "block")
+    order = lp.m if split is None else split.F.size
+    assert all(det.gram.factor.shape == (order, order) for det in tape.steps)
     assert (lp.potentials is not None) == (route == "potentials")
     assert gap <= JVP_FD_BAND
 
@@ -814,7 +886,7 @@ def test_jvp_matches_directional_differences_on_cg_steps(dag_600, monkeypatch):
     # cfg.linsolve_tol; eta = 1e-10 read up to 2.6e-4 on them.
     monkeypatch.setattr(solver, "FORCING", 0.0)
     tape, gap = _jvp_fd_gap(dag_600, SolverConfig(max_iters=100, seed=1), 1e-8, 1)
-    assert all(det.factor is None for det in tape.steps)
+    assert all(det.gram.factor is None for det in tape.steps)
     assert gap <= JVP_FD_BAND
 
 
@@ -855,7 +927,7 @@ def test_an_lp_with_potentials_is_its_reduced_cost_lp_bit_for_bit(route, factore
     sub = replace(lp, c=lp.c - lp.operator.AT @ pi, potentials=None)
     cfg = SolverConfig(max_iters=5, seed=3)
     (res, tape), (sub_res, sub_tape) = solve_with_tape(lp, cfg), solve_with_tape(sub, cfg)
-    assert all((det.factor is not None) == factored for det in tape.steps)
+    assert all((det.gram.factor is not None) == factored for det in tape.steps)
     assert np.array_equal(tape.prep.c, sub_tape.prep.c)
     assert np.array_equal(res.x, sub_res.x)
     assert [r.residual for r in res.trace] == [r.residual for r in sub_res.trace]

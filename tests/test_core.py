@@ -249,6 +249,10 @@ def test_config_defaults():
     # once accepted, and then a raw TypeError or ValueError inside solve
     {"max_iters": 2.5},
     {"seed": -1},
+    # bool is an int: once accepted, and max_iters=True ran one step
+    *[{name: value} for name, value in (("max_iters", True), ("step_size", True),
+                                        ("clamp_floor", True), ("gamma", False),
+                                        ("linsolve_tol", True), ("seed", False))],
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):

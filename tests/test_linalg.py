@@ -8,22 +8,24 @@ import scipy.sparse
 
 from physlp import SolverConfig, StandardFormLP, backward, linalg, solve, solve_with_tape
 from physlp.errors import Breakdown
-from physlp.linalg import BlockFactor, WeightedOperator, _pcg, spd_solve, spd_solve_adjoint
+from physlp.linalg import WeightedOperator, _pcg, spd_solve, spd_solve_adjoint
 from physlp.problems import MatchingInstance, build_matching_lp, build_shortest_path_lp
 
 
-def gram(B, w=None):
-    """B diag(w) B^T as the WeightedGram spd_solve takes; w = 1 gives B B^T."""
+def gram(B, w=None, reg=None):
+    """B diag(w) B^T + reg*I as the WeightedGram spd_solve takes; w = 1
+    gives B B^T, and reg None the default term."""
     w = np.ones(B.shape[1]) if w is None else np.asarray(w, float)
-    return WeightedOperator(scipy.sparse.csr_array(B)).at(w)
+    return WeightedOperator(scipy.sparse.csr_array(B)).at(w, reg)
 
 
 def test_identity_system():
-    rep = spd_solve(gram(np.eye(2)), np.array([3.0, 4.0]))
+    L = gram(np.eye(2))
+    rep = spd_solve(L, np.array([3.0, 4.0]))
     assert np.allclose(rep.p, [3.0, 4.0], atol=1e-12)
     assert rep.iterations == 0  # direct path for small systems
     assert rep.final_residual <= 1e-10
-    assert rep.factor is not None
+    assert L.factor is not None
 
 
 def test_diagonal_system():
@@ -32,10 +34,11 @@ def test_diagonal_system():
 
 
 def test_singular_rank_one_with_ridge():
-    L = gram(np.ones((2, 1)))  # ones((2, 2))
-    rep = spd_solve(L, np.array([1.0, 1.0]), reg=1e-8)
+    L = gram(np.ones((2, 1)), reg=1e-8)  # ones((2, 2)) + 1e-8 I
+    rep = spd_solve(L, np.array([1.0, 1.0]))
     assert np.allclose(rep.p, [0.5, 0.5], atol=1e-6)
-    assert rep.regularization_used == 1e-8
+    assert L.reg == 1e-8
+    assert np.array_equal(L.direct(), np.ones((2, 2)) + 1e-8 * np.eye(2))
 
 
 @pytest.mark.parametrize("call", [
@@ -56,9 +59,9 @@ def test_rejects_shape_mismatch():
 def test_breakdown_on_inconsistent_singular_system():
     # b outside the range of the rank-1 matrix, no ridge: neither the
     # factorization nor CG can reach the residual target
-    L = gram(np.ones((2, 1)))  # ones((2, 2))
+    L = gram(np.ones((2, 1)), reg=0.0)  # ones((2, 2))
     with pytest.raises(Breakdown):
-        spd_solve(L, np.array([1.0, -1.0]), reg=0.0)
+        spd_solve(L, np.array([1.0, -1.0]))
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -93,10 +96,10 @@ def test_iterative_path_used_above_direct_cutoff():
     B = rng.normal(size=(m, 8))
     L = np.diag(d) + 0.01 * (B @ B.T)
     b = rng.normal(size=m)
-    rep = spd_solve(gram(np.hstack([np.eye(m), B]), np.concatenate([d, np.full(8, 0.01)])),
-                    b, tol=1e-10)
+    Lw = gram(np.hstack([np.eye(m), B]), np.concatenate([d, np.full(8, 0.01)]))
+    rep = spd_solve(Lw, b, tol=1e-10)
     assert rep.iterations > 0  # conjugate gradient, not factorization
-    assert rep.factor is None
+    assert Lw.factor is None
     assert np.linalg.norm(L @ rep.p - b) <= 1e-8 * np.linalg.norm(b)
 
 
@@ -105,31 +108,29 @@ def test_weighted_spd_solve_with_and_without_factor():
     A = rng.uniform(size=(6, 15))
     w = rng.uniform(0.1, 1.0, size=15)
     S = (A * w) @ A.T + 1e-9 * np.eye(6)
-    L = gram(A, w)
-    factor = spd_solve(L, rng.normal(size=6), reg=1e-9).factor
+    L = gram(A, w, 1e-9)
+    spd_solve(L, rng.normal(size=6))
+    factor = L.factor
     rhs = rng.normal(size=6)
     want = np.linalg.solve(S, rhs)
-    for f in (factor, None):
-        z = spd_solve(L, rhs, reg=1e-9, factor=f).p
+    # L reuses its factor; a new gram of the same system factors anew
+    for system in (L, gram(A, w, 1e-9)):
+        z = spd_solve(system, rhs).p
         assert np.linalg.norm(z - want) <= 1e-8 * np.linalg.norm(want)
-    assert not spd_solve(L, np.zeros(6), reg=1e-9, factor=factor).p.any()
-
-
-def assert_scipy_cholesky_answer(S, rep, b):
-    assert rep.iterations == 0
-    assert rep.factor[1] is True
-    want = scipy.linalg.cho_factor(S, lower=True)[0]
-    assert np.array_equal(np.tril(rep.factor[0]), np.tril(want))
-    assert np.array_equal(rep.p, scipy.linalg.cho_solve(rep.factor, b))
+    assert L.factor is factor
+    assert not spd_solve(L, np.zeros(6)).p.any()
 
 
 def test_factor_is_scipys_lower_cholesky_of_a_weighted_gram(matching_5x50):
     rng = np.random.default_rng(6)
     lp = matching_5x50
-    gram = lp.operator.at(rng.uniform(0.1, 2.0, size=lp.n))
-    b, reg = rng.normal(size=lp.m), 1e-9
-    rep = spd_solve(gram, b, reg=reg)
-    assert_scipy_cholesky_answer(gram.dense(reg), rep, b)
+    gram = lp.operator.at(rng.uniform(0.1, 2.0, size=lp.n), 1e-9)
+    b = rng.normal(size=lp.m)
+    rep = spd_solve(gram, b)
+    assert rep.iterations == 0
+    want = scipy.linalg.cho_factor(gram.direct(), lower=True)[0]
+    assert np.array_equal(np.tril(gram.factor), np.tril(want))
+    assert np.array_equal(rep.p, scipy.linalg.cho_solve((gram.factor, True), b))
 
 
 @pytest.mark.parametrize("b", [[1.0, 1.0], [1.0, 0.0]])
@@ -137,9 +138,11 @@ def test_indefinite_matrix_breaks_down(b):
     # the failed factorization is reported as Breakdown, not as
     # LinAlgError, and PCG does not overflow on the negative diagonal;
     # the partial factor dpotrf leaves solves b = [1, 0] exactly, and
-    # must not come back as a factor that backward would reuse
+    # must not stay on the gram as a factor that backward would reuse
+    L = gram(np.eye(2), [1.0, -1.0], 0.0)
     with pytest.raises(Breakdown):
-        spd_solve(gram(np.eye(2), [1.0, -1.0]), np.array(b), reg=0.0)
+        spd_solve(L, np.array(b))
+    assert L.factor is None
 
 
 def test_ill_conditioned_system_keeps_the_cholesky_answer():
@@ -148,13 +151,13 @@ def test_ill_conditioned_system_keeps_the_cholesky_answer():
     # is backward stable; PCG started from it only raises the residual
     rng = np.random.default_rng(0)
     Q, _ = np.linalg.qr(rng.normal(size=(20, 20)))
-    Lw = gram(Q, np.logspace(0, -12, 20))
-    L = Lw.dense(0.0)
+    Lw = gram(Q, np.logspace(0, -12, 20), 0.0)
+    L = Lw.direct()
     b = rng.normal(size=20)
     tol = 1e-10
-    rep = spd_solve(Lw, b, tol=tol, reg=0.0)
+    rep = spd_solve(Lw, b, tol=tol)
     assert rep.iterations == 0
-    assert np.array_equal(rep.p, scipy.linalg.cho_solve(rep.factor, b))
+    assert np.array_equal(rep.p, scipy.linalg.cho_solve((Lw.factor, True), b))
     res = np.linalg.norm(L @ rep.p - b)
     assert res > 1e3 * tol * np.linalg.norm(b)
     assert res <= tol * (np.linalg.norm(b) + np.linalg.norm(L, 2) * np.linalg.norm(rep.p))
@@ -205,33 +208,27 @@ def test_adjoint_directional_derivative():
 
 # ---------------------------------------------------------- block factor
 
-def is_dense_factor(factor):
-    return isinstance(factor, tuple) and len(factor) == 2 and factor[1] is True
-
-
 def test_block_factor_only_where_the_split_saves_flops(matching_5x50, matching_50x100):
     # 50x100: the 100 proposal rows share no column and go first, and a
-    # step keeps the blocks [diag(S_II) | S_FF | S_FI], 100 + 50^2 +
-    # 50*100 floats, the factor of the Schur complement, 50^2, and its
-    # own diag(S_II), 100, with S_FI shared: 10,200 floats instead of
-    # two 150^2 arrays.  5x50 and 30x30 (55 and 60 rows) save too few
-    # flops and keep the m-by-m matrix and its dense factor.
+    # step's gram keeps the blocks [diag(S_II) | S_FF | S_FI], 100 +
+    # 50^2 + 50*100 floats, and the factor of the Schur complement,
+    # 50^2: 10,100 floats instead of two 150^2 arrays.  5x50 and 30x30
+    # (55 and 60 rows) save too few flops and keep the m-by-m matrix and
+    # its dense factor.
     split = matching_50x100.operator._pattern.split
     assert np.array_equal(split.I, np.arange(50, 150))
     assert np.array_equal(split.F, np.arange(50))
     _, tape = solve_with_tape(matching_50x100, SolverConfig(max_iters=5, seed=1))
     for det in tape.steps:
-        assert isinstance(det.factor, BlockFactor)
-        assert det.gram.values.size == 7600
-        assert np.shares_memory(det.factor.B, det.gram.values)
-        assert det.gram.values.size + det.factor.c.size + det.factor.d.size == 10200
+        assert det.gram.factor.shape == (50, 50)
+        assert det.gram.values.size + det.gram.factor.size == 10100
     square = build_matching_lp(MatchingInstance(np.random.default_rng(7).uniform(size=(30, 30))))
     for lp in (matching_5x50, square):
         _, tape = solve_with_tape(lp, SolverConfig(max_iters=5, seed=1))
         assert lp.operator._pattern.split is None
         for det in tape.steps:
-            assert is_dense_factor(det.factor)
-            assert det.gram.values.size == det.factor[0].size == lp.m ** 2
+            assert det.gram.factor.shape == (lp.m, lp.m)
+            assert det.gram.values.size == lp.m ** 2
 
 
 def test_every_layout_reads_the_same_matrix(matching_50x100, monkeypatch):
@@ -239,7 +236,7 @@ def test_every_layout_reads_the_same_matrix(matching_50x100, monkeypatch):
     # blocks where the rows split, row-major where they do not, and CSR
     # data above DIRECT_MAX_DIM.  Every form read from any layout, the
     # CSR matrix from each and the row-major one, is the same matrix bit
-    # for bit, at any reg and after another reg.
+    # for bit, at any reg, and at one reg after grams at another.
     block = matching_50x100.operator
     A = block.A.toarray()
     w = np.random.default_rng(4).uniform(0.1, 2.0, size=A.shape[1])
@@ -258,30 +255,16 @@ def test_every_layout_reads_the_same_matrix(matching_50x100, monkeypatch):
     want = {}
     for reg in (1e-3, 0.25, 1e-3):
         S = (A * w) @ A.T + reg * np.eye(150)
-        forms = [op.at(w).sparse(reg).toarray() for op in (block, dense, csr)]
-        forms.append(dense.at(w).dense(reg).copy())
+        forms = [op.at(w, reg).sparse().toarray() for op in (block, dense, csr)]
+        forms.append(dense.at(w, reg).direct().copy())
         assert all(np.array_equal(f, forms[0]) for f in forms)
         assert np.abs(forms[0] - S).max() <= 1e-13 * np.abs(S).max()
         I, F = block._pattern.split
-        blocks = block.at(w).direct(reg)
+        blocks = block.at(w, reg).direct()
         assert np.array_equal(blocks.FF, forms[0][np.ix_(F, F)])
         assert np.array_equal(blocks.B, forms[0][np.ix_(F, I)])
         assert np.array_equal(blocks.d, forms[0][I, I])
         assert np.array_equal(forms[0], want.setdefault(reg, forms[0]))
-
-
-def test_a_block_factor_keeps_its_diagonal_when_the_gram_moves_on(matching_50x100):
-    # the blocks are views of the gram's values, whose diagonal a solve
-    # at another reg rewrites; the factor keeps its own diag(S_II)
-    op = matching_50x100.operator
-    gram = op.at(np.random.default_rng(5).uniform(0.1, 2.0, size=matching_50x100.n))
-    b = matching_50x100.b
-    rep = spd_solve(gram, b, reg=1e-3)
-    d = rep.factor.d.copy()
-    spd_solve(gram, b, reg=0.5)
-    assert np.array_equal(rep.factor.d, d)
-    again = spd_solve(gram, b, reg=1e-3, factor=rep.factor)
-    assert again.iterations == 0 and np.array_equal(again.p, rep.p)
 
 
 @pytest.fixture(scope="module")
@@ -296,13 +279,12 @@ def test_block_solve_meets_the_backward_error_bound(matching_50x100_tape, step):
     tape = matching_50x100_tape
     det, A = tape.steps[step], tape.prep.source.operator.A.toarray()
     w = det.x_prev / tape.prep.c
-    S = (A * w) @ A.T + det.reg_used * np.eye(A.shape[0])
+    S = (A * w) @ A.T + det.gram.reg * np.eye(A.shape[0])
     rhs = np.random.default_rng(step).normal(size=A.shape[0])
     tol = 1e-10
-    gram = tape.prep.source.operator.at(w)
-    for factor in (None, det.factor):
-        rep = spd_solve(gram, rhs, tol=tol, reg=det.reg_used, factor=factor)
-        assert isinstance(rep.factor, BlockFactor) and rep.iterations == 0
+    for gram in (tape.prep.source.operator.at(w, det.gram.reg), det.gram):
+        rep = spd_solve(gram, rhs, tol=tol)
+        assert gram.factor.shape == (50, 50) and rep.iterations == 0
         bound = tol * (np.linalg.norm(rhs) + np.diag(S).max() * np.linalg.norm(rep.p))
         assert np.linalg.norm(S @ rep.p - rhs) <= bound
 
@@ -319,12 +301,12 @@ def test_block_factor_of_a_diagonal_gram():
     lp = StandardFormLP(np.hstack([np.eye(m), np.eye(m)]), b, c)
     assert lp.operator._pattern.split.F.size == 0
     res, tape = solve_with_tape(lp, SolverConfig(max_iters=100, seed=3))
-    assert all(isinstance(det.factor, BlockFactor) for det in tape.steps)
+    assert all(det.gram.factor.shape == (0, 0) for det in tape.steps)
     cheap = c[:m] < c[m:]
     assert np.abs(res.x - np.concatenate([b * cheap, b * ~cheap])).max() <= 1e-6
     det = tape.steps[0]
     w = det.x_prev / c
-    assert np.allclose(det.p, b / (w[:m] + w[m:] + det.reg_used), rtol=1e-14, atol=0.0)
+    assert np.allclose(det.p, b / (w[:m] + w[m:] + det.gram.reg), rtol=1e-14, atol=0.0)
     grads = backward(tape, rng.normal(size=2 * m))
     assert np.isfinite(grads.grad_c).all()
 
@@ -334,12 +316,14 @@ def test_a_failed_factor_falls_back_to_pcg_on_both_routes(name, request, monkeyp
     # dpotrf reporting failure, on the whole matrix or on the Schur
     # complement alike: no factor is kept and PCG solves the system
     lp = request.getfixturevalue(name)
-    gram = lp.operator.at(np.random.default_rng(2).uniform(0.1, 2.0, size=lp.n))
+    w = np.random.default_rng(2).uniform(0.1, 2.0, size=lp.n)
+    gram = lp.operator.at(w)
     want = spd_solve(gram, lp.b)
-    assert want.factor is not None and want.iterations == 0
+    assert gram.factor is not None and want.iterations == 0
     monkeypatch.setattr(linalg, "dpotrf", lambda a, **kwargs: (a, 1))
+    gram = lp.operator.at(w)
     rep = spd_solve(gram, lp.b)
-    assert rep.factor is None and rep.iterations > 0
+    assert gram.factor is None and rep.iterations > 0
     assert np.linalg.norm(rep.p - want.p) <= 1e-8 * np.linalg.norm(want.p)
 
 
@@ -354,7 +338,7 @@ def test_an_indefinite_matrix_breaks_down_on_both_routes(matching_50x100, monkey
     # raises Breakdown on the same matrices
     op = matching_50x100.operator
     w = np.random.default_rng(1).uniform(0.1, 2.0, size=matching_50x100.n)
-    reg = -scale * op.at(w).diagonal[op._pattern.split.I].min()
+    reg = -scale * op.at(w, 0.0).direct().d.min()
     potrf, seen = linalg.dpotrf, []
 
     def spy(a, **kwargs):
@@ -362,14 +346,14 @@ def test_an_indefinite_matrix_breaks_down_on_both_routes(matching_50x100, monkey
         return potrf(a, **kwargs)
     monkeypatch.setattr(linalg, "dpotrf", spy)
     with pytest.raises(Breakdown):
-        spd_solve(op.at(w), matching_50x100.b, reg=reg)
+        spd_solve(op.at(w, reg), matching_50x100.b)
     assert seen == orders
     # the dense route: an operator whose Q writes the row-major layout
     monkeypatch.setattr(linalg, "BLOCK_MIN_SAVING", np.inf)
     dense = WeightedOperator(op.A)
     assert dense._pattern.split is None
     with pytest.raises(Breakdown):
-        spd_solve(dense.at(w), matching_50x100.b, reg=reg)
+        spd_solve(dense.at(w, reg), matching_50x100.b)
     assert seen == orders + [150]
 
 
@@ -413,9 +397,7 @@ def dag_600_systems(dag_600):
     """A diag(w) A^T + reg*I, as CSR, at the first, 50th and last step
     of a 100-step dag_600 tape, and that tape's right-hand side b."""
     _, tape = solve_with_tape(dag_600, SolverConfig(max_iters=100, seed=7))
-    op, c = tape.prep.source.operator, tape.prep.c
-    systems = [op.at(det.x_prev / c).sparse(det.reg_used)
-               for det in (tape.steps[0], tape.steps[49], tape.steps[99])]
+    systems = [det.gram.sparse() for det in (tape.steps[0], tape.steps[49], tape.steps[99])]
     return systems, tape.prep.source.b
 
 
@@ -474,25 +456,29 @@ def readonly(v):
 
 def weighted_cg_system(lp):
     rng = np.random.default_rng(8)
-    return lp.operator.at(rng.uniform(0.1, 1.0, size=lp.n)), lp.b, {}
+    return lp.operator.at(rng.uniform(0.1, 1.0, size=lp.n)), lp.b
 
 
 def weighted_refined_system(lp):
+    # a gram that holds the factor of another gram's matrix
     rng = np.random.default_rng(10)
     w = rng.uniform(0.1, 2.0, size=lp.n)
-    stale = spd_solve(lp.operator.at(2.0 * w), lp.b, reg=1e-3).factor
-    return lp.operator.at(w), rng.normal(size=lp.m), {"reg": 1e-3, "factor": stale}
+    stale = lp.operator.at(2.0 * w, 1e-3)
+    spd_solve(stale, lp.b)
+    L = lp.operator.at(w, 1e-3)
+    L.factor = stale.factor
+    return L, rng.normal(size=lp.m)
 
 
 @pytest.mark.parametrize("case", ["weighted-cg", "weighted-refined"])
 def test_spd_solve_leaves_a_read_only_rhs_alone(case, dag_600, matching_5x50):
-    L, b, kwargs = {
+    L, b = {
         "weighted-cg": lambda: weighted_cg_system(dag_600),
         "weighted-refined": lambda: weighted_refined_system(matching_5x50),
     }[case]()
     b = readonly(b)
     before = b.copy()
-    rep = spd_solve(L, b, **kwargs)
+    rep = spd_solve(L, b)
     assert rep.iterations > 0  # every case runs PCG
     assert np.array_equal(b, before)
     assert rep.p is not b

@@ -398,7 +398,7 @@ def test_operator_follows_the_lp_it_belongs_to(signed_sparse_40x400):
     assert np.array_equal(op.A.toarray(), A)
     w = np.random.default_rng(5).uniform(0.1, 2.0, size=prep.source.n)
     want = (A * w) @ A.T
-    assert np.abs(op.at(w).sparse(0.0).toarray() - want).max() <= 1e-14 * np.abs(want).max()
+    assert np.abs(op.at(w, 0.0).sparse().toarray() - want).max() <= 1e-14 * np.abs(want).max()
     cfg = SolverConfig(seed=5)
     det = step_detail(prep, initial_state(prep, cfg), cfg)
     assert np.all(det.x_new >= cfg.clamp_floor)
@@ -426,7 +426,7 @@ def test_csr_step_matches_a_dense_step(name, request):
     det = step_detail(prep, x, cfg)
     for want, got in zip(dense_step(prep, x, cfg), (det.p, det.x_new)):
         assert np.abs(want - got).max() <= 1e-10 * np.abs(want).max()
-    assert (det.factor is None) == (lp.m > linalg.DIRECT_MAX_DIM)
+    assert (det.gram.factor is None) == (lp.m > linalg.DIRECT_MAX_DIM)
 
 
 def test_matrix_free_default_reg_is_the_assembled_one(dag_600):
@@ -436,10 +436,12 @@ def test_matrix_free_default_reg_is_the_assembled_one(dag_600):
     w = initial_state(prep, SolverConfig(seed=4)) / prep.c
     L = (A * w) @ A.T
     want = 1e-10 * np.trace(L) / len(L)
-    assert abs(op.at(w).default_regularization() - want) <= 1e-12 * want
-    report = linalg.spd_solve(op.at(w), dag_600.b)
-    assert report.regularization_used == op.at(w).default_regularization()
-    assert report.factor is None
+    gram = op.at(w)
+    assert abs(gram.reg - want) <= 1e-12 * want
+    diag = np.diag(L) + gram.reg
+    assert np.abs(gram.sparse().diagonal() - diag).max() <= 1e-14 * diag.max()
+    report = linalg.spd_solve(gram, dag_600.b)
+    assert report.iterations > 0 and gram.factor is None
 
 
 @pytest.mark.parametrize("name", ["matching_5x50", "dag_600", "signed_sparse_40x400", "svm_20"])
@@ -454,7 +456,8 @@ def test_sparse_matrix_is_the_dense_gram(name, request):
     A = op.A.toarray()
     w = np.random.default_rng(9).uniform(0.1, 2.0, size=prep.source.n)
     reg = 1e-3
-    S = op.at(w).sparse(reg)
+    gram = op.at(w, reg)
+    S = gram.sparse()
     want = (A * w) @ A.T + reg * np.eye(prep.source.m)
     assert S.has_sorted_indices
     assert S.nnz == np.count_nonzero(want)
@@ -462,7 +465,7 @@ def test_sparse_matrix_is_the_dense_gram(name, request):
     assert np.abs(S.toarray() - want).max() <= 1e-14 * np.abs(want).max()
     if prep.source.m <= linalg.DIRECT_MAX_DIM:
         assert op._pattern.split is None
-        assert np.array_equal(op.at(w).dense(reg), S.toarray())
+        assert np.array_equal(gram.direct(), S.toarray())
     diag = np.diag(want)
     assert np.abs(S.diagonal() - diag).max() <= 1e-14 * diag.max()
 
@@ -471,14 +474,14 @@ def test_sparse_matrix_keeps_the_diagonal_of_an_empty_row():
     # reg*I lands on every row, also where A A^T has no entry
     A = np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
     w = np.array([1.0, 2.0, 3.0])
-    S = linalg.WeightedOperator(scipy.sparse.csr_array(A)).at(w).sparse(0.5)
+    S = linalg.WeightedOperator(scipy.sparse.csr_array(A)).at(w, 0.5).sparse()
     assert np.array_equal(S.toarray(), (A * w) @ A.T + 0.5 * np.eye(3))
 
 
 def forbid_assembly(monkeypatch):
-    def dense(self, reg):
+    def direct(self):
         raise AssertionError("L was assembled")
-    monkeypatch.setattr(linalg.WeightedGram, "dense", dense)
+    monkeypatch.setattr(linalg.WeightedGram, "direct", direct)
 
 
 def test_matrix_free_steps_never_form_L(dag_600, monkeypatch):
@@ -491,11 +494,11 @@ def test_matrix_free_steps_never_form_L(dag_600, monkeypatch):
 def test_matrix_free_step_reads_the_cutoff_when_called(monkeypatch):
     prep = prepare_lp(toy_lp())
     x = np.array([0.5, 0.5])
-    assert step_detail(prep, x, SolverConfig()).factor is not None
+    assert step_detail(prep, x, SolverConfig()).gram.factor is not None
     monkeypatch.setattr(linalg, "DIRECT_MAX_DIM", 0)
     forbid_assembly(monkeypatch)
     det = step_detail(prep, x, SolverConfig())
-    assert det.factor is None and det.linsolve_iterations > 0
+    assert det.gram.factor is None and det.linsolve_iterations > 0
     assert np.allclose(det.x_new, [2.0 / 3.0, 1.0 / 3.0], atol=1e-12)
 
 
@@ -511,9 +514,9 @@ def test_matrix_free_step_falls_back_to_cholesky(dag_600, monkeypatch):
     prep = prepare_lp(dag_600)
     cfg = SolverConfig(max_iters=3, seed=6)
     det = step_detail(prep, initial_state(prep, cfg), cfg)
-    assert det.factor is not None
+    assert det.gram.factor is not None
     A = prep.source.operator.A.toarray()
-    S = (A * (det.x_prev / prep.c)) @ A.T + det.reg_used * np.eye(prep.source.m)
+    S = (A * (det.x_prev / prep.c)) @ A.T + det.gram.reg * np.eye(prep.source.m)
     assert np.linalg.norm(S @ det.p - dag_600.b) <= 1e-10 * np.linalg.norm(dag_600.b)
     res = solve(dag_600, cfg)
     assert res.status is not SolveStatus.LINSOLVE_FAILURE
@@ -526,10 +529,11 @@ def test_cg_solve_of_any_rhs_falls_back_to_cholesky(dag_600, monkeypatch):
     prep = prepare_lp(dag_600)
     op = prep.source.operator
     w = initial_state(prep, SolverConfig(seed=6)) / prep.c
-    reg = op.at(w).default_regularization()
+    gram = op.at(w)
+    reg = gram.reg
     rhs = np.random.default_rng(6).normal(size=prep.source.m)
-    report = linalg.spd_solve(op.at(w), rhs, reg=reg)
-    assert report.factor is not None
+    report = linalg.spd_solve(gram, rhs)
+    assert gram.factor is not None
     z = report.p
     A = op.A.toarray()
     S = (A * w) @ A.T + reg * np.eye(prep.source.m)
@@ -538,15 +542,17 @@ def test_cg_solve_of_any_rhs_falls_back_to_cholesky(dag_600, monkeypatch):
 
 
 def test_factored_spd_solve_refines_with_the_jacobi_diagonal(matching_5x50, monkeypatch):
-    # the factor of another matrix misses the target, so PCG refines its
-    # answer, preconditioned by the diagonal of A diag(w) A^T + reg*I
+    # a gram that holds the factor of another matrix misses the target,
+    # so PCG refines its answer, preconditioned by the diagonal of
+    # A diag(w) A^T + reg*I
     prep = prepare_lp(matching_5x50)
     op = prep.source.operator
     A = op.A.toarray()
     rng = np.random.default_rng(11)
     w = rng.uniform(0.1, 2.0, size=prep.source.n)
     reg = 1e-3
-    stale = linalg.spd_solve(op.at(2.0 * w), matching_5x50.b, reg=reg).factor
+    stale = op.at(2.0 * w, reg)
+    linalg.spd_solve(stale, matching_5x50.b)
     pcg, seen = linalg._pcg, []
 
     def spy(mv, b, diag, x0, target, max_iters):
@@ -554,7 +560,9 @@ def test_factored_spd_solve_refines_with_the_jacobi_diagonal(matching_5x50, monk
         return pcg(mv, b, diag, x0, target, max_iters)
     monkeypatch.setattr(linalg, "_pcg", spy)
     rhs = rng.normal(size=prep.source.m)
-    z = linalg.spd_solve(op.at(w), rhs, reg=reg, factor=stale).p
+    gram = op.at(w, reg)
+    gram.factor = stale.factor
+    z = linalg.spd_solve(gram, rhs).p
     S = (A * w) @ A.T + reg * np.eye(prep.source.m)
     assert len(seen) == 1
     assert np.abs(seen[0] - np.diag(S)).max() <= 1e-14 * np.diag(S).max()
@@ -578,7 +586,8 @@ def count_calls(monkeypatch, module, name):
 def test_every_step_calls_spd_solve_once(name, request, monkeypatch):
     # the benchmark's traced run sees the linear solves through these
     # names: solver.spd_solve in forward steps, autodiff.spd_solve in
-    # backward and jvp, which pass each step's factor (None on CG steps)
+    # backward and jvp, which pass each step's gram, and with it its
+    # factor (None on CG steps)
     lp = request.getfixturevalue(name)
     forward = count_calls(monkeypatch, solver, "spd_solve")
     adjoint = count_calls(monkeypatch, autodiff, "spd_solve")
@@ -589,14 +598,14 @@ def test_every_step_calls_spd_solve_once(name, request, monkeypatch):
     assert len(forward) == len(res.trace)
     _, tape = solve_with_tape(lp, cfg)
     assert len(tape) == 5 and adjoint == []
-    assert all((det.factor is None) == (lp.m > linalg.DIRECT_MAX_DIM) for det in tape.steps)
+    assert all((det.gram.factor is None) == (lp.m > linalg.DIRECT_MAX_DIM) for det in tape.steps)
     backward(tape, np.ones(lp.n))
     assert len(adjoint) == len(tape)
-    assert all(args[4] is det.factor for args, det in zip(adjoint, reversed(tape.steps)))
+    assert all(args[0] is det.gram for args, det in zip(adjoint, reversed(tape.steps)))
     adjoint.clear()
     jvp(tape, db=np.ones(lp.m))
     assert len(adjoint) == len(tape)
-    assert all(args[4] is det.factor for args, det in zip(adjoint, tape.steps))
+    assert all(args[0] is det.gram for args, det in zip(adjoint, tape.steps))
 
 
 def test_overflowing_weights_report_a_linsolve_failure(monkeypatch):
@@ -617,7 +626,7 @@ def test_overflowing_weights_report_a_linsolve_failure(monkeypatch):
 
 def test_matrix_free_failure_is_reported_not_raised(dag_600, monkeypatch):
     capped_pcg(monkeypatch)
-    monkeypatch.setattr(linalg, "_cholesky", lambda S, b: (None, None))
+    monkeypatch.setattr(linalg, "_factor", lambda S: None)
     res = solve(dag_600, SolverConfig(max_iters=3))
     assert res.status is SolveStatus.LINSOLVE_FAILURE
     assert res.trace == []
@@ -630,7 +639,7 @@ def dense_residuals(tape):
     A, b, c = tape.prep.source.operator.A.toarray(), tape.prep.source.b, tape.prep.c
     out = []
     for det in tape.steps:
-        S = (A * (det.x_prev / c)) @ A.T + det.reg_used * np.eye(len(b))
+        S = (A * (det.x_prev / c)) @ A.T + det.gram.reg * np.eye(len(b))
         out.append(np.linalg.norm(S @ det.p - b) / np.linalg.norm(b))
     return np.array(out)
 
@@ -647,7 +656,7 @@ def test_cg_steps_meet_the_tolerance(dag_600):
     # of its input, and no looser one
     cfg = SolverConfig(max_iters=100, seed=7)
     res, tape = solve_with_tape(dag_600, cfg)
-    assert all(det.factor is None for det in tape.steps)
+    assert all(det.gram.factor is None for det in tape.steps)
     tols = np.array([det.tol_used for det in tape.steps])
     assert np.all(dense_residuals(tape) <= tols)
     ratio = np.minimum(1.0, input_residuals(dag_600, res, tape) / np.linalg.norm(dag_600.b))
@@ -666,7 +675,7 @@ def test_cg_steps_do_not_depend_on_the_previous_step(dag_600):
     res, tape = solve_with_tape(dag_600, cfg)
     op, b, c = tape.prep.source.operator, tape.prep.source.b, tape.prep.c
     for det, record in zip(tape.steps, res.trace):
-        again = linalg.spd_solve(op.at(det.x_prev / c), b, det.tol_used, det.reg_used)
+        again = linalg.spd_solve(op.at(det.x_prev / c, det.gram.reg), b, det.tol_used)
         assert again.iterations == det.linsolve_iterations == record.linsolve_iterations
         assert np.array_equal(again.p, det.p)
 
