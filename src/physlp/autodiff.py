@@ -13,16 +13,11 @@ Both skip the blend with the previous iterate's term at step_size 1,
 as the forward step does.  The tape holds the LP and the SolverConfig
 it ran with, both frozen, not copies.
 
-Per step the tape holds the linalg.WeightedGram the forward solve
-used, the step's whole system S = A diag(w) A^T + reg*I with
-w = x_prev / c_hat, its values in the layout its route reads and the
-Cholesky factor the solve left on it, and x_prev, p, u, x_new and the
-clamp mask.  Nothing of S is computed again, and nothing is factored
-again: the factor is dense, m^2 floats, or, where the operator splits
-its rows, that of the Schur complement on F, |F|^2 floats, whose
-blocks S_II and S_FI the gram's values hold.  A step of a 30x30
-assignment LP (60x930) holds about 83 kB, and one of a 50x100 LP
-(150x5100), whose rows split, about 213 kB, by tracemalloc.
+Per step the tape holds a solver.StepDetail, whose docstring lists
+what it keeps and its size: the step's whole system S as the
+linalg.WeightedGram the forward solve used, with the Cholesky factor
+that solve left on it, and a few vectors.  Nothing of S is computed
+again, and nothing is factored again.
 The solve adjoint gL = -outer(z, p) has rank one, so backward never
 forms an m-by-m or m-by-n array per step: each step costs one product
 with A and one with its transpose, a few n-vector operations, and
@@ -79,20 +74,12 @@ def _adjoint_tol(gram, cfg):
     return cfg.linsolve_tol if gram.factor is not None else min(cfg.linsolve_tol, CG_ADJOINT_TOL)
 
 
-@dataclass
+@dataclass(eq=False)
 class UnrolledTape:
     """Recorded forward pass: the prepared LP (whose source is the LP
     solved, with the operator the steps computed with), cfg, the config
-    it ran with, the initial iterate, and one StepDetail per iteration:
-    the step's WeightedGram (w, the matrix S its solve assembled:
-    m-by-m, or the blocks diag(S_II), S_FF and S_FI of
-    |I| + |F|^2 + |F| |I| floats where the operator splits its rows,
-    or the sparse matrix's data above linalg.DIRECT_MAX_DIM rows, and
-    the Cholesky factor spd_solve left on it, m-by-m or of |F|^2 floats
-    in blocks, which steps above linalg.DIRECT_MAX_DIM rows (CG on the
-    sparse matrix) only hold when its last resort ran), and four more
-    O(n) and one O(m) vectors.  About 83 kB per step at 30x30 (60x930)
-    and 213 kB at 50x100 (150x5100), by tracemalloc; all of it is
+    it ran with, the initial iterate, and one solver.StepDetail per
+    iteration (see its docstring for what a step holds); all of it is
     reachable through dataclass fields."""
 
     prep: object
@@ -109,7 +96,7 @@ class UnrolledTape:
         return self.steps[-1].x_new if self.steps else self.x0
 
 
-@dataclass
+@dataclass(eq=False)
 class LpGradients:
     """Gradients of a scalar loss with respect to the LP's data.
 
@@ -149,16 +136,16 @@ class LpGradients:
         return grad_A
 
 
-def solve_with_tape(lp, cfg=None, x0=None, early_stop=False):
+def solve_with_tape(lp, cfg=None, x0=None):
     """Forward solve that also returns the tape for backward.
 
-    Early stopping is off by default so the tape length is exactly
-    cfg.max_iters; pass early_stop=True to opt in (the tape then holds
-    only the iterations actually performed).
+    The tape holds all cfg.max_iters steps of the forward loop, or the
+    steps before a linear-solve failure ended it: a tape never stops
+    early, so its length does not depend on the data.
     """
     if cfg is None:
         cfg = SolverConfig()
-    result, prep, y0, steps = _solve_loop(lp, cfg, x0, early_stop, record_steps=True)
+    result, prep, y0, steps = _solve_loop(lp, cfg, x0, True)
     tape = UnrolledTape(prep, cfg, y0, steps)
     return result, tape
 
@@ -315,10 +302,10 @@ def finite_diff_grad(lp, cfg, loss, step_scale=1e-6, x0=None):
     """Central-difference gradients of loss(x_final) w.r.t. (c, A, b).
 
     Each entry v is displaced by eta = step_scale * (1 + |v|).  The
-    forward solves run with early stopping disabled so that every
-    evaluation performs the same number of iterations; x0 is passed
-    through so the probes share their starting point with the solve
-    being checked.
+    forward solves run with early stopping disabled, so every
+    evaluation performs cfg.max_iters iterations, as a tape does; x0
+    is passed through so the probes share their starting point with
+    the solve being checked.
     """
     from .solver import solve
 

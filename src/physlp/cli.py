@@ -77,10 +77,7 @@ def cmd_solve(args):
         "objective": result.objective,
         "residual": result.residual,
         "status": result.status.name,
-        "trace": [{"iteration": r.iteration, "objective": r.objective,
-                   "residual": r.residual,
-                   "linsolve_iterations": r.linsolve_iterations}
-                  for r in result.trace],
+        "trace": [dataclasses.asdict(r) for r in result.trace],
     }
     _dump_json(report, args.out)
     if result.status == SolveStatus.LINSOLVE_FAILURE:
@@ -144,8 +141,9 @@ def cmd_match_bench(args):
             per_trial = pool.map(_match_trial, payloads)
     else:
         per_trial = [_match_trial(p) for p in payloads]
+    # in trial order, each trial's budgets ascending: pool.map keeps
+    # the order of its payloads
     records = [rec for trial in per_trial for rec in trial]
-    records.sort(key=lambda r: (r["trial"], r["iters"]))
 
     aggregates = []
     for k in budgets:
@@ -247,20 +245,19 @@ def cmd_learn_cost(args):
         grad_loss[i * m + t] = -1.0
 
     def soft_solve(C):
-        lp = build_matching_lp(MatchingInstance(C))
-        return solve_with_tape(lp, cfg, x0=x0)
+        """The relaxed matching at costs C, its tape and its loss."""
+        result, tape = solve_with_tape(build_matching_lp(MatchingInstance(C)), cfg, x0=x0)
+        X, _ = split_matching_vars(result.x, n, m)
+        return result, tape, float(sum(1.0 - X[i, t] for i, t in enumerate(target)))
 
     losses = []
     for _ in range(args.steps):
-        result, tape = soft_solve(C)
-        X, _ = split_matching_vars(result.x, n, m)
-        losses.append(float(sum(1.0 - X[i, t] for i, t in enumerate(target))))
+        _, tape, loss = soft_solve(C)
+        losses.append(loss)
         grads = backward(tape, grad_loss)
         C = C - args.lr * matching_cost_gradient(grads.grad_c, n, m)
 
-    result, _ = soft_solve(C)
-    X, _ = split_matching_vars(result.x, n, m)
-    final_loss = float(sum(1.0 - X[i, t] for i, t in enumerate(target)))
+    result, _, final_loss = soft_solve(C)
     decoded = decode_matching(result.x, n, m).map.tolist()
     recovered = decoded == list(target)
     report = {

@@ -184,13 +184,15 @@ class SolverConfig:
     clamp_floor  eps > 0; iterates are clamped to stay >= eps
     gamma        perturbation added to zero costs; None picks
                  1 / (2 sqrt(m + n)) per instance, 0 forbids zero costs
-    linsolve_tol tolerance of the backward and jvp solves (at most
-                 autodiff.CG_ADJOINT_TOL on CG steps); in forward
-                 steps the floor of the tolerance solver.forward_tol,
-                 which the forward loop of solve, solve_with_tape and
-                 match-bench derives from each iterate's residual.
-                 spd_solve accepts every solve on normwise backward
-                 error at its tolerance
+    linsolve_tol relative target of the backward and jvp solves (at
+                 most autodiff.CG_ADJOINT_TOL on CG steps), and the
+                 floor of solver.forward_tol, the target of a forward
+                 step, which the forward loop of solve, solve_with_tape
+                 and match-bench derives from each iterate's residual.
+                 This is the one default target: spd_solve and
+                 step_detail take theirs from the caller.  spd_solve
+                 accepts every solve on normwise backward error at its
+                 target
     seed         integer >= 0; seeds the random initial iterate when x0
                  is not given
 
@@ -236,7 +238,7 @@ class TraceRecord:
     linsolve_iterations: int
 
 
-@dataclass
+@dataclass(eq=False)
 class SolveResult:
     """Solver output.  objective is c.x against the LP's own cost
     vector, whatever potentials or zero-cost perturbation the solve

@@ -52,18 +52,17 @@ AUTO_REG_SCALE = 1e-10
 BLOCK_MIN_SAVING = 2e5
 
 
-@dataclass
+@dataclass(eq=False)
 class SpdSolveReport:
     """Solution of S p = b plus solve diagnostics.
 
     iterations is 0 when the Cholesky factor alone solved the system,
-    otherwise the number of CG steps taken.  final_residual is
-    ||S p - b||_2.  The factor, if any, stays on the WeightedGram.
+    otherwise the number of CG steps taken.  The factor, if any, stays
+    on the WeightedGram.
     """
 
     p: np.ndarray
     iterations: int
-    final_residual: float
 
 
 class WeightedOperator:
@@ -224,7 +223,7 @@ class _Blocks(NamedTuple):
         return out
 
 
-@dataclass
+@dataclass(eq=False)
 class WeightedGram:
     """S = A diag(w) A^T + reg*I, one step's whole linear system and the
     one form of it that spd_solve takes: built from a validated A and
@@ -336,7 +335,7 @@ def _pcg(S_matvec, b, diag, x0, target, max_iters):
     return x, max_iters, _norm(b - S_matvec(x))
 
 
-def spd_solve(L, b, tol=1e-10):
+def spd_solve(L, b, tol):
     """Solve S p = b for S = A diag(w) A^T + reg*I.
 
     L is the WeightedGram op.at(w, reg), and anything else raises
@@ -356,15 +355,18 @@ def spd_solve(L, b, tol=1e-10):
         ||S p - b|| <= tol * (||b|| + max(diag(S)) * ||p||),
 
     with max(diag(S)) estimating ||S||, so that a right-hand side far
-    below the rounding error of S p does not fail.  Breakdown is raised
-    when no answer is accepted, and for a b with NaN or infinity.
+    below the rounding error of S p does not fail.  tol has no default:
+    the forward loop passes solver.forward_tol of its iterate, and
+    backward and jvp pass autodiff._adjoint_tol of the step's gram.
+    Breakdown is raised when no answer is accepted, and for a b with
+    NaN or infinity.
     """
     if not isinstance(L, WeightedGram):
         raise TypeError(f"spd_solve takes L as op.at(w), a WeightedGram, not {type(L).__name__}")
     m = b.shape[0]
     bnorm = _norm(b)
     if bnorm == 0.0:
-        return SpdSolveReport(np.zeros(m), 0, 0.0)
+        return SpdSolveReport(np.zeros(m), 0)
     # an infinite target would accept any p, 0 included
     if not math.isfinite(bnorm):
         raise Breakdown(f"right-hand side norm {bnorm} is not finite")
@@ -379,22 +381,22 @@ def spd_solve(L, b, tol=1e-10):
     p = _chol_solve(S, L.factor, b)
     res = math.inf if p is None else _norm(matvec(p) - b)
     if res <= target:
-        return SpdSolveReport(p, 0, res)
+        return SpdSolveReport(p, 0)
     # the normwise backward-error test: res <= target + slack * ||p||
     jacobi = L.values[L.op._pattern.diagonal]
     slack = tol * float(jacobi.max())
     if p is not None and res <= target + slack * _norm(p):
-        return SpdSolveReport(p, 0, res)
+        return SpdSolveReport(p, 0)
     p, iters, res = _pcg(matvec, b, jacobi, p, target, 10 * m)
     if res <= target + slack * _norm(p):
-        return SpdSolveReport(p, iters, res)
+        return SpdSolveReport(p, iters)
     if L.factor is None and not direct:  # the last resort
         L.factor = _factor(S.toarray())
         p_direct = _chol_solve(S, L.factor, b)
         if p_direct is not None:
             res_direct = _norm(matvec(p_direct) - b)
             if res_direct <= target + slack * _norm(p_direct):
-                return SpdSolveReport(p_direct, iters, res_direct)
+                return SpdSolveReport(p_direct, iters)
     raise Breakdown(f"residual {res:.3e} above target {target:.3e} after factoring and PCG")
 
 
@@ -431,7 +433,7 @@ def _chol_solve(S, c, b):
     return p if info == 0 and np.isfinite(p).all() else None
 
 
-def spd_solve_adjoint(L, p, grad_p, tol=1e-10):
+def spd_solve_adjoint(L, p, grad_p, tol):
     """Reverse-mode rule for p = S^{-1} b, S = op.at(w, reg) as
     spd_solve takes it.
 
@@ -446,7 +448,7 @@ def spd_solve_adjoint(L, p, grad_p, tol=1e-10):
     grad_p = np.asarray(grad_p, dtype=np.float64)
     if grad_p.shape != p.shape:
         raise DimensionMismatch(f"grad_p has shape {grad_p.shape}, expected {p.shape}")
-    report = spd_solve(L, grad_p, tol=tol)
+    report = spd_solve(L, grad_p, tol)
     grad_b = report.p
     grad_L = -np.outer(grad_b, p)
     return grad_L, grad_b

@@ -43,7 +43,7 @@ def hungarian(C):
     return Assignment(mapping, float(C[rows, cols].sum()))
 
 
-@dataclass
+@dataclass(eq=False)
 class VertexSolution:
     """Best vertex of a bounded standard-form LP.
 

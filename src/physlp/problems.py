@@ -64,7 +64,7 @@ class GaussianKernel:
 # ---------------------------------------------------------------------------
 # bipartite matching, n templates against m >= n proposals
 
-@dataclass
+@dataclass(eq=False)
 class Assignment:
     """One-to-one map from templates to proposals; cost is the summed
     matched cost when known (None when decoded without the matrix)."""
@@ -78,7 +78,7 @@ class Assignment:
             raise DimensionMismatch("assignment map entries must be distinct")
 
 
-@dataclass
+@dataclass(eq=False)
 class MatchingInstance:
     """Cost matrix C of shape (n, m) with n <= m, plus the slack cost
     gamma (None picks 1 / (2 sqrt(m)))."""
@@ -208,7 +208,7 @@ def matching_cost_gradient(grad_c, n, m):
 # ---------------------------------------------------------------------------
 # L1 kernel SVM
 
-@dataclass
+@dataclass(eq=False)
 class SvmInstance:
     """Binary training set with labels in {-1, +1}.
 
@@ -282,7 +282,7 @@ def build_l1svm_lp(inst):
     return StandardFormLP(A, b, c)
 
 
-@dataclass
+@dataclass(eq=False)
 class SvmClassifier:
     """Kernel expansion classifier f(x) = sum_j y_j alpha_j K(x, x_j) + bias."""
 
@@ -323,7 +323,7 @@ def fit_svm(inst, cfg=None):
     return decode_svm(result.x, inst), result
 
 
-@dataclass
+@dataclass(eq=False)
 class PairwiseSvmEnsemble:
     """One-vs-one reduction: one binary instance per unordered class
     pair, the first class of the pair playing +1."""

@@ -57,7 +57,7 @@ def default_gamma(m, n):
     return 0.5 / math.sqrt(m + n)
 
 
-@dataclass
+@dataclass(eq=False)
 class PreparedLP:
     """An LP with the working cost that its dynamics run on.
 
@@ -124,16 +124,17 @@ def prepare_lp(lp, gamma=None):
     return PreparedLP(lp, c, zero)
 
 
-@dataclass
+@dataclass(eq=False)
 class StepDetail:
     """What one update leaves on the tape: enough for backward and jvp
     to run without re-forming or re-factoring A diag(w) A^T.
 
     The update is x_new = max((1-h) x_prev + h * w * u, eps) with
     u = A^T p, w = x_prev / c_hat and p the spd_solve answer of S p = b
-    at tolerance tol_used.  gram is the linalg.WeightedGram the step
-    solved with, its whole system S = A diag(w) A^T + reg*I: w, reg,
-    the values of S in the layout of the step's route (the m-by-m
+    at the target step_detail was given, forward_tol of x_prev's
+    residual in the forward loop.  gram is the linalg.WeightedGram the
+    step solved with, its whole system S = A diag(w) A^T + reg*I: w,
+    reg, the values of S in the layout of the step's route (the m-by-m
     matrix, the blocks diag(S_II), S_FF and S_FI where the operator
     splits its rows, or the CSR data above linalg.DIRECT_MAX_DIM rows)
     and the Cholesky factor the solve left on it (None on CG steps
@@ -158,11 +159,10 @@ class StepDetail:
     x_new: np.ndarray
     clamp_mask: np.ndarray
     reg_scale: float
-    tol_used: float
     linsolve_iterations: int
 
 
-def step_detail(prep, x, cfg, tol=None):
+def step_detail(prep, x, cfg, tol):
     """One dynamics update from the iterate x, with full intermediates;
     the next iterate is its x_new.
 
@@ -174,10 +174,10 @@ def step_detail(prep, x, cfg, tol=None):
     CG on it, assembled sparse, above.  After a linear-solve breakdown
     the step retries once on op.at(w, 100 * reg), a new gram.  The step
     keeps the gram it solved with.  tol is the relative target handed
-    to spd_solve, cfg.linsolve_tol when None; _iterate, the forward loop
-    and the one caller in the package, passes forward_tol of the
-    iterate's residual, so the step is set by x and cfg alone.  Weights
-    x / c that are not finite raise LinSolveFailure before any solve.
+    to spd_solve; _iterate, the forward loop and the one caller in the
+    package, passes forward_tol of the iterate's residual, so the step
+    is set by x and cfg alone.  Weights x / c that are not finite raise
+    LinSolveFailure before any solve.
     """
     lp = prep.source
     op = lp.operator
@@ -188,7 +188,6 @@ def step_detail(prep, x, cfg, tol=None):
     if not np.isfinite(w).all():
         raise LinSolveFailure("the weights x / c are not finite, so A diag(w) A^T is not either")
     gram = op.at(w)
-    tol = cfg.linsolve_tol if tol is None else tol
     try:
         report, reg_scale = spd_solve(gram, lp.b, tol), AUTO_REG_SCALE
     except Breakdown:
@@ -203,7 +202,7 @@ def step_detail(prep, x, cfg, tol=None):
     pre = q if h == 1.0 else (1.0 - h) * x + h * q
     clamp_mask = pre > eps
     x_new = np.maximum(pre, eps)
-    return StepDetail(x, gram, p, u, x_new, clamp_mask, reg_scale, tol, report.iterations)
+    return StepDetail(x, gram, p, u, x_new, clamp_mask, reg_scale, report.iterations)
 
 
 def initial_state(prep, cfg, x0=None):
@@ -274,12 +273,14 @@ def _iterate(prep, x, cfg):
         yield det, x, obj, res
 
 
-def _solve_loop(lp, cfg, x0, early_stop, record_steps):
-    """Runs _iterate for solve and solve_with_tape, with the trace, the
-    early stop and the status; returns (result, prepared lp, x0, steps).
-    The status is CONVERGED when the stop test (residual at most
-    RESIDUAL_TOL and a stalled objective) holds at the last
-    iterate, with or without early_stop, and MAX_ITERS otherwise.  A
+def _solve_loop(lp, cfg, x0, record_steps, early_stop=False):
+    """Runs _iterate for solve and solve_with_tape, with the trace and
+    the status; returns (result, prepared lp, x0, steps), steps the
+    StepDetails when record_steps and None otherwise.  Only solve
+    passes early_stop, so a tape runs all cfg.max_iters steps.  The
+    status is CONVERGED when the stop test (residual at most
+    RESIDUAL_TOL and a stalled objective) holds at the last iterate,
+    with or without early_stop, and MAX_ITERS otherwise.  A
     LinSolveFailure ends the loop at the last valid iterate."""
     prep = prepare_lp(lp, cfg.gamma)
     x0 = initial_state(prep, cfg, x0)
@@ -324,5 +325,5 @@ def solve(lp, cfg=None, x0=None, early_stop=True):
     """
     if cfg is None:
         cfg = SolverConfig()
-    result, _, _, _ = _solve_loop(lp, cfg, x0, early_stop, record_steps=False)
+    result, _, _, _ = _solve_loop(lp, cfg, x0, False, early_stop)
     return result

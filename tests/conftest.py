@@ -55,6 +55,18 @@ def clamp_fired(tape):
     return any(not det.clamp_mask.all() for det in tape.steps)
 
 
+def step_tols(res, tape):
+    """The relative target each step of the tape solved to, as the
+    forward loop sets it: solver.forward_tol of the residual of the
+    step's input, which is x0's for the first step and the trace
+    residual of the step before for the others; res is the
+    SolveResult that came with the tape."""
+    bnorm = float(np.linalg.norm(tape.prep.source.b))
+    inputs = [solver._evaluate(tape.prep, tape.x0)[1]]
+    inputs += [rec.residual for rec in res.trace[:len(tape) - 1]]
+    return np.array([solver.forward_tol(tape.cfg, r, bnorm) for r in inputs])
+
+
 def rerun(tape):
     """The post-clamp iterates of the forward loop, solver._iterate, run
     again from tape.x0 for as many steps as the tape holds; it stops

@@ -9,11 +9,13 @@ import pytest
 import scipy.sparse
 
 import physlp
-from physlp import (SolverConfig, StandardFormLP, feasibility_residual,
-                    load_lp, lp_from_dict, lp_to_dict, objective, save_lp, solver,
-                    validate)
+from physlp import (SolverConfig, StandardFormLP, backward, feasibility_residual, linalg,
+                    load_lp, lp_from_dict, lp_to_dict, objective, prepare_lp, problems,
+                    save_lp, solve, solve_with_tape, solver, validate)
 from physlp.errors import DimensionMismatch, InvalidConfig, NonFiniteEntry
 from physlp.linalg import WeightedOperator
+
+from .conftest import svm_feasible_point
 
 
 def toy_lp():
@@ -141,16 +143,60 @@ def test_an_lp_cannot_be_assigned(name):
         setattr(lp, name, getattr(lp, name))
 
 
-def test_an_lp_equals_itself_alone_and_hashes():
-    # == on the arrays once raised ValueError, after a
-    # SparseEfficiencyWarning, and hash raised TypeError
-    lp, twin = toy_lp(), toy_lp()
-    assert lp == lp and not lp != lp
-    assert lp != twin and not lp == twin
-    assert hash(lp) == hash(lp)
-    seen = {lp: "first", twin: "second"}
-    assert seen[lp] == "first" and seen[twin] == "second"
-    assert lp in {lp} and twin not in {lp}
+def toy_tape():
+    return solve_with_tape(toy_lp(), SolverConfig(max_iters=3))[1]
+
+
+def eye_gram():
+    return WeightedOperator(scipy.sparse.csr_array(np.eye(2))).at(np.ones(2))
+
+
+def blobs(classes):
+    """Two points per class, in two dimensions, labelled 0, 1, ..."""
+    points = np.random.default_rng(0).normal(size=(2 * classes, 2))
+    return points, np.repeat(np.arange(classes), 2)
+
+
+def svm_instance():
+    points, labels = blobs(2)
+    return problems.SvmInstance(points, np.where(labels == 0, 1.0, -1.0))
+
+
+COSTS = np.array([[0.2, 0.8, 0.5], [0.8, 0.2, 0.4]])
+
+# A fresh instance of each array-holding record of the package, with
+# the same contents on every call
+RECORDS = {
+    "StandardFormLP": toy_lp,
+    "SolveResult": lambda: solve(toy_lp(), SolverConfig(max_iters=3)),
+    "PreparedLP": lambda: prepare_lp(toy_lp()),
+    "StepDetail": lambda: toy_tape().steps[0],
+    "UnrolledTape": toy_tape,
+    "LpGradients": lambda: backward(toy_tape(), np.ones(2)),
+    "WeightedGram": eye_gram,
+    "SpdSolveReport": lambda: linalg.spd_solve(eye_gram(), np.ones(2), 1e-10),
+    "VertexSolution": lambda: physlp.oracles.enumerate_vertices(toy_lp()),
+    "Assignment": lambda: physlp.oracles.hungarian(COSTS),
+    "MatchingInstance": lambda: problems.MatchingInstance(COSTS),
+    "SvmInstance": svm_instance,
+    "SvmClassifier": lambda: problems.decode_svm(svm_feasible_point(4), svm_instance()),
+    "PairwiseSvmEnsemble": lambda: problems.pairwise_multiclass(*blobs(3)),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_a_record_equals_itself_alone_and_hashes(name):
+    # with the dataclass __eq__, == on two records with arrays raised
+    # ValueError (on LPs after a SparseEfficiencyWarning), and hash
+    # raised TypeError
+    record, twin = RECORDS[name](), RECORDS[name]()
+    assert type(record).__name__ == name
+    assert record == record and not record != record
+    assert record != twin and not record == twin
+    assert hash(record) == hash(record)
+    seen = {record: "first", twin: "second"}
+    assert seen[record] == "first" and seen[twin] == "second"
+    assert record in {record} and twin not in {record}
 
 
 @pytest.mark.parametrize("name", [f.name for f in fields(SolverConfig)])

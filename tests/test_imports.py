@@ -1,7 +1,7 @@
 """Every module of the package, test module and demo uses each name it
 imports, every definition of the package is reached from outside the
-tests, and the package raises or catches every error class it
-defines."""
+tests, every field of its classes is read there, and the package
+raises or catches every error class it defines."""
 
 import ast
 from pathlib import Path
@@ -31,6 +31,13 @@ UNREACHED_ON_PURPOSE = {
     "problems.pairwise_multiclass": "kept until the few-shot SVM head (ROADMAP item 8) "
                                     "uses it or removes it",
     "problems.PairwiseSvmEnsemble.fit": "as problems.pairwise_multiclass",
+}
+
+# Fields that nothing outside the tests reads, and why they stay
+UNREAD_ON_PURPOSE = {
+    f"oracles.VertexSolution.{name}": "what enumerate_vertices returns: "
+                                      + UNREACHED_ON_PURPOSE["oracles.enumerate_vertices"]
+    for name in ("x_star", "basis", "second_best_objective", "skipped_singular")
 }
 
 # __init__.py imports to re-export
@@ -139,6 +146,52 @@ def test_the_guard_sees_an_unreached_definition(tmp_path):
     user.write_text("from lib import used\nused()\n")
     assert unreached([lib], [user], ["exported"]) == {"lib.loop", "lib.Kit.idle"}
     assert unreached([lib], [], ["exported"]) == {"lib.used", "lib.loop", "lib.Kit.idle"}
+
+
+def annotated_fields(tree):
+    """("Class.field", field) of each annotated field of each top-level
+    class of the module tree: a dataclass or NamedTuple field."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{item.target.id}", item.target.id) for item in node.body
+                        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name))
+
+
+def unread_fields(modules, others):
+    """The fields of the classes of the modules at the paths modules, as
+    "module.Class.field", whose name is read as an attribute (x.field,
+    not an assignment to it) nowhere in the modules or in the files at
+    the paths others.  Names are matched, not types: a field counts as
+    read where any object's attribute of its name is."""
+    read = set()
+    for path in [*modules, *others]:
+        read |= {node.attr for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return {f"{path.stem}.{qualified}" for path in modules
+            for qualified, name in annotated_fields(ast.parse(path.read_text()))
+            if name not in read}
+
+
+def test_every_field_is_read_outside_the_tests():
+    # a field that only its constructor writes is data no caller uses
+    modules = [SRC / f"{module}.py" for module in MODULES]
+    others = [*(ROOT / "demos").glob("*.py"), *(ROOT / "benchmarks").rglob("*.py")]
+    assert unread_fields(modules, others) == set(UNREAD_ON_PURPOSE)
+
+
+def test_the_guard_sees_an_unread_field(tmp_path):
+    lib, user = tmp_path / "lib.py", tmp_path / "user.py"
+    lib.write_text("from dataclasses import dataclass\nfrom typing import NamedTuple\n\n"
+                   "@dataclass\nclass Report:\n    p: float\n    spent: float\n"
+                   "    kept: int = 0\n    LIMIT = 3\n\n"
+                   "    def bump(self):\n        self.kept = self.LIMIT\n\n"
+                   "class Pair(NamedTuple):\n    left: int\n    right: int\n\n"
+                   "def make():\n    return Report(1.0, 2.0).p, Pair(1, 2).left\n")
+    user.write_text("from lib import make\nreport = make()\nreport.spent = 0.0\n")
+    assert unread_fields([lib], [user]) == {"lib.Report.spent", "lib.Report.kept",
+                                            "lib.Pair.right"}
+    user.write_text("print(make().right)\n")
+    assert unread_fields([lib], [user]) == {"lib.Report.spent", "lib.Report.kept"}
 
 
 def raised_or_caught(paths):

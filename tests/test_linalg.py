@@ -11,6 +11,9 @@ from physlp.errors import Breakdown
 from physlp.linalg import WeightedOperator, _pcg, spd_solve, spd_solve_adjoint
 from physlp.problems import MatchingInstance, build_matching_lp, build_shortest_path_lp
 
+# The relative target of the solves below: spd_solve takes its target
+# from the caller, and this is SolverConfig's default linsolve_tol
+TOL = SolverConfig().linsolve_tol
 
 def gram(B, w=None, reg=None):
     """B diag(w) B^T + reg*I as the WeightedGram spd_solve takes; w = 1
@@ -21,29 +24,28 @@ def gram(B, w=None, reg=None):
 
 def test_identity_system():
     L = gram(np.eye(2))
-    rep = spd_solve(L, np.array([3.0, 4.0]))
+    rep = spd_solve(L, np.array([3.0, 4.0]), TOL)
     assert np.allclose(rep.p, [3.0, 4.0], atol=1e-12)
     assert rep.iterations == 0  # direct path for small systems
-    assert rep.final_residual <= 1e-10
     assert L.factor is not None
 
 
 def test_diagonal_system():
-    rep = spd_solve(gram(np.eye(2), [2.0, 4.0]), np.array([2.0, 4.0]))
+    rep = spd_solve(gram(np.eye(2), [2.0, 4.0]), np.array([2.0, 4.0]), TOL)
     assert np.allclose(rep.p, [1.0, 1.0], atol=1e-12)
 
 
 def test_singular_rank_one_with_ridge():
     L = gram(np.ones((2, 1)), reg=1e-8)  # ones((2, 2)) + 1e-8 I
-    rep = spd_solve(L, np.array([1.0, 1.0]))
+    rep = spd_solve(L, np.array([1.0, 1.0]), TOL)
     assert np.allclose(rep.p, [0.5, 0.5], atol=1e-6)
     assert L.reg == 1e-8
     assert np.array_equal(L.direct(), np.ones((2, 2)) + 1e-8 * np.eye(2))
 
 
 @pytest.mark.parametrize("call", [
-    lambda L: spd_solve(L, np.ones(2)),
-    lambda L: spd_solve_adjoint(L, np.ones(2), np.ones(2)),
+    lambda L: spd_solve(L, np.ones(2), TOL),
+    lambda L: spd_solve_adjoint(L, np.ones(2), np.ones(2), TOL),
 ], ids=["spd_solve", "spd_solve_adjoint"])
 def test_a_dense_matrix_is_a_type_error(call):
     # the one form of L is op.at(w); a dense array is not converted
@@ -53,7 +55,7 @@ def test_a_dense_matrix_is_a_type_error(call):
 
 def test_rejects_shape_mismatch():
     with pytest.raises(Exception):
-        spd_solve(gram(np.eye(3)), np.ones(2))
+        spd_solve(gram(np.eye(3)), np.ones(2), TOL)
 
 
 def test_breakdown_on_inconsistent_singular_system():
@@ -61,7 +63,7 @@ def test_breakdown_on_inconsistent_singular_system():
     # factorization nor CG can reach the residual target
     L = gram(np.ones((2, 1)), reg=0.0)  # ones((2, 2))
     with pytest.raises(Breakdown):
-        spd_solve(L, np.array([1.0, -1.0]))
+        spd_solve(L, np.array([1.0, -1.0]), TOL)
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -70,11 +72,11 @@ def test_a_non_finite_rhs_breaks_down(bad):
     b = np.ones(3)
     b[1] = bad
     with pytest.raises(Breakdown, match="not finite"):
-        spd_solve(gram(np.eye(3)), b)
+        spd_solve(gram(np.eye(3)), b, TOL)
 
 
 def test_zero_rhs_returns_zero():
-    rep = spd_solve(gram(np.eye(3)), np.zeros(3))
+    rep = spd_solve(gram(np.eye(3)), np.zeros(3), TOL)
     assert np.array_equal(rep.p, np.zeros(3))
 
 
@@ -85,7 +87,7 @@ def test_random_spd_solve_accuracy():
         B = rng.normal(size=(m, m))
         L = B @ B.T + m * np.eye(m)
         b = rng.normal(size=m)
-        rep = spd_solve(gram(np.hstack([B, np.sqrt(m) * np.eye(m)])), b)
+        rep = spd_solve(gram(np.hstack([B, np.sqrt(m) * np.eye(m)])), b, TOL)
         assert np.linalg.norm(L @ rep.p - b) <= 1e-8 * np.linalg.norm(b)
 
 
@@ -109,16 +111,16 @@ def test_weighted_spd_solve_with_and_without_factor():
     w = rng.uniform(0.1, 1.0, size=15)
     S = (A * w) @ A.T + 1e-9 * np.eye(6)
     L = gram(A, w, 1e-9)
-    spd_solve(L, rng.normal(size=6))
+    spd_solve(L, rng.normal(size=6), TOL)
     factor = L.factor
     rhs = rng.normal(size=6)
     want = np.linalg.solve(S, rhs)
     # L reuses its factor; a new gram of the same system factors anew
     for system in (L, gram(A, w, 1e-9)):
-        z = spd_solve(system, rhs).p
+        z = spd_solve(system, rhs, TOL).p
         assert np.linalg.norm(z - want) <= 1e-8 * np.linalg.norm(want)
     assert L.factor is factor
-    assert not spd_solve(L, np.zeros(6)).p.any()
+    assert not spd_solve(L, np.zeros(6), TOL).p.any()
 
 
 def test_factor_is_scipys_lower_cholesky_of_a_weighted_gram(matching_5x50):
@@ -126,7 +128,7 @@ def test_factor_is_scipys_lower_cholesky_of_a_weighted_gram(matching_5x50):
     lp = matching_5x50
     gram = lp.operator.at(rng.uniform(0.1, 2.0, size=lp.n), 1e-9)
     b = rng.normal(size=lp.m)
-    rep = spd_solve(gram, b)
+    rep = spd_solve(gram, b, TOL)
     assert rep.iterations == 0
     want = scipy.linalg.cho_factor(gram.direct(), lower=True)[0]
     assert np.array_equal(np.tril(gram.factor), np.tril(want))
@@ -141,7 +143,7 @@ def test_indefinite_matrix_breaks_down(b):
     # must not stay on the gram as a factor that backward would reuse
     L = gram(np.eye(2), [1.0, -1.0], 0.0)
     with pytest.raises(Breakdown):
-        spd_solve(L, np.array(b))
+        spd_solve(L, np.array(b), TOL)
     assert L.factor is None
 
 
@@ -171,9 +173,9 @@ def test_adjoint_matches_dense_formula():
         L = B @ B.T + m * np.eye(m)
         Lw = gram(np.hstack([B, np.sqrt(m) * np.eye(m)]))
         b = rng.normal(size=m)
-        p = spd_solve(Lw, b).p
+        p = spd_solve(Lw, b, TOL).p
         grad_p = rng.normal(size=m)
-        grad_L, grad_b = spd_solve_adjoint(Lw, p, grad_p)
+        grad_L, grad_b = spd_solve_adjoint(Lw, p, grad_p, TOL)
         want_gb = np.linalg.solve(L, grad_p)  # L symmetric
         assert np.allclose(grad_b, want_gb, atol=1e-8)
         assert np.allclose(grad_L, -np.outer(want_gb, p), atol=1e-8)
@@ -196,11 +198,11 @@ def test_adjoint_directional_derivative():
 
     def L(t):
         return op.at(np.concatenate([np.ones(2 * m), t * lam]))
-    p = spd_solve(L(0.0), b).p
-    grad_L, grad_b = spd_solve_adjoint(L(0.0), p, grad_p)
+    p = spd_solve(L(0.0), b, TOL).p
+    grad_L, grad_b = spd_solve_adjoint(L(0.0), p, grad_p, TOL)
     eta = 1e-6
-    lo = grad_p @ spd_solve(L(-eta), b - eta * db).p
-    hi = grad_p @ spd_solve(L(eta), b + eta * db).p
+    lo = grad_p @ spd_solve(L(-eta), b - eta * db, TOL).p
+    hi = grad_p @ spd_solve(L(eta), b + eta * db, TOL).p
     fd = (hi - lo) / (2.0 * eta)
     analytic = float(np.sum(grad_L * dL) + grad_b @ db)
     assert abs(fd - analytic) <= 1e-5 * max(1.0, abs(fd))
@@ -318,11 +320,11 @@ def test_a_failed_factor_falls_back_to_pcg_on_both_routes(name, request, monkeyp
     lp = request.getfixturevalue(name)
     w = np.random.default_rng(2).uniform(0.1, 2.0, size=lp.n)
     gram = lp.operator.at(w)
-    want = spd_solve(gram, lp.b)
+    want = spd_solve(gram, lp.b, TOL)
     assert gram.factor is not None and want.iterations == 0
     monkeypatch.setattr(linalg, "dpotrf", lambda a, **kwargs: (a, 1))
     gram = lp.operator.at(w)
-    rep = spd_solve(gram, lp.b)
+    rep = spd_solve(gram, lp.b, TOL)
     assert gram.factor is None and rep.iterations > 0
     assert np.linalg.norm(rep.p - want.p) <= 1e-8 * np.linalg.norm(want.p)
 
@@ -346,14 +348,14 @@ def test_an_indefinite_matrix_breaks_down_on_both_routes(matching_50x100, monkey
         return potrf(a, **kwargs)
     monkeypatch.setattr(linalg, "dpotrf", spy)
     with pytest.raises(Breakdown):
-        spd_solve(op.at(w, reg), matching_50x100.b)
+        spd_solve(op.at(w, reg), matching_50x100.b, TOL)
     assert seen == orders
     # the dense route: an operator whose Q writes the row-major layout
     monkeypatch.setattr(linalg, "BLOCK_MIN_SAVING", np.inf)
     dense = WeightedOperator(op.A)
     assert dense._pattern.split is None
     with pytest.raises(Breakdown):
-        spd_solve(dense.at(w, reg), matching_50x100.b)
+        spd_solve(dense.at(w, reg), matching_50x100.b, TOL)
     assert seen == orders + [150]
 
 
@@ -464,7 +466,7 @@ def weighted_refined_system(lp):
     rng = np.random.default_rng(10)
     w = rng.uniform(0.1, 2.0, size=lp.n)
     stale = lp.operator.at(2.0 * w, 1e-3)
-    spd_solve(stale, lp.b)
+    spd_solve(stale, lp.b, TOL)
     L = lp.operator.at(w, 1e-3)
     L.factor = stale.factor
     return L, rng.normal(size=lp.m)
@@ -478,7 +480,7 @@ def test_spd_solve_leaves_a_read_only_rhs_alone(case, dag_600, matching_5x50):
     }[case]()
     b = readonly(b)
     before = b.copy()
-    rep = spd_solve(L, b)
+    rep = spd_solve(L, b, TOL)
     assert rep.iterations > 0  # every case runs PCG
     assert np.array_equal(b, before)
     assert rep.p is not b

@@ -16,7 +16,12 @@ from physlp.errors import (DimensionMismatch, NegativeCost, NonFiniteEntry,
 from physlp.oracles import hungarian
 from physlp.problems import MatchingInstance, build_matching_lp, decode_matching
 
-from .conftest import random_bounded_lp, rerun
+from .conftest import random_bounded_lp, rerun, step_tols
+
+# The relative target of the solves below: step_detail and spd_solve
+# take theirs from the caller, and this is SolverConfig's default
+# linsolve_tol, the floor of the forward loop's targets
+TOL = SolverConfig().linsolve_tol
 
 
 def toy_lp(c=(1.0, 2.0)):
@@ -329,7 +334,7 @@ def test_step_symmetric_fixed_point():
     prep = prepare_lp(toy_lp(c=(1.0, 1.0)))
     cfg = SolverConfig()
     x = initial_state(prep, cfg, x0=np.array([0.5, 0.5]))
-    out = step_detail(prep, x, cfg)
+    out = step_detail(prep, x, cfg, TOL)
     assert np.allclose(out.x_new, [0.5, 0.5], atol=1e-12)
 
 
@@ -338,7 +343,7 @@ def test_step_hand_checked_values():
     prep = prepare_lp(toy_lp())
     cfg = SolverConfig()
     x = initial_state(prep, cfg, x0=np.array([0.5, 0.5]))
-    out = step_detail(prep, x, cfg)
+    out = step_detail(prep, x, cfg, TOL)
     assert np.allclose(out.x_new, [2.0 / 3.0, 1.0 / 3.0], atol=1e-12)
 
 
@@ -346,9 +351,9 @@ def test_step_damped_is_convex_combination():
     prep = prepare_lp(toy_lp())
     x0 = np.array([0.5, 0.5])
     full = step_detail(prep, initial_state(prep, SolverConfig(), x0=x0),
-                       SolverConfig(step_size=1.0)).x_new
+                       SolverConfig(step_size=1.0), TOL).x_new
     half = step_detail(prep, initial_state(prep, SolverConfig(), x0=x0),
-                       SolverConfig(step_size=0.5)).x_new
+                       SolverConfig(step_size=0.5), TOL).x_new
     assert np.allclose(half, 0.5 * x0 + 0.5 * full, atol=1e-12)
 
 
@@ -363,7 +368,7 @@ def test_step_scale_equivariant_in_cost():
     for alpha in (1.0, 7.0):
         lp = StandardFormLP(A, b, alpha * rng2_cost())
         prep = prepare_lp(lp)
-        outs.append(step_detail(prep, initial_state(prep, cfg, x0=x0), cfg).x_new)
+        outs.append(step_detail(prep, initial_state(prep, cfg, x0=x0), cfg, TOL).x_new)
     assert np.allclose(outs[0], outs[1], rtol=1e-13, atol=1e-15)
 
 
@@ -381,7 +386,7 @@ def test_one_step_reaches_feasibility_with_full_step():
         prep = prepare_lp(lp)
         cfg = SolverConfig()
         x = initial_state(prep, cfg, x0=rng.uniform(0.5, 2.0, size=6))
-        out = step_detail(prep, x, cfg)
+        out = step_detail(prep, x, cfg, TOL)
         assert np.linalg.norm(prep.source.operator.A @ out.x_new - lp.b) <= 1e-8 * (
             1.0 + np.linalg.norm(lp.b))
 
@@ -400,7 +405,7 @@ def test_operator_follows_the_lp_it_belongs_to(signed_sparse_40x400):
     want = (A * w) @ A.T
     assert np.abs(op.at(w, 0.0).sparse().toarray() - want).max() <= 1e-14 * np.abs(want).max()
     cfg = SolverConfig(seed=5)
-    det = step_detail(prep, initial_state(prep, cfg), cfg)
+    det = step_detail(prep, initial_state(prep, cfg), cfg, TOL)
     assert np.all(det.x_new >= cfg.clamp_floor)
 
 
@@ -423,7 +428,7 @@ def test_csr_step_matches_a_dense_step(name, request):
     prep = prepare_lp(lp)
     cfg = SolverConfig(seed=3)
     x = initial_state(prep, cfg)
-    det = step_detail(prep, x, cfg)
+    det = step_detail(prep, x, cfg, TOL)
     for want, got in zip(dense_step(prep, x, cfg), (det.p, det.x_new)):
         assert np.abs(want - got).max() <= 1e-10 * np.abs(want).max()
     assert (det.gram.factor is None) == (lp.m > linalg.DIRECT_MAX_DIM)
@@ -440,7 +445,7 @@ def test_matrix_free_default_reg_is_the_assembled_one(dag_600):
     assert abs(gram.reg - want) <= 1e-12 * want
     diag = np.diag(L) + gram.reg
     assert np.abs(gram.sparse().diagonal() - diag).max() <= 1e-14 * diag.max()
-    report = linalg.spd_solve(gram, dag_600.b)
+    report = linalg.spd_solve(gram, dag_600.b, TOL)
     assert report.iterations > 0 and gram.factor is None
 
 
@@ -494,10 +499,10 @@ def test_matrix_free_steps_never_form_L(dag_600, monkeypatch):
 def test_matrix_free_step_reads_the_cutoff_when_called(monkeypatch):
     prep = prepare_lp(toy_lp())
     x = np.array([0.5, 0.5])
-    assert step_detail(prep, x, SolverConfig()).gram.factor is not None
+    assert step_detail(prep, x, SolverConfig(), TOL).gram.factor is not None
     monkeypatch.setattr(linalg, "DIRECT_MAX_DIM", 0)
     forbid_assembly(monkeypatch)
-    det = step_detail(prep, x, SolverConfig())
+    det = step_detail(prep, x, SolverConfig(), TOL)
     assert det.gram.factor is None and det.linsolve_iterations > 0
     assert np.allclose(det.x_new, [2.0 / 3.0, 1.0 / 3.0], atol=1e-12)
 
@@ -513,7 +518,7 @@ def test_matrix_free_step_falls_back_to_cholesky(dag_600, monkeypatch):
     capped_pcg(monkeypatch)
     prep = prepare_lp(dag_600)
     cfg = SolverConfig(max_iters=3, seed=6)
-    det = step_detail(prep, initial_state(prep, cfg), cfg)
+    det = step_detail(prep, initial_state(prep, cfg), cfg, TOL)
     assert det.gram.factor is not None
     A = prep.source.operator.A.toarray()
     S = (A * (det.x_prev / prep.c)) @ A.T + det.gram.reg * np.eye(prep.source.m)
@@ -532,7 +537,7 @@ def test_cg_solve_of_any_rhs_falls_back_to_cholesky(dag_600, monkeypatch):
     gram = op.at(w)
     reg = gram.reg
     rhs = np.random.default_rng(6).normal(size=prep.source.m)
-    report = linalg.spd_solve(gram, rhs)
+    report = linalg.spd_solve(gram, rhs, TOL)
     assert gram.factor is not None
     z = report.p
     A = op.A.toarray()
@@ -552,7 +557,7 @@ def test_factored_spd_solve_refines_with_the_jacobi_diagonal(matching_5x50, monk
     w = rng.uniform(0.1, 2.0, size=prep.source.n)
     reg = 1e-3
     stale = op.at(2.0 * w, reg)
-    linalg.spd_solve(stale, matching_5x50.b)
+    linalg.spd_solve(stale, matching_5x50.b, TOL)
     pcg, seen = linalg._pcg, []
 
     def spy(mv, b, diag, x0, target, max_iters):
@@ -562,7 +567,7 @@ def test_factored_spd_solve_refines_with_the_jacobi_diagonal(matching_5x50, monk
     rhs = rng.normal(size=prep.source.m)
     gram = op.at(w, reg)
     gram.factor = stale.factor
-    z = linalg.spd_solve(gram, rhs).p
+    z = linalg.spd_solve(gram, rhs, TOL).p
     S = (A * w) @ A.T + reg * np.eye(prep.source.m)
     assert len(seen) == 1
     assert np.abs(seen[0] - np.diag(S)).max() <= 1e-14 * np.diag(S).max()
@@ -657,7 +662,7 @@ def test_cg_steps_meet_the_tolerance(dag_600):
     cfg = SolverConfig(max_iters=100, seed=7)
     res, tape = solve_with_tape(dag_600, cfg)
     assert all(det.gram.factor is None for det in tape.steps)
-    tols = np.array([det.tol_used for det in tape.steps])
+    tols = step_tols(res, tape)
     assert np.all(dense_residuals(tape) <= tols)
     ratio = np.minimum(1.0, input_residuals(dag_600, res, tape) / np.linalg.norm(dag_600.b))
     expected = np.maximum(cfg.linsolve_tol, solver.FORCING * ratio)
@@ -674,8 +679,8 @@ def test_cg_steps_do_not_depend_on_the_previous_step(dag_600):
     cfg = SolverConfig(max_iters=30, seed=7)
     res, tape = solve_with_tape(dag_600, cfg)
     op, b, c = tape.prep.source.operator, tape.prep.source.b, tape.prep.c
-    for det, record in zip(tape.steps, res.trace):
-        again = linalg.spd_solve(op.at(det.x_prev / c, det.gram.reg), b, det.tol_used)
+    for det, record, tol in zip(tape.steps, res.trace, step_tols(res, tape), strict=True):
+        again = linalg.spd_solve(op.at(det.x_prev / c, det.gram.reg), b, tol)
         assert again.iterations == det.linsolve_iterations == record.linsolve_iterations
         assert np.array_equal(again.p, det.p)
 
@@ -685,8 +690,9 @@ def test_forward_targets_stay_at_or_below_the_forcing_term(dag_600):
     # the first steps still run CG and move
     cfg = SolverConfig(max_iters=20, seed=3)
     res, tape = solve_with_tape(dag_600, cfg, x0=np.full(dag_600.n, 1e3))
-    assert tape.steps[0].tol_used == solver.FORCING
-    assert all(cfg.linsolve_tol <= det.tol_used <= solver.FORCING for det in tape.steps)
+    tols = step_tols(res, tape)
+    assert tols[0] == solver.FORCING
+    assert np.all((cfg.linsolve_tol <= tols) & (tols <= solver.FORCING))
     assert all(det.linsolve_iterations > 0 for det in tape.steps)
     assert res.trace[-1].residual < 1e-3 * input_residuals(dag_600, res, tape)[0]
 
@@ -832,7 +838,7 @@ def test_iterates_stay_above_floor():
     cfg = SolverConfig()
     x = initial_state(prep, cfg)
     for _ in range(50):
-        x = step_detail(prep, x, cfg).x_new
+        x = step_detail(prep, x, cfg, TOL).x_new
         assert x.min() >= cfg.clamp_floor
 
 
