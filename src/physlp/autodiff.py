@@ -40,10 +40,11 @@ at most CG_ADJOINT_TOL on CG steps, whose forward solves ran to the
 looser solver.forward_tol.
 
 The clamp back-propagates as a subgradient: pass-through where the
-pre-clamp value stayed strictly above the floor, zero where the clamp
-was active.  The pullback holds the perturbation gamma and the
-potentials constant: coordinates whose working cost was exactly zero
-(and therefore replaced by gamma) receive zero cost gradient.
+pre-clamp value stayed strictly above the floor solver.CLAMP_FLOOR,
+zero where the clamp was active.  The pullback holds the perturbation
+gamma = solver.default_gamma(m, n) and the potentials constant:
+coordinates whose working cost was exactly zero (and therefore
+replaced by gamma) receive zero cost gradient.
 """
 
 from dataclasses import dataclass, field, replace
@@ -57,7 +58,7 @@ from scipy.linalg.blas import daxpy, ddot
 from .core import SolverConfig, validate  # noqa: F401
 from .errors import DimensionMismatch, NonFiniteEntry
 from .linalg import spd_solve, spd_solve_adjoint  # noqa: F401
-from .solver import _solve_loop
+from .solver import _solve_loop, solve
 
 # Relative target of the adjoint and tangent solves of steps without a
 # factor (CG steps), when cfg.linsolve_tol is looser.  spd_solve
@@ -67,6 +68,9 @@ from .solver import _solve_loop
 # at 1e-10, 4.3e-7 at 1e-12 and 1.9e-11 at 1e-14.  Factored steps keep
 # cfg.linsolve_tol, which their Cholesky solves meet anyway.
 CG_ADJOINT_TOL = 1e-14
+
+# finite_diff_grad displaces each entry v by FD_STEP_SCALE * (1 + |v|).
+FD_STEP_SCALE = 1e-6
 
 
 def _adjoint_tol(gram, cfg):
@@ -298,17 +302,15 @@ def _column_dots(A, X):
     return np.bincount(A.indices, A.data * X[_rows(A), A.indices], minlength=A.shape[1])
 
 
-def finite_diff_grad(lp, cfg, loss, step_scale=1e-6, x0=None):
+def finite_diff_grad(lp, cfg, loss, x0=None):
     """Central-difference gradients of loss(x_final) w.r.t. (c, A, b).
 
-    Each entry v is displaced by eta = step_scale * (1 + |v|).  The
+    Each entry v is displaced by eta = FD_STEP_SCALE * (1 + |v|).  The
     forward solves run with early stopping disabled, so every
     evaluation performs cfg.max_iters iterations, as a tape does; x0
     is passed through so the probes share their starting point with
     the solve being checked.
     """
-    from .solver import solve
-
     def run(A, b, c):
         trial = replace(lp, A=A, b=b, c=c)
         return float(loss(solve(trial, cfg, x0=x0, early_stop=False).x))
@@ -318,7 +320,7 @@ def finite_diff_grad(lp, cfg, loss, step_scale=1e-6, x0=None):
         flat = grad.ravel()
         src = arr.ravel()
         for i in range(src.size):
-            eta = step_scale * (1.0 + abs(src[i]))
+            eta = FD_STEP_SCALE * (1.0 + abs(src[i]))
             plus = arr.copy().ravel()
             plus[i] = src[i] + eta
             minus = arr.copy().ravel()

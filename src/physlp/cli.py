@@ -69,8 +69,7 @@ def cmd_solve(args):
         lp = load_lp(args.lp)
     except (OSError, ValueError, KeyError, TypeError, PhyslpError) as exc:
         return _fail(exc, EXIT_IO)
-    cfg = SolverConfig(max_iters=args.iters, step_size=args.step,
-                       clamp_floor=args.eps, gamma=args.gamma, seed=args.seed)
+    cfg = SolverConfig(max_iters=args.iters, step_size=args.step, seed=args.seed)
     result = solve(lp, cfg)
     report = {
         "x": result.x.tolist(),
@@ -104,7 +103,7 @@ def _match_trial(payload):
     norm_star = float(np.linalg.norm(x_star))
 
     cfg = dataclasses.replace(cfg, seed=solver_seed)
-    prep = prepare_lp(lp, cfg.gamma)
+    prep = prepare_lp(lp)
     y0 = initial_state(prep, cfg)
     records = []
     start = time.perf_counter()
@@ -185,8 +184,9 @@ def cmd_svm_demo(args):
         return _fail(bad, EXIT_IO)
     else:
         kernel = GaussianKernel(sigma=args.sigma)
-    if not math.isfinite(args.sep):
-        return _fail(f"--sep must be finite, got {args.sep}", EXIT_IO)
+    for name in ("sep", "c_reg", "big_m"):
+        if not math.isfinite(value := getattr(args, name)):
+            return _fail(f"--{name.replace('_', '-')} must be finite, got {value}", EXIT_IO)
     rng = np.random.default_rng(args.seed)
     points, labels = two_gaussian_blobs(args.n_per_class, args.dim, args.sep, rng)
     inst = SvmInstance(points, labels, kernel, c_reg=args.c_reg,
@@ -318,8 +318,6 @@ def build_parser():
     p.add_argument("--lp", required=True, help="input LP JSON file")
     p.add_argument("--iters", type=int, default=10)
     p.add_argument("--step", type=float, default=1.0)
-    p.add_argument("--eps", type=float, default=1e-8)
-    p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="result JSON (default stdout)")
     p.set_defaults(func=cmd_solve)

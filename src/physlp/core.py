@@ -23,7 +23,6 @@ later write by the caller reaches it.
 """
 
 import json
-import math
 import numbers
 from dataclasses import dataclass, field
 from enum import Enum
@@ -56,20 +55,12 @@ def _owned_csr(value):
         value = np.asarray(value, dtype=np.float64)
     if value.ndim != 2 or min(value.shape) < 1:
         raise DimensionMismatch(f"A must be 2-D with m >= 1 and n >= 1, got shape {value.shape}")
-    if scipy.sparse.issparse(value):
-        if type(value) is scipy.sparse.csr_array and value.dtype == np.float64 and not any(
-                arr.flags.writeable for arr in (value.data, value.indices, value.indptr)):
-            return value
-        A = scipy.sparse.csr_array(value, dtype=np.float64, copy=True)
-        A.sum_duplicates()
-        A.eliminate_zeros()
-    else:
-        # row-major positions of the nonzeros, NaN included: CSR built
-        # from them directly costs a sixth of csr_array(value)
-        m, n = value.shape
-        flat = np.flatnonzero(value != 0)
-        indptr = np.searchsorted(flat, n * np.arange(m + 1))
-        A = scipy.sparse.csr_array((value.ravel()[flat], flat % n, indptr), shape=(m, n))
+    if type(value) is scipy.sparse.csr_array and value.dtype == np.float64 and not any(
+            arr.flags.writeable for arr in (value.data, value.indices, value.indptr)):
+        return value
+    A = scipy.sparse.csr_array(value, dtype=np.float64, copy=True)
+    A.sum_duplicates()
+    A.eliminate_zeros()
     for arr in (A.data, A.indices, A.indptr):
         arr.flags.writeable = False
     return A
@@ -181,14 +172,12 @@ class SolverConfig:
 
     max_iters    number of update steps K (0 returns the initial point)
     step_size    h in (0, 1]; h = 1 replaces the iterate by the proposal
-    clamp_floor  eps > 0; iterates are clamped to stay >= eps
-    gamma        perturbation added to zero costs; None picks
-                 1 / (2 sqrt(m + n)) per instance, 0 forbids zero costs
-    linsolve_tol relative target of the backward and jvp solves (at
-                 most autodiff.CG_ADJOINT_TOL on CG steps), and the
-                 floor of solver.forward_tol, the target of a forward
-                 step, which the forward loop of solve, solve_with_tape
-                 and match-bench derives from each iterate's residual.
+    linsolve_tol in (0, 1); relative target of the backward and jvp
+                 solves (at most autodiff.CG_ADJOINT_TOL on CG steps),
+                 and the floor of solver.forward_tol, the target of a
+                 forward step, which the forward loop of solve,
+                 solve_with_tape and match-bench derives from each
+                 iterate's residual.
                  This is the one default target: spd_solve and
                  step_detail take theirs from the caller.  spd_solve
                  accepts every solve on normwise backward error at its
@@ -196,14 +185,15 @@ class SolverConfig:
     seed         integer >= 0; seeds the random initial iterate when x0
                  is not given
 
-    No field takes a bool.  The feasibility tolerance of the stop test
-    is no knob but the constant solver.RESIDUAL_TOL.
+    No field takes a bool.  What no caller varies is a constant of
+    solver, not a field: the feasibility tolerance of the stop test,
+    RESIDUAL_TOL; the clamp floor eps = CLAMP_FLOOR = 1e-8, below which
+    no iterate entry falls; and the value zero costs are raised to,
+    default_gamma(m, n) = 1 / (2 sqrt(m + n)).
     """
 
     max_iters: int = 10
     step_size: float = 1.0
-    clamp_floor: float = 1e-8
-    gamma: float | None = None
     linsolve_tol: float = 1e-10
     seed: int = 0
 
@@ -219,13 +209,10 @@ class SolverConfig:
                 raise InvalidConfig(f"{name} must be an integer >= 0, got {value!r}")
         if not 0.0 < self.step_size <= 1.0:
             raise InvalidConfig(f"step_size must lie in (0, 1], got {self.step_size}")
-        # "not x > 0" rejects NaN, which "x <= 0" lets through; isfinite rejects inf
-        for name in ("clamp_floor", "linsolve_tol"):
-            value = getattr(self, name)
-            if not (value > 0.0 and math.isfinite(value)):
-                raise InvalidConfig(f"{name} must be positive and finite, got {value}")
-        if self.gamma is not None and not (self.gamma >= 0.0 and math.isfinite(self.gamma)):
-            raise InvalidConfig(f"gamma must be non-negative and finite, got {self.gamma}")
+        # a target of 1 or more is met by p = 0 before any CG iteration;
+        # the chained test also rejects NaN and inf
+        if not 0.0 < self.linsolve_tol < 1.0:
+            raise InvalidConfig(f"linsolve_tol must lie in (0, 1), got {self.linsolve_tol}")
 
 
 @dataclass

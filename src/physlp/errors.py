@@ -17,10 +17,6 @@ class NonFiniteEntry(PhyslpError):
     """An input array contains NaN or infinity."""
 
 
-class ZeroCostNeedsGamma(PhyslpError):
-    """Cost vector has zero entries but no positive perturbation was given."""
-
-
 class NegativeCost(PhyslpError):
     """The working cost c - A^T potentials has a negative entry."""
 

@@ -25,6 +25,8 @@ MAX_BASES = 200_000
 POINT_TOL = 1e-7
 # objective gap under which an optimum is considered non-unique
 UNIQUE_GAP = 1e-9
+# a basic solution with no entry below -FEAS_TOL counts as feasible
+FEAS_TOL = 1e-9
 
 
 def hungarian(C):
@@ -63,7 +65,7 @@ class VertexSolution:
     skipped_singular: int
 
 
-def enumerate_vertices(lp, feas_tol=1e-9):
+def enumerate_vertices(lp):
     """Brute-force optimum over basic feasible solutions.
 
     Walks every m-subset of columns, solves the square system, keeps
@@ -96,7 +98,7 @@ def enumerate_vertices(lp, feas_tol=1e-9):
                 np.linalg.norm(A_B @ x_B - lp.b) > 1e-9 * (1.0 + bnorm):
             skipped += 1
             continue
-        if np.min(x_B) < -feas_tol:
+        if np.min(x_B) < -FEAS_TOL:
             continue
         x = np.zeros(n)
         x[list(basis)] = np.maximum(x_B, 0.0)

@@ -31,6 +31,7 @@ from .core import SolverConfig, StandardFormLP, validate  # noqa: F401
 from .errors import (DimensionMismatch, EmptyClass, KernelDegenerate,
                      NonFiniteEntry, Unreachable)
 from .linalg import WeightedOperator
+from .solver import solve
 
 # Assignment shapes (n, m) whose operator build_matching_lp keeps.
 MATCHING_CACHE_SHAPES = 8
@@ -213,8 +214,9 @@ class SvmInstance:
     """Binary training set with labels in {-1, +1}.
 
     c_reg weights the hinge slack, big_m is the small constraint
-    relaxation bought by the binary-like z block.  The solver's
-    zero-cost perturbation is SolverConfig.gamma.
+    relaxation bought by the binary-like z block; both must be
+    positive and finite.  The solver raises the LP's zero costs to the
+    constant solver.default_gamma(m, n).
     """
 
     points: np.ndarray
@@ -261,8 +263,10 @@ def build_l1svm_lp(inst):
         raise DimensionMismatch(f"labels have shape {y.shape}, expected ({n},)")
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise DimensionMismatch("labels must be -1 or +1")
-    if inst.c_reg <= 0.0 or inst.big_m <= 0.0:
-        raise ValueError("c_reg and big_m must be positive")
+    # the chained test also rejects NaN
+    if not (0.0 < inst.c_reg < math.inf and 0.0 < inst.big_m < math.inf):
+        raise ValueError(f"c_reg and big_m must be positive and finite, "
+                         f"got {inst.c_reg} and {inst.big_m}")
 
     G = inst.kernel.gram(X, X) * y[np.newaxis, :]
     if not np.all(np.isfinite(G)):
@@ -314,8 +318,6 @@ def decode_svm(x, inst):
 
 def fit_svm(inst, cfg=None):
     """Solve the instance LP and decode; returns (classifier, result)."""
-    from .solver import solve
-
     if cfg is None:
         cfg = SolverConfig(max_iters=300)
     lp = build_l1svm_lp(inst)

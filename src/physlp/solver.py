@@ -4,7 +4,7 @@ The solver keeps a strictly positive iterate x and repeatedly re-solves
 a weighted least-squares system built from the current point:
 
     W = diag(x / c),   L = A W A^T,   p = L^{-1} b,   q = W A^T p,
-    x  <-  max((1 - h) x + h q,  eps)
+    x  <-  max((1 - h) x + h q,  eps),   eps = CLAMP_FLOOR
 
 For strictly positive costs the iterate is attracted to the feasible
 set and then to an optimal vertex; the initial point does not have to
@@ -13,7 +13,8 @@ be feasible.  The dynamics, and the analysis of Straszak & Vishnoi
 working cost c_hat.  An LP with dual potentials pi runs on its reduced
 cost c - A^T pi, which has the same optimal set (the objective moves by
 the constant pi.b on the feasible set), and zero entries are raised to
-a small gamma > 0.  Nothing else changes: the iterate, the residual,
+gamma = default_gamma(m, n) > 0.  eps and gamma are constants of the
+method, not settings.  Nothing else changes: the iterate, the residual,
 the tape and the gradients stay in the LP's own coordinates, and the
 objective is reported against the LP's own cost.
 """
@@ -27,12 +28,16 @@ import numpy as np
 from .core import (SolveResult, SolveStatus, SolverConfig, StandardFormLP,
                    TraceRecord, validate)  # noqa: F401
 from .errors import (Breakdown, DimensionMismatch, LinSolveFailure, NegativeCost,
-                     NonFiniteEntry, NonPositiveInit, ZeroCostNeedsGamma)
+                     NonFiniteEntry, NonPositiveInit)
 from .linalg import AUTO_REG_SCALE, WeightedGram, _norm, spd_solve
 
 # Feasibility tolerance of the stop test: CONVERGED needs a residual
 # ||A x - b|| at most this, with a stalled objective.
 RESIDUAL_TOL = 1e-8
+
+# Clamp floor eps of the update: every iterate entry stays at or above
+# it, so the weights x / c stay positive.
+CLAMP_FLOOR = 1e-8
 
 # Width of the early-stop window: the objective must be stalled across
 # this many consecutive iterations (plus a satisfied residual) to stop.
@@ -53,7 +58,8 @@ FORCING = 0.03
 
 
 def default_gamma(m, n):
-    """Perturbation for zero costs, 1 / (2 sqrt(m + n)) for an m-by-n LP."""
+    """The value gamma that prepare_lp raises zero costs to,
+    1 / (2 sqrt(m + n)) for an m-by-n LP."""
     return 0.5 / math.sqrt(m + n)
 
 
@@ -63,9 +69,10 @@ class PreparedLP:
 
     c is c_hat: the LP's cost, or its reduced cost c - A^T pi when the
     LP carries potentials pi, with each entry that is exactly zero
-    raised to gamma; zero_mask marks those entries.  source is the LP
-    as given, which is frozen, so a tape that holds it cannot see it
-    change; its A, b and operator are the working ones.  tangent maps
+    raised to gamma = default_gamma(m, n); zero_mask marks those
+    entries.  source is the LP as given, which is frozen, so a tape
+    that holds it cannot see it change; its A, b and operator are the
+    working ones.  tangent maps
     perturbations of c and A to c_hat, and pullback and pullback_A, its
     transpose, map a gradient of c_hat back to c and A.
     """
@@ -95,19 +102,17 @@ class PreparedLP:
         return gA if pi is None else gA - np.outer(pi, gc)
 
 
-def prepare_lp(lp, gamma=None):
+def prepare_lp(lp):
     """The working cost of lp, as a PreparedLP: c, or the reduced cost
     c - A^T pi when lp carries potentials pi, with zero entries raised
-    to gamma.
+    to gamma = default_gamma(m, n).
 
     The dynamics need a working cost that is nowhere negative, so
     NegativeCost is raised for any negative entry: an LP with a
-    negative cost needs potentials that make it nonnegative.
-    Zero entries are raised to gamma, default_gamma(m, n) when gamma is
-    None, and ZeroCostNeedsGamma is raised for a gamma that is not
-    positive and finite; a cost without zeros is kept as it stands,
-    whatever gamma is.  lp was validated when it was built, so nothing
-    here validates it again, and no second LP or operator is built.
+    negative cost needs potentials that make it nonnegative.  A cost
+    without zeros is kept as it stands.  lp was validated when it was
+    built, so nothing here validates it again, and no second LP or
+    operator is built.
     """
     c = lp.c if lp.potentials is None else lp.c - lp.operator.AT @ lp.potentials
     neg = c < 0.0
@@ -116,11 +121,7 @@ def prepare_lp(lp, gamma=None):
                            f"are negative; the LP needs potentials that make it nonnegative")
     zero = c == 0.0
     if zero.any():
-        gamma = default_gamma(lp.m, lp.n) if gamma is None else float(gamma)
-        if not 0.0 < gamma < math.inf:
-            raise ZeroCostNeedsGamma(f"{int(zero.sum())} zero cost entries need a finite "
-                                     f"gamma > 0, got {gamma}")
-        c = np.where(zero, gamma, c)
+        c = np.where(zero, default_gamma(lp.m, lp.n), c)
     return PreparedLP(lp, c, zero)
 
 
@@ -182,7 +183,6 @@ def step_detail(prep, x, cfg, tol):
     lp = prep.source
     op = lp.operator
     h = cfg.step_size
-    eps = cfg.clamp_floor
 
     w = x / prep.c
     if not np.isfinite(w).all():
@@ -200,8 +200,8 @@ def step_detail(prep, x, cfg, tol):
     u = op.AT @ p
     q = w * u
     pre = q if h == 1.0 else (1.0 - h) * x + h * q
-    clamp_mask = pre > eps
-    x_new = np.maximum(pre, eps)
+    clamp_mask = pre > CLAMP_FLOOR
+    x_new = np.maximum(pre, CLAMP_FLOOR)
     return StepDetail(x, gram, p, u, x_new, clamp_mask, reg_scale, report.iterations)
 
 
@@ -211,7 +211,7 @@ def initial_state(prep, cfg, x0=None):
     x0, when given, must be finite (NonFiniteEntry) and strictly
     positive (NonPositiveInit); it does not have to be feasible.  Without x0 the iterate is drawn
     componentwise uniform on (0, 1) from a generator seeded with
-    cfg.seed.
+    cfg.seed.  Entries below CLAMP_FLOOR are raised to it.
     """
     n = prep.source.n
     if x0 is None:
@@ -225,7 +225,7 @@ def initial_state(prep, cfg, x0=None):
             raise NonFiniteEntry("x0 contains a non-finite entry")
         if not np.all(x0 > 0.0):
             raise NonPositiveInit("x0 must be strictly positive componentwise")
-    return np.maximum(x0, cfg.clamp_floor)
+    return np.maximum(x0, CLAMP_FLOOR)
 
 
 def forward_tol(cfg, residual, bnorm):
@@ -282,7 +282,7 @@ def _solve_loop(lp, cfg, x0, record_steps, early_stop=False):
     RESIDUAL_TOL and a stalled objective) holds at the last iterate,
     with or without early_stop, and MAX_ITERS otherwise.  A
     LinSolveFailure ends the loop at the last valid iterate."""
-    prep = prepare_lp(lp, cfg.gamma)
+    prep = prepare_lp(lp)
     x0 = initial_state(prep, cfg, x0)
 
     steps = [] if record_steps else None

@@ -286,7 +286,7 @@ def test_jvp_rejects_a_non_finite_direction(name, bad):
 def applied_step(prep, x, cfg, tol):
     """(p, u, x_new, clamp_mask) of step_detail, with the blend applied
     unconditionally."""
-    op, h, eps = prep.source.operator, cfg.step_size, cfg.clamp_floor
+    op, h, eps = prep.source.operator, cfg.step_size, solver.CLAMP_FLOOR
     w = x / prep.c
     p = linalg.spd_solve(op.at(w), prep.source.b, tol).p
     u = op.AT @ p
@@ -966,11 +966,12 @@ def test_matching_gradient_sign_pattern():
 
 
 def test_gradients_treat_gamma_as_constant():
-    # zero-cost coordinates take the perturbation value; their cost
-    # gradient is reported as zero rather than d/d(gamma)
+    # zero-cost coordinates take the perturbation value, here
+    # default_gamma(1, 2); their cost gradient is reported as zero
+    # rather than d/d(gamma)
     lp = StandardFormLP(np.array([[1.0, 1.0]]), np.array([1.0]),
                         np.array([1.0, 0.0]))
-    _, tape = solve_with_tape(lp, SolverConfig(max_iters=5, gamma=0.5),
+    _, tape = solve_with_tape(lp, SolverConfig(max_iters=5),
                               x0=np.array([0.5, 0.5]))
     grads = backward(tape, np.array([1.0, 1.0]))
     assert grads.grad_c[1] == 0.0

@@ -64,12 +64,16 @@ def test_solve_missing_file_is_io_error(tmp_path, capsys):
     assert rc == 1 and "error:" in err
 
 
-def test_solve_zero_cost_without_gamma_is_solver_error(tmp_path, capsys):
+def test_solve_zero_cost_runs_at_the_default_gamma(tmp_path, capsys):
+    # the zero cost runs as default_gamma(1, 2), and the optimum is
+    # still the vertex x = (1, 0), of objective 0 against the LP's cost
     lp_file = str(tmp_path / "zc.json")
     save_lp(StandardFormLP(np.array([[1.0, 1.0]]), np.array([1.0]),
                            np.array([0.0, 1.0])), lp_file)
-    rc, _, err = run(capsys, ["solve", "--lp", lp_file, "--gamma", "0"])
-    assert rc == 2 and "gamma" in err.lower()
+    rc, out, _ = run(capsys, ["solve", "--lp", lp_file, "--iters", "50"])
+    report = json.loads(out)
+    assert rc == 0 and report["status"] == "CONVERGED"
+    assert report["objective"] == pytest.approx(0.0, abs=1e-6)
 
 
 @pytest.mark.parametrize("potentials", ["[-2.0, 0.0]", "[NaN]"], ids=["too-long", "nan"])
@@ -414,6 +418,9 @@ def test_shortest_path_node_outside_the_graph_is_input_error(sink, tmp_path, cap
     ["match-bench", "--error-block", "none"],
     ["no-such-command"],
     [],
+    # the clamp floor and the zero-cost value are constants, not flags
+    ["solve", "--lp", "lp.json", "--eps", "1e-8"],
+    ["solve", "--lp", "lp.json", "--gamma", "0.1"],
 ])
 def test_usage_error_is_input_error(argv, capsys):
     # argparse exits 2, which is the solver-error code
@@ -431,11 +438,10 @@ def test_help_exits_zero(argv, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["solve", "--lp", "LP", "--step", "2"],
-    # NaN and inf once ran, or ended in LINSOLVE_FAILURE with NaN in the JSON
-    ["solve", "--lp", "LP", "--eps", "nan"],
-    ["solve", "--lp", "LP", "--eps", "inf"],
-    ["solve", "--lp", "LP", "--gamma", "nan"],
-    ["solve", "--lp", "LP", "--gamma", "inf"],
+    ["solve", "--lp", "LP", "--step", "nan"],
+    ["solve", "--lp", "LP", "--step", "inf"],
+    ["match-bench", "--n", "2", "--m", "4", "--trials", "1", "--step", "nan"],
+    ["learn-cost", "--inner-step", "inf"],
     ["shortest-path", "--graph", "GRAPH", "--source", "0", "--sink", "1",
      "--iters", "-1"],
     ["match-bench", "--n", "2", "--m", "4", "--trials", "1", "--step", "0"],
@@ -484,6 +490,10 @@ def test_unwritable_output_is_input_error(argv, tmp_path, capsys):
     # non-finite numbers that reached the solver as non-finite data
     ["svm-demo", "--sep", "nan"],
     ["svm-demo", "--sep", "inf"],
+    # once exit 2, from the LP's non-finite c or, after a RuntimeWarning,
+    # its non-finite A
+    ["svm-demo", "--c-reg", "inf"],
+    ["svm-demo", "--big-m", "inf"],
     ["learn-cost", "--lr", "nan"],
     ["learn-cost", "--lr", "inf"],
     ["learn-cost", "--steps", "-1"],

@@ -270,34 +270,39 @@ def test_config_defaults():
     cfg = SolverConfig()
     assert cfg.max_iters == 10
     assert cfg.step_size == 1.0
-    assert cfg.clamp_floor == 1e-8
     assert cfg.linsolve_tol == 1e-10
-    assert cfg.gamma is None
-    # the stop test's tolerance is a constant, not a field
+    # the stop test's tolerance and the clamp floor are constants, not
+    # fields, as is the zero-cost value solver.default_gamma(m, n)
     assert solver.RESIDUAL_TOL == 1e-8
+    assert solver.CLAMP_FLOOR == 1e-8
     assert [f.name for f in fields(SolverConfig)] == [
-        "max_iters", "step_size", "clamp_floor", "gamma", "linsolve_tol", "seed"]
+        "max_iters", "step_size", "linsolve_tol", "seed"]
 
 
 @pytest.mark.parametrize("kwargs", [
     {"step_size": 0.0},
     {"step_size": 1.5},
     {"step_size": -0.1},
-    {"clamp_floor": 0.0},
+    {"step_size": float("inf")},
     {"max_iters": -1},
     {"linsolve_tol": 0.0},
-    {"clamp_floor": -1.0},
-    {"gamma": -0.5},
-    *[{name: value} for name in ("clamp_floor", "gamma", "linsolve_tol")
-      for value in (float("nan"), float("inf"))],
-    {"step_size": float("nan")},
+    {"linsolve_tol": -1.0},
+    # a target of 1 or more once gave p = 0 after 0 CG iterations, an
+    # objective of 0 and status MAX_ITERS, with no error
+    {"linsolve_tol": 1.0},
+    {"linsolve_tol": 2.0},
+    *[{name: value} for name in ("step_size", "linsolve_tol")
+      for value in (float("nan"), float("-inf"))],
+    {"linsolve_tol": float("inf")},
     {"seed": 2.5},
     # once accepted, and then a raw TypeError or ValueError inside solve
     {"max_iters": 2.5},
+    {"max_iters": float("nan")},
+    {"max_iters": "10"},
     {"seed": -1},
+    {"seed": float("inf")},
     # bool is an int: once accepted, and max_iters=True ran one step
     *[{name: value} for name, value in (("max_iters", True), ("step_size", True),
-                                        ("clamp_floor", True), ("gamma", False),
                                         ("linsolve_tol", True), ("seed", False))],
 ])
 def test_config_rejects_bad_values(kwargs):

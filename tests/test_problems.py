@@ -367,6 +367,16 @@ def test_svm_input_validation():
         build_l1svm_lp(SvmInstance(pts, np.array([1.0, -1.0]), c_reg=0.0))
 
 
+@pytest.mark.parametrize("name", ["c_reg", "big_m"])
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf"), float("-inf")])
+def test_svm_settings_must_be_positive_and_finite(name, value):
+    # NaN and inf once passed the check and reached the LP as a
+    # non-finite c or A
+    pts, lab = np.array([[1.0], [2.0]]), np.array([1.0, -1.0])
+    with pytest.raises(ValueError, match="positive and finite"):
+        build_l1svm_lp(SvmInstance(pts, lab, **{name: value}))
+
+
 def test_two_point_separator_is_a_tied_optimum():
     # one +1 at (1,0) and one -1 at (-1,0): the unit-margin separator
     # and the all-slack point both cost 2, and vertex enumeration

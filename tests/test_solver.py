@@ -11,8 +11,7 @@ from physlp import (SolveStatus, SolverConfig, StandardFormLP, autodiff, backwar
                     default_gamma, feasibility_residual, initial_state, jvp, linalg,
                     objective_gradients, prepare_lp, problems, solve,
                     solve_with_tape, solver, step_detail)
-from physlp.errors import (DimensionMismatch, NegativeCost, NonFiniteEntry,
-                           NonPositiveInit, ZeroCostNeedsGamma)
+from physlp.errors import DimensionMismatch, NegativeCost, NonFiniteEntry, NonPositiveInit
 from physlp.oracles import hungarian
 from physlp.problems import MatchingInstance, build_matching_lp, decode_matching
 
@@ -37,25 +36,15 @@ def cost_lp(c):
 
 
 def test_perturb_replaces_only_zeros():
-    # prepare_lp raises the zero entries of the working cost to gamma
-    # and leaves the rest, and a zero-free cost bit for bit, whatever
-    # gamma is
-    prep = prepare_lp(cost_lp([1.0, 0.0, 2.0]), 0.5)
-    assert np.array_equal(prep.c, [1.0, 0.5, 2.0])
+    # prepare_lp raises the zero entries of the working cost to
+    # default_gamma(m, n) and leaves the rest, and a zero-free cost bit
+    # for bit
+    prep = prepare_lp(cost_lp([1.0, 0.0, 2.0]))
+    assert np.array_equal(prep.c, [1.0, default_gamma(1, 3), 2.0])
     assert prep.zero_mask.tolist() == [False, True, False]
     c = np.random.default_rng(1).uniform(0.1, 1.0, size=6)
-    for gamma in (None, 0.0, 0.5):
-        assert np.array_equal(prepare_lp(cost_lp(c), gamma).c, c)
-    assert np.array_equal(prepare_lp(cost_lp([0.0, 0.0]), 1e-3).c, [1e-3, 1e-3])
-
-
-def test_perturb_zero_gamma_with_zero_cost_fails():
-    for gamma in (0.0, -1.0, float("nan"), float("inf")):
-        # a NaN gamma once gave a NaN working cost
-        with pytest.raises(ZeroCostNeedsGamma, match="1 zero cost entries"):
-            prepare_lp(cost_lp([0.0, 1.0]), gamma)
-    with pytest.raises(ZeroCostNeedsGamma):
-        solve(cost_lp([0.0, 1.0]), SolverConfig(gamma=0.0))
+    assert np.array_equal(prepare_lp(cost_lp(c)).c, c)
+    assert np.array_equal(prepare_lp(cost_lp([0.0, 0.0])).c, [default_gamma(1, 2)] * 2)
 
 
 def test_default_gamma_scale():
@@ -322,10 +311,11 @@ def test_prepared_cost_strictly_positive():
     # the working cost (2.5, 2, 0) of pi = -2 has a zero, raised to gamma
     lp = StandardFormLP(np.array([[1.0, 1.0, 1.0]]), np.array([1.0]),
                         np.array([0.5, 0.0, -2.0]), np.array([-2.0]))
-    prep = prepare_lp(lp, gamma=0.25)
-    assert np.array_equal(prep.c[prep.zero_mask], [0.25])
+    prep = prepare_lp(lp)
+    gamma = default_gamma(1, 3)
+    assert np.array_equal(prep.c[prep.zero_mask], [gamma])
     assert (prep.c > 0).all()
-    assert prep.c.min() >= min(0.25, 0.5)
+    assert prep.c.min() >= min(gamma, 0.5)
 
 
 # --------------------------------------------------------------- step
@@ -406,7 +396,7 @@ def test_operator_follows_the_lp_it_belongs_to(signed_sparse_40x400):
     assert np.abs(op.at(w, 0.0).sparse().toarray() - want).max() <= 1e-14 * np.abs(want).max()
     cfg = SolverConfig(seed=5)
     det = step_detail(prep, initial_state(prep, cfg), cfg, TOL)
-    assert np.all(det.x_new >= cfg.clamp_floor)
+    assert np.all(det.x_new >= solver.CLAMP_FLOOR)
 
 
 def dense_step(prep, x, cfg):
@@ -419,7 +409,7 @@ def dense_step(prep, x, cfg):
     S = L + 1e-10 * np.trace(L) / len(b) * np.eye(len(b))
     p = scipy.linalg.cho_solve(scipy.linalg.cho_factor(S), b)
     pre = (1.0 - cfg.step_size) * x + cfg.step_size * (w * (A.T @ p))
-    return p, np.maximum(pre, cfg.clamp_floor)
+    return p, np.maximum(pre, solver.CLAMP_FLOOR)
 
 
 @pytest.mark.parametrize("name", ["matching_50x100", "dag_600", "signed_sparse_40x400"])
@@ -839,13 +829,12 @@ def test_iterates_stay_above_floor():
     x = initial_state(prep, cfg)
     for _ in range(50):
         x = step_detail(prep, x, cfg, TOL).x_new
-        assert x.min() >= cfg.clamp_floor
+        assert x.min() >= solver.CLAMP_FLOOR
 
 
-def test_gamma_flows_from_config():
+def test_a_zero_cost_lp_converges_at_the_default_gamma():
+    # the zero cost runs as default_gamma(1, 2) = 0.2887
     lp = StandardFormLP(np.array([[1.0, 1.0]]), np.array([1.0]),
                         np.array([1.0, 0.0]))
-    res = solve(lp, SolverConfig(max_iters=50, gamma=0.3))
+    res = solve(lp, SolverConfig(max_iters=50))
     assert res.status == SolveStatus.CONVERGED
-    with pytest.raises(ZeroCostNeedsGamma):
-        solve(lp, SolverConfig(max_iters=50, gamma=0.0))
