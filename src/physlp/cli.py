@@ -52,16 +52,6 @@ def _fail(message, code):
     return code
 
 
-def _not_positive(args, *names):
-    """The error message for the first of args' named flags whose value
-    is not positive (NaN included), or None when all are."""
-    for name in names:
-        value = getattr(args, name)
-        if not value > 0:
-            return f"--{name.replace('_', '-')} must be positive, got {value}"
-    return None
-
-
 # ---------------------------------------------------------------- solve
 
 def cmd_solve(args):
@@ -119,8 +109,8 @@ def _match_trial(payload):
 
 
 def cmd_match_bench(args):
-    if bad := _not_positive(args, "n"):
-        return _fail(bad, EXIT_IO)
+    if args.n < 1:
+        return _fail(f"--n must be positive, got {args.n}", EXIT_IO)
     if args.n > args.m:
         return _fail(f"need n <= m, got n={args.n} m={args.m}", EXIT_IO)
     if args.trials < 1:
@@ -176,28 +166,17 @@ def cmd_match_bench(args):
 # ------------------------------------------------------------- svm-demo
 
 def cmd_svm_demo(args):
-    if bad := _not_positive(args, "n_per_class", "dim", "c_reg", "big_m"):
-        return _fail(bad, EXIT_IO)
-    if args.kernel == "linear":
-        kernel = LinearKernel()
-    elif bad := _not_positive(args, "sigma"):
-        return _fail(bad, EXIT_IO)
-    else:
-        kernel = GaussianKernel(sigma=args.sigma)
-    for name in ("sep", "c_reg", "big_m"):
-        if not math.isfinite(value := getattr(args, name)):
-            return _fail(f"--{name.replace('_', '-')} must be finite, got {value}", EXIT_IO)
     rng = np.random.default_rng(args.seed)
-    points, labels = two_gaussian_blobs(args.n_per_class, args.dim, args.sep, rng)
-    inst = SvmInstance(points, labels, kernel, c_reg=args.c_reg,
-                       big_m=args.big_m)
-    lp = build_l1svm_lp(inst)
-    cfg = SolverConfig(max_iters=args.iters, seed=args.seed)
-    result = solve(lp, cfg)
+    try:
+        points, labels = two_gaussian_blobs(args.n_per_class, args.dim, args.sep, rng)
+        kernel = LinearKernel() if args.kernel == "linear" else GaussianKernel(args.sigma)
+        inst = SvmInstance(points, labels, kernel, c_reg=args.c_reg, big_m=args.big_m)
+        lp = build_l1svm_lp(inst)
+    except ValueError as exc:  # a size, sep, sigma, c_reg or big_m out of range
+        return _fail(exc, EXIT_IO)
+    result = solve(lp, SolverConfig(max_iters=args.iters, seed=args.seed))
     clf = decode_svm(result.x, inst)
-    decisions = clf.decision(points)
-    predicted = np.where(decisions >= 0.0, 1.0, -1.0)
-    accuracy = float(np.mean(predicted == labels))
+    accuracy = float(np.mean(clf.predict(points) == labels))
     report = {
         "accuracy": accuracy,
         "objective": result.objective,
@@ -209,7 +188,7 @@ def cmd_svm_demo(args):
         "c_reg": args.c_reg,
         "sep": args.sep,
         "seed": args.seed,
-        "median_abs_decision": float(np.median(np.abs(decisions))),
+        "median_abs_decision": float(np.median(np.abs(clf.decision(points)))),
     }
     _dump_json(report, args.out)
     return EXIT_OK if accuracy >= 0.95 else EXIT_THRESHOLD
@@ -225,8 +204,8 @@ def _parse_target(text):
 
 
 def cmd_learn_cost(args):
-    if bad := _not_positive(args, "n"):
-        return _fail(bad, EXIT_IO)
+    if args.n < 1:
+        return _fail(f"--n must be positive, got {args.n}", EXIT_IO)
     if not math.isfinite(args.lr):
         return _fail(f"--lr must be finite, got {args.lr}", EXIT_IO)
     if args.steps < 0:

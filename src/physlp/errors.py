@@ -37,14 +37,6 @@ class Unreachable(PhyslpError):
     """Sink cannot be reached from the source."""
 
 
-class EmptyClass(PhyslpError):
-    """Labeled data does not contain enough distinct classes."""
-
-
-class KernelDegenerate(PhyslpError):
-    """Kernel matrix contains non-finite entries."""
-
-
 class TooLarge(PhyslpError):
     """Instance exceeds the guard rails of a brute-force oracle."""
 

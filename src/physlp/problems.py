@@ -16,6 +16,11 @@ StandardFormLP.from_operator: every matching LP of one shape shares
 one operator and its read-only CSR A, and no solve rebuilds it.  The
 cache holds about 1 MB per 50x100 shape and 4 MB per 100x200 shape.
 Every builder makes A as CSR, with no m-by-n array.
+
+Each setting is checked once, where it is read, and raises ValueError
+out of range: the Gaussian kernel's sigma when the kernel is built,
+the blob generator's sizes and separation, the SVM LP's c_reg and
+big_m in build_l1svm_lp, and the arc weights of a shortest-path graph.
 """
 
 import math
@@ -28,8 +33,7 @@ import scipy.sparse
 
 # validate stays imported unused: the benchmark's traced run wraps it here
 from .core import SolverConfig, StandardFormLP, validate  # noqa: F401
-from .errors import (DimensionMismatch, EmptyClass, KernelDegenerate,
-                     NonFiniteEntry, Unreachable)
+from .errors import DimensionMismatch, NonFiniteEntry, Unreachable
 from .linalg import WeightedOperator
 from .solver import solve
 
@@ -50,16 +54,27 @@ class LinearKernel:
 
 @dataclass(frozen=True)
 class GaussianKernel:
-    """K(x, y) = exp(-||x - y||^2 / (2 sigma^2))"""
+    """K(x, y) = exp(-||x - y||^2 / (2 sigma^2))
+
+    sigma must be positive with 2 sigma^2 positive and finite, or the
+    kernel raises ValueError when it is built: at 1e-300 the square
+    underflows to 0, at 1e200 it overflows, and at inf every entry is 1.
+    """
 
     sigma: float = 1.0
+
+    def __post_init__(self):
+        # sigma * sigma, as sigma ** 2 raises OverflowError at 1e200
+        if not (self.sigma > 0.0 and 0.0 < 2.0 * self.sigma * self.sigma < math.inf):
+            raise ValueError(f"sigma must be positive with 2 sigma^2 positive and finite, "
+                             f"got {self.sigma}")
 
     def gram(self, X, Y):
         X = np.asarray(X, dtype=np.float64)
         Y = np.asarray(Y, dtype=np.float64)
         sq = (np.sum(X ** 2, axis=1)[:, None] + np.sum(Y ** 2, axis=1)[None, :]
               - 2.0 * X @ Y.T)
-        return np.exp(-np.maximum(sq, 0.0) / (2.0 * self.sigma ** 2))
+        return np.exp(-np.maximum(sq, 0.0) / (2.0 * self.sigma * self.sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +229,10 @@ class SvmInstance:
     """Binary training set with labels in {-1, +1}.
 
     c_reg weights the hinge slack, big_m is the small constraint
-    relaxation bought by the binary-like z block; both must be
-    positive and finite.  The solver raises the LP's zero costs to the
-    constant solver.default_gamma(m, n).
+    relaxation bought by the binary-like z block; build_l1svm_lp, which
+    reads them, refuses either unless it is positive and finite.  The
+    solver raises the LP's zero costs to the constant
+    solver.default_gamma(m, n).
     """
 
     points: np.ndarray
@@ -251,6 +267,11 @@ def build_l1svm_lp(inst):
     and the cost is sum(s) + C * sum(xi) + 2C * sum(z).  The layout is
     [a1(n), a2(n), s(n), b1, b2, xi(n), z(n), l(n), p(n), q(n), r(n)],
     giving 9n + 2 variables and 4n equalities.
+
+    Raises DimensionMismatch for points, labels or labels' values that
+    do not fit, ValueError unless c_reg and big_m are positive and
+    finite, and NonFiniteEntry when the kernel matrix has a non-finite
+    entry.
     """
     X = inst.points
     y = inst.labels
@@ -270,7 +291,7 @@ def build_l1svm_lp(inst):
 
     G = inst.kernel.gram(X, X) * y[np.newaxis, :]
     if not np.all(np.isfinite(G)):
-        raise KernelDegenerate("kernel matrix contains non-finite entries")
+        raise NonFiniteEntry("kernel matrix contains non-finite entries")
 
     # block rows: margin, lower envelope, upper envelope, z + r = 1;
     # block columns in the layout of _svm_offsets; None is a zero block
@@ -325,53 +346,14 @@ def fit_svm(inst, cfg=None):
     return decode_svm(result.x, inst), result
 
 
-@dataclass(eq=False)
-class PairwiseSvmEnsemble:
-    """One-vs-one reduction: one binary instance per unordered class
-    pair, the first class of the pair playing +1."""
-
-    classes: np.ndarray
-    pairs: list
-    instances: list
-
-    def fit(self, cfg=None):
-        return [fit_svm(inst, cfg)[0] for inst in self.instances]
-
-    def predict(self, classifiers, X):
-        """Majority vote; ties go to the lowest class index."""
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        votes = np.zeros((X.shape[0], len(self.classes)))
-        for (a, b), clf in zip(self.pairs, classifiers):
-            pred = clf.predict(X)
-            votes[:, a] += pred > 0
-            votes[:, b] += pred < 0
-        return self.classes[np.argmax(votes, axis=1)]
-
-
-def pairwise_multiclass(points, labels, kernel=None, c_reg=1.0, big_m=0.001):
-    """Build the k-choose-2 binary instances for a k-class training set."""
-    points = np.asarray(points, dtype=np.float64)
-    labels = np.asarray(labels)
-    if points.ndim != 2 or labels.shape != (points.shape[0],):
-        raise DimensionMismatch("points must be (n, d) with one label per row")
-    if kernel is None:
-        kernel = LinearKernel()
-    classes = np.unique(labels)
-    if classes.size < 2:
-        raise EmptyClass(f"need at least two classes, got {classes.size}")
-    pairs = []
-    instances = []
-    for a in range(classes.size):
-        for b in range(a + 1, classes.size):
-            mask = (labels == classes[a]) | (labels == classes[b])
-            y = np.where(labels[mask] == classes[a], 1.0, -1.0)
-            pairs.append((a, b))
-            instances.append(SvmInstance(points[mask], y, kernel, c_reg=c_reg, big_m=big_m))
-    return PairwiseSvmEnsemble(classes, pairs, instances)
-
-
 def two_gaussian_blobs(n_per_class, dim, sep, rng):
-    """Isotropic blobs at +/- (sep / sqrt(dim)) * ones; labels +/-1."""
+    """n_per_class points of each label, +1 then -1, drawn from
+    isotropic unit Gaussians in dim dimensions centred at
+    +/- (sep / sqrt(dim)) * ones.  Raises ValueError unless n_per_class
+    and dim are at least 1 and sep is finite."""
+    if n_per_class < 1 or dim < 1 or not math.isfinite(sep):
+        raise ValueError(f"need n_per_class >= 1, dim >= 1 and a finite sep, "
+                         f"got {n_per_class}, {dim} and {sep}")
     mu = (sep / math.sqrt(dim)) * np.ones(dim)
     plus = rng.normal(size=(n_per_class, dim)) + mu
     minus = rng.normal(size=(n_per_class, dim)) - mu

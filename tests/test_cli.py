@@ -497,9 +497,15 @@ def test_unwritable_output_is_input_error(argv, tmp_path, capsys):
     ["learn-cost", "--lr", "nan"],
     ["learn-cost", "--lr", "inf"],
     ["learn-cost", "--steps", "-1"],
+    # once exit 3 on a constant kernel, a division by zero, and an
+    # OverflowError traceback
+    ["svm-demo", "--sigma", "inf"],
+    ["svm-demo", "--sigma", "1e-300"],
+    ["svm-demo", "--sigma", "1e200"],
 ])
 def test_non_positive_size_or_weight_is_input_error(argv, tmp_path, capsys):
-    # rejected before the problem builders raise on them
+    # rejected by the command or, for svm-demo, by the builder that
+    # reads the flag
     assert_input_error(argv, tmp_path, capsys)
 
 

@@ -151,15 +151,10 @@ def eye_gram():
     return WeightedOperator(scipy.sparse.csr_array(np.eye(2))).at(np.ones(2))
 
 
-def blobs(classes):
-    """Two points per class, in two dimensions, labelled 0, 1, ..."""
-    points = np.random.default_rng(0).normal(size=(2 * classes, 2))
-    return points, np.repeat(np.arange(classes), 2)
-
-
 def svm_instance():
-    points, labels = blobs(2)
-    return problems.SvmInstance(points, np.where(labels == 0, 1.0, -1.0))
+    """Two points of each label, in two dimensions."""
+    points = np.random.default_rng(0).normal(size=(4, 2))
+    return problems.SvmInstance(points, np.repeat([1.0, -1.0], 2))
 
 
 COSTS = np.array([[0.2, 0.8, 0.5], [0.8, 0.2, 0.4]])
@@ -180,7 +175,6 @@ RECORDS = {
     "MatchingInstance": lambda: problems.MatchingInstance(COSTS),
     "SvmInstance": svm_instance,
     "SvmClassifier": lambda: problems.decode_svm(svm_feasible_point(4), svm_instance()),
-    "PairwiseSvmEnsemble": lambda: problems.pairwise_multiclass(*blobs(3)),
 }
 
 

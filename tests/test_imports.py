@@ -1,7 +1,8 @@
 """Every module of the package, test module and demo uses each name it
 imports, every definition of the package is reached from outside the
 tests, every field of its classes is read there, and the package
-raises or catches every error class it defines."""
+raises or catches every error class it defines; and tests/code_size.py
+counts only code lines."""
 
 import ast
 from pathlib import Path
@@ -10,6 +11,8 @@ import pytest
 
 import physlp
 from physlp import errors
+
+from .code_size import code_lines
 
 SRC = Path(physlp.__file__).parent
 
@@ -28,9 +31,6 @@ WRAPPED_BY_THE_BENCHMARK = {
 UNREACHED_ON_PURPOSE = {
     "oracles.enumerate_vertices": "the tests' reference oracle for small LPs (criterion 2)",
     "problems.Graph.to_dict": "the writer of the graph format that Graph.from_dict reads",
-    "problems.pairwise_multiclass": "kept until the few-shot SVM head (ROADMAP item 8) "
-                                    "uses it or removes it",
-    "problems.PairwiseSvmEnsemble.fit": "as problems.pairwise_multiclass",
 }
 
 # Fields that nothing outside the tests reads, and why they stay
@@ -233,3 +233,14 @@ def test_the_guard_sees_an_idle_error(tmp_path):
     idle = idle_errors([probe])
     assert {"Breakdown", "TooLarge", "InvalidConfig", "PhyslpError"}.isdisjoint(idle)
     assert {"NegativeCost", "Unreachable"} <= idle
+
+
+def test_code_size_counts_only_code_lines(tmp_path):
+    # tests/code_size.py's count: blank lines, comments and docstrings
+    # are not code; every non-blank line of a statement or a string is
+    probe = tmp_path / "probe.py"
+    probe.write_text('"""Module\n\ndocstring."""\n\nimport math  # trailing comment\n\n'
+                     "# a comment line\n"
+                     'def f(x):\n    """One line."""\n    text = """two\n\nlines"""\n'
+                     "    return (math.sqrt(x),\n            text)\n")
+    assert code_lines(probe.read_text()) == 6

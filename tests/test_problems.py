@@ -10,8 +10,7 @@ import scipy.sparse
 from physlp import (SolverConfig, StandardFormLP, backward, feasibility_residual, jvp,
                     linalg, prepare_lp, problems, solve, solve_with_tape)
 from physlp.cli import main
-from physlp.errors import (DimensionMismatch, EmptyClass, NonFiniteEntry,
-                           Unreachable)
+from physlp.errors import DimensionMismatch, NonFiniteEntry, Unreachable
 from physlp.oracles import dijkstra, enumerate_vertices, hungarian
 from physlp.problems import (GaussianKernel, Graph, LinearKernel,
                              MatchingInstance, SvmInstance,
@@ -19,8 +18,7 @@ from physlp.problems import (GaussianKernel, Graph, LinearKernel,
                              build_matching_lp, build_shortest_path_lp,
                              decode_matching, decode_svm, fit_svm,
                              matching_cost_gradient, matching_slack_gamma,
-                             pairwise_multiclass, split_matching_vars,
-                             two_gaussian_blobs)
+                             split_matching_vars, two_gaussian_blobs)
 
 from .conftest import (matching_feasible_point, random_bounded_lp, rerun,
                        svm_feasible_point)
@@ -296,6 +294,15 @@ def test_kernel_values():
     assert np.allclose(g, g.T)
 
 
+@pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan"), float("inf"), float("-inf"),
+                                   1e-300, 1e200])
+def test_gaussian_sigma_must_give_a_positive_finite_width(sigma):
+    # inf once ran on a constant kernel, 1e-300 divided by zero, and
+    # 1e200 raised OverflowError from sigma ** 2
+    with pytest.raises(ValueError, match="sigma"):
+        GaussianKernel(sigma)
+
+
 def test_svm_lp_dimensions():
     pts, lab = two_gaussian_blobs(5, 4, 2.0, np.random.default_rng(0))
     lp = build_l1svm_lp(SvmInstance(pts, lab))
@@ -366,6 +373,13 @@ def test_svm_input_validation():
     with pytest.raises(ValueError):
         build_l1svm_lp(SvmInstance(pts, np.array([1.0, -1.0]), c_reg=0.0))
 
+    class NanKernel:
+        def gram(self, X, Y):
+            return np.full((len(X), len(Y)), np.nan)
+
+    with pytest.raises(NonFiniteEntry, match="kernel matrix"):
+        build_l1svm_lp(SvmInstance(pts, np.array([1.0, -1.0]), NanKernel()))
+
 
 @pytest.mark.parametrize("name", ["c_reg", "big_m"])
 @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf"), float("-inf")])
@@ -420,27 +434,6 @@ def test_decode_svm_cancels_split_variables():
         decode_svm(np.zeros(19), inst)
 
 
-def test_pairwise_instance_counts():
-    pts = np.arange(10.0).reshape(5, 2)
-    assert len(pairwise_multiclass(pts, np.array([0, 0, 1, 1, 1])).instances) == 1
-    five = pairwise_multiclass(np.arange(20.0).reshape(10, 2),
-                               np.arange(10) % 5)
-    assert len(five.instances) == 10
-    assert five.pairs[0] == (0, 1) and five.pairs[-1] == (3, 4)
-    with pytest.raises(EmptyClass):
-        pairwise_multiclass(pts, np.zeros(5))
-
-
-def test_pairwise_three_class_vote():
-    rng = np.random.default_rng(0)
-    centers = np.array([[4.0, 0.0], [-4.0, 0.0], [0.0, 4.0]])
-    pts = np.vstack([rng.normal(size=(6, 2)) + mu for mu in centers])
-    lab = np.repeat([0, 1, 2], 6)
-    ens = pairwise_multiclass(pts, lab, kernel=GaussianKernel(2.0), c_reg=2.0)
-    pred = ens.predict(ens.fit(), pts)
-    assert (pred == lab).mean() >= 0.95
-
-
 def test_two_gaussian_blobs_shape_and_centers():
     rng = np.random.default_rng(3)
     pts, lab = two_gaussian_blobs(200, 4, 6.0, rng)
@@ -449,6 +442,16 @@ def test_two_gaussian_blobs_shape_and_centers():
     mu = 6.0 / 2.0  # sep / sqrt(dim)
     assert np.allclose(pts[lab == 1].mean(axis=0), mu, atol=0.3)
     assert np.allclose(pts[lab == -1].mean(axis=0), -mu, atol=0.3)
+
+
+@pytest.mark.parametrize("n_per_class, dim, sep", [(10, 0, 2.0), (0, 4, 2.0),
+                                                   (10, 4, float("nan")), (10, 4, float("inf")),
+                                                   (10, 4, float("-inf"))])
+def test_two_gaussian_blobs_refuses_empty_or_non_finite_settings(n_per_class, dim, sep):
+    # dim 0 once divided by zero, n_per_class 0 gave empty arrays and a
+    # non-finite sep non-finite points
+    with pytest.raises(ValueError):
+        two_gaussian_blobs(n_per_class, dim, sep, np.random.default_rng(0))
 
 
 # -------------------------------------------------------- shortest path
