@@ -82,22 +82,17 @@ def _adjoint_tol(gram, cfg):
 class UnrolledTape:
     """Recorded forward pass: the prepared LP (whose source is the LP
     solved, with the operator the steps computed with), cfg, the config
-    it ran with, the initial iterate, and one solver.StepDetail per
-    iteration (see its docstring for what a step holds); all of it is
-    reachable through dataclass fields."""
+    it ran with, and one solver.StepDetail per iteration (see its
+    docstring for what a step holds), the first of which starts from
+    the initial iterate, steps[0].x_prev; all of it is reachable
+    through dataclass fields."""
 
     prep: object
     cfg: SolverConfig
-    x0: np.ndarray
     steps: list = field(default_factory=list)
 
     def __len__(self):
         return len(self.steps)
-
-    @property
-    def x_final(self):
-        """Final iterate."""
-        return self.steps[-1].x_new if self.steps else self.x0
 
 
 @dataclass(eq=False)
@@ -149,20 +144,22 @@ def solve_with_tape(lp, cfg=None, x0=None):
     """
     if cfg is None:
         cfg = SolverConfig()
-    result, prep, y0, steps = _solve_loop(lp, cfg, x0, True)
-    tape = UnrolledTape(prep, cfg, y0, steps)
-    return result, tape
+    result, prep, steps = _solve_loop(lp, cfg, x0, True)
+    return result, UnrolledTape(prep, cfg, steps)
 
 
 def backward(tape, grad_x):
-    """Pull d(loss)/d(x_final) back to gradients of (c, A, b).
+    """Pull d(loss)/d(x) back to gradients of (c, A, b).
 
-    grad_x is taken with respect to the final iterate.  The initial
-    iterate is treated as constant, so a zero-length tape yields zero
-    gradients.  NonFiniteEntry is raised for a grad_x with
-    NaN or infinity, and Breakdown when an adjoint solve misses its
-    backward-error target even after PCG refinement.  grad_c and
-    grad_b are computed here; grad_A is built when it is first read.
+    grad_x is taken with respect to x, the final iterate, which is the
+    result's x and tape.steps[-1].x_new.  The initial iterate is
+    treated as constant, so a zero-length tape yields zero gradients.
+    The objective c.x also depends on c directly: its gradients are
+    backward(tape, lp.c) with x added to grad_c.  NonFiniteEntry is
+    raised for a grad_x with NaN or infinity, and Breakdown when an
+    adjoint solve misses its backward-error target even after PCG
+    refinement.  grad_c and grad_b are computed here; grad_A is built
+    when it is first read.
     """
     prep = tape.prep
     op = prep.source.operator
@@ -230,26 +227,13 @@ def _grad_A(prep, left, right, omega, grad_c):
     return prep.pullback_A(gA, grad_c)
 
 
-def objective_gradients(tape):
-    """Gradients of the reported objective c^T x_final w.r.t. (c, A, b).
-
-    Adds the direct d(c^T x)/dc = x term to the solve-mediated
-    gradients, so a zero-length tape gives grad_c = x0 exactly.  c is
-    the LP's own cost, so the term reaches grad_c alone; grad_A pulls
-    back the solve-mediated grad_c only.
-    """
-    grads = backward(tape, tape.prep.source.c)
-    grads.grad_c = grads.grad_c + tape.x_final
-    return grads
-
-
 def jvp(tape, dc=None, dA=None, db=None):
     """Directional derivative of the final iterate.
 
     Propagates a perturbation (dc, dA, db) of the LP's data through
-    the recorded forward pass and returns d(x_final).  The adjoint in
-    backward is the transpose of this map, which the tests verify via
-    dot products.  Without dA no m-by-n product is taken.
+    the recorded forward pass and returns dx of the final iterate x.
+    The adjoint in backward is the transpose of this map, which the
+    tests verify via dot products.  Without dA no m-by-n product is taken.
     NonFiniteEntry is raised for a direction with NaN or infinity.
     """
     prep = tape.prep
@@ -303,7 +287,8 @@ def _column_dots(A, X):
 
 
 def finite_diff_grad(lp, cfg, loss, x0=None):
-    """Central-difference gradients of loss(x_final) w.r.t. (c, A, b).
+    """Central-difference gradients of loss(x) of the final iterate x
+    w.r.t. (c, A, b).
 
     Each entry v is displaced by eta = FD_STEP_SCALE * (1 + |v|).  The
     forward solves run with early stopping disabled, so every

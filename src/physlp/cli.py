@@ -23,7 +23,8 @@ from multiprocessing import Pool
 import numpy as np
 
 from .core import SolverConfig, SolveStatus, load_lp
-from .errors import DimensionMismatch, InvalidConfig, NegativeCost, PhyslpError, Unreachable
+from .errors import (DimensionMismatch, InvalidConfig, NegativeCost, NonFiniteEntry, PhyslpError,
+                     Unreachable)
 from .autodiff import backward, solve_with_tape
 from .problems import (GaussianKernel, Graph, LinearKernel, MatchingInstance,
                        SvmInstance, assignment_to_vector, build_l1svm_lp,
@@ -82,14 +83,12 @@ def _match_trial(payload):
     time_sec includes the evaluation that loop makes after each step."""
     from .oracles import hungarian
 
-    index, seed_seq, n, m, budgets, cfg, error_block = payload
+    index, seed_seq, n, m, budgets, cfg = payload
     rng = np.random.default_rng(seed_seq)
     C = rng.uniform(size=(n, m))
     solver_seed = int(rng.integers(2 ** 63))
     lp = build_matching_lp(MatchingInstance(C))
     x_star = assignment_to_vector(hungarian(C).map, n, m)
-    if error_block == "x-only":
-        x_star = x_star[:n * m]
     norm_star = float(np.linalg.norm(x_star))
 
     cfg = dataclasses.replace(cfg, seed=solver_seed)
@@ -99,8 +98,6 @@ def _match_trial(payload):
     start = time.perf_counter()
     for k, (_, x, _, _) in enumerate(_iterate(prep, y0, cfg), 1):
         if k in budgets:
-            if error_block == "x-only":
-                x = x[:n * m]
             err = float(np.linalg.norm(x - x_star)) / norm_star
             records.append({"trial": index, "seed": solver_seed, "iters": k,
                             "error": err,
@@ -122,8 +119,7 @@ def cmd_match_bench(args):
         return _fail(f"every --iters budget must be at least 1, got {budgets[0]}", EXIT_IO)
     cfg = SolverConfig(max_iters=budgets[-1], step_size=args.step)
     children = np.random.SeedSequence(args.seed).spawn(args.trials)
-    payloads = [(i, ss, args.n, args.m, budgets, cfg, args.error_block)
-                for i, ss in enumerate(children)]
+    payloads = [(i, ss, args.n, args.m, budgets, cfg) for i, ss in enumerate(children)]
     jobs = min(args.jobs, args.trials)
     if jobs > 1:
         with Pool(jobs) as pool:
@@ -145,7 +141,6 @@ def cmd_match_bench(args):
     report = {
         "config": {"n": args.n, "m": args.m, "trials": args.trials,
                    "iters": budgets, "seed": args.seed, "step": args.step,
-                   "error_block": args.error_block,
                    "error_metric": "norm(x - x_star) / norm(x_star)"},
         "records": records,
         "aggregates": aggregates,
@@ -172,7 +167,9 @@ def cmd_svm_demo(args):
         kernel = LinearKernel() if args.kernel == "linear" else GaussianKernel(args.sigma)
         inst = SvmInstance(points, labels, kernel, c_reg=args.c_reg, big_m=args.big_m)
         lp = build_l1svm_lp(inst)
-    except ValueError as exc:  # a size, sep, sigma, c_reg or big_m out of range
+    except (ValueError, NonFiniteEntry) as exc:
+        # a size, sep, sigma, c_reg or big_m out of range, or one that
+        # overflows the LP's data
         return _fail(exc, EXIT_IO)
     result = solve(lp, SolverConfig(max_iters=args.iters, seed=args.seed))
     clf = decode_svm(result.x, inst)
@@ -312,9 +309,6 @@ def build_parser():
     p.add_argument("--out", default=None, help="report JSON file")
     p.add_argument("--csv", default=None, help="also write flat CSV rows")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--error-block", choices=["full", "x-only"],
-                   default="full",
-                   help="compare the full variable vector or the X block")
     p.set_defaults(func=cmd_match_bench)
 
     p = sub.add_parser("svm-demo", help="two-Gaussian-blob SVM demo")

@@ -1,4 +1,4 @@
-"""Standard-form LP containers, validation, and evaluation helpers.
+"""Standard-form LP containers, their validation, and the LP file.
 
 A standard-form program is
 
@@ -19,7 +19,8 @@ SolverConfig are frozen and validated once, when built;
 dataclasses.replace makes a new one, which is validated again and
 builds its own operator.  An LP keeps an A, b, c or potentials that is
 already read-only, as another LP's is, and copies anything else, so no
-later write by the caller reaches it.
+later write by the caller reaches it.  save_lp writes an LP to a JSON
+file and load_lp reads one.
 """
 
 import json
@@ -122,12 +123,18 @@ class StandardFormLP:
         return WeightedOperator(self.A)
 
 
+# Each entry of the Gram map Q (linalg.WeightedOperator) is a product
+# of two entries of one column of A, so an entry above this overflows Q
+A_MAX = float(np.sqrt(np.finfo(np.float64).max))
+
+
 def validate(lp):
-    """Check that b, c and potentials, when set, fit the shape of A, and
-    that A.data (every nonzero of the CSR A, NaN included), b, c and
-    potentials are finite; returns the same instance unchanged.
-    StandardFormLP calls it once, when built, after it has checked the
-    shape of A.
+    """Check that b, c and potentials, when set, fit the shape of A,
+    that b, c and potentials are finite, and that every entry of A.data
+    (every nonzero of the CSR A, NaN included) is finite and at most
+    A_MAX, about 1.34e154, in magnitude; returns the same instance
+    unchanged.  StandardFormLP calls it once, when built, after it has
+    checked the shape of A.
 
     Raises DimensionMismatch or NonFiniteEntry.  Idempotent.
     """
@@ -138,26 +145,14 @@ def validate(lp):
     for arr, name, size in vectors:
         if arr.shape != (size,):
             raise DimensionMismatch(f"{name} has shape {arr.shape}, expected ({size},)")
-    for arr, name, _ in [(lp.A.data, "A", None), *vectors]:
+    # NaN fails the comparison too
+    if not np.all(np.abs(lp.A.data) <= A_MAX):
+        raise NonFiniteEntry(f"A contains a non-finite entry or one above {A_MAX:.4g},"
+                             " whose square overflows")
+    for arr, name, _ in vectors:
         if not np.all(np.isfinite(arr)):
             raise NonFiniteEntry(f"{name} contains a non-finite entry")
     return lp
-
-
-def objective(lp, x):
-    """c.x against the stored (original) cost vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (lp.n,):
-        raise DimensionMismatch(f"x has shape {x.shape}, expected ({lp.n},)")
-    return float(lp.c @ x)
-
-
-def feasibility_residual(lp, x):
-    """Euclidean norm of the equality violation ||A x - b||_2."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (lp.n,):
-        raise DimensionMismatch(f"x has shape {x.shape}, expected ({lp.n},)")
-    return float(np.linalg.norm(lp.A @ x - lp.b))
 
 
 class SolveStatus(Enum):
@@ -238,30 +233,26 @@ class SolveResult:
     status: SolveStatus = SolveStatus.MAX_ITERS
 
 
-def lp_to_dict(lp):
-    """Plain-dict form of an LP for JSON serialization; A is written
-    dense, row by row."""
+def save_lp(lp, path):
+    """Write lp to the JSON file at path, the one LP file format: keys
+    A, b, c and, when set, potentials, sorted, with an indent of 2.  A
+    is written dense, row by row."""
     d = {"A": lp.A.toarray().tolist(), "b": lp.b.tolist(), "c": lp.c.tolist()}
     if lp.potentials is not None:
         d["potentials"] = lp.potentials.tolist()
-    return d
-
-
-def lp_from_dict(d):
-    """Inverse of lp_to_dict.  Unknown keys are ignored, among them the
-    column names and the box bound that earlier versions wrote."""
-    for key in ("A", "b", "c"):
-        if key not in d:
-            raise KeyError(f"LP dict is missing required key {key!r}")
-    return StandardFormLP(d["A"], d["b"], d["c"], d.get("potentials"))
-
-
-def save_lp(lp, path):
     with open(path, "w") as fh:
-        json.dump(lp_to_dict(lp), fh, indent=2, sort_keys=True)
+        json.dump(d, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def load_lp(path):
+    """The StandardFormLP of the JSON file at path, as save_lp writes
+    it.  Raises KeyError when A, b or c is missing.  Unknown keys are
+    ignored, among them the column names and the box bound that earlier
+    versions wrote."""
     with open(path) as fh:
-        return lp_from_dict(json.load(fh))
+        d = json.load(fh)
+    for key in ("A", "b", "c"):
+        if key not in d:
+            raise KeyError(f"LP file is missing required key {key!r}")
+    return StandardFormLP(d["A"], d["b"], d["c"], d.get("potentials"))

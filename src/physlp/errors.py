@@ -14,7 +14,8 @@ class DimensionMismatch(PhyslpError):
 
 
 class NonFiniteEntry(PhyslpError):
-    """An input array contains NaN or infinity."""
+    """An input array contains NaN or infinity, or an LP's A an entry
+    whose square overflows."""
 
 
 class NegativeCost(PhyslpError):
@@ -36,10 +37,3 @@ class LinSolveFailure(PhyslpError):
 class Unreachable(PhyslpError):
     """Sink cannot be reached from the source."""
 
-
-class TooLarge(PhyslpError):
-    """Instance exceeds the guard rails of a brute-force oracle."""
-
-
-class InfeasibleDetected(PhyslpError):
-    """No nonnegative basic solution exists."""

@@ -32,7 +32,7 @@ import numpy as np
 import scipy.sparse
 
 # validate stays imported unused: the benchmark's traced run wraps it here
-from .core import SolverConfig, StandardFormLP, validate  # noqa: F401
+from .core import A_MAX, SolverConfig, StandardFormLP, validate  # noqa: F401
 from .errors import DimensionMismatch, NonFiniteEntry, Unreachable
 from .linalg import WeightedOperator
 from .solver import solve
@@ -350,9 +350,12 @@ def two_gaussian_blobs(n_per_class, dim, sep, rng):
     """n_per_class points of each label, +1 then -1, drawn from
     isotropic unit Gaussians in dim dimensions centred at
     +/- (sep / sqrt(dim)) * ones.  Raises ValueError unless n_per_class
-    and dim are at least 1 and sep is finite."""
-    if n_per_class < 1 or dim < 1 or not math.isfinite(sep):
-        raise ValueError(f"need n_per_class >= 1, dim >= 1 and a finite sep, "
+    and dim are at least 1 and sep * sep is finite, as it is for |sep|
+    at most core.A_MAX, about 1.34e154: the kernels square distances of
+    the order of sep."""
+    # NaN fails the comparison too
+    if n_per_class < 1 or dim < 1 or not abs(sep) <= A_MAX:
+        raise ValueError(f"need n_per_class >= 1, dim >= 1 and a sep whose square is finite, "
                          f"got {n_per_class}, {dim} and {sep}")
     mu = (sep / math.sqrt(dim)) * np.ones(dim)
     plus = rng.normal(size=(n_per_class, dim)) + mu

@@ -275,7 +275,7 @@ def _iterate(prep, x, cfg):
 
 def _solve_loop(lp, cfg, x0, record_steps, early_stop=False):
     """Runs _iterate for solve and solve_with_tape, with the trace and
-    the status; returns (result, prepared lp, x0, steps), steps the
+    the status; returns (result, prepared lp, steps), steps the
     StepDetails when record_steps and None otherwise.  Only solve
     passes early_stop, so a tape runs all cfg.max_iters steps.  The
     status is CONVERGED when the stop test (residual at most
@@ -306,7 +306,7 @@ def _solve_loop(lp, cfg, x0, record_steps, early_stop=False):
         obj, res = _evaluate(prep, x)
     # x may be the last x_new or x0, which a tape holds, so it is copied
     result = SolveResult(x.copy(), obj, res, trace, status)
-    return result, prep, x0, steps
+    return result, prep, steps
 
 
 def solve(lp, cfg=None, x0=None, early_stop=True):
@@ -325,5 +325,5 @@ def solve(lp, cfg=None, x0=None, early_stop=True):
     """
     if cfg is None:
         cfg = SolverConfig()
-    result, _, _, _ = _solve_loop(lp, cfg, x0, False, early_stop)
+    result, _, _ = _solve_loop(lp, cfg, x0, False, early_stop)
     return result

@@ -1,9 +1,12 @@
-"""Code size of the physlp package.
+"""Code size of the physlp package and of its tests.
 
-For each module of src/physlp and in total, prints the line count, as
-wc -l gives it, and the code lines: the non-blank lines outside
-docstrings and # comments.  Every non-blank line of a multi-line
-statement, or of a string that is not a docstring, is a code line.
+For each module of src/physlp and in total, and in total for
+tests/*.py, prints the line count, as wc -l gives it, and the code
+lines: the non-blank lines outside docstrings and # comments.  Every
+non-blank line of a multi-line statement, or of a string that is not a
+docstring, is a code line.  The tests' total shows code that moves
+from src/physlp into tests/, which the package's total alone would
+count as removed.
 
     python -m tests.code_size
 """
@@ -13,7 +16,8 @@ import io
 import tokenize
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "physlp"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "physlp"
 
 # tokens that are not code: a comment, the end of a line, indentation
 NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
@@ -43,16 +47,19 @@ def code_lines(text):
     return sum(1 for i in lines - docstring_lines(ast.parse(text)) if rows[i - 1].strip())
 
 
+def size(path):
+    """(wc -l, code lines) of the Python file at path."""
+    text = path.read_text()
+    return text.count("\n"), code_lines(text)
+
+
 def main():
-    total_wc = total_code = 0
+    modules = {path.name: size(path) for path in sorted(SRC.glob("*.py"))}
+    rows = [*modules.items(), ("total", [sum(v) for v in zip(*modules.values())]),
+            ("tests/*.py", [sum(v) for v in zip(*map(size, TESTS.glob("*.py")))])]
     print(f"{'module':<16}{'wc -l':>7}{'code':>7}")
-    for path in sorted(SRC.glob("*.py")):
-        text = path.read_text()
-        wc, code = text.count("\n"), code_lines(text)
-        total_wc += wc
-        total_code += code
-        print(f"{path.name:<16}{wc:>7}{code:>7}")
-    print(f"{'total':<16}{total_wc:>7}{total_code:>7}")
+    for name, (wc, code) in rows:
+        print(f"{name:<16}{wc:>7}{code:>7}")
 
 
 if __name__ == "__main__":

@@ -58,22 +58,25 @@ def clamp_fired(tape):
 def step_tols(res, tape):
     """The relative target each step of the tape solved to, as the
     forward loop sets it: solver.forward_tol of the residual of the
-    step's input, which is x0's for the first step and the trace
-    residual of the step before for the others; res is the
+    step's input, which is the initial iterate's for the first step and
+    the trace residual of the step before for the others; res is the
     SolveResult that came with the tape."""
     bnorm = float(np.linalg.norm(tape.prep.source.b))
-    inputs = [solver._evaluate(tape.prep, tape.x0)[1]]
+    inputs = [solver._evaluate(tape.prep, det.x_prev)[1] for det in tape.steps[:1]]
     inputs += [rec.residual for rec in res.trace[:len(tape) - 1]]
     return np.array([solver.forward_tol(tape.cfg, r, bnorm) for r in inputs])
 
 
 def rerun(tape):
     """The post-clamp iterates of the forward loop, solver._iterate, run
-    again from tape.x0 for as many steps as the tape holds; it stops
-    before a step the tape does not hold, so a tape that ended early or
-    at LINSOLVE_FAILURE is rerun as recorded."""
-    return [det.x_new for det, *_ in islice(solver._iterate(tape.prep, tape.x0, tape.cfg),
-                                            len(tape))]
+    again from the initial iterate, tape.steps[0].x_prev, for as many
+    steps as the tape holds; it stops before a step the tape does not
+    hold, so a tape that ended early or at LINSOLVE_FAILURE is rerun as
+    recorded."""
+    if not tape.steps:
+        return []
+    x0 = tape.steps[0].x_prev
+    return [det.x_new for det, *_ in islice(solver._iterate(tape.prep, x0, tape.cfg), len(tape))]
 
 
 @pytest.fixture(scope="session")

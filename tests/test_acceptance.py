@@ -14,12 +14,13 @@ import numpy as np
 from physlp import SolverConfig, backward, jvp, solve, solve_with_tape
 from physlp.cli import main as cli_main
 from physlp.errors import Unreachable
-from physlp.oracles import dijkstra, enumerate_vertices, hungarian
+from physlp.oracles import dijkstra, hungarian
 from physlp.problems import (Graph, MatchingInstance, build_matching_lp,
                              build_shortest_path_lp, decode_matching,
                              matching_slack_gamma)
 
 from .conftest import clamp_fired, matching_feasible_point, random_bounded_lp
+from .vertex_oracle import enumerate_vertices
 
 
 def report(name, ok, detail):

@@ -10,8 +10,8 @@ import scipy.linalg
 from scipy.linalg.blas import daxpy, ddot
 
 from physlp import (LpGradients, SolveStatus, SolverConfig, StandardFormLP, autodiff,
-                    backward, cli, finite_diff_grad, jvp, linalg, objective_gradients,
-                    solve, solve_with_tape, solver)
+                    backward, cli, finite_diff_grad, jvp, linalg, solve, solve_with_tape,
+                    solver)
 from physlp.errors import Breakdown, DimensionMismatch, NonFiniteEntry
 from physlp.problems import MatchingInstance, build_matching_lp
 
@@ -70,8 +70,7 @@ def test_tape_length_matches_budget():
     for k in (1, 7, 25):
         res, tape = solve_with_tape(toy_lp(), SolverConfig(max_iters=k))
         assert len(tape) == k
-        assert np.array_equal(tape.x_final, tape.steps[-1].x_new)
-        assert np.array_equal(tape.x_final, res.x)
+        assert np.array_equal(res.x, tape.steps[-1].x_new)
 
 
 def test_tape_early_stop_off_by_default():
@@ -121,7 +120,7 @@ def test_tape_replay_stops_before_a_failed_step(matching_5x50, monkeypatch):
     monkeypatch.setattr(solver, "spd_solve", failing)
     res, tape = solve_with_tape(matching_5x50, SolverConfig(max_iters=10))
     assert res.status is SolveStatus.LINSOLVE_FAILURE and len(calls) == 6
-    assert len(tape) == 4 and np.array_equal(res.x, tape.x_final)
+    assert len(tape) == 4 and np.array_equal(res.x, tape.steps[-1].x_new)
     calls.clear()
     redone = rerun(tape)
     assert len(calls) == 4 and len(redone) == 4
@@ -209,21 +208,7 @@ def test_zero_length_tape_gradients():
     assert not grads.grad_c.any()
     assert not grads.grad_A.any()
     assert not grads.grad_b.any()
-    # the objective still depends on c directly through c.x0
-    og = objective_gradients(tape)
-    assert np.array_equal(og.grad_c, [0.4, 0.7])
     assert np.array_equal(res.x, [0.4, 0.7])
-
-
-def test_zero_length_objective_gradient_with_potentials():
-    # the objective is the LP's own c.x, whatever its working cost
-    lp = StandardFormLP(np.array([[1.0, 1.0]]), np.array([1.0]),
-                        np.array([1.0, -1.0]), np.array([-2.0]))
-    _, tape = solve_with_tape(lp, SolverConfig(max_iters=0),
-                              x0=np.array([0.3, 0.6]))
-    og = objective_gradients(tape)
-    assert np.array_equal(og.grad_c, [0.3, 0.6])
-    assert not og.grad_A.any() and not og.grad_b.any()
 
 
 def test_assigning_the_lp_after_a_tape_leaves_the_tape_alone():
@@ -232,11 +217,11 @@ def test_assigning_the_lp_after_a_tape_leaves_the_tape_alone():
     lp = toy_lp()
     _, tape = solve_with_tape(lp, SolverConfig(max_iters=20))
     assert tape.prep.source is lp
-    before = objective_gradients(tape)
+    before = backward(tape, lp.c)
     with pytest.raises(FrozenInstanceError):
         lp.A = [[2.0, 1.0]]
     solve(replace(lp, A=[[2.0, 1.0]], b=[3.0], c=[3.0, 1.0]), tape.cfg)
-    after = objective_gradients(tape)
+    after = backward(tape, lp.c)
     for name in ("grad_c", "grad_A", "grad_b"):
         assert np.array_equal(getattr(before, name), getattr(after, name))
 
@@ -389,7 +374,7 @@ def test_step_equals_the_update_with_sign_and_blend_applied(name, h, request):
     # _evaluate's residual and the iterate, the LP's own
     for det, rec in zip(tape.steps, res.trace, strict=True):
         assert rec.residual == linalg._norm(op.A @ det.x_new - lp.b)
-    assert np.array_equal(res.x, tape.x_final)
+    assert np.array_equal(res.x, tape.steps[-1].x_new)
 
 
 @pytest.mark.parametrize("name, h", SKIP_CASES)
@@ -414,13 +399,13 @@ def test_jvp_equals_the_tangent_with_sign_and_blend_applied(name, h, request):
 def test_an_unflipped_result_does_not_alias_the_tape(matching_5x50, max_iters):
     # the result's x is the tape's last iterate, which it copies
     res, tape = solve_with_tape(matching_5x50, SolverConfig(max_iters=max_iters, seed=2))
-    held = [tape.x0, tape.x_final] + [getattr(det, name) for det in tape.steps
-                                      for name in ("x_prev", "p", "u", "x_new", "clamp_mask")]
+    held = [getattr(det, name) for det in tape.steps
+            for name in ("x_prev", "p", "u", "x_new", "clamp_mask")]
     assert not any(np.shares_memory(res.x, a) for a in held)
     g = np.random.default_rng(3).standard_normal(matching_5x50.n)
-    before = objective_gradients(tape), backward(tape, g)
+    before = backward(tape, matching_5x50.c), backward(tape, g)
     res.x[:] = -1.0
-    after = objective_gradients(tape), backward(tape, g)
+    after = backward(tape, matching_5x50.c), backward(tape, g)
     for b, a in zip(before, after):
         for name in ("grad_c", "grad_A", "grad_b"):
             assert np.array_equal(getattr(b, name), getattr(a, name))
@@ -739,9 +724,9 @@ def test_cost_learning_builds_no_grad_A(monkeypatch, capsys):
     capsys.readouterr()
     assert len(calls) == 2 and builds == []
 
-    _, tape = solve_with_tape(matching_lp(np.random.default_rng(1), 3, 5),
-                              SolverConfig(max_iters=5))
-    grads = objective_gradients(tape)
+    lp = matching_lp(np.random.default_rng(1), 3, 5)
+    _, tape = solve_with_tape(lp, SolverConfig(max_iters=5))
+    grads = backward(tape, lp.c)
     solves = [count_calls(monkeypatch, owner, "spd_solve") for owner in (autodiff, linalg)]
     first = grads.grad_A
     assert grads.grad_A is first
@@ -773,9 +758,9 @@ def test_a_failed_grad_A_build_leaves_the_next_read_correct(monkeypatch):
 
 
 def test_lp_gradients_stay_a_dataclass_of_three_arrays():
-    _, tape = solve_with_tape(matching_lp(np.random.default_rng(1), 3, 5),
-                              SolverConfig(max_iters=5))
-    grads = objective_gradients(tape)
+    lp = matching_lp(np.random.default_rng(1), 3, 5)
+    _, tape = solve_with_tape(lp, SolverConfig(max_iters=5))
+    grads = backward(tape, lp.c)
     assert [f.name for f in fields(grads)] == ["grad_c", "grad_A", "grad_b"]
     assert LpGradients.__match_args__ == ("grad_c", "grad_A", "grad_b")
     assert all(isinstance(v, np.ndarray) for v in asdict(grads).values())
@@ -844,8 +829,9 @@ def _survey_lp(route, seed):
 
 def _jvp_fd_gap(lp, cfg, eta, seed):
     """The tape of lp, and the relative gap between jvp and central
-    differences of x_final along a random (dc, dA) with b fixed: dA on
-    the nonzeros of A, dc zero where the cost was raised to gamma."""
+    differences of the final iterate along a random (dc, dA) with b
+    fixed: dA on the nonzeros of A, dc zero where the cost was raised
+    to gamma."""
     _, tape = solve_with_tape(lp, cfg)
     rng = np.random.default_rng(1000 + seed)
     dc = np.where(tape.prep.zero_mask, 0.0, rng.normal(size=lp.n))

@@ -163,20 +163,6 @@ def test_match_bench_csv_rows(tmp_path, capsys):
     assert len(lines) == 1 + 5 * 2
 
 
-def test_match_bench_x_only_block(tmp_path, capsys):
-    full = tmp_path / "full.json"
-    xonly = tmp_path / "xonly.json"
-    run(capsys, BENCH_ARGS + ["--out", str(full)])
-    rc, _, _ = run(capsys, BENCH_ARGS + ["--error-block", "x-only", "--out",
-                                         str(xonly)])
-    assert rc == 0
-    a = json.loads(full.read_text())["records"]
-    b = json.loads(xonly.read_text())["records"]
-    # same trials, different metric support
-    assert [r["seed"] for r in a] == [r["seed"] for r in b]
-    assert any(ra["error"] != rb["error"] for ra, rb in zip(a, b))
-
-
 def test_match_bench_rejects_n_above_m(capsys):
     rc, _, err = run(capsys, ["match-bench", "--n", "3", "--m", "2",
                               "--trials", "1"])
@@ -415,7 +401,8 @@ def test_shortest_path_node_outside_the_graph_is_input_error(sink, tmp_path, cap
     ["solve"],
     ["learn-cost", "--target", "1,1"],
     ["solve", "--lp", "lp.json", "--iters", "abc"],
-    ["match-bench", "--error-block", "none"],
+    # the error block was always the full vector; the flag is gone
+    ["match-bench", "--error-block", "full"],
     ["no-such-command"],
     [],
     # the clamp floor and the zero-cost value are constants, not flags
@@ -502,6 +489,15 @@ def test_unwritable_output_is_input_error(argv, tmp_path, capsys):
     ["svm-demo", "--sigma", "inf"],
     ["svm-demo", "--sigma", "1e-300"],
     ["svm-demo", "--sigma", "1e200"],
+    # once exit 2 or 3, LINSOLVE_FAILURE among them, after overflow
+    # warnings: a c, an A or squared distances that overflow
+    ["svm-demo", "--c-reg", "1e308"],
+    ["svm-demo", "--sep", "1e160"],
+    ["svm-demo", "--kernel", "linear", "--sep", "1e200"],
+    ["svm-demo", "--big-m", "1e300"],
+    ["svm-demo", "--big-m", "1e160"],
+    ["svm-demo", "--kernel", "linear", "--sep", "1e100"],
+    ["solve", "--lp", "HUGE_A"],
 ])
 def test_non_positive_size_or_weight_is_input_error(argv, tmp_path, capsys):
     # rejected by the command or, for svm-demo, by the builder that
@@ -510,7 +506,9 @@ def test_non_positive_size_or_weight_is_input_error(argv, tmp_path, capsys):
 
 
 def assert_input_error(argv, tmp_path, capsys):
-    files = {"LP": write_toy_lp(tmp_path / "toy.json"),
+    huge_a = tmp_path / "huge.json"
+    huge_a.write_text(json.dumps({"A": [[1e200, 1]], "b": [1], "c": [1, 2]}))
+    files = {"LP": write_toy_lp(tmp_path / "toy.json"), "HUGE_A": str(huge_a),
              "GRAPH": write_graph(tmp_path / "g.json", 2, [[0, 1, 1.0]]),
              "MISSING": str(tmp_path / "no-such-dir" / "out")}
     rc, _, err = run(capsys, [files.get(a, a) for a in argv])

@@ -1,4 +1,5 @@
-"""Reference solvers: Hungarian, vertex enumeration, Dijkstra."""
+"""Reference solvers: Hungarian, Dijkstra, and the tests' vertex
+enumeration."""
 
 import os
 import subprocess
@@ -10,13 +11,13 @@ import numpy as np
 import pytest
 
 from physlp import StandardFormLP
-from physlp.errors import (DimensionMismatch, InfeasibleDetected,
-                           NonFiniteEntry, TooLarge, Unreachable)
-from physlp.oracles import dijkstra, enumerate_vertices, hungarian
+from physlp.errors import DimensionMismatch, NonFiniteEntry, Unreachable
+from physlp.oracles import dijkstra, hungarian
 from physlp.problems import (Graph, MatchingInstance, build_matching_lp,
                              build_shortest_path_lp)
 
 from .conftest import random_bounded_lp
+from .vertex_oracle import InfeasibleDetected, TooLarge, enumerate_vertices
 
 
 # ----------------------------------------------------------- hungarian

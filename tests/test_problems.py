@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from physlp import (SolverConfig, StandardFormLP, backward, feasibility_residual, jvp,
+from physlp import (SolverConfig, StandardFormLP, backward, jvp,
                     linalg, prepare_lp, problems, solve, solve_with_tape)
 from physlp.cli import main
 from physlp.errors import DimensionMismatch, NonFiniteEntry, Unreachable
-from physlp.oracles import dijkstra, enumerate_vertices, hungarian
+from physlp.oracles import dijkstra, hungarian
 from physlp.problems import (GaussianKernel, Graph, LinearKernel,
                              MatchingInstance, SvmInstance,
                              assignment_to_vector, build_l1svm_lp,
@@ -22,6 +22,7 @@ from physlp.problems import (GaussianKernel, Graph, LinearKernel,
 
 from .conftest import (matching_feasible_point, random_bounded_lp, rerun,
                        svm_feasible_point)
+from .vertex_oracle import enumerate_vertices
 
 
 # ------------------------------------------------------------ matching
@@ -227,7 +228,7 @@ def test_one_matching_shape_builds_its_gram_pattern_once(monkeypatch):
 def test_matching_feasible_witness():
     for n, m in ((1, 1), (2, 3), (5, 50)):
         lp = build_matching_lp(MatchingInstance(np.ones((n, m))))
-        assert feasibility_residual(lp, matching_feasible_point(n, m)) <= 1e-9
+        assert np.linalg.norm(lp.A @ matching_feasible_point(n, m) - lp.b) <= 1e-9
 
 
 def test_matching_one_by_one_solves_exactly():
@@ -361,7 +362,7 @@ def test_svm_feasible_witness():
     for n_per in (1, 5):
         pts, lab = two_gaussian_blobs(n_per, 3, 1.0, np.random.default_rng(1))
         lp = build_l1svm_lp(SvmInstance(pts, lab))
-        assert feasibility_residual(lp, svm_feasible_point(2 * n_per)) <= 1e-10
+        assert np.linalg.norm(lp.A @ svm_feasible_point(2 * n_per) - lp.b) <= 1e-10
 
 
 def test_svm_input_validation():
@@ -446,10 +447,12 @@ def test_two_gaussian_blobs_shape_and_centers():
 
 @pytest.mark.parametrize("n_per_class, dim, sep", [(10, 0, 2.0), (0, 4, 2.0),
                                                    (10, 4, float("nan")), (10, 4, float("inf")),
-                                                   (10, 4, float("-inf"))])
+                                                   (10, 4, float("-inf")), (10, 4, 1e160),
+                                                   (10, 4, -1e200)])
 def test_two_gaussian_blobs_refuses_empty_or_non_finite_settings(n_per_class, dim, sep):
-    # dim 0 once divided by zero, n_per_class 0 gave empty arrays and a
-    # non-finite sep non-finite points
+    # dim 0 once divided by zero, n_per_class 0 gave empty arrays, a
+    # non-finite sep non-finite points, and a sep whose square is not
+    # finite a kernel matrix that overflowed
     with pytest.raises(ValueError):
         two_gaussian_blobs(n_per_class, dim, sep, np.random.default_rng(0))
 
@@ -564,7 +567,7 @@ def test_random_bounded_lp_witness():
     rng = np.random.default_rng(40)
     for _ in range(10):
         lp, x_feas = random_bounded_lp(rng, 3, 7)
-        assert feasibility_residual(lp, x_feas) <= 1e-12
+        assert np.linalg.norm(lp.A @ x_feas - lp.b) <= 1e-12
         assert (lp.A.toarray() > 0).all() and (lp.c > 0).all() and (x_feas > 0).all()
     with pytest.raises(DimensionMismatch):
         random_bounded_lp(rng, 4, 4)
