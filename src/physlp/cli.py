@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Subcommands: solve an LP file, run the matching benchmark, run the
-two-blob SVM demo, learn a matching cost by gradient descent, and
-solve a shortest-path instance against Dijkstra.
+Subcommands: solve an LP file, run the matching benchmark (its trials
+in one loop in this process, in trial order), run the two-blob SVM
+demo, learn a matching cost by gradient descent, and solve a
+shortest-path instance against Dijkstra.
 
 Exit codes: 0 success, 1 input/output error, 2 solver error,
 3 finished but below the command's quality threshold.
@@ -18,13 +19,11 @@ import json
 import math
 import sys
 import time
-from multiprocessing import Pool
 
 import numpy as np
 
 from .core import SolverConfig, SolveStatus, load_lp
-from .errors import (DimensionMismatch, InvalidConfig, NegativeCost, NonFiniteEntry, PhyslpError,
-                     Unreachable)
+from .errors import DimensionMismatch, InvalidConfig, NegativeCost, NonFiniteEntry, PhyslpError
 from .autodiff import backward, solve_with_tape
 from .problems import (GaussianKernel, Graph, LinearKernel, MatchingInstance,
                        SvmInstance, assignment_to_vector, build_l1svm_lp,
@@ -77,13 +76,12 @@ def cmd_solve(args):
 
 # ---------------------------------------------------------- match-bench
 
-def _match_trial(payload):
+def _match_trial(index, seed_seq, n, m, budgets, cfg):
     """One trial: the error of the forward loop's iterate at each
     budget k, the x of solve(lp, cfg with max_iters=k, early_stop=False);
     time_sec includes the evaluation that loop makes after each step."""
     from .oracles import hungarian
 
-    index, seed_seq, n, m, budgets, cfg = payload
     rng = np.random.default_rng(seed_seq)
     C = rng.uniform(size=(n, m))
     solver_seed = int(rng.integers(2 ** 63))
@@ -112,23 +110,14 @@ def cmd_match_bench(args):
         return _fail(f"need n <= m, got n={args.n} m={args.m}", EXIT_IO)
     if args.trials < 1:
         return _fail(f"--trials must be at least 1, got {args.trials}", EXIT_IO)
-    if args.jobs < 1:
-        return _fail(f"--jobs must be at least 1, got {args.jobs}", EXIT_IO)
     budgets = sorted(set(args.iters))
     if budgets[0] < 1:
         return _fail(f"every --iters budget must be at least 1, got {budgets[0]}", EXIT_IO)
     cfg = SolverConfig(max_iters=budgets[-1], step_size=args.step)
     children = np.random.SeedSequence(args.seed).spawn(args.trials)
-    payloads = [(i, ss, args.n, args.m, budgets, cfg) for i, ss in enumerate(children)]
-    jobs = min(args.jobs, args.trials)
-    if jobs > 1:
-        with Pool(jobs) as pool:
-            per_trial = pool.map(_match_trial, payloads)
-    else:
-        per_trial = [_match_trial(p) for p in payloads]
-    # in trial order, each trial's budgets ascending: pool.map keeps
-    # the order of its payloads
-    records = [rec for trial in per_trial for rec in trial]
+    # in trial order, each trial's budgets ascending
+    records = [rec for i, seed_seq in enumerate(children)
+               for rec in _match_trial(i, seed_seq, args.n, args.m, budgets, cfg)]
 
     aggregates = []
     for k in budgets:
@@ -308,7 +297,6 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="report JSON file")
     p.add_argument("--csv", default=None, help="also write flat CSV rows")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_match_bench)
 
     p = sub.add_parser("svm-demo", help="two-Gaussian-blob SVM demo")
@@ -370,8 +358,6 @@ def main(argv=None):
         return args.func(args)
     except OSError as exc:  # an --out or --csv file that cannot be written
         return _fail(exc, EXIT_IO)
-    except Unreachable as exc:
-        return _fail(exc, EXIT_SOLVER)
     except (InvalidConfig, NegativeCost) as exc:  # faults of the input, as a bad LP field
         return _fail(exc, EXIT_IO)
     except PhyslpError as exc:

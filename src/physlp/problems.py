@@ -3,10 +3,11 @@
 Three families are covered: bipartite matching with per-column slacks,
 an L1-regularized kernel SVM written as a feasibility-slack LP, and
 single-pair shortest path on a directed graph.  Builders are pure
-functions from instance data to StandardFormLP; decoders map a solved
-vector back to the combinatorial object.  Instances live in memory;
-the one file format here is the graph file that physlp shortest-path
-reads (Graph.to_dict and Graph.from_dict).
+functions from instance data to StandardFormLP and import nothing of
+the solver: a caller solves the LP with physlp.solve and hands its x
+to a decoder, which maps it back to the combinatorial object.
+Instances live in memory; the one file format here is the graph file
+that physlp shortest-path reads (Graph.to_dict and Graph.from_dict).
 
 The constraint matrix of an assignment LP depends only on its shape
 (n, m), so build_matching_lp takes its WeightedOperator, with the Gram
@@ -32,10 +33,9 @@ import numpy as np
 import scipy.sparse
 
 # validate stays imported unused: the benchmark's traced run wraps it here
-from .core import A_MAX, SolverConfig, StandardFormLP, validate  # noqa: F401
+from .core import A_MAX, StandardFormLP, validate  # noqa: F401
 from .errors import DimensionMismatch, NonFiniteEntry, Unreachable
 from .linalg import WeightedOperator
-from .solver import solve
 
 # Assignment shapes (n, m) whose operator build_matching_lp keeps.
 MATCHING_CACHE_SHAPES = 8
@@ -72,9 +72,13 @@ class GaussianKernel:
     def gram(self, X, Y):
         X = np.asarray(X, dtype=np.float64)
         Y = np.asarray(Y, dtype=np.float64)
-        sq = (np.sum(X ** 2, axis=1)[:, None] + np.sum(Y ** 2, axis=1)[None, :]
-              - 2.0 * X @ Y.T)
-        return np.exp(-np.maximum(sq, 0.0) / (2.0 * self.sigma * self.sigma))
+        # from the differences, not |x|^2 + |y|^2 - 2 x.y, which cancels
+        # for points far from the origin; a far pair's square, or its
+        # quotient by a tiny 2 sigma^2, overflows to inf, and exp(-inf)
+        # = 0 is its kernel value
+        with np.errstate(over="ignore"):
+            sq = np.sum((X[:, None, :] - Y[None, :, :]) ** 2, axis=2)
+            return np.exp(-sq / (2.0 * self.sigma * self.sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -335,15 +339,6 @@ def decode_svm(x, inst):
     alpha = x[off["a1"]:off["a1"] + n] - x[off["a2"]:off["a2"] + n]
     bias = float(x[off["b1"]] - x[off["b2"]])
     return SvmClassifier(alpha, bias, inst.points, inst.labels, inst.kernel)
-
-
-def fit_svm(inst, cfg=None):
-    """Solve the instance LP and decode; returns (classifier, result)."""
-    if cfg is None:
-        cfg = SolverConfig(max_iters=300)
-    lp = build_l1svm_lp(inst)
-    result = solve(lp, cfg)
-    return decode_svm(result.x, inst), result
 
 
 def two_gaussian_blobs(n_per_class, dim, sep, rng):

@@ -70,6 +70,26 @@ def test_the_guard_sees_an_unused_import(tmp_path):
     assert unused_imports(probe) == {"math", "cwd"}
 
 
+def imported_modules(path):
+    """The last dotted part of the name of each module that the module
+    at path imports or imports from: solver for from .solver import x,
+    from . import solver and import physlp.solver."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found |= {a.name.rpartition(".")[2] for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            found |= ({node.module.rpartition(".")[2]} if node.module
+                      else {a.name for a in node.names})
+    return found
+
+
+def test_the_builders_import_nothing_of_the_solver():
+    # pure functions from instance data to StandardFormLP: a caller
+    # solves the LP and hands its x to a decoder
+    assert imported_modules(SRC / "problems.py").isdisjoint({"solver", "autodiff", "cli"})
+
+
 def exports(node):
     """Whether node assigns the export list __all__."""
     return isinstance(node, ast.Assign) and any(

@@ -16,7 +16,7 @@ from physlp.problems import (GaussianKernel, Graph, LinearKernel,
                              MatchingInstance, SvmInstance,
                              assignment_to_vector, build_l1svm_lp,
                              build_matching_lp, build_shortest_path_lp,
-                             decode_matching, decode_svm, fit_svm,
+                             decode_matching, decode_svm,
                              matching_cost_gradient, matching_slack_gamma,
                              split_matching_vars, two_gaussian_blobs)
 
@@ -295,6 +295,16 @@ def test_kernel_values():
     assert np.allclose(g, g.T)
 
 
+def test_gaussian_kernel_far_from_the_origin_matches_the_differences():
+    # |x|^2 + |y|^2 - 2 x.y once cancelled here: the diagonal read 0.135
+    # and an entry was off by 0.91
+    X, _ = two_gaussian_blobs(10, 4, 1e8, np.random.default_rng(0))
+    g = GaussianKernel().gram(X, X)
+    assert np.array_equal(np.diag(g), np.ones(20))
+    sq = np.array([[np.sum((x - y) ** 2) for y in X] for x in X])
+    assert np.abs(g - np.exp(-sq / 2.0)).max() <= 1e-15
+
+
 @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan"), float("inf"), float("-inf"),
                                    1e-300, 1e200])
 def test_gaussian_sigma_must_give_a_positive_finite_width(sigma):
@@ -411,7 +421,9 @@ def test_two_point_solver_separates_when_slack_costs_more():
     # favor and the dynamics land on it
     pts = np.array([[1.0, 0.0], [-1.0, 0.0]])
     lab = np.array([1.0, -1.0])
-    clf, res = fit_svm(SvmInstance(pts, lab, LinearKernel(), c_reg=2.0))
+    inst = SvmInstance(pts, lab, LinearKernel(), c_reg=2.0)
+    res = solve(build_l1svm_lp(inst), SolverConfig(max_iters=300))
+    clf = decode_svm(res.x, inst)
     assert res.objective == pytest.approx(2.0, abs=1e-4)
     d = clf.decision(pts)
     assert d[0] == pytest.approx(1.0, abs=1e-3)
