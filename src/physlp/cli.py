@@ -5,8 +5,9 @@ in one loop in this process, in trial order), run the two-blob SVM
 demo, learn a matching cost by gradient descent, and solve a
 shortest-path instance against Dijkstra.
 
-Exit codes: 0 success, 1 input/output error, 2 solver error,
-3 finished but below the command's quality threshold.
+Exit codes, which main alone gives a fault: 0 success, 1 an OSError or
+errors.InputError, 2 any other PhyslpError (a solver error), 3 finished
+but below the command's quality threshold.
 
 All reports are JSON with sorted keys, so identical flags and seed
 give identical bytes; wall-clock fields in the benchmark report are
@@ -23,7 +24,7 @@ import time
 import numpy as np
 
 from .core import SolverConfig, SolveStatus, load_lp
-from .errors import DimensionMismatch, InvalidConfig, NegativeCost, NonFiniteEntry, PhyslpError
+from .errors import InputError, PhyslpError
 from .autodiff import backward, solve_with_tape
 from .problems import (GaussianKernel, Graph, LinearKernel, MatchingInstance,
                        SvmInstance, assignment_to_vector, build_l1svm_lp,
@@ -57,7 +58,7 @@ def _fail(message, code):
 def cmd_solve(args):
     try:
         lp = load_lp(args.lp)
-    except (OSError, ValueError, KeyError, TypeError, PhyslpError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         return _fail(exc, EXIT_IO)
     cfg = SolverConfig(max_iters=args.iters, step_size=args.step, seed=args.seed)
     result = solve(lp, cfg)
@@ -151,15 +152,11 @@ def cmd_match_bench(args):
 
 def cmd_svm_demo(args):
     rng = np.random.default_rng(args.seed)
-    try:
-        points, labels = two_gaussian_blobs(args.n_per_class, args.dim, args.sep, rng)
-        kernel = LinearKernel() if args.kernel == "linear" else GaussianKernel(args.sigma)
-        inst = SvmInstance(points, labels, kernel, c_reg=args.c_reg, big_m=args.big_m)
-        lp = build_l1svm_lp(inst)
-    except (ValueError, NonFiniteEntry) as exc:
-        # a size, sep, sigma, c_reg or big_m out of range, or one that
-        # overflows the LP's data
-        return _fail(exc, EXIT_IO)
+    # the builders refuse a setting out of range or overflowing the LP
+    points, labels = two_gaussian_blobs(args.n_per_class, args.dim, args.sep, rng)
+    kernel = LinearKernel() if args.kernel == "linear" else GaussianKernel(args.sigma)
+    inst = SvmInstance(points, labels, kernel, c_reg=args.c_reg, big_m=args.big_m)
+    lp = build_l1svm_lp(inst)
     result = solve(lp, SolverConfig(max_iters=args.iters, seed=args.seed))
     clf = decode_svm(result.x, inst)
     accuracy = float(np.mean(clf.predict(points) == labels))
@@ -248,14 +245,10 @@ def cmd_shortest_path(args):
     try:
         with open(args.graph) as fh:
             graph = Graph.from_dict(json.load(fh))
-    except (OSError, ValueError, KeyError, TypeError, PhyslpError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         return _fail(exc, EXIT_IO)
-    try:
-        path, length = dijkstra(graph, args.source, args.sink)
-        lp = build_shortest_path_lp(graph, args.source, args.sink)
-    except (ValueError, DimensionMismatch) as exc:
-        # source == sink, a node outside the graph, a bad arc weight
-        return _fail(exc, EXIT_IO)
+    path, length = dijkstra(graph, args.source, args.sink)
+    lp = build_shortest_path_lp(graph, args.source, args.sink)
     result = solve(lp, SolverConfig(max_iters=args.iters, seed=args.seed))
     gap = abs(result.objective - length) / (1.0 + length)
     report = {
@@ -356,9 +349,7 @@ def main(argv=None):
         return _fail(f"--seed must be at least 0, got {args.seed}", EXIT_IO)
     try:
         return args.func(args)
-    except OSError as exc:  # an --out or --csv file that cannot be written
-        return _fail(exc, EXIT_IO)
-    except (InvalidConfig, NegativeCost) as exc:  # faults of the input, as a bad LP field
+    except (OSError, InputError) as exc:  # an unwritable --out or --csv, a fault of the input
         return _fail(exc, EXIT_IO)
     except PhyslpError as exc:
         return _fail(exc, EXIT_SOLVER)

@@ -1,28 +1,33 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library.  InputError, a ValueError,
+and its five subclasses are the caller's faults; the others are not."""
 
 
 class PhyslpError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class InvalidConfig(PhyslpError, ValueError):
+class InputError(PhyslpError, ValueError):
+    """The caller's input is out of the range that the function accepts."""
+
+
+class InvalidConfig(InputError):
     """A SolverConfig field is out of its range."""
 
 
-class DimensionMismatch(PhyslpError):
+class DimensionMismatch(InputError):
     """Array shapes are inconsistent with the problem dimensions."""
 
 
-class NonFiniteEntry(PhyslpError):
+class NonFiniteEntry(InputError):
     """An input array contains NaN or infinity, or an LP's A an entry
     whose square overflows."""
 
 
-class NegativeCost(PhyslpError):
+class NegativeCost(InputError):
     """The working cost c - A^T potentials has a negative entry."""
 
 
-class NonPositiveInit(PhyslpError):
+class NonPositiveInit(InputError):
     """Initial iterate must be strictly positive."""
 
 
@@ -36,4 +41,3 @@ class LinSolveFailure(PhyslpError):
 
 class Unreachable(PhyslpError):
     """Sink cannot be reached from the source."""
-

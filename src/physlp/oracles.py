@@ -3,10 +3,11 @@ check the dynamics against.
 
 None of these share code with the dynamics: assignments come from the
 exact Hungarian method and path lengths from Dijkstra.  They exist to
-check the iterative solver, so keep them boring and exact.  The
-brute-force vertex enumeration that the tests check small LPs against
-is not here: only the tests use it, and it lives in
-tests/vertex_oracle.py.
+check the iterative solver, so keep them boring and exact.  Each
+refuses its input with its builder's check (problems._check_costs and
+_check_graph).  The brute-force vertex enumeration that the tests
+check small LPs against is not here: only the tests use it, and it
+lives in tests/vertex_oracle.py.
 """
 
 import heapq
@@ -14,20 +15,14 @@ import heapq
 import numpy as np
 import scipy.optimize
 
-from .errors import DimensionMismatch, NonFiniteEntry, Unreachable
-from .problems import Assignment, _check_graph
+from .errors import Unreachable
+from .problems import Assignment, _check_costs, _check_graph
 
 
 def hungarian(C):
-    """Exact minimum-cost assignment of n rows to m >= n columns."""
+    """Exact minimum-cost assignment of n >= 1 rows to m >= n columns."""
     C = np.asarray(C, dtype=np.float64)
-    if C.ndim != 2:
-        raise DimensionMismatch(f"C must be 2-D, got ndim={C.ndim}")
-    n, m = C.shape
-    if n > m:
-        raise DimensionMismatch(f"need n <= m, got shape {C.shape}")
-    if not np.all(np.isfinite(C)):
-        raise NonFiniteEntry("C contains a non-finite entry")
+    n, _ = _check_costs(C)
     rows, cols = scipy.optimize.linear_sum_assignment(C)
     mapping = np.empty(n, dtype=np.int64)
     mapping[rows] = cols

@@ -18,10 +18,11 @@ one operator and its read-only CSR A, and no solve rebuilds it.  The
 cache holds about 1 MB per 50x100 shape and 4 MB per 100x200 shape.
 Every builder makes A as CSR, with no m-by-n array.
 
-Each setting is checked once, where it is read, and raises ValueError
+Each setting is checked once, where it is read, and raises InputError
 out of range: the Gaussian kernel's sigma when the kernel is built,
 the blob generator's sizes and separation, the SVM LP's c_reg and
-big_m in build_l1svm_lp, and the arc weights of a shortest-path graph.
+big_m in build_l1svm_lp.  A graph and a cost matrix are checked by
+_check_graph and _check_costs, which the oracles share.
 """
 
 import math
@@ -34,7 +35,7 @@ import scipy.sparse
 
 # validate stays imported unused: the benchmark's traced run wraps it here
 from .core import A_MAX, StandardFormLP, validate  # noqa: F401
-from .errors import DimensionMismatch, NonFiniteEntry, Unreachable
+from .errors import DimensionMismatch, InputError, NonFiniteEntry, Unreachable
 from .linalg import WeightedOperator
 
 # Assignment shapes (n, m) whose operator build_matching_lp keeps.
@@ -57,7 +58,7 @@ class GaussianKernel:
     """K(x, y) = exp(-||x - y||^2 / (2 sigma^2))
 
     sigma must be positive with 2 sigma^2 positive and finite, or the
-    kernel raises ValueError when it is built: at 1e-300 the square
+    kernel raises InputError when it is built: at 1e-300 the square
     underflows to 0, at 1e200 it overflows, and at inf every entry is 1.
     """
 
@@ -66,7 +67,7 @@ class GaussianKernel:
     def __post_init__(self):
         # sigma * sigma, as sigma ** 2 raises OverflowError at 1e200
         if not (self.sigma > 0.0 and 0.0 < 2.0 * self.sigma * self.sigma < math.inf):
-            raise ValueError(f"sigma must be positive with 2 sigma^2 positive and finite, "
+            raise InputError(f"sigma must be positive with 2 sigma^2 positive and finite, "
                              f"got {self.sigma}")
 
     def gram(self, X, Y):
@@ -131,13 +132,7 @@ def build_matching_lp(inst):
     no potentials are set.
     """
     C = inst.C
-    if C.ndim != 2:
-        raise DimensionMismatch(f"C must be 2-D, got ndim={C.ndim}")
-    n, m = C.shape
-    if n < 1 or m < n:
-        raise DimensionMismatch(f"need 1 <= n <= m, got C shape {C.shape}")
-    if not np.all(np.isfinite(C)):
-        raise NonFiniteEntry("C contains a non-finite entry")
+    n, m = _check_costs(C)
     gamma = matching_slack_gamma(m) if inst.gamma is None else float(inst.gamma)
 
     c = np.concatenate([C.ravel(), np.full(m, gamma)])
@@ -148,6 +143,18 @@ def build_matching_lp(inst):
         potentials = np.concatenate((np.where(row_min < 0.0, row_min - delta, 0.0),
                                      np.full(m, gamma - delta if gamma < 0.0 else 0.0)))
     return StandardFormLP.from_operator(_matching_operator(n, m), np.ones(n + m), c, potentials)
+
+
+def _check_costs(C):
+    """(n, m) of C, a finite float n-by-m cost matrix with 1 <= n <= m."""
+    if C.ndim != 2:
+        raise DimensionMismatch(f"C must be 2-D, got ndim={C.ndim}")
+    n, m = C.shape
+    if n < 1 or m < n:
+        raise DimensionMismatch(f"need 1 <= n <= m, got C shape {C.shape}")
+    if not np.all(np.isfinite(C)):
+        raise NonFiniteEntry("C contains a non-finite entry")
+    return n, m
 
 
 @lru_cache(maxsize=MATCHING_CACHE_SHAPES)
@@ -204,13 +211,11 @@ def decode_matching(x, n, m, C=None):
 
 
 def assignment_to_vector(mapping, n, m):
-    """Embed a one-to-one map as the 0/1 LP vector: X[i, map[i]] = 1,
-    slack 1 on every unmatched column."""
-    mapping = np.asarray(mapping, dtype=np.int64)
-    if mapping.shape != (n,):
-        raise DimensionMismatch(f"map has shape {mapping.shape}, expected ({n},)")
-    if len(np.unique(mapping)) != n:
-        raise DimensionMismatch("map entries must be distinct")
+    """Embed a map of n distinct columns in [0, m) as the 0/1 LP vector:
+    X[i, map[i]] = 1, slack 1 on every unmatched column."""
+    mapping = Assignment(mapping).map  # refuses a repeated entry
+    if mapping.shape != (n,) or not np.all((0 <= mapping) & (mapping < m)):
+        raise DimensionMismatch(f"map must hold {n} columns in [0, {m}), got {mapping}")
     X = np.zeros((n, m))
     X[np.arange(n), mapping] = 1.0
     s = 1.0 - X.sum(axis=0)
@@ -273,7 +278,7 @@ def build_l1svm_lp(inst):
     giving 9n + 2 variables and 4n equalities.
 
     Raises DimensionMismatch for points, labels or labels' values that
-    do not fit, ValueError unless c_reg and big_m are positive and
+    do not fit, InputError unless c_reg and big_m are positive and
     finite, and NonFiniteEntry when the kernel matrix has a non-finite
     entry.
     """
@@ -290,7 +295,7 @@ def build_l1svm_lp(inst):
         raise DimensionMismatch("labels must be -1 or +1")
     # the chained test also rejects NaN
     if not (0.0 < inst.c_reg < math.inf and 0.0 < inst.big_m < math.inf):
-        raise ValueError(f"c_reg and big_m must be positive and finite, "
+        raise InputError(f"c_reg and big_m must be positive and finite, "
                          f"got {inst.c_reg} and {inst.big_m}")
 
     G = inst.kernel.gram(X, X) * y[np.newaxis, :]
@@ -344,13 +349,13 @@ def decode_svm(x, inst):
 def two_gaussian_blobs(n_per_class, dim, sep, rng):
     """n_per_class points of each label, +1 then -1, drawn from
     isotropic unit Gaussians in dim dimensions centred at
-    +/- (sep / sqrt(dim)) * ones.  Raises ValueError unless n_per_class
+    +/- (sep / sqrt(dim)) * ones.  Raises InputError unless n_per_class
     and dim are at least 1 and sep * sep is finite, as it is for |sep|
     at most core.A_MAX, about 1.34e154: the kernels square distances of
     the order of sep."""
     # NaN fails the comparison too
     if n_per_class < 1 or dim < 1 or not abs(sep) <= A_MAX:
-        raise ValueError(f"need n_per_class >= 1, dim >= 1 and a sep whose square is finite, "
+        raise InputError(f"need n_per_class >= 1, dim >= 1 and a sep whose square is finite, "
                          f"got {n_per_class}, {dim} and {sep}")
     mu = (sep / math.sqrt(dim)) * np.ones(dim)
     plus = rng.normal(size=(n_per_class, dim)) + mu
@@ -387,7 +392,7 @@ def _check_graph(graph, source, sink):
         if not 0 <= t < N or not 0 <= h < N:
             raise DimensionMismatch(f"arc ({t}, {h}) references a node outside [0, {N})")
         if not math.isfinite(w) or w <= 0.0:
-            raise ValueError(f"arc ({t}, {h}) needs a positive finite weight, got {w}")
+            raise InputError(f"arc ({t}, {h}) needs a positive finite weight, got {w}")
 
 
 def _reachable(graph, source):
@@ -414,7 +419,7 @@ def build_shortest_path_lp(graph, source, sink):
     Costs are the arc weights.
     """
     if source == sink:
-        raise ValueError("source and sink must differ")
+        raise InputError("source and sink must differ")
     _check_graph(graph, source, sink)
     if sink not in _reachable(graph, source):
         raise Unreachable(f"node {sink} cannot be reached from node {source}")

@@ -9,8 +9,8 @@ import pytest
 import scipy.sparse
 
 import physlp
-from physlp import (SolverConfig, StandardFormLP, backward, linalg, load_lp, prepare_lp, problems,
-                    save_lp, solve, solve_with_tape, solver, validate)
+from physlp import (SolverConfig, StandardFormLP, backward, errors, linalg, load_lp, prepare_lp,
+                    problems, save_lp, solve, solve_with_tape, solver, validate)
 from physlp.errors import DimensionMismatch, InvalidConfig, NonFiniteEntry
 from physlp.linalg import WeightedOperator
 
@@ -345,6 +345,17 @@ def test_lp_file_roundtrip(tmp_path):
     back = load_lp(path)
     assert np.array_equal(back.A.toarray(), lp.A.toarray())
     assert np.array_equal(back.c, lp.c)
+
+
+def test_input_errors_are_value_errors_and_outcomes_are_not():
+    # a caller tells its own fault from the solver's by class alone
+    inputs = [errors.InvalidConfig, errors.DimensionMismatch, errors.NonFiniteEntry,
+              errors.NegativeCost, errors.NonPositiveInit]
+    for cls in inputs:
+        assert issubclass(cls, errors.InputError) and issubclass(cls, ValueError)
+    for cls in (errors.Breakdown, errors.LinSolveFailure, errors.Unreachable):
+        assert issubclass(cls, errors.PhyslpError)
+        assert not issubclass(cls, errors.InputError) and not issubclass(cls, ValueError)
 
 
 def test_every_public_name_resolves():

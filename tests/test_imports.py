@@ -1,8 +1,9 @@
 """Every module of the package, test module and demo uses each name it
 imports, every definition of the package is reached from outside the
-tests, every field of its classes is read there, and the package
-raises or catches every error class it defines; and tests/code_size.py
-counts only code lines, and the tests' too."""
+tests, every field of its classes is read there, the package raises
+or catches every error class it defines, and in cli.py only main
+catches one; and tests/code_size.py counts only code lines, and the
+tests' too."""
 
 import ast
 from pathlib import Path
@@ -217,6 +218,14 @@ def test_the_guard_sees_an_unread_field(tmp_path):
     assert unread_fields([lib], [user]) == {"lib.Report.spent", "lib.Report.kept"}
 
 
+def class_names(node):
+    """The class names in the exception expression node: X, errors.X,
+    or a tuple of them."""
+    found = node.elts if isinstance(node, ast.Tuple) else [node]
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in found
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
 def raised_or_caught(paths):
     """The names of the classes that the modules at paths raise or
     catch: X in raise X, raise X(...) and except X, or (X, Y), or
@@ -225,13 +234,9 @@ def raised_or_caught(paths):
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Raise) and node.exc is not None:
-                found = [node.exc.func if isinstance(node.exc, ast.Call) else node.exc]
+                names |= class_names(node.exc.func if isinstance(node.exc, ast.Call) else node.exc)
             elif isinstance(node, ast.ExceptHandler) and node.type is not None:
-                found = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
-            else:
-                continue
-            names |= {n.id if isinstance(n, ast.Name) else n.attr for n in found
-                      if isinstance(n, (ast.Name, ast.Attribute))}
+                names |= class_names(node.type)
     return names
 
 
@@ -256,6 +261,39 @@ def test_the_guard_sees_an_idle_error(tmp_path):
     idle = idle_errors([probe])
     assert {"Breakdown", "NonPositiveInit", "InvalidConfig", "PhyslpError"}.isdisjoint(idle)
     assert {"NegativeCost", "Unreachable"} <= idle
+
+
+def library_errors_caught(path, outside):
+    """The names of PhyslpError and its subclasses that an except clause
+    of the module at path names, outside the function named outside."""
+    library = {c.__name__ for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.PhyslpError)}
+    tree = ast.parse(path.read_text())
+    skipped = {id(n) for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == outside
+               for n in ast.walk(f)}
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type and id(node) not in skipped:
+            names |= class_names(node.type)
+    return names & library
+
+
+def test_only_cli_main_turns_a_library_error_into_an_exit_code():
+    # a command lets the library's errors pass, and main maps an
+    # InputError to exit 1 and any other PhyslpError to exit 2; the
+    # commands once kept their own lists of the input faults
+    assert library_errors_caught(SRC / "cli.py", outside="main") == set()
+
+
+def test_the_guard_sees_a_library_error_caught_outside_main(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("def cmd():\n    try:\n        pass\n"
+                     "    except (OSError, errors.Breakdown, ValueError):\n        pass\n\n"
+                     "def main():\n    try:\n        cmd()\n"
+                     "    except (OSError, InputError):\n        pass\n"
+                     "    except PhyslpError:\n        pass\n\n"
+                     "try:\n    main()\nexcept NegativeCost:\n    pass\n")
+    assert library_errors_caught(probe, outside="main") == {"Breakdown", "NegativeCost"}
 
 
 def test_code_size_counts_only_code_lines(tmp_path):

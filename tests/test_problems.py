@@ -10,7 +10,7 @@ import scipy.sparse
 from physlp import (SolverConfig, StandardFormLP, backward, jvp,
                     linalg, prepare_lp, problems, solve, solve_with_tape)
 from physlp.cli import main
-from physlp.errors import DimensionMismatch, NonFiniteEntry, Unreachable
+from physlp.errors import DimensionMismatch, InputError, NonFiniteEntry, Unreachable
 from physlp.oracles import dijkstra, hungarian
 from physlp.problems import (GaussianKernel, Graph, LinearKernel,
                              MatchingInstance, SvmInstance,
@@ -281,6 +281,11 @@ def test_assignment_vector_roundtrip():
     assert np.array_equal(decode_matching(vec, 2, 4).map, [1, 3])
     with pytest.raises(DimensionMismatch):
         assignment_to_vector([0, 0], 2, 4)  # duplicate task
+    # a task outside [0, m) once put agent 0 on column 4 (-1) or raised
+    # a raw IndexError (7)
+    for mapping in ([-1, 0], [0, 7]):
+        with pytest.raises(DimensionMismatch, match=r"in \[0, 5\)"):
+            assignment_to_vector(mapping, 2, 5)
 
 
 # ----------------------------------------------------------------- svm
@@ -549,6 +554,25 @@ def test_shortest_path_input_errors():
         build_shortest_path_lp(Graph(2, [(0, 1, -1.0)]), 0, 1)
     with pytest.raises(DimensionMismatch):
         build_shortest_path_lp(Graph(2, [(0, 7, 1.0)]), 0, 1)
+
+
+TWO_POINTS = (np.array([[1.0], [2.0]]), np.array([1.0, -1.0]))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: GaussianKernel(sigma=0.0),
+    lambda: build_l1svm_lp(SvmInstance(*TWO_POINTS, c_reg=0.0)),
+    lambda: build_l1svm_lp(SvmInstance(*TWO_POINTS, big_m=np.inf)),
+    lambda: two_gaussian_blobs(0, 2, 1.0, np.random.default_rng(0)),
+    lambda: two_gaussian_blobs(2, 2, np.nan, np.random.default_rng(0)),
+    lambda: build_shortest_path_lp(Graph(2, [(0, 1, 0.0)]), 0, 1),
+    lambda: build_shortest_path_lp(Graph(2, [(0, 1, 1.0)]), 1, 1),
+], ids=["sigma", "c_reg", "big_m", "blob_size", "sep", "arc_weight", "source_is_sink"])
+def test_a_builder_setting_out_of_range_is_an_input_error(build):
+    # the caller's fault, as physlp.cli.main reads it (exit 1); these
+    # once raised a bare ValueError
+    with pytest.raises(InputError):
+        build()
 
 
 @pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf, 0.0])
