@@ -51,12 +51,12 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
+import scipy.sparse
 from scipy.linalg.blas import daxpy, ddot
 
 # validate and spd_solve_adjoint stay imported unused: the benchmark's
 # traced run wraps them here
-from .core import SolverConfig, validate  # noqa: F401
-from .errors import DimensionMismatch, NonFiniteEntry
+from .core import SolverConfig, checked_array, validate  # noqa: F401
 from .linalg import spd_solve, spd_solve_adjoint  # noqa: F401
 from .solver import _solve_loop, solve
 
@@ -155,11 +155,13 @@ def backward(tape, grad_x):
     result's x and tape.steps[-1].x_new.  The initial iterate is
     treated as constant, so a zero-length tape yields zero gradients.
     The objective c.x also depends on c directly: its gradients are
-    backward(tape, lp.c) with x added to grad_c.  NonFiniteEntry is
-    raised for a grad_x with NaN or infinity, and Breakdown when an
-    adjoint solve misses its backward-error target even after PCG
-    refinement.  grad_c and grad_b are computed here; grad_A is built
-    when it is first read.
+    backward(tape, lp.c) with x added to grad_c.  grad_x passes
+    core.checked_array as an n-vector (DimensionMismatch,
+    NonFiniteEntry).  Breakdown is raised when an adjoint solve misses
+    its backward-error target even after PCG refinement.  The working
+    cost that c_hat ** 2 squares is at most core.A_MAX, which
+    solver.prepare_lp holds it to, so the square is finite.  grad_c and
+    grad_b are computed here; grad_A is built when it is first read.
     """
     prep = tape.prep
     op = prep.source.operator
@@ -167,12 +169,7 @@ def backward(tape, grad_x):
     c_sq = c_hat ** 2
     h = tape.cfg.step_size
     m, n = op.A.shape
-
-    g = np.asarray(grad_x, dtype=np.float64)
-    if g.shape != (n,):
-        raise DimensionMismatch(f"grad_x has shape {g.shape}, expected ({n},)")
-    if not np.isfinite(g).all():
-        raise NonFiniteEntry("grad_x contains a non-finite entry")
+    g = checked_array(grad_x, (n,), "grad_x")
 
     gc_hat = np.zeros(n)
     gb = np.zeros(m)
@@ -234,20 +231,19 @@ def jvp(tape, dc=None, dA=None, db=None):
     the recorded forward pass and returns dx of the final iterate x.
     The adjoint in backward is the transpose of this map, which the
     tests verify via dot products.  Without dA no m-by-n product is taken.
-    NonFiniteEntry is raised for a direction with NaN or infinity.
+    Each direction given passes core.checked_array in the LP's shape
+    (DimensionMismatch, NonFiniteEntry), under its own name; dA may be
+    dense or scipy.sparse, as lp.A is, and is made dense first.
     """
     prep = tape.prep
     op = prep.source.operator
     c_hat = prep.c
     h = tape.cfg.step_size
     m, n = op.A.shape
-    dc, db = (np.zeros(shape) if d is None else np.asarray(d, dtype=np.float64)
-              for d, shape in ((dc, (n,)), (db, (m,))))
-    dA = None if dA is None else np.asarray(dA, dtype=np.float64)
-    if dc.shape != (n,) or db.shape != (m,) or (dA is not None and dA.shape != (m, n)):
-        raise DimensionMismatch("direction shapes must match the LP")
-    if not all(np.isfinite(d).all() for d in (dc, dA, db) if d is not None):
-        raise NonFiniteEntry("a direction contains a non-finite entry")
+    dc = np.zeros(n) if dc is None else checked_array(dc, (n,), "dc")
+    db = np.zeros(m) if db is None else checked_array(db, (m,), "db")
+    if dA is not None:
+        dA = checked_array(dA.toarray() if scipy.sparse.issparse(dA) else dA, (m, n), "dA")
     dc_w = prep.tangent(dc, dA)
     # a default Tikhonov term moves by
     # d reg = s / m * sum_j (dw_j ||a_j||^2 + 2 w_j a_j . da_j)

@@ -26,6 +26,7 @@ import numpy as np
 from .core import SolverConfig, SolveStatus, load_lp
 from .errors import InputError, PhyslpError
 from .autodiff import backward, solve_with_tape
+from .oracles import dijkstra, hungarian
 from .problems import (GaussianKernel, Graph, LinearKernel, MatchingInstance,
                        SvmInstance, assignment_to_vector, build_l1svm_lp,
                        build_matching_lp, build_shortest_path_lp,
@@ -81,8 +82,6 @@ def _match_trial(index, seed_seq, n, m, budgets, cfg):
     """One trial: the error of the forward loop's iterate at each
     budget k, the x of solve(lp, cfg with max_iters=k, early_stop=False);
     time_sec includes the evaluation that loop makes after each step."""
-    from .oracles import hungarian
-
     rng = np.random.default_rng(seed_seq)
     C = rng.uniform(size=(n, m))
     solver_seed = int(rng.integers(2 ** 63))
@@ -240,8 +239,6 @@ def cmd_learn_cost(args):
 # -------------------------------------------------------- shortest-path
 
 def cmd_shortest_path(args):
-    from .oracles import dijkstra
-
     try:
         with open(args.graph) as fh:
             graph = Graph.from_dict(json.load(fh))

@@ -21,6 +21,12 @@ builds its own operator.  An LP keeps an A, b, c or potentials that is
 already read-only, as another LP's is, and copies anything else, so no
 later write by the caller reaches it.  save_lp writes an LP to a JSON
 file and load_lp reads one.
+
+checked_array is the one check of an array argument whose shape the
+function knows: validate, solver.initial_state, autodiff.backward and
+jvp, problems.build_l1svm_lp (its labels) and the decoders of problems
+pass each such array through it.  validate also holds every entry of an LP to A_MAX in
+magnitude, and solver.prepare_lp its working cost.
 """
 
 import json
@@ -124,34 +130,45 @@ class StandardFormLP:
 
 
 # Each entry of the Gram map Q (linalg.WeightedOperator) is a product
-# of two entries of one column of A, so an entry above this overflows Q
+# of two entries of one column of A, and backward squares the working
+# cost, so an entry above this of A, b, c, potentials or the working
+# cost overflows
 A_MAX = float(np.sqrt(np.finfo(np.float64).max))
+
+
+def checked_array(value, shape, name):
+    """value as a float64 array of the given shape with finite entries,
+    the one check of every array argument whose shape the function
+    knows; an array that is already so is returned itself, not copied.
+    Raises DimensionMismatch or NonFiniteEntry, whose message begins
+    with name, the argument's name."""
+    arr = np.asarray(value, dtype=np.float64)
+    if arr.shape != shape:
+        raise DimensionMismatch(f"{name} has shape {arr.shape}, expected {shape}")
+    if not np.isfinite(arr).all():
+        raise NonFiniteEntry(f"{name} contains a non-finite entry")
+    return arr
 
 
 def validate(lp):
     """Check that b, c and potentials, when set, fit the shape of A,
-    that b, c and potentials are finite, and that every entry of A.data
-    (every nonzero of the CSR A, NaN included) is finite and at most
-    A_MAX, about 1.34e154, in magnitude; returns the same instance
-    unchanged.  StandardFormLP calls it once, when built, after it has
-    checked the shape of A.
+    and that every entry of A.data (every nonzero of the CSR A), b, c
+    and potentials is finite and at most A_MAX, about 1.34e154, in
+    magnitude; returns the same instance unchanged.  StandardFormLP
+    calls it once, when built, after it has checked the shape of A.
 
     Raises DimensionMismatch or NonFiniteEntry.  Idempotent.
     """
     m, n = lp.A.shape
-    vectors = [(lp.b, "b", m), (lp.c, "c", n)]
+    arrays = {"A": lp.A.data, "b": checked_array(lp.b, (m,), "b"),
+              "c": checked_array(lp.c, (n,), "c")}
     if lp.potentials is not None:
-        vectors.append((lp.potentials, "potentials", m))
-    for arr, name, size in vectors:
-        if arr.shape != (size,):
-            raise DimensionMismatch(f"{name} has shape {arr.shape}, expected ({size},)")
-    # NaN fails the comparison too
-    if not np.all(np.abs(lp.A.data) <= A_MAX):
-        raise NonFiniteEntry(f"A contains a non-finite entry or one above {A_MAX:.4g},"
-                             " whose square overflows")
-    for arr, name, _ in vectors:
-        if not np.all(np.isfinite(arr)):
-            raise NonFiniteEntry(f"{name} contains a non-finite entry")
+        arrays["potentials"] = checked_array(lp.potentials, (m,), "potentials")
+    for name, arr in arrays.items():
+        # NaN fails the comparison too
+        if not np.all(np.abs(arr) <= A_MAX):
+            raise NonFiniteEntry(f"{name} contains a non-finite entry or one above "
+                                 f"{A_MAX:.4g} in magnitude, whose square overflows")
     return lp
 
 

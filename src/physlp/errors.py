@@ -19,8 +19,9 @@ class DimensionMismatch(InputError):
 
 
 class NonFiniteEntry(InputError):
-    """An input array contains NaN or infinity, or an LP's A an entry
-    whose square overflows."""
+    """An input array contains NaN or infinity, or an LP's A, b, c,
+    potentials or working cost an entry above core.A_MAX, whose square
+    overflows."""
 
 
 class NegativeCost(InputError):

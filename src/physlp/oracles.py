@@ -8,12 +8,15 @@ refuses its input with its builder's check (problems._check_costs and
 _check_graph).  The brute-force vertex enumeration that the tests
 check small LPs against is not here: only the tests use it, and it
 lives in tests/vertex_oracle.py.
+
+hungarian imports scipy.optimize, for linear_sum_assignment alone, on
+its first call: the module took about a third of the import time of
+physlp, whose import loads this module.
 """
 
 import heapq
 
 import numpy as np
-import scipy.optimize
 
 from .errors import Unreachable
 from .problems import Assignment, _check_costs, _check_graph
@@ -21,9 +24,11 @@ from .problems import Assignment, _check_costs, _check_graph
 
 def hungarian(C):
     """Exact minimum-cost assignment of n >= 1 rows to m >= n columns."""
+    from scipy.optimize import linear_sum_assignment
+
     C = np.asarray(C, dtype=np.float64)
     n, _ = _check_costs(C)
-    rows, cols = scipy.optimize.linear_sum_assignment(C)
+    rows, cols = linear_sum_assignment(C)
     mapping = np.empty(n, dtype=np.int64)
     mapping[rows] = cols
     return Assignment(mapping, float(C[rows, cols].sum()))

@@ -22,7 +22,10 @@ Each setting is checked once, where it is read, and raises InputError
 out of range: the Gaussian kernel's sigma when the kernel is built,
 the blob generator's sizes and separation, the SVM LP's c_reg and
 big_m in build_l1svm_lp.  A graph and a cost matrix are checked by
-_check_graph and _check_costs, which the oracles share.
+_check_graph and _check_costs, which the oracles share.  The SVM
+labels, the vectors that the decoders take and decode_matching's C
+pass core.checked_array: a wrong shape raises DimensionMismatch and a NaN
+or infinite entry NonFiniteEntry.
 """
 
 import math
@@ -34,7 +37,7 @@ import numpy as np
 import scipy.sparse
 
 # validate stays imported unused: the benchmark's traced run wraps it here
-from .core import A_MAX, StandardFormLP, validate  # noqa: F401
+from .core import A_MAX, StandardFormLP, checked_array, validate  # noqa: F401
 from .errors import DimensionMismatch, InputError, NonFiniteEntry, Unreachable
 from .linalg import WeightedOperator
 
@@ -184,10 +187,9 @@ def _matching_operator(n, m):
 
 
 def split_matching_vars(x, n, m):
-    """View the flat LP vector as (X, s) blocks."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (n * m + m,):
-        raise DimensionMismatch(f"x has shape {x.shape}, expected ({n * m + m},)")
+    """View the flat LP vector x, which core.checked_array checks, as
+    (X, s) blocks."""
+    x = checked_array(x, (n * m + m,), "x")
     return x[:n * m].reshape(n, m), x[n * m:]
 
 
@@ -196,9 +198,13 @@ def decode_matching(x, n, m, C=None):
 
     Repeatedly picks the largest remaining entry and crosses out its
     row and column; ties go to the lowest row, then the lowest column.
-    cost is filled against C when it is supplied.
+    cost is filled against C, an n-by-m array, when it is supplied.
+    x is checked as split_matching_vars checks it, and C by
+    core.checked_array.
     """
     X, _ = split_matching_vars(x, n, m)
+    if C is not None:
+        C = checked_array(C, (n, m), "C")
     work = X.copy()
     mapping = np.full(n, -1, dtype=np.int64)
     for _ in range(n):
@@ -223,10 +229,9 @@ def assignment_to_vector(mapping, n, m):
 
 
 def matching_cost_gradient(grad_c, n, m):
-    """Extract d(loss)/dC from an LP cost gradient (slack part dropped)."""
-    grad_c = np.asarray(grad_c, dtype=np.float64)
-    if grad_c.shape != (n * m + m,):
-        raise DimensionMismatch(f"grad_c has shape {grad_c.shape}, expected ({n * m + m},)")
+    """Extract d(loss)/dC from an LP cost gradient (slack part dropped),
+    which core.checked_array checks."""
+    grad_c = checked_array(grad_c, (n * m + m,), "grad_c")
     return grad_c[:n * m].reshape(n, m).copy()
 
 
@@ -279,18 +284,16 @@ def build_l1svm_lp(inst):
 
     Raises DimensionMismatch for points, labels or labels' values that
     do not fit, InputError unless c_reg and big_m are positive and
-    finite, and NonFiniteEntry when the kernel matrix has a non-finite
-    entry.
+    finite, and NonFiniteEntry when the labels or the kernel matrix
+    have a non-finite entry.
     """
     X = inst.points
-    y = inst.labels
     if X.ndim != 2:
         raise DimensionMismatch(f"points must be 2-D, got ndim={X.ndim}")
     n = X.shape[0]
     if n < 1:
         raise DimensionMismatch("need at least one training point")
-    if y.shape != (n,):
-        raise DimensionMismatch(f"labels have shape {y.shape}, expected ({n},)")
+    y = checked_array(inst.labels, (n,), "labels")
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise DimensionMismatch("labels must be -1 or +1")
     # the chained test also rejects NaN
@@ -335,11 +338,10 @@ class SvmClassifier:
 
 
 def decode_svm(x, inst):
-    """Recombine the split variables: alpha = a1 - a2, bias = b1 - b2."""
+    """Recombine the split variables of x, which core.checked_array
+    checks: alpha = a1 - a2, bias = b1 - b2."""
     n = inst.points.shape[0]
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (9 * n + 2,):
-        raise DimensionMismatch(f"x has shape {x.shape}, expected ({9 * n + 2},)")
+    x = checked_array(x, (9 * n + 2,), "x")
     off = _svm_offsets(n)
     alpha = x[off["a1"]:off["a1"] + n] - x[off["a2"]:off["a2"] + n]
     bias = float(x[off["b1"]] - x[off["b2"]])

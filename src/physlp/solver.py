@@ -25,10 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 # validate stays imported unused: the benchmark's traced run wraps it here
-from .core import (SolveResult, SolveStatus, SolverConfig, StandardFormLP,
-                   TraceRecord, validate)  # noqa: F401
-from .errors import (Breakdown, DimensionMismatch, LinSolveFailure, NegativeCost,
-                     NonFiniteEntry, NonPositiveInit)
+from .core import (A_MAX, SolveResult, SolveStatus, SolverConfig, StandardFormLP,
+                   TraceRecord, checked_array, validate)  # noqa: F401
+from .errors import Breakdown, LinSolveFailure, NegativeCost, NonFiniteEntry, NonPositiveInit
 from .linalg import AUTO_REG_SCALE, WeightedGram, _norm, spd_solve
 
 # Feasibility tolerance of the stop test: CONVERGED needs a residual
@@ -109,16 +108,23 @@ def prepare_lp(lp):
 
     The dynamics need a working cost that is nowhere negative, so
     NegativeCost is raised for any negative entry: an LP with a
-    negative cost needs potentials that make it nonnegative.  A cost
-    without zeros is kept as it stands.  lp was validated when it was
-    built, so nothing here validates it again, and no second LP or
-    operator is built.
+    negative cost needs potentials that make it nonnegative.  Its
+    entries are held to core.A_MAX, as the LP's own are, since backward
+    squares them: NonFiniteEntry is raised for one above it, or for a
+    NaN or infinite one, which c - A^T pi can reach from finite data.
+    A cost without zeros is kept as it stands.  lp was validated when
+    it was built, so nothing here validates it again, and no second LP
+    or operator is built.
     """
     c = lp.c if lp.potentials is None else lp.c - lp.operator.AT @ lp.potentials
     neg = c < 0.0
     if neg.any():
         raise NegativeCost(f"{int(neg.sum())} entries of the working cost c - A^T potentials "
                            f"are negative; the LP needs potentials that make it nonnegative")
+    # the working cost is now nonnegative or NaN, which fails the comparison too
+    if not np.all(c <= A_MAX):
+        raise NonFiniteEntry(f"the working cost c - A^T potentials has a non-finite entry or "
+                             f"one above {A_MAX:.4g}, whose square overflows")
     zero = c == 0.0
     if zero.any():
         c = np.where(zero, default_gamma(lp.m, lp.n), c)
@@ -208,21 +214,18 @@ def step_detail(prep, x, cfg, tol):
 def initial_state(prep, cfg, x0=None):
     """The starting iterate.
 
-    x0, when given, must be finite (NonFiniteEntry) and strictly
-    positive (NonPositiveInit); it does not have to be feasible.  Without x0 the iterate is drawn
-    componentwise uniform on (0, 1) from a generator seeded with
-    cfg.seed.  Entries below CLAMP_FLOOR are raised to it.
+    x0, when given, passes core.checked_array as an n-vector
+    (DimensionMismatch, NonFiniteEntry) and must be strictly positive
+    (NonPositiveInit); it does not have to be feasible.  Without x0 the
+    iterate is drawn componentwise uniform on (0, 1) from a generator
+    seeded with cfg.seed.  Entries below CLAMP_FLOOR are raised to it.
     """
     n = prep.source.n
     if x0 is None:
         rng = np.random.default_rng(cfg.seed)
         x0 = rng.uniform(0.0, 1.0, size=n)
     else:
-        x0 = np.asarray(x0, dtype=np.float64)
-        if x0.shape != (n,):
-            raise DimensionMismatch(f"x0 has shape {x0.shape}, expected ({n},)")
-        if not np.isfinite(x0).all():
-            raise NonFiniteEntry("x0 contains a non-finite entry")
+        x0 = checked_array(x0, (n,), "x0")
         if not np.all(x0 > 0.0):
             raise NonPositiveInit("x0 must be strictly positive componentwise")
     return np.maximum(x0, CLAMP_FLOOR)

@@ -13,7 +13,7 @@ from physlp import (LpGradients, SolveStatus, SolverConfig, StandardFormLP, auto
                     backward, cli, finite_diff_grad, jvp, linalg, solve, solve_with_tape,
                     solver)
 from physlp.errors import Breakdown, DimensionMismatch, NonFiniteEntry
-from physlp.problems import MatchingInstance, build_matching_lp
+from physlp.problems import MatchingInstance, build_matching_lp, matching_slack_gamma
 
 from .conftest import clamp_fired, random_bounded_lp, rerun, step_tols
 
@@ -257,6 +257,40 @@ def test_jvp_rejects_a_non_finite_direction(name, bad):
     d.flat[2] = bad
     with pytest.raises(NonFiniteEntry):
         jvp(tape, **{name: d})
+
+
+def test_jvp_takes_dA_in_the_form_of_lp_A():
+    # a scipy.sparse dA once raised numpy's own ValueError
+    lp, tape = matching_3x5_tape()
+    assert np.array_equal(jvp(tape, dA=lp.A), jvp(tape, dA=lp.A.toarray()))
+
+
+def costs_scaled_by(k):
+    """x, 2^k grad_c, grad_b and grad_A of a 3x5 matching whose costs,
+    the slack cost among them, are scaled by 2^k: 20 steps at
+    step_size 0.5 from seed 1.  The dynamics are invariant to the
+    scale, and grad_c scales by 2^-k."""
+    scale = 2.0 ** k
+    C = np.random.default_rng(4).uniform(size=(3, 5))
+    lp = build_matching_lp(MatchingInstance(scale * C, scale * matching_slack_gamma(5)))
+    result, tape = solve_with_tape(lp, SolverConfig(max_iters=20, step_size=0.5, seed=1))
+    grads = backward(tape, np.random.default_rng(0).standard_normal(lp.n))
+    return result.x, scale * grads.grad_c, grads.grad_b, grads.grad_A
+
+
+@pytest.mark.filterwarnings("error")
+def test_gradients_keep_their_scale_up_to_A_MAX():
+    # the largest cost is 6.6e153, just below core.A_MAX: backward
+    # squares it without overflow
+    for got, want in zip(costs_scaled_by(511), costs_scaled_by(0)):
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+def test_costs_above_A_MAX_are_refused_before_backward_squares_them():
+    # at 2^520 the largest cost is 3.4e156; backward once squared it to
+    # inf with a warning and returned grad_c wrong by 100%
+    with pytest.raises(NonFiniteEntry, match="^c contains"):
+        costs_scaled_by(520)
 
 
 # ------------------------------------- the potentials and the blend

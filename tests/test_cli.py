@@ -491,13 +491,21 @@ def test_non_positive_size_or_weight_is_input_error(argv, tmp_path, capsys):
 
 
 # the update C - lr * grad overflows with a RuntimeWarning, which only
-# this test ignores; at a smaller --lr, as 1e200, backward warns too,
-# as it squares costs above about 1.34e154: a separate, open fault
+# this test ignores
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_learn_cost_whose_lr_overflows_the_costs_is_input_error(tmp_path, capsys):
     # the builder refuses the non-finite costs (NonFiniteEntry, an
     # InputError); this once exited 2, as a solver error
     assert_input_error(["learn-cost", "--lr", "1.7e308", "--steps", "4", "--seed", "1"],
+                       tmp_path, capsys)
+
+
+@pytest.mark.filterwarnings("error")
+def test_learn_cost_whose_lr_lifts_the_costs_above_A_MAX_is_input_error(tmp_path, capsys):
+    # the costs stay finite but exceed core.A_MAX, which the builder
+    # refuses; backward once squared them to inf, with a warning, and
+    # the run exited 3
+    assert_input_error(["learn-cost", "--lr", "1e200", "--steps", "4", "--seed", "1"],
                        tmp_path, capsys)
 
 

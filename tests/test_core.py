@@ -9,8 +9,9 @@ import pytest
 import scipy.sparse
 
 import physlp
-from physlp import (SolverConfig, StandardFormLP, backward, errors, linalg, load_lp, prepare_lp,
-                    problems, save_lp, solve, solve_with_tape, solver, validate)
+from physlp import (SolverConfig, StandardFormLP, backward, errors, initial_state, jvp, linalg,
+                    load_lp, prepare_lp, problems, save_lp, solve, solve_with_tape, solver,
+                    validate)
 from physlp.errors import DimensionMismatch, InvalidConfig, NonFiniteEntry
 from physlp.linalg import WeightedOperator
 
@@ -66,6 +67,73 @@ def test_validate_rejects_an_A_entry_whose_square_overflows(entry):
         StandardFormLP(np.array([[entry, 1.0]]), np.array([1.0]), np.array([1.0, 2.0]))
     assert StandardFormLP(np.array([[1.34e154, 1.0]]), np.array([1.0]),
                           np.array([1.0, 2.0])).A.data[0] == 1.34e154
+
+
+@pytest.mark.parametrize("name", ["b", "c", "potentials"])
+@pytest.mark.parametrize("entry", [1.35e154, -1e200])
+def test_validate_holds_every_entry_to_A_MAX(name, entry):
+    # the rule of A holds for b, c and potentials too: backward squares
+    # the working cost, and a cost of 1e200 once came back from it as
+    # wrong gradients, after an overflow warning
+    data = {"b": [1.0], "c": [1.0, 2.0], "potentials": [0.0]}
+    data[name] = [entry] + data[name][1:]
+    with pytest.raises(NonFiniteEntry, match=f"^{name} contains .* above"):
+        StandardFormLP([[1.0, 1.0]], **data)
+    data[name][0] = 1.34e154 if entry > 0 else -1.34e154
+    assert getattr(StandardFormLP([[1.0, 1.0]], **data), name)[0] == data[name][0]
+
+
+# Every entry point that takes an array from the caller, as "function-
+# argument": each passes it through core.checked_array
+ENTRY_POINTS = ["validate-b", "validate-c", "validate-potentials", "initial_state-x0",
+                "backward-grad_x", "jvp-dc", "jvp-dA", "jvp-db", "decode_matching-x",
+                "decode_matching-C", "matching_cost_gradient-grad_c", "decode_svm-x",
+                "build_l1svm_lp-labels"]
+
+
+def entry_point(case):
+    """(call, a well-formed value) of the entry point case: call(value)
+    hands value to the function as the argument."""
+    lp = problems.build_matching_lp(problems.MatchingInstance(
+        np.random.default_rng(0).uniform(size=(3, 5))))
+    cfg = SolverConfig(max_iters=3)
+    tape = solve_with_tape(lp, cfg)[1]
+    points = np.array([[1.0], [2.0]])
+    svm = problems.SvmInstance(points, np.array([1.0, -1.0]))
+    A, b, c, m, n = lp.A, lp.b, lp.c, lp.m, lp.n
+    return {
+        "validate-b": (lambda v: StandardFormLP(A, v, c), b),
+        "validate-c": (lambda v: StandardFormLP(A, b, v), c),
+        "validate-potentials": (lambda v: StandardFormLP(A, b, c, v), np.zeros(m)),
+        "initial_state-x0": (lambda v: initial_state(prepare_lp(lp), cfg, v), np.ones(n)),
+        "backward-grad_x": (lambda v: backward(tape, v), np.ones(n)),
+        "jvp-dc": (lambda v: jvp(tape, dc=v), np.ones(n)),
+        "jvp-dA": (lambda v: jvp(tape, dA=v), A.toarray()),
+        "jvp-db": (lambda v: jvp(tape, db=v), np.ones(m)),
+        "decode_matching-x": (lambda v: problems.decode_matching(v, 3, 5), np.ones(n)),
+        "decode_matching-C": (lambda v: problems.decode_matching(np.ones(n), 3, 5, C=v),
+                              np.ones((3, 5))),
+        "matching_cost_gradient-grad_c": (lambda v: problems.matching_cost_gradient(v, 3, 5),
+                                          np.ones(n)),
+        "decode_svm-x": (lambda v: problems.decode_svm(v, svm), np.ones(20)),
+        "build_l1svm_lp-labels": (lambda v: problems.build_l1svm_lp(
+            problems.SvmInstance(points, v)), svm.labels),
+    }[case]
+
+
+@pytest.mark.parametrize("case", ENTRY_POINTS)
+def test_every_array_entry_point_checks_shape_and_finiteness(case):
+    # one check, core.checked_array, whose errors name the argument;
+    # jvp once named no direction, and the decoders took NaN
+    call, good = entry_point(case)
+    name = case.split("-")[1]
+    call(good)
+    with pytest.raises(DimensionMismatch, match=f"^{name} has shape"):
+        call(good[..., 1:])
+    bad = np.array(good, dtype=float)
+    bad.flat[0] = np.nan
+    with pytest.raises(NonFiniteEntry, match=f"^{name} contains a non-finite entry"):
+        call(bad)
 
 
 def test_validate_rejects_empty():

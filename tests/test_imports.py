@@ -1,9 +1,9 @@
 """Every module of the package, test module and demo uses each name it
 imports, every definition of the package is reached from outside the
 tests, every field of its classes is read there, the package raises
-or catches every error class it defines, and in cli.py only main
-catches one; and tests/code_size.py counts only code lines, and the
-tests' too."""
+or catches every error class it defines, in cli.py only main catches
+one, and only core compares an array's shape; and tests/code_size.py
+counts only code lines, and the tests' too."""
 
 import ast
 from pathlib import Path
@@ -32,6 +32,13 @@ WRAPPED_BY_THE_BENCHMARK = {
 UNREACHED_ON_PURPOSE = {
     "core.save_lp": "the writer of the file format that load_lp reads",
     "problems.Graph.to_dict": "the writer of the file format that Graph.from_dict reads",
+}
+
+# Functions outside core.py that compare an array's shape with !=, and why
+SHAPE_COMPARED_ON_PURPOSE = {
+    "linalg.spd_solve_adjoint": "linalg cannot import core, which imports it; "
+                                "ROADMAP item 1 removes the function",
+    "problems.assignment_to_vector": "its input is an integer map",
 }
 
 # __init__.py imports to re-export
@@ -294,6 +301,45 @@ def test_the_guard_sees_a_library_error_caught_outside_main(tmp_path):
                      "    except PhyslpError:\n        pass\n\n"
                      "try:\n    main()\nexcept NegativeCost:\n    pass\n")
     assert library_errors_caught(probe, outside="main") == {"Breakdown", "NegativeCost"}
+
+
+def shape_compared(paths):
+    """Where the modules at paths compare an attribute .shape with !=:
+    "module.function", the innermost function or class around the
+    comparison, or "module" for one at module level."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}"
+        if isinstance(node, ast.Compare) and any(isinstance(op, ast.NotEq) for op in node.ops) \
+                and any(isinstance(side, ast.Attribute) and side.attr == "shape"
+                        for side in (node.left, *node.comparators)):
+            found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in paths:
+        visit(ast.parse(path.read_text()), path.stem)
+    return found
+
+
+def test_only_core_compares_an_array_shape():
+    # every array from the caller passes core.checked_array, which
+    # compares its shape and tests its entries; the same check was once
+    # written out by hand in seven functions
+    paths = [SRC / f"{module}.py" for module in MODULES if module != "core"]
+    assert shape_compared(paths) == set(SHAPE_COMPARED_ON_PURPOSE)
+
+
+def test_the_guard_sees_a_shape_compared(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("def check(x, n):\n    if x.shape != (n,):\n        raise ValueError\n\n"
+                     "class Box:\n    def fit(self, y):\n"
+                     "        return y.shape == self.shape and self.size != y.size\n\n"
+                     "    def same(self, y):\n        return (1,) != y.T.shape\n\n"
+                     "if len(z) != 2 or np.asarray(z).shape != ():\n    pass\n")
+    assert shape_compared([probe]) == {"probe.check", "probe.Box.same", "probe"}
 
 
 def test_code_size_counts_only_code_lines(tmp_path):

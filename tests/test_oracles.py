@@ -255,14 +255,12 @@ def test_dijkstra_consistent_with_shortest_path_lp():
 
 
 def test_import_physlp_leaves_scipy_optimize_unloaded():
-    # oracles, and scipy.optimize with it, loads on first use of
-    # physlp.oracles
+    # hungarian imports scipy.optimize on its first call
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     code = ("import sys, physlp\n"
             "assert 'scipy.optimize' not in sys.modules\n"
-            "assert 'physlp.oracles' not in sys.modules\n"
             "assert physlp.oracles.hungarian([[1.0]]).map.tolist() == [0]\n"
             "assert 'scipy.optimize' in sys.modules\n")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

@@ -86,6 +86,18 @@ def test_a_negative_working_cost_is_refused():
                           [1.0, 3.0])
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_working_cost_above_A_MAX_is_refused():
+    # the potentials of a row spanning +-0.9 A_MAX lift its working cost
+    # to 1.8 A_MAX, 2.4e154, which backward once squared to inf, with a
+    # warning, and returned finite but wrong gradients
+    C = np.random.default_rng(4).uniform(size=(3, 5))
+    C[0] = np.linspace(-0.9, 0.9, 5) * core.A_MAX
+    lp = build_matching_lp(MatchingInstance(C))
+    with pytest.raises(NonFiniteEntry, match="working cost"):
+        solve(lp)
+
+
 def test_a_zero_reduced_cost_is_raised_to_gamma():
     # min -x1 s.t. x1 + x2 = 1 with pi = -1: the working cost (0, 1)
     # has a zero, which the perturbation raises
