@@ -19,10 +19,12 @@ whose block of S is the diagonal d_I, and the factor is that of the
 Schur complement of that block on the other rows F.  The operator
 picks the block form once, in its _pattern, where it saves
 BLOCK_MIN_SAVING flops of dpotrf, as on assignment LPs of 150 rows.
-Above DIRECT_MAX_DIM rows spd_solve runs Jacobi-preconditioned CG from
-zero on the sparse S, and factors it densely only as a last resort.  A
-gram that holds a factor has it reused by every later solve, which
-checks and refines its answer against the gram's own matrix.
+Above DIRECT_MAX_DIM rows spd_solve runs Jacobi-preconditioned CG on the
+sparse S, from the best multiple of a start vector that the caller may
+give (the forward loop gives the previous step's p) or from zero, and
+factors S densely only as a last resort.  A gram that holds a factor
+has it reused by every later solve, which checks and refines its
+answer against the gram's own matrix and ignores the start.
 DIRECT_MAX_DIM and the split pick the method, never the values.  The
 CG loop, _pcg, does its vector operations as level-1 BLAS calls
 (scipy.linalg.blas ddot and daxpy) in place, as numpy's fixed cost per
@@ -57,8 +59,9 @@ class SpdSolveReport:
     """Solution of S p = b plus solve diagnostics.
 
     iterations is 0 when the Cholesky factor alone solved the system,
-    otherwise the number of CG steps taken.  The factor, if any, stays
-    on the WeightedGram.
+    or when the start of a CG solve met its target, and otherwise the
+    number of CG steps taken.  The factor, if any, stays on the
+    WeightedGram.
     """
 
     p: np.ndarray
@@ -287,9 +290,10 @@ def _norm(v):
     return math.sqrt(ddot(v, v))
 
 
-def _pcg(S_matvec, b, diag, x0, target, max_iters):
-    """Jacobi-preconditioned CG from x0 (zero when None) down to absolute
-    residual target; returns (x, iterations, ||S x - b||).
+def _pcg(S_matvec, b, diag, x, r, target, max_iters):
+    """Jacobi-preconditioned CG from x, whose residual b - S x is r, down
+    to absolute residual target; returns (x, iterations, ||S x - b||).
+    x and r are the caller's own arrays, and are written in place.
 
     A negative diagonal entry makes S indefinite, so CG does not start:
     its Jacobi scale, 1/tiny, would overflow the first step.  Only the
@@ -298,17 +302,11 @@ def _pcg(S_matvec, b, diag, x0, target, max_iters):
     daxpy, which on vectors of a few hundred entries takes a fifth to a
     quarter of the time of the numpy call it replaces.  daxpy fuses its
     multiply and add, so the iterates differ from numpy's
-    x += alpha * d at rounding level.  f2py writes in place only into a contiguous
-    float64 y and returns an updated copy of anything else, so its
-    return value is always bound; it writes into a read-only y too, so
-    r starts as a copy, never as b.
+    x += alpha * d at rounding level.  f2py writes in place only into a
+    contiguous, writable float64 y and returns an updated copy of
+    anything else, so its return value is always bound.
     """
     inv_diag = 1.0 / np.maximum(diag, np.finfo(np.float64).tiny)
-    if x0 is None:
-        x, r = np.zeros(b.shape[0]), b.copy()
-    else:
-        x = x0.copy()
-        r = b - S_matvec(x)
     rnorm = _norm(r)
     if rnorm <= target or diag.min() < 0.0:
         return x, 0, rnorm
@@ -335,7 +333,23 @@ def _pcg(S_matvec, b, diag, x0, target, max_iters):
     return x, max_iters, _norm(b - S_matvec(x))
 
 
-def spd_solve(L, b, tol):
+def _scaled_start(S_matvec, b, start):
+    """(x, b - S x) for x = alpha * start, the multiple of start nearest
+    to S^{-1} b in the S-norm that CG minimises: alpha = (start . b) /
+    (start . S start).  So x is never farther from the answer than zero
+    is, and it costs one product with S, which gives the residual too.
+    x = 0, with residual b, when start is None or start . S start is not
+    positive and finite."""
+    if start is not None:
+        Ss = S_matvec(start)
+        sSs = ddot(start, Ss)
+        if 0.0 < sSs < math.inf:
+            alpha = ddot(start, b) / sSs
+            return alpha * start, b - alpha * Ss
+    return np.zeros(b.shape[0]), b.copy()
+
+
+def spd_solve(L, b, tol, start=None):
     """Solve S p = b for S = A diag(w) A^T + reg*I.
 
     L is the WeightedGram op.at(w, reg), and anything else raises
@@ -348,9 +362,14 @@ def spd_solve(L, b, tol):
     against S.
 
     With a factor or up to DIRECT_MAX_DIM rows, Cholesky runs first and
-    Jacobi-PCG refines an answer that misses; above, PCG runs from zero
-    down to ||S p - b|| <= tol * ||b|| and the Cholesky factor is the
-    last resort.  p is accepted on normwise backward error,
+    Jacobi-PCG refines an answer that misses; start is then ignored.
+    Above, PCG runs down to ||S p - b|| <= tol * ||b|| from the best
+    multiple of start in the S-norm (see _scaled_start), or from zero
+    when start is None, and the Cholesky factor is the last resort; an
+    m-vector start is trusted here, and solver.step_detail checks it.  A
+    start near the answer, as the previous step's p is to the next
+    one's, leaves PCG fewer iterations, and none when it meets the
+    target.  p is accepted on normwise backward error,
 
         ||S p - b|| <= tol * (||b|| + max(diag(S)) * ||p||),
 
@@ -377,17 +396,22 @@ def spd_solve(L, b, tol):
     matvec = S.__matmul__
     if direct and L.factor is None:
         L.factor = _factor(S)
-    # p and res: the Cholesky answer, or None and inf
+    # p, its residual r = b - S p and ||r||: the Cholesky answer, where
+    # there is one, and otherwise PCG's start
     p = _chol_solve(S, L.factor, b)
-    res = math.inf if p is None else _norm(matvec(p) - b)
-    if res <= target:
-        return SpdSolveReport(p, 0)
+    if p is not None:
+        r = b - matvec(p)
+        res = _norm(r)
+        if res <= target:
+            return SpdSolveReport(p, 0)
     # the normwise backward-error test: res <= target + slack * ||p||
     jacobi = L.values[L.op._pattern.diagonal]
     slack = tol * float(jacobi.max())
-    if p is not None and res <= target + slack * _norm(p):
+    if p is None:
+        p, r = _scaled_start(matvec, b, start)
+    elif res <= target + slack * _norm(p):
         return SpdSolveReport(p, 0)
-    p, iters, res = _pcg(matvec, b, jacobi, p, target, 10 * m)
+    p, iters, res = _pcg(matvec, b, jacobi, p, r, target, 10 * m)
     if res <= target + slack * _norm(p):
         return SpdSolveReport(p, iters)
     if L.factor is None and not direct:  # the last resort

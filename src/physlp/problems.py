@@ -330,10 +330,14 @@ class SvmClassifier:
     kernel: object
 
     def decision(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        """f at each row of X, or at X itself when it is one point: X
+        passes core.checked_array with the width of points."""
+        X = np.atleast_2d(X)
+        X = checked_array(X, (X.shape[0], self.points.shape[1]), "X")
         return self.kernel.gram(X, self.points) @ (self.labels * self.alpha) + self.bias
 
     def predict(self, X):
+        """The sign of decision(X), +1 at zero."""
         return np.where(self.decision(X) >= 0.0, 1.0, -1.0)
 
 

@@ -1,7 +1,8 @@
 """Shared instances: sparse LPs on the direct and the CG path, one
 with negative costs and potentials, and one with a dense A; and the
-helpers that only tests use: random bounded LPs, feasible points of the
-matching and SVM LPs, and the forward loop run again from a tape.
+helpers that only tests use: random bounded LPs and 600-node DAGs,
+feasible points of the matching and SVM LPs, and the forward loop run
+again from a tape.
 
 The test modules import the helpers from this module, which is why
 tests is a package."""
@@ -93,10 +94,10 @@ def matching_50x100():
     return build_matching_lp(MatchingInstance(C))
 
 
-@pytest.fixture(scope="session")
-def dag_600_graph():
-    """A 600-node DAG of out-degree 3 (1794 arcs i -> j > i)."""
-    rng = np.random.default_rng(1)
+def random_dag_600(seed):
+    """A 600-node DAG of out-degree 3 (1794 arcs i -> j > i), drawn from
+    a generator seeded with seed."""
+    rng = np.random.default_rng(seed)
     nodes = 600
     arcs = []
     for i in range(nodes - 1):
@@ -104,6 +105,12 @@ def dag_600_graph():
         heads = i + 1 + rng.choice(nodes - 1 - i, size=k, replace=False)
         arcs += [(i, int(j), float(w)) for j, w in zip(heads, rng.uniform(0.01, 1.0, size=k))]
     return Graph(nodes, arcs)
+
+
+@pytest.fixture(scope="session")
+def dag_600_graph():
+    """random_dag_600 of seed 1."""
+    return random_dag_600(1)
 
 
 @pytest.fixture(scope="session")

@@ -13,9 +13,10 @@ from physlp import (LpGradients, SolveStatus, SolverConfig, StandardFormLP, auto
                     backward, cli, finite_diff_grad, jvp, linalg, solve, solve_with_tape,
                     solver)
 from physlp.errors import Breakdown, DimensionMismatch, NonFiniteEntry
-from physlp.problems import MatchingInstance, build_matching_lp, matching_slack_gamma
+from physlp.problems import (MatchingInstance, build_matching_lp, build_shortest_path_lp,
+                             matching_slack_gamma)
 
-from .conftest import clamp_fired, random_bounded_lp, rerun, step_tols
+from .conftest import clamp_fired, random_bounded_lp, random_dag_600, rerun, step_tols
 
 
 def toy_lp(c=(1.0, 2.0)):
@@ -626,19 +627,29 @@ def test_dot_product_on_cg_steps(monkeypatch):
     assert abs(lhs - rhs) <= 1e-8 * max(abs(lhs), abs(rhs))
 
 
-def test_dot_product_on_a_long_cg_tape(dag_600):
+def assert_dot_product_on_a_long_cg_tape(lp):
     # the adjoint and tangent solves of CG steps run to CG_ADJOINT_TOL,
     # which holds backward and jvp together over 100 steps
-    _, tape = solve_with_tape(dag_600, SolverConfig(max_iters=100, seed=7))
+    _, tape = solve_with_tape(lp, SolverConfig(max_iters=100, seed=7))
     assert all(det.gram.factor is None for det in tape.steps)
     rng = np.random.default_rng(4)
-    g = rng.normal(size=dag_600.n)
-    dc, dA, db = (rng.normal(size=dag_600.n), rng.normal(size=(dag_600.m, dag_600.n)),
-                  rng.normal(size=dag_600.m))
+    g = rng.normal(size=lp.n)
+    dc, dA, db = rng.normal(size=lp.n), rng.normal(size=(lp.m, lp.n)), rng.normal(size=lp.m)
     grads = backward(tape, g)
     lhs = float(g @ jvp(tape, dc=dc, dA=dA, db=db))
     rhs = float(grads.grad_c @ dc + (grads.grad_A * dA).sum() + grads.grad_b @ db)
     assert abs(lhs - rhs) <= 1e-8 * max(abs(lhs), abs(rhs))
+
+
+def test_dot_product_on_a_long_cg_tape(dag_600):
+    assert_dot_product_on_a_long_cg_tape(dag_600)
+
+
+def test_dot_product_on_a_long_cg_tape_of_a_second_dag():
+    # at CG_ADJOINT_TOL = 1e-14 this tape read 1.1e-7 with zero starts and
+    # 1.5e-7 with scaled ones
+    graph = random_dag_600(2)
+    assert_dot_product_on_a_long_cg_tape(build_shortest_path_lp(graph, 0, graph.num_nodes - 1))
 
 
 @pytest.mark.parametrize("seed", [7, 8])

@@ -88,7 +88,7 @@ def test_validate_holds_every_entry_to_A_MAX(name, entry):
 ENTRY_POINTS = ["validate-b", "validate-c", "validate-potentials", "initial_state-x0",
                 "backward-grad_x", "jvp-dc", "jvp-dA", "jvp-db", "decode_matching-x",
                 "decode_matching-C", "matching_cost_gradient-grad_c", "decode_svm-x",
-                "build_l1svm_lp-labels"]
+                "build_l1svm_lp-labels", "decision-X", "predict-X", "step_detail-start"]
 
 
 def entry_point(case):
@@ -118,6 +118,13 @@ def entry_point(case):
         "decode_svm-x": (lambda v: problems.decode_svm(v, svm), np.ones(20)),
         "build_l1svm_lp-labels": (lambda v: problems.build_l1svm_lp(
             problems.SvmInstance(points, v)), svm.labels),
+        # a NaN point once gave a silent -1, a wrong width numpy's own error
+        "decision-X": (problems.decode_svm(np.ones(20), svm).decision, np.ones((3, 1))),
+        "predict-X": (problems.decode_svm(np.ones(20), svm).predict, np.ones((3, 1))),
+        # a wrong length once failed inside a CG product, or was ignored
+        # by a factored gram
+        "step_detail-start": (lambda v: solver.step_detail(
+            prepare_lp(lp), np.ones(n), cfg, 1e-10, v), np.ones(m)),
     }[case]
 
 

@@ -2,10 +2,12 @@
 imports, every definition of the package is reached from outside the
 tests, every field of its classes is read there, the package raises
 or catches every error class it defines, in cli.py only main catches
-one, and only core compares an array's shape; and tests/code_size.py
-counts only code lines, and the tests' too."""
+one, and only core compares an array's shape; tests/code_size.py
+counts only code lines, and the tests' too; and tests/output_digest.py
+prints one repeatable digest per benchmark workload."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -361,3 +363,19 @@ def test_code_size_totals_the_tests_with_the_vertex_oracle(capsys):
     assert TESTS / "vertex_oracle.py" in files
     assert row[0] == "tests/*.py"
     assert [int(v) for v in row[1:]] == [sum(v) for v in zip(*map(code_size.size, files))]
+
+
+def test_output_digest_repeats_and_tells_pools_apart(capsys, monkeypatch):
+    # a repeatability check only: the tiny pools run every workload on
+    # the direct route (tiny path_large has m = 9), not the CG route.
+    # Imported here, with sys.path restored after the test, as it puts
+    # benchmarks/ on sys.path.
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    from . import output_digest
+    for name in output_digest.workloads.WORKLOADS:
+        assert output_digest.digest(name, 3, tiny=True) == output_digest.digest(name, 3, tiny=True)
+    assert output_digest.digest("grad", 3, tiny=True) != output_digest.digest("grad", 4, tiny=True)
+    monkeypatch.setattr(output_digest, "digest", lambda name, seed: f"{name}:{seed}")
+    output_digest.main()
+    assert [line.split() for line in capsys.readouterr().out.splitlines()] == [
+        [name, f"{name}:3"] for name in output_digest.workloads.WORKLOADS]

@@ -329,6 +329,39 @@ def test_a_failed_factor_falls_back_to_pcg_on_both_routes(name, request, monkeyp
     assert np.linalg.norm(rep.p - want.p) <= 1e-8 * np.linalg.norm(want.p)
 
 
+@pytest.mark.parametrize("name", ["matching_5x50", "matching_50x100", "dag_600"])
+def test_a_factored_solve_ignores_the_start(name, request):
+    # the dense and the block factor of direct steps, and on a CG step
+    # the last resort's factor: refinement begins at the Cholesky answer
+    lp = request.getfixturevalue(name)
+    rng = np.random.default_rng(5)
+    w, start = rng.uniform(0.1, 2.0, size=lp.n), rng.normal(size=lp.m)
+    grams = [lp.operator.at(w) for _ in range(2)]
+    for gram in grams:
+        gram.factor = linalg._factor(gram.direct() if lp.m <= linalg.DIRECT_MAX_DIM
+                                     else gram.sparse().toarray())
+        assert gram.factor is not None
+    plain, started = spd_solve(grams[0], lp.b, TOL), spd_solve(grams[1], lp.b, TOL, start)
+    assert np.array_equal(plain.p, started.p)
+    assert plain.iterations == started.iterations == 0
+
+
+def test_a_cg_solve_starts_from_the_best_multiple_of_the_start(dag_600):
+    op, b = dag_600.operator, dag_600.b
+    w = np.random.default_rng(6).uniform(0.1, 2.0, size=dag_600.n)
+    cold = spd_solve(op.at(w), b, 1e-10)
+    # a start that is not positive in the S-norm, or not finite, is zero
+    for start in (np.zeros(dag_600.m), np.full(dag_600.m, np.nan)):
+        again = spd_solve(op.at(w), b, 1e-10, start)
+        assert np.array_equal(again.p, cold.p) and again.iterations == cold.iterations
+    # a multiple of an answer that meets the target meets it as well
+    assert spd_solve(op.at(w), b, 1e-8, -3.0 * cold.p).iterations == 0
+    noise = np.random.default_rng(7).normal(size=dag_600.m)
+    near = spd_solve(op.at(w), b, 1e-10, 1.01 * cold.p + 1e-3 * noise)
+    assert 0 < near.iterations < cold.iterations
+    assert np.linalg.norm(near.p - cold.p) <= 1e-6 * np.linalg.norm(cold.p)
+
+
 @pytest.mark.parametrize("scale, orders", [(0.5, [50]), (1.5, [])],
                          ids=["schur-indefinite", "diagonal-indefinite"])
 def test_an_indefinite_matrix_breaks_down_on_both_routes(matching_50x100, monkeypatch,
@@ -361,13 +394,13 @@ def test_an_indefinite_matrix_breaks_down_on_both_routes(matching_50x100, monkey
 
 # ------------------------------------------------------------ PCG kernel
 
-def reference_pcg(S_matvec, b, diag, x0, target, max_iters):
-    """Jacobi-PCG in plain numpy, one temporary or in-place numpy call
-    per vector operation: the loop that _pcg runs through BLAS ddot and
-    daxpy, with the same stopping rules."""
+def reference_pcg(S_matvec, b, diag, target, max_iters):
+    """Jacobi-PCG from zero in plain numpy, one temporary or in-place
+    numpy call per vector operation: the loop that _pcg runs through
+    BLAS ddot and daxpy, with the same stopping rules."""
     inv_diag = 1.0 / np.maximum(diag, np.finfo(np.float64).tiny)
-    x = np.zeros(b.shape[0]) if x0 is None else x0.copy()
-    r = b - S_matvec(x)
+    x = np.zeros(b.shape[0])
+    r = b.copy()
     rnorm = np.linalg.norm(r)
     if rnorm <= target or diag.min() < 0.0:
         return x, 0, rnorm
@@ -394,6 +427,11 @@ def reference_pcg(S_matvec, b, diag, x0, target, max_iters):
     return x, max_iters, np.linalg.norm(b - S_matvec(x))
 
 
+def pcg_from_zero(S_matvec, b, diag, target, max_iters):
+    """_pcg from x = 0, whose residual is b."""
+    return _pcg(S_matvec, b, diag, np.zeros(b.size), b.copy(), target, max_iters)
+
+
 @pytest.fixture(scope="module")
 def dag_600_systems(dag_600):
     """A diag(w) A^T + reg*I, as CSR, at the first, 50th and last step
@@ -414,8 +452,8 @@ def test_pcg_follows_the_reference_loop(dag_600_systems, step, tol, rhs):
     S = systems[step]
     if rhs == "random":
         b = np.random.default_rng(step).normal(size=b.size)
-    args = (S.__matmul__, b, S.diagonal(), None, tol * np.linalg.norm(b), 10 * b.size)
-    x, iters, res = _pcg(*args)
+    args = (S.__matmul__, b, S.diagonal(), tol * np.linalg.norm(b), 10 * b.size)
+    x, iters, res = pcg_from_zero(*args)
     x_ref, iters_ref, _ = reference_pcg(*args)
     assert 0 < iters < 10 * b.size
     assert abs(iters - iters_ref) <= 1
@@ -426,10 +464,12 @@ def test_pcg_follows_the_reference_loop(dag_600_systems, step, tol, rhs):
 def test_pcg_takes_no_step_from_an_answer_that_meets_the_target(dag_600_systems):
     systems, b = dag_600_systems
     S = systems[1]
-    x0 = reference_pcg(S.__matmul__, b, S.diagonal(), None, 1e-12 * np.linalg.norm(b), 6000)[0]
-    x, iters, res = _pcg(S.__matmul__, b, S.diagonal(), x0, 1e-10 * np.linalg.norm(b), 6000)
+    x0 = reference_pcg(S.__matmul__, b, S.diagonal(), 1e-12 * np.linalg.norm(b), 6000)[0]
+    start = x0.copy()
+    x, iters, res = _pcg(S.__matmul__, b, S.diagonal(), start, b - S @ x0,
+                         1e-10 * np.linalg.norm(b), 6000)
     assert iters == 0
-    assert np.array_equal(x, x0) and x is not x0
+    assert x is start and np.array_equal(x, x0)
     assert res == np.linalg.norm(b - S @ x0)
 
 
@@ -440,8 +480,8 @@ def test_pcg_takes_no_step_from_an_answer_that_meets_the_target(dag_600_systems)
     (np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([1.0, -1.0])),
 ], ids=["negative-diagonal", "negative-curvature"])
 def test_pcg_stops_on_an_indefinite_matrix_as_the_reference_does(S, b):
-    args = (S.__matmul__, b, np.diag(S).copy(), None, 1e-10, 20)
-    x, iters, res = _pcg(*args)
+    args = (S.__matmul__, b, np.diag(S).copy(), 1e-10, 20)
+    x, iters, res = pcg_from_zero(*args)
     x_ref, iters_ref, res_ref = reference_pcg(*args)
     assert iters == iters_ref
     assert np.array_equal(x, x_ref) and res == res_ref

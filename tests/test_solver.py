@@ -512,7 +512,7 @@ def capped_pcg(monkeypatch):
     # PCG that gives up after one iteration, so it misses every target
     pcg = linalg._pcg
     monkeypatch.setattr(linalg, "_pcg",
-                        lambda mv, b, d, x0, target, _: pcg(mv, b, d, x0, target, 1))
+                        lambda mv, b, d, x, r, target, _: pcg(mv, b, d, x, r, target, 1))
 
 
 def test_matrix_free_step_falls_back_to_cholesky(dag_600, monkeypatch):
@@ -561,9 +561,9 @@ def test_factored_spd_solve_refines_with_the_jacobi_diagonal(matching_5x50, monk
     linalg.spd_solve(stale, matching_5x50.b, TOL)
     pcg, seen = linalg._pcg, []
 
-    def spy(mv, b, diag, x0, target, max_iters):
+    def spy(mv, b, diag, x, r, target, max_iters):
         seen.append(diag)
-        return pcg(mv, b, diag, x0, target, max_iters)
+        return pcg(mv, b, diag, x, r, target, max_iters)
     monkeypatch.setattr(linalg, "_pcg", spy)
     rhs = rng.normal(size=prep.source.m)
     gram = op.at(w, reg)
@@ -673,17 +673,32 @@ def test_cg_steps_meet_the_tolerance(dag_600):
     assert tols[0] == solver.FORCING and tols[-1] < 1e-6
 
 
-def test_cg_steps_do_not_depend_on_the_previous_step(dag_600):
-    # each step's CG starts from zero, so solving a recorded iterate
-    # again on its own, to its recorded target, gives the same p after
-    # the same CG count
-    cfg = SolverConfig(max_iters=30, seed=7)
+@pytest.mark.parametrize("seed", [7, 8])
+def test_cg_steps_start_from_the_previous_steps_p(dag_600, seed):
+    # each step's CG starts from the best multiple of the previous
+    # step's p, and the first from zero, so solving a recorded iterate
+    # again with that start, to its recorded target, gives the same p
+    # after the same CG count
+    cfg = SolverConfig(max_iters=30, seed=seed)
     res, tape = solve_with_tape(dag_600, cfg)
     op, b, c = tape.prep.source.operator, tape.prep.source.b, tape.prep.c
-    for det, record, tol in zip(tape.steps, res.trace, step_tols(res, tape), strict=True):
-        again = linalg.spd_solve(op.at(det.x_prev / c, det.gram.reg), b, tol)
+    starts = [None] + [det.p for det in tape.steps[:-1]]
+    for det, record, tol, start in zip(tape.steps, res.trace, step_tols(res, tape), starts,
+                                       strict=True):
+        again = linalg.spd_solve(op.at(det.x_prev / c, det.gram.reg), b, tol, start)
         assert again.iterations == det.linsolve_iterations == record.linsolve_iterations
         assert np.array_equal(again.p, det.p)
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_the_previous_steps_p_cuts_forward_cg_iterations(dag_600, seed):
+    # against solving each recorded gram again from zero, to the same
+    # target: 0.53 of the count on seed 7 and 0.42 on seed 8
+    res, tape = solve_with_tape(dag_600, SolverConfig(max_iters=100, seed=seed))
+    op, b = tape.prep.source.operator, tape.prep.source.b
+    cold = sum(linalg.spd_solve(op.at(det.gram.w, det.gram.reg), b, tol).iterations
+               for det, tol in zip(tape.steps, step_tols(res, tape), strict=True))
+    assert sum(det.linsolve_iterations for det in tape.steps) <= 0.7 * cold
 
 
 def test_forward_targets_stay_at_or_below_the_forcing_term(dag_600):
