@@ -6,31 +6,37 @@ own CSR array, and one map Q from w to the values of A diag(w) A^T,
 written in the layout that the solve route of its row count reads: the
 row-major m-by-m matrix on the dense route, the blocks [diag(S_II) |
 S_FF | S_FI] where the rows split, and the CSR data on the pattern of
-A A^T plus its diagonal above DIRECT_MAX_DIM.  WeightedGram,
+A A^T plus its diagonal above DIRECT_MAX_DIM, on index arrays that
+the operator builds once, read-only, in a CSR template.  WeightedGram,
 op.at(w, reg), is the step's whole system S: it computes Q @ w once,
 writes reg onto its diagonal, and keeps its own Cholesky factor once a
-solve has made one.  It is the one form of S that spd_solve takes.
+solve has made one; its sparse() is a copy of the template with the
+gram's own data.  It is the one form of S that spd_solve takes.
 spd_solve is the one solve routine, for the forward steps and for the
 backward and tangent solves alike.  It factors S by Cholesky up to
 DIRECT_MAX_DIM rows, calling LAPACK dpotrf and dpotrs directly, in one
 of two forms.  Dense, the factor is dpotrf's lower factor of S.  In
 blocks, it eliminates first a set I of rows of A that share no column,
 whose block of S is the diagonal d_I, and the factor is that of the
-Schur complement of that block on the other rows F.  The operator
-picks the block form once, in its _pattern, where it saves
-BLOCK_MIN_SAVING flops of dpotrf, as on assignment LPs of 150 rows.
-Above DIRECT_MAX_DIM rows spd_solve runs Jacobi-preconditioned CG on the
-sparse S, from the best multiple of a start vector that the caller may
-give (the forward loop gives the previous step's p) or from zero, and
-factors S densely only as a last resort.  A gram that holds a factor
-has it reused by every later solve, which checks and refines its
-answer against the gram's own matrix and ignores the start.
-DIRECT_MAX_DIM and the split pick the method, never the values.  The
-CG loop, _pcg, does its vector operations as level-1 BLAS calls
-(scipy.linalg.blas ddot and daxpy) in place, as numpy's fixed cost per
-call outweighs the work on vectors of a few hundred entries.
+Schur complement of that block on the other rows F, formed by one
+SYRK into the lower triangle that dpotrf reads.  The operator picks
+the block form once, in its _pattern, where it saves BLOCK_MIN_SAVING
+flops of dpotrf, as on assignment LPs of 150 rows.
+Above DIRECT_MAX_DIM rows spd_solve runs Jacobi-preconditioned CG on
+the sparse S, from the best multiple of a start vector that the caller
+may give (the forward loop gives the previous step's p where that
+step's gram holds no factor) or from zero, and factors S densely only
+as a last resort.  A gram that holds a factor has it reused by every
+later solve, which checks and refines its answer against the gram's
+own matrix and ignores the start; a direct solve reads the start only
+where it gets no Cholesky answer.  DIRECT_MAX_DIM and the split pick
+the method, never the values.  The CG loop, _pcg, does its vector
+operations as level-1 BLAS calls (scipy.linalg.blas ddot and daxpy) in
+place, as numpy's fixed cost per call outweighs the work on vectors of
+a few hundred entries.
 """
 
+import copy
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -38,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse
-from scipy.linalg.blas import daxpy, ddot
+from scipy.linalg.blas import daxpy, ddot, dsyrk
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import Breakdown, DimensionMismatch
@@ -48,9 +54,10 @@ DIRECT_MAX_DIM = 512
 # Scale factor for the automatic Tikhonov term.
 AUTO_REG_SCALE = 1e-10
 # Flops of dpotrf that the block factor must save, m^3/3 against
-# |F|^3/3 + |F|^2 |I| for the Schur complement, to be used.  Below it
-# the block form's extra numpy calls cost more than they save: taken at
-# every size, it ran 13% slower on 55-row and 8% slower on 60-row LPs.
+# |F|^3/3 + |F|^2 |I| for the Schur complement (dpotrf of order |F|
+# and the SYRK that forms it), to be used.  Below it the block form's
+# extra numpy calls cost more than they save: taken at every size, it
+# ran 13% slower on 55-row and 8% slower on 60-row LPs.
 BLOCK_MIN_SAVING = 2e5
 
 
@@ -102,8 +109,9 @@ class _Split(NamedTuple):
 
 
 class _Pattern(NamedTuple):
-    indptr: np.ndarray  # the entries as CSR index arrays
-    indices: np.ndarray
+    # the entries as a CSR matrix of zeros, with read-only index arrays:
+    # the template that every WeightedGram.sparse() copies
+    csr: scipy.sparse.csr_array
     split: _Split | None  # the rows of the block layout, or None
     Q: scipy.sparse.csc_array  # Q @ w gives the values in the layout
     diagonal: np.ndarray  # positions of the m diagonal entries among them
@@ -144,9 +152,11 @@ def _build_pattern(C):
     flat = C.indices[left].astype(np.int64) * m + C.indices[right]
     keys = np.concatenate((flat, np.arange(m, dtype=np.int64) * (m + 1)))
     keys, entry = np.unique(keys, return_inverse=True)
-    indptr = np.searchsorted(keys, m * np.arange(m + 1))
     indices = keys % m
-    split = None if m > DIRECT_MAX_DIM else _build_split(indptr, indices)
+    csr = scipy.sparse.csr_array((np.zeros(keys.size), indices,
+                                  np.searchsorted(keys, m * np.arange(m + 1))), shape=(m, m))
+    csr.indptr.flags.writeable = csr.indices.flags.writeable = False
+    split = None if m > DIRECT_MAX_DIM else _build_split(csr.indptr, csr.indices)
     own = np.ones(keys.size, dtype=bool)
     if m > DIRECT_MAX_DIM:
         size, at = keys.size, np.arange(keys.size)
@@ -161,7 +171,7 @@ def _build_pattern(C):
     Q = scipy.sparse.csc_array(((C.data[left] * C.data[right])[kept], at[pair[kept]], Q_indptr),
                                shape=(size, n))
     entries = slice(None) if m > DIRECT_MAX_DIM else at
-    return _Pattern(indptr, indices, split, Q, at[entry[flat.size:]], entries)
+    return _Pattern(csr, split, Q, at[entry[flat.size:]], entries)
 
 
 def _block_positions(rows, cols, split):
@@ -210,7 +220,9 @@ def _build_split(indptr, indices):
 
 class _Blocks(NamedTuple):
     """S = A diag(w) A^T + reg*I in the blocks of a _Split: S_II =
-    diag(d), S_FI = B and S_FF = FF."""
+    diag(d), S_FI = B and S_FF = FF, views of the gram's values, which
+    no factor writes: _factor's SYRK updates a copy of FF, in its lower
+    triangle only."""
 
     FF: np.ndarray
     B: np.ndarray
@@ -261,12 +273,16 @@ class WeightedGram:
         self.values[pattern.diagonal] = diagonal + self.reg
 
     def sparse(self):
-        """S as a CSR matrix with sorted indices; its data are values
-        themselves in the layout of CG steps."""
+        """S as a CSR matrix with sorted indices: a shallow copy of the
+        operator's template, _pattern.csr, whose index arrays every copy
+        shares and nobody can write, with its own data, values[entries],
+        which are values themselves in the layout of CG steps.  Copying
+        skips the checks of scipy's constructor, which cost a CG step
+        about 13 us for index arrays that never change."""
         pattern = self.op._pattern
-        m = pattern.indptr.size - 1
-        return scipy.sparse.csr_array((self.values[pattern.entries], pattern.indices,
-                                       pattern.indptr), shape=(m, m))
+        S = copy.copy(pattern.csr)
+        S.data = self.values[pattern.entries]
+        return S
 
     def direct(self):
         """S for a direct solve, as views of values: its _Blocks where the
@@ -274,7 +290,7 @@ class WeightedGram:
         values hold row-major in that layout."""
         pattern, values = self.op._pattern, self.values
         if pattern.split is None:
-            m = pattern.indptr.size - 1
+            m = pattern.csr.shape[0]
             return values.reshape(m, m)
         I, F = pattern.split
         nFF = F.size ** 2
@@ -362,12 +378,14 @@ def spd_solve(L, b, tol, start=None):
     against S.
 
     With a factor or up to DIRECT_MAX_DIM rows, Cholesky runs first and
-    Jacobi-PCG refines an answer that misses; start is then ignored.
-    Above, PCG runs down to ||S p - b|| <= tol * ||b|| from the best
-    multiple of start in the S-norm (see _scaled_start), or from zero
-    when start is None, and the Cholesky factor is the last resort; an
-    m-vector start is trusted here, and solver.step_detail checks it.  A
-    start near the answer, as the previous step's p is to the next
+    Jacobi-PCG refines an answer that misses, from that answer, so start
+    is ignored.  Where there is no Cholesky answer, above DIRECT_MAX_DIM
+    rows without a factor and up to it where dpotrf fails or its solve
+    is not finite, PCG runs down to ||S p - b|| <= tol * ||b|| from the
+    best multiple of start in the S-norm (see _scaled_start), or from
+    zero when start is None, and above DIRECT_MAX_DIM the Cholesky
+    factor is the last resort; an m-vector start is trusted here, and
+    solver.step_detail checks it.  A start near the answer, as the previous step's p is to the next
     one's, leaves PCG fewer iterations, and none when it meets the
     target.  p is accepted on normwise backward error,
 
@@ -426,14 +444,25 @@ def spd_solve(L, b, tol, start=None):
 
 def _factor(S):
     """dpotrf's lower Cholesky factor of S, dense, or for _Blocks of the
-    Schur complement S_FF - B diag(1/d) B^T, made by one GEMM and a
+    Schur complement S_FF - B diag(1/d) B^T, made by one SYRK and a
     dpotrf of order |F|; None where the factorization fails.  LAPACK is
     called directly: scipy's cho_factor and cho_solve make the same
-    calls but cost as much again in their wrappers at m ~ 50."""
+    calls but cost as much again in their wrappers at m ~ 50.
+
+    dsyrk subtracts X X^T, X = B diag(1/sqrt(d)), from a copy of S_FF
+    (overwrite_c is off, so the gram's values stay as they are) and
+    writes only the lower triangle, the one that dpotrf(lower=1) reads
+    and then factors in place: half the arithmetic of forming the whole
+    product.  X^T, a Fortran-ordered view, goes in
+    with trans=1, so f2py does not copy it.  dsyrk refuses an empty
+    array, so an empty F gets its (0, 0) factor from dpotrf directly."""
     if isinstance(S, _Blocks):
         if not S.d.min() > 0.0:
             return None
-        c, info = dpotrf(S.FF - (S.B / S.d) @ S.B.T, lower=1, clean=0, overwrite_a=1)
+        C = S.FF
+        if S.F.size:
+            C = dsyrk(-1.0, (S.B / np.sqrt(S.d)).T, beta=1.0, c=C, trans=1, lower=1)
+        c, info = dpotrf(C, lower=1, clean=0, overwrite_a=1)
     else:
         c, info = dpotrf(S, lower=1, clean=0)
     return c if info == 0 else None

@@ -185,13 +185,13 @@ def step_detail(prep, x, cfg, tol, start=None):
     keeps the gram it solved with.  tol and start are handed to
     spd_solve, to both solves: tol is the relative target, and start
     the vector whose best multiple a CG solve starts from (zero when
-    None; a factored solve ignores it).  _iterate, the forward loop and
-    the one caller in the package, passes forward_tol of the iterate's
-    residual and the previous step's p, so a step is set by x, cfg and
-    that p.  Weights x / c that are not finite raise LinSolveFailure
-    before any solve; a start that is not None passes
-    core.checked_array as an m-vector (DimensionMismatch,
-    NonFiniteEntry).
+    None; a solve with a Cholesky answer ignores it).  _iterate, the
+    forward loop and the one caller in the package, passes forward_tol
+    of the iterate's residual and, where the previous step's gram holds
+    no factor, that step's p, so a step is set by x, cfg and that p.
+    Weights x / c that are not finite raise LinSolveFailure before any
+    solve; a start that is not None passes core.checked_array as an
+    m-vector (DimensionMismatch, NonFiniteEntry).
     """
     lp = prep.source
     op = lp.operator
@@ -276,16 +276,19 @@ def _iterate(prep, x, cfg):
     right-hand side of the solves, and starts its CG solve from the
     best multiple of the previous step's p (the first step from zero):
     consecutive systems differ little, and this start cut the CG
-    iterations of 100-step runs on 600-node DAGs by 46%.  A step is
-    thus set by its input and the previous step's p, and running the
-    loop again from the same x, a tape's steps[0].x_prev among them,
-    repeats it bit for bit, on the same route."""
+    iterations of 100-step runs on 600-node DAGs by 46%.  The p is
+    passed only where the previous step's gram holds no factor: a
+    factored route's steps solve by Cholesky and never read a start,
+    and step_detail would check it for nothing.  A step is thus set by
+    its input and the previous step's p, and running the loop again
+    from the same x, a tape's steps[0].x_prev among them, repeats it
+    bit for bit, on the same route."""
     bnorm = float(np.linalg.norm(prep.source.b))
     res = _evaluate(prep, x)[1]
     p = None
     for _ in range(cfg.max_iters):
         det = step_detail(prep, x, cfg, forward_tol(cfg, res, bnorm), p)
-        x, p = det.x_new, det.p
+        x, p = det.x_new, det.p if det.gram.factor is None else None
         obj, res = _evaluate(prep, x)
         yield det, x, obj, res
 

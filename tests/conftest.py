@@ -1,7 +1,8 @@
 """Shared instances: sparse LPs on the direct and the CG path, one
 with negative costs and potentials, and one with a dense A; and the
 helpers that only tests use: random bounded LPs and 600-node DAGs,
-feasible points of the matching and SVM LPs, and the forward loop run
+feasible points of the matching and SVM LPs, the check of a gram's
+CSR matrix against its operator's template, and the forward loop run
 again from a tape.
 
 The test modules import the helpers from this module, which is why
@@ -11,6 +12,7 @@ from itertools import islice
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from physlp import StandardFormLP, solver
 from physlp.errors import DimensionMismatch
@@ -66,6 +68,27 @@ def step_tols(res, tape):
     inputs = [solver._evaluate(tape.prep, det.x_prev)[1] for det in tape.steps[:1]]
     inputs += [rec.residual for rec in res.trace[:len(tape) - 1]]
     return np.array([solver.forward_tol(tape.cfg, r, bnorm) for r in inputs])
+
+
+def assert_sparse_copies_the_template(gram, other):
+    """gram.sparse() is the CSR matrix that scipy's constructor builds
+    on the pattern's index arrays and gram's values in CSR order: the
+    same indptr, indices and data, of the same dtypes, with sorted
+    indices.  other, a second gram of the same operator, shares those
+    index arrays, which refuse in-place writes, and not its data."""
+    pattern = gram.op._pattern
+    S, T = gram.sparse(), other.sparse()
+    built = scipy.sparse.csr_array((gram.values[pattern.entries], pattern.csr.indices,
+                                    pattern.csr.indptr), shape=S.shape)
+    for name in ("indptr", "indices", "data"):
+        mine, want = getattr(S, name), getattr(built, name)
+        assert mine.dtype == want.dtype and np.array_equal(mine, want)
+    assert S.has_sorted_indices
+    assert S.indptr is T.indptr and S.indices is T.indices
+    assert not np.shares_memory(S.data, T.data)
+    for arr in (S.indptr, S.indices):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[0]
 
 
 def rerun(tape):

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import physlp
-from physlp import errors
+from physlp import errors, linalg, problems
 
 from . import code_size
 
@@ -366,15 +366,31 @@ def test_code_size_totals_the_tests_with_the_vertex_oracle(capsys):
 
 
 def test_output_digest_repeats_and_tells_pools_apart(capsys, monkeypatch):
-    # a repeatability check only: the tiny pools run every workload on
-    # the direct route (tiny path_large has m = 9), not the CG route.
-    # Imported here, with sys.path restored after the test, as it puts
-    # benchmarks/ on sys.path.
+    # the tiny pools run every workload on the dense route (tiny
+    # path_large has m = 9).  With a constant lowered while the patterns
+    # are built, tiny path-large runs CG and tiny match-large the block
+    # factor, and there each digest repeats and differs from the dense
+    # route's, so a change on those routes shows.  Matching LPs of one
+    # shape share one cached operator, so the cache is cleared before
+    # and after.  Imported here, with sys.path restored after the test,
+    # as it puts benchmarks/ on sys.path.
     monkeypatch.setattr(sys, "path", list(sys.path))
     from . import output_digest
     for name in output_digest.workloads.WORKLOADS:
         assert output_digest.digest(name, 3, tiny=True) == output_digest.digest(name, 3, tiny=True)
     assert output_digest.digest("grad", 3, tiny=True) != output_digest.digest("grad", 4, tiny=True)
+    for name, constant, value in [("path-large", "DIRECT_MAX_DIM", 2),
+                                  ("match-large", "BLOCK_MIN_SAVING", 0.0)]:
+        dense = output_digest.digest(name, 3, tiny=True)
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, constant, value)
+            problems._matching_operator.cache_clear()
+            try:
+                routed = output_digest.digest(name, 3, tiny=True)
+                again = output_digest.digest(name, 3, tiny=True)
+            finally:
+                problems._matching_operator.cache_clear()
+        assert again == routed != dense
     monkeypatch.setattr(output_digest, "digest", lambda name, seed: f"{name}:{seed}")
     output_digest.main()
     assert [line.split() for line in capsys.readouterr().out.splitlines()] == [

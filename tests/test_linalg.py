@@ -11,6 +11,8 @@ from physlp.errors import Breakdown
 from physlp.linalg import WeightedOperator, _pcg, spd_solve, spd_solve_adjoint
 from physlp.problems import MatchingInstance, build_matching_lp, build_shortest_path_lp
 
+from .conftest import assert_sparse_copies_the_template
+
 # The relative target of the solves below: spd_solve takes its target
 # from the caller, and this is SolverConfig's default linsolve_tol
 TOL = SolverConfig().linsolve_tol
@@ -252,8 +254,11 @@ def test_every_layout_reads_the_same_matrix(matching_50x100, monkeypatch):
         csr = WeightedOperator(block.A)
         csr._pattern
     sizes = [op._pattern.Q.shape[0] for op in (block, dense, csr)]
-    assert sizes == [7600, 150 ** 2, block._pattern.indices.size]
+    assert sizes == [7600, 150 ** 2, block._pattern.csr.nnz]
     assert (dense._pattern.split, csr._pattern.split) == (None, None)
+    # every layout's sparse() copies its operator's CSR template
+    for op in (block, dense, csr):
+        assert_sparse_copies_the_template(op.at(w, 1e-3), op.at(w, 0.25))
     want = {}
     for reg in (1e-3, 0.25, 1e-3):
         S = (A * w) @ A.T + reg * np.eye(150)
@@ -289,6 +294,23 @@ def test_block_solve_meets_the_backward_error_bound(matching_50x100_tape, step):
         assert gram.factor.shape == (50, 50) and rep.iterations == 0
         bound = tol * (np.linalg.norm(rhs) + np.diag(S).max() * np.linalg.norm(rep.p))
         assert np.linalg.norm(S @ rep.p - rhs) <= bound
+
+
+@pytest.mark.parametrize("step", [0, 10, 25, 49])
+def test_block_factor_is_that_of_the_schur_complement(matching_50x100_tape, step):
+    # the factor that one SYRK and dpotrf leave on a block step's gram:
+    # on the lower triangle, all that dpotrf reads and writes, L L^T is
+    # S_FF - S_FI diag(1/d_I) S_FI^T formed in numpy.  The bound is
+    # relative to S_FF, as complements cancel: at most 4.0e-16 measured,
+    # and up to 1.7e-14 relative to the complement itself.
+    # The SYRK writes into a copy: the gram's S_FF stays symmetric.
+    gram = matching_50x100_tape.steps[step].gram
+    blocks = gram.direct()
+    L = np.tril(gram.factor)
+    want = blocks.FF - (blocks.B / blocks.d) @ blocks.B.T
+    lower = np.tril_indices(blocks.F.size)
+    assert np.abs((L @ L.T - want)[lower]).max() <= 1e-14 * np.abs(blocks.FF).max()
+    assert np.array_equal(blocks.FF, blocks.FF.T)
 
 
 def test_block_factor_of_a_diagonal_gram():

@@ -15,7 +15,7 @@ from physlp.errors import DimensionMismatch, NegativeCost, NonFiniteEntry, NonPo
 from physlp.oracles import hungarian
 from physlp.problems import MatchingInstance, build_matching_lp, decode_matching
 
-from .conftest import random_bounded_lp, rerun, step_tols
+from .conftest import assert_sparse_copies_the_template, random_bounded_lp, rerun, step_tols
 
 # The relative target of the solves below: step_detail and spd_solve
 # take theirs from the caller, and this is SolverConfig's default
@@ -474,6 +474,7 @@ def test_sparse_matrix_is_the_dense_gram(name, request):
         assert np.array_equal(gram.direct(), S.toarray())
     diag = np.diag(want)
     assert np.abs(S.diagonal() - diag).max() <= 1e-14 * diag.max()
+    assert_sparse_copies_the_template(gram, op.at(w, 0.25))
 
 
 def test_sparse_matrix_keeps_the_diagonal_of_an_empty_row():
@@ -699,6 +700,25 @@ def test_the_previous_steps_p_cuts_forward_cg_iterations(dag_600, seed):
     cold = sum(linalg.spd_solve(op.at(det.gram.w, det.gram.reg), b, tol).iterations
                for det, tol in zip(tape.steps, step_tols(res, tape), strict=True))
     assert sum(det.linsolve_iterations for det in tape.steps) <= 0.7 * cold
+
+
+@pytest.mark.parametrize("name", ["matching_5x50", "matching_50x100", "dag_600"])
+def test_the_forward_loop_hands_a_start_only_to_cg_steps(name, request, monkeypatch):
+    # a factored step never reads a start, so the loop passes it none,
+    # and step_detail does not check one; on the CG route every step
+    # but the first gets the previous step's p
+    lp = request.getfixturevalue(name)
+    step, starts = solver.step_detail, []
+
+    def recording(prep, x, cfg, tol, start=None):
+        starts.append(start)
+        return step(prep, x, cfg, tol, start)
+
+    monkeypatch.setattr(solver, "step_detail", recording)
+    steps = len(solve(lp, SolverConfig(max_iters=100, seed=2)).trace)
+    given = sum(start is not None for start in starts)
+    assert len(starts) == steps
+    assert given == (steps - 1 if lp.m > linalg.DIRECT_MAX_DIM else 0)
 
 
 def test_forward_targets_stay_at_or_below_the_forcing_term(dag_600):
