@@ -15,9 +15,9 @@ it ran with, both frozen, not copies.
 
 Per step the tape holds a solver.StepDetail, whose docstring lists
 what it keeps and its size: the step's whole system S as the
-linalg.WeightedGram the forward solve used, with the Cholesky factor
-that solve left on it, and a few vectors.  Nothing of S is computed
-again, and nothing is factored again.
+linalg.WeightedGram the forward solve used, with its Tikhonov scale
+and the Cholesky factor that solve left on it, and a few vectors.
+Nothing of S is computed again, and nothing is factored again.
 The solve adjoint gL = -outer(z, p) has rank one, so backward never
 forms an m-by-m or m-by-n array per step: each step costs one product
 with A and one with its transpose, a few n-vector operations, and
@@ -25,8 +25,10 @@ one spd_solve against the step's gram: two triangular solves with its
 factor (around two GEMVs in blocks) and a residual check against the
 kept S, a dense GEMV of order m or, in blocks, two GEMVs and the
 diagonal; or PCG on the kept sparse S when the gram has no factor.
-The column norms ||a_j||^2 of the Tikhonov term come from op's CSR
-data.  gA is the sum of 2K rank-one terms, two per step, and
+The Tikhonov term reg = s * sum_j w_j ||a_j||^2 / m is differentiated
+with s = gram.scale, the scale the step solved with, retry or not,
+and the column norms ||a_j||^2 come from op's CSR data.  gA is the
+sum of 2K rank-one terms, two per step, and
 an update on A's nonzeros from the Tikhonov term: backward keeps their
 vectors, stacked as (2K, m) and (2K, n) factor rows, and the n-vector
 omega of the update, and every solve and so every Breakdown stays
@@ -41,8 +43,9 @@ looser solver.forward_tol.
 
 The clamp back-propagates as a subgradient: pass-through where the
 pre-clamp value stayed strictly above the floor solver.CLAMP_FLOOR,
-zero where the clamp was active.  The pullback holds the perturbation
-gamma = solver.default_gamma(m, n) and the potentials constant:
+zero where the clamp was active (StepDetail.clamp_mask, read from
+x_new).  The pullback holds the perturbation gamma =
+solver.default_gamma(m, n) and the potentials constant:
 coordinates whose working cost was exactly zero (and therefore
 replaced by gamma) receive zero cost gradient.
 """
@@ -181,7 +184,7 @@ def backward(tape, grad_x):
     K = len(tape.steps)
     left = np.empty((2 * K, m))
     right = np.empty((2 * K, n))
-    # a default Tikhonov term reg = s * sum_j w_j ||a_j||^2 / m adds
+    # a step's Tikhonov term reg = s * sum_j w_j ||a_j||^2 / m adds
     # g_reg * s ||a_j||^2 / m to gw_j and (2 s / m) g_reg w_j a_j to
     # column j of gA, which omega collects for _grad_A
     col_sq = np.bincount(op.A.indices, op.A.data ** 2, minlength=n)
@@ -199,7 +202,7 @@ def backward(tape, grad_x):
         z = spd_solve(det.gram, op.A @ gu, _adjoint_tol(det.gram, tape.cfg)).p
         gb += z
         v = op.AT @ z
-        g_reg = -ddot(z, det.p) * det.reg_scale / m
+        g_reg = -ddot(z, det.p) * det.gram.scale / m
         gw = daxpy(col_sq, det.u * (gq - v), a=g_reg)
         omega = daxpy(w, omega, a=2.0 * g_reg)
         left[k] = det.p
@@ -248,7 +251,7 @@ def jvp(tape, dc=None, dA=None, db=None):
     if dA is not None:
         dA = checked_array(dA.toarray() if scipy.sparse.issparse(dA) else dA, (m, n), "dA")
     dc_w = prep.tangent(dc, dA)
-    # a default Tikhonov term moves by
+    # a step's Tikhonov term moves by
     # d reg = s / m * sum_j (dw_j ||a_j||^2 + 2 w_j a_j . da_j)
     col_sq = np.bincount(op.A.indices, op.A.data ** 2, minlength=n)
     col_da = np.zeros(n) if dA is None else _column_dots(op.A, dA)
@@ -264,7 +267,7 @@ def jvp(tape, dc=None, dA=None, db=None):
         else:
             dAt_p = dA.T @ p
             dL_p = dA @ (w * u) + op.A @ (dw * u + w * dAt_p)
-        d_reg = det.reg_scale / m * (ddot(dw, col_sq) + 2.0 * ddot(w, col_da))
+        d_reg = det.gram.scale / m * (ddot(dw, col_sq) + 2.0 * ddot(w, col_da))
         dL_p += d_reg * p
         dp = spd_solve(det.gram, db - dL_p, _adjoint_tol(det.gram, tape.cfg)).p
         du = dAt_p + op.AT @ dp

@@ -59,7 +59,7 @@ def _fail(message, code):
 def cmd_solve(args):
     try:
         lp = load_lp(args.lp)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         return _fail(exc, EXIT_IO)
     cfg = SolverConfig(max_iters=args.iters, step_size=args.step, seed=args.seed)
     result = solve(lp, cfg)
@@ -94,9 +94,9 @@ def _match_trial(index, seed_seq, n, m, budgets, cfg):
     y0 = initial_state(prep, cfg)
     records = []
     start = time.perf_counter()
-    for k, (_, x, _, _) in enumerate(_iterate(prep, y0, cfg), 1):
+    for k, (det, _, _) in enumerate(_iterate(prep, y0, cfg), 1):
         if k in budgets:
-            err = float(np.linalg.norm(x - x_star)) / norm_star
+            err = float(np.linalg.norm(det.x_new - x_star)) / norm_star
             records.append({"trial": index, "seed": solver_seed, "iters": k,
                             "error": err,
                             "time_sec": time.perf_counter() - start})
@@ -242,7 +242,7 @@ def cmd_shortest_path(args):
     try:
         with open(args.graph) as fh:
             graph = Graph.from_dict(json.load(fh))
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         return _fail(exc, EXIT_IO)
     path, length = dijkstra(graph, args.source, args.sink)
     lp = build_shortest_path_lp(graph, args.source, args.sink)

@@ -8,10 +8,12 @@ row-major m-by-m matrix on the dense route, the blocks [diag(S_II) |
 S_FF | S_FI] where the rows split, and the CSR data on the pattern of
 A A^T plus its diagonal above DIRECT_MAX_DIM, on index arrays that
 the operator builds once, read-only, in a CSR template.  WeightedGram,
-op.at(w, reg), is the step's whole system S: it computes Q @ w once,
-writes reg onto its diagonal, and keeps its own Cholesky factor once a
-solve has made one; its sparse() is a copy of the template with the
-gram's own data.  It is the one form of S that spd_solve takes.
+op.at(w, scale), is the step's whole system S: it computes Q @ w once,
+writes its Tikhonov term reg = scale * trace(A diag(w) A^T) / m onto
+the diagonal, and keeps its own Cholesky factor once a solve has made
+one; its sparse() is a copy of the template with the gram's own data.
+It is the one form of S that spd_solve takes, and the one place that
+holds the scale and reg a step solved with.
 spd_solve is the one solve routine, for the forward steps and for the
 backward and tangent solves alike.  It factors S by Cholesky up to
 DIRECT_MAX_DIM rows, calling LAPACK dpotrf and dpotrs directly, in one
@@ -97,10 +99,11 @@ class WeightedOperator:
     def _pattern(self):
         return _build_pattern(self.A.tocsc())
 
-    def at(self, w, reg=None):
-        """A diag(w) A^T + reg*I as a WeightedGram, for spd_solve; w must
-        be positive, and reg None gives the trace-scaled default."""
-        return WeightedGram(self, w, reg)
+    def at(self, w, scale=AUTO_REG_SCALE):
+        """A diag(w) A^T + reg*I as a WeightedGram, for spd_solve, with
+        reg = scale * trace(A diag(w) A^T) / m; w must be positive, and
+        scale 0 gives the bare matrix."""
+        return WeightedGram(self, w, scale)
 
 
 class _Split(NamedTuple):
@@ -244,9 +247,12 @@ class WeightedGram:
     one form of it that spd_solve takes: built from a validated A and
     w > 0, so not checked.
 
-    reg is fixed when the gram is made: given, or AUTO_REG_SCALE times
-    the trace of A diag(w) A^T over m when None.  values is Q @ w in
-    the layout of the operator's Q (see _build_pattern), with reg added
+    reg is fixed when the gram is made: scale times the trace of
+    A diag(w) A^T over m.  solver.step_detail solves with scale
+    AUTO_REG_SCALE and retries at 100 times that, so the gram tells
+    which ran, and backward and jvp differentiate reg through its
+    scale; scale 0 gives the bare matrix.  values is Q @ w in the
+    layout of the operator's Q (see _build_pattern), with reg added
     onto its diagonal then; nothing writes it afterwards.  Every form of
     S is views of it: direct() for direct steps, the row-major matrix
     or, where the rows split, its _Blocks, and sparse(), a CSR matrix,
@@ -260,7 +266,8 @@ class WeightedGram:
 
     op: WeightedOperator
     w: np.ndarray
-    reg: float | None = None
+    scale: float = AUTO_REG_SCALE
+    reg: float = field(init=False)
     values: np.ndarray = field(init=False)
     factor: np.ndarray | None = field(init=False, default=None)
 
@@ -268,8 +275,7 @@ class WeightedGram:
         pattern = self.op._pattern
         self.values = pattern.Q @ self.w
         diagonal = self.values[pattern.diagonal]
-        self.reg = (AUTO_REG_SCALE * float(diagonal.sum()) / diagonal.size if self.reg is None
-                    else float(self.reg))
+        self.reg = self.scale * float(diagonal.sum()) / diagonal.size
         self.values[pattern.diagonal] = diagonal + self.reg
 
     def sparse(self):
@@ -368,7 +374,7 @@ def _scaled_start(S_matvec, b, start):
 def spd_solve(L, b, tol, start=None):
     """Solve S p = b for S = A diag(w) A^T + reg*I.
 
-    L is the WeightedGram op.at(w, reg), and anything else raises
+    L is the WeightedGram op.at(w, scale), and anything else raises
     TypeError.  S is read from it by direct(), dense or in blocks, up to
     DIRECT_MAX_DIM rows and by sparse() above: views of its values, with
     no arithmetic.  L.factor is reused when L holds one; a direct solve
@@ -487,7 +493,7 @@ def _chol_solve(S, c, b):
 
 
 def spd_solve_adjoint(L, p, grad_p, tol):
-    """Reverse-mode rule for p = S^{-1} b, S = op.at(w, reg) as
+    """Reverse-mode rule for p = S^{-1} b, S = op.at(w, scale) as
     spd_solve takes it.
 
     Given d(loss)/dp, returns (grad_L, grad_b) where

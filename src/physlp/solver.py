@@ -143,22 +143,22 @@ class StepDetail:
     and its linsolve_iterations also depend on the start it was given,
     the previous step's p there.  gram is the linalg.WeightedGram the
     step solved with, its whole system S = A diag(w) A^T + reg*I: w,
-    reg, the values of S in the layout of the step's route (the m-by-m
-    matrix, the blocks diag(S_II), S_FF and S_FI where the operator
-    splits its rows, or the CSR data above linalg.DIRECT_MAX_DIM rows)
-    and the Cholesky factor the solve left on it (None on CG steps
-    unless the last resort ran).  backward and jvp hand the gram back
+    scale and reg, the values of S in the layout of the step's route
+    (the m-by-m matrix, the blocks diag(S_II), S_FF and S_FI where the
+    operator splits its rows, or the CSR data above
+    linalg.DIRECT_MAX_DIM rows) and the Cholesky factor the solve left
+    on it (None on CG steps unless the last resort ran).  backward and jvp hand the gram back
     to spd_solve, which reuses the factor and checks their answers
-    against S.  clamp_mask is True where the pre-clamp value stayed
-    strictly above eps.  gram.reg is s * sum_j w_j ||a_j||^2 / m, and
-    reg_scale is s: linalg.AUTO_REG_SCALE, or 100 times that after the
+    against S.  gram.reg is s * sum_j w_j ||a_j||^2 / m with s =
+    gram.scale: linalg.AUTO_REG_SCALE, or 100 times that after the
     retry.  The term moves with w and A, so backward and jvp, which
-    solve with it, differentiate it.  Per step this is, on the dense
-    route, two m-by-m arrays (the matrix and its factor), five
-    n-vectors (w among them) and two m-vectors; where the rows split,
-    |I| + 2 |F|^2 + |F| |I| floats in place of the two m-by-m arrays:
-    about 83 kB at 30x30 (60x930) and 213 kB at 50x100 (150x5100), by
-    tracemalloc.
+    solve with it, differentiate it.  The step stores nothing it can
+    derive exactly: clamp_mask is read from x_new.  Per step this is,
+    on the dense route, two m-by-m arrays (the matrix and its factor),
+    four n-vectors (w among them) and two m-vectors; where the rows
+    split, |I| + 2 |F|^2 + |F| |I| floats in place of the two m-by-m
+    arrays: about 82 kB at 30x30 (60x930) and 207 kB at 50x100
+    (150x5100), by tracemalloc.
     """
 
     x_prev: np.ndarray
@@ -166,23 +166,29 @@ class StepDetail:
     p: np.ndarray
     u: np.ndarray
     x_new: np.ndarray
-    clamp_mask: np.ndarray
-    reg_scale: float
     linsolve_iterations: int
+
+    @property
+    def clamp_mask(self):
+        """True where the pre-clamp value stayed strictly above eps: as
+        x_new = max(pre, eps), x_new > eps holds exactly there, and a
+        NaN pre fails both tests."""
+        return self.x_new > CLAMP_FLOOR
 
 
 def step_detail(prep, x, cfg, tol, start=None):
     """One dynamics update from the iterate x, with full intermediates;
     the next iterate is its x_new.
 
-    S = A diag(w) A^T + reg*I goes to spd_solve as op.at(w), op the
-    LP's operator, at every size, with the default Tikhonov term, and
+    S = A diag(w) A^T + reg*I goes to spd_solve as
+    op.at(w, AUTO_REG_SCALE), op the LP's operator, at every size, and
     u = A^T p.  With q = w * u, the damped update is (1 - h) x + h q,
     and q itself at h = 1, where the two agree up to the sign of a
     zero.  spd_solve factors S up to linalg.DIRECT_MAX_DIM rows and runs
     CG on it, assembled sparse, above.  After a linear-solve breakdown
-    the step retries once on op.at(w, 100 * reg), a new gram.  The step
-    keeps the gram it solved with.  tol and start are handed to
+    the step retries once on op.at(w, 100 * AUTO_REG_SCALE), a new
+    gram.  The step keeps the gram it solved with, whose scale tells
+    whether the retry ran.  tol and start are handed to
     spd_solve, to both solves: tol is the relative target, and start
     the vector whose best multiple a CG solve starts from (zero when
     None; a solve with a Cholesky answer ignores it).  _iterate, the
@@ -202,11 +208,11 @@ def step_detail(prep, x, cfg, tol, start=None):
         raise LinSolveFailure("the weights x / c are not finite, so A diag(w) A^T is not either")
     if start is not None:
         start = checked_array(start, (lp.m,), "start")
-    gram = op.at(w)
+    gram = op.at(w, AUTO_REG_SCALE)
     try:
-        report, reg_scale = spd_solve(gram, lp.b, tol, start), AUTO_REG_SCALE
+        report = spd_solve(gram, lp.b, tol, start)
     except Breakdown:
-        gram, reg_scale = op.at(w, 100.0 * gram.reg), 100.0 * AUTO_REG_SCALE
+        gram = op.at(w, 100.0 * AUTO_REG_SCALE)
         try:
             report = spd_solve(gram, lp.b, tol, start)
         except Breakdown as exc:
@@ -215,9 +221,8 @@ def step_detail(prep, x, cfg, tol, start=None):
     u = op.AT @ p
     q = w * u
     pre = q if h == 1.0 else (1.0 - h) * x + h * q
-    clamp_mask = pre > CLAMP_FLOOR
     x_new = np.maximum(pre, CLAMP_FLOOR)
-    return StepDetail(x, gram, p, u, x_new, clamp_mask, reg_scale, report.iterations)
+    return StepDetail(x, gram, p, u, x_new, report.iterations)
 
 
 def initial_state(prep, cfg, x0=None):
@@ -269,9 +274,9 @@ def _evaluate(prep, x):
 
 def _iterate(prep, x, cfg):
     """The forward loop: cfg.max_iters steps from the iterate x,
-    yielding (StepDetail, x, objective, residual) after each, where x
-    is the StepDetail's x_new itself, so a caller copies it before
-    writing; LinSolveFailure propagates.  Each step solves to
+    yielding (StepDetail, objective, residual) after each, the last two
+    those of the step's x_new, which a caller copies before writing
+    into it; LinSolveFailure propagates.  Each step solves to
     forward_tol of the residual of its input, with bnorm = ||b||, the
     right-hand side of the solves, and starts its CG solve from the
     best multiple of the previous step's p (the first step from zero):
@@ -290,7 +295,7 @@ def _iterate(prep, x, cfg):
         det = step_detail(prep, x, cfg, forward_tol(cfg, res, bnorm), p)
         x, p = det.x_new, det.p if det.gram.factor is None else None
         obj, res = _evaluate(prep, x)
-        yield det, x, obj, res
+        yield det, obj, res
 
 
 def _solve_loop(lp, cfg, x0, record_steps, early_stop=False):
@@ -307,10 +312,10 @@ def _solve_loop(lp, cfg, x0, record_steps, early_stop=False):
 
     steps = [] if record_steps else None
     trace = []
-    x = None
+    det = None
     converged = False
     try:
-        for k, (det, x, obj, res) in enumerate(_iterate(prep, x0, cfg), 1):
+        for k, (det, obj, res) in enumerate(_iterate(prep, x0, cfg), 1):
             if record_steps:
                 steps.append(det)
             trace.append(TraceRecord(k, obj, res, det.linsolve_iterations))
@@ -321,8 +326,8 @@ def _solve_loop(lp, cfg, x0, record_steps, early_stop=False):
     except LinSolveFailure:
         status = SolveStatus.LINSOLVE_FAILURE
 
-    if x is None:  # no step completed
-        x = x0
+    x = x0 if det is None else det.x_new
+    if det is None:  # no step completed
         obj, res = _evaluate(prep, x)
     # x may be the last x_new or x0, which a tape holds, so it is copied
     result = SolveResult(x.copy(), obj, res, trace, status)

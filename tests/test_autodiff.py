@@ -1,5 +1,6 @@
 """Tape recording, reverse-mode gradients, and tangent propagation."""
 
+import copy
 import tracemalloc
 import weakref
 from dataclasses import FrozenInstanceError, asdict, fields, replace
@@ -57,7 +58,7 @@ def dense_backward(tape, grad_x):
         gb += gb_step
         gw += np.einsum("rj,rj->j", A, gL @ A)
         gA += ((gL + gL.T) @ A) * w
-        g_reg = np.trace(gL) * det.reg_scale / len(gb)
+        g_reg = np.trace(gL) * det.gram.scale / len(gb)
         gw += g_reg * (A * A).sum(axis=0)
         gA += 2.0 * g_reg * A * w
         gc -= gw * det.x_prev / c_hat ** 2
@@ -149,7 +150,7 @@ def test_no_solve_writes_a_grams_values(name, request, monkeypatch):
     _, tape = solve_with_tape(lp, SolverConfig(max_iters=5, seed=4))
     assert len(calls) == 6 and len(tape) == 5
     for det in tape.steps:
-        assert np.array_equal(det.gram.values, op.at(det.gram.w, det.gram.reg).values)
+        assert np.array_equal(det.gram.values, op.at(det.gram.w, det.gram.scale).values)
     before = [det.gram.values.copy() for det in tape.steps]
     rng = np.random.default_rng(4)
     backward(tape, rng.normal(size=lp.n))
@@ -158,8 +159,10 @@ def test_no_solve_writes_a_grams_values(name, request, monkeypatch):
 
     retried = tape.steps[2].gram
     default, bare = op.at(retried.w), op.at(retried.w, 0.0)
-    assert tape.steps[2].reg_scale == 100.0 * linalg.AUTO_REG_SCALE
-    assert retried.reg == 100.0 * default.reg
+    assert [det.gram.scale == linalg.AUTO_REG_SCALE for det in tape.steps] == [
+        True, True, False, True, True]
+    assert retried.scale == 100.0 * linalg.AUTO_REG_SCALE
+    assert retried.reg == pytest.approx(100.0 * default.reg, rel=1e-15)
     diagonal = op._pattern.diagonal
     off = np.ones(retried.values.size, dtype=bool)
     off[diagonal] = False
@@ -199,6 +202,13 @@ def test_tape_stores_consistent_solves():
         L = (A * (det.x_prev / c_hat)) @ A.T
         lhs = (L + det.gram.reg * np.eye(L.shape[0])) @ det.p
         assert np.linalg.norm(lhs - b) <= 1e-7 * (1.0 + np.linalg.norm(b))
+
+
+def test_a_tape_without_a_config_runs_the_default_one():
+    lp = toy_lp()
+    res, tape = solve_with_tape(lp)
+    assert tape.cfg == SolverConfig() and len(tape) == SolverConfig().max_iters
+    assert np.array_equal(res.x, solve(lp, early_stop=False).x)
 
 
 def test_zero_length_tape_gradients():
@@ -321,8 +331,8 @@ def potentials(prep):
 
 
 def kept_system(op, w, det):
-    """op.at(w) at the step's reg, holding the factor the step keeps."""
-    gram = op.at(w, det.gram.reg)
+    """op.at(w) at the step's scale, holding the factor the step keeps."""
+    gram = op.at(w, det.gram.scale)
     gram.factor = det.gram.factor
     return gram
 
@@ -347,7 +357,7 @@ def applied_backward(tape, grad_x):
         z = linalg.spd_solve(gram, op.A @ gu, autodiff._adjoint_tol(gram, tape.cfg)).p
         gb += z
         v = op.AT @ z
-        g_reg = -ddot(z, det.p) * det.reg_scale / m
+        g_reg = -ddot(z, det.p) * det.gram.scale / m
         gw = daxpy(col_sq, det.u * (gq - v), a=g_reg)
         omega = daxpy(w, omega, a=2.0 * g_reg)
         left[k], right[k] = det.p, gu - v * w
@@ -379,7 +389,7 @@ def applied_jvp(tape, dc, dA, db):
         else:
             dAt_p = dA.T @ p
             dL_p = dA @ (w * u) + op.A @ (dw * u + w * dAt_p)
-        dL_p += det.reg_scale / m * (ddot(dw, col_sq) + 2.0 * ddot(w, col_da)) * p
+        dL_p += det.gram.scale / m * (ddot(dw, col_sq) + 2.0 * ddot(w, col_da)) * p
         gram = kept_system(op, w, det)
         dp = linalg.spd_solve(gram, db - dL_p, autodiff._adjoint_tol(gram, tape.cfg)).p
         du = dAt_p + op.AT @ dp
@@ -542,20 +552,50 @@ def test_randomized_gradcheck_and_transpose():
         checked += 1
 
 
+def with_scale(det, scale):
+    """The step det with a copy of its gram whose Tikhonov scale reads
+    scale, its matrix, reg and factor kept."""
+    gram = copy.copy(det.gram)
+    gram.scale = scale
+    return replace(det, gram=gram)
+
+
 def test_gradients_follow_the_default_tikhonov_term(monkeypatch):
     # each step's reg is s * trace(A W A^T) / m, which moves with c, A
     # and the iterate.  At s = 1e-4 it shifts the gradients by 1e-4 to
     # 3e-3 relative, so backward and jvp meet
     # finite differences only by differentiating it; at the default
     # 1e-10 the shift is of the order of the randomized test's band
-    for module in (linalg, solver):
-        monkeypatch.setattr(module, "AUTO_REG_SCALE", 1e-4)
+    monkeypatch.setattr(solver, "AUTO_REG_SCALE", 1e-4)
+    assert_gradients_follow_the_tikhonov_term(1e-4, [0.0])
+
+
+def test_gradients_follow_the_tikhonov_term_of_the_retry(monkeypatch):
+    # every first solve breaks down, so every step retries at 100 times
+    # the scale, about 1e-4, and its gram says so; backward and jvp meet
+    # finite differences only by differentiating that scale, not the
+    # first solve's
+    monkeypatch.setattr(solver, "AUTO_REG_SCALE", 1e-6)
+    inner = solver.spd_solve
+
+    def failing(L, *args):
+        if L.scale == 1e-6:
+            raise Breakdown("forced")
+        return inner(L, *args)
+    monkeypatch.setattr(solver, "spd_solve", failing)
+    assert_gradients_follow_the_tikhonov_term(100.0 * 1e-6, [0.0, 1e-6])
+
+
+def assert_gradients_follow_the_tikhonov_term(scale, wrong):
+    """On a 10-step tape whose every gram has Tikhonov scale scale,
+    backward and jvp meet finite differences to 1e-6 relative, and miss
+    them by more than 1e-5 with each scale of wrong read in its place."""
     rng = np.random.default_rng(9)
     lp, _ = random_bounded_lp(rng, 3, 6)
     cfg = SolverConfig(max_iters=10, seed=2)
     _, tape = solve_with_tape(lp, cfg)
     assert not clamp_fired(tape)
-    assert all(det.reg_scale == 1e-4 for det in tape.steps)
+    assert all(det.gram.scale == scale for det in tape.steps)
     w = rng.normal(size=lp.n)
     fd = finite_diff_grad(lp, cfg, lambda x: float(w @ x))
     dc, dA, db = rng.normal(size=lp.n), rng.normal(size=(lp.m, lp.n)), rng.normal(size=lp.m)
@@ -573,8 +613,9 @@ def test_gradients_follow_the_default_tikhonov_term(monkeypatch):
         return [rel_err(got, want) for got, want in pairs]
 
     assert max(errors(tape)) <= 1e-6
-    frozen = replace(tape, steps=[replace(det, reg_scale=0.0) for det in tape.steps])
-    assert min(errors(frozen)) > 1e-5
+    for frozen in wrong:
+        other = replace(tape, steps=[with_scale(det, frozen) for det in tape.steps])
+        assert min(errors(other)) > 1e-5
 
 
 @pytest.mark.parametrize("shape", [(30, 30), (10, 40)])

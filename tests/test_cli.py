@@ -10,7 +10,7 @@ import pytest
 
 from physlp import SolverConfig, StandardFormLP, linalg, save_lp, solve, solver
 from physlp.cli import build_parser, main
-from physlp.errors import LinSolveFailure
+from physlp.errors import Breakdown, LinSolveFailure
 from physlp.oracles import hungarian
 from physlp.problems import MatchingInstance, assignment_to_vector, build_matching_lp
 
@@ -65,6 +65,28 @@ def test_solve_malformed_json_is_io_error(tmp_path, capsys):
 def test_solve_missing_file_is_io_error(tmp_path, capsys):
     rc, _, err = run(capsys, ["solve", "--lp", str(tmp_path / "nope.json")])
     assert rc == 1 and "error:" in err
+
+
+def test_solve_writes_its_report_when_a_linear_solve_fails(monkeypatch, tmp_path, capsys):
+    # the second step's solve and its retry break down: the solve ends
+    # LINSOLVE_FAILURE at the first step's iterate, whose report is
+    # still written, and main gives exit 2 with one error line
+    inner, calls = solver.spd_solve, []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) > 1:
+            raise Breakdown("forced")
+        return inner(*args)
+
+    monkeypatch.setattr(solver, "spd_solve", failing)
+    lp_file = write_toy_lp(tmp_path / "toy.json")
+    out_file = tmp_path / "result.json"
+    rc, out, err = run(capsys, ["solve", "--lp", lp_file, "--out", str(out_file)])
+    assert rc == 2 and out == "" and len(calls) == 3
+    assert err.splitlines() == ["error: linear solve failed during iteration"]
+    report = json.loads(out_file.read_text())
+    assert report["status"] == "LINSOLVE_FAILURE" and len(report["trace"]) == 1
 
 
 def test_solve_zero_cost_runs_at_the_default_gamma(tmp_path, capsys):

@@ -7,7 +7,7 @@ import scipy.linalg
 import scipy.sparse
 
 from physlp import SolverConfig, StandardFormLP, backward, linalg, solve, solve_with_tape
-from physlp.errors import Breakdown
+from physlp.errors import Breakdown, DimensionMismatch
 from physlp.linalg import WeightedOperator, _pcg, spd_solve, spd_solve_adjoint
 from physlp.problems import MatchingInstance, build_matching_lp, build_shortest_path_lp
 
@@ -17,11 +17,11 @@ from .conftest import assert_sparse_copies_the_template
 # from the caller, and this is SolverConfig's default linsolve_tol
 TOL = SolverConfig().linsolve_tol
 
-def gram(B, w=None, reg=None):
-    """B diag(w) B^T + reg*I as the WeightedGram spd_solve takes; w = 1
-    gives B B^T, and reg None the default term."""
+def gram(B, w=None, scale=linalg.AUTO_REG_SCALE):
+    """B diag(w) B^T + reg*I as the WeightedGram spd_solve takes, with
+    reg = scale * trace(B diag(w) B^T) / m; w = 1 gives B B^T."""
     w = np.ones(B.shape[1]) if w is None else np.asarray(w, float)
-    return WeightedOperator(scipy.sparse.csr_array(B)).at(w, reg)
+    return WeightedOperator(scipy.sparse.csr_array(B)).at(w, scale)
 
 
 def test_identity_system():
@@ -38,7 +38,7 @@ def test_diagonal_system():
 
 
 def test_singular_rank_one_with_ridge():
-    L = gram(np.ones((2, 1)), reg=1e-8)  # ones((2, 2)) + 1e-8 I
+    L = gram(np.ones((2, 1)), scale=1e-8)  # ones((2, 2)) + 1e-8 I: trace / m is 1
     rep = spd_solve(L, np.array([1.0, 1.0]), TOL)
     assert np.allclose(rep.p, [0.5, 0.5], atol=1e-6)
     assert L.reg == 1e-8
@@ -63,7 +63,7 @@ def test_rejects_shape_mismatch():
 def test_breakdown_on_inconsistent_singular_system():
     # b outside the range of the rank-1 matrix, no ridge: neither the
     # factorization nor CG can reach the residual target
-    L = gram(np.ones((2, 1)), reg=0.0)  # ones((2, 2))
+    L = gram(np.ones((2, 1)), scale=0.0)  # ones((2, 2))
     with pytest.raises(Breakdown):
         spd_solve(L, np.array([1.0, -1.0]), TOL)
 
@@ -111,8 +111,9 @@ def test_weighted_spd_solve_with_and_without_factor():
     rng = np.random.default_rng(7)
     A = rng.uniform(size=(6, 15))
     w = rng.uniform(0.1, 1.0, size=15)
-    S = (A * w) @ A.T + 1e-9 * np.eye(6)
     L = gram(A, w, 1e-9)
+    S = (A * w) @ A.T + L.reg * np.eye(6)
+    assert L.reg == pytest.approx(1e-9 * np.trace((A * w) @ A.T) / 6, rel=1e-14)
     spd_solve(L, rng.normal(size=6), TOL)
     factor = L.factor
     rhs = rng.normal(size=6)
@@ -183,6 +184,13 @@ def test_adjoint_matches_dense_formula():
         assert np.allclose(grad_L, -np.outer(want_gb, p), atol=1e-8)
 
 
+def test_adjoint_refuses_a_grad_p_of_another_shape():
+    L = gram(np.eye(3))
+    p = spd_solve(L, np.ones(3), TOL).p
+    with pytest.raises(DimensionMismatch, match="grad_p"):
+        spd_solve_adjoint(L, p, np.ones(2), TOL)
+
+
 def test_adjoint_directional_derivative():
     # first-order check: loss = grad_p . p(L, b); L + t dL is the gram
     # of [B, sqrt(m) I, V] at weights (1, 1, t lam), dL = V diag(lam) V^T
@@ -240,7 +248,7 @@ def test_every_layout_reads_the_same_matrix(matching_50x100, monkeypatch):
     # blocks where the rows split, row-major where they do not, and CSR
     # data above DIRECT_MAX_DIM.  Every form read from any layout, the
     # CSR matrix from each and the row-major one, is the same matrix bit
-    # for bit, at any reg, and at one reg after grams at another.
+    # for bit, at any scale, and at one scale after grams at another.
     block = matching_50x100.operator
     A = block.A.toarray()
     w = np.random.default_rng(4).uniform(0.1, 2.0, size=A.shape[1])
@@ -260,18 +268,21 @@ def test_every_layout_reads_the_same_matrix(matching_50x100, monkeypatch):
     for op in (block, dense, csr):
         assert_sparse_copies_the_template(op.at(w, 1e-3), op.at(w, 0.25))
     want = {}
-    for reg in (1e-3, 0.25, 1e-3):
-        S = (A * w) @ A.T + reg * np.eye(150)
-        forms = [op.at(w, reg).sparse().toarray() for op in (block, dense, csr)]
-        forms.append(dense.at(w, reg).direct().copy())
+    for scale in (1e-3, 0.25, 1e-3):
+        grams = [op.at(w, scale) for op in (block, dense, csr)]
+        # each layout sums the same diagonal in the same order
+        assert all(g.reg == grams[0].reg for g in grams)
+        S = (A * w) @ A.T + grams[0].reg * np.eye(150)
+        forms = [g.sparse().toarray() for g in grams]
+        forms.append(grams[1].direct().copy())
         assert all(np.array_equal(f, forms[0]) for f in forms)
         assert np.abs(forms[0] - S).max() <= 1e-13 * np.abs(S).max()
         I, F = block._pattern.split
-        blocks = block.at(w, reg).direct()
+        blocks = grams[0].direct()
         assert np.array_equal(blocks.FF, forms[0][np.ix_(F, F)])
         assert np.array_equal(blocks.B, forms[0][np.ix_(F, I)])
         assert np.array_equal(blocks.d, forms[0][I, I])
-        assert np.array_equal(forms[0], want.setdefault(reg, forms[0]))
+        assert np.array_equal(forms[0], want.setdefault(scale, forms[0]))
 
 
 @pytest.fixture(scope="module")
@@ -289,7 +300,8 @@ def test_block_solve_meets_the_backward_error_bound(matching_50x100_tape, step):
     S = (A * w) @ A.T + det.gram.reg * np.eye(A.shape[0])
     rhs = np.random.default_rng(step).normal(size=A.shape[0])
     tol = 1e-10
-    for gram in (tape.prep.source.operator.at(w, det.gram.reg), det.gram):
+    for gram in (tape.prep.source.operator.at(w, det.gram.scale), det.gram):
+        assert gram.reg == det.gram.reg
         rep = spd_solve(gram, rhs, tol=tol)
         assert gram.factor.shape == (50, 50) and rep.iterations == 0
         bound = tol * (np.linalg.norm(rhs) + np.diag(S).max() * np.linalg.norm(rep.p))
@@ -395,7 +407,10 @@ def test_an_indefinite_matrix_breaks_down_on_both_routes(matching_50x100, monkey
     # raises Breakdown on the same matrices
     op = matching_50x100.operator
     w = np.random.default_rng(1).uniform(0.1, 2.0, size=matching_50x100.n)
-    reg = -scale * op.at(w, 0.0).direct().d.min()
+    bare = op.at(w, 0.0)
+    # the Tikhonov scale whose reg, scale * trace / m, is -scale * d
+    trace = bare.values[op._pattern.diagonal].sum()
+    reg_scale = -scale * bare.direct().d.min() * op.A.shape[0] / trace
     potrf, seen = linalg.dpotrf, []
 
     def spy(a, **kwargs):
@@ -403,14 +418,14 @@ def test_an_indefinite_matrix_breaks_down_on_both_routes(matching_50x100, monkey
         return potrf(a, **kwargs)
     monkeypatch.setattr(linalg, "dpotrf", spy)
     with pytest.raises(Breakdown):
-        spd_solve(op.at(w, reg), matching_50x100.b, TOL)
+        spd_solve(op.at(w, reg_scale), matching_50x100.b, TOL)
     assert seen == orders
     # the dense route: an operator whose Q writes the row-major layout
     monkeypatch.setattr(linalg, "BLOCK_MIN_SAVING", np.inf)
     dense = WeightedOperator(op.A)
     assert dense._pattern.split is None
     with pytest.raises(Breakdown):
-        spd_solve(dense.at(w, reg), matching_50x100.b, TOL)
+        spd_solve(dense.at(w, reg_scale), matching_50x100.b, TOL)
     assert seen == orders + [150]
 
 

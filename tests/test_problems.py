@@ -181,7 +181,8 @@ def test_a_negative_gamma_gets_potentials_on_the_shared_operator(monkeypatch):
     init, at = linalg.WeightedOperator.__init__, linalg.WeightedOperator.at
     monkeypatch.setattr(linalg.WeightedOperator, "__init__",
                         lambda op, A: built.append(A) or init(op, A))
-    monkeypatch.setattr(linalg.WeightedOperator, "at", lambda op, w: used.append(op) or at(op, w))
+    monkeypatch.setattr(linalg.WeightedOperator, "at",
+                        lambda op, w, scale: used.append(op) or at(op, w, scale))
     cfg = SolverConfig(max_iters=5)
     res = solve(lp, cfg)
     assert res.x.min() > 0.0
@@ -388,6 +389,10 @@ def test_svm_input_validation():
         build_l1svm_lp(SvmInstance(pts, np.array([1.0])))
     with pytest.raises(ValueError):
         build_l1svm_lp(SvmInstance(pts, np.array([1.0, -1.0]), c_reg=0.0))
+    with pytest.raises(DimensionMismatch, match="2-D"):
+        build_l1svm_lp(SvmInstance(pts.ravel(), np.array([1.0, -1.0])))
+    with pytest.raises(DimensionMismatch, match="at least one"):
+        build_l1svm_lp(SvmInstance(np.empty((0, 1)), np.empty(0)))
 
     class NanKernel:
         def gram(self, X, Y):

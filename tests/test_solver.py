@@ -461,10 +461,9 @@ def test_sparse_matrix_is_the_dense_gram(name, request):
     op = prep.source.operator
     A = op.A.toarray()
     w = np.random.default_rng(9).uniform(0.1, 2.0, size=prep.source.n)
-    reg = 1e-3
-    gram = op.at(w, reg)
+    gram = op.at(w, 1e-3)
     S = gram.sparse()
-    want = (A * w) @ A.T + reg * np.eye(prep.source.m)
+    want = (A * w) @ A.T + gram.reg * np.eye(prep.source.m)
     assert S.has_sorted_indices
     assert S.nnz == np.count_nonzero(want)
     assert np.array_equal(S.toarray() != 0, want != 0)
@@ -481,8 +480,9 @@ def test_sparse_matrix_keeps_the_diagonal_of_an_empty_row():
     # reg*I lands on every row, also where A A^T has no entry
     A = np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
     w = np.array([1.0, 2.0, 3.0])
-    S = linalg.WeightedOperator(scipy.sparse.csr_array(A)).at(w, 0.5).sparse()
-    assert np.array_equal(S.toarray(), (A * w) @ A.T + 0.5 * np.eye(3))
+    gram = linalg.WeightedOperator(scipy.sparse.csr_array(A)).at(w, 0.5)
+    assert gram.reg == 0.5 * 14.0 / 3  # the trace is 9 + 0 + 5
+    assert np.array_equal(gram.sparse().toarray(), (A * w) @ A.T + gram.reg * np.eye(3))
 
 
 def forbid_assembly(monkeypatch):
@@ -557,8 +557,7 @@ def test_factored_spd_solve_refines_with_the_jacobi_diagonal(matching_5x50, monk
     A = op.A.toarray()
     rng = np.random.default_rng(11)
     w = rng.uniform(0.1, 2.0, size=prep.source.n)
-    reg = 1e-3
-    stale = op.at(2.0 * w, reg)
+    stale = op.at(2.0 * w, 1e-3)
     linalg.spd_solve(stale, matching_5x50.b, TOL)
     pcg, seen = linalg._pcg, []
 
@@ -567,10 +566,10 @@ def test_factored_spd_solve_refines_with_the_jacobi_diagonal(matching_5x50, monk
         return pcg(mv, b, diag, x, r, target, max_iters)
     monkeypatch.setattr(linalg, "_pcg", spy)
     rhs = rng.normal(size=prep.source.m)
-    gram = op.at(w, reg)
+    gram = op.at(w, 1e-3)
     gram.factor = stale.factor
     z = linalg.spd_solve(gram, rhs, TOL).p
-    S = (A * w) @ A.T + reg * np.eye(prep.source.m)
+    S = (A * w) @ A.T + gram.reg * np.eye(prep.source.m)
     assert len(seen) == 1
     assert np.abs(seen[0] - np.diag(S)).max() <= 1e-14 * np.diag(S).max()
     bound = 1e-10 * (np.diag(S).max() * np.linalg.norm(z) + np.linalg.norm(rhs))
@@ -686,7 +685,7 @@ def test_cg_steps_start_from_the_previous_steps_p(dag_600, seed):
     starts = [None] + [det.p for det in tape.steps[:-1]]
     for det, record, tol, start in zip(tape.steps, res.trace, step_tols(res, tape), starts,
                                        strict=True):
-        again = linalg.spd_solve(op.at(det.x_prev / c, det.gram.reg), b, tol, start)
+        again = linalg.spd_solve(op.at(det.x_prev / c, det.gram.scale), b, tol, start)
         assert again.iterations == det.linsolve_iterations == record.linsolve_iterations
         assert np.array_equal(again.p, det.p)
 
@@ -697,7 +696,7 @@ def test_the_previous_steps_p_cuts_forward_cg_iterations(dag_600, seed):
     # target: 0.53 of the count on seed 7 and 0.42 on seed 8
     res, tape = solve_with_tape(dag_600, SolverConfig(max_iters=100, seed=seed))
     op, b = tape.prep.source.operator, tape.prep.source.b
-    cold = sum(linalg.spd_solve(op.at(det.gram.w, det.gram.reg), b, tol).iterations
+    cold = sum(linalg.spd_solve(op.at(det.gram.w, det.gram.scale), b, tol).iterations
                for det, tol in zip(tape.steps, step_tols(res, tape), strict=True))
     assert sum(det.linsolve_iterations for det in tape.steps) <= 0.7 * cold
 
