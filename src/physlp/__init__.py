@@ -9,23 +9,23 @@ Every array argument whose shape the function knows passes one check,
 core.checked_array, which raises errors.DimensionMismatch or
 errors.NonFiniteEntry; an LP's entries are also held to core.A_MAX in
 magnitude.  Importing physlp leaves scipy.optimize unloaded until the
-first oracles.hungarian call.
+first oracles.hungarian call.  The namespace holds what a caller of the
+layer needs; the step machinery behind solve, solve_with_tape,
+backward and jvp (prepare_lp, initial_state, step_detail, StepDetail)
+stays in physlp.solver, and validate in physlp.core.
 """
 
 from .autodiff import LpGradients, UnrolledTape, backward, finite_diff_grad, jvp, solve_with_tape
 from .core import (SolveResult, SolveStatus, SolverConfig, StandardFormLP, TraceRecord, load_lp,
-                   save_lp, validate)
-from .solver import (PreparedLP, StepDetail, default_gamma, initial_state, prepare_lp,
-                     solve, step_detail)
+                   save_lp)
+from .solver import solve
 from . import errors, oracles, problems
 
 __version__ = "0.1.0"
 
 __all__ = [
     "StandardFormLP", "SolverConfig", "SolveResult", "SolveStatus", "TraceRecord",
-    "validate", "save_lp", "load_lp",
-    "PreparedLP", "StepDetail", "prepare_lp",
-    "initial_state", "step_detail", "solve", "default_gamma",
+    "save_lp", "load_lp", "solve",
     "UnrolledTape", "LpGradients", "solve_with_tape", "backward", "jvp",
     "finite_diff_grad",
     "errors", "oracles", "problems",

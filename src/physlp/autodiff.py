@@ -17,7 +17,10 @@ Per step the tape holds a solver.StepDetail, whose docstring lists
 what it keeps and its size: the step's whole system S as the
 linalg.WeightedGram the forward solve used, with its Tikhonov scale
 and the Cholesky factor that solve left on it, and a few vectors.
-Nothing of S is computed again, and nothing is factored again.
+Nothing of S is computed again, and nothing is factored again; the
+weights w = x_prev / c_hat, which the gram does not keep, are divided
+again, one n-vector division per step, the same one as the forward
+step's, so the same w bit for bit.
 The solve adjoint gL = -outer(z, p) has rank one, so backward never
 forms an m-by-m or m-by-n array per step: each step costs one product
 with A and one with its transpose, a few n-vector operations, and
@@ -191,7 +194,8 @@ def backward(tape, grad_x):
     omega = np.zeros(n)
 
     for k, det in enumerate(reversed(tape.steps)):
-        w = det.gram.w
+        # w = x_prev / c_hat, the division step_detail made
+        w = det.x_prev / c_hat
         g = np.where(det.clamp_mask, g, 0.0)
         # pre = (1 - h) x + h q, or q itself at h = 1
         gq = g if h == 1.0 else h * g
@@ -259,7 +263,8 @@ def jvp(tape, dc=None, dA=None, db=None):
     c_sq = c_hat ** 2
     dx = np.zeros(n)
     for det in tape.steps:
-        x, w, p, u = det.x_prev, det.gram.w, det.p, det.u
+        x, p, u = det.x_prev, det.p, det.u
+        w = x / c_hat
         dw = dx / c_hat - x * dc_w / c_sq
         # dL p with dL = dA W A^T + A dW A^T + A W dA^T, never formed
         if dA is None:

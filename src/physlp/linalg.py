@@ -11,7 +11,8 @@ the operator builds once, read-only, in a CSR template.  WeightedGram,
 op.at(w, scale), is the step's whole system S: it computes Q @ w once,
 writes its Tikhonov term reg = scale * trace(A diag(w) A^T) / m onto
 the diagonal, and keeps its own Cholesky factor once a solve has made
-one; its sparse() is a copy of the template with the gram's own data.
+one, but not w; its sparse() is a copy of the template with the gram's
+own data.
 It is the one form of S that spd_solve takes, and the one place that
 holds the scale and reg a step solved with.
 spd_solve is the one solve routine, for the forward steps and for the
@@ -26,8 +27,8 @@ the block form once, in its _pattern, where it saves BLOCK_MIN_SAVING
 flops of dpotrf, as on assignment LPs of 150 rows.
 Above DIRECT_MAX_DIM rows spd_solve runs Jacobi-preconditioned CG on
 the sparse S, from the best multiple of a start vector that the caller
-may give (the forward loop gives the previous step's p where that
-step's gram holds no factor) or from zero, and factors S densely only
+may give (the forward loop gives every step the previous step's p) or
+from zero, and factors S densely only
 as a last resort.  A gram that holds a factor has it reused by every
 later solve, which checks and refines its answer against the gram's
 own matrix and ignores the start; a direct solve reads the start only
@@ -40,7 +41,7 @@ a few hundred entries.
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -245,7 +246,9 @@ class _Blocks(NamedTuple):
 class WeightedGram:
     """S = A diag(w) A^T + reg*I, one step's whole linear system and the
     one form of it that spd_solve takes: built from a validated A and
-    w > 0, so not checked.
+    w > 0, so not checked.  w is an input only, read once as Q @ w, and
+    the gram keeps no reference to it: a caller that needs w again, as
+    backward and jvp do, computes it from what it was made of.
 
     reg is fixed when the gram is made: scale times the trace of
     A diag(w) A^T over m.  solver.step_detail solves with scale
@@ -265,15 +268,15 @@ class WeightedGram:
     """
 
     op: WeightedOperator
-    w: np.ndarray
+    w: InitVar[np.ndarray]
     scale: float = AUTO_REG_SCALE
     reg: float = field(init=False)
     values: np.ndarray = field(init=False)
     factor: np.ndarray | None = field(init=False, default=None)
 
-    def __post_init__(self):
+    def __post_init__(self, w):
         pattern = self.op._pattern
-        self.values = pattern.Q @ self.w
+        self.values = pattern.Q @ w
         diagonal = self.values[pattern.diagonal]
         self.reg = self.scale * float(diagonal.sum()) / diagonal.size
         self.values[pattern.diagonal] = diagonal + self.reg
@@ -390,10 +393,13 @@ def spd_solve(L, b, tol, start=None):
     is not finite, PCG runs down to ||S p - b|| <= tol * ||b|| from the
     best multiple of start in the S-norm (see _scaled_start), or from
     zero when start is None, and above DIRECT_MAX_DIM the Cholesky
-    factor is the last resort; an m-vector start is trusted here, and
-    solver.step_detail checks it.  A start near the answer, as the previous step's p is to the next
-    one's, leaves PCG fewer iterations, and none when it meets the
-    target.  p is accepted on normwise backward error,
+    factor is the last resort.  start is trusted to be a finite
+    m-vector, here and in solver.step_detail, whose one caller hands
+    every step the previous step's accepted p; this function alone
+    decides whether a solve reads it.  A start near the answer, as the
+    previous step's p is to the next one's, leaves PCG fewer
+    iterations, and none when it meets the target.  p is accepted on
+    normwise backward error,
 
         ||S p - b|| <= tol * (||b|| + max(diag(S)) * ||p||),
 

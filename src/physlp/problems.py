@@ -267,11 +267,29 @@ def _svm_offsets(n):
             "p": 6 * n + 2, "q": 7 * n + 2, "r": 8 * n + 2}
 
 
+def _kernel_block(inst):
+    """(G / s, s) for G[i, j] = y_j K(x_i, x_j) and s = max |G|, or 1
+    for an all-zero G: build_l1svm_lp writes G / s into the LP, and
+    decode_svm divides alpha by s.  G alpha = (G / s)(s alpha), so the
+    LP's classifier does not depend on s, and its entries stay at most
+    1 beside the unit slack entries: a linear kernel of far points has
+    entries of the order of their squared distance from the origin,
+    and the dynamics stalled on them.  A Gaussian G has s = 1 exactly,
+    its diagonal being exp(0) = 1.  NonFiniteEntry is raised when G has
+    a non-finite entry."""
+    G = inst.kernel.gram(inst.points, inst.points) * inst.labels[np.newaxis, :]
+    if not np.all(np.isfinite(G)):
+        raise NonFiniteEntry("kernel matrix contains non-finite entries")
+    s = float(np.abs(G).max()) or 1.0
+    return G / s, s
+
+
 def build_l1svm_lp(inst):
     """Split-variable LP for the L1 kernel SVM.
 
-    With G[i, j] = y_j K(x_i, x_j) and alpha = a1 - a2, the rows are,
-    for each training point i:
+    With G[i, j] = y_j K(x_i, x_j) / s, s = max |y_j K(x_i, x_j)| (see
+    _kernel_block), and alpha = a1 - a2, the rows are, for each
+    training point i:
 
         y_i (sum_j G[i,j] (a1_j - a2_j) + b1 - b2) + xi_i - M z_i - l_i = 1
         sum_j G[i,j] (a1_j - a2_j) - s_i + p_i = 0
@@ -301,9 +319,7 @@ def build_l1svm_lp(inst):
         raise InputError(f"c_reg and big_m must be positive and finite, "
                          f"got {inst.c_reg} and {inst.big_m}")
 
-    G = inst.kernel.gram(X, X) * y[np.newaxis, :]
-    if not np.all(np.isfinite(G)):
-        raise NonFiniteEntry("kernel matrix contains non-finite entries")
+    G = _kernel_block(inst)[0]
 
     # block rows: margin, lower envelope, upper envelope, z + r = 1;
     # block columns in the layout of _svm_offsets; None is a zero block
@@ -343,11 +359,14 @@ class SvmClassifier:
 
 def decode_svm(x, inst):
     """Recombine the split variables of x, which core.checked_array
-    checks: alpha = a1 - a2, bias = b1 - b2."""
+    checks: alpha = (a1 - a2) / s, with the scale s of the kernel block
+    that build_l1svm_lp wrote, which _kernel_block computes again, and
+    bias = b1 - b2."""
     n = inst.points.shape[0]
     x = checked_array(x, (9 * n + 2,), "x")
     off = _svm_offsets(n)
-    alpha = x[off["a1"]:off["a1"] + n] - x[off["a2"]:off["a2"] + n]
+    s = _kernel_block(inst)[1]
+    alpha = (x[off["a1"]:off["a1"] + n] - x[off["a2"]:off["a2"] + n]) / s
     bias = float(x[off["b1"]] - x[off["b2"]])
     return SvmClassifier(alpha, bias, inst.points, inst.labels, inst.kernel)
 

@@ -17,6 +17,13 @@ gamma = default_gamma(m, n) > 0.  eps and gamma are constants of the
 method, not settings.  Nothing else changes: the iterate, the residual,
 the tape and the gradients stay in the LP's own coordinates, and the
 objective is reported against the LP's own cost.
+
+solve here, and solve_with_tape, backward and jvp in physlp.autodiff,
+are the public entry points, and they check what a caller hands them.
+The step machinery behind them, prepare_lp, initial_state,
+step_detail and StepDetail, is not exported from physlp: step_detail
+has one caller, the forward loop _iterate, and trusts what it is
+given.
 """
 
 import math
@@ -142,8 +149,8 @@ class StepDetail:
     residual in the forward loop; a CG step's p, at rounding level,
     and its linsolve_iterations also depend on the start it was given,
     the previous step's p there.  gram is the linalg.WeightedGram the
-    step solved with, its whole system S = A diag(w) A^T + reg*I: w,
-    scale and reg, the values of S in the layout of the step's route
+    step solved with, its whole system S = A diag(w) A^T + reg*I: scale
+    and reg, the values of S in the layout of the step's route
     (the m-by-m matrix, the blocks diag(S_II), S_FF and S_FI where the
     operator splits its rows, or the CSR data above
     linalg.DIRECT_MAX_DIM rows) and the Cholesky factor the solve left
@@ -153,11 +160,14 @@ class StepDetail:
     gram.scale: linalg.AUTO_REG_SCALE, or 100 times that after the
     retry.  The term moves with w and A, so backward and jvp, which
     solve with it, differentiate it.  The step stores nothing it can
-    derive exactly: clamp_mask is read from x_new.  Per step this is,
-    on the dense route, two m-by-m arrays (the matrix and its factor),
-    four n-vectors (w among them) and two m-vectors; where the rows
+    derive exactly: clamp_mask is read from x_new, and backward and
+    jvp take w as x_prev / prep.c, the division step_detail made, so
+    bit for bit the w the gram was built from.  u = A^T p stays:
+    computing it again would cost backward one sparse product per step.
+    Per step this is, on the dense route, two m-by-m arrays (the matrix
+    and its factor), three n-vectors and two m-vectors; where the rows
     split, |I| + 2 |F|^2 + |F| |I| floats in place of the two m-by-m
-    arrays: about 82 kB at 30x30 (60x930) and 207 kB at 50x100
+    arrays: about 74 kB at 30x30 (60x930) and 166 kB at 50x100
     (150x5100), by tracemalloc.
     """
 
@@ -192,12 +202,11 @@ def step_detail(prep, x, cfg, tol, start=None):
     spd_solve, to both solves: tol is the relative target, and start
     the vector whose best multiple a CG solve starts from (zero when
     None; a solve with a Cholesky answer ignores it).  _iterate, the
-    forward loop and the one caller in the package, passes forward_tol
-    of the iterate's residual and, where the previous step's gram holds
-    no factor, that step's p, so a step is set by x, cfg and that p.
-    Weights x / c that are not finite raise LinSolveFailure before any
-    solve; a start that is not None passes core.checked_array as an
-    m-vector (DimensionMismatch, NonFiniteEntry).
+    forward loop and the one caller, passes forward_tol of the
+    iterate's residual and the previous step's p, so a step is set by
+    x, cfg and that p.  start is trusted, as spd_solve trusts it: an
+    accepted p is a finite m-vector.  Weights x / c that are not finite
+    raise LinSolveFailure before any solve.
     """
     lp = prep.source
     op = lp.operator
@@ -206,8 +215,6 @@ def step_detail(prep, x, cfg, tol, start=None):
     w = x / prep.c
     if not np.isfinite(w).all():
         raise LinSolveFailure("the weights x / c are not finite, so A diag(w) A^T is not either")
-    if start is not None:
-        start = checked_array(start, (lp.m,), "start")
     gram = op.at(w, AUTO_REG_SCALE)
     try:
         report = spd_solve(gram, lp.b, tol, start)
@@ -281,10 +288,9 @@ def _iterate(prep, x, cfg):
     right-hand side of the solves, and starts its CG solve from the
     best multiple of the previous step's p (the first step from zero):
     consecutive systems differ little, and this start cut the CG
-    iterations of 100-step runs on 600-node DAGs by 46%.  The p is
-    passed only where the previous step's gram holds no factor: a
-    factored route's steps solve by Cholesky and never read a start,
-    and step_detail would check it for nothing.  A step is thus set by
+    iterations of 100-step runs on 600-node DAGs by 46%.  Every step
+    gets that p; spd_solve alone decides whether to read it, and a
+    solve with a Cholesky answer does not.  A step is thus set by
     its input and the previous step's p, and running the loop again
     from the same x, a tape's steps[0].x_prev among them, repeats it
     bit for bit, on the same route."""
@@ -293,7 +299,7 @@ def _iterate(prep, x, cfg):
     p = None
     for _ in range(cfg.max_iters):
         det = step_detail(prep, x, cfg, forward_tol(cfg, res, bnorm), p)
-        x, p = det.x_new, det.p if det.gram.factor is None else None
+        x, p = det.x_new, det.p
         obj, res = _evaluate(prep, x)
         yield det, obj, res
 

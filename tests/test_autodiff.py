@@ -149,16 +149,19 @@ def test_no_solve_writes_a_grams_values(name, request, monkeypatch):
     monkeypatch.setattr(solver, "spd_solve", failing)
     _, tape = solve_with_tape(lp, SolverConfig(max_iters=5, seed=4))
     assert len(calls) == 6 and len(tape) == 5
+    # the gram keeps no w; x_prev / c is the division the step made
+    c = tape.prep.c
     for det in tape.steps:
-        assert np.array_equal(det.gram.values, op.at(det.gram.w, det.gram.scale).values)
+        assert not hasattr(det.gram, "w")
+        assert np.array_equal(det.gram.values, op.at(det.x_prev / c, det.gram.scale).values)
     before = [det.gram.values.copy() for det in tape.steps]
     rng = np.random.default_rng(4)
     backward(tape, rng.normal(size=lp.n))
     jvp(tape, dc=rng.normal(size=lp.n), dA=rng.normal(size=lp.A.shape), db=rng.normal(size=lp.m))
     assert all(np.array_equal(det.gram.values, v) for det, v in zip(tape.steps, before))
 
-    retried = tape.steps[2].gram
-    default, bare = op.at(retried.w), op.at(retried.w, 0.0)
+    retried, w = tape.steps[2].gram, tape.steps[2].x_prev / c
+    default, bare = op.at(w), op.at(w, 0.0)
     assert [det.gram.scale == linalg.AUTO_REG_SCALE for det in tape.steps] == [
         True, True, False, True, True]
     assert retried.scale == 100.0 * linalg.AUTO_REG_SCALE

@@ -277,6 +277,17 @@ def test_svm_demo_far_blobs_or_a_narrow_kernel_separate(flags, capsys):
     assert json.loads(out)["accuracy"] == 1.0
 
 
+@pytest.mark.parametrize("sep", ["1e4", "1e100"])
+def test_svm_demo_linear_kernel_separates_far_blobs(sep, capsys):
+    # the LP holds the kernel block over its largest entry; its entries
+    # once grew as sep^2 beside the unit slack entries, and the run gave
+    # accuracy 0.5 at 1e4 (exit 3) and an A entry above core.A_MAX at
+    # 1e100 (exit 1)
+    rc, out, _ = run(capsys, ["svm-demo", "--kernel", "linear", "--sep", sep])
+    report = json.loads(out)
+    assert rc == 0 and report["accuracy"] == 1.0 and report["residual"] < 1e-5
+
+
 def test_svm_demo_linear_kernel_ignores_sigma(capsys):
     rc, out, _ = run(capsys, ["svm-demo", "--kernel", "linear", "--sigma", "0",
                               "--n-per-class", "1", "--sep", "5"])
@@ -503,7 +514,8 @@ def test_unwritable_output_is_input_error(argv, tmp_path, capsys):
     ["svm-demo", "--kernel", "linear", "--sep", "1e200"],
     ["svm-demo", "--big-m", "1e300"],
     ["svm-demo", "--big-m", "1e160"],
-    ["svm-demo", "--kernel", "linear", "--sep", "1e100"],
+    # the linear kernel's scaled block still needs a finite sep**2
+    ["svm-demo", "--kernel", "linear", "--sep", "1e160"],
     ["solve", "--lp", "HUGE_A"],
 ])
 def test_non_positive_size_or_weight_is_input_error(argv, tmp_path, capsys):

@@ -9,11 +9,12 @@ import pytest
 import scipy.sparse
 
 import physlp
-from physlp import (SolverConfig, StandardFormLP, backward, errors, initial_state, jvp, linalg,
-                    load_lp, prepare_lp, problems, save_lp, solve, solve_with_tape, solver,
-                    validate)
+from physlp import (SolverConfig, StandardFormLP, backward, errors, jvp, linalg, load_lp,
+                    problems, save_lp, solve, solve_with_tape, solver)
+from physlp.core import validate
 from physlp.errors import DimensionMismatch, InvalidConfig, NonFiniteEntry
 from physlp.linalg import WeightedOperator
+from physlp.solver import initial_state, prepare_lp
 
 from .conftest import svm_feasible_point
 
@@ -88,7 +89,7 @@ def test_validate_holds_every_entry_to_A_MAX(name, entry):
 ENTRY_POINTS = ["validate-b", "validate-c", "validate-potentials", "initial_state-x0",
                 "backward-grad_x", "jvp-dc", "jvp-dA", "jvp-db", "decode_matching-x",
                 "decode_matching-C", "matching_cost_gradient-grad_c", "decode_svm-x",
-                "build_l1svm_lp-labels", "decision-X", "predict-X", "step_detail-start"]
+                "build_l1svm_lp-labels", "decision-X", "predict-X"]
 
 
 def entry_point(case):
@@ -121,10 +122,6 @@ def entry_point(case):
         # a NaN point once gave a silent -1, a wrong width numpy's own error
         "decision-X": (problems.decode_svm(np.ones(20), svm).decision, np.ones((3, 1))),
         "predict-X": (problems.decode_svm(np.ones(20), svm).predict, np.ones((3, 1))),
-        # a wrong length once failed inside a CG product, or was ignored
-        # by a factored gram
-        "step_detail-start": (lambda v: solver.step_detail(
-            prepare_lp(lp), np.ones(n), cfg, 1e-10, v), np.ones(m)),
     }[case]
 
 
@@ -433,12 +430,25 @@ def test_input_errors_are_value_errors_and_outcomes_are_not():
         assert not issubclass(cls, errors.InputError) and not issubclass(cls, ValueError)
 
 
+# What a caller of the layer needs: the LP, its file format, the solve
+# and its derivatives, and the three submodules
+PUBLIC = {"StandardFormLP", "SolverConfig", "SolveResult", "SolveStatus", "TraceRecord",
+          "save_lp", "load_lp", "solve", "UnrolledTape", "LpGradients", "solve_with_tape",
+          "backward", "jvp", "finite_diff_grad", "errors", "oracles", "problems"}
+
+# The machinery behind the public names, kept in its modules: the SPD
+# solves take only the solver's internal op.at(w), and the step
+# functions trust their one caller
+INTERNAL = {"linalg": ("spd_solve", "spd_solve_adjoint", "SpdSolveReport"),
+            "solver": ("step_detail", "StepDetail", "PreparedLP", "prepare_lp",
+                       "initial_state", "default_gamma"),
+            "core": ("validate",)}
+
+
 def test_every_public_name_resolves():
-    # oracles resolves through the package's lazy __getattr__.  The SPD
-    # solves take only the solver's internal op.at(w), so they stay in
-    # physlp.linalg and out of the package namespace
+    assert sorted(physlp.__all__) == sorted(PUBLIC)
     assert [name for name in physlp.__all__ if not hasattr(physlp, name)] == []
-    assert "oracles" in physlp.__all__
-    for name in ("spd_solve", "spd_solve_adjoint", "SpdSolveReport"):
-        assert name not in physlp.__all__ and not hasattr(physlp, name)
-        assert hasattr(physlp.linalg, name)
+    for module, names in INTERNAL.items():
+        for name in names:
+            assert name not in physlp.__all__ and not hasattr(physlp, name)
+            assert hasattr(getattr(physlp, module), name)

@@ -181,13 +181,23 @@ def test_the_guard_sees_an_unreached_definition(tmp_path):
     assert unreached([lib], []) == {"lib.used", "lib.loop", "lib.exported", "lib.Kit.idle"}
 
 
+def init_only(annotation):
+    """Whether the annotation is a dataclass InitVar, X or X[T] with X
+    InitVar or dataclasses.InitVar: an argument of __init__ and
+    __post_init__ that the instance does not store."""
+    node = annotation.value if isinstance(annotation, ast.Subscript) else annotation
+    return (node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)) == "InitVar"
+
+
 def annotated_fields(tree):
     """("Class.field", field) of each annotated field of each top-level
-    class of the module tree: a dataclass or NamedTuple field."""
+    class of the module tree: a dataclass or NamedTuple field, but no
+    InitVar, which is not stored."""
     for node in tree.body:
         if isinstance(node, ast.ClassDef):
             yield from ((f"{node.name}.{item.target.id}", item.target.id) for item in node.body
-                        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name))
+                        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                        and not init_only(item.annotation))
 
 
 def unread_fields(modules, others):
@@ -214,13 +224,17 @@ def test_every_field_is_read_outside_the_tests():
 
 def test_the_guard_sees_an_unread_field(tmp_path):
     lib, user = tmp_path / "lib.py", tmp_path / "user.py"
-    lib.write_text("from dataclasses import dataclass\nfrom typing import NamedTuple\n\n"
+    lib.write_text("import dataclasses\nfrom dataclasses import InitVar, dataclass\n"
+                   "from typing import NamedTuple\n\n"
                    "@dataclass\nclass Report:\n    p: float\n    spent: float\n"
+                   "    seed: InitVar[int]\n    raw: dataclasses.InitVar[float]\n"
                    "    kept: int = 0\n    LIMIT = 3\n\n"
                    "    def bump(self):\n        self.kept = self.LIMIT\n\n"
                    "class Pair(NamedTuple):\n    left: int\n    right: int\n\n"
-                   "def make():\n    return Report(1.0, 2.0).p, Pair(1, 2).left\n")
+                   "def make():\n    return Report(1.0, 2.0, 3, 4.0).p, Pair(1, 2).left\n")
     user.write_text("from lib import make\nreport = make()\nreport.spent = 0.0\n")
+    # seed and raw, read nowhere, are InitVars, which the instance does
+    # not store
     assert unread_fields([lib], [user]) == {"lib.Report.spent", "lib.Report.kept",
                                             "lib.Pair.right"}
     user.write_text("print(make().right)\n")

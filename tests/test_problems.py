@@ -8,17 +8,18 @@ import pytest
 import scipy.sparse
 
 from physlp import (SolverConfig, StandardFormLP, backward, jvp,
-                    linalg, prepare_lp, problems, solve, solve_with_tape)
+                    linalg, problems, solve, solve_with_tape)
 from physlp.cli import main
 from physlp.errors import DimensionMismatch, InputError, NonFiniteEntry, Unreachable
 from physlp.oracles import dijkstra, hungarian
 from physlp.problems import (GaussianKernel, Graph, LinearKernel,
-                             MatchingInstance, SvmInstance,
+                             MatchingInstance, SvmInstance, _svm_offsets,
                              assignment_to_vector, build_l1svm_lp,
                              build_matching_lp, build_shortest_path_lp,
                              decode_matching, decode_svm,
                              matching_cost_gradient, matching_slack_gamma,
                              split_matching_vars, two_gaussian_blobs)
+from physlp.solver import prepare_lp
 
 from .conftest import (matching_feasible_point, random_bounded_lp, rerun,
                        svm_feasible_point)
@@ -343,10 +344,12 @@ def test_svm_cost_pattern():
 
 def row_built_svm_lp(inst):
     """The SVM LP as build_l1svm_lp made it before it built A by blocks:
-    a dense A filled row block by row block."""
+    a dense A filled row block by row block, with the kernel block over
+    its largest magnitude."""
     X, y = inst.points, inst.labels
     n, idx = X.shape[0], np.arange(X.shape[0])
     G = inst.kernel.gram(X, X) * y[np.newaxis, :]
+    G = G / (np.abs(G).max() or 1.0)
     a1, a2, s, b1, b2, xi, z, l, p, q, r = 0, n, 2 * n, 3 * n, 3 * n + 1, *(
         3 * n + 2 + k * n for k in range(6))
     A, b, c = np.zeros((4 * n, 9 * n + 2)), np.zeros(4 * n), np.zeros(9 * n + 2)
@@ -372,6 +375,24 @@ def test_svm_lp_is_the_row_built_one_bit_for_bit(kernel, n_per, seed):
     lp, want = build_l1svm_lp(inst), row_built_svm_lp(inst)
     for name in ("A", "b", "c"):
         assert bits(getattr(lp, name)) == bits(getattr(want, name))
+
+
+def test_svm_lp_scales_its_kernel_block_and_decode_svm_undoes_it():
+    # a linear kernel of far points has entries near sep^2 = 1e8; the LP
+    # holds them over the largest, and the decoded classifier is the
+    # LP's: its decision less the bias is the kernel rows' product
+    rng = np.random.default_rng(5)
+    pts, lab = two_gaussian_blobs(4, 3, 1e4, rng)
+    inst = SvmInstance(pts, lab)
+    lp, n, off = build_l1svm_lp(inst), 8, _svm_offsets(8)
+    assert abs(lp.A).max() == 1.0
+    x = np.zeros(lp.n)
+    x[:2 * n] = rng.uniform(size=2 * n)  # a1, a2
+    x[off["b1"]] = 0.3
+    clf = decode_svm(x, inst)
+    envelope = (lp.A @ x)[n:2 * n]
+    assert np.allclose(clf.decision(pts) - clf.bias, envelope, rtol=1e-10, atol=1e-10)
+    assert clf.bias == 0.3
 
 
 def test_svm_feasible_witness():

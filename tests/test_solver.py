@@ -8,12 +8,12 @@ import scipy.linalg
 import scipy.optimize
 import scipy.sparse
 
-from physlp import (SolveStatus, SolverConfig, StandardFormLP, autodiff, backward, core,
-                    default_gamma, initial_state, jvp, linalg, prepare_lp, problems, solve,
-                    solve_with_tape, solver, step_detail)
+from physlp import (SolveStatus, SolverConfig, StandardFormLP, autodiff, backward, core, jvp,
+                    linalg, problems, solve, solve_with_tape, solver)
 from physlp.errors import DimensionMismatch, NegativeCost, NonFiniteEntry, NonPositiveInit
 from physlp.oracles import hungarian
 from physlp.problems import MatchingInstance, build_matching_lp, decode_matching
+from physlp.solver import default_gamma, initial_state, prepare_lp, step_detail
 
 from .conftest import assert_sparse_copies_the_template, random_bounded_lp, rerun, step_tols
 
@@ -695,29 +695,29 @@ def test_the_previous_steps_p_cuts_forward_cg_iterations(dag_600, seed):
     # against solving each recorded gram again from zero, to the same
     # target: 0.53 of the count on seed 7 and 0.42 on seed 8
     res, tape = solve_with_tape(dag_600, SolverConfig(max_iters=100, seed=seed))
-    op, b = tape.prep.source.operator, tape.prep.source.b
-    cold = sum(linalg.spd_solve(op.at(det.gram.w, det.gram.scale), b, tol).iterations
+    op, b, c = tape.prep.source.operator, tape.prep.source.b, tape.prep.c
+    cold = sum(linalg.spd_solve(op.at(det.x_prev / c, det.gram.scale), b, tol).iterations
                for det, tol in zip(tape.steps, step_tols(res, tape), strict=True))
     assert sum(det.linsolve_iterations for det in tape.steps) <= 0.7 * cold
 
 
 @pytest.mark.parametrize("name", ["matching_5x50", "matching_50x100", "dag_600"])
-def test_the_forward_loop_hands_a_start_only_to_cg_steps(name, request, monkeypatch):
-    # a factored step never reads a start, so the loop passes it none,
-    # and step_detail does not check one; on the CG route every step
-    # but the first gets the previous step's p
+def test_every_step_after_the_first_gets_the_previous_steps_p(name, request, monkeypatch):
+    # on every route: spd_solve alone decides whether a solve reads the
+    # start, and a factored one does not (see test_linalg's
+    # test_a_factored_solve_ignores_the_start)
     lp = request.getfixturevalue(name)
-    step, starts = solver.step_detail, []
+    step, starts, steps = solver.step_detail, [], []
 
     def recording(prep, x, cfg, tol, start=None):
         starts.append(start)
-        return step(prep, x, cfg, tol, start)
+        steps.append(step(prep, x, cfg, tol, start))
+        return steps[-1]
 
     monkeypatch.setattr(solver, "step_detail", recording)
-    steps = len(solve(lp, SolverConfig(max_iters=100, seed=2)).trace)
-    given = sum(start is not None for start in starts)
-    assert len(starts) == steps
-    assert given == (steps - 1 if lp.m > linalg.DIRECT_MAX_DIM else 0)
+    solve(lp, SolverConfig(max_iters=100, seed=2), early_stop=False)
+    assert len(starts) == 100 and starts[0] is None
+    assert sum(start is det.p for start, det in zip(starts[1:], steps)) == 99
 
 
 def test_forward_targets_stay_at_or_below_the_forcing_term(dag_600):
